@@ -1199,6 +1199,31 @@ let kernels () =
                 ~drive:(fun sim cycle -> Fir_netlist.drive fir sim stimulus1024.(cycle))
                 ~samples:1024 ~faults:faults_all)))
   in
+  (* the paper's §5 spectral coverage end to end, serial: 13 taps, 12-bit
+     input, 2048 two-tone samples — full-stream fault simulation of every
+     collapsed fault plus one windowed FFT verdict per fault *)
+  let spectral_config =
+    { Digital_test.default_config with Digital_test.taps = 13; input_bits = 12 }
+  in
+  let spectral_fir = Digital_test.build spectral_config in
+  let spectral_faults = Digital_test.collapsed_faults spectral_fir in
+  let spectral_tones =
+    List.map
+      (fun target -> Digital_test.coherent_tone ~sample_rate:1e6 ~samples:2048 ~target)
+      [ 90e3; 110e3 ]
+  in
+  let spectral_codes =
+    Digital_test.ideal_codes spectral_config ~sample_rate:1e6 ~samples:2048 ~freqs:spectral_tones
+      ~amplitude_fs:0.45
+  in
+  let spectral_test =
+    Test.make ~name:"faultsim-spectral"
+      (Staged.stage (fun () ->
+           ignore
+             (Digital_test.spectral_coverage spectral_config spectral_fir ~sample_rate:1e6
+                ~input_codes:spectral_codes ~reference_codes:spectral_codes
+                ~tone_freqs:spectral_tones ~faults:spectral_faults)))
+  in
   (* analog path waveform simulation, 1024 sim samples *)
   let engine = Path.engine path (Path.nominal_part path) ~seed:3 in
   let wave = Tone.synthesize ~sample_rate:8e6 ~samples:1024 [ Tone.component ~freq:1.1e6 ~amplitude:0.02 () ] in
@@ -1333,7 +1358,7 @@ let kernels () =
         raw)
     ([ fft_test; fft_cold_test; rfft_test; fft_bluestein_test; fft_bluestein_cold_test;
        rfft_bluestein_test; mc_arena_test; fsim_test; fsim_serial_test; fsim_pooled_test;
-       fsim_drop_test; path_test; coverage_test; plan_test ]
+       fsim_drop_test; spectral_test; path_test; coverage_test; plan_test ]
     @ topology_plan_tests @ [ soc_schedule_test ]);
   Texttable.print t
 

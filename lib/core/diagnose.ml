@@ -47,28 +47,20 @@ let deviation_of_stream fir golden stream =
 
 let build fir ~sample_rate ~input_codes ~faults =
   let golden_stream = Fir_netlist.response fir input_codes in
-  let dictionary = Array.make (Array.length faults) None in
   let drive sim cycle = Fir_netlist.drive fir sim input_codes.(cycle) in
-  let (_ : int array) =
-    Fault_sim.run_fold fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
+  let _, dictionary =
+    Fault_sim.observe fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
       ~samples:(Array.length input_codes) ~faults
-      ~on_fault:(fun index fault stream ->
+      ~on_fault:(fun _ fault stream ->
         let deviation = deviation_of_stream fir golden_stream stream in
         let site =
           match Fir_netlist.region_of_node fir fault.Fault.node with
           | Some r -> Some (r.Fir_netlist.tap, r.Fir_netlist.role)
           | None -> None
         in
-        dictionary.(index) <-
-          Some { fault; site; signature = signature_of_deviation ~sample_rate deviation })
+        { fault; site; signature = signature_of_deviation ~sample_rate deviation })
   in
-  { fir;
-    sample_rate;
-    golden_stream;
-    dictionary =
-      Array.map
-        (function Some e -> e | None -> invalid_arg "Diagnose.build: missing entry")
-        dictionary }
+  { fir; sample_rate; golden_stream; dictionary }
 
 let entries t = t.dictionary
 

@@ -204,10 +204,11 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
   let floor_db =
     noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_codes ~golden
   in
-  let detected_flags = Array.make (Array.length faults) false in
-  let undetected = ref [] and undetected_dev = ref [] in
   Progress.set prog_judged_total (float_of_int (Array.length faults));
-  let judge stream =
+  (* Each stream is judged (windowed FFT + bin-wise comparison) inside its
+     batch on the worker that simulated it, so no stream outlives its
+     batch; verdicts come back in fault order at every pool size. *)
+  let judge _index _fault stream =
     let spectrum = output_spectrum config fir ~sample_rate stream in
     let verdict =
       if spectra_differ config ~floor_db ~excluded golden spectrum then (true, 0.0)
@@ -222,43 +223,19 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
     verdict
   in
   let drive sim cycle = Fir_netlist.drive fir sim input_codes.(cycle) in
-  (match pool with
-  | Some pool when Msoc_util.Pool.size pool > 1 && Array.length faults > 0 ->
-    (* Pooled path: fault-simulate the batches across domains, then judge
-       each captured stream (windowed FFT + bin-wise comparison) across
-       domains as well.  Verdicts land in fault order, so the detection
-       record is identical to the streaming serial path. *)
-    let result =
-      Fault_sim.run ~pool fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
-        ~samples ~faults
-    in
-    let verdicts =
-      Msoc_util.Pool.parallel_init pool (Array.length faults) (fun i ->
-          judge result.Fault_sim.fault_streams.(i))
-    in
-    Array.iteri
-      (fun i (hit, dev) ->
-        if hit then detected_flags.(i) <- true
-        else begin
-          undetected := faults.(i) :: !undetected;
-          undetected_dev := dev :: !undetected_dev
-        end)
-      verdicts
-  | Some _ | None ->
-    let on_fault index fault stream =
-      let hit, dev = judge stream in
-      if hit then detected_flags.(index) <- true
-      else begin
-        undetected := fault :: !undetected;
-        undetected_dev := dev :: !undetected_dev
-      end
-    in
-    let (_ : int array) =
-      Fault_sim.run_fold fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
-        ~samples ~faults ~on_fault
-    in
-    ());
-  let detected = Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 detected_flags in
+  let _, verdicts =
+    Fault_sim.observe ?pool fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
+      ~samples ~faults ~on_fault:judge
+  in
+  let detected = ref 0 and undetected = ref [] and undetected_dev = ref [] in
+  for i = Array.length faults - 1 downto 0 do
+    match verdicts.(i) with
+    | true, _ -> incr detected
+    | false, dev ->
+      undetected := faults.(i) :: !undetected;
+      undetected_dev := dev :: !undetected_dev
+  done;
+  let detected = !detected in
   let reported_floor =
     let worst = ref neg_infinity in
     for k = 1 to Spectrum.bin_count golden - 1 do
@@ -269,8 +246,8 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
   { total = Array.length faults;
     detected;
     coverage = float_of_int detected /. float_of_int (max 1 (Array.length faults));
-    undetected = Array.of_list (List.rev !undetected);
-    undetected_max_dev_lsb = Array.of_list (List.rev !undetected_dev);
+    undetected = Array.of_list !undetected;
+    undetected_max_dev_lsb = Array.of_list !undetected_dev;
     noise_floor_db = reported_floor }
 
 let false_alarm config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs

@@ -99,12 +99,11 @@ val spectral_coverage :
 (** Fault-simulate every fault under [input_codes]; the golden spectrum
     comes from [reference_codes] through the behavioural model (the paper
     uses an ideal stimulus for the good-circuit simulation and the
-    realistic analog model for the faulty ones).  With [pool], both the
-    fault simulation (batches) and the per-fault spectrum analysis run
-    across domains; the detection record is identical to the serial path
-    for every pool size.  The pooled path holds every fault stream in
-    memory at once (faults x samples ints) where the serial path streams
-    batch by batch. *)
+    realistic analog model for the faulty ones).  Streams come from
+    {!Fault_sim.observe} and are judged inside their batch, so memory stays
+    bounded by one batch of streams per worker.  With [pool], simulation
+    and per-fault spectrum analysis run across domains; the detection
+    record is identical for every pool size. *)
 
 val false_alarm :
   config ->

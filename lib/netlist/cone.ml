@@ -8,6 +8,7 @@ type reduced = {
   dffs : int array;
   dff_d : int array;
   outputs : int array;
+  output_bits : int array;
 }
 
 type scratch = {
@@ -139,7 +140,11 @@ let reduce circuit sc ~succ ~observable ~sources ~output =
         incr pos
       end)
     order;
-  let outputs = Array.of_list (List.filter member (Array.to_list output)) in
+  let output_bits =
+    List.init (Array.length output) Fun.id
+    |> List.filter (fun w -> member output.(w))
+    |> Array.of_list
+  in
   { prog_op;
     prog_dst;
     prog_a;
@@ -148,7 +153,8 @@ let reduce circuit sc ~succ ~observable ~sources ~output =
     inputs = Array.of_list (List.rev !inputs);
     dffs = Array.of_list (List.rev !dffs);
     dff_d = Array.of_list (List.rev !dff_d);
-    outputs }
+    outputs = Array.map (fun w -> output.(w)) output_bits;
+    output_bits }
 
 let eval_program red ~values ~and_mask ~or_mask =
   let prog_op = red.prog_op

@@ -34,6 +34,8 @@ type reduced = {
   dff_d : int array;    (** D driver of [dffs.(j)] (member or boundary). *)
   outputs : int array;  (** Member nodes of the observed output bus, the
                             only places detection can happen. *)
+  output_bits : int array; (** Bus position of each [outputs.(k)]: the bit
+                               of the output word the node drives. *)
 }
 
 type scratch

@@ -12,152 +12,27 @@ let prog_cycles_total = Progress.cell "fault_sim.cycles_total"
 let prog_detected = Progress.cell "fault_sim.detected"
 let prog_faults = Progress.cell "fault_sim.faults"
 
-type run = {
-  faults : Fault.t array;
-  good_stream : int array;
-  fault_streams : int array array;
-}
-
-let faults_per_batch = Logic_sim.lanes - 1
-
-let batches faults =
-  let total = Array.length faults in
-  if total = 0 then [ [||] ]
-    (* one empty batch: the fault-free machine is simulated unconditionally,
-       so [run ~faults:[||]] still produces a real [good_stream] *)
-  else begin
-    let count = (total + faults_per_batch - 1) / faults_per_batch in
-    List.init count (fun b ->
-        let lo = b * faults_per_batch in
-        Array.sub faults lo (min faults_per_batch (total - lo)))
-  end
-
-let prepare sim batch =
-  Logic_sim.clear_faults sim;
-  Logic_sim.reset sim;
-  Array.iteri
-    (fun lane (f : Fault.t) ->
-      Logic_sim.inject sim ~node:f.Fault.node ~lane:(lane + 1) ~stuck:f.Fault.stuck)
-    batch
-
-(* Simulate one batch on [sim], writing lane 0 into [good_stream] and lane
-   [l + 1] into [batch_streams.(l)].  Batches are independent: [prepare]
-   clears all fault masks and state, so the result of a batch does not
-   depend on which sim instance runs it or in which order — the property
-   the pooled paths below rely on. *)
-let simulate_batch sim ~bus ~drive ~samples ~lane_values ~good_stream ~batch_streams batch =
-  prepare sim batch;
-  for cycle = 0 to samples - 1 do
-    drive sim cycle;
-    Logic_sim.eval sim;
-    Logic_sim.read_bus_lanes sim bus lane_values;
-    good_stream.(cycle) <- lane_values.(0);
-    for lane = 0 to Array.length batch - 1 do
-      batch_streams.(lane).(cycle) <- lane_values.(lane + 1)
-    done;
-    Logic_sim.tick sim
-  done
-
-let run_fold circuit ~output ~drive ~samples ~faults ~on_fault =
-  let bus = Netlist.find_output circuit output in
-  let sim = Logic_sim.create circuit in
-  let good_stream = Array.make samples 0 in
-  let batch_streams =
-    Array.init faults_per_batch (fun _ -> Array.make samples 0)
-  in
-  let lane_values = Array.make Logic_sim.lanes 0 in
-  let batch_start = ref 0 in
-  let batch_list = batches faults in
-  Progress.set prog_batches_total (float_of_int (List.length batch_list));
-  Progress.set prog_faults (float_of_int (Array.length faults));
-  List.iter
-    (fun batch ->
-      simulate_batch sim ~bus ~drive ~samples ~lane_values ~good_stream ~batch_streams batch;
-      Array.iteri
-        (fun lane fault -> on_fault (!batch_start + lane) fault batch_streams.(lane))
-        batch;
-      batch_start := !batch_start + Array.length batch;
-      Progress.add prog_batches 1.0)
-    batch_list;
-  good_stream
-
-let batch_offsets batch_array =
-  let offsets = Array.make (Array.length batch_array) 0 in
-  let acc = ref 0 in
-  Array.iteri
-    (fun b batch ->
-      offsets.(b) <- !acc;
-      acc := !acc + Array.length batch)
-    batch_array;
-  offsets
-
-let run ?pool circuit ~output ~drive ~samples ~faults =
-  Obs.count "fault_sim.runs";
-  Obs.count ~by:(Array.length faults) "fault_sim.faults";
-  Obs.span "fault_sim.run" @@ fun () ->
-  match pool with
-  | Some pool when Pool.size pool > 1 && Array.length faults > faults_per_batch ->
-    (* One persistent Logic_sim instance per worker slot (created on first
-       use, reused across every batch the slot runs — including stolen
-       ones); each batch gets fresh stream arrays because those escape into
-       the result.  [prepare] makes batches independent of the sim that
-       runs them, so stealing cannot change any output.  [drive] runs
-       concurrently against distinct sims and must only mutate the sim it
-       is handed.  Batches are expensive and few, hence [grain:1]. *)
-    let batch_array = Array.of_list (batches faults) in
-    Progress.set prog_batches_total (float_of_int (Array.length batch_array));
-    Progress.set prog_faults (float_of_int (Array.length faults));
-    let offsets = batch_offsets batch_array in
-    let good_stream = Array.make samples 0 in
-    let fault_streams = Array.init (Array.length faults) (fun _ -> [||]) in
-    let bus = Netlist.find_output circuit output in
-    let slot_state =
-      Pool.per_slot pool (fun () ->
-          (Logic_sim.create circuit, Array.make Logic_sim.lanes 0, Array.make samples 0))
-    in
-    Pool.parallel_iter_grained pool ~n:(Array.length batch_array) ~grain:1
-      ~f:(fun ~slot ~lo ~hi ->
-        let sim, lane_values, scratch_good = slot_state slot in
-        for b = lo to hi - 1 do
-          let batch = batch_array.(b) in
-          let batch_streams =
-            Array.init (Array.length batch) (fun _ -> Array.make samples 0)
-          in
-          (* batch 0 owns lane 0's stream; every other batch discards its
-             (identical) copy into the slot's scratch *)
-          let good_target = if b = 0 then good_stream else scratch_good in
-          simulate_batch sim ~bus ~drive ~samples ~lane_values ~good_stream:good_target
-            ~batch_streams batch;
-          Array.iteri
-            (fun lane _ -> fault_streams.(offsets.(b) + lane) <- batch_streams.(lane))
-            batch;
-          Progress.add prog_batches 1.0
-        done)
-      ();
-    { faults; good_stream; fault_streams }
-  | Some _ | None ->
-    let fault_streams = Array.init (Array.length faults) (fun _ -> [||]) in
-    (* copy at the API boundary: [run_fold] recycles its stream buffers *)
-    let on_fault index _fault stream = fault_streams.(index) <- Array.copy stream in
-    let good_stream = run_fold circuit ~output ~drive ~samples ~faults ~on_fault in
-    { faults; good_stream; fault_streams }
-
 (* ------------------------------------------------------------------------
-   Exact detection: chunked, cone-reduced, fault-dropping engine.
+   One engine: good-value table + cone-reduced batches.
 
    One fault-free reference sim records every node's lane-0 bit per cycle
-   (the {e good table}, one chunk at a time); fault batches then pack all
-   63 lanes with faults (no lane-0 reference needed — detection compares
-   the batch's output-cone bits against the good table) and evaluate only
-   the reduced program of the batch's union cone.  Between chunks,
-   detected faults are dropped and survivors repacked into fewer, tighter
-   batches; a new batch inherits each lane's DFF state from the lane's
-   previous batch where the DFF was in that batch's cone and the
-   fault-free bit everywhere else (lanes provably carry fault-free values
-   outside their own fault's cone).  Every step is a pure function of the
-   detection prefix, which in turn is a pure per-fault predicate of
-   (circuit, drive, samples, fault) — so flags are bit-identical for any
-   pool size, including serial. *)
+   (the {e good table}); fault batches pack all 63 lanes with faults (no
+   lane-0 reference needed) and evaluate only the reduced program of the
+   batch's union cone, loading everything outside it from the good table.
+   Two drivers share the per-cycle kernel [step]:
+
+   - [observe] runs every batch over the whole sweep against a full-length
+     table and rebuilds each lane's output word from the good word plus
+     the lane's cone-output bits;
+   - [detect_engine] runs the sweep in 32-cycle chunks against a
+     double-buffered table; between chunks, detected faults are dropped and
+     survivors repacked into fewer, tighter batches.  A new batch inherits
+     each lane's DFF state from the lane's previous batch where the DFF was
+     in that batch's cone and the fault-free bit everywhere else (lanes
+     provably carry fault-free values outside their own fault's cone).
+     Every step is a pure function of the detection prefix, which in turn
+     is a pure per-fault predicate of (circuit, drive, samples, fault) — so
+     flags are bit-identical for any pool size, including serial. *)
 
 let det_chunk = 32
 
@@ -171,14 +46,14 @@ type dbatch = {
   mutable det_mask : int;
 }
 
-type det_scratch = {
+type scratch = {
   values : int array;
   am : int array;
   om : int array;
   cone : Cone.scratch;
 }
 
-let det_scratch circuit =
+let scratch circuit =
   let n = Netlist.node_count circuit in
   { values = Array.make n 0;
     am = Array.make n (-1); (* all lanes pass-through *)
@@ -190,12 +65,15 @@ let lane_mask nlanes = if nlanes >= Logic_sim.lanes then -1 else (1 lsl nlanes) 
 (* 0 -> all-zero word, 1 -> all-ones word (every lane carries the bit) *)
 let[@inline] broadcast byte = -byte
 
+(* Index of the lowest set bit of a non-zero word. *)
 let lsb_index w =
-  let i = ref 0 and w = ref w in
-  while !w land 1 = 0 do
-    incr i;
-    w := !w lsr 1
-  done;
+  let x = ref (w land -w) and i = ref 0 in
+  if !x land 0xFFFFFFFF = 0 then begin i := 32; x := !x lsr 32 end;
+  if !x land 0xFFFF = 0 then begin i := !i + 16; x := !x lsr 16 end;
+  if !x land 0xFF = 0 then begin i := !i + 8; x := !x lsr 8 end;
+  if !x land 0xF = 0 then begin i := !i + 4; x := !x lsr 4 end;
+  if !x land 0x3 = 0 then begin i := !i + 2; x := !x lsr 2 end;
+  if !x land 0x1 = 0 then incr i;
   !i
 
 let find_sorted arr x =
@@ -212,18 +90,204 @@ let find_sorted arr x =
   done;
   !res
 
-let make_batches idxs carries =
-  let total = Array.length idxs in
-  let per = Logic_sim.lanes in
-  let count = (total + per - 1) / per in
-  List.init count (fun b ->
+(* Fault indices in ascending runs of at most one word of lanes. *)
+let lane_groups idxs =
+  let total = Array.length idxs and per = Logic_sim.lanes in
+  List.init ((total + per - 1) / per) (fun b ->
       let lo = b * per in
-      let len = min per (total - lo) in
+      (lo, min per (total - lo)))
+
+let make_batches idxs carries =
+  List.map
+    (fun (lo, len) ->
       { fault_idx = Array.sub idxs lo len;
         carry = (if Array.length carries = 0 then [||] else Array.sub carries lo len);
         red = None;
         state = [||];
         det_mask = 0 })
+    (lane_groups idxs)
+
+(* Indices of the faults whose node reaches the output, ascending; every
+   other fault provably leaves the output stream fault-free. *)
+let observable_faults (faults : Fault.t array) obsv =
+  let acc = ref [] and blind = ref [] in
+  for fi = Array.length faults - 1 downto 0 do
+    if obsv.(faults.(fi).Fault.node) then acc := fi :: !acc else blind := fi :: !blind
+  done;
+  (Array.of_list !acc, Array.of_list !blind)
+
+let batch_cone circuit scratch (faults : Fault.t array) ~succ ~obsv ~bus fault_idx =
+  let sources =
+    Array.fold_right (fun fi acc -> faults.(fi).Fault.node :: acc) fault_idx []
+  in
+  Cone.reduce circuit scratch.cone ~succ ~observable:obsv ~sources ~output:bus
+
+(* Lane [l] of the scratch masks carries faults.(fault_idx.(l)). *)
+let set_masks scratch (faults : Fault.t array) fault_idx =
+  Array.iteri
+    (fun lane fi ->
+      let f = faults.(fi) in
+      let bit = 1 lsl lane in
+      if f.Fault.stuck then scratch.om.(f.Fault.node) <- scratch.om.(f.Fault.node) lor bit
+      else scratch.am.(f.Fault.node) <- scratch.am.(f.Fault.node) land lnot bit)
+    fault_idx
+
+(* Restore the scratch masks for the slot's next batch. *)
+let clear_masks scratch (faults : Fault.t array) fault_idx =
+  Array.iter
+    (fun fi ->
+      let node = faults.(fi).Fault.node in
+      scratch.am.(node) <- -1;
+      scratch.om.(node) <- 0)
+    fault_idx
+
+(* The per-cycle kernel of both drivers: load the cone's boundary (the
+   broadcast good bit), its input and DFF words (through the fault masks),
+   evaluate the reduced program, and latch the next DFF state into [st].
+   Row [base] of [good] holds this cycle's fault-free node bytes; the
+   cone's values stay in [scratch.values] for the caller to read. *)
+let step red scratch ~st ~good ~base =
+  let values = scratch.values and am = scratch.am and om = scratch.om in
+  let boundary = red.Cone.boundary and inp = red.Cone.inputs in
+  let dffs = red.Cone.dffs and dff_d = red.Cone.dff_d in
+  for k = 0 to Array.length boundary - 1 do
+    let node = Array.unsafe_get boundary k in
+    Array.unsafe_set values node (broadcast (Char.code (Bytes.unsafe_get good (base + node))))
+  done;
+  for k = 0 to Array.length inp - 1 do
+    let node = Array.unsafe_get inp k in
+    let g = broadcast (Char.code (Bytes.unsafe_get good (base + node))) in
+    Array.unsafe_set values node (g land Array.unsafe_get am node lor Array.unsafe_get om node)
+  done;
+  for j = 0 to Array.length dffs - 1 do
+    let node = Array.unsafe_get dffs j in
+    Array.unsafe_set values node
+      (Array.unsafe_get st j land Array.unsafe_get am node lor Array.unsafe_get om node)
+  done;
+  Cone.eval_program red ~values ~and_mask:am ~or_mask:om;
+  for j = 0 to Array.length dffs - 1 do
+    Array.unsafe_set st j (Array.unsafe_get values (Array.unsafe_get dff_d j))
+  done
+
+(* Per-slot state for pooled item loops: lazily one per worker slot, or a
+   single instance on the serial path. *)
+let slot_state ?pool make =
+  match pool with
+  | Some p when Pool.size p > 1 -> Pool.per_slot p make
+  | _ ->
+    let s = make () in
+    fun _ -> s
+
+(* Work items are expensive and uneven (a batch's cost is its cone's
+   size), hence [grain:1] and stealing. *)
+let run_items ?pool ~n item =
+  match pool with
+  | Some p when Pool.size p > 1 && n > 1 ->
+    Pool.parallel_iter_grained p ~n ~grain:1
+      ~f:(fun ~slot ~lo ~hi ->
+        for i = lo to hi - 1 do
+          item slot i
+        done)
+      ()
+  | _ ->
+    for i = 0 to n - 1 do
+      item 0 i
+    done
+
+(* ------------------------------------------------------------------------
+   Full-stream observer. *)
+
+(* Bit [w] of a sign-extended [width]-bit word; flipping the sign bit
+   flips every bit above it too. *)
+let flip_mask ~width w = if w = width - 1 then -1 lsl w else 1 lsl w
+
+(* Simulate one batch over the whole sweep and rebuild every lane's output
+   stream into [streams]: each starts as the good stream, and every cycle
+   where a cone output differs from its good bit flips that bus bit in the
+   lanes that differ (outside the cone, lanes equal the good machine). *)
+let observe_batch scratch ~streams circuit faults ~succ ~obsv ~bus ~n ~good ~good_stream
+    fault_idx =
+  let red = batch_cone circuit scratch faults ~succ ~obsv ~bus fault_idx in
+  let nlanes = Array.length fault_idx in
+  let samples = Array.length good_stream in
+  for lane = 0 to nlanes - 1 do
+    Array.blit good_stream 0 streams.(lane) 0 samples
+  done;
+  set_masks scratch faults fault_idx;
+  let values = scratch.values in
+  let st = Array.make (Array.length red.Cone.dffs) 0 in
+  let outs = red.Cone.outputs in
+  let flips = Array.map (flip_mask ~width:(Array.length bus)) red.Cone.output_bits in
+  let live = lane_mask nlanes in
+  for cycle = 0 to samples - 1 do
+    let base = cycle * n in
+    step red scratch ~st ~good ~base;
+    for k = 0 to Array.length outs - 1 do
+      let node = Array.unsafe_get outs k in
+      let d =
+        ref
+          (Array.unsafe_get values node
+           lxor broadcast (Char.code (Bytes.unsafe_get good (base + node)))
+           land live)
+      in
+      while !d <> 0 do
+        let s = Array.unsafe_get streams (lsb_index !d) in
+        Array.unsafe_set s cycle (Array.unsafe_get s cycle lxor Array.unsafe_get flips k);
+        d := !d land (!d - 1)
+      done
+    done
+  done;
+  clear_masks scratch faults fault_idx
+
+let observe ?pool circuit ~output ~drive ~samples ~faults ~on_fault =
+  let nf = Array.length faults in
+  Obs.count "fault_sim.runs";
+  Obs.count ~by:nf "fault_sim.faults";
+  Obs.span "fault_sim.run" @@ fun () ->
+  let n = Netlist.node_count circuit in
+  let bus = Netlist.find_output circuit output in
+  let samples = max 0 samples in
+  (* The good table for the whole sweep, recorded once: the only place
+     [drive] runs.  The fault-free machine is simulated even without
+     faults, so [good_stream] is always real. *)
+  let good = Bytes.create (n * samples) in
+  let good_stream = Array.make samples 0 in
+  let gsim = Logic_sim.create circuit in
+  for cycle = 0 to samples - 1 do
+    drive gsim cycle;
+    Logic_sim.eval gsim;
+    Logic_sim.snapshot_bit0 gsim good ~pos:(cycle * n);
+    good_stream.(cycle) <- Logic_sim.read_bus_lane gsim bus ~lane:0;
+    Logic_sim.tick gsim
+  done;
+  let succ = Netlist.successors circuit in
+  let obsv = Cone.observable circuit ~output:bus in
+  let eligible, blind = observable_faults faults obsv in
+  let groups = Array.of_list (lane_groups eligible) in
+  let results = Array.make nf None in
+  let state =
+    slot_state ?pool (fun () ->
+        (scratch circuit, Array.init Logic_sim.lanes (fun _ -> Array.make samples 0)))
+  in
+  Progress.set prog_batches_total (float_of_int (Array.length groups));
+  Progress.set prog_faults (float_of_int nf);
+  let item slot i =
+    let lo, len = groups.(i) in
+    let fault_idx = Array.sub eligible lo len in
+    let scratch, streams = state slot in
+    observe_batch scratch ~streams circuit faults ~succ ~obsv ~bus ~n ~good ~good_stream
+      fault_idx;
+    Array.iteri
+      (fun lane fi -> results.(fi) <- Some (on_fault fi faults.(fi) streams.(lane)))
+      fault_idx;
+    Progress.add prog_batches 1.0
+  in
+  run_items ?pool ~n:(Array.length groups) item;
+  Array.iter (fun fi -> results.(fi) <- Some (on_fault fi faults.(fi) good_stream)) blind;
+  (good_stream, Array.map Option.get results)
+
+(* ------------------------------------------------------------------------
+   Exact detection: chunked, cone-reduced, fault-dropping driver. *)
 
 (* Run one batch over cycles [c0, c1) against the good-table chunk [good]
    (row 0 = cycle c0).  Writes newly detected faults into [detected] and
@@ -235,10 +299,7 @@ let run_dbatch scratch circuit (faults : Fault.t array) ~succ ~obsv ~bus ~n ~goo
     match batch.red with
     | Some r -> r
     | None ->
-      let sources =
-        Array.fold_right (fun fi acc -> faults.(fi).Fault.node :: acc) batch.fault_idx []
-      in
-      let r = Cone.reduce circuit scratch.cone ~succ ~observable:obsv ~sources ~output:bus in
+      let r = batch_cone circuit scratch faults ~succ ~obsv ~bus batch.fault_idx in
       let ndff = Array.length r.Cone.dffs in
       let st = Array.make ndff 0 in
       if c0 > 0 then
@@ -267,39 +328,16 @@ let run_dbatch scratch circuit (faults : Fault.t array) ~succ ~obsv ~bus ~n ~goo
       batch.state <- st;
       r
   in
-  let values = scratch.values and am = scratch.am and om = scratch.om in
+  let values = scratch.values in
   let fault_idx = batch.fault_idx in
-  let nlanes = Array.length fault_idx in
-  for lane = 0 to nlanes - 1 do
-    let f = faults.(fault_idx.(lane)) in
-    let bit = 1 lsl lane in
-    if f.Fault.stuck then om.(f.Fault.node) <- om.(f.Fault.node) lor bit
-    else am.(f.Fault.node) <- am.(f.Fault.node) land lnot bit
-  done;
-  let st = batch.state in
-  let boundary = red.Cone.boundary and inp = red.Cone.inputs in
-  let dffs = red.Cone.dffs and dff_d = red.Cone.dff_d and outs = red.Cone.outputs in
-  let live_full = lane_mask nlanes in
+  set_masks scratch faults fault_idx;
+  let st = batch.state and outs = red.Cone.outputs in
+  let live_full = lane_mask (Array.length fault_idx) in
   let det = ref batch.det_mask in
   let cycle = ref c0 in
   while !cycle < c1 && !det land live_full <> live_full do
     let base = (!cycle - c0) * n in
-    for k = 0 to Array.length boundary - 1 do
-      let node = Array.unsafe_get boundary k in
-      Array.unsafe_set values node (broadcast (Char.code (Bytes.unsafe_get good (base + node))))
-    done;
-    for k = 0 to Array.length inp - 1 do
-      let node = Array.unsafe_get inp k in
-      let g = broadcast (Char.code (Bytes.unsafe_get good (base + node))) in
-      Array.unsafe_set values node
-        (g land Array.unsafe_get am node lor Array.unsafe_get om node)
-    done;
-    for j = 0 to Array.length dffs - 1 do
-      let node = Array.unsafe_get dffs j in
-      Array.unsafe_set values node
-        (Array.unsafe_get st j land Array.unsafe_get am node lor Array.unsafe_get om node)
-    done;
-    Cone.eval_program red ~values ~and_mask:am ~or_mask:om;
+    step red scratch ~st ~good ~base;
     let diff = ref 0 in
     for k = 0 to Array.length outs - 1 do
       let node = Array.unsafe_get outs k in
@@ -313,25 +351,16 @@ let run_dbatch scratch circuit (faults : Fault.t array) ~succ ~obsv ~bus ~n ~goo
       det := !det lor fresh;
       let f = ref fresh in
       while !f <> 0 do
-        let lane = lsb_index !f in
-        let fi = fault_idx.(lane) in
+        let fi = fault_idx.(lsb_index !f) in
         detected.(fi) <- true;
         first.(fi) <- !cycle;
         f := !f land (!f - 1)
       done
     end;
-    for j = 0 to Array.length dffs - 1 do
-      Array.unsafe_set st j (Array.unsafe_get values (Array.unsafe_get dff_d j))
-    done;
     incr cycle
   done;
   batch.det_mask <- !det;
-  (* restore the scratch masks for the slot's next batch *)
-  for lane = 0 to nlanes - 1 do
-    let node = faults.(fault_idx.(lane)).Fault.node in
-    am.(node) <- -1;
-    om.(node) <- 0
-  done
+  clear_masks scratch faults fault_idx
 
 let detect_engine ?pool circuit ~output ~drive ~samples ~faults ~first =
   let nf = Array.length faults in
@@ -342,13 +371,7 @@ let detect_engine ?pool circuit ~output ~drive ~samples ~faults ~first =
     let bus = Netlist.find_output circuit output in
     let succ = Netlist.successors circuit in
     let obsv = Cone.observable circuit ~output:bus in
-    let eligible =
-      let acc = ref [] in
-      for fi = nf - 1 downto 0 do
-        if obsv.(faults.(fi).Fault.node) then acc := fi :: !acc
-      done;
-      Array.of_list !acc
-    in
+    let eligible, _ = observable_faults faults obsv in
     let chunk = min det_chunk samples in
     (* Double-buffered good table: while round r's batches read chunk r,
        one extra work item fills chunk r+1 — only chunk 0 is sequential. *)
@@ -364,13 +387,7 @@ let detect_engine ?pool circuit ~output ~drive ~samples ~faults ~first =
       done
     in
     fill_good good_a 0 chunk;
-    let scratch_of =
-      match pool with
-      | Some p when Pool.size p > 1 -> Pool.per_slot p (fun () -> det_scratch circuit)
-      | _ ->
-        let s = det_scratch circuit in
-        fun _ -> s
-    in
+    let scratch_of = slot_state ?pool (fun () -> scratch circuit) in
     Progress.set prog_cycles_total (float_of_int samples);
     Progress.set prog_faults (float_of_int nf);
     let batches = ref (make_batches eligible [||]) in
@@ -384,25 +401,13 @@ let detect_engine ?pool circuit ~output ~drive ~samples ~faults ~first =
       let arr = Array.of_list !batches in
       let nb = Array.length arr in
       let more = c1 < samples in
-      let nitems = nb + if more then 1 else 0 in
       let item slot i =
         if i < nb then
           run_dbatch (scratch_of slot) circuit faults ~succ ~obsv ~bus ~n ~good:cur ~c0 ~c1
             ~detected ~first arr.(i)
         else fill_good nxt c1 (min samples (c1 + chunk))
       in
-      (match pool with
-      | Some p when Pool.size p > 1 && nitems > 1 ->
-        Pool.parallel_iter_grained p ~n:nitems ~grain:1
-          ~f:(fun ~slot ~lo ~hi ->
-            for i = lo to hi - 1 do
-              item slot i
-            done)
-          ()
-      | _ ->
-        for i = 0 to nitems - 1 do
-          item 0 i
-        done);
+      run_items ?pool ~n:(nb + if more then 1 else 0) item;
       (* Drop detected faults; repack survivors (ascending, 63 per batch).
          When nothing dropped, batch compositions are unchanged and their
          in-place state words already sit at the next chunk boundary. *)

@@ -1,67 +1,55 @@
-(** Batched parallel fault simulation.
+(** Stuck-at fault simulation on one engine: a good-value table plus
+    cone-reduced fault batches.
 
-    Packs the fault-free machine into lane 0 and up to 62 faulty machines
-    into lanes 1..62 of each simulation pass, replays the stimulus once per
-    batch, and returns the full output stream of every machine — the form
-    the spectral detection of the paper needs (the detector compares output
-    {e spectra}, not samples).
+    One fault-free reference simulation records every node's value in every
+    cycle (the {e good table}).  Faults then pack all {!Logic_sim.lanes}
+    lanes of a batch, and each batch evaluates only the reduced program of
+    its union cone of influence ({!Cone}); every node outside the cone
+    provably carries its fault-free value, which is read back from the
+    table.  Faults whose node cannot reach [output] are never simulated.
 
-    {2 Domain-level parallelism}
+    {2 Contract}
 
-    {!run} and {!detect_exact} optionally distribute fault batches across
-    the domains of a {!Msoc_util.Pool.t}: each worker owns a private
-    {!Logic_sim.t} instance and a contiguous range of batches.  Batches are
-    mutually independent (each starts from a fully reset machine), so the
-    pooled result is bit-identical to the serial one for every pool size;
-    passing no pool, or a pool of size 1, runs the unchanged serial path.
-    [drive] is called concurrently against distinct sims and therefore must
-    only mutate the sim it is handed (reading shared immutable data such as
-    a stimulus array is fine).
+    - [drive sim cycle] must set all inputs for the given cycle (typically
+      via {!Logic_sim.drive_bus}).  It runs {e only} on the single reference
+      sim, for cycles [0 .. samples-1] in order, so it may keep state.
+    - With [pool], batches run across domains through
+      {!Msoc_util.Pool.parallel_iter_grained}.  Every result is
+      bit-identical for every pool size, serial (no pool, or size 1)
+      included.
+    - [output] names the observed bus; an unknown name raises [Not_found]. *)
 
-    {2 Stream aliasing contract}
-
-    {!run_fold} reuses one set of per-lane stream buffers across batches:
-    the [stream] array handed to [on_fault] is {e only valid for the
-    duration of the callback} and is overwritten by the next batch — copy it
-    ([Array.copy]) to retain it.  {!run} performs that copy at the API
-    boundary (or, on the pooled path, allocates fresh per-batch arrays), so
-    [fault_streams] never alias each other or any internal buffer. *)
-
-type run = {
-  faults : Fault.t array;
-  good_stream : int array;          (** Fault-free output, one value/cycle. *)
-  fault_streams : int array array;  (** [fault_streams.(i)] matches [faults.(i)];
-                                        freshly allocated, never aliased. *)
-}
-
-val run :
+val observe :
   ?pool:Msoc_util.Pool.t ->
   Netlist.t ->
   output:string ->
   drive:(Logic_sim.t -> int -> unit) ->
   samples:int ->
   faults:Fault.t array ->
-  run
-(** Simulate [samples] cycles.  [drive sim cycle] must set all inputs for
-    the given cycle (typically via {!Logic_sim.drive_bus}); [output] names
-    the observed bus.  Raises [Not_found] for an unknown output name.
-    With [pool], batches run across domains (see above); the result is
-    bit-identical to the serial path. *)
+  on_fault:(int -> Fault.t -> int array -> 'a) ->
+  int array * 'a array
+(** Full-stream observer.  Simulates [samples] cycles and calls
+    [on_fault index fault stream] exactly once per fault with the fault's
+    output stream (one two's-complement bus value per cycle).  Returns the
+    fault-free stream and the callback results in fault order.
 
-val run_fold :
-  Netlist.t ->
-  output:string ->
-  drive:(Logic_sim.t -> int -> unit) ->
-  samples:int ->
-  faults:Fault.t array ->
-  on_fault:(int -> Fault.t -> int array -> unit) ->
-  int array
-(** Streaming variant of {!run}: [on_fault index fault stream] is invoked
-    once per fault, in fault order, as soon as its batch completes; returns
-    the fault-free stream.  [stream] is a reused buffer, valid only during
-    the callback (see the aliasing contract above).  Memory stays bounded
-    by one batch regardless of fault count.  Always serial: the callback
-    ordering is part of the contract. *)
+    A stream is rebuilt from the good stream plus the lane's cone-output
+    bits, so it is bit-identical to a dedicated single-fault simulation.  A
+    fault outside the output's observable set is never simulated: its
+    callback gets the good stream itself, on the calling domain, after the
+    batches.
+
+    - [stream] is valid only during the callback and must not be mutated:
+      it is a per-worker buffer reused by the next batch (or the good
+      stream).  Copy it to keep it.
+    - With [pool], [on_fault] runs on the worker domain that simulated
+      the fault's batch, concurrently for faults of different batches, in
+      no particular order; only the returned array is ordered.  It must be
+      safe to call concurrently.
+
+    Exposed telemetry: the ["fault_sim.run"] span, the ["fault_sim.runs"]
+    and ["fault_sim.faults"] counters, and the ["fault_sim.batches"] /
+    ["fault_sim.batches_total"] progress cells. *)
 
 val detect_exact :
   ?pool:Msoc_util.Pool.t ->
@@ -74,18 +62,13 @@ val detect_exact :
 (** Cheap time-domain detection: a fault is detected as soon as its output
     differs from the fault-free output in any cycle.
 
-    Unlike {!run}, detection does not replay full batches to the end: one
-    fault-free reference simulation records a per-cycle good-value table;
-    faults pack all {!Logic_sim.lanes} lanes of a batch and are compared
-    against that table over the reduced program of the batch's
-    cone-of-influence only; and between pattern chunks, detected faults
-    are {e dropped} and survivors repacked into fewer batches (faults
-    whose cone does not reach [output] are rejected without simulating a
-    cycle).  The repacking schedule is a pure function of the detection
-    prefix, and each fault's flag is a pure predicate of (circuit, drive,
-    samples, fault) — so the flags are bit-identical for every pool size,
-    serial included, and [drive] is only ever called on the single
-    reference sim (cycles 0..samples-1, in order).
+    Unlike {!observe}, detection does not replay batches to the end: the
+    sweep is cut into 32-cycle chunks against a double-buffered good table,
+    and between chunks detected faults are {e dropped} and survivors
+    repacked into fewer batches.  The repacking schedule is a pure function
+    of the detection prefix, and each fault's flag is a pure predicate of
+    (circuit, drive, samples, fault) — so the flags are bit-identical for
+    every pool size.
 
     Exposed telemetry: ["fault_sim.dropped"] counts faults dropped before
     the end of the sweep. *)

@@ -15,19 +15,6 @@ type probability_estimate = {
 
 let z_95 = 1.959963984540054
 
-let estimate_probability ~trials ~rng ~f =
-  assert (trials > 0);
-  Obs.count ~by:trials "monte_carlo.trials";
-  Obs.span "monte_carlo.estimate_probability" @@ fun () ->
-  let successes = ref 0 in
-  for _ = 1 to trials do
-    if f rng then incr successes
-  done;
-  let n = float_of_int trials in
-  let p = float_of_int !successes /. n in
-  let half_width_95 = z_95 *. sqrt (p *. (1.0 -. p) /. n) in
-  { trials; successes = !successes; p; half_width_95 }
-
 type mean_estimate = {
   trials : int;
   mean : float;
@@ -35,25 +22,11 @@ type mean_estimate = {
   half_width_95 : float;
 }
 
-let estimate_mean ~trials ~rng ~f =
-  assert (trials > 1);
-  Obs.count ~by:trials "monte_carlo.trials";
-  Obs.span "monte_carlo.estimate_mean" @@ fun () ->
-  let samples = Array.init trials (fun _ -> f rng) in
-  let s = Describe.summarize samples in
-  { trials;
-    mean = s.Describe.mean;
-    stddev = s.Describe.stddev;
-    half_width_95 = z_95 *. s.Describe.stddev /. sqrt (float_of_int trials) }
-
-let sample_array ~trials ~rng ~f = Array.init trials (fun _ -> f rng)
-
-(* Pooled trial loops.  Each trial draws from its own generator stream,
-   split serially from [rng] up front (Pool.split_streams), so the sample
-   set depends only on [rng]'s state and the trial index — never on the
-   pool size or on scheduling.  These are therefore deterministic across
-   pool sizes (including the no-pool serial path) but draw DIFFERENT
-   numbers than the shared-generator loops above. *)
+(* Trial loops.  Each trial draws from its own generator stream, split
+   serially from [rng] up front (Pool.split_streams), so the sample set
+   depends only on [rng]'s state and the trial index — never on the pool
+   size or on scheduling.  Results are therefore deterministic across pool
+   sizes, the no-pool serial path included. *)
 
 let sample_array_pooled ?pool ~trials ~rng ~f () =
   assert (trials > 0);

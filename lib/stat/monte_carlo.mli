@@ -12,11 +12,6 @@ type probability_estimate = {
   half_width_95 : float; (** 95% normal-approximation half width. *)
 }
 
-val estimate_probability :
-  trials:int -> rng:Msoc_util.Prng.t -> f:(Msoc_util.Prng.t -> bool) -> probability_estimate
-(** Requires [trials > 0].  [f] is called once per trial with the shared
-    generator. *)
-
 type mean_estimate = {
   trials : int;
   mean : float;
@@ -24,21 +19,11 @@ type mean_estimate = {
   half_width_95 : float;
 }
 
-val estimate_mean :
-  trials:int -> rng:Msoc_util.Prng.t -> f:(Msoc_util.Prng.t -> float) -> mean_estimate
-(** Requires [trials > 1]. *)
-
-val sample_array :
-  trials:int -> rng:Msoc_util.Prng.t -> f:(Msoc_util.Prng.t -> float) -> float array
-(** Collect raw trial outputs for downstream histogramming. *)
-
-(** {2 Pooled trial loops}
+(** {2 Trial loops}
 
     Each trial draws from its own generator stream, split serially from
     [rng] before any parallel execution ({!Msoc_util.Pool.split_streams}),
-    so results are bit-identical for every pool size — including no pool —
-    but differ from the shared-generator loops above, which thread one
-    stream through the trials sequentially. *)
+    so results are bit-identical for every pool size, no pool included. *)
 
 val sample_array_pooled :
   ?pool:Msoc_util.Pool.t ->

@@ -4,6 +4,7 @@
 open Msoc_netlist
 module B = Netlist.Builder
 module Prng = Msoc_util.Prng
+module Pool = Msoc_util.Pool
 
 (* ---- helpers ---- *)
 
@@ -353,103 +354,205 @@ let small_fir () =
   let codes, scale = Msoc_dsp.Fir.quantize design.Msoc_dsp.Fir.taps ~bits:6 in
   Fir_netlist.create ~coeffs:codes ~width_in:6 ~scale ()
 
+let pool_sizes = [ 1; 2; 4; 8 ]
+
+(* The reference every observed stream is checked against: a dedicated
+   full-machine simulation with the single fault in lane 0 ([None]: the
+   fault-free machine). *)
+let single_fault_stream circuit ~output ~drive ~samples fault =
+  let sim = Logic_sim.create circuit in
+  Option.iter
+    (fun (f : Fault.t) -> Logic_sim.inject sim ~node:f.Fault.node ~lane:0 ~stuck:f.Fault.stuck)
+    fault;
+  let bus = Netlist.find_output circuit output in
+  Array.init samples (fun cycle ->
+      drive sim cycle;
+      Logic_sim.eval sim;
+      let y = Logic_sim.read_bus_lane sim bus ~lane:0 in
+      Logic_sim.tick sim;
+      y)
+
+(* At every pool size, the observer's good stream and every fault stream
+   equal the single-fault reference, and each callback sees its own fault. *)
+let check_observer circuit ~output ~drive ~samples faults =
+  let good = single_fault_stream circuit ~output ~drive ~samples None in
+  let expected =
+    Array.map (fun f -> single_fault_stream circuit ~output ~drive ~samples (Some f)) faults
+  in
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          let observed_good, streams =
+            Fault_sim.observe ~pool circuit ~output ~drive ~samples ~faults
+              ~on_fault:(fun i fault stream ->
+                if not (Fault.equal fault faults.(i)) then
+                  Alcotest.failf "size %d: callback %d got the wrong fault" size i;
+                Array.copy stream)
+          in
+          Alcotest.(check (array int)) (Printf.sprintf "size %d good stream" size) good
+            observed_good;
+          Array.iteri
+            (fun i stream ->
+              if stream <> expected.(i) then
+                Alcotest.failf "size %d: stream of fault %d (%a) differs from the reference"
+                  size i Fault.pp faults.(i))
+            streams))
+    pool_sizes
+
+let fir_drive fir stimulus sim cycle = Fir_netlist.drive fir sim stimulus.(cycle)
+
 let test_parallel_fault_sim_matches_serial () =
-  (* Every fault's parallel-lane stream must equal a dedicated single-fault
-     simulation. *)
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
   let g = Prng.create 11 in
   let stimulus = Array.init 40 (fun _ -> Prng.int g 63 - 31) in
+  let faults = Array.sub (Fault.collapse circuit (Fault.universe circuit)) 0 70 in
+  check_observer circuit ~output:"y" ~drive:(fir_drive fir stimulus) ~samples:40 faults
+
+let test_observer_node_kinds () =
+  (* Faults on DFF, input and output-bus nodes of the filter (uncollapsed,
+     both polarities), in a count that leaves a partial last batch. *)
+  let fir = small_fir () in
+  let circuit = fir.Fir_netlist.circuit in
+  let bus = Fir_netlist.output_bus fir in
+  let g = Prng.create 31 in
+  let stimulus = Array.init 48 (fun _ -> Prng.int g 63 - 31) in
   let faults =
-    Array.sub (Fault.collapse circuit (Fault.universe circuit)) 0 70
+    Array.of_list
+      (List.filter
+         (fun (f : Fault.t) ->
+           match Netlist.kind circuit f.Fault.node with
+           | Netlist.Dff | Netlist.Input -> true
+           | _ -> Array.mem f.Fault.node bus)
+         (Array.to_list (Fault.universe circuit)))
   in
-  let drive sim cycle = Fir_netlist.drive fir sim stimulus.(cycle) in
-  let result =
-    Fault_sim.run circuit ~output:"y" ~drive ~samples:(Array.length stimulus) ~faults
+  Alcotest.(check bool) "several batches, partial last one" true
+    (Array.length faults > 63 && Array.length faults mod 63 <> 0);
+  check_observer circuit ~output:"y" ~drive:(fir_drive fir stimulus) ~samples:48 faults
+
+let test_observer_unobservable_faults () =
+  (* A sequential circuit whose output bus holds an input, a DFF and gates
+     (the top gate drives the sign bit), beside dead logic that never
+     reaches it: a dead gate and a DFF it feeds. *)
+  let b = B.create () in
+  let a0 = B.input b "a0" and a1 = B.input b "a1" in
+  let q0_d = B.gate2 b Netlist.Xor2 a0 a1 in
+  let q0 = B.dff b q0_d in
+  let q1 = B.dff b (B.gate2 b Netlist.And2 q0 a1) in
+  let g = B.gate2 b Netlist.Or2 a0 q0 in
+  let top = B.gate2 b Netlist.Xor2 g q1 in
+  let dead = B.gate2 b Netlist.Nand2 g a1 in
+  let _dead_q = B.dff b dead in
+  B.output b "y" [| a1; q0; g; top |];
+  let circuit = Netlist.freeze b in
+  let faults = Fault.universe circuit in
+  let obsv = Cone.observable circuit ~output:(Netlist.find_output circuit "y") in
+  Alcotest.(check bool) "some faults are unobservable" true
+    (Array.exists (fun (f : Fault.t) -> not obsv.(f.Fault.node)) faults);
+  let g = Prng.create 5 in
+  let bits = Array.init 64 (fun _ -> (Prng.int g 2, Prng.int g 2)) in
+  let drive sim cycle =
+    let x0, x1 = bits.(cycle) in
+    Logic_sim.drive_node sim a0 (-x0);
+    Logic_sim.drive_node sim a1 (-x1)
   in
-  (* serial re-simulation of a sample of faults *)
-  let serial (fault : Fault.t) =
-    let sim = Logic_sim.create circuit in
-    Logic_sim.inject sim ~node:fault.Fault.node ~lane:0 ~stuck:fault.Fault.stuck;
-    let ybus = Fir_netlist.output_bus fir in
-    Array.map
-      (fun x ->
-        Fir_netlist.drive fir sim x;
-        Logic_sim.eval sim;
-        let y = Logic_sim.read_bus_lane sim ybus ~lane:0 in
-        Logic_sim.tick sim;
-        y)
-      stimulus
+  check_observer circuit ~output:"y" ~drive ~samples:64 faults;
+  (* unobservable faults are handed the good stream itself *)
+  let good, shared =
+    Fault_sim.observe circuit ~output:"y" ~drive ~samples:64 ~faults
+      ~on_fault:(fun _ _ stream -> stream)
   in
-  List.iter
-    (fun i ->
-      let expected = serial faults.(i) in
-      if expected <> result.Fault_sim.fault_streams.(i) then
-        Alcotest.failf "parallel/serial mismatch for fault %d" i)
-    [ 0; 7; 13; 31; 62; 63; 69 ]
+  Array.iteri
+    (fun i (f : Fault.t) ->
+      if not obsv.(f.Fault.node) && shared.(i) != good then
+        Alcotest.failf "unobservable fault %d was simulated" i)
+    faults
 
 let test_good_stream_matches_response () =
   let fir = small_fir () in
   let g = Prng.create 12 in
   let stimulus = Array.init 64 (fun _ -> Prng.int g 63 - 31) in
   let faults = Array.sub (Fault.universe fir.Fir_netlist.circuit) 0 10 in
-  let drive sim cycle = Fir_netlist.drive fir sim stimulus.(cycle) in
-  let result =
-    Fault_sim.run fir.Fir_netlist.circuit ~output:"y" ~drive ~samples:64 ~faults
+  let good, _ =
+    Fault_sim.observe fir.Fir_netlist.circuit ~output:"y" ~drive:(fir_drive fir stimulus)
+      ~samples:64 ~faults ~on_fault:(fun _ _ _ -> ())
   in
-  Alcotest.(check (array int)) "lane0 = behavioural response"
-    (Fir_netlist.response fir stimulus) result.Fault_sim.good_stream
+  Alcotest.(check (array int)) "good stream = behavioural response"
+    (Fir_netlist.response fir stimulus) good
 
-let test_detect_exact_subset_of_run () =
+let test_detect_exact_matches_streams () =
+  (* A stream differs from the good stream exactly when [detect_exact]
+     flags its fault. *)
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
   let g = Prng.create 13 in
   let stimulus = Array.init 50 (fun _ -> Prng.int g 63 - 31) in
   let faults = Fault.collapse circuit (Fault.universe circuit) in
-  let drive sim cycle = Fir_netlist.drive fir sim stimulus.(cycle) in
+  let drive = fir_drive fir stimulus in
+  let good = Fir_netlist.response fir stimulus in
   let detected = Fault_sim.detect_exact circuit ~output:"y" ~drive ~samples:50 ~faults in
-  let result = Fault_sim.run circuit ~output:"y" ~drive ~samples:50 ~faults in
-  Array.iteri
-    (fun i flag ->
-      let differs = result.Fault_sim.fault_streams.(i) <> result.Fault_sim.good_stream in
-      if flag <> differs then Alcotest.failf "detect_exact disagrees on fault %d" i)
-    detected
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          let _, differs =
+            Fault_sim.observe ~pool circuit ~output:"y" ~drive ~samples:50 ~faults
+              ~on_fault:(fun _ _ stream -> stream <> good)
+          in
+          Alcotest.(check (array bool))
+            (Printf.sprintf "size %d: differs = detect_exact" size)
+            detected differs))
+    pool_sizes
 
-let test_run_fold_streaming_equivalence () =
+let test_observer_fault_order () =
+  (* One callback per fault, and the results come back in fault order at
+     every pool size, whatever order the workers ran the batches in. *)
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
   let g = Prng.create 14 in
   let stimulus = Array.init 32 (fun _ -> Prng.int g 63 - 31) in
-  let faults = Array.sub (Fault.collapse circuit (Fault.universe circuit)) 0 100 in
-  let drive sim cycle = Fir_netlist.drive fir sim stimulus.(cycle) in
-  let batch = Fault_sim.run circuit ~output:"y" ~drive ~samples:32 ~faults in
-  let seen = Array.make (Array.length faults) false in
-  let good =
-    Fault_sim.run_fold circuit ~output:"y" ~drive ~samples:32 ~faults
-      ~on_fault:(fun i fault stream ->
-        if not (Fault.equal fault faults.(i)) then Alcotest.fail "fault order";
-        if stream <> batch.Fault_sim.fault_streams.(i) then Alcotest.fail "stream mismatch";
-        seen.(i) <- true)
-  in
-  Alcotest.(check (array int)) "good stream" batch.Fault_sim.good_stream good;
-  Alcotest.(check bool) "all callbacks fired" true (Array.for_all (fun x -> x) seen)
+  let faults = Array.sub (Fault.collapse circuit (Fault.universe circuit)) 0 200 in
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          let calls = Array.init (Array.length faults) (fun _ -> Atomic.make 0) in
+          let _, results =
+            Fault_sim.observe ~pool circuit ~output:"y" ~drive:(fir_drive fir stimulus)
+              ~samples:32 ~faults
+              ~on_fault:(fun i fault _ ->
+                Atomic.incr calls.(i);
+                (i, fault))
+          in
+          Array.iteri
+            (fun i (j, fault) ->
+              if i <> j || not (Fault.equal fault faults.(i)) then
+                Alcotest.failf "size %d: result %d out of fault order" size i;
+              if Atomic.get calls.(i) <> 1 then
+                Alcotest.failf "size %d: fault %d called back %d times" size i
+                  (Atomic.get calls.(i)))
+            results))
+    pool_sizes
 
-let test_run_empty_faults () =
-  (* Regression: [run ~faults:[||]] used to skip the fault-free machine
-     entirely and return an all-zero good_stream. *)
+let test_observe_empty_faults () =
+  (* Regression: with no faults the fault-free machine is still simulated
+     and its stream returned (an early version returned all zeros). *)
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
   let g = Prng.create 23 in
   let stimulus = Array.init 48 (fun _ -> Prng.int g 63 - 31) in
-  let drive sim cycle = Fir_netlist.drive fir sim stimulus.(cycle) in
-  let empty = Fault_sim.run circuit ~output:"y" ~drive ~samples:48 ~faults:[||] in
-  Alcotest.(check int) "no fault streams" 0 (Array.length empty.Fault_sim.fault_streams);
+  let drive = fir_drive fir stimulus in
+  let good, results =
+    Fault_sim.observe circuit ~output:"y" ~drive ~samples:48 ~faults:[||]
+      ~on_fault:(fun _ _ _ -> ())
+  in
+  Alcotest.(check int) "no results" 0 (Array.length results);
   Alcotest.(check (array int)) "good stream = behavioural response"
-    (Fir_netlist.response fir stimulus) empty.Fault_sim.good_stream;
-  let one_fault = Array.sub (Fault.universe circuit) 0 1 in
-  let one = Fault_sim.run circuit ~output:"y" ~drive ~samples:48 ~faults:one_fault in
-  Alcotest.(check (array int)) "good stream = 1-fault run's good stream"
-    one.Fault_sim.good_stream empty.Fault_sim.good_stream
+    (Fir_netlist.response fir stimulus) good;
+  let one_good, _ =
+    Fault_sim.observe circuit ~output:"y" ~drive ~samples:48
+      ~faults:(Array.sub (Fault.universe circuit) 0 1)
+      ~on_fault:(fun _ _ _ -> ())
+  in
+  Alcotest.(check (array int)) "good stream = 1-fault run's good stream" one_good good
 
 let test_detect_cycles_consistency () =
   let fir = small_fir () in
@@ -836,11 +939,15 @@ let () =
       ( "fault-sim",
         [ Alcotest.test_case "parallel matches serial" `Quick
             test_parallel_fault_sim_matches_serial;
+          Alcotest.test_case "DFF, input and output-bus faults" `Quick
+            test_observer_node_kinds;
+          Alcotest.test_case "unobservable faults get the good stream" `Quick
+            test_observer_unobservable_faults;
           Alcotest.test_case "good stream = golden" `Quick test_good_stream_matches_response;
-          Alcotest.test_case "detect_exact consistency" `Quick test_detect_exact_subset_of_run;
-          Alcotest.test_case "run_fold streaming" `Quick test_run_fold_streaming_equivalence;
+          Alcotest.test_case "detect_exact consistency" `Quick test_detect_exact_matches_streams;
+          Alcotest.test_case "observer fault order" `Quick test_observer_fault_order;
           Alcotest.test_case "empty fault list still simulates good machine" `Quick
-            test_run_empty_faults;
+            test_observe_empty_faults;
           Alcotest.test_case "detect_cycles consistency + compaction" `Quick
             test_detect_cycles_consistency ]
         @ qcheck [ prop_dropped_faults_never_undetect ] );

@@ -192,7 +192,7 @@ let test_monte_carlo_pooled () =
 (* ---- Pooled fault simulation ---- *)
 
 (* A filter small enough to simulate quickly but with more than one
-   62-fault batch, so the pooled path actually distributes batches. *)
+   63-fault batch, so the pooled path actually distributes batches. *)
 let small_fir () =
   let design = Msoc_dsp.Fir.lowpass ~taps:5 ~cutoff:0.2 () in
   let codes, scale = Msoc_dsp.Fir.quantize design.Msoc_dsp.Fir.taps ~bits:6 in
@@ -203,29 +203,29 @@ let fir_stimulus samples = Array.init samples (fun i -> ((i * 29) mod 256) - 128
 let test_fault_sim_pooled () =
   let fir = small_fir () in
   let faults = Fault.collapse fir.Fir_netlist.circuit (Fault.universe fir.Fir_netlist.circuit) in
-  Alcotest.(check bool) "multiple batches" true (Array.length faults > 62);
+  Alcotest.(check bool) "multiple batches" true (Array.length faults > 63);
   let samples = 128 in
   let stim = fir_stimulus samples in
   let drive sim cycle = Fir_netlist.drive fir sim stim.(cycle) in
-  let serial =
-    Fault_sim.run fir.Fir_netlist.circuit ~output:"y" ~drive ~samples ~faults
+  let observe ?pool () =
+    Fault_sim.observe ?pool fir.Fir_netlist.circuit ~output:"y" ~drive ~samples ~faults
+      ~on_fault:(fun _ _ stream -> Array.copy stream)
   in
+  let serial_good, serial_streams = observe () in
   let serial_detect =
     Fault_sim.detect_exact fir.Fir_netlist.circuit ~output:"y" ~drive ~samples ~faults
   in
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
-          let pooled =
-            Fault_sim.run ~pool fir.Fir_netlist.circuit ~output:"y" ~drive ~samples ~faults
-          in
+          let pooled_good, pooled_streams = observe ~pool () in
           Alcotest.(check (array int))
             (Printf.sprintf "size %d good stream" size)
-            serial.Fault_sim.good_stream pooled.Fault_sim.good_stream;
+            serial_good pooled_good;
           Alcotest.(check bool)
             (Printf.sprintf "size %d fault streams bit-identical" size)
             true
-            (pooled.Fault_sim.fault_streams = serial.Fault_sim.fault_streams);
+            (pooled_streams = serial_streams);
           let pooled_detect =
             Fault_sim.detect_exact ~pool fir.Fir_netlist.circuit ~output:"y" ~drive ~samples
               ~faults
@@ -235,25 +235,6 @@ let test_fault_sim_pooled () =
             true
             (pooled_detect = serial_detect)))
     pool_sizes
-
-let test_run_streams_not_aliased () =
-  (* regression for the stream-aliasing bug: every fault_streams element of
-     [run] must be a distinct array, including across batch boundaries *)
-  let fir = small_fir () in
-  let faults = Fault.collapse fir.Fir_netlist.circuit (Fault.universe fir.Fir_netlist.circuit) in
-  let samples = 64 in
-  let stim = fir_stimulus samples in
-  let drive sim cycle = Fir_netlist.drive fir sim stim.(cycle) in
-  let result = Fault_sim.run fir.Fir_netlist.circuit ~output:"y" ~drive ~samples ~faults in
-  let n = Array.length result.Fault_sim.fault_streams in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if result.Fault_sim.fault_streams.(i) == result.Fault_sim.fault_streams.(j) then
-        Alcotest.failf "streams %d and %d are the same array" i j
-    done;
-    if result.Fault_sim.fault_streams.(i) == result.Fault_sim.good_stream then
-      Alcotest.failf "stream %d aliases the good stream" i
-  done
 
 let test_detect_cycles_pooled () =
   (* the dropping/cone engine reports the same first-detect cycle for every
@@ -381,7 +362,11 @@ let test_spectral_coverage_pooled () =
             (Printf.sprintf "size %d deviations identical" size)
             true
             (pooled.Digital_test.undetected_max_dev_lsb
-            = serial.Digital_test.undetected_max_dev_lsb)))
+            = serial.Digital_test.undetected_max_dev_lsb);
+          Alcotest.(check bool)
+            (Printf.sprintf "size %d noise floor identical" size)
+            true
+            (Float.equal pooled.Digital_test.noise_floor_db serial.Digital_test.noise_floor_db)))
     pool_sizes
 
 let () =
@@ -399,8 +384,7 @@ let () =
           Alcotest.test_case "parallel_init_rng" `Quick test_parallel_init_rng;
           Alcotest.test_case "monte carlo pooled" `Quick test_monte_carlo_pooled ] );
       ( "fault sim",
-        [ Alcotest.test_case "run/detect_exact pooled" `Quick test_fault_sim_pooled;
-          Alcotest.test_case "streams not aliased" `Quick test_run_streams_not_aliased;
+        [ Alcotest.test_case "observe/detect_exact pooled" `Quick test_fault_sim_pooled;
           Alcotest.test_case "detect_cycles pooled" `Quick test_detect_cycles_pooled;
           Alcotest.test_case "atpg grading pooled" `Quick test_atpg_pooled ] );
       ( "spectra",

@@ -251,12 +251,15 @@ let read_lines fd want =
   List.filter (fun s -> String.length s > 0) (String.split_on_char '\n' (Buffer.contents buf))
 
 let test_backpressure () =
-  (* capacity 1 and three pipelined sleep requests: the executor can hold
-     at most one running and one queued, so at least one (deterministically
-     the third) is rejected with a structured "overloaded" response while
-     the connection stays up and the accepted requests still complete *)
+  (* capacity 1, one executor and three pipelined sleep requests: the
+     executor can hold at most one running and one queued, so at least one
+     (deterministically the third) is rejected with a structured
+     "overloaded" response while the connection stays up and the accepted
+     requests still complete.  The executor count is pinned because it
+     defaults to the pool size: with two executors all three requests can
+     be admitted. *)
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config ~queue_capacity:1 socket_path) in
+  let handle = Server.start (Server.config ~queue_capacity:1 ~executors:1 socket_path) in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket_path);

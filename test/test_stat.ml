@@ -197,7 +197,9 @@ let test_histogram_density_normalised () =
 let test_probability_estimate () =
   let g = Prng.create 99 in
   let e =
-    Monte_carlo.estimate_probability ~trials:20000 ~rng:g ~f:(fun g -> Prng.float g < 0.3)
+    Monte_carlo.estimate_probability_pooled ~trials:20000 ~rng:g
+      ~f:(fun g _ -> Prng.float g < 0.3)
+      ()
   in
   Alcotest.check (approx 0.02) "probability" 0.3 e.Monte_carlo.p;
   Alcotest.(check bool) "CI sane" true
@@ -206,14 +208,16 @@ let test_probability_estimate () =
 let test_mean_estimate () =
   let g = Prng.create 123 in
   let e =
-    Monte_carlo.estimate_mean ~trials:20000 ~rng:g ~f:(fun g -> Prng.uniform g ~lo:0.0 ~hi:2.0)
+    Monte_carlo.estimate_mean_pooled ~trials:20000 ~rng:g
+      ~f:(fun g _ -> Prng.uniform g ~lo:0.0 ~hi:2.0)
+      ()
   in
   Alcotest.check (approx 0.02) "mean" 1.0 e.Monte_carlo.mean;
   Alcotest.check (approx 0.02) "stddev" (2.0 /. sqrt 12.0) e.Monte_carlo.stddev
 
 let test_sample_array () =
   let g = Prng.create 7 in
-  let xs = Monte_carlo.sample_array ~trials:100 ~rng:g ~f:(fun g -> Prng.float g) in
+  let xs = Monte_carlo.sample_array_pooled ~trials:100 ~rng:g ~f:(fun g _ -> Prng.float g) () in
   Alcotest.(check int) "length" 100 (Array.length xs)
 
 let () =

@@ -360,6 +360,29 @@ let test_diagnose_good_stream_is_zero () =
   Alcotest.(check bool) "fault-free signature is null" true
     (Array.for_all (fun v -> v = 0.0) sg)
 
+(* Every entry's fault and exact signature (hex floats), digested.  The
+   pinned values were recorded from the full-machine lane-0 fault
+   simulator the dictionary was originally built on. *)
+let test_diagnose_dictionary_pinned () =
+  let _, _, dict = diagnose_fixture () in
+  let entries = Diagnose.entries dict in
+  let buf = Buffer.create 65536 in
+  Array.iter
+    (fun e ->
+      Buffer.add_string buf (Format.asprintf "%a" Msoc_netlist.Fault.pp e.Diagnose.fault);
+      Array.iter (fun v -> Printf.bprintf buf " %h" v) e.Diagnose.signature;
+      Buffer.add_char buf '\n')
+    entries;
+  let nonzero =
+    Array.fold_left
+      (fun acc e -> if Array.exists (fun v -> v <> 0.0) e.Diagnose.signature then acc + 1 else acc)
+      0 entries
+  in
+  Alcotest.(check int) "entries" 1440 (Array.length entries);
+  Alcotest.(check int) "non-null signatures" 1293 nonzero;
+  Alcotest.(check string) "signature digest" "92be87f8b0c24cad52d3b3adf7b4158a"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_diagnose_clustering_beats_chance () =
   let _, _, dict = diagnose_fixture () in
   let acc = Diagnose.clustering_accuracy dict ~sample:150 ~seed:5 in
@@ -807,6 +830,8 @@ let () =
       ( "diagnose",
         [ Alcotest.test_case "planted fault rank 1" `Quick test_diagnose_planted_fault;
           Alcotest.test_case "good stream null" `Quick test_diagnose_good_stream_is_zero;
+          Alcotest.test_case "dictionary signatures pinned" `Quick
+            test_diagnose_dictionary_pinned;
           Alcotest.test_case "clustering beats chance" `Quick
             test_diagnose_clustering_beats_chance ] );
       ( "schedule",

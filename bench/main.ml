@@ -1622,8 +1622,8 @@ let serve_request_sample c req =
 (* Run [rounds] of [mix] from [clients] concurrent connections against
    the daemon at [socket_path]; returns per-kernel samples (merged over
    clients) and the wall-clock of the whole run.  [req_of] lets a kernel
-   vary its request by round (fresh coalescing keys, cache-busting
-   seeds). *)
+   vary its request by round (cache-busting seeds shared by every
+   client). *)
 let serve_drive ~socket_path ~clients ~rounds mix =
   let t0 = Obs.now_ns () in
   let worker () =
@@ -1737,15 +1737,13 @@ let serve_load () =
   Format.printf
     "cold: %d requests over %d client connection(s) in %.2f s — %.0f req/s@."
     cold_total clients cold_wall_s cold_throughput;
-  (* ---- phase B: the throughput plane — two executors, result cache
-     on, a short coalescing window.  serve-plan repeats the same model
-     every round (cache hits from round 2), serve-faultsim changes its
-     seed per round (cache-busting) but all clients share each round's
-     seed, so concurrent duplicates coalesce into pooled batches. *)
+  (* ---- phase B: the throughput plane — two executors, single-flight
+     result cache on.  serve-plan repeats the same model every round
+     (cache hits from round 2), serve-faultsim changes its seed per round
+     (cache-busting) but all clients share each round's seed, so a
+     concurrent duplicate joins the in-flight execution. *)
   let handle =
-    Serve.start
-      (Serve.config ~queue_capacity:64 ~executors:2 ~cache_size:256
-         ~batch_window_ms:20 socket_path)
+    Serve.start (Serve.config ~queue_capacity:64 ~executors:2 ~cache_size:256 socket_path)
   in
   let plane_mix =
     [ ("serve-ping-plane", const (Serve_protocol.request Serve_protocol.Ping));
@@ -1776,7 +1774,7 @@ let serve_load () =
   (* the bound sits above the ~29 req/s the single-executor cold plane
      measures on the reference host: the throughput plane must beat the
      old serial daemon even on a single-core runner, where the win comes
-     from the cache and coalescing rather than parallel executors *)
+     from the cache and shared executions rather than parallel executors *)
   Report.add_scalar report ~section:"serve" ~name:"throughput" ~unit_label:"req/s"
     ~bound:(Report.Ge 40.0) plane_throughput;
   (match (List.assoc_opt "serve-plan" cold_p50s, List.assoc_opt "serve-plan-hit" plane_p50s)
@@ -1798,8 +1796,8 @@ let serve_load () =
   | None -> ());
   Format.printf
     "plane: %d requests over %d client connection(s) in %.2f s — %.0f req/s; latency@.\
-     is client-observed (connect-to-response, queue wait and coalescing window@.\
-     included); mWords/req is process-wide allocation (the daemon is in-process).@."
+     is client-observed (connect-to-response, queue wait included); mWords/req is@.\
+     process-wide allocation (the daemon is in-process).@."
     plane_total clients plane_wall_s plane_throughput
 
 let () =

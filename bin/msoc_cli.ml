@@ -44,16 +44,21 @@ open Msoc_synth
 (* ---- telemetry flags (shared by every subcommand) ---- *)
 
 type metrics_format = Metrics_text | Metrics_prom
-type trace_format = Trace_chrome | Trace_folded | Trace_jsonl
 
 type telemetry = {
   trace : string option;
-  trace_format : trace_format;
+  trace_format : Serve_protocol.trace_format;
   events : string option;
   metrics : bool;
   metrics_format : metrics_format option;
       (* an explicit --metrics-format implies metrics output *)
 }
+
+let trace_format_conv =
+  Cmdliner.Arg.enum
+    (List.map
+       (fun f -> (Serve_protocol.trace_format_name f, f))
+       Serve_protocol.[ Trace_chrome; Trace_folded; Trace_jsonl ])
 
 let telemetry_term =
   let open Cmdliner in
@@ -64,21 +69,7 @@ let telemetry_term =
                    (loadable in chrome://tracing or Perfetto) to $(docv).")
   in
   let trace_format =
-    let fmt =
-      Arg.conv
-        ( (function
-          | "chrome" -> Ok Trace_chrome
-          | "folded" -> Ok Trace_folded
-          | "jsonl" -> Ok Trace_jsonl
-          | s -> Error (`Msg (Printf.sprintf "unknown trace format %S (chrome|folded|jsonl)" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with
-              | Trace_chrome -> "chrome"
-              | Trace_folded -> "folded"
-              | Trace_jsonl -> "jsonl") )
-    in
-    Arg.(value & opt fmt Trace_chrome
+    Arg.(value & opt trace_format_conv Serve_protocol.Trace_chrome
          & info [ "trace-format" ] ~docv:"FMT"
              ~doc:"Format for $(b,--trace): $(b,chrome) (trace_event JSON, the default), \
                    $(b,folded) (collapsed stacks for flamegraph.pl / inferno / speedscope) \
@@ -140,14 +131,11 @@ let with_telemetry tel ~command f =
       Option.iter
         (fun file ->
           (match tel.trace_format with
-          | Trace_chrome -> Obs.write_chrome_trace file
-          | Trace_folded -> Obs.write_folded file
-          | Trace_jsonl -> Obs.write_jsonl file);
+          | Serve_protocol.Trace_chrome -> Obs.write_chrome_trace file
+          | Serve_protocol.Trace_folded -> Obs.write_folded file
+          | Serve_protocol.Trace_jsonl -> Obs.write_jsonl file);
           Format.eprintf "telemetry: %s trace written to %s@."
-            (match tel.trace_format with
-            | Trace_chrome -> "chrome"
-            | Trace_folded -> "folded"
-            | Trace_jsonl -> "jsonl")
+            (Serve_protocol.trace_format_name tel.trace_format)
             file)
         tel.trace;
       Option.iter
@@ -173,39 +161,28 @@ let with_telemetry tel ~command f =
       raise e
   end
 
-let strategy_conv =
-  let parse = function
-    | "nominal" -> Ok Propagate.Nominal_gains
-    | "adaptive" -> Ok Propagate.Adaptive
-    | s -> Error (`Msg (Printf.sprintf "unknown strategy %S (nominal|adaptive)" s))
-  in
-  let print ppf = function
-    | Propagate.Nominal_gains -> Format.pp_print_string ppf "nominal"
-    | Propagate.Adaptive -> Format.pp_print_string ppf "adaptive"
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let strategy_arg =
-  Cmdliner.Arg.(
-    value
-    & opt strategy_conv Propagate.Adaptive
-    & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"De-embedding strategy: nominal or adaptive.")
-
-(* The request-field spelling of a strategy.  [Propagate.strategy_name]
-   renders "nominal-gains" for display, but the wire protocol and the
-   shared verbs layer speak the flag vocabulary ("nominal"|"adaptive"). *)
-let strategy_field = function
-  | Propagate.Nominal_gains -> "nominal"
-  | Propagate.Adaptive -> "adaptive"
-
 (* Every command evaluates to its exit code; the plain reporting commands
    succeed with 0 whenever they return at all. *)
 let code0 term = Cmdliner.Term.(const (fun () -> 0) $ term)
 
-(* ---- plan ---- *)
+(* ---- request flags: declared once, shared by the compute subcommands
+   and [client], with the protocol's defaults — so a bare CLI run and a
+   bare daemon request describe the same computation ---- *)
 
-module Audit = Msoc_obs.Audit
 module Topology = Msoc_analog.Topology
+
+let defaults = Serve_protocol.request Serve_protocol.Plan
+
+let int_flag ?docv name default ~doc =
+  Cmdliner.Arg.(value & opt int default & info [ name ] ?docv ~doc)
+
+(* In the request-field spelling, which the verbs layer parses. *)
+let strategy_arg =
+  Cmdliner.Arg.(
+    value
+    & opt (enum [ ("nominal", "nominal"); ("adaptive", "adaptive") ])
+        defaults.Serve_protocol.strategy
+    & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"De-embedding strategy: nominal or adaptive.")
 
 let topology_conv =
   let parse name =
@@ -222,10 +199,65 @@ let topology_conv =
 let topology_arg =
   Cmdliner.Arg.(
     value
-    & opt topology_conv "default"
+    & opt topology_conv defaults.Serve_protocol.topology
     & info [ "topology" ] ~docv:"NAME"
         ~doc:"Signal-path topology to synthesise the plan for; see \
               $(b,--list-topologies).")
+
+let soc_conv =
+  let parse name =
+    match Soc.find name with
+    | Some _ -> Ok name
+    | None ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown SOC %S (known: %s)" name
+              (String.concat ", " Soc.names)))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_string)
+
+let soc_arg =
+  Cmdliner.Arg.(
+    value
+    & opt soc_conv defaults.Serve_protocol.soc
+    & info [ "soc" ] ~docv:"NAME"
+        ~doc:"SOC fixture to schedule; see $(b,msoc schedule --list-socs).")
+
+let seed_arg ~doc = int_flag "seed" defaults.Serve_protocol.seed ~doc
+let taps_arg = int_flag "taps" defaults.Serve_protocol.taps ~doc:"FIR tap count (faultsim)."
+
+let input_bits_arg =
+  int_flag "input-bits" defaults.Serve_protocol.input_bits ~doc:"Input bus width (faultsim)."
+
+let coeff_bits_arg =
+  int_flag "coeff-bits" defaults.Serve_protocol.coeff_bits
+    ~doc:"Coefficient width (faultsim)."
+
+let samples_arg =
+  int_flag "samples" defaults.Serve_protocol.samples ~doc:"Test pattern count (faultsim)."
+
+let tones_arg =
+  int_flag "tones" defaults.Serve_protocol.tones
+    ~doc:"Stimulus tone count, 1 or 2 (faultsim)."
+
+let restarts_arg =
+  int_flag "restarts" ~docv:"N" defaults.Serve_protocol.restarts
+    ~doc:"Simulated-annealing restarts (schedule), fanned out over the domain pool; the \
+          chosen schedule is bit-identical at every pool size."
+
+let iters_arg =
+  int_flag "iters" ~docv:"N" defaults.Serve_protocol.iters
+    ~doc:"Annealing moves per restart (schedule)."
+
+let trials_arg =
+  int_flag "trials" defaults.Serve_protocol.trials ~doc:"Monte-Carlo trial count (montecarlo)."
+
+let sleep_ms_arg =
+  int_flag "sleep-ms" defaults.Serve_protocol.sleep_ms ~doc:"Executor hold time (sleep)."
+
+(* ---- plan ---- *)
+
+module Audit = Msoc_obs.Audit
 
 let list_topologies_arg =
   Cmdliner.Arg.(
@@ -246,10 +278,7 @@ let run_plan tel strategy topology list_topologies audit_file =
     Audit.enable ();
     Audit.reset ()
   end;
-  let req =
-    Serve_protocol.request ~topology ~strategy:(strategy_field strategy)
-      Serve_protocol.Plan
-  in
+  let req = Serve_protocol.request ~topology ~strategy Serve_protocol.Plan in
   print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req);
   match audit_file with
   | None -> ()
@@ -296,6 +325,9 @@ let measurement_of_name path strategy = function
 
 let run_coverage tel strategy param =
   with_telemetry tel ~command:"coverage" @@ fun () ->
+  let strategy =
+    if String.equal strategy "nominal" then Propagate.Nominal_gains else Propagate.Adaptive
+  in
   let path = Path.default_receiver () in
   let m = measurement_of_name path strategy param in
   let err = Propagate.err m in
@@ -370,20 +402,13 @@ let run_faultsim tel progress taps input_bits coeff_bits samples tones seed =
 
 let faultsim_cmd =
   let open Cmdliner in
-  let taps = Arg.(value & opt int 9 & info [ "taps" ] ~doc:"FIR tap count.") in
-  let input_bits = Arg.(value & opt int 10 & info [ "input-bits" ] ~doc:"Input bus width.") in
-  let coeff_bits = Arg.(value & opt int 8 & info [ "coeff-bits" ] ~doc:"Coefficient width.") in
-  let samples = Arg.(value & opt int 1024 & info [ "samples" ] ~doc:"Test pattern count.") in
-  let tones = Arg.(value & opt int 2 & info [ "tones" ] ~doc:"Stimulus tone count (1 or 2).") in
   let seed =
-    Arg.(value & opt int 0
-         & info [ "seed" ]
-             ~doc:"Stimulus phase seed; 0 (default) means the canonical zero-phase tones.")
+    seed_arg ~doc:"Stimulus phase seed; 0 (default) means the canonical zero-phase tones."
   in
   Cmd.v (Cmd.info "faultsim" ~doc:"Spectral stuck-at fault simulation of the FIR filter")
     (code0
-       Term.(const run_faultsim $ telemetry_term $ progress_arg $ taps $ input_bits
-             $ coeff_bits $ samples $ tones $ seed))
+       Term.(const run_faultsim $ telemetry_term $ progress_arg $ taps_arg $ input_bits_arg
+             $ coeff_bits_arg $ samples_arg $ tones_arg $ seed))
 
 (* ---- montecarlo ---- *)
 
@@ -406,12 +431,9 @@ let render_montecarlo ~elapsed_s =
    trial, so the distribution is bit-identical at every pool size. *)
 let run_montecarlo tel progress strategy trials seed =
   with_telemetry tel ~command:"montecarlo" @@ fun () ->
-  let req =
-    Msoc_serve.Protocol.request ~strategy:(strategy_field strategy) ~trials ~seed
-      Msoc_serve.Protocol.Montecarlo
-  in
+  let req = Serve_protocol.request ~strategy ~trials ~seed Serve_protocol.Montecarlo in
   let pool = Msoc_util.Pool.get_default () in
-  let compute () = Msoc_serve.Verbs.run ~pool req in
+  let compute () = Serve_verbs.run ~pool req in
   let body =
     if progress then Progress.with_ticker ~render:render_montecarlo compute else compute ()
   in
@@ -419,21 +441,13 @@ let run_montecarlo tel progress strategy trials seed =
 
 let montecarlo_cmd =
   let open Cmdliner in
-  let trials =
-    Arg.(value & opt int 50_000 & info [ "trials" ] ~doc:"Monte-Carlo trial count.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ]
-          ~doc:"Generator seed; 0 (the default) means the canonical study seed.")
-  in
+  let seed = seed_arg ~doc:"Generator seed; 0 (the default) means the canonical study seed." in
   Cmd.v
     (Cmd.info "montecarlo"
        ~doc:"Monte-Carlo de-embedding error study for the mixer IIP3 (Figure 4 model)")
     (code0
-       Term.(const run_montecarlo $ telemetry_term $ progress_arg $ strategy_arg $ trials
-             $ seed))
+       Term.(const run_montecarlo $ telemetry_term $ progress_arg $ strategy_arg
+             $ trials_arg $ seed))
 
 (* ---- trace: offline analysis of saved telemetry ---- *)
 
@@ -575,40 +589,16 @@ let spectrum_cmd =
 
 let run_measure tel strategy topology seed =
   with_telemetry tel ~command:"measure" @@ fun () ->
-  let req =
-    Serve_protocol.request ~topology ~strategy:(strategy_field strategy) ~seed
-      Serve_protocol.Measure
-  in
+  let req = Serve_protocol.request ~topology ~strategy ~seed Serve_protocol.Measure in
   print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req)
 
 let measure_cmd =
   let open Cmdliner in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Part seed; 0 means the nominal part.")
-  in
+  let seed = seed_arg ~doc:"Part seed; 0 means the nominal part." in
   Cmd.v (Cmd.info "measure" ~doc:"Run the virtual tester against a manufactured part")
     (code0 Term.(const run_measure $ telemetry_term $ strategy_arg $ topology_arg $ seed))
 
 (* ---- schedule: whole-SOC test-time minimization ---- *)
-
-let soc_conv =
-  let parse name =
-    match Soc.find name with
-    | Some _ -> Ok name
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown SOC %S (known: %s)" name
-              (String.concat ", " Soc.names)))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_string)
-
-let soc_arg =
-  Cmdliner.Arg.(
-    value
-    & opt soc_conv "reference"
-    & info [ "soc" ] ~docv:"NAME"
-        ~doc:"SOC fixture to schedule; see $(b,--list-socs).")
 
 let list_socs_arg =
   Cmdliner.Arg.(
@@ -646,21 +636,7 @@ let run_schedule tel soc restarts iters seed list_socs audit_file =
 
 let schedule_cmd =
   let open Cmdliner in
-  let restarts =
-    Arg.(value & opt int 8
-         & info [ "restarts" ] ~docv:"N"
-             ~doc:"Simulated-annealing restarts, fanned out over the domain pool; the \
-                   chosen schedule is bit-identical at every pool size.")
-  in
-  let iters =
-    Arg.(value & opt int 400
-         & info [ "iters" ] ~docv:"N" ~doc:"Annealing moves per restart.")
-  in
-  let seed =
-    Arg.(value & opt int 0
-         & info [ "seed" ]
-             ~doc:"Annealing seed; 0 (default) means the canonical seed.")
-  in
+  let seed = seed_arg ~doc:"Annealing seed; 0 (default) means the canonical seed." in
   let audit =
     Arg.(value & opt (some string) None
          & info [ "audit" ] ~docv:"FILE"
@@ -674,7 +650,7 @@ let schedule_cmd =
              constraints and minimize the total test time (greedy baseline plus \
              pooled simulated-annealing refinement)")
     (code0
-       Term.(const run_schedule $ telemetry_term $ soc_arg $ restarts $ iters $ seed
+       Term.(const run_schedule $ telemetry_term $ soc_arg $ restarts_arg $ iters_arg $ seed
              $ list_socs_arg $ audit))
 
 (* ---- netlist ---- *)
@@ -769,8 +745,7 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path of the daemon.")
 
-let run_serve socket queue_capacity executors cache_size batch_window_ms heavy_cap
-    access_log metrics_out =
+let run_serve socket queue_capacity executors cache_size heavy_cap access_log metrics_out =
   if queue_capacity < 1 then failwith "serve: --queue must be at least 1";
   (match executors with
   | Some k when k < 1 -> failwith "serve: --executors must be at least 1"
@@ -779,11 +754,10 @@ let run_serve socket queue_capacity executors cache_size batch_window_ms heavy_c
   | Some c when c < 1 -> failwith "serve: --heavy-cap must be at least 1"
   | _ -> ());
   if cache_size < 0 then failwith "serve: --cache-size must be at least 0";
-  if batch_window_ms < 0 then failwith "serve: --batch-window-ms must be at least 0";
   set_build_info ();
   let cfg =
-    Serve_server.config ~queue_capacity ?executors ~cache_size ~batch_window_ms
-      ?heavy_cap ?access_log ?metrics_out socket
+    Serve_server.config ~queue_capacity ?executors ~cache_size ?heavy_cap ?access_log
+      ?metrics_out socket
   in
   let server = Serve_server.create cfg in
   let on_signal _ = Serve_server.request_stop server in
@@ -819,14 +793,6 @@ let serve_cmd =
                    canonical request identity); $(b,0) disables the cache.  Cached \
                    replies are byte-identical to cold ones.")
   in
-  let batch_window =
-    Arg.(value & opt int 0
-         & info [ "batch-window-ms" ] ~docv:"MS"
-             ~doc:"Coalescing window: a claimed faultsim/montecarlo batch stays open \
-                   to identical-model joiners for $(docv) milliseconds before \
-                   executing once for all of them.  $(b,0) coalesces only while a \
-                   batch is still queued.")
-  in
   let heavy_cap =
     Arg.(value & opt (some int) None
          & info [ "heavy-cap" ] ~docv:"N"
@@ -849,12 +815,12 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the synthesis daemon: plan/measure/faultsim/montecarlo/schedule over \
-             a Unix socket, with multi-executor scheduling, request coalescing, a \
-             synthesis result cache, per-request traces, Prometheus metrics and a \
-             structured access log")
+             a Unix socket, with multi-executor scheduling, a single-flight synthesis \
+             result cache (a duplicate of a running request shares its execution), \
+             per-request traces, Prometheus metrics and a structured access log")
     (code0
-       Term.(const run_serve $ socket_arg $ queue $ executors $ cache_size
-             $ batch_window $ heavy_cap $ access_log $ metrics_out))
+       Term.(const run_serve $ socket_arg $ queue $ executors $ cache_size $ heavy_cap
+             $ access_log $ metrics_out))
 
 (* ---- client: one request against a running daemon ---- *)
 
@@ -875,7 +841,7 @@ let verb_conv =
 (* Load mode ([--repeat]/[--concurrency] beyond 1): every worker domain
    opens its own connection and sends its [repeat] requests back to
    back, so C workers keep C requests in flight — enough to exercise the
-   daemon's multi-executor scheduling, coalescing and cache from one
+   daemon's multi-executor scheduling and single-flight cache from one
    client process.  Per-request latency is measured client-side
    (request sent -> response parsed) and summarized with the same
    nearest-rank percentiles the bench harness uses. *)
@@ -937,19 +903,11 @@ let run_client verb socket topology strategy seed taps input_bits coeff_bits sam
     tones soc restarts iters trials sleep_ms repeat concurrency trace_format trace_out =
   if repeat < 1 then failwith "client: --repeat must be at least 1";
   if concurrency < 1 then failwith "client: --concurrency must be at least 1";
-  let strategy = strategy_field strategy in
   (* a per-request trace export is only requested when there is a file
      to put it in (and never in load mode: one file, many requests) *)
   let load_mode = repeat > 1 || concurrency > 1 in
   let trace =
-    match trace_out with
-    | Some _ when not load_mode ->
-      Some
-        (match trace_format with
-        | Trace_chrome -> Serve_protocol.Trace_chrome
-        | Trace_folded -> Serve_protocol.Trace_folded
-        | Trace_jsonl -> Serve_protocol.Trace_jsonl)
-    | _ -> None
+    match trace_out with Some _ when not load_mode -> Some trace_format | _ -> None
   in
   let req =
     Serve_protocol.request ~topology ~strategy ~seed ~taps ~input_bits ~coeff_bits
@@ -999,39 +957,7 @@ let client_cmd =
              ~doc:"$(b,plan), $(b,measure), $(b,faultsim), $(b,montecarlo), \
                    $(b,schedule), $(b,metrics), $(b,ping) or $(b,sleep).")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Request seed (verb-dependent).")
-  in
-  let taps = Arg.(value & opt int 9 & info [ "taps" ] ~doc:"faultsim: FIR tap count.") in
-  let input_bits =
-    Arg.(value & opt int 10 & info [ "input-bits" ] ~doc:"faultsim: input bus width.")
-  in
-  let coeff_bits =
-    Arg.(value & opt int 8 & info [ "coeff-bits" ] ~doc:"faultsim: coefficient width.")
-  in
-  let samples =
-    Arg.(value & opt int 1024 & info [ "samples" ] ~doc:"faultsim: test pattern count.")
-  in
-  let tones =
-    Arg.(value & opt int 2 & info [ "tones" ] ~doc:"faultsim: stimulus tone count (1 or 2).")
-  in
-  let soc =
-    Arg.(value & opt soc_conv "reference"
-         & info [ "soc" ] ~doc:"schedule: SOC fixture name.")
-  in
-  let restarts =
-    Arg.(value & opt int 8 & info [ "restarts" ] ~doc:"schedule: annealing restarts.")
-  in
-  let iters =
-    Arg.(value & opt int 400
-         & info [ "iters" ] ~doc:"schedule: annealing moves per restart.")
-  in
-  let trials =
-    Arg.(value & opt int 50_000 & info [ "trials" ] ~doc:"montecarlo: trial count.")
-  in
-  let sleep_ms =
-    Arg.(value & opt int 50 & info [ "sleep-ms" ] ~doc:"sleep: executor hold time.")
-  in
+  let seed = seed_arg ~doc:"Request seed (verb-dependent)." in
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ] ~docv:"N"
@@ -1045,21 +971,7 @@ let client_cmd =
                    sending its $(b,--repeat) share concurrently.")
   in
   let trace_format =
-    let fmt =
-      Arg.conv
-        ( (function
-          | "chrome" -> Ok Trace_chrome
-          | "folded" -> Ok Trace_folded
-          | "jsonl" -> Ok Trace_jsonl
-          | s -> Error (`Msg (Printf.sprintf "unknown trace format %S (chrome|folded|jsonl)" s))),
-          fun ppf f ->
-            Format.pp_print_string ppf
-              (match f with
-              | Trace_chrome -> "chrome"
-              | Trace_folded -> "folded"
-              | Trace_jsonl -> "jsonl") )
-    in
-    Arg.(value & opt fmt Trace_jsonl
+    Arg.(value & opt trace_format_conv Serve_protocol.Trace_jsonl
          & info [ "trace-format" ] ~docv:"FMT"
              ~doc:"Format of the per-request trace export: $(b,jsonl) (default; richest, \
                    analysable with $(b,msoc trace)), $(b,chrome) or $(b,folded).")
@@ -1073,8 +985,9 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Send one request to a running msoc daemon and print the response body")
     Term.(const run_client $ verb $ socket_arg $ topology_arg $ strategy_arg $ seed
-          $ taps $ input_bits $ coeff_bits $ samples $ tones $ soc $ restarts $ iters
-          $ trials $ sleep_ms $ repeat $ concurrency $ trace_format $ trace_out)
+          $ taps_arg $ input_bits_arg $ coeff_bits_arg $ samples_arg $ tones_arg $ soc_arg
+          $ restarts_arg $ iters_arg $ trials_arg $ sleep_ms_arg $ repeat $ concurrency
+          $ trace_format $ trace_out)
 
 (* ---- entry point: exit-code discipline ---- *)
 

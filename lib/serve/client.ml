@@ -3,7 +3,11 @@
    [msoc client] subcommand, the smoke tests and the bench load
    driver. *)
 
-type t = { fd : Unix.file_descr; buf : Buffer.t }
+type t = {
+  fd : Unix.file_descr;
+  partial : Buffer.t;      (* unterminated tail of the bytes read so far *)
+  lines : string Queue.t;  (* complete lines not yet returned *)
+}
 
 let connect ~socket_path =
   let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -12,7 +16,7 @@ let connect ~socket_path =
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e);
-  { fd; buf = Buffer.create 4096 }
+  { fd; partial = Buffer.create 4096; lines = Queue.create () }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -32,17 +36,13 @@ let write_all fd s =
 let read_line t =
   let chunk = Bytes.create 65536 in
   let rec go () =
-    let data = Buffer.contents t.buf in
-    match String.index_opt data '\n' with
-    | Some i ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf data (i + 1) (String.length data - i - 1);
-      Some (String.sub data 0 i)
+    match Queue.take_opt t.lines with
+    | Some line -> Some line
     | None ->
       (match Unix.read t.fd chunk 0 (Bytes.length chunk) with
       | 0 -> None
       | n ->
-        Buffer.add_subbytes t.buf chunk 0 n;
+        Protocol.split_lines t.partial chunk n (fun line -> Queue.add line t.lines);
         go ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
   in

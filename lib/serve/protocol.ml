@@ -83,7 +83,7 @@ let request ?(topology = "default") ?(strategy = "adaptive") ?(seed = 0) ?(taps 
 (* The canonical computation identity behind a request: the verb plus
    exactly the fields that verb reads.  Projecting down to the read set
    makes the key total over equivalent requests — a faultsim request with
-   an exotic [soc] field coalesces with one that left it defaulted. *)
+   an exotic [soc] field shares a key with one that left it defaulted. *)
 let cache_key r =
   match r.verb with
   | Plan -> Some (Printf.sprintf "plan|%s|%s" r.topology r.strategy)
@@ -97,8 +97,22 @@ let cache_key r =
     Some (Printf.sprintf "schedule|%s|%d|%d|%d" r.soc r.restarts r.iters r.seed)
   | Metrics | Ping | Sleep -> None
 
-let coalesce_key r =
-  match r.verb with Faultsim | Montecarlo -> cache_key r | _ -> None
+(* Scan only the [n] new bytes: [pending] already holds the unterminated
+   tail, so a line that arrives in k reads costs its length, not k times
+   it. *)
+let split_lines pending chunk n f =
+  let rec scan start i =
+    if i = n then Buffer.add_subbytes pending chunk start (n - start)
+    else if Bytes.get chunk i = '\n' then begin
+      Buffer.add_subbytes pending chunk start (i - start);
+      let line = Buffer.contents pending in
+      Buffer.clear pending;
+      f line;
+      scan (i + 1) (i + 1)
+    end
+    else scan start (i + 1)
+  in
+  scan 0 0
 
 let request_to_json r =
   let b = Buffer.create 256 in

@@ -56,14 +56,16 @@ val cache_key : request -> string option
     differing only in fields the verb ignores share a key).  [None] for
     the verbs that read daemon state or wall-clock time
     (Metrics/Ping/Sleep) — those are never cacheable.  This key indexes
-    the synthesis result cache. *)
+    both the synthesis result cache and the daemon's in-flight table, so
+    a duplicate of a running request joins its execution and a later one
+    reads its cached body. *)
 
-val coalesce_key : request -> string option
-(** Like {!cache_key} but only for the heavy sweep verbs worth merging
-    (Faultsim/Montecarlo): concurrent identical-model requests can be
-    served by one pooled execution fanned back to every waiter, because
-    their result is a pure, per-request-deterministic function of the
-    key. *)
+val split_lines : Buffer.t -> Bytes.t -> int -> (string -> unit) -> unit
+(** [split_lines pending chunk n f] frames [n] freshly read bytes of
+    [chunk]: [f] receives each line they complete, without its newline,
+    and the unterminated tail stays in [pending] for the next read.  Only
+    the new bytes are scanned, so a line arriving in k reads costs time
+    linear in its length. *)
 
 val request_to_json : request -> string
 (** One line, no trailing newline. *)

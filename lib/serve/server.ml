@@ -1,8 +1,8 @@
 (* The msoc daemon: a Unix-domain-socket service that executes plan /
    measure / faultsim / montecarlo / schedule requests on the shared
    domain pool, behind a bounded queue with explicit backpressure, a
-   synthesis result cache, a request-coalescing stage and a request
-   observability plane threaded through Msoc_obs.
+   single-flight result cache and a request observability plane threaded
+   through Msoc_obs.
 
    Threading model — one acceptor, K executors, plus the pool:
 
@@ -26,14 +26,16 @@
      them.  Finished responses travel back over a mutex-guarded queue;
      a self-pipe byte wakes the select loop; the access-log writer is
      mutex-guarded so lines never interleave.
-   - {e coalescing}: identical-model Monte-Carlo/faultsim requests
-     (same [Protocol.coalesce_key]) merge into one batch.  An admitted
-     batch stays joinable in a pending table until an executor claims
-     it; with [--batch-window-ms] the claiming executor first holds the
-     batch open for the window so concurrent duplicates can attach.
-     The one pooled execution is fanned back to every waiter — the
-     result is a pure, per-request-deterministic function of the key,
-     so each waiter receives bytes identical to a private run.
+   - {e single flight}: a compute body is a pure function of
+     [Protocol.cache_key], so the in-flight table holds one job per key
+     from admission until its result is published.  Admission probes the
+     cache, then joins the in-flight job for the key, and only then
+     queues a new one; completion fills the cache, unregisters the key
+     and takes the waiter list.  Both steps hold [flight_mutex], so a
+     duplicate always finds either the in-flight job or the cached body,
+     and every waiter receives the one rendered body.  A request asking
+     for a trace bypasses both: its export must describe an execution of
+     its own.
 
    Observability per request: with one executor the sinks are reset at
    dequeue and exports merge every domain (the PR-8 behaviour, pool
@@ -42,8 +44,8 @@
    concurrent requests cannot wipe or pollute each other's span trees.
    Service-level metrics survive the per-request reset in a registry
    owned by the server (counters by verb and status, log2-bucket
-   latency and queue-wait histograms, coalescing counters and batch
-   sizes, gauges) and are appended to [Obs.to_prometheus] output by the
+   latency and queue-wait histograms, shared-execution counters and
+   batch sizes, gauges) and are appended to [Obs.to_prometheus] output by the
    [metrics] verb, together with the cache hit/miss/eviction counters
    and the work queue's accept/reject accounting. *)
 
@@ -57,17 +59,16 @@ type config = {
   queue_capacity : int;
   executors : int option;  (* [None] means the pool size *)
   cache_size : int;        (* 0 disables the result cache *)
-  batch_window_ms : int;   (* 0: coalesce only while queued *)
   heavy_cap : int option;  (* [None] means 3/4 of the queue capacity *)
   access_log : string option;
   metrics_out : string option;
   pool : Pool.t option;  (* [None] means [Pool.get_default ()] *)
 }
 
-let config ?(queue_capacity = 64) ?executors ?(cache_size = 256) ?(batch_window_ms = 0)
-    ?heavy_cap ?access_log ?metrics_out ?pool socket_path =
-  { socket_path; queue_capacity; executors; cache_size; batch_window_ms; heavy_cap;
-    access_log; metrics_out; pool }
+let config ?(queue_capacity = 64) ?executors ?(cache_size = 256) ?heavy_cap ?access_log
+    ?metrics_out ?pool socket_path =
+  { socket_path; queue_capacity; executors; cache_size; heavy_cap; access_log; metrics_out;
+    pool }
 
 (* ------------------------------------------------------------------ *)
 (* Weight classes: admission control keeps the heavy sweeps from       *)
@@ -104,9 +105,9 @@ type metrics = {
   latency : (string, lat_hist) Hashtbl.t;           (* per verb, service time *)
   queue_wait : lat_hist;
   inflight : int Atomic.t;
-  batched : int ref;    (* requests answered from a coalesced execution *)
-  batches : int ref;    (* coalesced executions (>= 2 waiters) *)
-  batch_size : lat_hist;  (* waiters per coalescable execution *)
+  batched : int ref;    (* requests answered by an execution shared with others *)
+  batches : int ref;    (* executions with two or more waiters *)
+  batch_size : lat_hist;  (* waiters per single-flight execution *)
 }
 
 let new_metrics () =
@@ -223,23 +224,17 @@ let prometheus_of_metrics m ~queue_depth ~queue_capacity ~pool_size =
 (* Server state                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One admitted client request waiting for a result.  A job starts with
-   its leader as the only waiter; coalescable jobs may accumulate more
-   while pending. *)
-type waiter = {
-  w_conn : int;
-  w_trace_id : string;
-  w_enqueued_ns : int64;
-  w_trace : Protocol.trace_format option;
-}
+(* One admitted client request waiting for a result. *)
+type waiter = { w_conn : int; w_trace_id : string; w_enqueued_ns : int64 }
 
+(* One execution: the leader's request, plus the duplicates that joined
+   it while it was in flight. *)
 type job = {
-  j_req : Protocol.request;  (* the leader's request *)
-  j_key : string option;     (* [Protocol.coalesce_key]; [Some] = joinable *)
+  j_req : Protocol.request;
+  j_key : string option;  (* [Some] exactly while registered in [inflight] *)
   j_class : weight;
-  j_created_ns : int64;
-  mutable j_waiters : waiter list;  (* reverse arrival order; batch_mutex *)
-  mutable j_closed : bool;          (* claimed by an executor *)
+  j_leader : waiter;
+  mutable j_joiners : waiter list;  (* reverse arrival order; flight_mutex *)
 }
 
 type t = {
@@ -256,10 +251,11 @@ type t = {
      dequeue — the admission-control view of queue occupancy *)
   heavy_queued : int Atomic.t;
   cheap_queued : int Atomic.t;
-  (* pending coalescable batches by key; guarded by [batch_mutex]
-     together with every [j_waiters]/[j_closed] mutation *)
-  pending : (string, job) Hashtbl.t;
-  batch_mutex : Mutex.t;
+  (* in-flight jobs by [Protocol.cache_key]; [flight_mutex] guards it,
+     every [j_joiners] mutation, and each cache probe and fill that
+     must agree with it *)
+  inflight : (string, job) Hashtbl.t;
+  flight_mutex : Mutex.t;
   metrics : metrics;
   responses : (int * string) Queue.t;
   responses_mutex : Mutex.t;
@@ -303,8 +299,8 @@ let create cfg =
       | None -> max 1 (cfg.queue_capacity * 3 / 4));
     heavy_queued = Atomic.make 0;
     cheap_queued = Atomic.make 0;
-    pending = Hashtbl.create 16;
-    batch_mutex = Mutex.create ();
+    inflight = Hashtbl.create 16;
+    flight_mutex = Mutex.create ();
     metrics = new_metrics ();
     responses = Queue.create ();
     responses_mutex = Mutex.create ();
@@ -387,9 +383,7 @@ let metrics_payload t =
 (* ------------------------------------------------------------------ *)
 (* Verb dispatch (executor domains).  Compute verbs live in [Verbs] —   *)
 (* shared with the CLI, so daemon answers diff clean against offline    *)
-(* runs; only the verbs that read daemon state are handled here.  A     *)
-(* successful compute result fills the cache (keyed by the canonical    *)
-(* request identity) for the acceptor's admission-time probe.           *)
+(* runs; only the verbs that read daemon state are handled here.        *)
 (* ------------------------------------------------------------------ *)
 
 let dispatch t (req : Protocol.request) =
@@ -406,9 +400,7 @@ let dispatch t (req : Protocol.request) =
     Obs.span "serve.serialize" (fun () -> text)
   | Protocol.Plan | Protocol.Measure | Protocol.Faultsim | Protocol.Montecarlo
   | Protocol.Schedule ->
-    let body = Verbs.run ~pool:t.pool req in
-    (match t.cache with Some c -> Verbs.cache_add c req body | None -> ());
-    body
+    Verbs.run ~pool:t.pool req
 
 (* ------------------------------------------------------------------ *)
 (* Executor domains                                                    *)
@@ -420,39 +412,18 @@ let push_response t conn_id line =
   Mutex.unlock t.responses_mutex;
   try ignore (Unix.write t.wake_w (Bytes.make 1 '.') 0 1) with Unix.Unix_error _ -> ()
 
-(* Hold a joinable batch open until the coalescing window closes (or the
-   server is stopping).  Sliced sleep so shutdown is never delayed by a
-   full window. *)
-let hold_batch_window t job =
-  let deadline =
-    Int64.add job.j_created_ns (Int64.of_int (t.cfg.batch_window_ms * 1_000_000))
-  in
-  let rec wait () =
-    if not (Atomic.get t.stop) then begin
-      let remaining_ns = Int64.sub deadline (Obs.now_ns ()) in
-      if Int64.compare remaining_ns 0L > 0 then begin
-        Unix.sleepf (Float.min 0.01 (Int64.to_float remaining_ns /. 1e9));
-        wait ()
-      end
-    end
-  in
-  if t.cfg.batch_window_ms > 0 then wait ()
-
-(* Claim a popped job: close it to joiners and take its waiter list in
-   arrival order.  Unkeyed jobs have exactly their leader (the waiter
-   list was sealed before the push published the job). *)
-let claim_job t job =
-  match job.j_key with
-  | None -> job.j_waiters
-  | Some key ->
-    Mutex.lock t.batch_mutex;
-    job.j_closed <- true;
-    (match Hashtbl.find_opt t.pending key with
-    | Some j when j == job -> Hashtbl.remove t.pending key
-    | Some _ | None -> ());
-    let ws = List.rev job.j_waiters in
-    Mutex.unlock t.batch_mutex;
-    ws
+(* Completion: fill the cache (on success only), unregister the key and
+   take the waiters in arrival order, under the same mutex as admission —
+   a duplicate admitted after this step hits the cache instead of
+   joining.  A failed job frees its key too, so the next duplicate
+   recomputes. *)
+let publish t job status body =
+  Mutex.protect t.flight_mutex (fun () ->
+      (match (status, t.cache) with
+      | Protocol.Ok_, Some c -> Verbs.cache_add c job.j_req body
+      | _ -> ());
+      Option.iter (Hashtbl.remove t.inflight) job.j_key;
+      job.j_leader :: List.rev job.j_joiners)
 
 let executor_loop t slot =
   let rec loop () =
@@ -471,61 +442,43 @@ let executor_loop t slot =
          domain's sink, so siblings' in-flight requests are untouched. *)
       let scope = if t.executors = 1 then Obs.All_domains else Obs.This_domain in
       if t.executors = 1 then Obs.reset () else Obs.reset_domain ();
+      let leader = job.j_leader in
       let root =
         Obs.start_span "serve.request"
           ~args:
             [ ("verb", Protocol.verb_name job.j_req.Protocol.verb);
-              ("trace_id",
-               match job.j_waiters with
-               | [ w ] -> w.w_trace_id
-               | ws -> (match List.rev ws with w :: _ -> w.w_trace_id | [] -> "")) ]
+              ("trace_id", leader.w_trace_id) ]
       in
-      (match job.j_waiters with
-      | [ w ] | w :: _ ->
-        Obs.record_span "serve.queue_wait" ~start_ns:w.w_enqueued_ns ~stop_ns:t_deq
-      | [] -> ());
-      (* coalescing: keep the batch joinable for the window, then seal
-         it.  The span carries the final batch size. *)
-      let waiters =
-        match job.j_key with
-        | None -> claim_job t job
-        | Some _ ->
-          let timer = Obs.start_span "serve.coalesce" in
-          hold_batch_window t job;
-          let ws = claim_job t job in
-          Obs.stop_span timer
-            ~args:(fun () -> [ ("batch", string_of_int (List.length ws)) ]);
-          ws
-      in
-      let n_waiters = List.length waiters in
-      let t_claim = Obs.now_ns () in
+      Obs.record_span "serve.queue_wait" ~start_ns:leader.w_enqueued_ns ~stop_ns:t_deq;
       let status, body =
         match dispatch t job.j_req with
         | body -> (Protocol.Ok_, body)
         | exception e -> (Protocol.Failed, Printexc.to_string e)
       in
       Obs.stop_span root;
-      (* service time excludes the deliberate window hold — that wait is
-         queue-side policy and lands in each waiter's queue_ns *)
-      let service_ns = Int64.to_int (Int64.sub (Obs.now_ns ()) t_claim) in
-      if job.j_key <> None then record_batch t.metrics ~size:n_waiters;
-      (* one export per requested format, shared by every waiter that
-         asked for it: the execution is genuinely theirs *)
-      let exports =
-        List.filter_map (fun w -> w.w_trace) waiters
-        |> List.sort_uniq compare
-        |> List.map (fun fmt ->
-               ( fmt,
-                 match fmt with
-                 | Protocol.Trace_jsonl -> Obs.jsonl ~scope ()
-                 | Protocol.Trace_chrome -> Obs.chrome_trace ~scope ()
-                 | Protocol.Trace_folded -> Obs.to_collapsed ~scope () ))
+      let waiters = publish t job status body in
+      let t_done = Obs.now_ns () in
+      if job.j_key <> None then record_batch t.metrics ~size:(List.length waiters);
+      (* a traced job never entered the in-flight table, so its leader is
+         its only waiter *)
+      let trace_export =
+        Option.map
+          (function
+            | Protocol.Trace_jsonl -> Obs.jsonl ~scope ()
+            | Protocol.Trace_chrome -> Obs.chrome_trace ~scope ()
+            | Protocol.Trace_folded -> Obs.to_collapsed ~scope ())
+          job.j_req.Protocol.trace
       in
       let verb = Protocol.verb_name job.j_req.Protocol.verb in
       let status_name = Protocol.status_name status in
       List.iter
         (fun w ->
-          let queue_ns = Int64.to_int (Int64.sub t_claim w.w_enqueued_ns) in
+          (* queued until dequeue, served from then on; a joiner that
+             arrived mid-execution never queued, and its own wait is its
+             service time *)
+          let start = Int64.max t_deq w.w_enqueued_ns in
+          let queue_ns = Int64.to_int (Int64.sub start w.w_enqueued_ns) in
+          let service_ns = Int64.to_int (Int64.sub t_done start) in
           record_request t.metrics ~verb ~status:status_name ~queue_ns ~service_ns;
           log_access t ~trace_id:w.w_trace_id ~verb ~status:status_name ~queue_ns
             ~service_ns ~executor:slot;
@@ -538,7 +491,7 @@ let executor_loop t slot =
               queue_ns;
               service_ns;
               pool_size = Pool.size t.pool;
-              trace_export = Option.bind w.w_trace (fun f -> List.assoc_opt f exports) }
+              trace_export }
           in
           push_response t w.w_conn (Protocol.response_to_json response))
         waiters;
@@ -620,89 +573,70 @@ let respond_immediately t conns conn_id ~status ~verb ?(service_ns = 0) ~body ()
   in
   write_response conns conn_id (Protocol.response_to_json response)
 
-(* Admission of a parsed request, in order:
-   1. result cache (pure verbs, no trace asked): answer the hit on the
-      spot — a cached body is byte-identical to a cold run by the cache
-      layer's contract, and it never occupies a queue slot;
-   2. coalesce: attach to a pending batch with the same canonical key;
-   3. class cap, then queue push; either refusal is a structured
-      [overloaded] reply naming what was exhausted. *)
+type admission = Hit of string | Admitted | Rejected of string
+
+(* Admission of a parsed request, under [flight_mutex] so that it and
+   [publish] see one consistent state, in order:
+   1. result cache (cacheable verbs, no trace asked): answer the hit on
+      the spot — a cached body is byte-identical to a cold run by the
+      cache layer's contract, and it never occupies a queue slot;
+   2. join the in-flight job for the same key, again without a slot;
+   3. class cap, then queue push and registration; either refusal is a
+      structured [overloaded] reply naming what was exhausted. *)
 let admit t conns conn_id (req : Protocol.request) =
-  let verb = Protocol.verb_name req.Protocol.verb in
-  let cache_hit =
-    match t.cache with
-    | Some cache when req.Protocol.trace = None ->
-      let t0 = Obs.now_ns () in
-      (match Verbs.cache_find cache req with
-      | Some body ->
-        let service_ns = Int64.to_int (Int64.sub (Obs.now_ns ()) t0) in
-        respond_immediately t conns conn_id ~status:Protocol.Ok_ ~verb ~service_ns
-          ~body ();
-        true
-      | None -> false)
-    | Some _ | None -> false
+  let t0 = Obs.now_ns () in
+  let key = if req.Protocol.trace = None then Protocol.cache_key req else None in
+  let wclass = weight_of_verb req.Protocol.verb in
+  let class_queued =
+    match wclass with Heavy -> t.heavy_queued | Cheap -> t.cheap_queued
   in
-  if not cache_hit then begin
-    let now = Obs.now_ns () in
-    let waiter =
-      { w_conn = conn_id;
-        w_trace_id = fresh_trace_id t;
-        w_enqueued_ns = now;
-        w_trace = req.Protocol.trace }
-    in
-    let wclass = weight_of_verb req.Protocol.verb in
-    let class_queued =
-      match wclass with Heavy -> t.heavy_queued | Cheap -> t.cheap_queued
-    in
-    let class_cap =
-      match wclass with Heavy -> t.heavy_cap | Cheap -> t.cfg.queue_capacity
-    in
-    let reject body =
-      respond_immediately t conns conn_id ~status:Protocol.Overloaded ~verb ~body ()
-    in
-    (* the whole join-or-create step is atomic under batch_mutex, so two
-       identical requests racing through admission cannot both lead *)
-    Mutex.lock t.batch_mutex;
-    let key = Protocol.coalesce_key req in
-    let joined =
-      match Option.bind key (Hashtbl.find_opt t.pending) with
-      | Some job when not job.j_closed ->
-        job.j_waiters <- waiter :: job.j_waiters;
-        true
-      | Some _ | None -> false
-    in
-    if joined then Mutex.unlock t.batch_mutex
-    else if Atomic.get class_queued >= class_cap then begin
-      Mutex.unlock t.batch_mutex;
-      reject
-        (Printf.sprintf
-           "server overloaded: %d %s request(s) queued (class cap %d, queue capacity %d)"
-           (Atomic.get class_queued) (weight_name wclass) class_cap
-           t.cfg.queue_capacity)
-    end
-    else begin
-      let job =
-        { j_req = req;
-          j_key = key;
-          j_class = wclass;
-          j_created_ns = now;
-          j_waiters = [ waiter ];
-          j_closed = false }
-      in
-      Atomic.incr class_queued;
-      if Workq.try_push t.queue job then begin
-        (match key with Some k -> Hashtbl.replace t.pending k job | None -> ());
-        Mutex.unlock t.batch_mutex
-      end
-      else begin
-        Atomic.decr class_queued;
-        Mutex.unlock t.batch_mutex;
-        reject
-          (Printf.sprintf "server overloaded: work queue full (capacity %d)"
-             (Workq.capacity t.queue))
-      end
-    end
-  end
+  let class_cap =
+    match wclass with Heavy -> t.heavy_cap | Cheap -> t.cfg.queue_capacity
+  in
+  let waiter () = { w_conn = conn_id; w_trace_id = fresh_trace_id t; w_enqueued_ns = t0 } in
+  let outcome =
+    Mutex.protect t.flight_mutex (fun () ->
+        let cached =
+          match (key, t.cache) with Some _, Some c -> Verbs.cache_find c req | _ -> None
+        in
+        match cached with
+        | Some body -> Hit body
+        | None ->
+          (match Option.bind key (Hashtbl.find_opt t.inflight) with
+          | Some job ->
+            job.j_joiners <- waiter () :: job.j_joiners;
+            Admitted
+          | None when Atomic.get class_queued >= class_cap ->
+            Rejected
+              (Printf.sprintf
+                 "server overloaded: %d %s request(s) queued (class cap %d, queue capacity %d)"
+                 (Atomic.get class_queued) (weight_name wclass) class_cap
+                 t.cfg.queue_capacity)
+          | None ->
+            let job =
+              { j_req = req; j_key = key; j_class = wclass; j_leader = waiter ();
+                j_joiners = [] }
+            in
+            Atomic.incr class_queued;
+            if Workq.try_push t.queue job then begin
+              Option.iter (fun k -> Hashtbl.replace t.inflight k job) key;
+              Admitted
+            end
+            else begin
+              Atomic.decr class_queued;
+              Rejected
+                (Printf.sprintf "server overloaded: work queue full (capacity %d)"
+                   (Workq.capacity t.queue))
+            end))
+  in
+  let verb = Protocol.verb_name req.Protocol.verb in
+  match outcome with
+  | Admitted -> ()
+  | Hit body ->
+    let service_ns = Int64.to_int (Int64.sub (Obs.now_ns ()) t0) in
+    respond_immediately t conns conn_id ~status:Protocol.Ok_ ~verb ~service_ns ~body ()
+  | Rejected body ->
+    respond_immediately t conns conn_id ~status:Protocol.Overloaded ~verb ~body ()
 
 let handle_line t conns conn_id line =
   if String.trim line <> "" then begin
@@ -725,20 +659,7 @@ let handle_readable t conns conn_id c =
     (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
     Hashtbl.remove conns conn_id
   end
-  else if n > 0 then begin
-    Buffer.add_subbytes c.c_buf chunk 0 n;
-    let data = Buffer.contents c.c_buf in
-    let rec split start =
-      match String.index_from_opt data start '\n' with
-      | Some i ->
-        handle_line t conns conn_id (String.sub data start (i - start));
-        split (i + 1)
-      | None ->
-        Buffer.clear c.c_buf;
-        Buffer.add_substring c.c_buf data start (String.length data - start)
-    in
-    split 0
-  end
+  else if n > 0 then Protocol.split_lines c.c_buf chunk n (handle_line t conns conn_id)
 
 let accept_all t conns next_conn =
   let rec go () =
@@ -789,9 +710,9 @@ let run t =
     |> List.iter (fun (id, c) -> handle_readable t conns id c)
   done;
   (* clean shutdown: stop admitting, drain the queue (close is
-     end-of-stream, so already-admitted jobs still execute — pending
-     batch windows are cut short by the stop flag), deliver the
-     remaining responses, flush the final metrics snapshot *)
+     end-of-stream, so already-admitted jobs still execute and answer
+     their joiners), deliver the remaining responses, flush the final
+     metrics snapshot *)
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   Workq.close t.queue;
   List.iter Domain.join executors;

@@ -1,31 +1,32 @@
 (** The msoc daemon: plan / measure / faultsim / montecarlo / schedule
     requests over a Unix-domain socket, executed on the shared domain
-    pool behind a bounded queue with class-aware backpressure, a
-    synthesis result cache and a request-coalescing stage.
+    pool behind a bounded queue with class-aware backpressure and a
+    single-flight result cache.
 
     One {e acceptor} (the caller of {!run}) multiplexes
     accept/read/write through one select loop; it classifies each
     request (ping/metrics are {e cheap}, compute verbs are {e heavy}),
     rejects with a structured ["overloaded"] reply when the class cap or
     the queue is exhausted, probes the result cache (answering hits on
-    the spot), and attaches identical-model faultsim/montecarlo requests
-    to a pending batch instead of queueing duplicates.  {e K executors}
-    ([executors], default = pool size) pop the shared queue
-    concurrently; a claimed coalescable batch is held open for
-    [batch_window_ms] so concurrent duplicates can still join, then one
-    pooled execution is fanned back to every waiter.  All answers are
-    byte-identical regardless of executor count, cache state or batch
-    membership — the compute verbs are deterministic functions of their
-    canonical key.
+    the spot), and attaches a duplicate of an in-flight compute request
+    (same {!Protocol.cache_key}) to that execution instead of queueing
+    it.  A job stays joinable from admission until its result is
+    published to the cache, so a duplicate finds either the job or its
+    body.  {e K executors} ([executors], default = pool size) pop the
+    shared queue concurrently, and one execution answers every waiter.
+    All answers are byte-identical regardless of executor count, cache
+    state or sharing — the compute verbs are deterministic functions of
+    their canonical key.  A request asking for a trace bypasses the cache
+    and the in-flight table, so its export describes its own execution.
 
     Observability: every request gets a trace id; it runs under a
-    [serve.request] span with [serve.queue_wait] / [serve.coalesce] /
-    [serve.execute] / [serve.serialize] children.  With one executor the
-    Obs sinks are fully reset per request (pool workers included); with
-    several, each executor resets and exports only its own domain's
-    sink, so concurrent traces stay disjoint.  Service-level counters,
-    log2-bucket latency histograms, coalescing and cache counters and
-    gauges accumulate in a server-owned registry that the [metrics] verb
+    [serve.request] span with [serve.queue_wait] / [serve.execute] /
+    [serve.serialize] children.  With one executor the Obs sinks are
+    fully reset per request (pool workers included); with several, each
+    executor resets and exports only its own domain's sink, so
+    concurrent traces stay disjoint.  Service-level counters, log2-bucket
+    latency histograms, shared-execution and cache counters and gauges
+    accumulate in a server-owned registry that the [metrics] verb
     appends to [Obs.to_prometheus] output; one JSON access-log line is
     written per request (mutex-guarded — lines never interleave).
 
@@ -38,9 +39,6 @@ type config = {
   executors : int option;
       (** executor domains popping the shared queue; [None] = pool size *)
   cache_size : int;  (** result-cache entries; [0] disables the cache *)
-  batch_window_ms : int;
-      (** how long a claimed coalescable batch stays open to joiners;
-          [0] coalesces only while a batch is still queued *)
   heavy_cap : int option;
       (** max queued heavy (compute) jobs; [None] = 3/4 of the queue
           capacity, so cheap probes always find queue space *)
@@ -50,12 +48,10 @@ type config = {
 }
 
 val config :
-  ?queue_capacity:int -> ?executors:int -> ?cache_size:int ->
-  ?batch_window_ms:int -> ?heavy_cap:int -> ?access_log:string ->
-  ?metrics_out:string -> ?pool:Msoc_util.Pool.t -> string -> config
+  ?queue_capacity:int -> ?executors:int -> ?cache_size:int -> ?heavy_cap:int ->
+  ?access_log:string -> ?metrics_out:string -> ?pool:Msoc_util.Pool.t -> string -> config
 (** [config socket_path] with queue capacity 64, executors = pool size,
-    a 256-entry cache, no batch window, heavy cap 3/4 of the queue, and
-    no logs. *)
+    a 256-entry cache, heavy cap 3/4 of the queue, and no logs. *)
 
 type t
 
@@ -68,9 +64,9 @@ val create : config -> t
 val run : t -> unit
 (** Serve until {!request_stop}: blocks the calling domain.  Installs a
     SIGPIPE-ignore handler; on return the queue has drained (admitted
-    jobs still execute; open batch windows are cut short), pending
-    responses are delivered, the final metrics snapshot is written to
-    [metrics_out], and the socket file is unlinked. *)
+    jobs still execute and answer every waiter), pending responses are
+    delivered, the final metrics snapshot is written to [metrics_out],
+    and the socket file is unlinked. *)
 
 val request_stop : t -> unit
 (** Ask a running server to shut down cleanly.  Callable from any
@@ -86,7 +82,7 @@ val executors : t -> int
 val metrics_payload : t -> string
 (** The [metrics] verb's body: [Obs.to_prometheus ()] followed by the
     server registry (request counters by verb/status, latency and
-    queue-wait histograms, coalescing counters and batch-size histogram,
+    queue-wait histograms, shared-execution counters and batch-size histogram,
     in-flight / queue-depth / capacity / pool gauges) and the cache,
     executor, queue-accounting and class-occupancy series. *)
 

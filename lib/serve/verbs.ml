@@ -201,10 +201,8 @@ let handlers =
     (Protocol.Montecarlo, montecarlo);
     (Protocol.Schedule, schedule) ]
 
-let find verb = List.assoc_opt verb handlers
-
 let run ~pool (req : Protocol.request) =
-  match find req.verb with
+  match List.assoc_opt req.verb handlers with
   | Some handler -> handler ~pool req
   | None ->
     invalid_arg
@@ -225,12 +223,7 @@ let create_cache ~size = if size <= 0 then None else Some (Lru.create ~capacity:
 let cache_stats cache = (Lru.hits cache, Lru.misses cache, Lru.evictions cache)
 
 let cache_find cache (req : Protocol.request) =
-  match Protocol.cache_key req with
-  | None -> None
-  | Some key ->
-    let r = Lru.find cache key in
-    Obs.count (if r = None then "serve.cache.miss" else "serve.cache.hit");
-    r
+  Option.bind (Protocol.cache_key req) (Lru.find cache)
 
 (* Fill without probing: the daemon acceptor already counted the miss at
    admission time, so the executor's fill must not touch the hit/miss
@@ -239,17 +232,3 @@ let cache_add cache (req : Protocol.request) body =
   match Protocol.cache_key req with
   | None -> ()
   | Some key -> Lru.add cache key body
-
-let run_cached ?cache ~pool (req : Protocol.request) =
-  match (cache, Protocol.cache_key req) with
-  | None, _ | _, None -> (run ~pool req, false)
-  | Some cache, Some key ->
-    (match Lru.find cache key with
-    | Some body ->
-      Obs.count "serve.cache.hit";
-      (body, true)
-    | None ->
-      Obs.count "serve.cache.miss";
-      let body = run ~pool req in
-      Lru.add cache key body;
-      (body, false))

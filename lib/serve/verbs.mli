@@ -19,11 +19,6 @@ val run : pool:Msoc_util.Pool.t -> Protocol.request -> string
     @raise Invalid_argument when the verb is not a compute verb
     (Metrics/Ping/Sleep read daemon state and live in the server). *)
 
-val find :
-  Protocol.verb -> (pool:Msoc_util.Pool.t -> Protocol.request -> string) option
-(** The dispatch table entry for a verb, or [None] for the daemon-state
-    verbs. *)
-
 val montecarlo_canonical_seed : int
 (** The study seed that request seed 0 stands for (seed 0 is "the
     canonical run" across verbs, like the nominal part in [measure]). *)
@@ -43,9 +38,9 @@ val create_cache : size:int -> cache option
 (** [None] when [size <= 0]: a disabled cache is no cache. *)
 
 val cache_find : cache -> Protocol.request -> string option
-(** Probe without computing (the admission-time fast path); counts a
-    [serve.cache.hit] / [serve.cache.miss] Obs event and the LRU's own
-    counters.  Always [None] for non-cacheable verbs. *)
+(** Probe without computing (the admission-time fast path), counting a
+    hit or a miss.  Always [None], and uncounted, for non-cacheable
+    verbs. *)
 
 val cache_add : cache -> Protocol.request -> string -> unit
 (** Fill the cache with a freshly rendered body, without touching the
@@ -55,10 +50,3 @@ val cache_add : cache -> Protocol.request -> string -> unit
 val cache_stats : cache -> int * int * int
 (** [(hits, misses, evictions)] since creation, for the
     [msoc_serve_cache_*_total] metric family. *)
-
-val run_cached :
-  ?cache:cache -> pool:Msoc_util.Pool.t -> Protocol.request -> string * bool
-(** Like {!run} but consulting (and filling) the cache when one is given
-    and the verb is cacheable.  Returns the body and whether it was a
-    cache hit — the hit body is byte-identical to what a cold run would
-    have rendered. *)

@@ -3,8 +3,10 @@
    contention), the wire-protocol round trip, queue-full and class-cap
    backpressure (a structured "overloaded" response, never a dropped
    connection), byte-identity of daemon answers with the offline CLI
-   across pool and executor counts — cold, cached and coalesced — the
-   metrics verb's Prometheus families, and the per-request trace export
+   across pool and executor counts — cold, cached and joined — single
+   flight (a duplicate shares a queued or running execution; a failed
+   one frees its key), request lines split across reads, the metrics
+   verb's Prometheus families, and the per-request trace export
    round-tripping through the offline trace analyses. *)
 
 module Workq = Msoc_util.Workq
@@ -371,53 +373,171 @@ let test_cache_hit_counters () =
             "msoc_serve_cache_evictions_total 0";
             "msoc_serve_executors 1" ])
 
-(* ---- request coalescing ---- *)
+(* ---- single flight ---- *)
 
-let test_coalescing () =
-  (* cache off so the duplicate pair can only be answered by the
-     coalescing stage; the window keeps the first request joinable long
-     after both are admitted *)
+(* A raw connection whose reads give up after [timeout] seconds, so a
+   request that is never answered fails the test instead of hanging it. *)
+let connect_raw ?(timeout = 30.0) socket_path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+  fd
+
+let write_string fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+let send fd req = write_string fd (Protocol.request_to_json req ^ "\n")
+
+let parse_response line =
+  match Protocol.response_of_json line with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "bad response line: %s" e
+
+let response_of fd =
+  match read_lines fd 1 with
+  | [ line ] -> parse_response line
+  | lines -> Alcotest.failf "expected one response, read %d line(s)" (List.length lines)
+
+let scrape c =
+  match Client.request c (Protocol.request Protocol.Metrics) with
+  | Ok r when r.Protocol.status = Protocol.Ok_ -> r.Protocol.body
+  | Ok r -> Alcotest.failf "metrics rejected: %s" r.Protocol.body
+  | Error e -> Alcotest.failf "metrics failed: %s" e
+
+(* An unlabelled series of a metrics body. *)
+let metric body name =
+  String.split_on_char '\n' body
+  |> List.find_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i when String.sub line 0 i = name ->
+           int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+         | _ -> None)
+  |> function
+  | Some n -> n
+  | None -> Alcotest.failf "%s missing from metrics" name
+
+let shared_counters c =
+  let body = scrape c in
+  (metric body "msoc_serve_batched_total", metric body "msoc_serve_coalesced_batches_total")
+
+let test_single_flight () =
+  (* one executor held by a sleep and no cache: each identical pair from
+     two connections waits behind the sleep, so the second request can
+     only be answered by joining the first one's execution *)
+  let cases =
+    List.map
+      (fun req -> (req, Pool.with_pool ~size:1 (fun pool -> Verbs.run ~pool req)))
+      [ Protocol.request Protocol.Plan;
+        Protocol.request ~seed:3 Protocol.Measure;
+        Protocol.request ~taps:5 ~samples:128 ~seed:11 Protocol.Faultsim;
+        Protocol.request ~trials:500 ~seed:2 Protocol.Montecarlo;
+        Protocol.request ~restarts:2 ~iters:50 Protocol.Schedule ]
+  in
   let socket_path = temp_socket () in
-  let handle =
-    Server.start
-      (Server.config ~executors:2 ~cache_size:0 ~batch_window_ms:400 socket_path)
-  in
+  let handle = Server.start (Server.config ~executors:1 ~cache_size:0 socket_path) in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-  let req = Protocol.request ~taps:5 ~samples:128 ~seed:11 Protocol.Faultsim in
-  let fetch () =
-    Client.with_connection ~socket_path (fun c ->
-        match Client.request c req with
-        | Ok r when r.Protocol.status = Protocol.Ok_ -> r.Protocol.body
-        | Ok r -> Alcotest.failf "faultsim rejected: %s" r.Protocol.body
-        | Error e -> Alcotest.failf "faultsim failed: %s" e)
-  in
-  let cold = fetch () in
-  let pair = List.init 2 (fun _ -> Domain.spawn fetch) in
-  let bodies = List.map Domain.join pair in
+  Client.with_connection ~socket_path @@ fun probe ->
   List.iter
-    (fun body ->
-      Alcotest.(check string) "coalesced body byte-identical to a private run" cold
-        body)
-    bodies;
-  Client.with_connection ~socket_path (fun c ->
-      match Client.request c (Protocol.request Protocol.Metrics) with
-      | Error e -> Alcotest.failf "metrics failed: %s" e
-      | Ok r ->
-        let batched =
-          String.split_on_char '\n' r.Protocol.body
-          |> List.find_map (fun line ->
-                 match String.index_opt line ' ' with
-                 | Some i when String.sub line 0 i = "msoc_serve_batched_total" ->
-                   int_of_string_opt
-                     (String.sub line (i + 1) (String.length line - i - 1))
-                 | _ -> None)
-        in
-        match batched with
-        | Some n ->
-          Alcotest.(check bool)
-            (Printf.sprintf "concurrent duplicates were batched (batched=%d)" n)
-            true (n >= 2)
-        | None -> Alcotest.fail "msoc_serve_batched_total missing from metrics")
+    (fun ((req : Protocol.request), expected) ->
+      let verb = Protocol.verb_name req.verb in
+      let batched0, batches0 = shared_counters probe in
+      let fds = List.init 3 (fun _ -> connect_raw socket_path) in
+      Fun.protect ~finally:(fun () -> List.iter Unix.close fds) @@ fun () ->
+      let holder, pair = (List.hd fds, List.tl fds) in
+      send holder (Protocol.request ~sleep_ms:300 Protocol.Sleep);
+      Unix.sleepf 0.05;
+      List.iter (fun fd -> send fd req) pair;
+      List.iter
+        (fun fd ->
+          let r = response_of fd in
+          Alcotest.(check string) (verb ^ " status") "ok" (Protocol.status_name r.Protocol.status);
+          Alcotest.(check string) (verb ^ " joined body equals Verbs.run") expected
+            r.Protocol.body)
+        pair;
+      ignore (response_of holder);
+      let batched1, batches1 = shared_counters probe in
+      Alcotest.(check int) (verb ^ ": both requests shared one execution") 2
+        (batched1 - batched0);
+      Alcotest.(check int) (verb ^ ": one shared execution") 1 (batches1 - batches0))
+    cases
+
+let test_join_mid_execution () =
+  (* the duplicate is sent only once the leader is running — the metrics
+     request counts itself, so inflight 2 means the leader was dequeued —
+     and must still share the leader's execution *)
+  let req = Protocol.request ~iters:4000 ~seed:5 Protocol.Schedule in
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config ~executors:2 socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  Client.with_connection ~socket_path @@ fun probe ->
+  let batched0, _ = shared_counters probe in
+  let leader = connect_raw socket_path and duplicate = connect_raw socket_path in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close [ leader; duplicate ]) @@ fun () ->
+  send leader req;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec await_running () =
+    if metric (scrape probe) "msoc_serve_inflight" < 2 then begin
+      if Unix.gettimeofday () > deadline then Alcotest.fail "the leader never started";
+      Unix.sleepf 0.005;
+      await_running ()
+    end
+  in
+  await_running ();
+  send duplicate req;
+  let first = response_of leader and joined = response_of duplicate in
+  Alcotest.(check string) "leader ok" "ok" (Protocol.status_name first.Protocol.status);
+  Alcotest.(check string) "joined body equals the leader's" first.Protocol.body
+    joined.Protocol.body;
+  Alcotest.(check int) "a mid-execution joiner never queued" 0 joined.Protocol.queue_ns;
+  Alcotest.(check bool) "its service time is its own wait" true
+    (joined.Protocol.service_ns > 0
+    && joined.Protocol.service_ns <= first.Protocol.service_ns);
+  let batched1, _ = shared_counters probe in
+  Alcotest.(check int) "both requests shared one execution" 2 (batched1 - batched0)
+
+let test_failed_leader () =
+  (* a failed execution frees its key: the duplicate that follows runs
+     again and fails on its own, instead of waiting on a dead entry *)
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  let fd = connect_raw ~timeout:5.0 socket_path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  List.iter
+    (fun pass ->
+      send fd (Protocol.request ~topology:"no-such-topology" Protocol.Plan);
+      let r = response_of fd in
+      Alcotest.(check string) (pass ^ " request answered") "error"
+        (Protocol.status_name r.Protocol.status);
+      check_contains r.Protocol.body [ "unknown topology" ])
+    [ "first"; "second" ]
+
+let test_split_lines () =
+  let expected = expected_plan () in
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  let fd = connect_raw socket_path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* one request line, one byte per write *)
+  String.iter
+    (fun ch ->
+      write_string fd (String.make 1 ch);
+      Unix.sleepf 0.001)
+    "{\"verb\":\"plan\"}\n";
+  let r = response_of fd in
+  Alcotest.(check string) "byte-wise line answered" expected r.Protocol.body;
+  (* two pipelined requests, the write boundary inside the second *)
+  let payload = "{\"verb\":\"ping\"}\n{\"verb\":\"plan\"}\n" in
+  let cut = 20 in
+  write_string fd (String.sub payload 0 cut);
+  Unix.sleepf 0.02;
+  write_string fd (String.sub payload cut (String.length payload - cut));
+  match List.map parse_response (read_lines fd 2) with
+  | [ a; b ] ->
+    let ping, plan = if a.Protocol.verb = "ping" then (a, b) else (b, a) in
+    check_contains ping.Protocol.body [ "pong" ];
+    Alcotest.(check string) "second pipelined request answered" "plan" plan.Protocol.verb;
+    Alcotest.(check string) "split request's body" expected plan.Protocol.body
+  | rs -> Alcotest.failf "expected two responses, read %d" (List.length rs)
 
 (* ---- montecarlo: daemon == CLI ---- *)
 
@@ -570,7 +690,10 @@ let () =
           Alcotest.test_case "plan byte-identity across pool sizes" `Quick
             test_plan_byte_identity;
           Alcotest.test_case "result cache hit counters" `Quick test_cache_hit_counters;
-          Alcotest.test_case "duplicate requests coalesce" `Quick test_coalescing;
+          Alcotest.test_case "duplicate requests coalesce" `Quick test_single_flight;
+          Alcotest.test_case "join a running execution" `Quick test_join_mid_execution;
+          Alcotest.test_case "failed leader frees its key" `Quick test_failed_leader;
+          Alcotest.test_case "request lines split across reads" `Quick test_split_lines;
           Alcotest.test_case "montecarlo daemon matches CLI" `Quick
             test_montecarlo_identity;
           Alcotest.test_case "heavy-class admission cap" `Quick test_heavy_cap_admission;

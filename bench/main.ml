@@ -191,16 +191,16 @@ let figure3 () =
   List.iter
     (fun (label, part) ->
       let checks = Compose.boundary_checks path ~test_level_dbm:Propagate.standard_test_level_dbm in
+      (* one engine per part: every measurement replays its noise *)
+      let engine = Path.engine path part ~seed:17 ~samples:(n_adc * decim) in
       (* The mid-range gain of this very part is the reference the
          boundary measurements are compared against (self-referencing, as
          the adaptive methodology prescribes). *)
       let mid_gain =
-        let engine = Path.engine path part ~seed:17 in
         fst (measure_if_gain engine ~fs ~adc_rate ~n_adc ~f_if ~level_dbm:Propagate.standard_test_level_dbm)
       in
       List.iter
         (fun (check : Compose.boundary_check) ->
-          let engine = Path.engine path part ~seed:17 in
           let gain, _ =
             measure_if_gain engine ~fs ~adc_rate ~n_adc ~f_if
               ~level_dbm:check.Compose.stimulus_dbm
@@ -681,7 +681,7 @@ let coverage_noisy () =
     let n_sim = patterns * decim in
     let f1 = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:patterns ~target:90e3 in
     let f2 = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:patterns ~target:110e3 in
-    let engine = Path.engine path (Path.nominal_part path) ~seed in
+    let engine = Path.engine path (Path.nominal_part path) ~seed ~samples:n_sim in
     let input =
       Tone.synthesize ~sample_rate:fs ~samples:n_sim
         [ Tone.component ~freq:(1e6 +. f1)
@@ -901,7 +901,7 @@ let ablation_margin () =
     let n_sim = patterns * decim in
     let f1 = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:patterns ~target:90e3 in
     let f2 = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:patterns ~target:110e3 in
-    let engine = Path.engine path (Path.nominal_part path) ~seed in
+    let engine = Path.engine path (Path.nominal_part path) ~seed ~samples:n_sim in
     let input =
       Tone.synthesize ~sample_rate:fs ~samples:n_sim
         [ Tone.component ~freq:(1e6 +. f1)
@@ -962,19 +962,19 @@ let ablation_interface () =
         Tone.component ~freq:(1e6 +. f2)
           ~amplitude:(Units.vpeak_of_dbm Propagate.standard_test_level_dbm) () ]
   in
-  let engine = Path.engine path (Path.nominal_part path) ~seed:7 in
+  let engine = Path.engine path (Path.nominal_part path) ~seed:7 ~samples:n_sim in
   let adc_volts = Path.run_volts engine input in
-  (* sigma-delta digitising the same LPF output *)
-  let engine2 = Path.engine path (Path.nominal_part path) ~seed:7 in
-  let analog = Path.run_analog engine2 input in
+  (* sigma-delta digitising the same LPF output (the engine's runs replay
+     one noise realisation, so this is the signal the ADC saw) *)
+  let analog = Path.run_analog engine input in
   let sd_params = Msoc_analog.Sigma_delta.default_params ~full_scale_v:1.0 in
   let sd =
     Msoc_analog.Sigma_delta.instance sd_params path.Path.ctx
       (Msoc_analog.Sigma_delta.nominal_values sd_params)
-      ~rng:(Prng.create 8)
   in
   let sd_codes =
-    Msoc_analog.Sigma_delta.capture sd ~decimation:decim analog
+    Msoc_analog.Sigma_delta.kernel sd ~decimation:decim ~rng:(Prng.create 8) ~samples:n_sim
+      analog
   in
   let sd_scale =
     float_of_int
@@ -1224,11 +1224,26 @@ let kernels () =
                 ~input_codes:spectral_codes ~reference_codes:spectral_codes
                 ~tone_freqs:spectral_tones ~faults:spectral_faults)))
   in
-  (* analog path waveform simulation, 1024 sim samples *)
-  let engine = Path.engine path (Path.nominal_part path) ~seed:3 in
+  (* analog path waveform simulation, 1024 sim samples: the engine is
+     built inside the timed closure, so the row times drawing the noise
+     tracks plus one run *)
   let wave = Tone.synthesize ~sample_rate:8e6 ~samples:1024 [ Tone.component ~freq:1.1e6 ~amplitude:0.02 () ] in
   let path_test =
-    Test.make ~name:"path-sim-1024" (Staged.stage (fun () -> ignore (Path.run_codes engine wave)))
+    Test.make ~name:"path-sim-1024"
+      (Staged.stage (fun () ->
+           let engine = Path.engine path (Path.nominal_part path) ~seed:3 ~samples:1024 in
+           ignore (Path.run_codes engine wave)))
+  in
+  (* the virtual tester: the default receiver's nominal part through the
+     adaptive measurement set — one session engine, every capture
+     replaying it *)
+  let measure_part = Path.nominal_part path in
+  let measure_test =
+    Test.make ~name:"measure-validate"
+      (Staged.stage (fun () ->
+           ignore
+             (Msoc_synth.Measure.validate_part path measure_part
+                ~strategy:Propagate.Adaptive)))
   in
   (* analytic coverage *)
   let population = Coverage.defective_population ~nominal:23.0 ~tol:1.5 in
@@ -1358,7 +1373,7 @@ let kernels () =
         raw)
     ([ fft_test; fft_cold_test; rfft_test; fft_bluestein_test; fft_bluestein_cold_test;
        rfft_bluestein_test; mc_arena_test; fsim_test; fsim_serial_test; fsim_pooled_test;
-       fsim_drop_test; spectral_test; path_test; coverage_test; plan_test ]
+       fsim_drop_test; spectral_test; path_test; measure_test; coverage_test; plan_test ]
     @ topology_plan_tests @ [ soc_schedule_test ]);
   Texttable.print t
 

@@ -525,11 +525,11 @@ let trace_cmd =
 let run_spectrum tel level_dbm seed =
   with_telemetry tel ~command:"spectrum" @@ fun () ->
   let path = Path.default_receiver () in
-  let eng = Path.engine path (Path.nominal_part path) ~seed in
   let fs = path.Path.ctx.Context.sim_rate_hz in
   let adc_rate = Path.adc_rate_hz path in
   let n_adc = 4096 in
   let n_sim = n_adc * Path.decimation path in
+  let eng = Path.engine path (Path.nominal_part path) ~seed ~samples:n_sim in
   let f1 = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:n_adc ~target:90e3 in
   let f2 = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:n_adc ~target:110e3 in
   let amplitude = Units.vpeak_of_dbm level_dbm in
@@ -564,7 +564,7 @@ let run_spectrum tel level_dbm seed =
   let pool = Msoc_util.Pool.get_default () in
   let signals =
     Msoc_util.Pool.parallel_init pool captures (fun i ->
-        let eng = Path.engine path (Path.nominal_part path) ~seed:(seed + 1 + i) in
+        let eng = Path.engine path (Path.nominal_part path) ~seed:(seed + 1 + i) ~samples:n_sim in
         Path.run_volts eng input)
   in
   let spectra = Spectrum.analyze_many ~pool ~sample_rate:adc_rate signals in

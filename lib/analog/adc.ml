@@ -51,7 +51,7 @@ let sample_values (p : params) g : values =
     dnl_lsb = Param.sample p.dnl_lsb g;
     nf_db = Param.sample p.nf_db g }
 
-let lsb_volts p = 2.0 *. p.full_scale_v /. float_of_int (1 lsl p.bits)
+let[@inline] lsb_volts p = 2.0 *. p.full_scale_v /. float_of_int (1 lsl p.bits)
 let code_min p = -(1 lsl (p.bits - 1))
 let code_max p = (1 lsl (p.bits - 1)) - 1
 
@@ -64,9 +64,11 @@ let noise_sigma ctx ~nf_db =
 let instance params ctx (v : values) ~rng =
   let codes = 1 lsl params.bits in
   let lsb = lsb_volts params in
-  let dnl_table =
-    Array.init codes (fun _ -> v.dnl_lsb *. lsb *. Prng.gaussian rng /. 3.0)
-  in
+  let dnl_table = Array.make codes 0.0 in
+  Prng.fill_gaussian rng ~scale:(v.dnl_lsb *. lsb) dnl_table;
+  for i = 0 to codes - 1 do
+    dnl_table.(i) <- dnl_table.(i) /. 3.0
+  done;
   { params;
     offset_v = v.offset_error_v;
     inl_lsb = v.inl_lsb;
@@ -77,18 +79,19 @@ let instance params ctx (v : values) ~rng =
    S-curve puts its distortion at odd harmonics and intermods; the even
    mid-scale bow (the classic second-harmonic-dominant shape the
    code-density test characterises) at even ones. *)
-let inl_error inst x =
+let[@inline] inl_error inst x =
   let fs = inst.params.full_scale_v in
   let peak = inst.inl_lsb *. lsb_volts inst.params in
   match inst.params.inl_shape with
   | S_curve -> peak *. sin (Float.pi *. x /. (2.0 *. fs))
   | Bow -> peak *. sin (Float.pi *. (x +. fs) /. (2.0 *. fs))
 
-let convert inst ~rng x =
+(* One conversion with its thermal-noise sample given: the arithmetic
+   shared by [convert] and the capture kernel (inlined into the latter's
+   loop, so a capture boxes nothing). *)
+let[@inline] quantize inst x ~noise =
   let p = inst.params in
-  let perturbed =
-    x +. inst.offset_v +. inl_error inst x +. (inst.noise_sigma_v *. Prng.gaussian rng)
-  in
+  let perturbed = x +. inst.offset_v +. inl_error inst x +. noise in
   let code = int_of_float (Float.round (perturbed /. lsb_volts p)) in
   let clamped = max (code_min p) (min (code_max p) code) in
   let index = clamped - code_min p in
@@ -96,10 +99,18 @@ let convert inst ~rng x =
   let code = int_of_float (Float.round (with_dnl /. lsb_volts p)) in
   max (code_min p) (min (code_max p) code)
 
-let capture inst ~decimation ~rng samples =
+let convert inst ~rng x = quantize inst x ~noise:(inst.noise_sigma_v *. Prng.gaussian rng)
+
+let kernel inst ~decimation ~rng ~samples =
   assert (decimation >= 1);
-  let n = Array.length samples / decimation in
-  Array.init n (fun k -> convert inst ~rng samples.(k * decimation))
+  let noise = Array.make (samples / decimation) 0.0 in
+  Prng.fill_gaussian rng ~scale:inst.noise_sigma_v noise;
+  fun input ->
+    let codes = Array.make (Array.length noise) 0 in
+    for k = 0 to Array.length noise - 1 do
+      codes.(k) <- quantize inst input.(k * decimation) ~noise:noise.(k)
+    done;
+    codes
 
 let code_to_volts p code = float_of_int code *. lsb_volts p
 

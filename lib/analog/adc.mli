@@ -48,11 +48,17 @@ val code_min : params -> int
 val code_max : params -> int
 
 val convert : instance -> rng:Msoc_util.Prng.t -> float -> int
-(** One conversion: volts in, signed code out (saturating). *)
+(** One conversion: volts in, signed code out (saturating).  The
+    per-sample reference form of {!kernel}, drawing its thermal noise from
+    [rng]. *)
 
-val capture :
-  instance -> decimation:int -> rng:Msoc_util.Prng.t -> float array -> int array
-(** Sample-and-hold every [decimation]-th input sample and convert. *)
+val kernel :
+  instance -> decimation:int -> rng:Msoc_util.Prng.t -> samples:int -> float array -> int array
+(** [kernel inst ~decimation ~rng ~samples] draws the conversion-noise
+    track ([samples / decimation] Gaussians from [rng]) once and returns
+    the capture kernel: sample-and-hold every [decimation]-th sample of a
+    [samples]-long input and convert it, replaying the same noise on every
+    call. *)
 
 val code_to_volts : params -> int -> float
 

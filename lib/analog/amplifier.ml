@@ -59,8 +59,15 @@ let instance ctx (v : values) =
     dc_offset_v = v.dc_offset_v;
     noise_sigma_v = noise_sigma ctx ~gain_db:v.gain_db ~nf_db:v.nf_db }
 
-let process inst ~rng x =
-  Nonlin.apply inst.nonlin x +. inst.dc_offset_v +. (inst.noise_sigma_v *. Prng.gaussian rng)
+let kernel inst ~rng ~samples =
+  let noise = Array.make samples 0.0 in
+  Prng.fill_gaussian rng ~scale:inst.noise_sigma_v noise;
+  let dc = inst.dc_offset_v in
+  fun buf ->
+    Nonlin.apply_into inst.nonlin buf;
+    for i = 0 to Array.length buf - 1 do
+      buf.(i) <- buf.(i) +. dc +. noise.(i)
+    done
 
 let saturation_input_v inst = Nonlin.saturation_input inst.nonlin
 

@@ -31,8 +31,11 @@ val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : Context.t -> values -> instance
 (** Fit the behavioural model (cubic nonlinearity, output noise sigma). *)
 
-val process : instance -> rng:Msoc_util.Prng.t -> float -> float
-(** One input sample (volts) to one output sample. *)
+val kernel : instance -> rng:Msoc_util.Prng.t -> samples:int -> float array -> unit
+(** [kernel inst ~rng ~samples] draws the output-noise track ([samples]
+    Gaussians from [rng]) once and returns the block kernel: it maps a
+    [samples]-long buffer of input volts to output volts in place, and
+    replays the same noise on every call. *)
 
 val saturation_input_v : instance -> float
 (** Input peak voltage where the block hard-saturates. *)

@@ -16,15 +16,6 @@ type values = {
   drive_dbm : float;
 }
 
-type osc = {
-  step_rad : float;
-  sigma_rad : float;
-  rho : float;
-  rng : Prng.t;
-  mutable phase : float;
-  mutable wander : float;
-}
-
 let default_params ~freq_hz : params =
   { freq_hz;
     freq_error_hz = Param.make ~nominal:0.0 ~tol:200.0;
@@ -46,22 +37,23 @@ let sample_values (p : params) g : values =
 let actual_freq_hz (v : values) = v.freq_hz +. v.freq_error_hz
 
 (* Ornstein–Uhlenbeck: wander' = rho wander + sigma sqrt(1-rho^2) xi, which
-   is stationary with RMS sigma; rho sets the skirt bandwidth. *)
-let create ctx (v : values) ~rng =
-  { step_rad = Units.two_pi *. actual_freq_hz v /. ctx.Context.sim_rate_hz;
-    sigma_rad = Units.radians_of_degrees v.phase_noise_deg_rms;
-    rho = 0.999;
-    rng;
-    phase = 0.0;
-    wander = 0.0 }
-
-let next o =
-  let sample = cos (o.phase +. o.wander) in
-  o.phase <- Float.rem (o.phase +. o.step_rad) Units.two_pi;
-  o.wander <-
-    (o.rho *. o.wander)
-    +. (o.sigma_rad *. sqrt (1.0 -. (o.rho *. o.rho)) *. Prng.gaussian o.rng);
-  sample
+   is stationary with RMS sigma; rho sets the skirt bandwidth.  The track
+   array first receives the innovations, one Gaussian per sample, then is
+   overwritten in place by the waveform. *)
+let track ctx (v : values) ~rng ~samples =
+  let step_rad = Units.two_pi *. actual_freq_hz v /. ctx.Context.sim_rate_hz in
+  let sigma_rad = Units.radians_of_degrees v.phase_noise_deg_rms in
+  let rho = 0.999 in
+  let out = Array.make samples 0.0 in
+  Prng.fill_gaussian rng ~scale:(sigma_rad *. sqrt (1.0 -. (rho *. rho))) out;
+  let phase = ref 0.0 and wander = ref 0.0 in
+  for i = 0 to samples - 1 do
+    let innovation = out.(i) in
+    out.(i) <- cos (!phase +. !wander);
+    phase := Float.rem (!phase +. step_rad) Units.two_pi;
+    wander := (rho *. !wander) +. innovation
+  done;
+  out
 
 let freq_interval_hz (p : params) =
   I.add (I.point p.freq_hz) (Param.interval p.freq_error_hz)

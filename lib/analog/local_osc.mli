@@ -19,18 +19,16 @@ type values = {
   drive_dbm : float;
 }
 
-type osc
-(** Stateful waveform generator. *)
-
 val default_params : freq_hz:float -> params
 (** ±200 Hz frequency error, 0.03° ± 0.01° RMS phase noise, +7 dBm drive. *)
 
 val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
 
-val create : Context.t -> values -> rng:Msoc_util.Prng.t -> osc
-val next : osc -> float
-(** Next unit-amplitude LO sample (advances time by one simulation step). *)
+val track : Context.t -> values -> rng:Msoc_util.Prng.t -> samples:int -> float array
+(** The first [samples] unit-amplitude LO samples at the simulation rate,
+    from phase 0 and zero wander; the phase noise draws one Gaussian per
+    sample from [rng]. *)
 
 val actual_freq_hz : values -> float
 

@@ -22,11 +22,10 @@ type values = {
 }
 
 type instance = {
-  sections : Biquad.state array;
+  section : Biquad.coeffs;  (* each of the two cascaded sections *)
   gain_lin : float;
   spur_vpeak : float;
   spur_step_rad : float;
-  mutable spur_phase : float;
   noise_sigma_v : float;
 }
 
@@ -65,24 +64,31 @@ let instance ctx ~clock_hz (v : values) =
   in
   (* Spur amplitude referenced to a 0 dBm carrier in the pass band. *)
   let spur_vpeak = Units.vpeak_of_dbm v.clock_spur_dbc in
-  { sections = [| Biquad.create coeffs; Biquad.create coeffs |];
+  { section = coeffs;
     gain_lin = Units.voltage_ratio_of_db v.gain_db;
     spur_vpeak;
     spur_step_rad = Units.two_pi *. clock_hz /. ctx.Context.sim_rate_hz;
-    spur_phase = 0.0;
     noise_sigma_v = noise_sigma ctx ~gain_db:v.gain_db ~nf_db:v.nf_db }
 
-let process inst ~rng x =
-  let filtered =
-    Array.fold_left (fun acc section -> Biquad.process_sample section acc) x inst.sections
-  in
-  let spur = inst.spur_vpeak *. sin inst.spur_phase in
-  inst.spur_phase <- Float.rem (inst.spur_phase +. inst.spur_step_rad) Units.two_pi;
-  (inst.gain_lin *. filtered) +. spur +. (inst.noise_sigma_v *. Prng.gaussian rng)
-
-let reset inst =
-  Array.iter Biquad.reset inst.sections;
-  inst.spur_phase <- 0.0
+(* Two input-independent tracks: the clock spur (from phase 0) and the
+   output noise.  They stay separate so each output sample keeps the
+   association [(gain * filtered + spur) + noise]. *)
+let kernel inst ~rng ~samples =
+  let spur = Array.make samples 0.0 in
+  let phase = ref 0.0 in
+  for i = 0 to samples - 1 do
+    spur.(i) <- inst.spur_vpeak *. sin !phase;
+    phase := Float.rem (!phase +. inst.spur_step_rad) Units.two_pi
+  done;
+  let noise = Array.make samples 0.0 in
+  Prng.fill_gaussian rng ~scale:inst.noise_sigma_v noise;
+  let gain = inst.gain_lin in
+  fun buf ->
+    Biquad.filter_into inst.section buf;
+    Biquad.filter_into inst.section buf;
+    for i = 0 to Array.length buf - 1 do
+      buf.(i) <- (gain *. buf.(i)) +. spur.(i) +. noise.(i)
+    done
 
 let magnitude_db (v : values) ctx ~freq =
   let coeffs =

@@ -36,10 +36,11 @@ val default_params : clock_hz:float -> params
 val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : Context.t -> clock_hz:float -> values -> instance
-val process : instance -> rng:Msoc_util.Prng.t -> float -> float
-(** Stateful: one input sample to one output sample at the simulation rate. *)
-
-val reset : instance -> unit
+val kernel : instance -> rng:Msoc_util.Prng.t -> samples:int -> float array -> unit
+(** [kernel inst ~rng ~samples] computes the clock-spur track and draws the
+    output-noise track once, and returns the block kernel: it filters a
+    [samples]-long buffer in place at the simulation rate, from rest, and
+    replays the same spur and noise on every call. *)
 
 val magnitude_db : values -> Context.t -> freq:float -> float
 (** Small-signal gain at a frequency, floored at the stop-band level —

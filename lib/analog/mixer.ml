@@ -63,10 +63,16 @@ let instance ctx (v : values) ~lo_drive_dbm =
     leak_vpeak = Units.vpeak_of_dbm (lo_drive_dbm -. v.lo_isolation_db);
     noise_sigma_v = noise_sigma ctx ~gain_db:v.gain_db ~nf_db:v.nf_db }
 
-let process inst ~rng ~lo x =
-  (2.0 *. Nonlin.apply inst.nonlin x *. lo)
-  +. (inst.leak_vpeak *. lo)
-  +. (inst.noise_sigma_v *. Prng.gaussian rng)
+let kernel inst ~lo ~rng ~samples =
+  let noise = Array.make samples 0.0 in
+  Prng.fill_gaussian rng ~scale:inst.noise_sigma_v noise;
+  let leak = inst.leak_vpeak in
+  fun buf ->
+    Nonlin.apply_into inst.nonlin buf;
+    for i = 0 to Array.length buf - 1 do
+      let lo = lo.(i) in
+      buf.(i) <- (2.0 *. buf.(i) *. lo) +. (leak *. lo) +. noise.(i)
+    done
 
 let saturation_input_v inst = Nonlin.saturation_input inst.nonlin
 

@@ -29,10 +29,14 @@ val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : Context.t -> values -> lo_drive_dbm:float -> instance
 
-val process : instance -> rng:Msoc_util.Prng.t -> lo:float -> float -> float
-(** One sample: the nonlinearly-processed input is multiplied by the LO
-    sample (doubled so the difference-frequency component carries the full
-    conversion gain) plus LO feedthrough and noise. *)
+val kernel :
+  instance -> lo:float array -> rng:Msoc_util.Prng.t -> samples:int -> float array -> unit
+(** [kernel inst ~lo ~rng ~samples] draws the output-noise track once and
+    returns the block kernel over a [samples]-long buffer, in place: each
+    nonlinearly-processed input sample is multiplied by the matching
+    sample of the LO track [lo] (doubled so the difference-frequency
+    component carries the full conversion gain), plus LO feedthrough and
+    noise.  Every call replays the same LO and noise tracks. *)
 
 val saturation_input_v : instance -> float
 

@@ -6,7 +6,7 @@ type t = {
   sat_out : float;  (* |y| at the limit *)
 }
 
-let poly t x =
+let[@inline] poly t x =
   let x2 = x *. x in
   x *. (t.a1 +. (x2 *. (t.a3 +. (x2 *. t.a5))))
 
@@ -54,9 +54,15 @@ let fit ~gain_lin ~iip3_vpeak ?p1db_vpeak () =
   let sat_out = if sat_in = infinity then infinity else Float.abs (poly reference sat_in) in
   { a1; a3; a5; sat_in; sat_out }
 
-let apply t x =
+let[@inline] apply t x =
   if Float.abs x >= t.sat_in then (if x >= 0.0 then t.sat_out else -.t.sat_out)
   else poly t x
+
+(* [apply] is inlined here, so the block loop boxes nothing. *)
+let apply_into t buf =
+  for i = 0 to Array.length buf - 1 do
+    Array.unsafe_set buf i (apply t (Array.unsafe_get buf i))
+  done
 
 let gain_lin t = t.a1
 let a3 t = t.a3

@@ -17,6 +17,10 @@ val fit : gain_lin:float -> iip3_vpeak:float -> ?p1db_vpeak:float -> unit -> t
     alone sets compression (P1dB at IIP3 - 9.6 dB). *)
 
 val apply : t -> float -> float
+
+val apply_into : t -> float array -> unit
+(** [apply] over a whole buffer, in place and without allocating. *)
+
 val gain_lin : t -> float
 val a3 : t -> float
 val a5 : t -> float

@@ -213,53 +213,51 @@ let with_value t part ~stage ~name x =
 (* ---- waveform engine ---- *)
 
 type engine = {
-  steps : (float -> float) array;   (* analog stages, path order *)
-  resets : (unit -> unit) array;
+  samples : int;
+  kernels : (float array -> unit) array;  (* analog stages, path order *)
   capture : float array -> int array;
-  code_to_volts : int -> float;
+  volts_per_code : float;
 }
 
-let engine t part ~seed =
+let engine t part ~seed ~samples =
   let root = Prng.create seed in
   (* instantiate in stage order: the sequential Prng.split calls inside
      Stage.instantiate reproduce the historical per-block stream layout *)
-  let runtimes =
-    let rec go = function
-      | [] -> []
-      | s :: rest ->
-        let values =
-          match List.assoc_opt s.Stage.id part with
-          | Some v -> v
-          | None ->
-            invalid_arg (Printf.sprintf "Path.engine: part has no values for stage %S" s.Stage.id)
-        in
-        let r = Stage.instantiate s ~ctx:t.ctx values ~root in
-        r :: go rest
-    in
-    go t.stages
-  in
-  let steps = ref [] and resets = ref [] in
-  let capture = ref None and code_to_volts = ref None in
+  let kernels = ref [] and digitizer = ref None in
   List.iter
-    (function
-      | Stage.Analog { step; reset } ->
-        steps := step :: !steps;
-        resets := reset :: !resets
-      | Stage.Digitize { capture = c; to_volts } ->
-        capture := Some c;
-        code_to_volts := Some to_volts)
-    runtimes;
-  { steps = Array.of_list (List.rev !steps);
-    resets = Array.of_list (List.rev !resets);
-    capture = (match !capture with Some c -> c | None -> fun _ -> [||]);
-    code_to_volts = (match !code_to_volts with Some f -> f | None -> float_of_int) }
+    (fun s ->
+      let values =
+        match List.assoc_opt s.Stage.id part with
+        | Some v -> v
+        | None ->
+          invalid_arg (Printf.sprintf "Path.engine: part has no values for stage %S" s.Stage.id)
+      in
+      match Stage.instantiate s ~ctx:t.ctx values ~root ~samples with
+      | Stage.Analog kernel -> kernels := kernel :: !kernels
+      | Stage.Digitize { capture; volts_per_code } -> digitizer := Some (capture, volts_per_code))
+    t.stages;
+  (* [create] admits only paths ending in exactly one digitizer *)
+  let capture, volts_per_code = Option.get !digitizer in
+  { samples; kernels = Array.of_list (List.rev !kernels); capture; volts_per_code }
 
 let run_analog e input =
-  Array.iter (fun reset -> reset ()) e.resets;
-  Array.map (fun x -> Array.fold_left (fun acc step -> step acc) x e.steps) input
+  if Array.length input <> e.samples then
+    invalid_arg
+      (Printf.sprintf "Path.run: engine built for %d samples, input has %d" e.samples
+         (Array.length input));
+  let buf = Array.copy input in
+  Array.iter (fun kernel -> kernel buf) e.kernels;
+  buf
 
 let run_codes e input = e.capture (run_analog e input)
-let run_volts e input = Array.map e.code_to_volts (run_codes e input)
+
+let run_volts e input =
+  let codes = run_codes e input in
+  let volts = Array.make (Array.length codes) 0.0 in
+  for i = 0 to Array.length codes - 1 do
+    volts.(i) <- float_of_int codes.(i) *. e.volts_per_code
+  done;
+  volts
 
 (* ---- attribute-domain propagation ---- *)
 

@@ -6,9 +6,9 @@
 
     but any stage list with exactly one trailing digitizer is accepted.
     This module owns the composed structure: the manufactured-part sampler,
-    the streaming waveform engine (simulation rate in, digitizer codes
-    out), and the attribute-domain propagation that the test-synthesis core
-    consumes. *)
+    the waveform engine (a capture buffer at the simulation rate in,
+    digitizer codes out), and the attribute-domain propagation that the
+    test-synthesis core consumes. *)
 
 module Attr = Msoc_signal.Attr
 
@@ -84,21 +84,36 @@ val with_value : t -> part -> stage:string -> name:string -> float -> part
 (** {1 Waveform engine} *)
 
 type engine
+(** An instantiated path for captures of a fixed length.  Immutable: it
+    holds only the stages' input-independent tracks, so the [run_*]
+    functions are pure functions of their input and one engine may be
+    shared by several domains at once. *)
 
-val engine : t -> part -> seed:int -> engine
-(** Instantiate every stage; all stochastic behaviour (noise, phase noise,
-    DNL realisation) derives deterministically from [seed]. *)
+val engine : t -> part -> seed:int -> samples:int -> engine
+(** Instantiate every stage for captures of [samples] simulation-rate
+    samples, drawing every input-independent track once: each stage's
+    noise, the LO waveform (phase plus wander), the LPF clock spur, the
+    ADC's DNL table and conversion noise, the sigma-delta's input noise.
+    All of it derives deterministically from [seed]. *)
 
 val run_codes : engine -> float array -> int array
 (** Input waveform at the simulation rate (volts at the primary input) to
-    digitizer output codes at the decimated rate. *)
+    digitizer output codes at the decimated rate.
+
+    Every run replays the engine's one noise realisation: filter,
+    integrator and oscillator state start from rest, so a second run on
+    the same engine equals the first run of a fresh engine built with the
+    same arguments (a run does not continue the previous run's streams).
+
+    @raise Invalid_argument unless the input has exactly [samples]
+    samples. *)
 
 val run_volts : engine -> float array -> float array
 (** Same, with codes converted back to volts. *)
 
 val run_analog : engine -> float array -> float array
 (** The analog signal just before the digitizer, at the simulation rate
-    (for probing).  Resets stage filter state, not oscillator phase. *)
+    (for probing).  The input is not modified. *)
 
 (** {1 Attribute-domain propagation} *)
 

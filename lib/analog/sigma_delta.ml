@@ -23,9 +23,6 @@ type instance = {
   gain : float;          (* 1 + gain_error *)
   offset_v : float;
   noise_sigma_v : float;
-  rng : Prng.t;
-  mutable v1 : float;
-  mutable v2 : float;
 }
 
 let default_params ~full_scale_v : params =
@@ -53,41 +50,41 @@ let noise_sigma ctx ~nf_db =
   sqrt (Context.boltzmann *. ctx.Context.temperature_k *. bandwidth *. factor
         *. Units.reference_ohms)
 
-let instance (p : params) ctx (v : values) ~rng =
+let instance (p : params) ctx (v : values) =
   { full_scale_v = p.full_scale_v;
     retain = 1.0 -. v.leakage;
     gain = 1.0 +. v.gain_error;
     offset_v = v.comparator_offset_v;
-    noise_sigma_v = noise_sigma ctx ~nf_db:v.nf_db;
-    rng;
-    v1 = 0.0;
-    v2 = 0.0 }
+    noise_sigma_v = noise_sigma ctx ~nf_db:v.nf_db }
 
-let reset inst =
-  inst.v1 <- 0.0;
-  inst.v2 <- 0.0
+(* Integrator rails, [Floatx.clamp ~lo:(-.rail) ~hi:rail] spelled out so
+   the modulator loop boxes nothing. *)
+let[@inline] clamp_rail ~rail x = if x < -.rail then -.rail else if x > rail then rail else x
 
 (* CIFB-2 with feedback coefficients (1, 2): stable for inputs below
-   ~0.85 full scale; state clipping models the integrator rails. *)
-let modulate inst input =
+   ~0.85 full scale; state clipping models the integrator rails.  The
+   integrator state lives in the run, so every call starts from rest. *)
+let modulator inst ~rng ~samples =
+  let noise = Array.make samples 0.0 in
+  Prng.fill_gaussian rng ~scale:inst.noise_sigma_v noise;
   let fs = inst.full_scale_v in
   let rail = 4.0 *. fs in
-  Array.map
-    (fun x ->
-      let x = x +. (inst.noise_sigma_v *. Prng.gaussian inst.rng) in
+  fun input ->
+    let bits = Array.make (Array.length input) 0 in
+    let v1 = ref 0.0 and v2 = ref 0.0 in
+    for i = 0 to Array.length input - 1 do
+      let x = input.(i) +. noise.(i) in
       let x = x /. fs in
-      let y = if inst.v2 +. (inst.offset_v /. fs) >= 0.0 then 1.0 else -1.0 in
-      inst.v1 <- Msoc_util.Floatx.clamp ~lo:(-.rail) ~hi:rail
-          ((inst.retain *. inst.v1) +. (inst.gain *. (x -. y)));
-      inst.v2 <- Msoc_util.Floatx.clamp ~lo:(-.rail) ~hi:rail
-          ((inst.retain *. inst.v2) +. (inst.gain *. (inst.v1 -. (2.0 *. y))));
-      int_of_float y)
-    input
+      let y = if !v2 +. (inst.offset_v /. fs) >= 0.0 then 1.0 else -1.0 in
+      v1 := clamp_rail ~rail ((inst.retain *. !v1) +. (inst.gain *. (x -. y)));
+      v2 := clamp_rail ~rail ((inst.retain *. !v2) +. (inst.gain *. (!v1 -. (2.0 *. y))));
+      bits.(i) <- int_of_float y
+    done;
+    bits
 
-let capture inst ~decimation input =
-  let bits = modulate inst input in
-  let cic = Cic.create ~order:3 ~decimation in
-  Cic.process cic bits
+let kernel inst ~decimation ~rng ~samples =
+  let modulate = modulator inst ~rng ~samples in
+  fun input -> Cic.process (Cic.create ~order:3 ~decimation) (modulate input)
 
 let output_full_scale ~decimation = decimation * decimation * decimation
 

@@ -32,21 +32,24 @@ val default_params : full_scale_v:float -> params
 
 val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
-val instance : params -> Context.t -> values -> rng:Msoc_util.Prng.t -> instance
-val reset : instance -> unit
+val instance : params -> Context.t -> values -> instance
 
-val modulate : instance -> float array -> int array
-(** Input volts at the simulation rate to the ±1 bitstream.  Inputs beyond
-    ~0.85 of full scale overload the loop (as real 2nd-order loops do). *)
+val modulator : instance -> rng:Msoc_util.Prng.t -> samples:int -> float array -> int array
+(** [modulator inst ~rng ~samples] draws the input-noise track ([samples]
+    Gaussians from [rng]) once and returns the loop's block kernel: a
+    [samples]-long buffer of input volts at the simulation rate to the ±1
+    bitstream, with the integrators starting from rest and the same noise
+    replayed on every call.  Inputs beyond ~0.85 of full scale overload
+    the loop (as real 2nd-order loops do). *)
 
-val capture :
-  instance -> decimation:int -> float array -> int array
-(** Modulate and decimate through a sinc^3 CIC; output codes are signed
-    with full scale ~= [decimation ^ 3 / 4] (the CIC gain on a ±1
-    stream divided by the modulator's stable range). *)
+val kernel :
+  instance -> decimation:int -> rng:Msoc_util.Prng.t -> samples:int -> float array -> int array
+(** {!modulator} followed by a fresh sinc^3 CIC decimator; output codes
+    are signed with full scale ~= [decimation ^ 3 / 4] (the CIC gain on a
+    ±1 stream divided by the modulator's stable range). *)
 
 val output_full_scale : decimation:int -> int
-(** Code magnitude corresponding to a full-scale input after {!capture}. *)
+(** Code magnitude corresponding to a full-scale input after {!kernel}. *)
 
 val theoretical_sqnr_db : osr:float -> float
 (** Ideal 2nd-order prediction: 15 log2(OSR) - 12.9 + 1.76 dB. *)

@@ -1,6 +1,6 @@
 (* First-class stage descriptor: one analog (or digitizing) block of a
    signal path, carrying its toleranced parameter set, attribute-domain
-   transfer function and waveform-engine step.  The test-synthesis core
+   transfer function and waveform-engine block kernel.  The test-synthesis core
    iterates over these generically instead of naming receiver fields. *)
 
 module Prng = Msoc_util.Prng
@@ -262,55 +262,40 @@ let transfer t ~ctx ~adc_rate_hz signal =
 (* ---- waveform engine ---- *)
 
 type runtime =
-  | Analog of { step : float -> float; reset : unit -> unit }
-  | Digitize of { capture : float array -> int array; to_volts : int -> float }
+  | Analog of (float array -> unit)
+  | Digitize of { capture : float array -> int array; volts_per_code : float }
 
 (* PRNG streams split off [root] sequentially, in stage order, with the LO
    stream before the mixer's and the ADC build stream before its runtime
    stream — the exact split sequence the monolithic engine used, so seeded
-   waveforms are bit-identical. *)
-let instantiate t ~ctx values ~root =
+   waveforms are bit-identical.  Every track is drawn here, once. *)
+let instantiate t ~ctx values ~root ~samples =
   match (t.block, values) with
   | Amp _, Amp_v v ->
     let rng = Prng.split root in
-    let inst = Amplifier.instance ctx v in
-    Analog { step = (fun x -> Amplifier.process inst ~rng x); reset = (fun () -> ()) }
+    Analog (Amplifier.kernel (Amplifier.instance ctx v) ~rng ~samples)
   | Mix { lo; _ }, Mix_v { lo_v; mixer_v } ->
     let lo_rng = Prng.split root in
     let mixer_rng = Prng.split root in
-    let osc = Local_osc.create ctx lo_v ~rng:lo_rng in
+    let lo_track = Local_osc.track ctx lo_v ~rng:lo_rng ~samples in
     let inst = Mixer.instance ctx mixer_v ~lo_drive_dbm:lo.Local_osc.drive_dbm in
-    Analog
-      { step =
-          (fun x ->
-            let lo = Local_osc.next osc in
-            Mixer.process inst ~rng:mixer_rng ~lo x);
-        (* the LO phase deliberately persists across captures *)
-        reset = (fun () -> ()) }
+    Analog (Mixer.kernel inst ~lo:lo_track ~rng:mixer_rng ~samples)
   | Lpf p, Lpf_v v ->
     let rng = Prng.split root in
-    let inst = Lpf.instance ctx ~clock_hz:p.Lpf.clock_hz v in
-    Analog
-      { step = (fun x -> Lpf.process inst ~rng x); reset = (fun () -> Lpf.reset inst) }
+    Analog (Lpf.kernel (Lpf.instance ctx ~clock_hz:p.Lpf.clock_hz v) ~rng ~samples)
   | Adc { adc; decimation }, Adc_v v ->
     let build_rng = Prng.split root in
     let run_rng = Prng.split root in
     let inst = Adc.instance adc ctx v ~rng:build_rng in
     Digitize
-      { capture = (fun samples -> Adc.capture inst ~decimation ~rng:run_rng samples);
-        to_volts = Adc.code_to_volts adc }
+      { capture = Adc.kernel inst ~decimation ~rng:run_rng ~samples;
+        volts_per_code = Adc.lsb_volts adc }
   | Sd_adc { sd; decimation }, Sd_v v ->
     let rng = Prng.split root in
-    let inst = Sigma_delta.instance sd ctx v ~rng in
-    let scale =
-      sd.Sigma_delta.full_scale_v
-      /. float_of_int (Sigma_delta.output_full_scale ~decimation)
-    in
     Digitize
-      { capture =
-          (fun samples ->
-            Sigma_delta.reset inst;
-            Sigma_delta.capture inst ~decimation samples);
-        to_volts = (fun code -> float_of_int code *. scale) }
+      { capture = Sigma_delta.kernel (Sigma_delta.instance sd ctx v) ~decimation ~rng ~samples;
+        volts_per_code =
+          sd.Sigma_delta.full_scale_v
+          /. float_of_int (Sigma_delta.output_full_scale ~decimation) }
   | (Amp _ | Mix _ | Lpf _ | Adc _ | Sd_adc _), _ ->
     invalid_arg "Stage.instantiate: values do not match the stage's block"

@@ -3,9 +3,9 @@
     A stage bundles everything the test-synthesis core needs to know about
     one block of a signal path: an id, the toleranced parameter set
     ({!Param.t} values addressable by conventional name), the block's
-    attribute-domain transfer function, its waveform-engine step, and its
-    de-embedding info (pass-band gain, cascade noise figure, nonlinearity
-    handle).  {!Path} holds an ordered list of these; [lib/core] folds over
+    attribute-domain transfer function, its waveform-engine block kernel,
+    and its de-embedding info (pass-band gain, cascade noise figure,
+    nonlinearity handle).  {!Path} holds an ordered list of these; [lib/core] folds over
     them generically instead of naming receiver fields. *)
 
 module Prng = Msoc_util.Prng
@@ -100,14 +100,26 @@ val transfer : t -> ctx:Context.t -> adc_rate_hz:float -> Attr.t -> Attr.t
 
 (** {1 Waveform engine} *)
 
+(** The runtime form of one stage: a block kernel over a whole capture
+    buffer.  Its input-independent tracks (noise, LO waveform, clock spur,
+    DNL table) are drawn when the stage is instantiated; its filter,
+    integrator and phase state live inside each call.  A runtime is
+    therefore immutable — every call replays the same tracks and is a pure
+    function of its input, so one runtime may serve several domains at
+    once. *)
 type runtime =
-  | Analog of { step : float -> float; reset : unit -> unit }
-  | Digitize of { capture : float array -> int array; to_volts : int -> float }
+  | Analog of (float array -> unit)
+      (** Transforms a buffer of [samples] volts in place. *)
+  | Digitize of { capture : float array -> int array; volts_per_code : float }
+      (** [capture] maps [samples] volts at the simulation rate to codes
+          at the decimated rate; a code [c] reads as
+          [float_of_int c *. volts_per_code] volts. *)
 
-val instantiate : t -> ctx:Context.t -> values -> root:Prng.t -> runtime
-(** Build the runtime form of one stage.  PRNG streams are split off
-    [root] sequentially in stage order (LO before mixer, ADC build stream
-    before its runtime stream) — the exact split sequence of the
-    historical engine, so seeded waveforms stay bit-identical.
+val instantiate : t -> ctx:Context.t -> values -> root:Prng.t -> samples:int -> runtime
+(** Build the runtime form of one stage for captures of [samples]
+    simulation-rate samples.  PRNG streams are split off [root]
+    sequentially in stage order (LO before mixer, ADC build stream before
+    its runtime stream) — the exact split sequence of the historical
+    engine, so seeded waveforms stay bit-identical.
 
     @raise Invalid_argument if [values] does not match the stage's block. *)

@@ -10,15 +10,17 @@ module Fft = Msoc_dsp.Fft
 
 type t = {
   path : Path.t;
-  part : Path.part;
-  seed : int;
   capture_samples : int;
+  engine : Path.engine;  (* built once; every capture replays it *)
 }
 
 let create ?(seed = 1234) ?(capture_samples = 4096) path part =
   if capture_samples < 256 || not (Fft.is_power_of_two capture_samples) then
     invalid_arg "Measure.create: capture_samples must be a power of two >= 256";
-  { path; part; seed; capture_samples }
+  { path;
+    capture_samples;
+    engine =
+      Path.engine path part ~seed ~samples:(capture_samples * Path.decimation path) }
 
 let capture_samples t = t.capture_samples
 let adc_rate t = Path.adc_rate_hz t.path
@@ -43,8 +45,8 @@ let snap_if t freq =
   Tone.coherent_frequency ~sample_rate:fs ~samples:n ~target:freq
 
 (* The stimulus buffer is per-domain scratch: a validation run performs
-   hundreds of captures of the same (large) simulation length, and the
-   engine consumes the samples without retaining the array, so each domain
+   dozens of captures of the same (large) simulation length, and the
+   engine reads the samples without retaining the array, so each domain
    can synthesize every capture into the same buffer. *)
 let stimulus_key : (int, float array) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
@@ -59,11 +61,10 @@ let stimulus_scratch n =
     a
 
 let raw_capture t components =
-  let engine = Path.engine t.path t.part ~seed:t.seed in
   let n_sim = t.capture_samples * Path.decimation t.path in
   let input = stimulus_scratch n_sim in
   Tone.synthesize_into ~sample_rate:t.path.Path.ctx.Context.sim_rate_hz components input;
-  Path.run_volts engine input
+  Path.run_volts t.engine input
 
 let capture t ~tones =
   let components =
@@ -350,10 +351,10 @@ let validate_part ?pool ?seed path part ~strategy =
       path.Path.stages
   in
   let id s = String.lowercase_ascii s.Stage.id in
-  (* Each measurement is an independent tester session (every capture
-     builds a fresh engine from the session seed), so the procedures can
-     run on separate domains; results come back in procedure order
-     regardless of pool size. *)
+  (* Every capture replays the session engine, a pure function of its
+     stimulus, so the procedures are independent and can share the engine
+     across domains; results come back in procedure order regardless of
+     pool size. *)
   let procedures =
     Array.of_list
       (List.concat

@@ -16,7 +16,8 @@ type t
 
 val create : ?seed:int -> ?capture_samples:int -> Path.t -> Path.part -> t
 (** Defaults: seed 1234, 4096 ADC samples per capture.  Requires
-    [capture_samples] to be a power of two >= 256. *)
+    [capture_samples] to be a power of two >= 256.  Builds the session's
+    waveform engine once, drawing all its noise from [seed]. *)
 
 val capture_samples : t -> int
 
@@ -24,9 +25,10 @@ val capture :
   t -> tones:(float * float) list -> Msoc_dsp.Spectrum.t
 (** Apply tones given as [(rf_frequency_hz, level_dbm)] at the primary
     input and return the spectrum of the digitised primary output (volts).
-    Frequencies are snapped to capture-coherent bins.  Each capture uses a
-    fresh engine with the session seed, so repeated measurements see
-    identical noise — the tester averages are deterministic. *)
+    Frequencies are snapped to capture-coherent bins.  Every capture
+    replays the session engine's one noise realisation, so repeated
+    measurements see identical noise — the tester averages are
+    deterministic. *)
 
 val tone_power_dbm : Msoc_dsp.Spectrum.t -> freq_hz:float -> float
 
@@ -80,10 +82,10 @@ val validate_part :
   validation list
 (** Run the full propagated-measurement set against one part and compare
     each result with the part's true parameter value.  With [pool], the
-    five measurement procedures run on separate domains (each capture
-    builds its own engine, so they are independent); the result list is in
-    procedure order and identical to the serial path for every pool
-    size. *)
+    five measurement procedures run on separate domains, sharing the
+    session engine (its runs are pure, so the procedures are
+    independent); the result list is in procedure order and identical to
+    the serial path for every pool size. *)
 
 val validate_population :
   ?pool:Msoc_util.Pool.t ->

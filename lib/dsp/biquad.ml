@@ -1,13 +1,5 @@
 type coeffs = { b0 : float; b1 : float; b2 : float; a1 : float; a2 : float }
 
-type state = {
-  coeffs : coeffs;
-  mutable x1 : float;
-  mutable x2 : float;
-  mutable y1 : float;
-  mutable y2 : float;
-}
-
 let butterworth_lowpass ~sample_rate ~cutoff =
   assert (cutoff > 0.0 && cutoff < sample_rate /. 2.0);
   (* Bilinear transform with pre-warping: K = tan(pi fc / fs). *)
@@ -21,24 +13,19 @@ let butterworth_lowpass ~sample_rate ~cutoff =
     a1 = 2.0 *. (k2 -. 1.0) *. norm;
     a2 = (1.0 -. (k /. q) +. k2) *. norm }
 
-let create coeffs = { coeffs; x1 = 0.0; x2 = 0.0; y1 = 0.0; y2 = 0.0 }
-
-let reset s =
-  s.x1 <- 0.0;
-  s.x2 <- 0.0;
-  s.y1 <- 0.0;
-  s.y2 <- 0.0
-
-let process_sample s x =
-  let { b0; b1; b2; a1; a2 } = s.coeffs in
-  let y = (b0 *. x) +. (b1 *. s.x1) +. (b2 *. s.x2) -. (a1 *. s.y1) -. (a2 *. s.y2) in
-  s.x2 <- s.x1;
-  s.x1 <- x;
-  s.y2 <- s.y1;
-  s.y1 <- y;
-  y
-
-let process s xs = Array.map (process_sample s) xs
+(* Direct form I from rest.  The delay line lives in local float refs,
+   which the compiler keeps unboxed, so the block loop allocates nothing. *)
+let filter_into { b0; b1; b2; a1; a2 } buf =
+  let x1 = ref 0.0 and x2 = ref 0.0 and y1 = ref 0.0 and y2 = ref 0.0 in
+  for i = 0 to Array.length buf - 1 do
+    let x = Array.unsafe_get buf i in
+    let y = (b0 *. x) +. (b1 *. !x1) +. (b2 *. !x2) -. (a1 *. !y1) -. (a2 *. !y2) in
+    x2 := !x1;
+    x1 := x;
+    y2 := !y1;
+    y1 := y;
+    Array.unsafe_set buf i y
+  done
 
 let magnitude_db c ~sample_rate ~freq =
   let w = Msoc_util.Units.two_pi *. freq /. sample_rate in

@@ -8,18 +8,13 @@
 type coeffs = { b0 : float; b1 : float; b2 : float; a1 : float; a2 : float }
 (** Direct-form-I coefficients with [a0] normalised to 1. *)
 
-type state
-(** Per-instance delay-line state. *)
-
 val butterworth_lowpass : sample_rate:float -> cutoff:float -> coeffs
 (** 2nd-order Butterworth low-pass via bilinear transform with frequency
     pre-warping.  Requires [0 < cutoff < sample_rate / 2]. *)
 
-val create : coeffs -> state
-val reset : state -> unit
-val process_sample : state -> float -> float
-val process : state -> float array -> float array
-(** Stateful block processing (state carries across calls). *)
+val filter_into : coeffs -> float array -> unit
+(** Filter a whole buffer in place, starting from rest (zero delay line):
+    every call is independent of the previous one.  Allocation-free. *)
 
 val magnitude_db : coeffs -> sample_rate:float -> freq:float -> float
 (** Magnitude response at [freq] Hz. *)

@@ -24,36 +24,33 @@ let gain t =
   let rec power acc n = if n = 0 then acc else power (acc * t.decimation) (n - 1) in
   power 1 t.order
 
-let reset t =
-  Array.fill t.integrators 0 t.order 0;
-  Array.fill t.combs 0 t.order 0;
-  t.phase <- 0
-
 let process t input =
-  let out = ref [] in
-  Array.iter
-    (fun x ->
-      (* integrator cascade at the input rate; native ints wrap which is
-         exactly the Hogenauer arithmetic *)
-      let acc = ref x in
+  let n = Array.length input in
+  let out = Array.make ((t.phase + n) / t.decimation) 0 in
+  let k = ref 0 in
+  for j = 0 to n - 1 do
+    (* integrator cascade at the input rate; native ints wrap which is
+       exactly the Hogenauer arithmetic *)
+    let acc = ref input.(j) in
+    for i = 0 to t.order - 1 do
+      t.integrators.(i) <- t.integrators.(i) + !acc;
+      acc := t.integrators.(i)
+    done;
+    t.phase <- t.phase + 1;
+    if t.phase >= t.decimation then begin
+      t.phase <- 0;
+      (* comb cascade at the output rate *)
+      let v = ref t.integrators.(t.order - 1) in
       for i = 0 to t.order - 1 do
-        t.integrators.(i) <- t.integrators.(i) + !acc;
-        acc := t.integrators.(i)
+        let delayed = t.combs.(i) in
+        t.combs.(i) <- !v;
+        v := !v - delayed
       done;
-      t.phase <- t.phase + 1;
-      if t.phase >= t.decimation then begin
-        t.phase <- 0;
-        (* comb cascade at the output rate *)
-        let v = ref t.integrators.(t.order - 1) in
-        for i = 0 to t.order - 1 do
-          let delayed = t.combs.(i) in
-          t.combs.(i) <- !v;
-          v := !v - delayed
-        done;
-        out := !v :: !out
-      end)
-    input;
-  Array.of_list (List.rev !out)
+      out.(!k) <- !v;
+      incr k
+    end
+  done;
+  out
 
 let magnitude_db t ~input_rate ~freq =
   let r = float_of_int t.decimation in

@@ -20,12 +20,11 @@ val decimation : t -> int
 val gain : t -> int
 (** DC gain = decimation ^ order. *)
 
-val reset : t -> unit
-
 val process : t -> int array -> int array
 (** Feed input-rate samples, get decimated-rate samples (state persists
     across calls; output length is [floor (input length / decimation)] plus
-    any carry-over phase). *)
+    any carry-over phase).  The output array is sized up front and written
+    in place; nothing else is allocated. *)
 
 val magnitude_db : t -> input_rate:float -> freq:float -> float
 (** Magnitude response at the input rate, normalised to unity DC gain:

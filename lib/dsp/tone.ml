@@ -12,19 +12,26 @@ let coherent_frequency ~sample_rate ~samples ~target =
   let k = max 1 (min k ((samples / 2) - 1)) in
   float_of_int k *. sample_rate /. float_of_int samples
 
-let sample ~sample_rate ~t components =
-  let time = float_of_int t /. sample_rate in
-  List.fold_left
-    (fun acc { freq; amplitude; phase } ->
-      acc +. (amplitude *. sin ((two_pi *. freq *. time) +. phase)))
-    0.0 components
+(* One point of the waveform: the components summed in list order (the
+   virtual tester's golden fixtures pin the resulting codes bit for bit).
+   The components sit in an array of all-float records and the sum in a
+   local ref, so once inlined into [synthesize_into]'s loop a point
+   allocates nothing. *)
+let[@inline] point components ~time =
+  let acc = ref 0.0 in
+  for j = 0 to Array.length components - 1 do
+    let { freq; amplitude; phase } = Array.unsafe_get components j in
+    acc := !acc +. (amplitude *. sin ((two_pi *. freq *. time) +. phase))
+  done;
+  !acc
 
-(* [synthesize_into] evaluates points with exactly the same arithmetic as
-   [sample] (the virtual tester's golden fixtures pin the codes bit-for-bit)
-   — it only removes the per-capture output allocation. *)
+let sample ~sample_rate ~t components =
+  point (Array.of_list components) ~time:(float_of_int t /. sample_rate)
+
 let synthesize_into ~sample_rate components out =
+  let components = Array.of_list components in
   for t = 0 to Array.length out - 1 do
-    Array.unsafe_set out t (sample ~sample_rate ~t components)
+    Array.unsafe_set out t (point components ~time:(float_of_int t /. sample_rate))
   done
 
 let synthesize ~sample_rate ~samples components =

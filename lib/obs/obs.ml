@@ -102,6 +102,7 @@ let timeline_capacity = 1 lsl 16
 
 type sink = {
   domain_id : int;
+  mutable generation : int;  (* fresh on creation and on every reset *)
   mutable events : event array;
   mutable n_events : int;
   mutable dropped : int;
@@ -142,9 +143,13 @@ let dummy_event = { ev_path = ""; ev_name = ""; ev_args = []; ev_start = 0L; ev_
 let registry : sink list ref = ref []
 let registry_mutex = Mutex.create ()
 
+let generations = Atomic.make 0
+let fresh_generation () = 1 + Atomic.fetch_and_add generations 1
+
 let new_sink () =
   let s =
     { domain_id = (Domain.self () :> int);
+      generation = fresh_generation ();
       events = [||];
       n_events = 0;
       dropped = 0;
@@ -321,6 +326,7 @@ let enable () =
 let disable () = Atomic.set enabled_flag false
 
 let reset_sink s =
+  s.generation <- fresh_generation ();
   s.n_events <- 0;
   s.dropped <- 0;
   s.stack <- [];
@@ -351,6 +357,28 @@ let reset_domain () =
 (* flag, so an installed hook costs one atomic load when disabled.      *)
 (* ------------------------------------------------------------------ *)
 
+(* Pool-worker sinks follow their caller's resets.  Nothing else resets a
+   worker domain's sink, and no per-request export reads it, so in a
+   multi-executor server (each executor resetting only its own sink) it
+   would grow with every request served.  A parallel run publishes its
+   caller's generation; a worker whose own generation differs clears its
+   sink before recording anything for that run and adopts it.  A caller
+   that never resets (the CLI) publishes one generation throughout, so
+   its workers keep every run. *)
+let published_generation = Atomic.make 0
+
+let follow_caller () =
+  if Pool.on_worker () then begin
+    let s = my_sink () in
+    let g = Atomic.get published_generation in
+    if s.generation <> g then begin
+      Mutex.lock registry_mutex;
+      reset_sink s;
+      s.generation <- g;
+      Mutex.unlock registry_mutex
+    end
+  end
+
 let () =
   Pool.Hooks.install
     { Pool.Hooks.run =
@@ -358,11 +386,13 @@ let () =
           if Atomic.get enabled_flag then begin
             count "pool.runs";
             if serialized then count "pool.runs.serialized"
+            else Atomic.set published_generation (my_sink ()).generation
           end);
       chunk =
         (fun ~size:_ ~slot ~lo ~hi f ->
           if not (Atomic.get enabled_flag) then f ()
           else begin
+            follow_caller ();
             count "pool.chunks";
             count ~by:(hi - lo) "pool.items";
             observe "pool.chunk.items" (float_of_int (hi - lo));
@@ -373,12 +403,16 @@ let () =
       steal =
         (fun ~size:_ ~thief ~victim:_ ->
           if Atomic.get enabled_flag then begin
+            follow_caller ();
             count "pool.steals";
             track_event Steal ~slot:thief
           end);
       idle =
         (fun ~size:_ ~slot ->
-          if Atomic.get enabled_flag then track_event Idle ~slot) }
+          if Atomic.get enabled_flag then begin
+            follow_caller ();
+            track_event Idle ~slot
+          end) }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: merge the per-domain sinks deterministically (sinks      *)

@@ -42,7 +42,13 @@ val reset_domain : unit -> unit
 (** Drop the calling domain's sink only; other domains' data and the
     trace epoch are untouched.  This is the per-request reset for a
     multi-executor server: each executor clears its own span tree at
-    dequeue without wiping requests in flight on sibling executors. *)
+    dequeue without wiping requests in flight on sibling executors.
+
+    Pool workers follow their caller: the first pool hook a worker runs
+    in a parallel run whose caller has reset (either way) since the
+    worker's previous run clears the worker's own sink.  So a worker
+    sink holds at most the pooled work of one caller generation, and a
+    caller that never resets keeps all of its workers' events. *)
 
 val enabled : unit -> bool
 

@@ -59,11 +59,16 @@ module Hooks = struct
     | Some h -> h.idle ~size ~slot
 end
 
+(* Set on every worker domain a pool spawns (never on a caller). *)
+let worker_key = Domain.DLS.new_key (fun () -> false)
+let on_worker () = Domain.DLS.get worker_key
+
 (* Each worker domain owns a fixed slot (1 .. size-1); the caller of [run]
    acts as slot 0.  Workers sleep on [ready] until a new generation is
    published, run the job for their slot, then report on [finished]. *)
 let spawn_worker pool slot =
   Domain.spawn (fun () ->
+      Domain.DLS.set worker_key true;
       let rec loop last_generation =
         Mutex.lock pool.mutex;
         while (not pool.stop) && pool.generation = last_generation do

@@ -59,6 +59,10 @@ val create : ?size:int -> unit -> t
 
 val size : t -> int
 
+val on_worker : unit -> bool
+(** [true] on a worker domain spawned by some pool, [false] on every other
+    domain (including the caller of a pooled run, which acts as slot 0). *)
+
 val shutdown : t -> unit
 (** Stop and join the workers.  Idempotent.  Live pools are also shut down
     on [at_exit], so leaking a pool cannot hang program termination. *)

@@ -40,7 +40,9 @@ let copy g = Float.Array.copy g
 
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+(* [bits64], [float] and [standard] are [@inline] so that [fill_gaussian]'s
+   loop keeps its int64 and float intermediates unboxed. *)
+let[@inline] bits64 g =
   let open Int64 in
   let s0 = get g 0 and s1 = get g 1 and s2 = get g 2 and s3 = get g 3 in
   let result = mul (rotl (mul s1 5L) 7) 9L in
@@ -69,7 +71,7 @@ let of_seed_bits bits =
 let split g = of_seed_bits (bits64 g)
 
 (* 53 high bits scaled into [0,1). *)
-let float g =
+let[@inline] float g =
   let bits = Int64.shift_right_logical (bits64 g) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
@@ -93,13 +95,21 @@ let int g n =
     draw ()
   end
 
-let gaussian g =
-  (* Box–Muller; reject a zero radius so that [log] stays finite. *)
-  let rec nonzero () =
-    let u = float g in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = float g in
-  sqrt (-2.0 *. log u1) *. cos (Units.two_pi *. u2)
+(* Box–Muller; reject a zero radius so that [log] stays finite.  The one
+   definition behind [gaussian] and [fill_gaussian]. *)
+let[@inline] standard g =
+  let u1 = ref (float g) in
+  while not (!u1 > 0.0) do
+    u1 := float g
+  done;
+  let u2 = float g in
+  sqrt (-2.0 *. log !u1) *. cos (Units.two_pi *. u2)
+
+let gaussian g = standard g
+
+let fill_gaussian g ~scale out =
+  for i = 0 to Array.length out - 1 do
+    Array.unsafe_set out i (scale *. standard g)
+  done
 
 let gaussian_scaled g ~mean ~sigma = mean +. (sigma *. gaussian g)

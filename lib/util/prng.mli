@@ -51,5 +51,10 @@ val int : t -> int -> int
 val gaussian : t -> float
 (** Standard normal deviate (Box–Muller, no caching). *)
 
+val fill_gaussian : t -> scale:float -> float array -> unit
+(** [fill_gaussian g ~scale out] sets [out.(i)] to [scale *. gaussian g]
+    for [i] in order: the same draws and values as that loop, without
+    allocating — the noise-track fill of the waveform engine. *)
+
 val gaussian_scaled : t -> mean:float -> sigma:float -> float
 (** Normal deviate with the given mean and standard deviation. *)

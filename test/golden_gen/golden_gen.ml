@@ -7,6 +7,7 @@
    canonical schedule parameters (8 restarts, 400 iterations) — the same
    strings the golden tests rebuild and compare byte-for-byte. *)
 module Path = Msoc_analog.Path
+module Topology = Msoc_analog.Topology
 module Context = Msoc_analog.Context
 module Tone = Msoc_dsp.Tone
 module Units = Msoc_util.Units
@@ -57,7 +58,7 @@ let tester_codes () =
   let buffer = Buffer.create (1024 * 16) in
   (* nominal part, then a Monte-Carlo sampled part: both deterministic *)
   let emit label part =
-    let engine = Path.engine path part ~seed:42 in
+    let engine = Path.engine path part ~seed:42 ~samples:n_sim in
     let codes = Path.run_codes engine input in
     Array.iteri
       (fun i c -> Buffer.add_string buffer (Printf.sprintf "%s %d %d\n" label i c))
@@ -65,6 +66,30 @@ let tester_codes () =
   in
   emit "nominal" (Path.nominal_part path);
   emit "sampled" (Path.sample_part path (Prng.create 7));
+  Buffer.contents buffer
+
+(* Every virtual-tester result, as exact hex floats: three topologies x
+   two de-embedding strategies x {nominal part, part sampled from
+   [Prng.create 7]}, at the default session seed and record length. *)
+let measure_values () =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun topology ->
+      let path = Option.get (Topology.build topology) in
+      List.iter
+        (fun (strategy_name, strategy) ->
+          List.iter
+            (fun (part_name, part) ->
+              List.iter
+                (fun v ->
+                  Buffer.add_string buffer
+                    (Printf.sprintf "%s %s %s | %s | %h\n" topology strategy_name part_name
+                       v.Measure.parameter v.Measure.measured))
+                (Measure.validate_part path part ~strategy))
+            [ ("nominal", Path.nominal_part path);
+              ("sampled", Path.sample_part path (Prng.create 7)) ])
+        [ ("nominal", Propagate.Nominal_gains); ("adaptive", Propagate.Adaptive) ])
+    [ "default"; "sigma-delta"; "amp-bypass" ];
   Buffer.contents buffer
 
 let () =
@@ -76,6 +101,7 @@ let () =
          ignore
            (Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ()))));
   write dir "tester_codes.txt" (tester_codes ());
+  write dir "measure_values.txt" (measure_values ());
   (* reference-SOC schedule fixtures, at the canonical annealing defaults *)
   let problem = ref None in
   let soc_audit =

@@ -98,15 +98,12 @@ let test_nonlin_linear_never_saturates () =
 let test_amp_gain_time_domain () =
   let values = Amplifier.nominal_values Amplifier.default_params in
   let inst = Amplifier.instance ctx values in
-  let rng = Prng.create 7 in
   (* small signal, average over many samples to suppress noise *)
   let x = 1e-3 in
   let n = 2000 in
-  let acc = ref 0.0 in
-  for _ = 1 to n do
-    acc := !acc +. Amplifier.process inst ~rng x
-  done;
-  let gain = !acc /. float_of_int n /. x in
+  let buf = Array.make n x in
+  Amplifier.kernel inst ~rng:(Prng.create 7) ~samples:n buf;
+  let gain = Array.fold_left ( +. ) 0.0 buf /. float_of_int n /. x in
   Alcotest.check (approx 0.3) "voltage gain 20 dB = 10x" 10.0 gain
 
 let test_amp_transform_applies_gain () =
@@ -152,10 +149,8 @@ let test_lo_frequency () =
 let test_lo_waveform_spectrum () =
   let params = Local_osc.default_params ~freq_hz:1e6 in
   let values = Local_osc.nominal_values params in
-  let rng = Prng.create 10 in
-  let osc = Local_osc.create ctx values ~rng in
   let n = 8192 in
-  let wave = Array.init n (fun _ -> Local_osc.next osc) in
+  let wave = Local_osc.track ctx values ~rng:(Prng.create 10) ~samples:n in
   let sp = Spectrum.analyze ~sample_rate:ctx.Context.sim_rate_hz wave in
   let peak = Spectrum.peak_bin sp () in
   Alcotest.check (Alcotest.float 2e3) "carrier at 1 MHz" 1e6 (Spectrum.frequency_of_bin sp peak);
@@ -174,18 +169,16 @@ let test_mixer_downconversion () =
   let inst = Mixer.instance ctx values ~lo_drive_dbm:7.0 in
   let lo_params = Local_osc.default_params ~freq_hz:1e6 in
   let lo_values = Local_osc.nominal_values lo_params in
-  let rng = Prng.create 21 in
-  let osc = Local_osc.create ctx lo_values ~rng:(Prng.create 22) in
   let n = 16384 in
+  let lo = Local_osc.track ctx lo_values ~rng:(Prng.create 22) ~samples:n in
   let fs = ctx.Context.sim_rate_hz in
   let f_rf = Tone.coherent_frequency ~sample_rate:fs ~samples:n ~target:1.1e6 in
   let input =
     Tone.synthesize ~sample_rate:fs ~samples:n
       [ Tone.component ~freq:f_rf ~amplitude:(Units.vpeak_of_dbm (-10.0)) () ]
   in
-  let output =
-    Array.map (fun x -> Mixer.process inst ~rng ~lo:(Local_osc.next osc) x) input
-  in
+  let output = Array.copy input in
+  Mixer.kernel inst ~lo ~rng:(Prng.create 21) ~samples:n output;
   let sp = Spectrum.analyze ~sample_rate:fs output in
   (* IF tone at ~100 kHz should carry conversion gain ~8 dB *)
   let p_if = Units.dbm_of_vpeak (sqrt (2.0 *. Spectrum.tone_power sp ~freq:(f_rf -. 1e6))) in
@@ -223,14 +216,14 @@ let test_lpf_time_domain_attenuation () =
   let params = Lpf.default_params ~clock_hz:3.3e6 in
   let values = Lpf.nominal_values params in
   let inst = Lpf.instance ctx ~clock_hz:3.3e6 values in
-  let rng = Prng.create 31 in
   let n = 16384 in
   let fs = ctx.Context.sim_rate_hz in
   let f = Tone.coherent_frequency ~sample_rate:fs ~samples:n ~target:800e3 in
   let input =
     Tone.synthesize ~sample_rate:fs ~samples:n [ Tone.component ~freq:f ~amplitude:0.1 () ]
   in
-  let output = Array.map (Lpf.process inst ~rng) input in
+  let output = Array.copy input in
+  Lpf.kernel inst ~rng:(Prng.create 31) ~samples:n output;
   let tail = Array.sub output (n / 2) (n / 2) in
   let sp = Spectrum.analyze ~sample_rate:fs tail in
   let attenuation =
@@ -243,10 +236,10 @@ let test_lpf_clock_spur_emitted () =
   let params = Lpf.default_params ~clock_hz:1.9e6 in
   let values = Lpf.nominal_values params in
   let inst = Lpf.instance ctx ~clock_hz:1.9e6 values in
-  let rng = Prng.create 32 in
   let n = 16384 in
   let fs = ctx.Context.sim_rate_hz in
-  let output = Array.map (fun _ -> Lpf.process inst ~rng 0.0) (Array.make n 0) in
+  let output = Array.make n 0.0 in
+  Lpf.kernel inst ~rng:(Prng.create 32) ~samples:n output;
   let sp = Spectrum.analyze ~sample_rate:fs output in
   let spur_dbm = Units.dbm_of_vpeak (sqrt (2.0 *. Spectrum.tone_power sp ~freq:1.9e6)) in
   Alcotest.check (Alcotest.float 1.0) "clock spur level" values.Lpf.clock_spur_dbc spur_dbm
@@ -289,9 +282,8 @@ let test_adc_saturates () =
 let test_adc_capture_decimates () =
   let params = Adc.default_params in
   let inst = Adc.instance params ctx (Adc.nominal_values params) ~rng:(Prng.create 45) in
-  let rng = Prng.create 46 in
   let samples = Array.init 64 (fun i -> float_of_int i /. 64.0) in
-  let codes = Adc.capture inst ~decimation:8 ~rng samples in
+  let codes = Adc.kernel inst ~decimation:8 ~rng:(Prng.create 46) ~samples:64 samples in
   Alcotest.(check int) "decimated length" 8 (Array.length codes)
 
 let test_adc_enob_close_to_ideal () =
@@ -343,11 +335,16 @@ let test_adc_transform_folds_and_adds_noise () =
 
 let sd_ctx = Context.make ~sim_rate_hz:8e6 ~analysis_bw_hz:100e3 ()
 
-let sd_instance ?(values = Sigma_delta.nominal_values (Sigma_delta.default_params ~full_scale_v:1.0)) seed =
+let sd_instance ?(values = Sigma_delta.nominal_values (Sigma_delta.default_params ~full_scale_v:1.0)) () =
   Sigma_delta.instance (Sigma_delta.default_params ~full_scale_v:1.0) sd_ctx values
-    ~rng:(Prng.create seed)
 
-let sd_inband_snr inst ~amplitude =
+(* Modulate and decimate [wave] through a fresh kernel whose noise is drawn
+   from [seed]. *)
+let sd_capture ?values seed ~decimation wave =
+  Sigma_delta.kernel (sd_instance ?values ()) ~decimation ~rng:(Prng.create seed)
+    ~samples:(Array.length wave) wave
+
+let sd_inband_snr ?values seed ~amplitude =
   let decim = 16 and n_out = 2048 in
   let fs = 8e6 in
   let out_rate = fs /. float_of_int decim in
@@ -356,7 +353,7 @@ let sd_inband_snr inst ~amplitude =
     Tone.synthesize ~sample_rate:fs ~samples:(n_out * decim)
       [ Tone.component ~freq:f ~amplitude () ]
   in
-  let codes = Sigma_delta.capture inst ~decimation:decim wave in
+  let codes = sd_capture ?values seed ~decimation:decim wave in
   let volts = Array.map float_of_int codes in
   let sp = Spectrum.analyze ~sample_rate:out_rate volts in
   let signal = Spectrum.tone_power sp ~freq:f in
@@ -368,16 +365,16 @@ let sd_inband_snr inst ~amplitude =
   10.0 *. Float.log10 (signal /. !noise)
 
 let test_sd_bitstream_is_binary () =
-  let inst = sd_instance 1 in
-  let bits = Sigma_delta.modulate inst (Array.make 1000 0.3) in
+  let modulate = Sigma_delta.modulator (sd_instance ()) ~rng:(Prng.create 1) ~samples:1000 in
+  let bits = modulate (Array.make 1000 0.3) in
   Array.iter (fun b -> if b <> 1 && b <> -1 then Alcotest.fail "non-binary output") bits
 
 let test_sd_dc_tracking () =
-  let inst = sd_instance 2 in
+  (* every call of the kernel starts the loop from rest *)
+  let modulate = Sigma_delta.modulator (sd_instance ()) ~rng:(Prng.create 2) ~samples:20000 in
   List.iter
     (fun dc ->
-      Sigma_delta.reset inst;
-      let bits = Sigma_delta.modulate inst (Array.make 20000 dc) in
+      let bits = modulate (Array.make 20000 dc) in
       let mean =
         float_of_int (Array.fold_left ( + ) 0 bits) /. float_of_int (Array.length bits)
       in
@@ -385,7 +382,6 @@ let test_sd_dc_tracking () =
     [ -0.5; -0.2; 0.0; 0.3; 0.6 ]
 
 let test_sd_capture_tone_fidelity () =
-  let inst = sd_instance 3 in
   let decim = 16 in
   let n_out = 4096 in
   let fs = 8e6 in
@@ -395,7 +391,7 @@ let test_sd_capture_tone_fidelity () =
     Tone.synthesize ~sample_rate:fs ~samples:(n_out * decim)
       [ Tone.component ~freq:f ~amplitude:0.6 () ]
   in
-  let codes = Sigma_delta.capture inst ~decimation:decim wave in
+  let codes = sd_capture 3 ~decimation:decim wave in
   let scale = float_of_int (Sigma_delta.output_full_scale ~decimation:decim) in
   let volts = Array.map (fun c -> float_of_int c /. scale) codes in
   let sp = Spectrum.analyze ~sample_rate:out_rate volts in
@@ -404,12 +400,11 @@ let test_sd_capture_tone_fidelity () =
 
 let test_sd_inband_snr_high () =
   Alcotest.(check bool) "in-band SNR > 60 dB at OSR 160" true
-    (sd_inband_snr (sd_instance 4) ~amplitude:0.6 > 60.0)
+    (sd_inband_snr 4 ~amplitude:0.6 > 60.0)
 
 let test_sd_overload () =
   Alcotest.(check bool) "overload degrades SNDR" true
-    (sd_inband_snr (sd_instance 11) ~amplitude:0.99
-     < sd_inband_snr (sd_instance 12) ~amplitude:0.6 -. 10.0)
+    (sd_inband_snr 11 ~amplitude:0.99 < sd_inband_snr 12 ~amplitude:0.6 -. 10.0)
 
 let test_sd_leakage_hurts () =
   let leaky_values =
@@ -417,8 +412,7 @@ let test_sd_leakage_hurts () =
       Sigma_delta.leakage = 0.02 }
   in
   Alcotest.(check bool) "integrator leakage raises the in-band floor" true
-    (sd_inband_snr (sd_instance ~values:leaky_values 22) ~amplitude:0.6
-     < sd_inband_snr (sd_instance 21) ~amplitude:0.6)
+    (sd_inband_snr ~values:leaky_values 22 ~amplitude:0.6 < sd_inband_snr 21 ~amplitude:0.6)
 
 (* ---- Path ---- *)
 
@@ -437,11 +431,11 @@ let test_path_stages_order () =
 
 let test_path_waveform_end_to_end () =
   let path = Path.default_receiver () in
-  let eng = Path.engine path (Path.nominal_part path) ~seed:77 in
   let fs = path.Path.ctx.Context.sim_rate_hz in
   let adc_rate = Path.adc_rate_hz path in
   let n_adc = 2048 in
   let n_sim = n_adc * Path.decimation path in
+  let eng = Path.engine path (Path.nominal_part path) ~seed:77 ~samples:n_sim in
   let f_if = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:n_adc ~target:100e3 in
   let f_rf = 1e6 +. f_if in
   let input =
@@ -458,11 +452,11 @@ let test_path_waveform_end_to_end () =
 let test_path_attribute_vs_waveform_consistency () =
   (* The attribute-domain SNR prediction must bracket the measured one. *)
   let path = Path.default_receiver () in
-  let eng = Path.engine path (Path.nominal_part path) ~seed:5 in
   let fs = path.Path.ctx.Context.sim_rate_hz in
   let adc_rate = Path.adc_rate_hz path in
   let n_adc = 4096 in
   let n_sim = n_adc * Path.decimation path in
+  let eng = Path.engine path (Path.nominal_part path) ~seed:5 ~samples:n_sim in
   let f_if = Tone.coherent_frequency ~sample_rate:adc_rate ~samples:n_adc ~target:100e3 in
   let f_rf = 1e6 +. f_if in
   let input =
@@ -482,6 +476,65 @@ let test_path_attribute_vs_waveform_consistency () =
        predicted.I.lo predicted.I.hi)
     true
     (measured_snr > predicted.I.lo -. 3.0 && measured_snr < predicted.I.hi +. 3.0)
+
+(* A short two-tone stimulus for the engine-contract tests below, on every
+   registered topology (a sampled part, so every stage's noise matters). *)
+let engine_fixture name =
+  let path = Option.get (Topology.build name) in
+  let n_adc = 256 in
+  let n_sim = n_adc * Path.decimation path in
+  let fs = path.Path.ctx.Context.sim_rate_hz in
+  let input =
+    Tone.synthesize ~sample_rate:fs ~samples:n_sim
+      [ Tone.component ~freq:1.09e6 ~amplitude:(Units.vpeak_of_dbm (-30.0)) ();
+        Tone.component ~freq:1.11e6 ~amplitude:(Units.vpeak_of_dbm (-30.0)) () ]
+  in
+  let part = Path.sample_part path (Prng.create 9) in
+  (path, part, n_sim, input)
+
+let test_engine_runs_replay () =
+  List.iter
+    (fun name ->
+      let path, part, n_sim, input = engine_fixture name in
+      let original = Array.copy input in
+      let eng = Path.engine path part ~seed:11 ~samples:n_sim in
+      let first = Path.run_codes eng input in
+      let second = Path.run_codes eng input in
+      let fresh = Path.run_codes (Path.engine path part ~seed:11 ~samples:n_sim) input in
+      Alcotest.(check (array int)) (name ^ ": second run = first") first second;
+      Alcotest.(check (array int)) (name ^ ": second run = fresh engine") fresh second;
+      Alcotest.(check bool) (name ^ ": input untouched") true (original = input);
+      let other = Path.run_codes (Path.engine path part ~seed:12 ~samples:n_sim) input in
+      Alcotest.(check bool) (name ^ ": the seed matters") true (other <> first))
+    Topology.names
+
+let test_engine_shared_across_domains () =
+  List.iter
+    (fun name ->
+      let path, part, n_sim, input = engine_fixture name in
+      let eng = Path.engine path part ~seed:11 ~samples:n_sim in
+      let serial = Path.run_codes eng input in
+      let results = Array.make 4 [||] in
+      Msoc_util.Pool.with_pool ~size:4 (fun pool ->
+          Msoc_util.Pool.run pool (fun slot -> results.(slot) <- Path.run_codes eng input));
+      Array.iteri
+        (fun slot codes ->
+          Alcotest.(check (array int)) (Printf.sprintf "%s: slot %d" name slot) serial codes)
+        results)
+    Topology.names
+
+let test_engine_rejects_wrong_length () =
+  let path, part, n_sim, input = engine_fixture "default" in
+  let eng = Path.engine path part ~seed:11 ~samples:n_sim in
+  List.iter
+    (fun n ->
+      match Path.run_codes eng (Array.sub input 0 n) with
+      | _ -> Alcotest.failf "a %d-sample input was accepted by a %d-sample engine" n n_sim
+      | exception Invalid_argument _ -> ())
+    [ 0; n_sim - 1 ];
+  match Path.run_volts eng (Array.append input [| 0.0 |]) with
+  | _ -> Alcotest.fail "a longer input was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_sampled_parts_differ_but_within_tolerance () =
   let path = Path.default_receiver () in
@@ -594,7 +647,12 @@ let () =
           Alcotest.test_case "waveform end-to-end" `Quick test_path_waveform_end_to_end;
           Alcotest.test_case "attribute vs waveform" `Quick
             test_path_attribute_vs_waveform_consistency;
-          Alcotest.test_case "sampled parts" `Quick test_sampled_parts_differ_but_within_tolerance ] );
+          Alcotest.test_case "sampled parts" `Quick test_sampled_parts_differ_but_within_tolerance;
+          Alcotest.test_case "engine runs replay" `Quick test_engine_runs_replay;
+          Alcotest.test_case "engine shared across domains" `Quick
+            test_engine_shared_across_domains;
+          Alcotest.test_case "engine rejects wrong length" `Quick
+            test_engine_rejects_wrong_length ] );
       ( "topology",
         [ Alcotest.test_case "registry builds" `Quick test_topology_registry_builds;
           Alcotest.test_case "registry sorted" `Quick test_topology_registry_sorted;

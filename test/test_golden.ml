@@ -1,6 +1,7 @@
 (* Golden-output tests pinning observable behaviour: the default receiver's
    synthesized plan text (both strategies), the adaptive audit trail, the
-   virtual tester's ADC codes, and the reference SOC's schedule table,
+   virtual tester's ADC codes, every topology's virtual-tester measurement
+   results, and the reference SOC's schedule table,
    per-core application-time breakdown, and audit JSON at the canonical
    annealing parameters.  The receiver fixtures under golden/ were captured
    before the stage-graph refactor; byte-identity here is the proof that the
@@ -8,6 +9,7 @@
    Regenerate with: dune exec test/golden_gen/golden_gen.exe -- test/golden *)
 
 module Path = Msoc_analog.Path
+module Topology = Msoc_analog.Topology
 module Context = Msoc_analog.Context
 module Tone = Msoc_dsp.Tone
 module Units = Msoc_util.Units
@@ -86,13 +88,36 @@ let test_tester_codes () =
   in
   let buffer = Buffer.create (1024 * 16) in
   let emit label part =
-    let engine = Path.engine path part ~seed:42 in
+    let engine = Path.engine path part ~seed:42 ~samples:n_sim in
     let codes = Path.run_codes engine input in
     Array.iteri (fun i c -> Buffer.add_string buffer (Printf.sprintf "%s %d %d\n" label i c)) codes
   in
   emit "nominal" (Path.nominal_part path);
   emit "sampled" (Path.sample_part path (Prng.create 7));
   check_bytes "tester_codes.txt" (Buffer.contents buffer)
+
+(* Mirrors golden_gen's [measure_values]: every topology x strategy x
+   {nominal, sampled} part, each measured value as an exact hex float. *)
+let test_measure_values () =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun topology ->
+      let path = Option.get (Topology.build topology) in
+      List.iter
+        (fun (strategy_name, strategy) ->
+          List.iter
+            (fun (part_name, part) ->
+              List.iter
+                (fun v ->
+                  Buffer.add_string buffer
+                    (Printf.sprintf "%s %s %s | %s | %h\n" topology strategy_name part_name
+                       v.Measure.parameter v.Measure.measured))
+                (Measure.validate_part path part ~strategy))
+            [ ("nominal", Path.nominal_part path);
+              ("sampled", Path.sample_part path (Prng.create 7)) ])
+        [ ("nominal", Propagate.Nominal_gains); ("adaptive", Propagate.Adaptive) ])
+    [ "default"; "sigma-delta"; "amp-bypass" ];
+  check_bytes "measure_values.txt" (Buffer.contents buffer)
 
 (* ---- reference SOC: schedule, breakdown, audit ---- *)
 
@@ -128,6 +153,8 @@ let () =
           Alcotest.test_case "plan text (nominal-gains)" `Quick test_plan_nominal;
           Alcotest.test_case "audit JSON (adaptive)" `Quick test_audit_adaptive;
           Alcotest.test_case "virtual-tester ADC codes" `Quick test_tester_codes ] );
+      ( "virtual-tester",
+        [ Alcotest.test_case "measured values, every topology" `Quick test_measure_values ] );
       ( "reference-soc",
         [ Alcotest.test_case "schedule table" `Quick test_soc_schedule;
           Alcotest.test_case "per-core breakdown" `Quick test_soc_breakdown;

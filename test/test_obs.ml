@@ -573,6 +573,42 @@ let test_domain_scope () =
   Alcotest.(check bool) "other domains' spans survive" true
     (contains_sub (Obs.jsonl ()) "executor.remote")
 
+(* ---- pool-worker sinks follow their caller's resets ---- *)
+
+(* One parallel run on a 2-slot pool in which each slot executes exactly
+   one [pool.chunk]: each chunk waits (bounded) until both have started,
+   so the caller cannot steal the worker's chunk. *)
+let one_chunk_each pool =
+  let started = Atomic.make 0 in
+  Pool.parallel_iter_chunks pool ~n:2 ~f:(fun ~lo:_ ~hi:_ ->
+      Atomic.incr started;
+      let deadline = Int64.add (Obs.now_ns ()) 10_000_000_000L in
+      while Atomic.get started < 2 && Int64.compare (Obs.now_ns ()) deadline < 0 do
+        Domain.cpu_relax ()
+      done)
+
+let chunk_spans () =
+  List.fold_left
+    (fun acc s -> if String.equal s.Obs.span_path "pool.chunk" then acc + s.Obs.span_count else acc)
+    0
+    (Obs.snapshot_spans ~scope:Obs.All_domains ())
+
+let test_worker_sinks_follow_caller () =
+  with_recording @@ fun () ->
+  Pool.with_pool ~size:2 (fun pool ->
+      (* a multi-executor server: the caller resets its sink per request *)
+      for _ = 1 to 50 do
+        Obs.reset_domain ();
+        one_chunk_each pool
+      done;
+      Alcotest.(check int) "only the last run's chunks survive" 2 (chunk_spans ());
+      (* the CLI: no reset between runs, every run's worker spans kept *)
+      Obs.reset_domain ();
+      for _ = 1 to 50 do
+        one_chunk_each pool
+      done;
+      Alcotest.(check int) "every run's chunks kept" 100 (chunk_spans ()))
+
 (* ---- build info and dropped-event alias ---- *)
 
 let test_prometheus_build_info () =
@@ -621,7 +657,9 @@ let () =
       ( "disabled",
         [ Alcotest.test_case "probes are no-ops" `Quick test_disabled_noop ] );
       ( "scope",
-        [ Alcotest.test_case "per-domain reset and export" `Quick test_domain_scope ] );
+        [ Alcotest.test_case "per-domain reset and export" `Quick test_domain_scope;
+          Alcotest.test_case "pool-worker sinks follow caller resets" `Quick
+            test_worker_sinks_follow_caller ] );
       ( "exporters",
         [ Alcotest.test_case "chrome trace structure" `Quick test_chrome_trace_valid;
           Alcotest.test_case "jsonl structure" `Quick test_jsonl_valid;

@@ -628,6 +628,25 @@ let test_measure_validations_within_budget () =
           v.Measure.budget)
     (Measure.validate_part path part ~strategy:Propagate.Adaptive)
 
+(* The procedures share one session engine across domains; every pool
+   size must give the serial results bit for bit. *)
+let test_measure_validate_pool_sizes () =
+  let part = Path.sample_part path (Prng.create 5) in
+  let measured pool =
+    List.map
+      (fun v -> (v.Measure.parameter, Int64.bits_of_float v.Measure.measured))
+      (Measure.validate_part ?pool path part ~strategy:Propagate.Adaptive)
+  in
+  let serial = measured None in
+  List.iter
+    (fun size ->
+      Msoc_util.Pool.with_pool ~size (fun pool ->
+          Alcotest.(check (list (pair string int64)))
+            (Printf.sprintf "pool size %d" size)
+            serial
+            (measured (Some pool))))
+    [ 1; 2; 4 ]
+
 let test_measure_adaptive_beats_nominal_p1db () =
   (* a part whose amp gain sits at the tolerance corner: the nominal-line
      method confuses the gain deficit with compression *)
@@ -865,7 +884,9 @@ let () =
           Alcotest.test_case "validations within budget" `Slow
             test_measure_validations_within_budget;
           Alcotest.test_case "adaptive beats nominal P1dB" `Slow
-            test_measure_adaptive_beats_nominal_p1db ] );
+            test_measure_adaptive_beats_nominal_p1db;
+          Alcotest.test_case "validate_part identical at pool sizes 1/2/4" `Quick
+            test_measure_validate_pool_sizes ] );
       ( "digital",
         [ Alcotest.test_case "build" `Quick test_digital_build;
           Alcotest.test_case "ideal codes" `Quick test_ideal_codes_range;

@@ -1770,7 +1770,7 @@ let serve_load () =
            Serve_protocol.Faultsim) ]
   in
   let plane, plane_wall_s = serve_drive ~socket_path ~clients ~rounds plane_mix in
-  let coalesce_stats =
+  let sharing_stats =
     Serve_client.with_connection ~socket_path (fun c ->
         match Serve_client.request c (Serve_protocol.request Serve_protocol.Metrics) with
         | Ok resp when resp.Serve_protocol.status = Serve_protocol.Ok_ ->
@@ -1801,12 +1801,13 @@ let serve_load () =
     Report.add_scalar report ~section:"serve" ~name:"plan cache-hit speedup p50"
       ~unit_label:"x" ~bound:(Report.Ge 5.0) speedup
   | _ -> ());
-  (match coalesce_stats with
-  | Some (batches, batched, cache_hits) ->
-    Format.printf "coalescing: %.0f batch(es) covering %.0f request(s); %.0f cache hit(s)@."
-      batches batched cache_hits;
-    Report.add_scalar report ~section:"serve" ~name:"coalesced batches" batches;
-    Report.add_scalar report ~section:"serve" ~name:"coalesced requests" batched;
+  (match sharing_stats with
+  | Some (executions, requests, cache_hits) ->
+    Format.printf
+      "single-flight: %.0f shared execution(s) answering %.0f request(s); %.0f cache hit(s)@."
+      executions requests cache_hits;
+    Report.add_scalar report ~section:"serve" ~name:"shared executions" executions;
+    Report.add_scalar report ~section:"serve" ~name:"shared requests" requests;
     Report.add_scalar report ~section:"serve" ~name:"cache hits" cache_hits
   | None -> ());
   Format.printf

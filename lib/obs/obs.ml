@@ -8,11 +8,14 @@
    stay in the hot paths permanently (bench/main.exe measures the cost).
 
    Concurrency model: a sink belongs to one domain (Domain.DLS) and only
-   that domain writes it.  Exports and [reset] read every sink; they are
-   meant to run after pooled work has joined — Pool.run's join publishes
-   the workers' writes, so an export after the join observes all of the
-   run's events.  Exporting concurrently with an in-flight pooled run is
-   not supported (it may miss that run's newest events). *)
+   that domain writes it.  Every sink carries a generation number, and a
+   domain's trace is its generation: its own sink plus the pool-worker
+   sinks that joined its parallel runs ([follow_caller]).  Exports read
+   the caller's generation under the registry mutex, after its pooled
+   work has joined — Pool.run's join publishes the workers' writes.
+   Resetting a generation first folds its counters and histograms into
+   the lifetime store, which only [reset] clears, so counts survive the
+   per-request resets of a server while span trees stay per request. *)
 
 module Texttable = Msoc_util.Texttable
 module Pool = Msoc_util.Pool
@@ -61,6 +64,43 @@ type hist = {
   mutable h_max : float;
   h_buckets : int array;
 }
+
+let new_hist () =
+  { h_count = 0;
+    h_sum = 0.0;
+    h_min = infinity;
+    h_max = neg_infinity;
+    h_buckets = Array.make bucket_count 0 }
+
+let hist_add h v =
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum +. v;
+  if v < h.h_min then h.h_min <- v;
+  if v > h.h_max then h.h_max <- v;
+  let b = bucket_index v in
+  h.h_buckets.(b) <- h.h_buckets.(b) + 1
+
+let hist_merge ~into h =
+  into.h_count <- into.h_count + h.h_count;
+  into.h_sum <- into.h_sum +. h.h_sum;
+  if h.h_min < into.h_min then into.h_min <- h.h_min;
+  if h.h_max > into.h_max then into.h_max <- h.h_max;
+  Array.iteri (fun i c -> into.h_buckets.(i) <- into.h_buckets.(i) + c) h.h_buckets
+
+(* Find-or-create helpers shared by the per-domain sinks (keyed by name)
+   and the lifetime store (keyed by name and labels). *)
+let add_count table key by =
+  match Hashtbl.find_opt table key with
+  | Some r -> r := !r + by
+  | None -> Hashtbl.add table key (ref by)
+
+let hist_of table key =
+  match Hashtbl.find_opt table key with
+  | Some h -> h
+  | None ->
+    let h = new_hist () in
+    Hashtbl.add table key h;
+    h
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain sinks                                                    *)
@@ -213,37 +253,9 @@ let track_event kind ~slot =
 (* ------------------------------------------------------------------ *)
 
 let count ?(by = 1) name =
-  if Atomic.get enabled_flag then begin
-    let s = my_sink () in
-    match Hashtbl.find_opt s.counters name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add s.counters name (ref by)
-  end
+  if Atomic.get enabled_flag then add_count (my_sink ()).counters name by
 
-let observe name v =
-  if Atomic.get enabled_flag then begin
-    let s = my_sink () in
-    let h =
-      match Hashtbl.find_opt s.hists name with
-      | Some h -> h
-      | None ->
-        let h =
-          { h_count = 0;
-            h_sum = 0.0;
-            h_min = infinity;
-            h_max = neg_infinity;
-            h_buckets = Array.make bucket_count 0 }
-        in
-        Hashtbl.add s.hists name h;
-        h
-    in
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v;
-    let b = bucket_index v in
-    h.h_buckets.(b) <- h.h_buckets.(b) + 1
-  end
+let observe name v = if Atomic.get enabled_flag then hist_add (hist_of (my_sink ()).hists name) v
 
 let observe_ns name ns = observe name (Int64.to_float ns)
 
@@ -325,7 +337,38 @@ let enable () =
 
 let disable () = Atomic.set enabled_flag false
 
-let reset_sink s =
+(* ------------------------------------------------------------------ *)
+(* Lifetime store: clearing a generation folds its counts in here,    *)
+(* and a server records its own labelled series here.  Only [reset]   *)
+(* empties it.  [lifetime_mutex] is taken after [registry_mutex].     *)
+(* ------------------------------------------------------------------ *)
+
+type series = string * (string * string) list  (* name, labels in order *)
+
+let lifetime_counters : (series, int ref) Hashtbl.t = Hashtbl.create 64
+let lifetime_gauges : (series, int) Hashtbl.t = Hashtbl.create 16
+let lifetime_hists : (series, hist) Hashtbl.t = Hashtbl.create 32
+let lifetime_dropped = ref 0
+let lifetime_overwritten = ref 0
+let lifetime_mutex = Mutex.create ()
+
+let overwritten s =
+  let cap = Array.length s.tl_kind in
+  if cap = 0 then 0 else max 0 (s.tl_next - cap)
+
+module Lifetime = struct
+  let locked f = Mutex.protect lifetime_mutex f
+  let count ?(labels = []) ?(by = 1) name =
+    locked (fun () -> add_count lifetime_counters (name, labels) by)
+  let set_total ?(labels = []) name n =
+    locked (fun () -> Hashtbl.replace lifetime_counters (name, labels) (ref n))
+  let gauge ?(labels = []) name v =
+    locked (fun () -> Hashtbl.replace lifetime_gauges (name, labels) v)
+  let observe ?(labels = []) name v =
+    locked (fun () -> hist_add (hist_of lifetime_hists (name, labels)) v)
+end
+
+let clear_sink s =
   s.generation <- fresh_generation ();
   s.n_events <- 0;
   s.dropped <- 0;
@@ -334,21 +377,35 @@ let reset_sink s =
   Hashtbl.reset s.counters;
   Hashtbl.reset s.hists
 
+(* Callers hold [registry_mutex]: a sink is folded and cleared in one
+   critical section, so each count reaches the lifetime store once. *)
+let fold_and_clear s =
+  Mutex.protect lifetime_mutex (fun () ->
+      Hashtbl.iter (fun name r -> add_count lifetime_counters (name, []) !r) s.counters;
+      Hashtbl.iter (fun name h -> hist_merge ~into:(hist_of lifetime_hists (name, [])) h) s.hists;
+      lifetime_dropped := !lifetime_dropped + s.dropped;
+      lifetime_overwritten := !lifetime_overwritten + overwritten s);
+  clear_sink s
+
 let reset () =
-  Mutex.lock registry_mutex;
-  List.iter reset_sink !registry;
-  Mutex.unlock registry_mutex;
+  Mutex.protect registry_mutex (fun () ->
+      List.iter clear_sink !registry;
+      Mutex.protect lifetime_mutex (fun () ->
+          Hashtbl.reset lifetime_counters;
+          Hashtbl.reset lifetime_gauges;
+          Hashtbl.reset lifetime_hists;
+          lifetime_dropped := 0;
+          lifetime_overwritten := 0));
   Atomic.set epoch (now_ns ())
 
-(* Per-request reset for a multi-executor server: clear only the calling
-   domain's sink, leave sibling executors' in-flight data and the epoch
-   alone.  The registry mutex keeps the clear atomic with respect to a
-   concurrent exporter walking the sinks. *)
+(* The per-request reset: fold the calling domain's generation (its own
+   sink and the pool-worker sinks that followed it) into the lifetime
+   store and clear it.  Other generations and the epoch are untouched. *)
 let reset_domain () =
-  let s = my_sink () in
-  Mutex.lock registry_mutex;
-  reset_sink s;
-  Mutex.unlock registry_mutex
+  let me = my_sink () in
+  Mutex.protect registry_mutex (fun () ->
+      let g = me.generation in
+      List.iter (fun s -> if s.generation = g then fold_and_clear s) !registry)
 
 (* ------------------------------------------------------------------ *)
 (* Pool instrumentation.  The hooks live in Msoc_util.Pool (below this *)
@@ -357,26 +414,23 @@ let reset_domain () =
 (* flag, so an installed hook costs one atomic load when disabled.      *)
 (* ------------------------------------------------------------------ *)
 
-(* Pool-worker sinks follow their caller's resets.  Nothing else resets a
-   worker domain's sink, and no per-request export reads it, so in a
-   multi-executor server (each executor resetting only its own sink) it
-   would grow with every request served.  A parallel run publishes its
-   caller's generation; a worker whose own generation differs clears its
-   sink before recording anything for that run and adopts it.  A caller
-   that never resets (the CLI) publishes one generation throughout, so
-   its workers keep every run. *)
+(* Pool-worker sinks join their caller's generation: a parallel run
+   publishes its caller's generation, and a worker whose own differs
+   folds and clears its sink, under the registry mutex, before recording
+   anything for that run.  A caller that never resets (the CLI) keeps one
+   generation, so its workers keep every run.  The published generation
+   is global: two pools running parallel work for two callers at once
+   are not told apart. *)
 let published_generation = Atomic.make 0
 
 let follow_caller () =
   if Pool.on_worker () then begin
     let s = my_sink () in
     let g = Atomic.get published_generation in
-    if s.generation <> g then begin
-      Mutex.lock registry_mutex;
-      reset_sink s;
-      s.generation <- g;
-      Mutex.unlock registry_mutex
-    end
+    if s.generation <> g then
+      Mutex.protect registry_mutex (fun () ->
+          fold_and_clear s;
+          s.generation <- g)
   end
 
 let () =
@@ -415,8 +469,8 @@ let () =
           end) }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: merge the per-domain sinks deterministically (sinks      *)
-(* ordered by domain id; all aggregations are order-independent sums). *)
+(* Snapshots of the caller's generation, merged deterministically     *)
+(* (sinks ordered by domain id; aggregations are order-independent).  *)
 (* ------------------------------------------------------------------ *)
 
 type span_stat = {
@@ -447,22 +501,19 @@ type track_stat = {
   track_dropped : int;
 }
 
-let sinks_snapshot () =
-  Mutex.lock registry_mutex;
-  let sinks = !registry in
-  Mutex.unlock registry_mutex;
-  List.sort (fun a b -> compare a.domain_id b.domain_id) sinks
+(* Run [f] on the calling domain's generation — its own sink and the
+   pool-worker sinks that followed it — under the registry mutex, so no
+   sink of it can be cleared or leave it while [f] reads.  [f] must not
+   take the registry mutex itself. *)
+let with_generation f =
+  let me = my_sink () in
+  Mutex.protect registry_mutex (fun () ->
+      let g = me.generation in
+      f
+        (List.filter (fun s -> s.generation = g) !registry
+        |> List.sort (fun a b -> compare a.domain_id b.domain_id)))
 
-(* Exporter scope: everything (the default — deterministic merged view)
-   or just the calling domain's sink (the per-request view on a server
-   with several executor domains writing concurrently). *)
-type scope = All_domains | This_domain
-
-let sinks_of_scope = function
-  | All_domains -> sinks_snapshot ()
-  | This_domain -> [ my_sink () ]
-
-let snapshot_spans ?(scope = All_domains) () =
+let spans_of sinks =
   let table : (string, float list ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun s ->
@@ -478,7 +529,7 @@ let snapshot_spans ?(scope = All_domains) () =
         in
         durs := Int64.to_float ev.ev_dur :: !durs
       done)
-    (sinks_of_scope scope);
+    sinks;
   Hashtbl.fold
     (fun path durs acc ->
       let a = Array.of_list !durs in
@@ -496,60 +547,33 @@ let snapshot_spans ?(scope = All_domains) () =
     table []
   |> List.sort (fun a b -> compare a.span_path b.span_path)
 
-let snapshot_counters () =
-  let table : (string, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun name r ->
-          let prev = Option.value ~default:0 (Hashtbl.find_opt table name) in
-          Hashtbl.replace table name (prev + !r))
-        s.counters)
-    (sinks_snapshot ());
-  Hashtbl.fold (fun name total acc -> { counter = name; total } :: acc) table []
+let counters_of sinks =
+  let table : (string, int ref) Hashtbl.t = Hashtbl.create 32 in
+  List.iter (fun s -> Hashtbl.iter (fun name r -> add_count table name !r) s.counters) sinks;
+  Hashtbl.fold (fun name r acc -> { counter = name; total = !r } :: acc) table []
   |> List.sort (fun a b -> compare a.counter b.counter)
 
-let counter_total name =
-  match List.find_opt (fun c -> String.equal c.counter name) (snapshot_counters ()) with
-  | Some c -> c.total
-  | None -> 0
-
-let snapshot_hists () =
+let hists_of sinks =
   let table : (string, hist) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (fun s ->
-      Hashtbl.iter
-        (fun name h ->
-          match Hashtbl.find_opt table name with
-          | None ->
-            Hashtbl.add table name
-              { h_count = h.h_count;
-                h_sum = h.h_sum;
-                h_min = h.h_min;
-                h_max = h.h_max;
-                h_buckets = Array.copy h.h_buckets }
-          | Some m ->
-            m.h_count <- m.h_count + h.h_count;
-            m.h_sum <- m.h_sum +. h.h_sum;
-            if h.h_min < m.h_min then m.h_min <- h.h_min;
-            if h.h_max > m.h_max then m.h_max <- h.h_max;
-            Array.iteri (fun i c -> m.h_buckets.(i) <- m.h_buckets.(i) + c) h.h_buckets)
-        s.hists)
-    (sinks_snapshot ());
-  Hashtbl.fold
-    (fun name h acc ->
-      let buckets = ref [] in
-      for i = bucket_count - 1 downto 0 do
-        if h.h_buckets.(i) > 0 then buckets := (i, h.h_buckets.(i)) :: !buckets
-      done;
-      { hist = name;
-        hist_count = h.h_count;
-        sum = h.h_sum;
-        min_value = h.h_min;
-        max_value = h.h_max;
-        buckets = !buckets }
-      :: acc)
-    table []
+    (fun s -> Hashtbl.iter (fun name h -> hist_merge ~into:(hist_of table name) h) s.hists)
+    sinks;
+  table
+
+let hist_stat name h =
+  let buckets = ref [] in
+  for i = bucket_count - 1 downto 0 do
+    if h.h_buckets.(i) > 0 then buckets := (i, h.h_buckets.(i)) :: !buckets
+  done;
+  { hist = name;
+    hist_count = h.h_count;
+    sum = h.h_sum;
+    min_value = h.h_min;
+    max_value = h.h_max;
+    buckets = !buckets }
+
+let hist_stats_of sinks =
+  Hashtbl.fold (fun name h acc -> hist_stat name h :: acc) (hists_of sinks) []
   |> List.sort (fun a b -> compare a.hist b.hist)
 
 let hist_p95 h =
@@ -568,7 +592,7 @@ let hist_p95 h =
     walk 0 h.buckets
   end
 
-let snapshot_tracks () =
+let tracks_of sinks =
   List.filter_map
     (fun s ->
       if s.n_events = 0 && Hashtbl.length s.counters = 0 && Hashtbl.length s.hists = 0 then
@@ -589,7 +613,21 @@ let snapshot_tracks () =
             chunk_busy_ns = !busy;
             track_dropped = s.dropped }
       end)
-    (sinks_snapshot ())
+    sinks
+
+let dropped_of sinks = List.fold_left (fun acc s -> acc + s.dropped) 0 sinks
+let overwritten_of sinks = List.fold_left (fun acc s -> acc + overwritten s) 0 sinks
+
+let snapshot_spans () = with_generation spans_of
+let snapshot_counters () = with_generation counters_of
+
+let counter_total name =
+  match List.find_opt (fun c -> String.equal c.counter name) (snapshot_counters ()) with
+  | Some c -> c.total
+  | None -> 0
+
+let snapshot_hists () = with_generation hist_stats_of
+let snapshot_tracks () = with_generation tracks_of
 
 type timeline_event = {
   tle_track : int;  (* domain id *)
@@ -605,40 +643,35 @@ type timeline_event = {
    consumers sort by timestamp when they need a global order). *)
 let snapshot_timeline () =
   let base = Int64.to_int (Atomic.get epoch) in
-  List.concat_map
-    (fun s ->
-      let cap = Array.length s.tl_kind in
-      if cap = 0 || s.tl_next = 0 then []
-      else begin
-        let len = min s.tl_next cap in
-        let start = s.tl_next - len in
-        List.init len (fun j ->
-            let i = (start + j) land (cap - 1) in
-            { tle_track = s.domain_id;
-              tle_slot = s.tl_slot.(i);
-              tle_kind = timeline_kind_of_int s.tl_kind.(i);
-              tle_ts_ns = Int64.of_int (s.tl_ts.(i) - base);
-              tle_minor_words = s.tl_minor.(i);
-              tle_major_words = s.tl_major.(i) })
-      end)
-    (sinks_snapshot ())
+  with_generation
+  @@ List.concat_map (fun s ->
+         let cap = Array.length s.tl_kind in
+         if cap = 0 || s.tl_next = 0 then []
+         else begin
+           let len = min s.tl_next cap in
+           let start = s.tl_next - len in
+           List.init len (fun j ->
+               let i = (start + j) land (cap - 1) in
+               { tle_track = s.domain_id;
+                 tle_slot = s.tl_slot.(i);
+                 tle_kind = timeline_kind_of_int s.tl_kind.(i);
+                 tle_ts_ns = Int64.of_int (s.tl_ts.(i) - base);
+                 tle_minor_words = s.tl_minor.(i);
+                 tle_major_words = s.tl_major.(i) })
+         end)
 
 (* How many ring entries were overwritten (ring semantics: newest always
    survive, so this is information loss at the START of the run). *)
-let timeline_overwritten () =
-  List.fold_left
-    (fun acc s ->
-      let cap = Array.length s.tl_kind in
-      if cap = 0 then acc else acc + max 0 (s.tl_next - cap))
-    0 (sinks_snapshot ())
+let timeline_overwritten () = with_generation overwritten_of
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let summary () =
+  with_generation @@ fun sinks ->
   let buffer = Buffer.create 1024 in
-  let spans = snapshot_spans () in
+  let spans = spans_of sinks in
   if spans <> [] then begin
     Buffer.add_string buffer "Spans\n";
     let t =
@@ -666,7 +699,7 @@ let summary () =
     Buffer.add_string buffer (Texttable.render t);
     Buffer.add_char buffer '\n'
   end;
-  let counters = snapshot_counters () in
+  let counters = counters_of sinks in
   if counters <> [] then begin
     Buffer.add_string buffer "Counters\n";
     let t = Texttable.create ~headers:[ "Counter"; "Total" ] in
@@ -674,7 +707,7 @@ let summary () =
     Buffer.add_string buffer (Texttable.render t);
     Buffer.add_char buffer '\n'
   end;
-  let hists = snapshot_hists () in
+  let hists = hist_stats_of sinks in
   if hists <> [] then begin
     Buffer.add_string buffer "Histograms (log2 buckets)\n";
     let t =
@@ -693,7 +726,7 @@ let summary () =
     Buffer.add_string buffer (Texttable.render t);
     Buffer.add_char buffer '\n'
   end;
-  let tracks = snapshot_tracks () in
+  let tracks = tracks_of sinks in
   if List.length tracks > 1 || List.exists (fun t -> t.track_chunks > 0) tracks then begin
     Buffer.add_string buffer "Domain tracks (pool balance)\n";
     let t =
@@ -717,7 +750,8 @@ let summary () =
 (* Chrome trace-event format (the JSON Array Format wrapped in an object),
    loadable by chrome://tracing and Perfetto: one thread track per domain,
    complete ("X") events, timestamps in microseconds relative to [epoch]. *)
-let chrome_trace ?(scope = All_domains) () =
+let chrome_trace () =
+  with_generation @@ fun sinks ->
   let buffer = Buffer.create 4096 in
   let base = Atomic.get epoch in
   let us_of ns = Int64.to_float (Int64.sub ns base) /. 1e3 in
@@ -749,7 +783,7 @@ let chrome_trace ?(scope = All_domains) () =
             ("dur", Json.num (Int64.to_float ev.ev_dur /. 1e3));
             ("args", Json.args_obj (("path", ev.ev_path) :: ev.ev_args)) ]
       done)
-    (sinks_of_scope scope);
+    sinks;
   Buffer.add_string buffer "]}";
   Buffer.contents buffer
 
@@ -760,7 +794,8 @@ let sorted_bindings table =
 (* JSONL structured-event sink: one JSON object per line — spans in their
    recording order per track, then counters and histograms, then a track
    summary line.  Sinks are ordered by domain id. *)
-let jsonl ?(scope = All_domains) () =
+let jsonl () =
+  with_generation @@ fun sinks ->
   let buffer = Buffer.create 4096 in
   let base = Atomic.get epoch in
   let line fields =
@@ -849,7 +884,7 @@ let jsonl ?(scope = All_domains) () =
             ("track", Json.int s.domain_id);
             ("events", Json.int s.n_events);
             ("dropped", Json.int s.dropped) ])
-    (sinks_of_scope scope);
+    sinks;
   Buffer.contents buffer
 
 (* Collapsed-stack ("folded") export, the input format of flamegraph.pl,
@@ -888,15 +923,15 @@ let collapse_paths totals =
          Buffer.add_char b '\n');
   Buffer.contents b
 
-let to_collapsed ?(scope = All_domains) () =
-  collapse_paths
-    (List.map (fun s -> (s.span_path, s.total_ns)) (snapshot_spans ~scope ()))
+let to_collapsed () =
+  collapse_paths (List.map (fun s -> (s.span_path, s.total_ns)) (snapshot_spans ()))
 
-(* Prometheus text exposition (version 0.0.4).  Counters become counters,
+(* Prometheus text exposition (version 0.0.4) of the lifetime store plus
+   the caller's generation.  Counters become counters, gauges gauges,
    log2 histograms become Prometheus histograms with cumulative buckets,
-   per-path span statistics become a summary family labelled by path, and
-   dropped events surface as their own counter so scrapers can alarm on
-   telemetry loss. *)
+   the generation's per-path span statistics become a summary family
+   labelled by path, and dropped events surface as their own counter so
+   scrapers can alarm on telemetry loss. *)
 
 let prometheus_name name =
   String.map
@@ -918,12 +953,19 @@ let prometheus_label_value v =
     v;
   Buffer.contents b
 
+let prometheus_labels = function
+  | [] -> ""
+  | labels ->
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (prometheus_label_value v)) labels)
+    ^ "}"
+
 let prometheus_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
-let total_dropped () =
-  List.fold_left (fun acc s -> acc + s.dropped) 0 (sinks_snapshot ())
+let total_dropped () = with_generation dropped_of
 
 (* Build identity for the msoc_build_info gauge: the CLI and bench set the
    git revision at startup; OCaml version and pool size come from the
@@ -933,34 +975,57 @@ let build_git_rev = Atomic.make "unknown"
 let set_build_info ~git_rev = Atomic.set build_git_rev git_rev
 
 let to_prometheus () =
+  with_generation @@ fun sinks ->
+  Mutex.protect lifetime_mutex @@ fun () ->
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+  (* one TYPE line per family, ahead of its first sample *)
+  let family =
+    let last = ref "" in
+    fun kind name ->
+      if not (String.equal name !last) then begin
+        last := name;
+        line "# TYPE %s %s" name kind
+      end
+  in
+  let counters = Hashtbl.create 64 in
+  Hashtbl.iter (fun k r -> add_count counters k !r) lifetime_counters;
+  List.iter (fun c -> add_count counters (c.counter, []) c.total) (counters_of sinks);
   List.iter
-    (fun c ->
-      let name = "msoc_" ^ prometheus_name c.counter ^ "_total" in
-      line "# TYPE %s counter" name;
-      line "%s %d" name c.total)
-    (snapshot_counters ());
+    (fun ((name, labels), r) ->
+      let name = "msoc_" ^ prometheus_name name ^ "_total" in
+      family "counter" name;
+      line "%s%s %d" name (prometheus_labels labels) !r)
+    (sorted_bindings counters);
   List.iter
-    (fun h ->
-      let name = "msoc_" ^ prometheus_name h.hist in
-      line "# TYPE %s histogram" name;
+    (fun ((name, labels), v) ->
+      let name = "msoc_" ^ prometheus_name name in
+      family "gauge" name;
+      line "%s%s %d" name (prometheus_labels labels) v)
+    (sorted_bindings lifetime_gauges);
+  let hists = Hashtbl.create 32 in
+  Hashtbl.iter (fun k h -> hist_merge ~into:(hist_of hists k) h) lifetime_hists;
+  Hashtbl.iter (fun name h -> hist_merge ~into:(hist_of hists (name, [])) h) (hists_of sinks);
+  List.iter
+    (fun ((name, labels), h) ->
+      let name = "msoc_" ^ prometheus_name name in
+      family "histogram" name;
+      let bucket le n = line "%s_bucket%s %d" name (prometheus_labels (labels @ [ ("le", le) ])) n in
       let cumulative = ref 0 in
-      List.iter
-        (fun (i, c) ->
-          cumulative := !cumulative + c;
-          let _, hi = bucket_bounds i in
-          let le = if hi = infinity then "+Inf" else prometheus_float hi in
-          line "%s_bucket{le=\"%s\"} %d" name le !cumulative)
-        h.buckets;
+      Array.iteri
+        (fun i c ->
+          if c > 0 then begin
+            cumulative := !cumulative + c;
+            let _, hi = bucket_bounds i in
+            bucket (if hi = infinity then "+Inf" else prometheus_float hi) !cumulative
+          end)
+        h.h_buckets;
       (* Prometheus requires a terminal +Inf bucket equal to _count *)
-      (match List.rev h.buckets with
-      | (i, _) :: _ when snd (bucket_bounds i) = infinity -> ()
-      | _ -> line "%s_bucket{le=\"+Inf\"} %d" name !cumulative);
-      line "%s_sum %s" name (prometheus_float h.sum);
-      line "%s_count %d" name h.hist_count)
-    (snapshot_hists ());
-  let spans = snapshot_spans () in
+      if h.h_buckets.(bucket_count - 1) = 0 then bucket "+Inf" !cumulative;
+      line "%s_sum%s %s" name (prometheus_labels labels) (prometheus_float h.h_sum);
+      line "%s_count%s %d" name (prometheus_labels labels) h.h_count)
+    (sorted_bindings hists);
+  let spans = spans_of sinks in
   if spans <> [] then begin
     line "# TYPE msoc_span_duration_nanoseconds summary";
     List.iter
@@ -973,16 +1038,17 @@ let to_prometheus () =
         line "msoc_span_duration_nanoseconds_count{path=\"%s\"} %d" path s.span_count)
       spans
   end;
+  let dropped = !lifetime_dropped + dropped_of sinks in
   line "# TYPE msoc_dropped_span_events_total counter";
-  line "msoc_dropped_span_events_total %d" (total_dropped ());
+  line "msoc_dropped_span_events_total %d" dropped;
   (* modern alias of the historical name above: scrape rules alarm on
      either, both stay exported *)
   line "# TYPE msoc_obs_dropped_events_total counter";
-  line "msoc_obs_dropped_events_total %d" (total_dropped ());
+  line "msoc_obs_dropped_events_total %d" dropped;
   (* ring-buffer data loss is a first-class signal: a scraper watching
      this counter knows when worker timelines stopped being complete *)
   line "# TYPE msoc_obs_timeline_overwritten_total counter";
-  line "msoc_obs_timeline_overwritten_total %d" (timeline_overwritten ());
+  line "msoc_obs_timeline_overwritten_total %d" (!lifetime_overwritten + overwritten_of sinks);
   line "# TYPE msoc_build_info gauge";
   line "msoc_build_info{git_rev=\"%s\",ocaml_version=\"%s\",pool_size=\"%d\"} 1"
     (prometheus_label_value (Atomic.get build_git_rev))
@@ -1020,7 +1086,3 @@ let write_jsonl file =
 let write_folded file =
   warn_if_dropped ();
   write_file file (to_collapsed ())
-
-let write_prometheus file =
-  warn_if_dropped ();
-  write_file file (to_prometheus ())

@@ -12,13 +12,21 @@
     cannot perturb the pool's bit-identity contract — pooled results are
     identical with telemetry on or off, at any pool size.
 
-    Sinks are merged only at snapshot/export time, deterministically:
-    sinks are ordered by domain id and every aggregation (counter sums,
-    bucket-wise histogram merge, per-path span statistics) is
-    order-independent.  Exports are intended to run after pooled work
-    has joined — [Pool.run]'s join publishes the workers' writes, so an
-    export after the join observes all of the run's events.  Exporting
-    concurrently with an in-flight pooled run is not supported.
+    {2 Generations and the lifetime store}
+
+    A domain's trace is its {e generation}: its own sink plus the sinks
+    of the pool workers that joined its parallel runs (a worker adopts
+    its caller's generation at its first hook of each run).  Every
+    snapshot and export reads the caller's generation — there is no
+    other scope — under the registry mutex, after the caller's pooled
+    work has joined, and merges it deterministically: sinks in domain-id
+    order, order-independent sums.
+
+    Clearing a generation first folds its counters, histograms and loss
+    counts into the {e lifetime store}, so each count reaches it exactly
+    once; only {!reset} empties it.  {!to_prometheus} renders the store
+    plus the caller's generation.  A run that resets once (the CLI) never
+    folds, so its exports cover the whole run.
 
     Each sink holds at most [max_events] span events; further events
     are counted as dropped (visible in track stats) rather than grown
@@ -36,19 +44,16 @@ val disable : unit -> unit
 (** Stop recording; already-recorded data remains exportable. *)
 
 val reset : unit -> unit
-(** Drop all recorded data in every sink and re-stamp the trace epoch. *)
+(** Start a session: drop the data of every sink without folding it,
+    empty the lifetime store and re-stamp the trace epoch. *)
 
 val reset_domain : unit -> unit
-(** Drop the calling domain's sink only; other domains' data and the
-    trace epoch are untouched.  This is the per-request reset for a
-    multi-executor server: each executor clears its own span tree at
-    dequeue without wiping requests in flight on sibling executors.
-
-    Pool workers follow their caller: the first pool hook a worker runs
-    in a parallel run whose caller has reset (either way) since the
-    worker's previous run clears the worker's own sink.  So a worker
-    sink holds at most the pooled work of one caller generation, and a
-    caller that never resets keeps all of its workers' events. *)
+(** The per-request reset: fold the caller's generation into the
+    lifetime store, clear it and start a new one.  Other generations and
+    the trace epoch are untouched, so a server executor can reset after
+    each answered request while its siblings serve theirs.  A worker
+    that follows another caller before this reset folds its own part
+    first (that part then misses this caller's trace, never a count). *)
 
 val enabled : unit -> bool
 
@@ -97,6 +102,28 @@ val record_span :
     once it has dequeued the request.  Both stamps must come from
     {!now_ns}; a negative interval clamps to zero duration. *)
 
+(** {2 Lifetime store}
+
+    Labelled series that outlive generations, recorded whether or not
+    telemetry is enabled, under a mutex (request granularity, not hot
+    loops).  Counter [c] renders as [msoc_<c>_total], gauge and
+    histogram [n] as [msoc_<n>]; labels render in the order given. *)
+
+module Lifetime : sig
+  val count : ?labels:(string * string) list -> ?by:int -> string -> unit
+  (** Add [by] (default 1) to a counter. *)
+
+  val set_total : ?labels:(string * string) list -> string -> int -> unit
+  (** Set a counter to a monotonic total kept elsewhere (a cache's hits,
+      a queue's admissions). *)
+
+  val gauge : ?labels:(string * string) list -> string -> int -> unit
+  (** Set a gauge. *)
+
+  val observe : ?labels:(string * string) list -> string -> float -> unit
+  (** Record a value into a log2 histogram. *)
+end
+
 (** {2 Worker timelines}
 
     A per-domain ring buffer of scheduler events — chunk begin/end,
@@ -130,7 +157,7 @@ val bucket_index : float -> int
 val bucket_bounds : int -> float * float
 (** [bucket_bounds i] is the [\[lo, hi)] range of bucket [i]. *)
 
-(** {2 Snapshots (deterministic merge of all sinks)} *)
+(** {2 Snapshots (deterministic merge of the caller's generation)} *)
 
 type span_stat = {
   span_path : string;  (** slash-joined nesting path, e.g. ["plan.synthesize/propagate.mixer_iip3"] *)
@@ -160,13 +187,8 @@ type track_stat = {
   track_dropped : int;
 }
 
-type scope = All_domains | This_domain
-
-val snapshot_spans : ?scope:scope -> unit -> span_stat list
-(** Per-path aggregates, sorted by path.  [~scope:This_domain] reads
-    only the calling domain's sink (default [All_domains] merges every
-    sink) — the per-request view of a multi-executor server, where each
-    request's span tree lives in its executor's sink. *)
+val snapshot_spans : unit -> span_stat list
+(** Per-path aggregates, sorted by path. *)
 
 val snapshot_counters : unit -> counter_stat list
 (** Merged counter totals, sorted by name. *)
@@ -206,19 +228,18 @@ val summary : unit -> string
 
 val print_summary : unit -> unit
 
-val chrome_trace : ?scope:scope -> unit -> string
+val chrome_trace : unit -> string
 (** Chrome [trace_event] JSON ({["{\"traceEvents\":[...]}"]}), loadable
     by chrome://tracing or Perfetto: complete ("X") events, one thread
     track per domain, timestamps in microseconds since the epoch stamped
-    at {!enable}/{!reset}.  [~scope:This_domain] exports only the
-    calling domain's track. *)
+    at {!enable}/{!reset}. *)
 
 val write_chrome_trace : string -> unit
 
-val jsonl : ?scope:scope -> unit -> string
+val jsonl : unit -> string
 (** Structured events, one JSON object per line: ["span"], ["timeline"],
     ["counter"], ["histogram"] and ["track"] records, ordered by domain
-    id.  [~scope:This_domain] exports only the calling domain's sink. *)
+    id. *)
 
 val write_jsonl : string -> unit
 
@@ -229,16 +250,17 @@ val collapse_paths : (string * float) list -> string
     integer microseconds, clamped at zero and sorted by stack.  Input
     paths may repeat (totals are summed). *)
 
-val to_collapsed : ?scope:scope -> unit -> string
+val to_collapsed : unit -> string
 (** {!collapse_paths} over {!snapshot_spans} — the flamegraph.pl /
     inferno / speedscope input for the recorded profile. *)
 
 val write_folded : string -> unit
 
 val to_prometheus : unit -> string
-(** Prometheus text exposition (0.0.4): counters as [msoc_<name>_total],
-    histograms with cumulative log2 buckets, per-path span statistics as a
-    labelled summary family, dropped-event counters
+(** Prometheus text exposition (0.0.4) of the lifetime store plus the
+    caller's generation: counters as [msoc_<name>_total], gauges,
+    histograms with cumulative log2 buckets, the generation's per-path
+    span statistics as a labelled summary family, dropped-event counters
     ([msoc_dropped_span_events_total] and its modern alias
     [msoc_obs_dropped_events_total]), timeline-ring loss
     ([msoc_obs_timeline_overwritten_total]) and the [msoc_build_info]
@@ -249,11 +271,9 @@ val set_build_info : git_rev:string -> unit
     ["unknown"]); OCaml version and pool size are read from the
     process. *)
 
-val write_prometheus : string -> unit
-
 val total_dropped : unit -> int
-(** Span events dropped across all sinks since the last {!reset} (events
-    beyond the per-sink {!max_events} cap). *)
+(** Span events dropped in the caller's generation (events beyond the
+    per-sink {!max_events} cap). *)
 
 val warn_if_dropped : unit -> unit
 (** Print a one-line stderr warning when {!total_dropped} is non-zero.

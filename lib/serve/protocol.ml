@@ -137,47 +137,68 @@ let request_to_json r =
     | Some f -> [ ("trace", Json.str (trace_format_name f)) ]);
   Buffer.contents b
 
-let member_string key j = Option.bind (Json.member key j) Json.to_string
+(* Request fields are typed strictly: a field of the wrong JSON type is
+   an error naming it, never its default, and a number is an int only if
+   it is integral and inside OCaml's int range (no truncation). *)
+exception Bad_field of string
 
-let member_int ~default key j =
-  match Option.bind (Json.member key j) Json.to_number with
-  | Some v -> int_of_float v
+let string_member key j =
+  match Json.member key j with
+  | None -> None
+  | Some (Json.String s) -> Some s
+  | Some _ -> raise (Bad_field (Printf.sprintf "field %S must be a string" key))
+
+let int_member ~default key j =
+  match Json.member key j with
   | None -> default
+  | Some (Json.Number v) when Float.is_integer v && v >= -0x1p62 && v < 0x1p62 -> int_of_float v
+  | Some _ ->
+    raise (Bad_field (Printf.sprintf "field %S must be an integer within the int range" key))
 
 let request_of_json line =
   match Json.parse_result line with
   | Error msg -> Error ("invalid request JSON: " ^ msg)
   | Ok j ->
-    (match member_string "verb" j with
-    | None -> Error "request is missing the \"verb\" field"
-    | Some name ->
-      (match verb_of_name name with
-      | None ->
-        Error
-          (Printf.sprintf "unknown verb %S (known: %s)" name
-             (String.concat ", " (List.map verb_name all_verbs)))
-      | Some verb ->
-        let d = request verb in
-        (match member_string "trace" j with
-        | Some t when trace_format_of_name t = None ->
-          Error (Printf.sprintf "unknown trace format %S (jsonl|chrome|folded)" t)
-        | trace_field ->
-          Ok
-            { verb;
-              topology = Option.value ~default:d.topology (member_string "topology" j);
-              strategy = Option.value ~default:d.strategy (member_string "strategy" j);
-              seed = member_int ~default:d.seed "seed" j;
-              taps = member_int ~default:d.taps "taps" j;
-              input_bits = member_int ~default:d.input_bits "input_bits" j;
-              coeff_bits = member_int ~default:d.coeff_bits "coeff_bits" j;
-              samples = member_int ~default:d.samples "samples" j;
-              tones = member_int ~default:d.tones "tones" j;
-              soc = Option.value ~default:d.soc (member_string "soc" j);
-              restarts = member_int ~default:d.restarts "restarts" j;
-              iters = member_int ~default:d.iters "iters" j;
-              trials = member_int ~default:d.trials "trials" j;
-              sleep_ms = member_int ~default:d.sleep_ms "sleep_ms" j;
-              trace = Option.bind trace_field trace_format_of_name })))
+    (try
+       match string_member "verb" j with
+       | None -> Error "request is missing the \"verb\" field"
+       | Some name ->
+         (match verb_of_name name with
+         | None ->
+           Error
+             (Printf.sprintf "unknown verb %S (known: %s)" name
+                (String.concat ", " (List.map verb_name all_verbs)))
+         | Some verb ->
+           let d = request verb in
+           let str key default = Option.value ~default (string_member key j) in
+           let int key default = int_member ~default key j in
+           let trace =
+             Option.map
+               (fun t ->
+                 match trace_format_of_name t with
+                 | Some f -> f
+                 | None ->
+                   raise
+                     (Bad_field (Printf.sprintf "unknown trace format %S (jsonl|chrome|folded)" t)))
+               (string_member "trace" j)
+           in
+           Ok
+             { verb;
+               topology = str "topology" d.topology;
+               strategy = str "strategy" d.strategy;
+               seed = int "seed" d.seed;
+               taps = int "taps" d.taps;
+               input_bits = int "input_bits" d.input_bits;
+               coeff_bits = int "coeff_bits" d.coeff_bits;
+               samples = int "samples" d.samples;
+               tones = int "tones" d.tones;
+               soc = str "soc" d.soc;
+               restarts = int "restarts" d.restarts;
+               iters = int "iters" d.iters;
+               trials = int "trials" d.trials;
+               sleep_ms = int "sleep_ms" d.sleep_ms;
+               trace })
+     with Bad_field msg -> Error msg)
 
 type status = Ok_ | Overloaded | Failed
 
@@ -220,15 +241,18 @@ let response_of_json line =
   match Json.parse_result line with
   | Error msg -> Error ("invalid response JSON: " ^ msg)
   | Ok j ->
-    (match Option.bind (member_string "status" j) status_of_name with
-    | None -> Error "response is missing a valid \"status\" field"
-    | Some status ->
-      Ok
-        { status;
-          trace_id = Option.value ~default:"" (member_string "trace_id" j);
-          verb = Option.value ~default:"" (member_string "verb" j);
-          body = Option.value ~default:"" (member_string "body" j);
-          queue_ns = member_int ~default:0 "queue_ns" j;
-          service_ns = member_int ~default:0 "service_ns" j;
-          pool_size = member_int ~default:0 "pool_size" j;
-          trace_export = member_string "trace" j })
+    (try
+       match Option.bind (string_member "status" j) status_of_name with
+       | None -> Error "response is missing a valid \"status\" field"
+       | Some status ->
+         let str key = Option.value ~default:"" (string_member key j) in
+         Ok
+           { status;
+             trace_id = str "trace_id";
+             verb = str "verb";
+             body = str "body";
+             queue_ns = int_member ~default:0 "queue_ns" j;
+             service_ns = int_member ~default:0 "service_ns" j;
+             pool_size = int_member ~default:0 "pool_size" j;
+             trace_export = string_member "trace" j }
+     with Bad_field msg -> Error msg)

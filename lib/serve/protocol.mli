@@ -71,8 +71,11 @@ val request_to_json : request -> string
 (** One line, no trailing newline. *)
 
 val request_of_json : string -> (request, string) result
-(** Missing fields take their defaults; an unknown verb or trace format
-    is an [Error]. *)
+(** Missing fields take their defaults and unknown fields are ignored.
+    An unknown verb or trace format is an [Error], and so is a field of
+    the wrong JSON type, named in the message: a string field must be a
+    string, an int field an integral number inside OCaml's int range
+    (never truncated). *)
 
 type status =
   | Ok_         (** executed; [body] is the rendered result *)

@@ -37,17 +37,16 @@
      for a trace bypasses both: its export must describe an execution of
      its own.
 
-   Observability per request: with one executor the sinks are reset at
-   dequeue and exports merge every domain (the PR-8 behaviour, pool
-   workers included); with several executors each resets and exports
-   only its own sink ([Obs.reset_domain] / [~scope:This_domain]), so
-   concurrent requests cannot wipe or pollute each other's span trees.
-   Service-level metrics survive the per-request reset in a registry
-   owned by the server (counters by verb and status, log2-bucket
-   latency and queue-wait histograms, shared-execution counters and
-   batch sizes, gauges) and are appended to [Obs.to_prometheus] output by the
-   [metrics] verb, together with the cache hit/miss/eviction counters
-   and the work queue's accept/reject accounting. *)
+   Observability: Obs is the only telemetry store, with one rule at every
+   executor count.  A request's trace is its executor's Obs generation —
+   the executor's sink plus the pool-worker sinks that joined its runs —
+   and once the request is answered and its trace exported, the executor
+   calls [Obs.reset_domain], which folds that generation's counts into
+   Obs's lifetime store.  The server records its own series (requests by
+   verb and status, latency, queue wait, shared executions) into the
+   lifetime store as they happen, and copies its gauges and the cache
+   and queue totals there when a scrape runs; the [metrics] body is
+   [Obs.to_prometheus ()]. *)
 
 module Pool = Msoc_util.Pool
 module Workq = Msoc_util.Workq
@@ -86,141 +85,6 @@ let weight_of_verb = function
 let weight_name = function Cheap -> "cheap" | Heavy -> "heavy"
 
 (* ------------------------------------------------------------------ *)
-(* Service-level metrics registry (survives the per-request Obs reset) *)
-(* ------------------------------------------------------------------ *)
-
-type lat_hist = { buckets : int array; mutable sum : float; mutable count : int }
-
-let new_lat_hist () = { buckets = Array.make Obs.bucket_count 0; sum = 0.0; count = 0 }
-
-let lat_observe h ns =
-  let v = float_of_int ns in
-  h.buckets.(Obs.bucket_index v) <- h.buckets.(Obs.bucket_index v) + 1;
-  h.sum <- h.sum +. v;
-  h.count <- h.count + 1
-
-type metrics = {
-  mm : Mutex.t;
-  requests : (string * string, int ref) Hashtbl.t;  (* (verb, status) -> count *)
-  latency : (string, lat_hist) Hashtbl.t;           (* per verb, service time *)
-  queue_wait : lat_hist;
-  inflight : int Atomic.t;
-  batched : int ref;    (* requests answered by an execution shared with others *)
-  batches : int ref;    (* executions with two or more waiters *)
-  batch_size : lat_hist;  (* waiters per single-flight execution *)
-}
-
-let new_metrics () =
-  { mm = Mutex.create ();
-    requests = Hashtbl.create 16;
-    latency = Hashtbl.create 16;
-    queue_wait = new_lat_hist ();
-    inflight = Atomic.make 0;
-    batched = ref 0;
-    batches = ref 0;
-    batch_size = new_lat_hist () }
-
-let record_request m ~verb ~status ~queue_ns ~service_ns =
-  Mutex.lock m.mm;
-  (match Hashtbl.find_opt m.requests (verb, status) with
-  | Some r -> incr r
-  | None -> Hashtbl.add m.requests (verb, status) (ref 1));
-  (* rejected requests never ran: only executed ones shape the latency
-     and queue-wait distributions *)
-  if String.equal status "ok" || String.equal status "error" then begin
-    (match Hashtbl.find_opt m.latency verb with
-    | Some h -> lat_observe h service_ns
-    | None ->
-      let h = new_lat_hist () in
-      lat_observe h service_ns;
-      Hashtbl.add m.latency verb h);
-    lat_observe m.queue_wait queue_ns
-  end;
-  Mutex.unlock m.mm
-
-let record_batch m ~size =
-  Mutex.lock m.mm;
-  lat_observe m.batch_size size;
-  if size > 1 then begin
-    m.batches := !(m.batches) + 1;
-    m.batched := !(m.batched) + size
-  end;
-  Mutex.unlock m.mm
-
-(* Prometheus rendering for the registry: cumulative log2 buckets (only
-   occupied ones — "le" stays increasing, scrape size stays small). *)
-let prometheus_of_metrics m ~queue_depth ~queue_capacity ~pool_size =
-  let b = Buffer.create 2048 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  let float_label v =
-    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.17g" v
-  in
-  Mutex.lock m.mm;
-  line "# TYPE msoc_serve_requests_total counter";
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) m.requests []
-  |> List.sort compare
-  |> List.iter (fun ((verb, status), n) ->
-         line "msoc_serve_requests_total{verb=\"%s\",status=\"%s\"} %d" verb status n);
-  let emit_hist name ~labels h =
-    let label_set items =
-      match items with [] -> "" | _ -> "{" ^ String.concat "," items ^ "}"
-    in
-    let with_le le = label_set (labels @ [ Printf.sprintf "le=\"%s\"" le ]) in
-    let cumulative = ref 0 in
-    Array.iteri
-      (fun i c ->
-        if c > 0 then begin
-          cumulative := !cumulative + c;
-          let _, hi = Obs.bucket_bounds i in
-          let le = if hi = infinity then "+Inf" else float_label hi in
-          line "%s_bucket%s %d" name (with_le le) !cumulative
-        end)
-      h.buckets;
-    (match
-       Array.exists (fun i -> i > 0) h.buckets
-       && snd (Obs.bucket_bounds (Obs.bucket_count - 1)) = infinity
-       &&
-       let last_nonzero = ref (-1) in
-       Array.iteri (fun i c -> if c > 0 then last_nonzero := i) h.buckets;
-       !last_nonzero = Obs.bucket_count - 1
-     with
-    | true -> () (* the occupied tail bucket was already +Inf *)
-    | false -> line "%s_bucket%s %d" name (with_le "+Inf") h.count);
-    line "%s_sum%s %s" name (label_set labels) (float_label h.sum);
-    line "%s_count%s %d" name (label_set labels) h.count
-  in
-  if Hashtbl.length m.latency > 0 then begin
-    line "# TYPE msoc_serve_latency_ns histogram";
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.latency []
-    |> List.sort compare
-    |> List.iter (fun (verb, h) ->
-           emit_hist "msoc_serve_latency_ns" ~labels:[ Printf.sprintf "verb=\"%s\"" verb ] h)
-  end;
-  if m.queue_wait.count > 0 then begin
-    line "# TYPE msoc_serve_queue_wait_ns histogram";
-    emit_hist "msoc_serve_queue_wait_ns" ~labels:[] m.queue_wait
-  end;
-  line "# TYPE msoc_serve_batched_total counter";
-  line "msoc_serve_batched_total %d" !(m.batched);
-  line "# TYPE msoc_serve_coalesced_batches_total counter";
-  line "msoc_serve_coalesced_batches_total %d" !(m.batches);
-  if m.batch_size.count > 0 then begin
-    line "# TYPE msoc_serve_batch_size histogram";
-    emit_hist "msoc_serve_batch_size" ~labels:[] m.batch_size
-  end;
-  line "# TYPE msoc_serve_inflight gauge";
-  line "msoc_serve_inflight %d" (Atomic.get m.inflight);
-  line "# TYPE msoc_serve_queue_depth gauge";
-  line "msoc_serve_queue_depth %d" queue_depth;
-  line "# TYPE msoc_serve_queue_capacity gauge";
-  line "msoc_serve_queue_capacity %d" queue_capacity;
-  line "# TYPE msoc_serve_pool_size gauge";
-  line "msoc_serve_pool_size %d" pool_size;
-  Mutex.unlock m.mm;
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -256,7 +120,7 @@ type t = {
      must agree with it *)
   inflight : (string, job) Hashtbl.t;
   flight_mutex : Mutex.t;
-  metrics : metrics;
+  executing : int Atomic.t;  (* dequeued, not yet answered *)
   responses : (int * string) Queue.t;
   responses_mutex : Mutex.t;
   access : out_channel option;
@@ -301,7 +165,7 @@ let create cfg =
     cheap_queued = Atomic.make 0;
     inflight = Hashtbl.create 16;
     flight_mutex = Mutex.create ();
-    metrics = new_metrics ();
+    executing = Atomic.make 0;
     responses = Queue.create ();
     responses_mutex = Mutex.create ();
     access =
@@ -328,9 +192,20 @@ let request_stop t =
   try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1)
   with Unix.Unix_error _ -> ()
 
-(* [executor]: the executor slot that served the request, [-1] for
-   requests the acceptor answered itself (rejections, cache hits). *)
-let log_access t ~trace_id ~verb ~status ~queue_ns ~service_ns ~executor =
+(* Every answered request, whoever answered it, is counted in Obs's
+   lifetime store and logged.  [executor]: the executor slot that served
+   the request, [-1] for requests the acceptor answered itself
+   (rejections, cache hits). *)
+let account t ~trace_id ~verb ~status ~queue_ns ~service_ns ~executor =
+  Obs.Lifetime.count ~labels:[ ("verb", verb); ("status", status) ] "serve.requests";
+  (* rejected requests never ran: only executed ones shape the latency
+     and queue-wait distributions *)
+  if String.equal status "ok" || String.equal status "error" then begin
+    Obs.Lifetime.observe ~labels:[ ("verb", verb) ] "serve.latency_ns"
+      (float_of_int service_ns);
+    Obs.Lifetime.observe "serve.queue_wait_ns" (float_of_int queue_ns)
+  end;
+  Atomic.incr t.served;
   match t.access with
   | None -> ()
   | Some oc ->
@@ -350,35 +225,32 @@ let log_access t ~trace_id ~verb ~status ~queue_ns ~service_ns ~executor =
     flush oc;
     Mutex.unlock t.access_mutex
 
-let metrics_payload t =
-  let b = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+(* The [metrics] body.  The gauges and the cache and queue totals live
+   in their own structures, so a scrape copies them into Obs's lifetime
+   store first. *)
+let scrape t =
   let hits, misses, evictions =
     match t.cache with Some c -> Verbs.cache_stats c | None -> (0, 0, 0)
   in
-  line "# TYPE msoc_serve_cache_hits_total counter";
-  line "msoc_serve_cache_hits_total %d" hits;
-  line "# TYPE msoc_serve_cache_misses_total counter";
-  line "msoc_serve_cache_misses_total %d" misses;
-  line "# TYPE msoc_serve_cache_evictions_total counter";
-  line "msoc_serve_cache_evictions_total %d" evictions;
-  line "# TYPE msoc_serve_cache_size gauge";
-  line "msoc_serve_cache_size %d" t.cfg.cache_size;
-  line "# TYPE msoc_serve_executors gauge";
-  line "msoc_serve_executors %d" t.executors;
-  line "# TYPE msoc_serve_queue_accepted_total counter";
-  line "msoc_serve_queue_accepted_total %d" (Workq.accepted t.queue);
-  line "# TYPE msoc_serve_queue_rejected_total counter";
-  line "msoc_serve_queue_rejected_total %d" (Workq.rejected t.queue);
-  line "# TYPE msoc_serve_class_queued gauge";
-  line "msoc_serve_class_queued{class=\"cheap\"} %d" (Atomic.get t.cheap_queued);
-  line "msoc_serve_class_queued{class=\"heavy\"} %d" (Atomic.get t.heavy_queued);
-  line "# TYPE msoc_serve_heavy_cap gauge";
-  line "msoc_serve_heavy_cap %d" t.heavy_cap;
+  List.iter
+    (fun (name, total) -> Obs.Lifetime.set_total name total)
+    [ ("serve.cache_hits", hits);
+      ("serve.cache_misses", misses);
+      ("serve.cache_evictions", evictions);
+      ("serve.queue_accepted", Workq.accepted t.queue);
+      ("serve.queue_rejected", Workq.rejected t.queue) ];
+  List.iter
+    (fun (name, labels, v) -> Obs.Lifetime.gauge ~labels name v)
+    [ ("serve.inflight", [], Atomic.get t.executing);
+      ("serve.queue_depth", [], Workq.length t.queue);
+      ("serve.queue_capacity", [], Workq.capacity t.queue);
+      ("serve.pool_size", [], Pool.size t.pool);
+      ("serve.cache_size", [], t.cfg.cache_size);
+      ("serve.executors", [], t.executors);
+      ("serve.class_queued", [ ("class", "cheap") ], Atomic.get t.cheap_queued);
+      ("serve.class_queued", [ ("class", "heavy") ], Atomic.get t.heavy_queued);
+      ("serve.heavy_cap", [], t.heavy_cap) ];
   Obs.to_prometheus ()
-  ^ prometheus_of_metrics t.metrics ~queue_depth:(Workq.length t.queue)
-      ~queue_capacity:(Workq.capacity t.queue) ~pool_size:(Pool.size t.pool)
-  ^ Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Verb dispatch (executor domains).  Compute verbs live in [Verbs] —   *)
@@ -396,7 +268,7 @@ let dispatch t (req : Protocol.request) =
         Unix.sleepf (float_of_int (max 0 req.sleep_ms) /. 1e3));
     Printf.sprintf "slept %d ms\n" (max 0 req.sleep_ms)
   | Protocol.Metrics ->
-    let text = Obs.span "serve.execute" (fun () -> metrics_payload t) in
+    let text = Obs.span "serve.execute" (fun () -> scrape t) in
     Obs.span "serve.serialize" (fun () -> text)
   | Protocol.Plan | Protocol.Measure | Protocol.Faultsim | Protocol.Montecarlo
   | Protocol.Schedule ->
@@ -433,15 +305,8 @@ let executor_loop t slot =
       (match job.j_class with
       | Heavy -> Atomic.decr t.heavy_queued
       | Cheap -> Atomic.decr t.cheap_queued);
-      Atomic.incr t.metrics.inflight;
+      Atomic.incr t.executing;
       let t_deq = Obs.now_ns () in
-      (* fresh sink(s) per request so the exported span tree covers
-         exactly this request and daemon memory stays bounded.  One
-         executor: reset and export everything, pool workers included
-         (no concurrent writer exists).  Several: strictly this
-         domain's sink, so siblings' in-flight requests are untouched. *)
-      let scope = if t.executors = 1 then Obs.All_domains else Obs.This_domain in
-      if t.executors = 1 then Obs.reset () else Obs.reset_domain ();
       let leader = job.j_leader in
       let root =
         Obs.start_span "serve.request"
@@ -458,17 +323,28 @@ let executor_loop t slot =
       Obs.stop_span root;
       let waiters = publish t job status body in
       let t_done = Obs.now_ns () in
-      if job.j_key <> None then record_batch t.metrics ~size:(List.length waiters);
+      if job.j_key <> None then begin
+        let size = List.length waiters in
+        Obs.Lifetime.observe "serve.batch_size" (float_of_int size);
+        if size > 1 then begin
+          Obs.Lifetime.count "serve.coalesced_batches";
+          Obs.Lifetime.count ~by:size "serve.batched"
+        end
+      end;
       (* a traced job never entered the in-flight table, so its leader is
          its only waiter *)
       let trace_export =
         Option.map
           (function
-            | Protocol.Trace_jsonl -> Obs.jsonl ~scope ()
-            | Protocol.Trace_chrome -> Obs.chrome_trace ~scope ()
-            | Protocol.Trace_folded -> Obs.to_collapsed ~scope ())
+            | Protocol.Trace_jsonl -> Obs.jsonl ()
+            | Protocol.Trace_chrome -> Obs.chrome_trace ()
+            | Protocol.Trace_folded -> Obs.to_collapsed ())
           job.j_req.Protocol.trace
       in
+      (* the request's trace is built: fold its generation (this domain's
+         sink and the pool workers that followed it) into the lifetime
+         store, before any waiter can see its answer and scrape *)
+      Obs.reset_domain ();
       let verb = Protocol.verb_name job.j_req.Protocol.verb in
       let status_name = Protocol.status_name status in
       List.iter
@@ -479,10 +355,8 @@ let executor_loop t slot =
           let start = Int64.max t_deq w.w_enqueued_ns in
           let queue_ns = Int64.to_int (Int64.sub start w.w_enqueued_ns) in
           let service_ns = Int64.to_int (Int64.sub t_done start) in
-          record_request t.metrics ~verb ~status:status_name ~queue_ns ~service_ns;
-          log_access t ~trace_id:w.w_trace_id ~verb ~status:status_name ~queue_ns
-            ~service_ns ~executor:slot;
-          Atomic.incr t.served;
+          account t ~trace_id:w.w_trace_id ~verb ~status:status_name ~queue_ns ~service_ns
+            ~executor:slot;
           let response =
             { Protocol.status;
               trace_id = w.w_trace_id;
@@ -495,7 +369,7 @@ let executor_loop t slot =
           in
           push_response t w.w_conn (Protocol.response_to_json response))
         waiters;
-      Atomic.decr t.metrics.inflight;
+      Atomic.decr t.executing;
       loop ()
   in
   loop ()
@@ -557,10 +431,7 @@ let flush_responses t conns =
 let respond_immediately t conns conn_id ~status ~verb ?(service_ns = 0) ~body () =
   let trace_id = fresh_trace_id t in
   let status_name = Protocol.status_name status in
-  record_request t.metrics ~verb ~status:status_name ~queue_ns:0 ~service_ns;
-  log_access t ~trace_id ~verb ~status:status_name ~queue_ns:0 ~service_ns
-    ~executor:(-1);
-  Atomic.incr t.served;
+  account t ~trace_id ~verb ~status:status_name ~queue_ns:0 ~service_ns ~executor:(-1);
   let response =
     { Protocol.status;
       trace_id;
@@ -690,6 +561,9 @@ let run t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Obs.enable ();
   Obs.reset ();
+  (* the shared-execution counters are exported from the first scrape *)
+  Obs.Lifetime.count ~by:0 "serve.batched";
+  Obs.Lifetime.count ~by:0 "serve.coalesced_batches";
   let executors =
     List.init t.executors (fun slot -> Domain.spawn (fun () -> executor_loop t slot))
   in
@@ -723,7 +597,7 @@ let run t =
   | None -> ()
   | Some file ->
     let oc = open_out file in
-    output_string oc (metrics_payload t);
+    output_string oc (scrape t);
     close_out oc);
   Option.iter close_out t.access;
   Printf.eprintf "serve: shutdown after %d request(s)\n%!" (Atomic.get t.served);

@@ -21,17 +21,21 @@
 
     Observability: every request gets a trace id; it runs under a
     [serve.request] span with [serve.queue_wait] / [serve.execute] /
-    [serve.serialize] children.  With one executor the Obs sinks are
-    fully reset per request (pool workers included); with several, each
-    executor resets and exports only its own domain's sink, so
-    concurrent traces stay disjoint.  Service-level counters, log2-bucket
-    latency histograms, shared-execution and cache counters and gauges
-    accumulate in a server-owned registry that the [metrics] verb
-    appends to [Obs.to_prometheus] output; one JSON access-log line is
-    written per request (mutex-guarded — lines never interleave).
+    [serve.serialize] children.  Obs is the only telemetry store, and one
+    rule holds at every executor count: a request's trace is its
+    executor's Obs generation (the executor's sink plus the pool-worker
+    sinks that joined its runs), and the executor folds that generation
+    into Obs's lifetime store once the request is answered and its trace
+    exported ([Obs.reset_domain]).  Request counters by verb and status,
+    log2-bucket latency and queue-wait histograms and the shared-execution
+    series go straight into the lifetime store; gauges and the cache and
+    queue totals are copied there when a scrape runs, and the [metrics]
+    body is [Obs.to_prometheus ()].  One JSON access-log line is written
+    per request (mutex-guarded — lines never interleave).
 
-    While a server is running it owns the global [Obs] state (enabled,
-    reset per request); {!run} restores disabled-and-reset on return. *)
+    While a server is running it owns the global [Obs] state ({!run}
+    enables it and starts a session with [Obs.reset]); {!run} restores
+    disabled-and-reset on return. *)
 
 type config = {
   socket_path : string;
@@ -78,13 +82,6 @@ val served : t -> int
 
 val executors : t -> int
 (** The resolved executor count. *)
-
-val metrics_payload : t -> string
-(** The [metrics] verb's body: [Obs.to_prometheus ()] followed by the
-    server registry (request counters by verb/status, latency and
-    queue-wait histograms, shared-execution counters and batch-size histogram,
-    in-flight / queue-depth / capacity / pool gauges) and the cache,
-    executor, queue-accounting and class-occupancy series. *)
 
 (** {2 In-process harness} — tests and the bench load driver run the
     daemon on a spawned domain instead of a separate process. *)

@@ -2,10 +2,10 @@
 
     Built for the synthesis result cache of [msoc serve]: the acceptor
     domain probes it on admission, executor domains fill it after a
-    cold computation, and the metrics exporter reads the hit / miss /
-    eviction counters — all under one internal mutex, which is fine at
-    request granularity (the values are whole rendered response bodies,
-    not hot-path items).
+    cold computation, and each metrics scrape copies the hit / miss /
+    eviction counters into the telemetry store — all under one internal
+    mutex, which is fine at request granularity (the values are whole
+    rendered response bodies, not hot-path items).
 
     Recency is classic move-to-front on a doubly-linked list: {!find}
     bumps the entry, {!add} inserts at the front and evicts from the

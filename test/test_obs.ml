@@ -1,7 +1,8 @@
 (* Telemetry subsystem tests: span nesting and timing, histogram bucket
    edges, deterministic merge of per-domain sinks across pool sizes,
-   disabled-path no-ops, and structural validation of the Chrome
-   trace_event / JSONL exports.
+   disabled-path no-ops, generations (exports scoped to the caller's,
+   per-request resets folding into the lifetime store exactly once), and
+   structural validation of the Chrome trace_event / JSONL exports.
 
    Telemetry state is process-global; every test starts from
    [Obs.reset] + an explicit enable/disable and disables on exit, so
@@ -536,44 +537,71 @@ let test_events_cap_of_env () =
   Alcotest.(check int) "garbage falls back to the default" default
     (Obs.events_cap_of_env (Some "lots"))
 
-(* ---- per-domain scope: reset_domain and scoped exports ---- *)
+(* ---- generations: reset_domain and generation-scoped exports ---- *)
+
+(* The value of an unlabelled series in an exposition, 0 when absent. *)
+let prom_value text name =
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i when String.equal (String.sub line 0 i) name ->
+           int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+         | _ -> None)
+  |> Option.value ~default:0
+
+let await flag =
+  let deadline = Int64.add (Obs.now_ns ()) 10_000_000_000L in
+  while (not (Atomic.get flag)) && Int64.compare (Obs.now_ns ()) deadline < 0 do
+    Domain.cpu_relax ()
+  done;
+  if not (Atomic.get flag) then Alcotest.fail "the other domain never signalled"
 
 let test_domain_scope () =
-  (* two domains record spans concurrently; each one's This_domain view
-     contains exactly its own spans while All_domains merges both, and
-     reset_domain clears only the calling domain's sink *)
+  (* two domains record concurrently; each one's export holds exactly its
+     own generation, reset_domain folds and clears only the caller's, and
+     the exposition never reads a sibling's live sink *)
   with_recording @@ fun () ->
-  Obs.span "acceptor.local" (fun () -> ());
+  Obs.span "acceptor.local" (fun () -> Obs.count "local.requests");
+  let recorded = Atomic.make false and folded = Atomic.make false in
   let other =
     Domain.spawn (fun () ->
-        Obs.span "executor.remote" (fun () -> ());
-        let mine = Obs.jsonl ~scope:Obs.This_domain () in
-        let everyone = Obs.jsonl ~scope:Obs.All_domains () in
-        (mine, everyone))
+        Obs.span "executor.remote" (fun () -> Obs.count "remote.requests");
+        let before = Obs.jsonl () in
+        Atomic.set recorded true;
+        await folded;
+        let after = Obs.jsonl () in
+        Obs.reset_domain ();
+        (before, after))
   in
-  let remote_own, remote_all = Domain.join other in
-  Alcotest.(check bool) "remote sees its own span" true
-    (contains_sub remote_own "executor.remote");
-  Alcotest.(check bool) "remote scope excludes the other domain" false
-    (contains_sub remote_own "acceptor.local");
-  Alcotest.(check bool) "all-domains merges both" true
-    (contains_sub remote_all "acceptor.local"
-    && contains_sub remote_all "executor.remote");
-  let own = Obs.jsonl ~scope:Obs.This_domain () in
-  Alcotest.(check bool) "local sees its own span" true
-    (contains_sub own "acceptor.local");
-  Alcotest.(check bool) "local scope excludes the other domain" false
+  await recorded;
+  let own = Obs.jsonl () in
+  Alcotest.(check bool) "local sees its own span" true (contains_sub own "acceptor.local");
+  Alcotest.(check bool) "local export excludes the other domain" false
     (contains_sub own "executor.remote");
-  (* default scope stays the merged view (the PR-8 exporters) *)
-  Alcotest.(check bool) "default scope merges" true
-    (contains_sub (Obs.jsonl ()) "executor.remote");
+  Alcotest.(check int) "a sibling's live counter is not exposed" 0
+    (prom_value (Obs.to_prometheus ()) "msoc_remote_requests_total");
   Obs.reset_domain ();
-  Alcotest.(check string) "reset_domain clears this domain" ""
-    (Obs.jsonl ~scope:Obs.This_domain ());
-  Alcotest.(check bool) "other domains' spans survive" true
-    (contains_sub (Obs.jsonl ()) "executor.remote")
+  Alcotest.(check string) "reset_domain clears the caller's generation" "" (Obs.jsonl ());
+  Alcotest.(check int) "its counter is folded into the lifetime store" 1
+    (prom_value (Obs.to_prometheus ()) "msoc_local_requests_total");
+  Atomic.set folded true;
+  let remote_before, remote_after = Domain.join other in
+  Alcotest.(check bool) "remote sees its own span" true
+    (contains_sub remote_before "executor.remote");
+  Alcotest.(check bool) "remote export excludes the other domain" false
+    (contains_sub remote_before "acceptor.local");
+  Alcotest.(check bool) "a sibling's reset leaves this generation alone" true
+    (contains_sub remote_after "executor.remote");
+  let text = Obs.to_prometheus () in
+  Alcotest.(check int) "the sibling's fold reaches the lifetime store" 1
+    (prom_value text "msoc_remote_requests_total");
+  Alcotest.(check int) "each count folds once" 1 (prom_value text "msoc_local_requests_total");
+  (* reset starts a session: the lifetime store empties too *)
+  Obs.reset ();
+  Alcotest.(check int) "reset empties the lifetime store" 0
+    (prom_value (Obs.to_prometheus ()) "msoc_local_requests_total")
 
-(* ---- pool-worker sinks follow their caller's resets ---- *)
+(* ---- pool-worker sinks join their caller's generation ---- *)
 
 (* One parallel run on a 2-slot pool in which each slot executes exactly
    one [pool.chunk]: each chunk waits (bounded) until both have started,
@@ -590,20 +618,36 @@ let one_chunk_each pool =
 let chunk_spans () =
   List.fold_left
     (fun acc s -> if String.equal s.Obs.span_path "pool.chunk" then acc + s.Obs.span_count else acc)
-    0
-    (Obs.snapshot_spans ~scope:Obs.All_domains ())
+    0 (Obs.snapshot_spans ())
 
 let test_worker_sinks_follow_caller () =
   with_recording @@ fun () ->
   Pool.with_pool ~size:2 (fun pool ->
-      (* a multi-executor server: the caller resets its sink per request *)
+      (* a server executor: each request's trace holds its worker's chunk,
+         then the request's generation is folded *)
       for _ = 1 to 50 do
-        Obs.reset_domain ();
-        one_chunk_each pool
+        one_chunk_each pool;
+        Alcotest.(check int) "the trace holds the caller's and the worker's chunk" 2
+          (chunk_spans ());
+        Obs.reset_domain ()
       done;
-      Alcotest.(check int) "only the last run's chunks survive" 2 (chunk_spans ());
-      (* the CLI: no reset between runs, every run's worker spans kept *)
+      Alcotest.(check int) "every chunk folded exactly once" 100
+        (prom_value (Obs.to_prometheus ()) "msoc_pool_chunks_total");
+      (* a worker leaving for a new caller folds what its old caller left *)
+      one_chunk_each pool;
+      let other =
+        Domain.spawn (fun () ->
+            one_chunk_each pool;
+            let chunks = chunk_spans () in
+            Obs.reset_domain ();
+            chunks)
+      in
+      Alcotest.(check int) "the new caller's trace holds the worker's chunk" 2
+        (Domain.join other);
       Obs.reset_domain ();
+      Alcotest.(check int) "no chunk lost or counted twice" 104
+        (prom_value (Obs.to_prometheus ()) "msoc_pool_chunks_total");
+      (* the CLI: no reset between runs, every run's worker spans kept *)
       for _ = 1 to 50 do
         one_chunk_each pool
       done;

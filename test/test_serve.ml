@@ -1,17 +1,20 @@
 (* Daemon tests: the bounded work queue's semantics (including
    multi-consumer delivery and accept/reject accounting under
-   contention), the wire-protocol round trip, queue-full and class-cap
-   backpressure (a structured "overloaded" response, never a dropped
-   connection), byte-identity of daemon answers with the offline CLI
-   across pool and executor counts — cold, cached and joined — single
+   contention), the wire-protocol round trip and its strict field types,
+   a cache key that covers every field a verb reads, queue-full and
+   class-cap backpressure (a structured "overloaded" response, never a
+   dropped connection), byte-identity of daemon answers with the offline
+   CLI across pool and executor counts — cold, cached and joined — single
    flight (a duplicate shares a queued or running execution; a failed
    one frees its key), request lines split across reads, the metrics
-   verb's Prometheus families, and the per-request trace export
-   round-tripping through the offline trace analyses. *)
+   verb's Prometheus families (counters that only rise, at one executor
+   and at two), and the per-request trace export — the same at every
+   executor count — round-tripping through the offline trace analyses. *)
 
 module Workq = Msoc_util.Workq
 module Pool = Msoc_util.Pool
 module Trace = Msoc_obs.Trace
+module Obs = Msoc_obs.Obs
 module Protocol = Msoc_serve.Protocol
 module Server = Msoc_serve.Server
 module Client = Msoc_serve.Client
@@ -218,6 +221,27 @@ let test_protocol_roundtrip () =
   (match Protocol.request_of_json {|{"verb":"plan","trace":"interpretive-dance"}|} with
   | Ok _ -> Alcotest.fail "unknown trace format must be rejected"
   | Error _ -> ());
+  (* a field of the wrong JSON type is an error naming it, never its
+     default; an int field takes only integral numbers in int range *)
+  List.iter
+    (fun (line, field) ->
+      match Protocol.request_of_json line with
+      | Ok _ -> Alcotest.failf "%s must be rejected" line
+      | Error e -> check_contains e [ Printf.sprintf "%S" field ])
+    [ ({|{"verb":"faultsim","taps":"13"}|}, "taps");
+      ({|{"verb":"faultsim","taps":5.9}|}, "taps");
+      ({|{"verb":"faultsim","tones":"two"}|}, "tones");
+      ({|{"verb":"faultsim","samples":1e30}|}, "samples");
+      ({|{"verb":"faultsim","seed":null}|}, "seed");
+      ({|{"verb":"plan","strategy":5}|}, "strategy");
+      ({|{"verb":"plan","topology":["x"]}|}, "topology");
+      ({|{"verb":"plan","trace":5}|}, "trace");
+      ({|{"verb":7}|}, "verb") ];
+  (match Protocol.request_of_json {|{"verb":"faultsim","taps":5.0,"colour":"blue"}|} with
+  | Ok req' ->
+    Alcotest.(check bool) "integral floats accepted, unknown fields ignored" true
+      (req' = Protocol.request ~taps:5 Protocol.Faultsim)
+  | Error e -> Alcotest.failf "well-typed request rejected: %s" e);
   let resp =
     { Protocol.status = Protocol.Overloaded;
       trace_id = "s-000001";
@@ -231,6 +255,64 @@ let test_protocol_roundtrip () =
   match Protocol.response_of_json (Protocol.response_to_json resp) with
   | Ok resp' -> Alcotest.(check bool) "response round trips" true (resp = resp')
   | Error e -> Alcotest.failf "response rejected: %s" e
+
+(* ---- cache_key covers every field a verb reads ---- *)
+
+(* One valid perturbation per request field, named as on the wire. *)
+let perturbations : (string * (Protocol.request -> Protocol.request)) list =
+  let flip r = if r.Protocol.strategy = "nominal" then "adaptive" else "nominal" in
+  [ ("topology", fun r -> { r with Protocol.topology = "sigma-delta" });
+    ("strategy", fun r -> { r with Protocol.strategy = flip r });
+    ("seed", fun r -> { r with Protocol.seed = r.Protocol.seed + 1 });
+    ("taps", fun r -> { r with Protocol.taps = r.Protocol.taps + 1 });
+    ("input_bits", fun r -> { r with Protocol.input_bits = r.Protocol.input_bits + 1 });
+    ("coeff_bits", fun r -> { r with Protocol.coeff_bits = r.Protocol.coeff_bits + 1 });
+    ("samples", fun r -> { r with Protocol.samples = 2 * r.Protocol.samples });
+    ("tones", fun r -> { r with Protocol.tones = 3 - r.Protocol.tones });
+    ("soc", fun r -> { r with Protocol.soc = "narrow" });
+    ("restarts", fun r -> { r with Protocol.restarts = r.Protocol.restarts + 1 });
+    ("iters", fun r -> { r with Protocol.iters = r.Protocol.iters + 1 });
+    ("trials", fun r -> { r with Protocol.trials = r.Protocol.trials + 1 });
+    ("sleep_ms", fun r -> { r with Protocol.sleep_ms = r.Protocol.sleep_ms + 1 });
+    ("trace", fun r -> { r with Protocol.trace = Some Protocol.Trace_folded }) ]
+
+let test_cache_key_covers_reads () =
+  (* the result cache and single flight both trust [cache_key]: perturbing
+     every field outside a verb's key must leave its body unchanged, and
+     perturbing any field inside it must change the key *)
+  let wire_fields =
+    match
+      Msoc_obs.Json.parse
+        (Protocol.request_to_json (Protocol.request ~trace:Protocol.Trace_jsonl Protocol.Plan))
+    with
+    | Msoc_obs.Json.Object fields -> List.filter (( <> ) "verb") (List.map fst fields)
+    | _ -> Alcotest.fail "a request encodes as an object"
+  in
+  Alcotest.(check (list string)) "one perturbation per wire field" (List.sort compare wire_fields)
+    (List.sort compare (List.map fst perturbations));
+  Pool.with_pool ~size:1 @@ fun pool ->
+  List.iter
+    (fun ((base : Protocol.request), keyed) ->
+      let verb = Protocol.verb_name base.verb in
+      let key = Protocol.cache_key base in
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s is in the key" verb field) true
+            (Protocol.cache_key ((List.assoc field perturbations) base) <> key))
+        keyed;
+      let outside = List.filter (fun (f, _) -> not (List.mem f keyed)) perturbations in
+      let perturbed = List.fold_left (fun r (_, p) -> p r) base outside in
+      Alcotest.(check (option string)) (verb ^ ": the other fields leave the key alone") key
+        (Protocol.cache_key perturbed);
+      Alcotest.(check string) (verb ^ ": the other fields leave the body alone")
+        (Verbs.run ~pool base) (Verbs.run ~pool perturbed))
+    [ (Protocol.request Protocol.Plan, [ "topology"; "strategy" ]);
+      (Protocol.request ~seed:3 Protocol.Measure, [ "topology"; "strategy"; "seed" ]);
+      ( Protocol.request ~taps:5 ~input_bits:8 ~coeff_bits:6 ~samples:128 Protocol.Faultsim,
+        [ "taps"; "input_bits"; "coeff_bits"; "samples"; "tones"; "seed" ] );
+      (Protocol.request ~trials:200 Protocol.Montecarlo, [ "strategy"; "trials"; "seed" ]);
+      ( Protocol.request ~restarts:2 ~iters:50 Protocol.Schedule,
+        [ "soc"; "restarts"; "iters"; "seed" ] ) ]
 
 (* ---- backpressure ---- *)
 
@@ -614,62 +696,135 @@ let test_heavy_cap_admission () =
 
 (* ---- metrics verb ---- *)
 
-let test_metrics_families () =
-  let socket_path = temp_socket () in
-  let handle = Server.start (Server.config socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-  Client.with_connection ~socket_path (fun c ->
-      (match Client.request c (Protocol.request Protocol.Ping) with
-      | Ok r -> check_contains r.Protocol.body [ "pong" ]
-      | Error e -> Alcotest.failf "ping failed: %s" e);
-      match Client.request c (Protocol.request Protocol.Metrics) with
-      | Error e -> Alcotest.failf "metrics failed: %s" e
-      | Ok r ->
-        check_contains r.Protocol.body
-          [ "msoc_serve_requests_total{verb=\"ping\",status=\"ok\"} 1";
-            "msoc_serve_latency_ns_bucket";
-            "msoc_serve_queue_wait_ns";
-            "msoc_serve_inflight";
-            "msoc_serve_queue_capacity";
-            "msoc_obs_timeline_overwritten_total";
-            "msoc_build_info" ])
+(* Every sample of every counter family in an exposition, by series. *)
+let counter_samples body =
+  let lines = String.split_on_char '\n' body in
+  let counters =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; "counter" ] -> Some name
+        | _ -> None)
+      lines
+  in
+  List.filter_map
+    (fun l ->
+      match String.rindex_opt l ' ' with
+      | Some i when l.[0] <> '#' ->
+        let series = String.sub l 0 i in
+        let family = List.hd (String.split_on_char '{' series) in
+        if List.mem family counters then
+          Some (series, float_of_string (String.sub l (i + 1) (String.length l - i - 1)))
+        else None
+      | _ -> None)
+    lines
 
-(* ---- per-request trace export round trip ---- *)
+let test_metrics_families () =
+  (* the same families at one executor and at two; every counter sample
+     only rises across scrapes, and the pooled engines' counts reach the
+     scrape at both executor counts *)
+  List.iter
+    (fun executors ->
+      let socket_path = temp_socket () in
+      let handle = Server.start (Server.config ~executors socket_path) in
+      Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+      Client.with_connection ~socket_path (fun c ->
+          let run (req : Protocol.request) =
+            match Client.request c req with
+            | Ok r when r.Protocol.status = Protocol.Ok_ -> r.Protocol.body
+            | Ok r -> Alcotest.failf "%s rejected: %s" (Protocol.verb_name req.verb) r.Protocol.body
+            | Error e -> Alcotest.failf "%s failed: %s" (Protocol.verb_name req.verb) e
+          in
+          check_contains (run (Protocol.request Protocol.Ping)) [ "pong" ];
+          let first = scrape c in
+          check_contains first
+            [ "msoc_serve_requests_total{verb=\"ping\",status=\"ok\"} 1";
+              "msoc_serve_latency_ns_bucket";
+              "msoc_serve_queue_wait_ns";
+              "msoc_serve_inflight";
+              "msoc_serve_queue_capacity";
+              "msoc_obs_timeline_overwritten_total";
+              "msoc_build_info" ];
+          List.iter
+            (fun req -> ignore (run req))
+            [ Protocol.request ~taps:5 ~samples:128 Protocol.Faultsim;
+              Protocol.request ~trials:500 Protocol.Montecarlo;
+              Protocol.request Protocol.Plan;
+              Protocol.request Protocol.Plan ];
+          let second = scrape c in
+          let after = counter_samples second in
+          List.iter
+            (fun (series, v) ->
+              let v' = Option.value ~default:0.0 (List.assoc_opt series after) in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s does not fall at %d executor(s): %g -> %g" series executors v
+                   v')
+                true (v' >= v))
+            (counter_samples first);
+          Alcotest.(check bool)
+            (Printf.sprintf "engine counters reach the scrape at %d executor(s)" executors)
+            true
+            (metric second "msoc_fft_transforms_total" > 0)))
+    [ 1; 2 ]
+
+(* ---- per-request trace export: the same at every executor count ---- *)
+
+(* A trace export as the offline analyses load it. *)
+let load_export export =
+  let file = Filename.temp_file "msoc_serve_trace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let oc = open_out file in
+  output_string oc export;
+  close_out oc;
+  match Trace.load file with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "export does not load: %s" e
+
+let pool_chunks t =
+  List.length (List.filter (fun sp -> sp.Trace.sp_name = "pool.chunk") t.Trace.spans)
 
 let test_trace_roundtrip () =
-  let socket_path = temp_socket () in
-  let handle = Server.start (Server.config socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
-  Client.with_connection ~socket_path (fun c ->
-      let req =
-        Protocol.request ~taps:5 ~samples:128 ~trace:Protocol.Trace_jsonl
-          Protocol.Faultsim
-      in
-      match Client.request c req with
-      | Error e -> Alcotest.failf "faultsim failed: %s" e
-      | Ok resp ->
-        let export =
-          match resp.Protocol.trace_export with
-          | Some e -> e
-          | None -> Alcotest.fail "response carries no trace export"
-        in
-        let file = Filename.temp_file "msoc_serve_trace" ".jsonl" in
-        Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-        let oc = open_out file in
-        output_string oc export;
-        close_out oc;
-        (match Trace.load file with
-        | Error e -> Alcotest.failf "daemon export does not load: %s" e
-        | Ok t ->
-          let names = List.map (fun sp -> sp.Trace.sp_name) t.Trace.spans in
-          List.iter
-            (fun n ->
-              Alcotest.(check bool) (Printf.sprintf "span %s exported" n) true
-                (List.mem n names))
-            [ "serve.request"; "serve.queue_wait"; "serve.execute"; "serve.serialize" ];
-          (* the offline analyses accept the daemon's export as-is *)
-          check_contains (Trace.summary t) [ "serve.request"; "serve.execute" ];
-          check_contains (Trace.to_folded t) [ "serve.request" ]))
+  (* a traced faultsim on a 2-slot pool exports its whole generation —
+     the pool worker's chunks included — at one executor and at two: the
+     same span paths, as many pool.chunk spans as the CLI's export of the
+     same run, and an export the offline analyses accept as-is *)
+  let req = Protocol.request ~taps:5 ~samples:256 Protocol.Faultsim in
+  Pool.with_pool ~size:2 @@ fun pool ->
+  let cli =
+    Obs.enable ();
+    Obs.reset ();
+    Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
+    ignore (Verbs.run ~pool req);
+    load_export (Obs.jsonl ())
+  in
+  Alcotest.(check bool) "the run was pooled" true (pool_chunks cli > 2);
+  let traced executors =
+    let socket_path = temp_socket () in
+    let handle = Server.start (Server.config ~pool ~executors socket_path) in
+    Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+    let t =
+      Client.with_connection ~socket_path (fun c ->
+          match Client.request c { req with Protocol.trace = Some Protocol.Trace_jsonl } with
+          | Ok { Protocol.trace_export = Some export; _ } -> load_export export
+          | Ok r -> Alcotest.failf "no trace export: %s" r.Protocol.body
+          | Error e -> Alcotest.failf "traced faultsim failed: %s" e)
+    in
+    let names = List.map (fun sp -> sp.Trace.sp_name) t.Trace.spans in
+    List.iter
+      (fun n ->
+        Alcotest.(check bool) (Printf.sprintf "span %s exported" n) true (List.mem n names))
+      [ "serve.request"; "serve.queue_wait"; "serve.execute"; "serve.serialize" ];
+    (* the offline analyses accept the daemon's export as-is *)
+    check_contains (Trace.summary t) [ "serve.request"; "serve.execute" ];
+    check_contains (Trace.to_folded t) [ "serve.request" ];
+    Alcotest.(check int)
+      (Printf.sprintf "%d executor(s): the CLI's pool.chunk count" executors)
+      (pool_chunks cli) (pool_chunks t);
+    List.sort_uniq compare (List.map (fun sp -> sp.Trace.sp_path) t.Trace.spans)
+  in
+  let one = traced 1 in
+  let two = traced 2 in
+  Alcotest.(check (list string)) "the same span paths at both executor counts" one two
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -684,7 +839,9 @@ let () =
             test_workq_overload_accounting ] );
       ("workq-properties", qcheck [ prop_workq_exactly_once ]);
       ( "protocol",
-        [ Alcotest.test_case "request/response round trip" `Quick test_protocol_roundtrip ] );
+        [ Alcotest.test_case "request/response round trip" `Quick test_protocol_roundtrip;
+          Alcotest.test_case "cache key covers every field a verb reads" `Quick
+            test_cache_key_covers_reads ] );
       ( "daemon",
         [ Alcotest.test_case "queue-full backpressure" `Quick test_backpressure;
           Alcotest.test_case "plan byte-identity across pool sizes" `Quick

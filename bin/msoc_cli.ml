@@ -14,7 +14,8 @@
      serve       long-running synthesis daemon over a Unix socket
      client      send one request to a running daemon
 
-   The compute verbs (plan, measure, faultsim, schedule) call the same
+   The compute verbs (plan, measure, faultsim, montecarlo, schedule) take
+   their request flags from Msoc_serve.Protocol.fields and call the same
    Msoc_serve.Verbs bodies the daemon executes, so offline output diffs
    clean against daemon responses.
 
@@ -165,99 +166,108 @@ let with_telemetry tel ~command f =
    succeed with 0 whenever they return at all. *)
 let code0 term = Cmdliner.Term.(const (fun () -> 0) $ term)
 
-(* ---- request flags: declared once, shared by the compute subcommands
-   and [client], with the protocol's defaults — so a bare CLI run and a
-   bare daemon request describe the same computation ---- *)
+(* ---- request flags: one per row of [Protocol.fields], so each flag's
+   name, doc, accepted values and default are the protocol's own — a bare
+   CLI run and a bare daemon request describe the same computation ---- *)
 
-module Topology = Msoc_analog.Topology
+(* An unknown name is a usage error naming the field and the known names. *)
+let field_conv : type a. string -> a Serve_protocol.kind -> a Cmdliner.Arg.conv =
+ fun name -> function
+  | Serve_protocol.Int -> Cmdliner.Arg.int
+  | Serve_protocol.Name known ->
+    let parse s =
+      if List.mem s known then Ok s
+      else
+        Error
+          (`Msg
+             (Printf.sprintf "unknown %s %S (known: %s)" name s (String.concat ", " known)))
+    in
+    Cmdliner.Arg.conv (parse, Format.pp_print_string)
 
-let defaults = Serve_protocol.request Serve_protocol.Plan
+(* The flags of [rows] as one term setting their fields on a request.
+   Defaults do not depend on the verb, so one request supplies them all. *)
+let flags_term rows =
+  let open Cmdliner in
+  let defaults = Serve_protocol.request Serve_protocol.Plan in
+  List.fold_left
+    (fun set (Serve_protocol.Field f) ->
+      let value =
+        Arg.(value
+             & opt (field_conv f.name f.kind) (f.get defaults)
+             & info [ String.map (function '_' -> '-' | c -> c) f.name ] ?docv:f.docv
+                 ~doc:f.doc)
+      in
+      Term.(const (fun set v r -> f.set (set r) v) $ set $ value))
+    (Term.const Fun.id) rows
 
-let int_flag ?docv name default ~doc =
-  Cmdliner.Arg.(value & opt int default & info [ name ] ?docv ~doc)
+(* A finished request of [verb], with one flag per field the verb reads. *)
+let request_term verb =
+  Cmdliner.Term.(
+    const (fun set -> set (Serve_protocol.request verb))
+    $ flags_term (List.filter (Serve_protocol.reads verb) Serve_protocol.fields))
 
-(* In the request-field spelling, which the verbs layer parses. *)
-let strategy_arg =
-  Cmdliner.Arg.(
-    value
-    & opt (enum [ ("nominal", "nominal"); ("adaptive", "adaptive") ])
-        defaults.Serve_protocol.strategy
-    & info [ "strategy" ] ~docv:"STRATEGY" ~doc:"De-embedding strategy: nominal or adaptive.")
-
-let topology_conv =
-  let parse name =
-    match Topology.find name with
-    | Some _ -> Ok name
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown topology %S (known: %s)" name
-              (String.concat ", " Topology.names)))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_string)
-
-let topology_arg =
-  Cmdliner.Arg.(
-    value
-    & opt topology_conv defaults.Serve_protocol.topology
-    & info [ "topology" ] ~docv:"NAME"
-        ~doc:"Signal-path topology to synthesise the plan for; see \
-              $(b,--list-topologies).")
-
-let soc_conv =
-  let parse name =
-    match Soc.find name with
-    | Some _ -> Ok name
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown SOC %S (known: %s)" name
-              (String.concat ", " Soc.names)))
-  in
-  Cmdliner.Arg.conv (parse, Format.pp_print_string)
-
-let soc_arg =
-  Cmdliner.Arg.(
-    value
-    & opt soc_conv defaults.Serve_protocol.soc
-    & info [ "soc" ] ~docv:"NAME"
-        ~doc:"SOC fixture to schedule; see $(b,msoc schedule --list-socs).")
-
-let seed_arg ~doc = int_flag "seed" defaults.Serve_protocol.seed ~doc
-let taps_arg = int_flag "taps" defaults.Serve_protocol.taps ~doc:"FIR tap count (faultsim)."
-
-let input_bits_arg =
-  int_flag "input-bits" defaults.Serve_protocol.input_bits ~doc:"Input bus width (faultsim)."
-
-let coeff_bits_arg =
-  int_flag "coeff-bits" defaults.Serve_protocol.coeff_bits
-    ~doc:"Coefficient width (faultsim)."
-
-let samples_arg =
-  int_flag "samples" defaults.Serve_protocol.samples ~doc:"Test pattern count (faultsim)."
-
-let tones_arg =
-  int_flag "tones" defaults.Serve_protocol.tones
-    ~doc:"Stimulus tone count, 1 or 2 (faultsim)."
-
-let restarts_arg =
-  int_flag "restarts" ~docv:"N" defaults.Serve_protocol.restarts
-    ~doc:"Simulated-annealing restarts (schedule), fanned out over the domain pool; the \
-          chosen schedule is bit-identical at every pool size."
-
-let iters_arg =
-  int_flag "iters" ~docv:"N" defaults.Serve_protocol.iters
-    ~doc:"Annealing moves per restart (schedule)."
-
-let trials_arg =
-  int_flag "trials" defaults.Serve_protocol.trials ~doc:"Monte-Carlo trial count (montecarlo)."
-
-let sleep_ms_arg =
-  int_flag "sleep-ms" defaults.Serve_protocol.sleep_ms ~doc:"Executor hold time (sleep)."
-
-(* ---- plan ---- *)
+(* ---- the compute subcommands: plan, measure, faultsim, montecarlo and
+   schedule run the same Msoc_serve.Verbs body the daemon executes ---- *)
 
 module Audit = Msoc_obs.Audit
+module Topology = Msoc_analog.Topology
+
+let progress_arg =
+  Cmdliner.Arg.(
+    value & flag
+    & info [ "progress" ]
+        ~doc:"Render a live progress heartbeat (work done, coverage so far, ETA) to \
+              stderr while the engines run.  The heartbeat polls atomic cells off the \
+              hot path, so it cannot change any result.")
+
+(* Record the synthesis audit trail around [f], then print it and write
+   it as JSON to [file]. *)
+let with_audit file f =
+  match file with
+  | None -> f ()
+  | Some file ->
+    Audit.enable ();
+    Audit.reset ();
+    f ();
+    Audit.disable ();
+    Format.printf "@.%s" (Audit.to_text ());
+    Audit.write_json file;
+    Format.eprintf "audit: %d provenance records written to %s@."
+      (List.length (Audit.records ()))
+      file;
+    Audit.reset ()
+
+(* One body for all five: run the finished request on the default pool —
+   bit-identical to the serial path at any MSOC_DOMAINS — and print the
+   rendered body.  [render] adds --progress; [listing] adds a flag that
+   prints a registry instead, and --audit. *)
+let compute_cmd ?render ?listing verb ~doc =
+  let open Cmdliner in
+  let name = Serve_protocol.verb_name verb in
+  let progress = match render with None -> Term.const false | Some _ -> progress_arg in
+  let list, print_list, audit =
+    match listing with
+    | None -> (Term.const false, ignore, Term.const None)
+    | Some (list_arg, print_list, audit_doc) ->
+      ( list_arg,
+        print_list,
+        Arg.(value & opt (some string) None & info [ "audit" ] ~docv:"FILE" ~doc:audit_doc) )
+  in
+  let run tel req progress list audit =
+    with_telemetry tel ~command:name @@ fun () ->
+    if list then print_list ()
+    else
+      with_audit audit @@ fun () ->
+      let compute () = Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req in
+      print_string
+        (match render with
+        | Some render when progress -> Progress.with_ticker ~render compute
+        | _ -> compute ())
+  in
+  Cmd.v (Cmd.info name ~doc)
+    (code0 Term.(const run $ telemetry_term $ request_term verb $ progress $ list $ audit))
+
+(* ---- plan ---- *)
 
 let list_topologies_arg =
   Cmdliner.Arg.(
@@ -270,41 +280,14 @@ let print_topologies () =
     Topology.summaries;
   Texttable.print t
 
-let run_plan tel strategy topology list_topologies audit_file =
-  with_telemetry tel ~command:"plan" @@ fun () ->
-  if list_topologies then print_topologies ()
-  else begin
-  if audit_file <> None then begin
-    Audit.enable ();
-    Audit.reset ()
-  end;
-  let req = Serve_protocol.request ~topology ~strategy Serve_protocol.Plan in
-  print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req);
-  match audit_file with
-  | None -> ()
-  | Some file ->
-    Audit.disable ();
-    Format.printf "@.%s" (Audit.to_text ());
-    Audit.write_json file;
-    Format.eprintf "audit: %d provenance records written to %s@."
-      (List.length (Audit.records ()))
-      file;
-    Audit.reset ()
-  end
-
 let plan_cmd =
-  let open Cmdliner in
-  let audit =
-    Arg.(value & opt (some string) None
-         & info [ "audit" ] ~docv:"FILE"
-             ~doc:"Record the synthesis audit trail (per-parameter provenance: strategy, \
-                   stimulus, achieved vs required accuracy, error-budget contributions), \
-                   write it as JSON to $(docv) and print the text report.")
-  in
-  Cmd.v (Cmd.info "plan" ~doc:"Synthesise the system-level test plan")
-    (code0
-       Term.(const run_plan $ telemetry_term $ strategy_arg $ topology_arg
-             $ list_topologies_arg $ audit))
+  compute_cmd Serve_protocol.Plan ~doc:"Synthesise the system-level test plan"
+    ~listing:
+      ( list_topologies_arg,
+        print_topologies,
+        "Record the synthesis audit trail (per-parameter provenance: strategy, stimulus, \
+         achieved vs required accuracy, error-budget contributions), write it as JSON to \
+         $(docv) and print the text report." )
 
 (* ---- coverage ---- *)
 
@@ -325,9 +308,6 @@ let measurement_of_name path strategy = function
 
 let run_coverage tel strategy param =
   with_telemetry tel ~command:"coverage" @@ fun () ->
-  let strategy =
-    if String.equal strategy "nominal" then Propagate.Nominal_gains else Propagate.Adaptive
-  in
   let path = Path.default_receiver () in
   let m = measurement_of_name path strategy param in
   let err = Propagate.err m in
@@ -352,18 +332,17 @@ let coverage_cmd =
     Arg.(value & opt param_conv "iip3" & info [ "param" ] ~docv:"PARAM"
            ~doc:"Parameter: iip3, p1db, fc, isolation or inl.")
   in
+  let strategy =
+    Term.(
+      const (fun set -> Serve_verbs.strategy_of (set (Serve_protocol.request Serve_protocol.Plan)))
+      $ flags_term
+          (List.filter (fun (Serve_protocol.Field f) -> f.name = "strategy")
+             Serve_protocol.fields))
+  in
   Cmd.v (Cmd.info "coverage" ~doc:"FCL/YL threshold analysis for a propagated test")
-    (code0 Term.(const run_coverage $ telemetry_term $ strategy_arg $ param))
+    (code0 Term.(const run_coverage $ telemetry_term $ strategy $ param))
 
 (* ---- faultsim ---- *)
-
-let progress_arg =
-  Cmdliner.Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:"Render a live progress heartbeat (work done, coverage so far, ETA) to \
-              stderr while the engines run.  The heartbeat polls atomic cells off the \
-              hot path, so it cannot change any result.")
 
 (* Heartbeat line for the fault-simulation pipeline: batch simulation,
    then spectral judging.  Reads only the engines' published cells. *)
@@ -387,28 +366,9 @@ let render_faultsim ~elapsed_s =
     batches batches_total judged judged_total coverage
     (Progress.pp_duration elapsed_s) eta
 
-let run_faultsim tel progress taps input_bits coeff_bits samples tones seed =
-  with_telemetry tel ~command:"faultsim" @@ fun () ->
-  let req =
-    Serve_protocol.request ~taps ~input_bits ~coeff_bits ~samples ~tones ~seed
-      Serve_protocol.Faultsim
-  in
-  (* pooled: bit-identical to the serial path at any MSOC_DOMAINS *)
-  let compute () = Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req in
-  let body =
-    if progress then Progress.with_ticker ~render:render_faultsim compute else compute ()
-  in
-  print_string body
-
 let faultsim_cmd =
-  let open Cmdliner in
-  let seed =
-    seed_arg ~doc:"Stimulus phase seed; 0 (default) means the canonical zero-phase tones."
-  in
-  Cmd.v (Cmd.info "faultsim" ~doc:"Spectral stuck-at fault simulation of the FIR filter")
-    (code0
-       Term.(const run_faultsim $ telemetry_term $ progress_arg $ taps_arg $ input_bits_arg
-             $ coeff_bits_arg $ samples_arg $ tones_arg $ seed))
+  compute_cmd Serve_protocol.Faultsim ~render:render_faultsim
+    ~doc:"Spectral stuck-at fault simulation of the FIR filter"
 
 (* ---- montecarlo ---- *)
 
@@ -424,30 +384,12 @@ let render_montecarlo ~elapsed_s =
     (Texttable.cell_pct ~decimals:0 (if total > 0.0 then done_ /. total else 0.0))
     (Progress.pp_duration elapsed_s) eta
 
-(* The Figure 4 error model at CLI scale.  The computation and rendering
-   live in [Msoc_serve.Verbs] (shared with the daemon executor), so this
-   subcommand and a daemon montecarlo request answer byte-identically.
-   Trials run on the domain pool with one pre-split generator stream per
-   trial, so the distribution is bit-identical at every pool size. *)
-let run_montecarlo tel progress strategy trials seed =
-  with_telemetry tel ~command:"montecarlo" @@ fun () ->
-  let req = Serve_protocol.request ~strategy ~trials ~seed Serve_protocol.Montecarlo in
-  let pool = Msoc_util.Pool.get_default () in
-  let compute () = Serve_verbs.run ~pool req in
-  let body =
-    if progress then Progress.with_ticker ~render:render_montecarlo compute else compute ()
-  in
-  print_string body
-
+(* The Figure 4 error model at CLI scale.  Trials run on the domain pool
+   with one pre-split generator stream per trial, so the distribution is
+   bit-identical at every pool size. *)
 let montecarlo_cmd =
-  let open Cmdliner in
-  let seed = seed_arg ~doc:"Generator seed; 0 (the default) means the canonical study seed." in
-  Cmd.v
-    (Cmd.info "montecarlo"
-       ~doc:"Monte-Carlo de-embedding error study for the mixer IIP3 (Figure 4 model)")
-    (code0
-       Term.(const run_montecarlo $ telemetry_term $ progress_arg $ strategy_arg
-             $ trials_arg $ seed))
+  compute_cmd Serve_protocol.Montecarlo ~render:render_montecarlo
+    ~doc:"Monte-Carlo de-embedding error study for the mixer IIP3 (Figure 4 model)"
 
 (* ---- trace: offline analysis of saved telemetry ---- *)
 
@@ -587,16 +529,8 @@ let spectrum_cmd =
 
 (* ---- measure ---- *)
 
-let run_measure tel strategy topology seed =
-  with_telemetry tel ~command:"measure" @@ fun () ->
-  let req = Serve_protocol.request ~topology ~strategy ~seed Serve_protocol.Measure in
-  print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req)
-
 let measure_cmd =
-  let open Cmdliner in
-  let seed = seed_arg ~doc:"Part seed; 0 means the nominal part." in
-  Cmd.v (Cmd.info "measure" ~doc:"Run the virtual tester against a manufactured part")
-    (code0 Term.(const run_measure $ telemetry_term $ strategy_arg $ topology_arg $ seed))
+  compute_cmd Serve_protocol.Measure ~doc:"Run the virtual tester against a manufactured part"
 
 (* ---- schedule: whole-SOC test-time minimization ---- *)
 
@@ -610,48 +544,16 @@ let print_socs () =
   List.iter (fun (name, summary) -> Texttable.add_row t [ name; summary ]) Soc.summaries;
   Texttable.print t
 
-let run_schedule tel soc restarts iters seed list_socs audit_file =
-  with_telemetry tel ~command:"schedule" @@ fun () ->
-  if list_socs then print_socs ()
-  else begin
-  if audit_file <> None then begin
-    Audit.enable ();
-    Audit.reset ()
-  end;
-  let req =
-    Serve_protocol.request ~soc ~restarts ~iters ~seed Serve_protocol.Schedule
-  in
-  print_string (Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req);
-  match audit_file with
-  | None -> ()
-  | Some file ->
-    Audit.disable ();
-    Format.printf "@.%s" (Audit.to_text ());
-    Audit.write_json file;
-    Format.eprintf "audit: %d provenance records written to %s@."
-      (List.length (Audit.records ()))
-      file;
-    Audit.reset ()
-  end
-
 let schedule_cmd =
-  let open Cmdliner in
-  let seed = seed_arg ~doc:"Annealing seed; 0 (default) means the canonical seed." in
-  let audit =
-    Arg.(value & opt (some string) None
-         & info [ "audit" ] ~docv:"FILE"
-             ~doc:"Record the per-core synthesis audit trail (per-parameter provenance \
-                   including the derived application cost), write it as JSON to $(docv) \
-                   and print the text report.")
-  in
-  Cmd.v
-    (Cmd.info "schedule"
-       ~doc:"Pack a whole SOC's synthesized tests under its test-bus and power \
-             constraints and minimize the total test time (greedy baseline plus \
-             pooled simulated-annealing refinement)")
-    (code0
-       Term.(const run_schedule $ telemetry_term $ soc_arg $ restarts_arg $ iters_arg $ seed
-             $ list_socs_arg $ audit))
+  compute_cmd Serve_protocol.Schedule
+    ~doc:"Pack a whole SOC's synthesized tests under its test-bus and power constraints \
+          and minimize the total test time (greedy baseline plus pooled \
+          simulated-annealing refinement)"
+    ~listing:
+      ( list_socs_arg,
+        print_socs,
+        "Record the per-core synthesis audit trail (per-parameter provenance including the \
+         derived application cost), write it as JSON to $(docv) and print the text report." )
 
 (* ---- netlist ---- *)
 
@@ -899,8 +801,7 @@ let run_client_load ~socket ~req ~repeat ~concurrency =
      broken transport makes the load run itself fail *)
   if transport > 0 then 1 else 0
 
-let run_client verb socket topology strategy seed taps input_bits coeff_bits samples
-    tones soc restarts iters trials sleep_ms repeat concurrency trace_format trace_out =
+let run_client req socket repeat concurrency trace_format trace_out =
   if repeat < 1 then failwith "client: --repeat must be at least 1";
   if concurrency < 1 then failwith "client: --concurrency must be at least 1";
   (* a per-request trace export is only requested when there is a file
@@ -909,10 +810,7 @@ let run_client verb socket topology strategy seed taps input_bits coeff_bits sam
   let trace =
     match trace_out with Some _ when not load_mode -> Some trace_format | _ -> None
   in
-  let req =
-    Serve_protocol.request ~topology ~strategy ~seed ~taps ~input_bits ~coeff_bits
-      ~samples ~tones ~soc ~restarts ~iters ~trials ~sleep_ms ?trace verb
-  in
+  let req = { req with Serve_protocol.trace } in
   let unreachable e =
     failwith
       (Printf.sprintf "client: cannot reach daemon at %s: %s" socket
@@ -957,7 +855,6 @@ let client_cmd =
              ~doc:"$(b,plan), $(b,measure), $(b,faultsim), $(b,montecarlo), \
                    $(b,schedule), $(b,metrics), $(b,ping) or $(b,sleep).")
   in
-  let seed = seed_arg ~doc:"Request seed (verb-dependent)." in
   let repeat =
     Arg.(value & opt int 1
          & info [ "repeat" ] ~docv:"N"
@@ -984,10 +881,10 @@ let client_cmd =
   Cmd.v
     (Cmd.info "client"
        ~doc:"Send one request to a running msoc daemon and print the response body")
-    Term.(const run_client $ verb $ socket_arg $ topology_arg $ strategy_arg $ seed
-          $ taps_arg $ input_bits_arg $ coeff_bits_arg $ samples_arg $ tones_arg $ soc_arg
-          $ restarts_arg $ iters_arg $ trials_arg $ sleep_ms_arg $ repeat $ concurrency
-          $ trace_format $ trace_out)
+    Term.(const run_client
+          $ (const (fun verb set -> set (Serve_protocol.request verb))
+            $ verb $ flags_term Serve_protocol.fields)
+          $ socket_arg $ repeat $ concurrency $ trace_format $ trace_out)
 
 (* ---- entry point: exit-code discipline ---- *)
 

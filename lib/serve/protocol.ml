@@ -80,22 +80,90 @@ let request ?(topology = "default") ?(strategy = "adaptive") ?(seed = 0) ?(taps 
   { verb; topology; strategy; seed; taps; input_bits; coeff_bits; samples; tones;
     soc; restarts; iters; trials; sleep_ms; trace }
 
+(* ---- the request schema: one row per field ---- *)
+
+type _ kind = Int : int kind | Name : string list -> string kind
+
+type field =
+  | Field : {
+      name : string;
+      kind : 'a kind;
+      get : request -> 'a;
+      set : request -> 'a -> request;
+      read_by : verb list;
+      docv : string option;
+      doc : string;
+    }
+      -> field
+
+let row ?docv name kind get set read_by doc = Field { name; kind; get; set; read_by; docv; doc }
+
+(* Table order is wire order.  Defaults stay in [request] above. *)
+let fields =
+  [ row "topology" (Name Msoc_analog.Topology.names) ~docv:"NAME"
+      (fun r -> r.topology) (fun r topology -> { r with topology }) [ Plan; Measure ]
+      "Signal-path topology to synthesise the plan for; see $(b,--list-topologies).";
+    row "strategy" (Name [ "nominal"; "adaptive" ]) ~docv:"STRATEGY"
+      (fun r -> r.strategy) (fun r strategy -> { r with strategy })
+      [ Plan; Measure; Montecarlo ] "De-embedding strategy: nominal or adaptive.";
+    row "seed" Int (fun r -> r.seed) (fun r seed -> { r with seed })
+      [ Measure; Faultsim; Montecarlo; Schedule ]
+      "Seed; 0 (the default) means the canonical run: the nominal part (measure), \
+       zero-phase stimulus tones (faultsim), the canonical study seed (montecarlo) \
+       and the canonical annealing seed (schedule).";
+    row "taps" Int (fun r -> r.taps) (fun r taps -> { r with taps }) [ Faultsim ]
+      "FIR tap count (faultsim).";
+    row "input_bits" Int (fun r -> r.input_bits)
+      (fun r input_bits -> { r with input_bits }) [ Faultsim ] "Input bus width (faultsim).";
+    row "coeff_bits" Int (fun r -> r.coeff_bits)
+      (fun r coeff_bits -> { r with coeff_bits }) [ Faultsim ] "Coefficient width (faultsim).";
+    row "samples" Int (fun r -> r.samples) (fun r samples -> { r with samples }) [ Faultsim ]
+      "Test pattern count (faultsim).";
+    row "tones" Int (fun r -> r.tones) (fun r tones -> { r with tones }) [ Faultsim ]
+      "Stimulus tone count, 1 or 2 (faultsim).";
+    row "soc" (Name Msoc_soc.Soc.names) ~docv:"NAME"
+      (fun r -> r.soc) (fun r soc -> { r with soc }) [ Schedule ]
+      "SOC fixture to schedule; see $(b,msoc schedule --list-socs).";
+    row "restarts" Int ~docv:"N" (fun r -> r.restarts)
+      (fun r restarts -> { r with restarts }) [ Schedule ]
+      "Simulated-annealing restarts (schedule), fanned out over the domain pool; the \
+       chosen schedule is bit-identical at every pool size.";
+    row "iters" Int ~docv:"N" (fun r -> r.iters) (fun r iters -> { r with iters })
+      [ Schedule ] "Annealing moves per restart (schedule).";
+    row "trials" Int (fun r -> r.trials) (fun r trials -> { r with trials }) [ Montecarlo ]
+      "Monte-Carlo trial count (montecarlo).";
+    row "sleep_ms" Int (fun r -> r.sleep_ms) (fun r sleep_ms -> { r with sleep_ms })
+      [ Sleep ] "Executor hold time (sleep)." ]
+
+let reads verb (Field f) = List.mem verb f.read_by
+
+(* A value as it is encoded on the wire. *)
+let emit : type a. a kind -> a -> Buffer.t -> unit = function
+  | Int -> Json.int
+  | Name _ -> Json.str
+
 (* The canonical computation identity behind a request: the verb plus
    exactly the fields that verb reads.  Projecting down to the read set
    makes the key total over equivalent requests — a faultsim request with
-   an exotic [soc] field shares a key with one that left it defaulted. *)
+   an exotic [soc] field shares a key with one that left it defaulted.
+   Each value is encoded as on the wire, strings quoted and escaped, so
+   no two different projections share a key. *)
 let cache_key r =
   match r.verb with
-  | Plan -> Some (Printf.sprintf "plan|%s|%s" r.topology r.strategy)
-  | Measure -> Some (Printf.sprintf "measure|%s|%s|%d" r.topology r.strategy r.seed)
-  | Faultsim ->
-    Some
-      (Printf.sprintf "faultsim|%d|%d|%d|%d|%d|%d" r.taps r.input_bits r.coeff_bits
-         r.samples r.tones r.seed)
-  | Montecarlo -> Some (Printf.sprintf "montecarlo|%s|%d|%d" r.strategy r.trials r.seed)
-  | Schedule ->
-    Some (Printf.sprintf "schedule|%s|%d|%d|%d" r.soc r.restarts r.iters r.seed)
   | Metrics | Ping | Sleep -> None
+  | verb ->
+    let b = Buffer.create 64 in
+    Buffer.add_string b (verb_name verb);
+    List.iter
+      (fun (Field f as row) ->
+        if reads verb row then begin
+          Buffer.add_char b '|';
+          emit f.kind (f.get r) b
+        end)
+      fields;
+    Some (Buffer.contents b)
+
+let max_line_bytes = 1 lsl 20
 
 (* Scan only the [n] new bytes: [pending] already holds the unterminated
    tail, so a line that arrives in k reads costs its length, not k times
@@ -117,20 +185,8 @@ let split_lines pending chunk n f =
 let request_to_json r =
   let b = Buffer.create 256 in
   Json.obj_to b
-    ([ ("verb", Json.str (verb_name r.verb));
-       ("topology", Json.str r.topology);
-       ("strategy", Json.str r.strategy);
-       ("seed", Json.int r.seed);
-       ("taps", Json.int r.taps);
-       ("input_bits", Json.int r.input_bits);
-       ("coeff_bits", Json.int r.coeff_bits);
-       ("samples", Json.int r.samples);
-       ("tones", Json.int r.tones);
-       ("soc", Json.str r.soc);
-       ("restarts", Json.int r.restarts);
-       ("iters", Json.int r.iters);
-       ("trials", Json.int r.trials);
-       ("sleep_ms", Json.int r.sleep_ms) ]
+    ((("verb", Json.str (verb_name r.verb))
+     :: List.map (fun (Field f) -> (f.name, emit f.kind (f.get r))) fields)
     @
     match r.trace with
     | None -> []
@@ -155,6 +211,12 @@ let int_member ~default key j =
   | Some _ ->
     raise (Bad_field (Printf.sprintf "field %S must be an integer within the int range" key))
 
+let member : type a. a kind -> string -> Json.value -> default:a -> a =
+ fun kind key j ~default ->
+  match kind with
+  | Int -> int_member ~default key j
+  | Name _ -> Option.value ~default (string_member key j)
+
 let request_of_json line =
   match Json.parse_result line with
   | Error msg -> Error ("invalid request JSON: " ^ msg)
@@ -169,9 +231,6 @@ let request_of_json line =
              (Printf.sprintf "unknown verb %S (known: %s)" name
                 (String.concat ", " (List.map verb_name all_verbs)))
          | Some verb ->
-           let d = request verb in
-           let str key default = Option.value ~default (string_member key j) in
-           let int key default = int_member ~default key j in
            let trace =
              Option.map
                (fun t ->
@@ -183,21 +242,9 @@ let request_of_json line =
                (string_member "trace" j)
            in
            Ok
-             { verb;
-               topology = str "topology" d.topology;
-               strategy = str "strategy" d.strategy;
-               seed = int "seed" d.seed;
-               taps = int "taps" d.taps;
-               input_bits = int "input_bits" d.input_bits;
-               coeff_bits = int "coeff_bits" d.coeff_bits;
-               samples = int "samples" d.samples;
-               tones = int "tones" d.tones;
-               soc = str "soc" d.soc;
-               restarts = int "restarts" d.restarts;
-               iters = int "iters" d.iters;
-               trials = int "trials" d.trials;
-               sleep_ms = int "sleep_ms" d.sleep_ms;
-               trace })
+             (List.fold_left
+                (fun r (Field f) -> f.set r (member f.kind f.name j ~default:(f.get r)))
+                { (request verb) with trace } fields))
      with Bad_field msg -> Error msg)
 
 type status = Ok_ | Overloaded | Failed

@@ -50,15 +50,57 @@ val request :
   ?sleep_ms:int -> ?trace:trace_format -> verb -> request
 (** A request with every unspecified field at its CLI default. *)
 
+(** {2 The request schema}
+
+    Every request field except [verb] and [trace] is declared once, as a
+    row of {!fields}.  The wire codec, {!cache_key} and the msoc CLI's
+    request flags are all derived from the table, so adding a field takes
+    the record field, its default in {!request} and one row. *)
+
+type _ kind =
+  | Int : int kind  (** a JSON integer; an [int] flag *)
+  | Name : string list -> string kind
+      (** a JSON string; the CLI flag accepts only the listed names *)
+
+type field =
+  | Field : {
+      name : string;
+          (** the wire name; the CLI flag is the same name with [-] for [_] *)
+      kind : 'a kind;
+      get : request -> 'a;
+      set : request -> 'a -> request;
+      read_by : verb list;
+          (** the verbs whose result depends on the field: the field is in
+              their {!cache_key} and a flag of their CLI subcommand *)
+      docv : string option;  (** the flag's value placeholder in help *)
+      doc : string;  (** the flag's help text *)
+    }
+      -> field
+(** One row of the schema.  A row's default is [get (request verb)]. *)
+
+val fields : field list
+(** One row per field, in wire order. *)
+
+val reads : verb -> field -> bool
+(** [reads verb row]: [verb] is in the row's [read_by]. *)
+
 val cache_key : request -> string option
 (** Canonical identity of the computation a request describes: the verb
-    plus exactly the fields that verb reads, normalized (two requests
-    differing only in fields the verb ignores share a key).  [None] for
-    the verbs that read daemon state or wall-clock time
-    (Metrics/Ping/Sleep) — those are never cacheable.  This key indexes
-    both the synthesis result cache and the daemon's in-flight table, so
-    a duplicate of a running request joins its execution and a later one
-    reads its cached body. *)
+    name, then, for each row of {!fields} that the verb reads, in table
+    order, ['|'] and the field's value encoded as on the wire (strings
+    quoted and escaped), as in [measure|"default"|"adaptive"|3].  Two
+    requests differing only in fields the verb ignores share a key, and
+    no two different projections do.  [None] for the verbs that read
+    daemon state or wall-clock time (Metrics/Ping/Sleep) — those are
+    never cacheable.  This key indexes both the synthesis result cache
+    and the daemon's in-flight table, so a duplicate of a running request
+    joins its execution and a later one reads its cached body.  It is an
+    opaque in-process identity: compare it, never parse it. *)
+
+val max_line_bytes : int
+(** The longest unterminated request line the daemon buffers, 1 MiB (a
+    request line is about 200 bytes).  Past it the daemon answers one
+    [error] response with verb [invalid] and closes the connection. *)
 
 val split_lines : Buffer.t -> Bytes.t -> int -> (string -> unit) -> unit
 (** [split_lines pending chunk n f] frames [n] freshly read bytes of

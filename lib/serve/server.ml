@@ -518,6 +518,10 @@ let handle_line t conns conn_id line =
     | Ok req -> admit t conns conn_id req
   end
 
+let drop_conn conns conn_id c =
+  (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+  Hashtbl.remove conns conn_id
+
 let handle_readable t conns conn_id c =
   let chunk = Bytes.create 65536 in
   let n =
@@ -526,11 +530,20 @@ let handle_readable t conns conn_id c =
     | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> -1
     | Unix.Unix_error _ -> 0
   in
-  if n = 0 then begin
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-    Hashtbl.remove conns conn_id
+  if n = 0 then drop_conn conns conn_id c
+  else if n > 0 then begin
+    Protocol.split_lines c.c_buf chunk n (handle_line t conns conn_id);
+    (* a client that never sends a newline must not grow the daemon
+       without bound; a failed write may already have dropped it *)
+    if Buffer.length c.c_buf > Protocol.max_line_bytes && Hashtbl.mem conns conn_id then begin
+      respond_immediately t conns conn_id ~status:Protocol.Failed ~verb:"invalid"
+        ~body:
+          (Printf.sprintf "request line exceeds %d bytes without a newline"
+             Protocol.max_line_bytes)
+        ();
+      drop_conn conns conn_id c
+    end
   end
-  else if n > 0 then Protocol.split_lines c.c_buf chunk n (handle_line t conns conn_id)
 
 let accept_all t conns next_conn =
   let rec go () =

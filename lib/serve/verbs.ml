@@ -76,6 +76,12 @@ let measure ~pool:_ (req : Protocol.request) =
       ^ Texttable.render tbl)
 
 let faultsim ~pool (req : Protocol.request) =
+  if req.tones < 1 || req.tones > 2 then failwith "faultsim: tones must be 1 or 2";
+  if req.taps < 1 then failwith "faultsim: taps must be at least 1";
+  if req.samples < 64 then failwith "faultsim: samples must be at least 64";
+  if req.coeff_bits < 2 || req.coeff_bits > 30 then
+    failwith "faultsim: coeff_bits must be between 2 and 30";
+  if req.input_bits < 2 then failwith "faultsim: input_bits must be at least 2";
   let config =
     { Digital_test.default_config with
       Digital_test.taps = req.taps;
@@ -91,13 +97,13 @@ let faultsim ~pool (req : Protocol.request) =
           Digital_test.coherent_tone ~sample_rate:fs ~samples:req.samples ~target:90e3
         in
         let freqs =
-          if req.tones <= 1 then [ f1 ]
+          if req.tones = 1 then [ f1 ]
           else
             [ f1;
               Digital_test.coherent_tone ~sample_rate:fs ~samples:req.samples
                 ~target:110e3 ]
         in
-        let amplitude_fs = 0.9 /. float_of_int (max 1 req.tones) in
+        let amplitude_fs = 0.9 /. float_of_int req.tones in
         (* seed 0 keeps the historical zero-phase stimulus; any other seed
            draws reproducible random tone phases *)
         let rng = if req.seed = 0 then None else Some (Prng.create req.seed) in

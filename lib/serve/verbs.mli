@@ -14,10 +14,15 @@
 val run : pool:Msoc_util.Pool.t -> Protocol.request -> string
 (** Execute the request's verb and return the rendered body text.
 
-    @raise Failure on bad request parameters (unknown topology, strategy
-    or SOC name).
+    @raise Failure on bad request parameters, naming the field: an
+    unknown topology, strategy or SOC name, or a faultsim or montecarlo
+    size out of range.
     @raise Invalid_argument when the verb is not a compute verb
     (Metrics/Ping/Sleep read daemon state and live in the server). *)
+
+val strategy_of : Protocol.request -> Msoc_synth.Propagate.strategy
+(** The request's de-embedding strategy.
+    @raise Failure on a name other than [nominal] or [adaptive]. *)
 
 val montecarlo_canonical_seed : int
 (** The study seed that request seed 0 stands for (seed 0 is "the

@@ -312,7 +312,38 @@ let test_cache_key_covers_reads () =
         [ "taps"; "input_bits"; "coeff_bits"; "samples"; "tones"; "seed" ] );
       (Protocol.request ~trials:200 Protocol.Montecarlo, [ "strategy"; "trials"; "seed" ]);
       ( Protocol.request ~restarts:2 ~iters:50 Protocol.Schedule,
-        [ "soc"; "restarts"; "iters"; "seed" ] ) ]
+        [ "soc"; "restarts"; "iters"; "seed" ] ) ];
+  (* a separator inside a string value cannot forge another request's key *)
+  List.iter
+    (fun verb ->
+      Alcotest.(check bool)
+        (Protocol.verb_name verb ^ ": a|b,c and a,b|c get different keys")
+        true
+        (Protocol.cache_key (Protocol.request ~topology:"a|b" ~strategy:"c" verb)
+        <> Protocol.cache_key (Protocol.request ~topology:"a" ~strategy:"b|c" verb)))
+    [ Protocol.Plan; Protocol.Measure ]
+
+(* ---- faultsim names its bad fields ---- *)
+
+let test_faultsim_bad_fields () =
+  (* out-of-range sizes fail before building, naming the field, instead of
+     tripping an engine assertion or silently running another stimulus *)
+  let base = Protocol.request ~taps:5 ~samples:128 Protocol.Faultsim in
+  Pool.with_pool ~size:1 @@ fun pool ->
+  List.iter
+    (fun (field, req) ->
+      match Verbs.run ~pool req with
+      | _ -> Alcotest.failf "faultsim with a bad %s must fail" field
+      | exception Failure msg -> check_contains msg [ field ])
+    [ ("tones", { base with Protocol.tones = 0 });
+      ("tones", { base with Protocol.tones = 3 });
+      ("tones", { base with Protocol.tones = -1 });
+      ("taps", { base with Protocol.taps = 0 });
+      ("samples", { base with Protocol.samples = 7 });
+      ("samples", { base with Protocol.samples = -5 });
+      ("coeff_bits", { base with Protocol.coeff_bits = 1 });
+      ("coeff_bits", { base with Protocol.coeff_bits = 31 });
+      ("input_bits", { base with Protocol.input_bits = 1 }) ]
 
 (* ---- backpressure ---- *)
 
@@ -621,6 +652,27 @@ let test_split_lines () =
     Alcotest.(check string) "split request's body" expected plan.Protocol.body
   | rs -> Alcotest.failf "expected two responses, read %d" (List.length rs)
 
+let test_line_cap () =
+  (* an unterminated line past the cap gets one parse error, then EOF; the
+     daemon keeps answering other connections *)
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  let fd = connect_raw ~timeout:10.0 socket_path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      write_string fd (String.make (Protocol.max_line_bytes + 1) 'x');
+      match read_lines fd 2 with
+      | [ line ] ->
+        let r = parse_response line in
+        Alcotest.(check string) "status" "error" (Protocol.status_name r.Protocol.status);
+        Alcotest.(check string) "verb" "invalid" r.Protocol.verb;
+        check_contains r.Protocol.body [ string_of_int Protocol.max_line_bytes ]
+      | lines -> Alcotest.failf "expected one line then EOF, read %d line(s)" (List.length lines));
+  Client.with_connection ~socket_path @@ fun c ->
+  match Client.request c (Protocol.request Protocol.Ping) with
+  | Ok r -> check_contains r.Protocol.body [ "pong" ]
+  | Error e -> Alcotest.failf "ping after the cap failed: %s" e
+
 (* ---- montecarlo: daemon == CLI ---- *)
 
 let test_montecarlo_identity () =
@@ -841,7 +893,9 @@ let () =
       ( "protocol",
         [ Alcotest.test_case "request/response round trip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "cache key covers every field a verb reads" `Quick
-            test_cache_key_covers_reads ] );
+            test_cache_key_covers_reads;
+          Alcotest.test_case "faultsim names its bad fields" `Quick
+            test_faultsim_bad_fields ] );
       ( "daemon",
         [ Alcotest.test_case "queue-full backpressure" `Quick test_backpressure;
           Alcotest.test_case "plan byte-identity across pool sizes" `Quick
@@ -851,6 +905,7 @@ let () =
           Alcotest.test_case "join a running execution" `Quick test_join_mid_execution;
           Alcotest.test_case "failed leader frees its key" `Quick test_failed_leader;
           Alcotest.test_case "request lines split across reads" `Quick test_split_lines;
+          Alcotest.test_case "unterminated line past the cap" `Quick test_line_cap;
           Alcotest.test_case "montecarlo daemon matches CLI" `Quick
             test_montecarlo_identity;
           Alcotest.test_case "heavy-class admission cap" `Quick test_heavy_cap_admission;

@@ -647,18 +647,15 @@ let socket_arg =
     & opt (some string) None
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path of the daemon.")
 
-let run_serve socket queue_capacity executors cache_size heavy_cap access_log metrics_out =
+let run_serve socket queue_capacity executors cache_size access_log metrics_out =
   if queue_capacity < 1 then failwith "serve: --queue must be at least 1";
   (match executors with
   | Some k when k < 1 -> failwith "serve: --executors must be at least 1"
   | _ -> ());
-  (match heavy_cap with
-  | Some c when c < 1 -> failwith "serve: --heavy-cap must be at least 1"
-  | _ -> ());
   if cache_size < 0 then failwith "serve: --cache-size must be at least 0";
   set_build_info ();
   let cfg =
-    Serve_server.config ~queue_capacity ?executors ~cache_size ?heavy_cap ?access_log
+    Serve_server.config ~queue_capacity ?executors ~cache_size ?access_log
       ?metrics_out socket
   in
   let server = Serve_server.create cfg in
@@ -695,13 +692,6 @@ let serve_cmd =
                    canonical request identity); $(b,0) disables the cache.  Cached \
                    replies are byte-identical to cold ones.")
   in
-  let heavy_cap =
-    Arg.(value & opt (some int) None
-         & info [ "heavy-cap" ] ~docv:"N"
-             ~doc:"Admission cap on queued heavy (compute) jobs, below the queue \
-                   capacity so cheap ping/metrics probes always find space.  \
-                   Defaults to 3/4 of the queue capacity.")
-  in
   let access_log =
     Arg.(value & opt (some string) None
          & info [ "access-log" ] ~docv:"FILE"
@@ -721,7 +711,7 @@ let serve_cmd =
              result cache (a duplicate of a running request shares its execution), \
              per-request traces, Prometheus metrics and a structured access log")
     (code0
-       Term.(const run_serve $ socket_arg $ queue $ executors $ cache_size $ heavy_cap
+       Term.(const run_serve $ socket_arg $ queue $ executors $ cache_size
              $ access_log $ metrics_out))
 
 (* ---- client: one request against a running daemon ---- *)

@@ -64,9 +64,6 @@ let apply_into t buf =
     Array.unsafe_set buf i (apply t (Array.unsafe_get buf i))
   done
 
-let gain_lin t = t.a1
-let a3 t = t.a3
-let a5 t = t.a5
 let saturation_input t = t.sat_in
 
 let gain_at_amplitude t amplitude =

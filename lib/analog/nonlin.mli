@@ -21,10 +21,6 @@ val apply : t -> float -> float
 val apply_into : t -> float array -> unit
 (** [apply] over a whole buffer, in place and without allocating. *)
 
-val gain_lin : t -> float
-val a3 : t -> float
-val a5 : t -> float
-
 val saturation_input : t -> float
 (** Input amplitude beyond which the output is clamped; [infinity] for a
     purely linear instance. *)

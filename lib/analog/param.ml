@@ -1,6 +1,5 @@
 module I = Msoc_util.Interval
 module Prng = Msoc_util.Prng
-module Distribution = Msoc_stat.Distribution
 
 type t = { nominal : float; tol : float }
 
@@ -11,12 +10,6 @@ let make ~nominal ~tol =
   { nominal; tol }
 
 let interval p = I.of_err p.nominal ~err:p.tol
-
-let effective_sigma p =
-  if p.tol > 0.0 then p.tol /. 3.0
-  else Float.max (Float.abs p.nominal *. 1e-9) 1e-12
-
-let distribution p = Distribution.normal ~mean:p.nominal ~sigma:(effective_sigma p)
 
 let sample p g =
   if p.tol = 0.0 then p.nominal
@@ -33,5 +26,3 @@ let sample_defective p g ~severity =
   let magnitude = if p.tol > 0.0 then p.tol else Float.max (Float.abs p.nominal *. 0.01) 1e-9 in
   let side = if Prng.float g < 0.5 then -1.0 else 1.0 in
   base +. (side *. severity *. magnitude)
-
-let pp ppf p = Format.fprintf ppf "%g ± %g" p.nominal p.tol

@@ -16,9 +16,6 @@ val make : nominal:float -> tol:float -> t
 (** Requires [tol >= 0]. *)
 
 val interval : t -> Msoc_util.Interval.t
-val distribution : t -> Msoc_stat.Distribution.t
-(** Normal, [sigma = tol / 3]; degenerate tolerances get a tiny sigma so the
-    distribution stays well-defined. *)
 
 val sample : t -> Msoc_util.Prng.t -> float
 (** Draw a manufacturing instance, truncated to the tolerance range (a
@@ -27,5 +24,3 @@ val sample : t -> Msoc_util.Prng.t -> float
 val sample_defective : t -> Msoc_util.Prng.t -> severity:float -> float
 (** Draw a soft-faulty instance: a deviation of [severity] tolerances is
     added on a random side — "slight deviations in parameter values" (§5). *)
-
-val pp : Format.formatter -> t -> unit

@@ -80,11 +80,6 @@ let lo_freq_hz t =
   | Some s -> (match Stage.lo_params s with Some lo -> Some lo.Local_osc.freq_hz | None -> None)
   | None -> None
 
-let lo_drive_dbm t =
-  match first_mixer t with
-  | Some s -> (match Stage.lo_params s with Some lo -> Some lo.Local_osc.drive_dbm | None -> None)
-  | None -> None
-
 (* A parameter id either names a stage directly or names the LO owned by a
    mixer stage. *)
 let param_opt t ~stage ~name =

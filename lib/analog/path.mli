@@ -41,7 +41,6 @@ val settle_cycles : t -> int
 val find_stage : t -> string -> Stage.t option
 val first_mixer : t -> Stage.t option
 val lo_freq_hz : t -> float option
-val lo_drive_dbm : t -> float option
 
 val param_opt : t -> stage:string -> name:string -> Param.t option
 (** Look up a toleranced parameter by stage id and conventional field name.
@@ -76,7 +75,6 @@ val sample_part : t -> Msoc_util.Prng.t -> part
     reverse stage order (mixer before LO within a stage), reproducing the
     historical record-expression sampler bit for bit. *)
 
-val part_value_opt : t -> part -> stage:string -> name:string -> float option
 val part_value : t -> part -> stage:string -> name:string -> float
 val with_value : t -> part -> stage:string -> name:string -> float -> part
 (** Functional update of one value; [stage] may name an LO. *)

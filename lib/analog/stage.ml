@@ -48,14 +48,6 @@ let decimation t =
   | Adc { decimation; _ } | Sd_adc { decimation; _ } -> Some decimation
   | Amp _ | Mix _ | Lpf _ -> None
 
-let block_name t =
-  match t.block with
-  | Amp _ -> "amplifier"
-  | Mix _ -> "mixer"
-  | Lpf _ -> "lpf"
-  | Adc _ -> "adc"
-  | Sd_adc _ -> "sigma-delta"
-
 (* Output-rate cycles for the block's transient to die out after a
    stimulus change, before a capture is trustworthy.  Wideband blocks
    settle in a few cycles; the channel filter dominates; a sigma-delta

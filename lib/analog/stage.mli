@@ -53,9 +53,6 @@ val lo_id : t -> string option
 val lo_params : t -> Local_osc.params option
 val is_digitizer : t -> bool
 val decimation : t -> int option
-val block_name : t -> string
-(** Lower-case class name: ["amplifier"], ["mixer"], ["lpf"], ["adc"],
-    ["sigma-delta"]. *)
 
 val settle_cycles : t -> int
 (** Output-rate cycles for this block's transient to settle after a
@@ -63,11 +60,6 @@ val settle_cycles : t -> int
     sigma-delta flushes three decimation periods of CIC state). *)
 
 (** {1 Toleranced parameters} *)
-
-val params : t -> (string * Param.t) list
-(** The stage's own parameters, by conventional field name
-    (e.g. ["gain_db"], ["iip3_dbm"]).  LO parameters are separate — see
-    {!lo_params_named}. *)
 
 val lo_params_named : t -> (string * Param.t) list
 val param : t -> name:string -> Param.t option

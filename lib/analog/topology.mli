@@ -5,10 +5,6 @@
 
 type entry = { name : string; summary : string; build : unit -> Path.t }
 
-val registry : entry list
-(** Sorted by name — listings and golden fixtures rely on the stable
-    order. *)
-
 val names : string list
 (** Registry names, in the registry's sorted order. *)
 

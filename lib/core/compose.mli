@@ -50,13 +50,6 @@ val boundary_checks : Path.t -> test_level_dbm:float -> boundary_check list
     composition masks fails the high-amplitude check; a gain deficit that
     composition masks fails the low-amplitude (signal-loss) check. *)
 
-val ceiling_input_dbm : Path.t -> float
-(** Input level at which the first block of the nominal path compresses. *)
-
-val floor_input_dbm : Path.t -> float
-(** Input-referred system noise floor (thermal cascade or ADC quantization,
-    whichever dominates). *)
-
 type saturation_report = {
   block : string;
   drive_dbm : float;        (** Worst-case signal level at the block input. *)

@@ -14,9 +14,6 @@ type t = {
   sample_rate_hz : float;   (** ATE/digitizer clock the cycles run at. *)
 }
 
-val default_setup_cycles : int
-(** 64 — the conventional per-procedure instrument setup figure. *)
-
 val create :
   ?setup_cycles:int ->
   captures:int ->

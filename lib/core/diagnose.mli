@@ -13,10 +13,7 @@ module Fault = Msoc_netlist.Fault
 
 type signature = float array
 (** Band-integrated deviation energies, log-compressed; constant length
-    {!bands} for one dictionary. *)
-
-val bands : int
-(** Number of frequency bands per signature (32). *)
+    (32 bands) for one dictionary. *)
 
 type entry = {
   fault : Fault.t;

@@ -22,7 +22,6 @@ let create ?(seed = 1234) ?(capture_samples = 4096) path part =
     engine =
       Path.engine path part ~seed ~samples:(capture_samples * Path.decimation path) }
 
-let capture_samples t = t.capture_samples
 let adc_rate t = Path.adc_rate_hz t.path
 
 let lo_nominal t =
@@ -281,37 +280,6 @@ let lpf_cutoff_hz t ~strategy =
   | Propagate.Adaptive ->
     let lo_error = lo_frequency_hz t ~level_dbm:level -. lo_nominal t in
     crossing_if +. lo_error
-
-let mixer_lo_isolation_db t =
-  (* With no stimulus the LO leakage folds near DC; remove the mean and
-     integrate the low bins.  Resolution-limited when the LO frequency
-     error is below a couple of bins. *)
-  let volts = raw_capture t [] in
-  let mean = Msoc_util.Floatx.mean volts in
-  let centred = Array.map (fun v -> v -. mean) volts in
-  let sp = Spectrum.analyze ~sample_rate:(adc_rate t) centred in
-  let power = ref 0.0 in
-  for k = 1 to 6 do
-    power := !power +. sp.Spectrum.bins.(k)
-  done;
-  let leak_dbm = Units.dbm_of_vpeak (sqrt (2.0 *. !power)) in
-  (* refer the output reading back through the pass-band gains that follow
-     the mixer *)
-  let mx = mixer_stage t in
-  let leak_at_mixer =
-    let after =
-      match Path.gains_from t.path ~stage:mx.Stage.id with [] -> [] | _ :: rest -> rest
-    in
-    List.fold_left (fun acc (p : Param.t) -> acc -. p.Param.nominal) leak_dbm after
-  in
-  let drive =
-    match Path.lo_drive_dbm t.path with
-    | Some d -> d
-    | None -> invalid_arg "Measure: mixer stage carries no LO"
-  in
-  drive -. leak_at_mixer
-
-let dc_offset_composite_v t = Msoc_util.Floatx.mean (raw_capture t [])
 
 type validation = {
   parameter : string;

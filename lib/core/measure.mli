@@ -19,48 +19,18 @@ val create : ?seed:int -> ?capture_samples:int -> Path.t -> Path.part -> t
     [capture_samples] to be a power of two >= 256.  Builds the session's
     waveform engine once, drawing all its noise from [seed]. *)
 
-val capture_samples : t -> int
-
-val capture :
-  t -> tones:(float * float) list -> Msoc_dsp.Spectrum.t
-(** Apply tones given as [(rf_frequency_hz, level_dbm)] at the primary
-    input and return the spectrum of the digitised primary output (volts).
-    Frequencies are snapped to capture-coherent bins.  Every capture
-    replays the session engine's one noise realisation, so repeated
-    measurements see identical noise — the tester averages are
-    deterministic. *)
-
-val tone_power_dbm : Msoc_dsp.Spectrum.t -> freq_hz:float -> float
-
 val path_gain_db : t -> level_dbm:float -> float
 (** Single-tone composite gain at a 100 kHz IF. *)
 
-val if_frequency_hz : t -> rf_freq_hz:float -> level_dbm:float -> float
-(** Measured output frequency of an applied RF tone, with parabolic
-    interpolation between bins (sub-bin resolution). *)
-
 val lo_frequency_hz : t -> level_dbm:float -> float
 (** Adaptive LO measurement: apply an RF tone at a known frequency and
-    subtract the measured IF — the prerequisite for {!lpf_cutoff_hz}. *)
-
-val mixer_iip3_dbm : t -> strategy:Propagate.strategy -> float
-(** Two-tone test: read the fundamental X and IM3 product Y at the output
-    and de-embed with the chosen strategy's formula. *)
+    subtract the measured IF — the prerequisite for the LPF cut-off
+    sweep. *)
 
 val mixer_p1db_dbm : t -> strategy:Propagate.strategy -> float
 (** Level sweep to the 1 dB compression point.  Nominal strategy detects
     the drop against the nominal-gain line; adaptive against the part's
     own measured small-signal gain. *)
-
-val lpf_cutoff_hz : t -> strategy:Propagate.strategy -> float
-(** Frequency sweep to the -3 dB corner (relative to the measured or
-    nominal pass-band level), LO subtracted per the strategy. *)
-
-val mixer_lo_isolation_db : t -> float
-(** Read the LO leakage spur with no stimulus applied. *)
-
-val dc_offset_composite_v : t -> float
-(** Mean output voltage with no stimulus. *)
 
 type validation = {
   parameter : string;

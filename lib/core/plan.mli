@@ -26,10 +26,6 @@ type t = {
 val synthesize : ?strategy:Propagate.strategy -> Path.t -> t
 (** Default strategy: [Adaptive]. *)
 
-val losses_for : Path.t -> Propagate.t -> Coverage.losses
-(** Predicted FCL/YL of one propagated measurement at [Thr = Tol], from
-    the defective-population model and the budget's worst-case error. *)
-
 val population_of_spec : Path.t -> Spec.t -> Msoc_stat.Distribution.t option
 (** Manufactured-population model for a spec'd parameter ([None] for
     parameters without a toleranced source, e.g. stuck-at coverage). *)
@@ -50,15 +46,6 @@ val pp_summary : Format.formatter -> t -> unit
     them.  {!schedule} topologically sorts the plan by its prerequisite
     names and attaches each step's derived {!Cost.t}. *)
 
-val default_capture_samples : int
-(** 4096 — the virtual tester's default record length. *)
-
-val application_cost : ?capture_samples:int -> Path.t -> entry -> Cost.t
-(** Derived application cost of one entry: capture count from the
-    measurement kind, record length from the tester, settling from the
-    path's stages, clocked at the path's digitizer rate.  This is the
-    pure pricing function the SOC scheduler consumes. *)
-
 type step = {
   position : int;                 (** 1-based program order. *)
   name : string;
@@ -70,8 +57,8 @@ type step = {
 
 val schedule : ?capture_samples:int -> t -> step list
 (** Raises [Invalid_argument] on a prerequisite cycle.  Default record
-    length {!default_capture_samples} (4.2 ms per capture on the default
-    receiver: 48 settle + 4096 record cycles at 1 MHz). *)
+    length 4096 samples (4.2 ms per capture on the default receiver: 48
+    settle + 4096 record cycles at 1 MHz). *)
 
 val total_test_time : step list -> float
 

@@ -54,11 +54,6 @@ val mixer_lo_isolation : Path.t -> strategy:strategy -> t
 val adc_inl : Path.t -> t
 (** INL bounded through the carrier-relative harmonic spur power. *)
 
-val dc_offset_composite : Path.t -> t
-(** The DC level at the output observes the amp offset (times the path
-    gain) plus the ADC offset as one composite — the paper's point that
-    some module parameters are only testable jointly. *)
-
 val lpf_cutoff_slope_db_per_hz : Path.t -> float
 (** Roll-off slope of the LPF response at the nominal cut-off, used to
     convert gain uncertainty into cut-off frequency uncertainty. *)

@@ -46,7 +46,6 @@ type t = {
 
 val block_name : block -> string
 val kind_name : kind -> string
-val origin_name : origin -> string
 
 val table1 : block -> kind list
 (** The parameter set the paper's Table 1 assigns to each block. *)
@@ -62,15 +61,12 @@ val gain_kind : block -> kind
     ({!Passband_gain} for the LPF, {!Gain} otherwise). *)
 
 val param_names : kind -> string list
-(** Candidate {!Msoc_analog.Stage.params} names backing a spec kind, tried
+(** Candidate {!Msoc_analog.Stage.param} names backing a spec kind, tried
     in order; empty for kinds with no toleranced source parameter. *)
 
 val passes : bound -> float -> bool
 val pp_bound : Format.formatter -> bound -> unit
 val pp : Format.formatter -> t -> unit
-
-val of_stage : Msoc_analog.Stage.t -> t list
-(** Table-1 specs of one stage (a mixer stage also emits its LO's). *)
 
 val of_path : Msoc_analog.Path.t -> t list
 (** Concrete spec list for a path: every Table 1 parameter of every stage

@@ -17,9 +17,6 @@ let create ~order ~decimation =
     combs = Array.make order 0;
     phase = 0 }
 
-let order t = t.order
-let decimation t = t.decimation
-
 let gain t =
   let rec power acc n = if n = 0 then acc else power (acc * t.decimation) (n - 1) in
   power 1 t.order

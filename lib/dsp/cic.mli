@@ -14,9 +14,6 @@ val create : order:int -> decimation:int -> t
     [order * log2 decimation <= 40] so the gain fits a native word with
     input magnitudes up to 2^20. *)
 
-val order : t -> int
-val decimation : t -> int
-
 val gain : t -> int
 (** DC gain = decimation ^ order. *)
 

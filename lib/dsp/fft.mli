@@ -31,15 +31,6 @@ val next_fast_size : int -> int
     a spectrum whose bin grid is not pinned, a convolution — should pad to
     this. *)
 
-val fft_in_place : re:float array -> im:float array -> inverse:bool -> unit
-(** In-place radix-2 transform.  Requires both arrays of the same
-    power-of-two length.  The inverse applies the [1/N] scaling. *)
-
-val transform_in_place : re:float array -> im:float array -> inverse:bool -> unit
-(** In-place transform of any length on split arrays: radix-2 when the
-    length is a power of two, Bluestein otherwise (via per-domain scratch —
-    allocation-free in steady state). *)
-
 val fft : Complex.t array -> Complex.t array
 (** Forward transform of any length >= 1. *)
 

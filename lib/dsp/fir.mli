@@ -17,10 +17,6 @@ val lowpass : taps:int -> cutoff:float -> ?window:Window.kind -> unit -> design
     the -6 dB point as a fraction of the sample rate, in (0, 0.5).
     Coefficients are normalised to unity DC gain.  Requires [taps >= 1]. *)
 
-val frequency_response : float array -> freq:float -> Complex.t
-(** [H(e^{j 2 pi freq})] of a coefficient set; [freq] normalised to the
-    sample rate. *)
-
 val magnitude_db : float array -> freq:float -> float
 val group_delay_samples : float array -> float
 (** Group delay of a linear-phase (symmetric) FIR: [(n-1)/2] samples. *)

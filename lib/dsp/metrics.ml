@@ -16,13 +16,6 @@ let alias_fold ~sample_rate freq =
   let f = Float.rem (Float.abs freq) fs in
   if f <= fs /. 2.0 then f else fs -. f
 
-let lobe_half_width window =
-  match window with
-  | Window.Rectangular -> 1
-  | Window.Hann | Window.Hamming -> 2
-  | Window.Blackman -> 3
-  | Window.Blackman_harris -> 4
-
 let bins_around t center hw =
   let n = Spectrum.bin_count t in
   let lo = max 1 (center - hw) and hi = min (n - 1) (center + hw) in
@@ -41,7 +34,7 @@ let intermod3_products ~f1 ~f2 = (Float.abs ((2.0 *. f1) -. f2), Float.abs ((2.0
    run over every bin, and a hash probe per bin costs more than the add it
    guards.  [bins_around] already clamps to [1, bin_count). *)
 let snr_with_exclusions t ~fundamental ~harmonics =
-  let hw = lobe_half_width t.Spectrum.window in
+  let hw = Window.lobe_half_width t.Spectrum.window in
   let nbins = Spectrum.bin_count t in
   let excluded = Array.make nbins false in
   let exclude_tone freq =
@@ -61,7 +54,7 @@ let snr_with_exclusions t ~fundamental ~harmonics =
 let snr_db t ~fundamental = snr_with_exclusions t ~fundamental ~harmonics:5
 
 let snr_multi_db t ~signals ?(exclude = []) () =
-  let hw = lobe_half_width t.Spectrum.window in
+  let hw = Window.lobe_half_width t.Spectrum.window in
   let nbins = Spectrum.bin_count t in
   let excluded = Array.make nbins false in
   let exclude_tone freq =
@@ -106,7 +99,7 @@ let analyze ?(harmonics = 5) t =
      leakage skirt, an unbounded climb would walk back into the main lobe
      and report the fundamental itself as the "spur" (near-0 dB SFDR for a
      clean tone). *)
-  let hw = lobe_half_width t.Spectrum.window in
+  let hw = Window.lobe_half_width t.Spectrum.window in
   let fundamental_bins = bins_around t peak (2 * hw) in
   let in_fundamental k = List.mem k fundamental_bins || k = 0 in
   let worst_bin = ref (-1) in

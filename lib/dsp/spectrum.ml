@@ -75,14 +75,6 @@ let power_db t k =
   let p = t.bins.(k) in
   if p <= 1e-40 then -400.0 else 10.0 *. Float.log10 p
 
-(* Main-lobe half width in bins for leakage integration. *)
-let lobe_half_width window =
-  match window with
-  | Window.Rectangular -> 1
-  | Window.Hann | Window.Hamming -> 2
-  | Window.Blackman -> 3
-  | Window.Blackman_harris -> 4
-
 let tone_power ?(avoid = fun _ -> false) t ~freq =
   let center = bin_of_frequency t freq in
   (* Walk to the local peak first: the nominal frequency may sit between
@@ -96,7 +88,7 @@ let tone_power ?(avoid = fun _ -> false) t ~freq =
     if better (k + 1) then climb (k + 1) else if better (k - 1) then climb (k - 1) else k
   in
   let peak = climb center in
-  let hw = lobe_half_width t.window in
+  let hw = Window.lobe_half_width t.window in
   let lo = max 0 (peak - hw) and hi = min (nbins - 1) (peak + hw) in
   let acc = ref 0.0 in
   for k = lo to hi do
@@ -131,5 +123,3 @@ let noise_floor_db t ~exclude =
     let median = values.(Array.length values / 2) in
     if median <= 1e-40 then -400.0 else 10.0 *. Float.log10 median
   end
-
-let to_series_db t = Array.init (bin_count t) (fun k -> (frequency_of_bin t k, power_db t k))

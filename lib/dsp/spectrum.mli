@@ -53,6 +53,3 @@ val peak_bin : t -> ?from_bin:int -> unit -> int
 
 val noise_floor_db : t -> exclude:(int -> bool) -> float
 (** Median per-bin power in dB over bins not excluded — robust to tones. *)
-
-val to_series_db : t -> (float * float) array
-(** [(frequency, power_db)] for every bin; plotting/report form. *)

@@ -79,6 +79,12 @@ let noise_bandwidth_bins kind =
   in
   sum_sq /. (terms.(0) *. terms.(0))
 
+let lobe_half_width = function
+  | Rectangular -> 1
+  | Hann | Hamming -> 2
+  | Blackman -> 3
+  | Blackman_harris -> 4
+
 let apply_into kind signal out =
   let n = Array.length signal in
   assert (Array.length out >= n);

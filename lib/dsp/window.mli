@@ -23,6 +23,10 @@ val coherent_gain : kind -> float
 val noise_bandwidth_bins : kind -> float
 (** Equivalent noise bandwidth in FFT bins (1.0 for rectangular). *)
 
+val lobe_half_width : kind -> int
+(** Main-lobe half width in bins, over which a tone's leaked power is
+    integrated. *)
+
 val apply : kind -> float array -> float array
 (** Pointwise product with the window of matching length. *)
 

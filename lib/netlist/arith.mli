@@ -13,10 +13,6 @@ val sign_extend : Netlist.Builder.t -> bus -> width:int -> bus
 (** Widen by replicating the sign bit (through buffers so the extension is
     a real circuit net).  Requires [width >=] current width. *)
 
-val full_adder : Netlist.Builder.t -> Netlist.node -> Netlist.node -> Netlist.node ->
-  Netlist.node * Netlist.node
-(** [full_adder b x y cin] is [(sum, carry_out)]: 2 XOR, 2 AND, 1 OR. *)
-
 val ripple_add : Netlist.Builder.t -> bus -> bus -> cin:Netlist.node -> bus
 (** Equal-width addition, carry-out discarded (mod 2^width). *)
 
@@ -24,14 +20,8 @@ val add_signed : Netlist.Builder.t -> bus -> bus -> width:int -> bus
 (** Sign-extend both operands to [width] and add.  Requires [width] to be at
     least one more than the wider operand for overflow freedom. *)
 
-val sub_signed : Netlist.Builder.t -> bus -> bus -> width:int -> bus
-(** [x - y] via the complement-and-carry identity. *)
-
 val negate : Netlist.Builder.t -> bus -> width:int -> bus
 (** Two's-complement negation into [width] bits. *)
-
-val shift_left : Netlist.Builder.t -> bus -> by:int -> bus
-(** Append [by] constant-zero LSBs (pure wiring plus shared constant). *)
 
 val csd_digits : int -> (int * int) list
 (** Canonical-signed-digit decomposition: [(weight, digit)] pairs with

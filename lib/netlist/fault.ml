@@ -2,9 +2,6 @@ type t = { node : Netlist.node; stuck : bool }
 
 let equal a b = a.node = b.node && Bool.equal a.stuck b.stuck
 
-let compare a b =
-  match Int.compare a.node b.node with 0 -> Bool.compare a.stuck b.stuck | c -> c
-
 let pp ppf f = Format.fprintf ppf "n%d/sa%d" f.node (if f.stuck then 1 else 0)
 
 let universe circuit =

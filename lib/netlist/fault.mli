@@ -11,7 +11,6 @@
 type t = { node : Netlist.node; stuck : bool }
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val universe : Netlist.t -> t array

@@ -159,7 +159,3 @@ let quantize_input t ~full_scale v =
   let half_range = float_of_int (1 lsl (t.width_in - 1)) in
   let code = int_of_float (Float.round (v /. full_scale *. (half_range -. 1.0))) in
   clamp_input t code
-
-let output_to_float t ~full_scale y =
-  let half_range = float_of_int (1 lsl (t.width_in - 1)) in
-  float_of_int y *. t.scale *. full_scale /. (half_range -. 1.0)

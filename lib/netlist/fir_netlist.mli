@@ -31,7 +31,6 @@ type t = {
   regions : region list;     (** Structural map for fault-site selection. *)
 }
 
-val input_bus_name : string
 val output_bus_name : string
 
 val region_of_node : t -> Netlist.node -> region option
@@ -53,7 +52,6 @@ val create :
     [y(n) = sum_k c_k x(n-k)] with zero latency, so {!response} is the
     golden model for either. *)
 
-val input_bus : t -> Netlist.node array
 val output_bus : t -> Netlist.node array
 
 val drive : t -> Logic_sim.t -> int -> unit
@@ -65,7 +63,3 @@ val response : t -> int array -> int array
 val quantize_input : t -> full_scale:float -> float -> int
 (** Map an analog sample in [\[-full_scale, full_scale\]] to the input code
     range (round-to-nearest, saturating) — the ADC-to-filter interface. *)
-
-val output_to_float : t -> full_scale:float -> int -> float
-(** Inverse mapping for the output, undoing input scaling and coefficient
-    scale so a unity-DC-gain filter returns values in input units. *)

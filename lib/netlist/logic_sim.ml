@@ -134,13 +134,6 @@ let create circuit =
     trial_evals = 0;
     skipped = 0 }
 
-let circuit t = t.circuit
-
-let reset t =
-  Array.fill t.dff_state 0 (Array.length t.dff_state) 0;
-  Array.fill t.raw_inputs 0 (Array.length t.raw_inputs) 0;
-  t.force_full <- true
-
 let clear_faults t =
   Array.fill t.and_mask 0 (Array.length t.and_mask) all_ones;
   Array.fill t.or_mask 0 (Array.length t.or_mask) 0;
@@ -311,8 +304,6 @@ let eval t =
   else if t.dense_committed then eval_dense t
   else eval_incremental t
 
-let gates_skipped t = t.skipped
-
 let snapshot_bit0 t buf ~pos =
   let values = t.values in
   for node = 0 to Array.length values - 1 do
@@ -334,18 +325,3 @@ let read_bus_lane t bus ~lane =
   let acc = ref 0 in
   Array.iteri (fun i node -> acc := !acc lor (((t.values.(node) lsr lane) land 1) lsl i)) bus;
   sign_extend (Array.length bus) !acc
-
-let read_bus_lanes t bus out =
-  assert (Array.length out >= lanes);
-  Array.fill out 0 lanes 0;
-  let width = Array.length bus in
-  for w = 0 to width - 1 do
-    let word = t.values.(bus.(w)) in
-    for lane = 0 to lanes - 1 do
-      Array.unsafe_set out lane
-        (Array.unsafe_get out lane lor (((word lsr lane) land 1) lsl w))
-    done
-  done;
-  for lane = 0 to lanes - 1 do
-    out.(lane) <- sign_extend width out.(lane)
-  done

@@ -11,7 +11,7 @@
     {ol {- drive input nets ({!drive_node} / {!drive_bus});}
         {- {!eval} — settle combinational logic (DFF outputs present their
            current state);}
-        {- read outputs ({!value} / {!read_bus_lane} / {!read_bus_lanes});}
+        {- read outputs ({!value} / {!read_bus_lane});}
         {- {!tick} — clock edge: every DFF captures its D input.}} *)
 
 type t
@@ -20,10 +20,6 @@ val lanes : int
 (** Number of parallel lanes in a word (63). *)
 
 val create : Netlist.t -> t
-val circuit : t -> Netlist.t
-
-val reset : t -> unit
-(** Clear DFF state and input drives (fault masks are kept). *)
 
 val clear_faults : t -> unit
 
@@ -43,15 +39,10 @@ val eval : t -> unit
     automatic fall-back to the dense levelized sweep when the workload
     toggles nearly everything.  Both paths produce bit-identical values;
     the choice depends only on simulated values, never on timing.  Mutation
-    escapes the dirty tracking ({!reset}, {!clear_faults}, {!inject}) force
+    escapes the dirty tracking ({!clear_faults}, {!inject}) force
     the next [eval] to run dense. *)
 
 val tick : t -> unit
-
-val gates_skipped : t -> int
-(** Cumulative count of gate evaluations skipped by the event-driven path
-    over the lifetime of this sim (also exported as the
-    ["logic_sim.gates_skipped"] telemetry counter). *)
 
 val snapshot_bit0 : t -> Bytes.t -> pos:int -> unit
 (** Record bit 0 (lane 0) of every node's value as one byte per node into
@@ -63,6 +54,3 @@ val value : t -> Netlist.node -> int
 
 val read_bus_lane : t -> Netlist.node array -> lane:int -> int
 (** Two's-complement integer on a bus in one lane. *)
-
-val read_bus_lanes : t -> Netlist.node array -> int array -> unit
-(** Fill a [lanes]-sized array with the bus value of every lane. *)

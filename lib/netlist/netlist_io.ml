@@ -151,7 +151,4 @@ let of_string text =
     (List.rev !outputs);
   Netlist.freeze b
 
-let input channel = of_string (In_channel.input_all channel)
-
 let save file t = Out_channel.with_open_text file (fun channel -> output channel t)
-let load file = In_channel.with_open_text file input

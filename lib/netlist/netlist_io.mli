@@ -17,14 +17,9 @@
     diffed, and exchanged with external structural tools. *)
 
 val to_string : Netlist.t -> string
-val output : out_channel -> Netlist.t -> unit
 
 val of_string : string -> Netlist.t
 (** Raises [Failure] with a line-numbered message on malformed input. *)
 
-val input : in_channel -> Netlist.t
-
 val save : string -> Netlist.t -> unit
 (** Write to a file path. *)
-
-val load : string -> Netlist.t

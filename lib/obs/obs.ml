@@ -23,7 +23,6 @@ module Pool = Msoc_util.Pool
 let now_ns () = Monotonic_clock.now ()
 
 let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
 
 (* Export timestamps are relative to this base so that traces start near
    t=0; set when telemetry is first enabled and on every [reset]. *)
@@ -159,22 +158,7 @@ type sink = {
   mutable tl_next : int;
 }
 
-(* Per-sink span-event cap, configurable through MSOC_OBS_MAX_EVENTS for
-   long soak runs (raise it) or constrained hosts (shrink it).  The
-   parser is pure — unit tests feed it strings — and clamps to a floor so
-   a typo cannot silently reduce telemetry to nothing. *)
-let default_max_events = 1 lsl 20
-let min_max_events = 4096
-
-let events_cap_of_env = function
-  | None -> default_max_events
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-    | Some n when n >= min_max_events -> n
-    | Some n when n >= 1 -> min_max_events
-    | Some _ | None -> default_max_events)
-
-let max_events = events_cap_of_env (Sys.getenv_opt "MSOC_OBS_MAX_EVENTS")
+let max_events = 1 lsl 20
 let dummy_event = { ev_path = ""; ev_name = ""; ev_args = []; ev_start = 0L; ev_dur = 0L }
 
 (* Sinks outlive their domains on purpose: a [Pool.with_pool] run shuts
@@ -256,8 +240,6 @@ let count ?(by = 1) name =
   if Atomic.get enabled_flag then add_count (my_sink ()).counters name by
 
 let observe name v = if Atomic.get enabled_flag then hist_add (hist_of (my_sink ()).hists name) v
-
-let observe_ns name ns = observe name (Int64.to_float ns)
 
 type timer =
   | Inactive

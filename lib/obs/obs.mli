@@ -55,16 +55,9 @@ val reset_domain : unit -> unit
     that follows another caller before this reset folds its own part
     first (that part then misses this caller's trace, never a count). *)
 
-val enabled : unit -> bool
-
 val max_events : int
-(** Per-sink span-event capacity (events beyond it are dropped).  Read
-    from the [MSOC_OBS_MAX_EVENTS] environment variable at startup;
-    defaults to [2^20] and clamps to a sane floor. *)
-
-val events_cap_of_env : string option -> int
-(** Pure parser behind {!max_events}: [None] and unparseable strings give
-    the default cap, positive values below the floor clamp up to it. *)
+(** Per-sink span-event capacity, [2^20] (events beyond it are
+    dropped). *)
 
 (** {2 Probes} *)
 
@@ -73,9 +66,6 @@ val count : ?by:int -> string -> unit
 
 val observe : string -> float -> unit
 (** [observe name v] records [v] into histogram [name] on this domain. *)
-
-val observe_ns : string -> int64 -> unit
-(** [observe_ns name ns] records a nanosecond duration as a float. *)
 
 type timer
 (** An in-flight span; [Inactive] when telemetry is disabled. *)
@@ -129,22 +119,14 @@ end
     A per-domain ring buffer of scheduler events — chunk begin/end,
     steal, idle — each stamped with the monotonic clock and the domain's
     GC minor/major words.  The pool hooks record these automatically for
-    every grained run; [track_event] lets other schedulers mark their own
-    slots.  On overflow the oldest entries are overwritten (capacity
-    {!timeline_capacity} per sink), so the tail of a long run — where
+    every grained run.  On overflow the oldest entries are overwritten
+    (capacity [2^16] entries per sink), so the tail of a long run — where
     imbalance lives — always survives. *)
 
 type timeline_kind = Chunk_begin | Chunk_end | Steal | Idle
 
 val timeline_kind_name : timeline_kind -> string
 (** ["begin"], ["end"], ["steal"], ["idle"] — the JSONL encoding. *)
-
-val timeline_capacity : int
-(** Ring capacity per sink (entries, power of two). *)
-
-val track_event : timeline_kind -> slot:int -> unit
-(** Record one timeline entry on this domain's track.  Disabled cost:
-    one atomic load. *)
 
 (** {2 Log2 histogram buckets} *)
 

@@ -7,11 +7,9 @@
    obtained once from [cell] and writes it directly, so the hot-path cost
    of a disabled heartbeat is one atomic load (the same bound as the
    telemetry probes, and like them the cells carry no result data — the
-   bit-identity contract is untouched).  The same registry is what a
-   long-running [msoc serve] will expose per request. *)
+   bit-identity contract is untouched). *)
 
 let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
 let enable () = Atomic.set enabled_flag true
 let disable () = Atomic.set enabled_flag false
 
@@ -36,7 +34,6 @@ let cell name =
   Mutex.unlock registry_mutex;
   c
 
-let name c = c.cell_name
 let value c = Atomic.get c.value
 let set c v = if Atomic.get enabled_flag then Atomic.set c.value v
 
@@ -53,12 +50,6 @@ let reset () =
   Mutex.lock registry_mutex;
   List.iter (fun c -> Atomic.set c.value 0.0) !registry;
   Mutex.unlock registry_mutex
-
-let snapshot () =
-  Mutex.lock registry_mutex;
-  let cells = !registry in
-  Mutex.unlock registry_mutex;
-  List.sort compare (List.map (fun c -> (c.cell_name, Atomic.get c.value)) cells)
 
 (* ------------------------------------------------------------------ *)
 (* ETA and rendering helpers                                           *)

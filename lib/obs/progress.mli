@@ -6,7 +6,6 @@
     carry no result data, so heartbeats cannot perturb the pool's
     bit-identity contract; a disabled write costs one atomic load. *)
 
-val enabled : unit -> bool
 val enable : unit -> unit
 val disable : unit -> unit
 
@@ -16,7 +15,6 @@ val cell : string -> cell
 (** Find-or-register a process-global cell.  Producers call this once
     (at module initialisation) and keep the handle. *)
 
-val name : cell -> string
 val value : cell -> float
 
 val set : cell -> float -> unit
@@ -25,13 +23,6 @@ val set : cell -> float -> unit
 val add : cell -> float -> unit
 (** Atomically add to the cell (safe from any domain); no-op while
     disabled. *)
-
-val reset : unit -> unit
-(** Zero every registered cell. *)
-
-val snapshot : unit -> (string * float) list
-(** All cells with their current values, sorted by name — the view a
-    service endpoint exposes per request. *)
 
 val eta_s : done_:float -> total:float -> elapsed_s:float -> float option
 (** Linear remaining-time estimate; [None] until progress is non-zero or

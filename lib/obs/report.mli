@@ -18,12 +18,6 @@
     Numbers are emitted with round-trip precision ([%.17g]), so
     [of_json (to_json r) = Ok r] holds structurally. *)
 
-val schema_version : int
-(** Current schema version (4).  [of_json] accepts every version up to this
-    one — v1 files (no per-kernel GC fields) and v2 files (no latency
-    percentiles) read with the missing fields at 0.0, v3 files (no scalar
-    bounds) read with [bound = None] — and rejects newer ones. *)
-
 type timing = {
   t_name : string;
   mean_ns : float;

@@ -21,7 +21,6 @@ val all_verbs : verb list
 type trace_format = Trace_jsonl | Trace_chrome | Trace_folded
 
 val trace_format_name : trace_format -> string
-val trace_format_of_name : string -> trace_format option
 
 type request = {
   verb : verb;
@@ -125,7 +124,6 @@ type status =
   | Failed      (** executed or parsed with an error; [body] explains *)
 
 val status_name : status -> string
-val status_of_name : string -> status option
 
 type response = {
   status : status;

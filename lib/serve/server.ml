@@ -58,15 +58,14 @@ type config = {
   queue_capacity : int;
   executors : int option;  (* [None] means the pool size *)
   cache_size : int;        (* 0 disables the result cache *)
-  heavy_cap : int option;  (* [None] means 3/4 of the queue capacity *)
   access_log : string option;
   metrics_out : string option;
   pool : Pool.t option;  (* [None] means [Pool.get_default ()] *)
 }
 
-let config ?(queue_capacity = 64) ?executors ?(cache_size = 256) ?heavy_cap ?access_log
+let config ?(queue_capacity = 64) ?executors ?(cache_size = 256) ?access_log
     ?metrics_out ?pool socket_path =
-  { socket_path; queue_capacity; executors; cache_size; heavy_cap; access_log; metrics_out;
+  { socket_path; queue_capacity; executors; cache_size; access_log; metrics_out;
     pool }
 
 (* ------------------------------------------------------------------ *)
@@ -155,12 +154,7 @@ let create cfg =
     queue = Workq.create ~capacity:cfg.queue_capacity;
     executors;
     cache = Verbs.create_cache ~size:cfg.cache_size;
-    heavy_cap =
-      (match cfg.heavy_cap with
-      | Some cap ->
-        if cap < 1 then invalid_arg "Server.create: heavy cap must be at least 1";
-        cap
-      | None -> max 1 (cfg.queue_capacity * 3 / 4));
+    heavy_cap = max 1 (cfg.queue_capacity * 3 / 4);
     heavy_queued = Atomic.make 0;
     cheap_queued = Atomic.make 0;
     inflight = Hashtbl.create 16;
@@ -620,7 +614,6 @@ let run t =
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   try Unix.close t.wake_w with Unix.Unix_error _ -> ()
 
-let served t = Atomic.get t.served
 let executors t = t.executors
 
 (* ---- in-process harness (tests, bench load driver) ---- *)

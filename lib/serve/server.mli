@@ -43,19 +43,18 @@ type config = {
   executors : int option;
       (** executor domains popping the shared queue; [None] = pool size *)
   cache_size : int;  (** result-cache entries; [0] disables the cache *)
-  heavy_cap : int option;
-      (** max queued heavy (compute) jobs; [None] = 3/4 of the queue
-          capacity, so cheap probes always find queue space *)
   access_log : string option;   (** JSON lines, one per request *)
   metrics_out : string option;  (** final metrics flush on shutdown *)
   pool : Msoc_util.Pool.t option;  (** [None] means [Pool.get_default ()] *)
 }
 
 val config :
-  ?queue_capacity:int -> ?executors:int -> ?cache_size:int -> ?heavy_cap:int ->
+  ?queue_capacity:int -> ?executors:int -> ?cache_size:int ->
   ?access_log:string -> ?metrics_out:string -> ?pool:Msoc_util.Pool.t -> string -> config
 (** [config socket_path] with queue capacity 64, executors = pool size,
-    a 256-entry cache, heavy cap 3/4 of the queue, and no logs. *)
+    a 256-entry cache, and no logs.  At most [max 1 (3/4 × queue
+    capacity)] heavy (compute) jobs are queued at once, so cheap probes
+    always find queue space. *)
 
 type t
 
@@ -63,7 +62,7 @@ val create : config -> t
 (** Bind and listen on the socket (an existing socket file is replaced)
     and open the access log.  Clients may connect from this point on.
 
-    @raise Invalid_argument when [executors] or [heavy_cap] is below 1. *)
+    @raise Invalid_argument when [executors] is below 1. *)
 
 val run : t -> unit
 (** Serve until {!request_stop}: blocks the calling domain.  Installs a
@@ -75,10 +74,6 @@ val run : t -> unit
 val request_stop : t -> unit
 (** Ask a running server to shut down cleanly.  Callable from any
     domain and from an OCaml signal handler. *)
-
-val served : t -> int
-(** Requests answered so far (any status, including rejections and
-    cache hits). *)
 
 val executors : t -> int
 (** The resolved executor count. *)

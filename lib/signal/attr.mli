@@ -39,7 +39,6 @@ val tone : ?phase_rad:float -> freq_hz:float -> power_dbm:float -> unit -> tone
 val silence : ?noise_dbm:float -> unit -> t
 (** No tones; default noise floor -174 dBm (thermal, 1 Hz). *)
 
-val of_tones : ?noise_dbm:float -> ?dc_volts:float -> tone list -> t
 val single_tone : ?noise_dbm:float -> freq_hz:float -> power_dbm:float -> unit -> t
 val two_tone :
   ?noise_dbm:float -> f1_hz:float -> f2_hz:float -> power_dbm:float -> unit -> t

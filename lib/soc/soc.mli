@@ -56,16 +56,12 @@ val find_core : t -> string -> core option
 (** {1 Registry}
 
     Shipped SOC fixtures, selectable by name (CLI [--soc]); sorted by
-    name like {!Msoc_analog.Topology.registry}. *)
+    name like {!Msoc_analog.Topology.names}. *)
 
 val reference : unit -> t
 (** The 4-core reference SOC: rx0/rx1 (default receiver on 8- and 4-bit
     TAMs), sd0 (sigma-delta), lg0 (amp-bypass), on a 16-bit bus with a
     200 mW budget.  Both constraints bind. *)
-
-val narrow : unit -> t
-(** The same cores on an 8-bit bus and 120 mW budget — the serialized
-    regime. *)
 
 val names : string list
 val find : string -> t option

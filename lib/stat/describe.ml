@@ -42,9 +42,6 @@ let median xs = percentile xs 0.5
    (hundreds of Bechamel runs), so z = 1.96 is adequate — no t-table. *)
 let z95 = 1.959964
 
-let mean_ci95 s =
-  if s.count < 2 then 0.0 else z95 *. s.stddev /. sqrt (float_of_int s.count)
-
 let welch_ci95 ~stddev_a ~n_a ~stddev_b ~n_b =
   if n_a < 2 || n_b < 2 then 0.0
   else

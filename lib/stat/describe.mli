@@ -20,10 +20,6 @@ val median : float array -> float
 val rms : float array -> float
 (** Root mean square; 0 for an empty array. *)
 
-val mean_ci95 : summary -> float
-(** 95% confidence half-width of the mean (normal approximation);
-    0 when [count < 2]. *)
-
 val welch_ci95 :
   stddev_a:float -> n_a:int -> stddev_b:float -> n_b:int -> float
 (** 95% confidence half-width of the {e difference} of two sample means

@@ -6,22 +6,6 @@ module Progress = Msoc_obs.Progress
 let prog_trials = Progress.cell "monte_carlo.trials"
 let prog_trials_total = Progress.cell "monte_carlo.trials_total"
 
-type probability_estimate = {
-  trials : int;
-  successes : int;
-  p : float;
-  half_width_95 : float;
-}
-
-let z_95 = 1.959963984540054
-
-type mean_estimate = {
-  trials : int;
-  mean : float;
-  stddev : float;
-  half_width_95 : float;
-}
-
 (* Trial loops.  Each trial draws from its own generator stream, split
    serially from [rng] up front (Pool.split_streams), so the sample set
    depends only on [rng]'s state and the trial index — never on the pool
@@ -50,25 +34,3 @@ let sample_array_pooled ?pool ~trials ~rng ~f () =
     Array.init trials (fun i ->
         Msoc_util.Prng.reseed scratch (Msoc_util.Pool.seed_at seeds i);
         f scratch i)
-
-let estimate_mean_pooled ?pool ~trials ~rng ~f () =
-  assert (trials > 1);
-  let samples = sample_array_pooled ?pool ~trials ~rng ~f () in
-  let s = Describe.summarize samples in
-  { trials;
-    mean = s.Describe.mean;
-    stddev = s.Describe.stddev;
-    half_width_95 = z_95 *. s.Describe.stddev /. sqrt (float_of_int trials) }
-
-let estimate_probability_pooled ?pool ~trials ~rng ~f () =
-  assert (trials > 0);
-  let hits =
-    sample_array_pooled ?pool ~trials ~rng ~f:(fun g i -> if f g i then 1.0 else 0.0) ()
-  in
-  let successes =
-    Array.fold_left (fun acc h -> if h > 0.5 then acc + 1 else acc) 0 hits
-  in
-  let n = float_of_int trials in
-  let p = float_of_int successes /. n in
-  let half_width_95 = z_95 *. sqrt (p *. (1.0 -. p) /. n) in
-  { trials; successes; p; half_width_95 }

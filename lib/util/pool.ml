@@ -255,16 +255,6 @@ let parallel_iter_grained pool ~n ?grain ~f () =
         Hooks.note_idle ~size:workers ~slot)
   end
 
-(* Compatibility entry point: one maximal grain per worker reproduces the
-   historical static split (at most [size] chunks, contiguous, sizes
-   differing by at most one). *)
-let parallel_iter_chunks pool ~n ~f =
-  if n > 0 then
-    parallel_iter_grained pool ~n
-      ~grain:((n + pool.size - 1) / pool.size)
-      ~f:(fun ~slot:_ ~lo ~hi -> f ~lo ~hi)
-      ()
-
 let parallel_init ?grain pool n f =
   if n <= 0 then [||]
   else if pool.size = 1 && grain = None then Array.init n f
@@ -280,19 +270,6 @@ let parallel_init ?grain pool n f =
   end
 
 let parallel_map pool f input = parallel_init pool (Array.length input) (fun i -> f input.(i))
-
-let parallel_floats ?grain pool n f =
-  if n <= 0 then [||]
-  else begin
-    let out = Array.make n 0.0 in
-    parallel_iter_grained pool ~n ?grain
-      ~f:(fun ~slot:_ ~lo ~hi ->
-        for i = lo to hi - 1 do
-          out.(i) <- f i
-        done)
-      ();
-    out
-  end
 
 (* Per-task generator streams: split serially from the parent BEFORE any
    parallel execution, so the stream assigned to task [i] depends only on

@@ -63,12 +63,10 @@ val on_worker : unit -> bool
 (** [true] on a worker domain spawned by some pool, [false] on every other
     domain (including the caller of a pooled run, which acts as slot 0). *)
 
-val shutdown : t -> unit
-(** Stop and join the workers.  Idempotent.  Live pools are also shut down
-    on [at_exit], so leaking a pool cannot hang program termination. *)
-
 val with_pool : ?size:int -> (t -> 'a) -> 'a
-(** [create], run, then [shutdown] (also on exception). *)
+(** [create], run, then stop and join the workers (also on exception).
+    Live pools are also shut down on [at_exit], so leaking a pool cannot
+    hang program termination. *)
 
 val get_default : unit -> t
 (** Lazily created process-wide pool sized by the [MSOC_DOMAINS] environment
@@ -103,19 +101,11 @@ val parallel_iter_grained :
     grain)] only — never on timing — and results written by index are
     bit-identical to serial execution. *)
 
-val parallel_iter_chunks : t -> n:int -> f:(lo:int -> hi:int -> unit) -> unit
-(** Historical static split: one maximal grain per worker, i.e. at most
-    [size] contiguous chunks with sizes differing by at most one.  [hi] is
-    exclusive. *)
-
 val parallel_init : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init].  [f] must depend only on its index. *)
 
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map] with deterministic result ordering. *)
-
-val parallel_floats : ?grain:int -> t -> int -> (int -> float) -> float array
-(** [parallel_init] specialised to an unboxed float result array. *)
 
 val split_streams : Prng.t -> int -> Prng.t array
 (** [split_streams g n] derives [n] decorrelated generator streams from [g]

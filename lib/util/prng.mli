@@ -20,18 +20,15 @@ val split : t -> t
 
 val split_seed : t -> int64
 (** [split_seed g] advances [g] by one raw draw and names the stream that
-    {!split} would have returned: [of_seed_bits (split_seed g)] equals
+    {!split} would have returned: {!reseed} with [split_seed g] yields
     [split g] bit-for-bit.  Storing seeds instead of generators lets a
     million-stream fan-out keep one flat [int64]-per-stream table instead
     of a million generator records. *)
 
-val of_seed_bits : int64 -> t
-(** Build the generator named by a {!split_seed} draw. *)
-
 val reseed : t -> int64 -> unit
-(** [reseed g bits] resets [g] in place to [of_seed_bits bits] without
-    allocating — the replay primitive for scratch generators that iterate
-    a seed table. *)
+(** [reseed g bits] resets [g] in place to the stream named by the
+    {!split_seed} draw [bits], without allocating — the replay primitive
+    for scratch generators that iterate a seed table. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -26,11 +26,9 @@ val dbm_of_watts : float -> float
 val watts_of_dbm : float -> float
 (** Inverse of {!dbm_of_watts}. *)
 
-val dbm_of_vrms : ?ohms:float -> float -> float
-(** RMS voltage across [ohms] (default {!reference_ohms}) to dBm. *)
-
 val vrms_of_dbm : ?ohms:float -> float -> float
-(** Inverse of {!dbm_of_vrms}. *)
+(** RMS voltage across [ohms] (default {!reference_ohms}) of a power in
+    dBm. *)
 
 val vpeak_of_dbm : ?ohms:float -> float -> float
 (** Peak amplitude of a sine whose power is the given dBm. *)

@@ -378,30 +378,6 @@ let test_tone_fit_under_noise () =
   let fit = Tone.fit signal ~sample_rate:fs ~freq:f in
   Alcotest.check (approx 0.01) "amplitude under noise" 1.0 fit.Tone.amplitude
 
-(* ---- Goertzel ---- *)
-
-let test_goertzel_matches_fft () =
-  let g = Prng.create 13 in
-  let signal = Array.init 256 (fun _ -> Prng.float g -. 0.5) in
-  let full = Fft.rfft signal in
-  List.iter
-    (fun k ->
-      let c = Goertzel.bin signal ~k in
-      if Complex.norm (Complex.sub c full.(k)) > 1e-9 then
-        Alcotest.failf "goertzel bin %d differs from fft" k)
-    [ 0; 1; 17; 64; 128 ]
-
-let test_goertzel_tone_power () =
-  let fs = 1000.0 and n = 1024 in
-  let f = Tone.coherent_frequency ~sample_rate:fs ~samples:n ~target:100.0 in
-  let signal =
-    Tone.synthesize ~sample_rate:fs ~samples:n [ Tone.component ~freq:f ~amplitude:0.8 () ]
-  in
-  Alcotest.check (approx 1e-6) "a^2/2" (0.8 *. 0.8 /. 2.0)
-    (Goertzel.power signal ~sample_rate:fs ~freq:f);
-  Alcotest.(check bool) "empty bin quiet" true
-    (Goertzel.power_db signal ~sample_rate:fs ~freq:(f *. 2.0) < -200.0)
-
 (* ---- CIC ---- *)
 
 let test_cic_dc_gain () =
@@ -577,9 +553,6 @@ let () =
           Alcotest.test_case "fit recovers amplitude/phase" `Quick
             test_tone_fit_recovers_components;
           Alcotest.test_case "fit under noise" `Quick test_tone_fit_under_noise ] );
-      ( "goertzel",
-        [ Alcotest.test_case "matches fft bins" `Quick test_goertzel_matches_fft;
-          Alcotest.test_case "tone power" `Quick test_goertzel_tone_power ] );
       ( "cic",
         [ Alcotest.test_case "dc gain" `Quick test_cic_dc_gain;
           Alcotest.test_case "order-1 = boxcar" `Quick test_cic_against_moving_average;

@@ -142,12 +142,14 @@ let test_merge_determinism () =
   let reference =
     Obs.disable ();
     Obs.reset ();
-    Pool.with_pool ~size:1 (fun pool -> Pool.parallel_floats pool n task)
+    Pool.with_pool ~size:1 (fun pool -> Pool.parallel_init pool n task)
   in
   List.iter
     (fun size ->
       with_recording @@ fun () ->
-      let got = Pool.with_pool ~size (fun pool -> Pool.parallel_floats pool n task) in
+      (* an explicit grain keeps the size-1 run on the pool, so its chunks
+         are accounted for below too *)
+      let got = Pool.with_pool ~size (fun pool -> Pool.parallel_init ~grain:16 pool n task) in
       Alcotest.(check (array (float 0.0)))
         (Printf.sprintf "pooled result identical with telemetry on (size %d)" size)
         reference got;
@@ -229,7 +231,7 @@ let record_reference_profile () =
       Obs.span "stage" (fun () -> Obs.count "export.counter");
       Obs.observe "export.hist" 3.0;
       Pool.with_pool ~size:2 (fun pool ->
-          ignore (Pool.parallel_floats pool 64 (fun i -> float_of_int i))))
+          ignore (Pool.parallel_init pool 64 (fun i -> float_of_int i))))
 
 let test_chrome_trace_valid () =
   with_recording @@ fun () ->
@@ -395,7 +397,7 @@ let test_dropped_events_warned () =
 let test_timeline_events () =
   with_recording @@ fun () ->
   Pool.with_pool ~size:2 (fun pool ->
-      ignore (Pool.parallel_floats pool 256 float_of_int));
+      ignore (Pool.parallel_init pool 256 float_of_int));
   let events = Obs.snapshot_timeline () in
   Alcotest.(check bool) "pooled run recorded timeline marks" true (List.length events > 0);
   let kinds = List.map (fun e -> e.Obs.tle_kind) events in
@@ -521,22 +523,6 @@ let test_to_collapsed_matches_spans () =
   Alcotest.(check bool) "nested stack uses semicolons" true
     (contains_sub folded "outer;inner ")
 
-(* ---- configurable event cap ---- *)
-
-let test_events_cap_of_env () =
-  let default = Obs.events_cap_of_env None in
-  Alcotest.(check int) "default is 2^20" (1 lsl 20) default;
-  Alcotest.(check int) "explicit value wins" 65536 (Obs.events_cap_of_env (Some "65536"));
-  Alcotest.(check int) "whitespace tolerated" 65536 (Obs.events_cap_of_env (Some " 65536 "));
-  Alcotest.(check int) "tiny positive values clamp up to the floor" 4096
-    (Obs.events_cap_of_env (Some "12"));
-  Alcotest.(check int) "zero falls back to the default" default
-    (Obs.events_cap_of_env (Some "0"));
-  Alcotest.(check int) "negative falls back to the default" default
-    (Obs.events_cap_of_env (Some "-5"));
-  Alcotest.(check int) "garbage falls back to the default" default
-    (Obs.events_cap_of_env (Some "lots"))
-
 (* ---- generations: reset_domain and generation-scoped exports ---- *)
 
 (* The value of an unlabelled series in an exposition, 0 when absent. *)
@@ -608,12 +594,14 @@ let test_domain_scope () =
    so the caller cannot steal the worker's chunk. *)
 let one_chunk_each pool =
   let started = Atomic.make 0 in
-  Pool.parallel_iter_chunks pool ~n:2 ~f:(fun ~lo:_ ~hi:_ ->
+  Pool.parallel_iter_grained pool ~n:2 ~grain:1
+    ~f:(fun ~slot:_ ~lo:_ ~hi:_ ->
       Atomic.incr started;
       let deadline = Int64.add (Obs.now_ns ()) 10_000_000_000L in
       while Atomic.get started < 2 && Int64.compare (Obs.now_ns ()) deadline < 0 do
         Domain.cpu_relax ()
       done)
+    ()
 
 let chunk_spans () =
   List.fold_left
@@ -696,8 +684,6 @@ let () =
         [ Alcotest.test_case "collapse_paths folds self time" `Quick test_collapse_paths;
           Alcotest.test_case "to_collapsed reflects recorded spans" `Quick
             test_to_collapsed_matches_spans ] );
-      ( "config",
-        [ Alcotest.test_case "MSOC_OBS_MAX_EVENTS parsing" `Quick test_events_cap_of_env ] );
       ( "disabled",
         [ Alcotest.test_case "probes are no-ops" `Quick test_disabled_noop ] );
       ( "scope",

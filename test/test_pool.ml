@@ -19,24 +19,33 @@ let pool_sizes = [ 1; 2; 4; 8 ]
 (* ---- Pool primitives ---- *)
 
 let test_chunking () =
-  (* parallel_iter_chunks covers [0, n) exactly once for awkward sizes *)
+  (* the maximal grain ceil(n / size) — one contiguous chunk per worker,
+     at most [size] chunks — covers [0, n) exactly once for awkward sizes *)
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
           List.iter
             (fun n ->
               let hits = Array.make (max 1 n) 0 in
+              let chunks = ref 0 in
               let lock = Mutex.create () in
-              Pool.parallel_iter_chunks pool ~n ~f:(fun ~lo ~hi ->
+              Pool.parallel_iter_grained pool ~n ~grain:(max 1 ((n + size - 1) / size))
+                ~f:(fun ~slot:_ ~lo ~hi ->
                   Mutex.lock lock;
+                  incr chunks;
                   for i = lo to hi - 1 do
                     hits.(i) <- hits.(i) + 1
                   done;
-                  Mutex.unlock lock);
-              if n > 0 then
+                  Mutex.unlock lock)
+                ();
+              if n > 0 then begin
                 Alcotest.(check (array int))
                   (Printf.sprintf "n=%d size=%d each index once" n size)
-                  (Array.make n 1) (Array.sub hits 0 n))
+                  (Array.make n 1) (Array.sub hits 0 n);
+                Alcotest.(check bool)
+                  (Printf.sprintf "n=%d size=%d at most size chunks" n size)
+                  true (!chunks <= size)
+              end)
             [ 0; 1; 2; 3; 7; 64; 65 ]))
     pool_sizes
 
@@ -115,11 +124,13 @@ let test_parallel_init () =
     pool_sizes
 
 let test_parallel_floats_and_map () =
-  let expected = Array.init 513 (fun i -> sin (float_of_int i)) in
+  (* task [i] of parallel_floats_rng sees stream [i] of split_streams *)
+  let f g i = sin (float_of_int i) +. Prng.float g in
+  let expected = Array.mapi (fun i g -> f g i) (Pool.split_streams (Prng.create 21) 513) in
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
-          let floats = Pool.parallel_floats pool 513 (fun i -> sin (float_of_int i)) in
+          let floats = Pool.parallel_floats_rng pool ~rng:(Prng.create 21) 513 f in
           Alcotest.(check (array (float 0.0))) "floats" expected floats;
           let mapped = Pool.parallel_map pool (fun x -> 2.0 *. x) expected in
           Alcotest.(check (array (float 0.0)))

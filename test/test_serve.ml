@@ -701,13 +701,13 @@ let test_montecarlo_identity () =
 (* ---- class-cap admission ---- *)
 
 let test_heavy_cap_admission () =
-  (* heavy cap 1 under an 8-slot queue: pipelined sleeps trip the class
-     cap while the queue itself still has room, and the rejection names
-     both limits; a cheap ping is admitted throughout *)
+  (* a 2-slot queue derives heavy cap max 1 (3/4 * 2) = 1: pipelined
+     sleeps trip the class cap while the queue itself still has room, and
+     the rejection names both limits; a cheap ping is admitted throughout *)
   let socket_path = temp_socket () in
   let handle =
     Server.start
-      (Server.config ~queue_capacity:8 ~executors:1 ~heavy_cap:1 socket_path)
+      (Server.config ~queue_capacity:2 ~executors:1 socket_path)
   in
   Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -743,7 +743,7 @@ let test_heavy_cap_admission () =
   List.iter
     (fun r ->
       check_contains r.Protocol.body
-        [ "overloaded"; "heavy"; "class cap 1"; "queue capacity 8" ])
+        [ "overloaded"; "heavy"; "class cap 1"; "queue capacity 2" ])
     rejected
 
 (* ---- metrics verb ---- *)

@@ -164,56 +164,27 @@ let prop_welford_matches_naive =
       let s = Describe.summarize arr in
       Float.abs (s.Describe.variance -. naive) <= 1e-6 *. Float.max 1.0 naive)
 
-(* ---- Histogram ---- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Histogram.add_all h [| 0.5; 1.5; 1.7; 9.99; -1.0; 10.0 |];
-  Alcotest.(check int) "total in range" 4 (Histogram.total h);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Histogram.overflow h);
-  let counts = Histogram.counts h in
-  Alcotest.(check int) "bin 0" 1 counts.(0);
-  Alcotest.(check int) "bin 1" 2 counts.(1);
-  Alcotest.(check int) "bin 9" 1 counts.(9)
-
-let test_histogram_density_normalised () =
-  let h = Histogram.create ~lo:(-3.0) ~hi:3.0 ~bins:30 in
-  let g = Prng.create 5 in
-  for _ = 1 to 50000 do
-    Histogram.add h (Prng.gaussian g)
-  done;
-  let integral =
-    Array.fold_left (fun acc (_, d) -> acc +. (d *. Histogram.bin_width h)) 0.0
-      (Histogram.to_series h)
-  in
-  Alcotest.check (approx 1e-9) "density integrates to 1" 1.0 integral;
-  (* Compare the central bin with the normal pdf. *)
-  let _, d = (Histogram.to_series h).(15) in
-  Alcotest.check (approx 0.03) "central density ~ pdf(0)" 0.3989 d
-
 (* ---- Monte Carlo ---- *)
 
 let test_probability_estimate () =
   let g = Prng.create 99 in
-  let e =
-    Monte_carlo.estimate_probability_pooled ~trials:20000 ~rng:g
-      ~f:(fun g _ -> Prng.float g < 0.3)
+  let hits =
+    Monte_carlo.sample_array_pooled ~trials:20000 ~rng:g
+      ~f:(fun g _ -> if Prng.float g < 0.3 then 1.0 else 0.0)
       ()
   in
-  Alcotest.check (approx 0.02) "probability" 0.3 e.Monte_carlo.p;
-  Alcotest.(check bool) "CI sane" true
-    (e.Monte_carlo.half_width_95 > 0.0 && e.Monte_carlo.half_width_95 < 0.02)
+  Alcotest.check (approx 0.02) "probability" 0.3 (Describe.summarize hits).Describe.mean
 
 let test_mean_estimate () =
   let g = Prng.create 123 in
-  let e =
-    Monte_carlo.estimate_mean_pooled ~trials:20000 ~rng:g
-      ~f:(fun g _ -> Prng.uniform g ~lo:0.0 ~hi:2.0)
-      ()
+  let s =
+    Describe.summarize
+      (Monte_carlo.sample_array_pooled ~trials:20000 ~rng:g
+         ~f:(fun g _ -> Prng.uniform g ~lo:0.0 ~hi:2.0)
+         ())
   in
-  Alcotest.check (approx 0.02) "mean" 1.0 e.Monte_carlo.mean;
-  Alcotest.check (approx 0.02) "stddev" (2.0 /. sqrt 12.0) e.Monte_carlo.stddev
+  Alcotest.check (approx 0.02) "mean" 1.0 s.Describe.mean;
+  Alcotest.check (approx 0.02) "stddev" (2.0 /. sqrt 12.0) s.Describe.stddev
 
 let test_sample_array () =
   let g = Prng.create 7 in
@@ -248,9 +219,6 @@ let () =
         :: Alcotest.test_case "percentile" `Quick test_percentile
         :: Alcotest.test_case "rms" `Quick test_rms
         :: qcheck [ prop_welford_matches_naive ] );
-      ( "histogram",
-        [ Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "density normalised" `Quick test_histogram_density_normalised ] );
       ( "monte-carlo",
         [ Alcotest.test_case "probability estimate" `Quick test_probability_estimate;
           Alcotest.test_case "mean estimate" `Quick test_mean_estimate;

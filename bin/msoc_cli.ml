@@ -25,7 +25,6 @@
 module Path = Msoc_analog.Path
 module Context = Msoc_analog.Context
 module Units = Msoc_util.Units
-module Prng = Msoc_util.Prng
 module Texttable = Msoc_util.Texttable
 module Tone = Msoc_dsp.Tone
 module Spectrum = Msoc_dsp.Spectrum
@@ -33,8 +32,6 @@ module Metrics = Msoc_dsp.Metrics
 module Obs = Msoc_obs.Obs
 module Progress = Msoc_obs.Progress
 module Trace = Msoc_obs.Trace
-module Param = Msoc_analog.Param
-module Monte_carlo = Msoc_stat.Monte_carlo
 module Soc = Msoc_soc.Soc
 module Serve_protocol = Msoc_serve.Protocol
 module Serve_verbs = Msoc_serve.Verbs

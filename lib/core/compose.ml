@@ -7,7 +7,6 @@ module Mixer = Msoc_analog.Mixer
 module Local_osc = Msoc_analog.Local_osc
 module Adc = Msoc_analog.Adc
 module Sigma_delta = Msoc_analog.Sigma_delta
-module Nonlin = Msoc_analog.Nonlin
 module Context = Msoc_analog.Context
 
 type t = {

@@ -1,6 +1,5 @@
 module Distribution = Msoc_stat.Distribution
 module Quadrature = Msoc_stat.Quadrature
-module Prng = Msoc_util.Prng
 
 type losses = { fcl : float; yl : float }
 

@@ -5,6 +5,7 @@ module Fault_sim = Msoc_netlist.Fault_sim
 module Spectrum = Msoc_dsp.Spectrum
 module Window = Msoc_dsp.Window
 module Tone = Msoc_dsp.Tone
+module Obs = Msoc_obs.Obs
 module Progress = Msoc_obs.Progress
 
 (* Heartbeat cells for the spectral judging phase (one add per verdict —
@@ -100,36 +101,20 @@ type detection = {
   noise_floor_db : float;
 }
 
+(* DC and the [exclude_half_width] bins around each stimulus tone. *)
 let excluded_bins config spectrum ~tone_freqs =
-  let table = Hashtbl.create 32 in
-  Hashtbl.replace table 0 ();
+  let nbins = Spectrum.bin_count spectrum in
+  let excluded = Array.make nbins false in
+  excluded.(0) <- true;
   List.iter
     (fun freq ->
       let center = Spectrum.bin_of_frequency spectrum freq in
       for k = max 0 (center - config.exclude_half_width)
-          to min (Spectrum.bin_count spectrum - 1) (center + config.exclude_half_width) do
-        Hashtbl.replace table k ()
+          to min (nbins - 1) (center + config.exclude_half_width) do
+        excluded.(k) <- true
       done)
     tone_freqs;
-  table
-
-(* Bin-wise comparison with both spectra clamped at a per-bin floor: the
-   comparison tolerance is not flat because the filter shapes the input
-   noise — pass-band bins carry the full input noise while stop-band bins
-   are quiet.  [floor_db] maps a bin index to the clamping level. *)
-let spectra_differ config ~floor_db ~excluded reference candidate =
-  let nbins = Spectrum.bin_count reference in
-  let rec scan k =
-    if k >= nbins then false
-    else if Hashtbl.mem excluded k then scan (k + 1)
-    else begin
-      let floor = floor_db k in
-      let a = Float.max (Spectrum.power_db reference k) floor in
-      let b = Float.max (Spectrum.power_db candidate k) floor in
-      if Float.abs (a -. b) > config.tolerance_db then true else scan (k + 1)
-    end
-  in
-  scan 1
+  excluded
 
 (* The estimated per-bin uncertainty: the noise level by which the actual
    stimulus departs from the reference one (§4.1 — "the level of total
@@ -137,7 +122,10 @@ let spectra_differ config ~floor_db ~excluded reference candidate =
    analysis of the input patterns"), shaped by the filter's magnitude
    response since pass-band noise survives while stop-band noise does not.
    A numerical floor 140 dB under the carrier guards against comparing
-   FFT round-off. *)
+   FFT round-off.  The result is the per-bin clamping level of the
+   comparison: not flat, because the filter shapes the input noise —
+   pass-band bins carry the full input noise while stop-band bins are
+   quiet. *)
 let noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_codes ~golden =
   assert (Array.length input_codes = Array.length reference_codes);
   let difference =
@@ -158,14 +146,13 @@ let noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_code
           let lo = max 1 (k - half_window) and hi = min (nbins - 1) (k + half_window) in
           let kept = ref [] in
           for j = lo to hi do
-            if not (Hashtbl.mem excluded j) then kept := sp.Spectrum.bins.(j) :: !kept
+            if not excluded.(j) then kept := sp.Spectrum.bins.(j) :: !kept
           done;
           match !kept with
           | [] -> -400.0
           | values ->
             let sorted = List.sort compare values in
-            let median = List.nth sorted (List.length sorted / 2) in
-            if median <= 1e-40 then -400.0 else 10.0 *. Float.log10 median)
+            Spectrum.db_of_power (List.nth sorted (List.length sorted / 2)))
     end
   in
   let peak_db = Spectrum.power_db golden (Spectrum.peak_bin golden ()) in
@@ -173,49 +160,69 @@ let noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_code
   let coeffs =
     Array.map (fun c -> float_of_int c *. fir.Fir_netlist.scale) fir.Fir_netlist.coeffs
   in
-  let profile =
-    Array.init nbins (fun k ->
-        let freq_norm = float_of_int k /. float_of_int golden.Spectrum.length in
-        let shaped_noise = input_noise_db.(k) +. Fir.magnitude_db coeffs ~freq:freq_norm in
-        Float.max shaped_noise numerical_floor +. config.uncertainty_margin_db)
+  Array.init nbins (fun k ->
+      let freq_norm = float_of_int k /. float_of_int golden.Spectrum.length in
+      let shaped_noise = input_noise_db.(k) +. Fir.magnitude_db coeffs ~freq:freq_norm in
+      Float.max shaped_noise numerical_floor +. config.uncertainty_margin_db)
+
+(* The judge of one run, prepared once from the golden side: the golden
+   spectrum (ideal stimulus through the exact behavioural model) and the
+   noise estimate per §4.1 (spectral analysis of the input patterns,
+   propagated through the filter's known magnitude response), folded into
+   a {!Spectrum.mask}; with it, the worst (pass-band) floor over the
+   compared bins, which the detection record reports. *)
+let prepare config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs =
+  let golden_stream = Fir_netlist.response fir reference_codes in
+  let golden = output_spectrum config fir ~sample_rate golden_stream in
+  let excluded = excluded_bins config golden ~tone_freqs in
+  let floor_db =
+    noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_codes ~golden
   in
-  fun k -> profile.(k)
+  let worst_floor = ref neg_infinity in
+  for k = 1 to Array.length floor_db - 1 do
+    if not excluded.(k) then worst_floor := Float.max !worst_floor floor_db.(k)
+  done;
+  ( Spectrum.mask golden ~floor_db ~excluded ~tolerance_db:config.tolerance_db,
+    !worst_floor )
 
 let max_deviation good faulty =
   let dev = ref 0 in
-  Array.iteri
-    (fun i g ->
-      let d = abs (faulty.(i) - g) in
-      if d > !dev then dev := d)
-    good;
+  for i = 0 to Array.length good - 1 do
+    let d = abs (faulty.(i) - good.(i)) in
+    if d > !dev then dev := d
+  done;
   !dev
 
 let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs
     ~faults =
   let samples = Array.length input_codes in
   assert (samples >= 64);
-  (* Golden spectrum: ideal stimulus through the exact behavioural model. *)
-  let golden_stream = Fir_netlist.response fir reference_codes in
-  let golden = output_spectrum config fir ~sample_rate golden_stream in
-  (* Noise estimate per §4.1: spectral analysis of the input patterns,
-     propagated through the filter's known magnitude response. *)
-  let good_actual_stream = Fir_netlist.response fir input_codes in
-  let excluded = excluded_bins config golden ~tone_freqs in
-  let floor_db =
-    noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_codes ~golden
+  let mask, worst_floor =
+    prepare config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs
   in
+  let good_stream = Fir_netlist.response fir input_codes in
   Progress.set prog_judged_total (float_of_int (Array.length faults));
-  (* Each stream is judged (windowed FFT + bin-wise comparison) inside its
-     batch on the worker that simulated it, so no stream outlives its
-     batch; verdicts come back in fault order at every pool size. *)
-  let judge _index _fault stream =
-    let spectrum = output_spectrum config fir ~sample_rate stream in
+  (* One verdict: the spectral test, then — for an escape — its largest
+     output deviation from the good stream, in input-referred LSBs. *)
+  let judge stream =
+    Obs.span "digital_test.judge" @@ fun () ->
+    if Spectrum.departs mask ~scale:fir.Fir_netlist.scale stream then (true, 0.0)
+    else (false, float_of_int (max_deviation good_stream stream) *. fir.Fir_netlist.scale)
+  in
+  (* A fault that leaves the output untouched (unactivated, or masked
+     downstream) yields a stream equal to the good one: that verdict is
+     judged once, here, and shared. *)
+  let good_verdict = judge good_stream in
+  (* Each stream is judged inside its batch on the worker that simulated
+     it, so no stream outlives its batch; verdicts come back in fault
+     order at every pool size. *)
+  let on_fault _index _fault stream =
     let verdict =
-      if spectra_differ config ~floor_db ~excluded golden spectrum then (true, 0.0)
-      else begin
-        let dev = max_deviation good_actual_stream stream in
-        (false, float_of_int dev *. fir.Fir_netlist.scale)
+      if stream = good_stream then begin
+        Obs.count "digital_test.shared_verdicts";
+        good_verdict
       end
+      else judge stream
     in
     (* heartbeat: atomic adds, safe from any judging domain *)
     Progress.add prog_judged 1.0;
@@ -225,7 +232,7 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
   let drive sim cycle = Fir_netlist.drive fir sim input_codes.(cycle) in
   let _, verdicts =
     Fault_sim.observe ?pool fir.Fir_netlist.circuit ~output:Fir_netlist.output_bus_name ~drive
-      ~samples ~faults ~on_fault:judge
+      ~samples ~faults ~on_fault
   in
   let detected = ref 0 and undetected = ref [] and undetected_dev = ref [] in
   for i = Array.length faults - 1 downto 0 do
@@ -236,31 +243,18 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
       undetected_dev := dev :: !undetected_dev
   done;
   let detected = !detected in
-  let reported_floor =
-    let worst = ref neg_infinity in
-    for k = 1 to Spectrum.bin_count golden - 1 do
-      if not (Hashtbl.mem excluded k) then worst := Float.max !worst (floor_db k)
-    done;
-    !worst
-  in
   { total = Array.length faults;
     detected;
     coverage = float_of_int detected /. float_of_int (max 1 (Array.length faults));
     undetected = Array.of_list !undetected;
     undetected_max_dev_lsb = Array.of_list !undetected_dev;
-    noise_floor_db = reported_floor }
+    noise_floor_db = worst_floor }
 
 let false_alarm config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs
     ~verification_codes =
-  let golden_stream = Fir_netlist.response fir reference_codes in
-  let golden = output_spectrum config fir ~sample_rate golden_stream in
-  let excluded = excluded_bins config golden ~tone_freqs in
-  let floor_db =
-    noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_codes ~golden
-  in
-  let candidate_stream = Fir_netlist.response fir verification_codes in
-  let candidate = output_spectrum config fir ~sample_rate candidate_stream in
-  spectra_differ config ~floor_db ~excluded golden candidate
+  let mask, _ = prepare config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs in
+  Spectrum.departs mask ~scale:fir.Fir_netlist.scale
+    (Fir_netlist.response fir verification_codes)
 
 let second_pass ?pool config fir ~sample_rate ~input_codes ~reference_codes ~tone_freqs ~previous =
   let rerun =

@@ -101,9 +101,16 @@ val spectral_coverage :
     uses an ideal stimulus for the good-circuit simulation and the
     realistic analog model for the faulty ones).  Streams come from
     {!Fault_sim.observe} and are judged inside their batch, so memory stays
-    bounded by one batch of streams per worker.  With [pool], simulation
-    and per-fault spectrum analysis run across domains; the detection
-    record is identical for every pool size. *)
+    bounded by one batch of streams per worker.  The judge is prepared
+    once per run ({!Spectrum.mask}), its spectral test of a stream
+    ({!Spectrum.departs}) allocates nothing, and every stream equal to the
+    fault-free one shares a single verdict.  With [pool], simulation and judging run across domains; the
+    detection record is identical for every pool size.
+
+    Telemetry: one ["digital_test.judge"] span per judged stream (the
+    fault-free stream's included) and a ["digital_test.shared_verdicts"]
+    count of the streams that reused its verdict, so the two sum to the
+    fault count plus one. *)
 
 val false_alarm :
   config ->
@@ -116,9 +123,10 @@ val false_alarm :
   bool
 (** Would a {e fault-free} part be flagged?  [verification_codes] is a
     second capture of the same stimulus (fresh noise realisation) pushed
-    through the good circuit and compared exactly as a faulty machine
-    would be.  Used to calibrate the uncertainty margin: the margin must
-    keep this [false] while staying tight enough to catch real faults. *)
+    through the good circuit and judged by the same prepared judge as a
+    faulty machine's stream.  Used to calibrate the uncertainty margin:
+    the margin must keep this [false] while staying tight enough to catch
+    real faults. *)
 
 val second_pass :
   ?pool:Msoc_util.Pool.t ->

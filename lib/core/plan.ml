@@ -1,6 +1,5 @@
 module Path = Msoc_analog.Path
 module Param = Msoc_analog.Param
-module Distribution = Msoc_stat.Distribution
 
 type entry =
   | Composed of Compose.t

@@ -1,4 +1,3 @@
-module Units = Msoc_util.Units
 module Param = Msoc_analog.Param
 module Path = Msoc_analog.Path
 module Stage = Msoc_analog.Stage

@@ -51,20 +51,25 @@ type rfft_plan = {
 
 let plan_mutex = Mutex.create ()
 let pow2_plans : (int, pow2_plan) Hashtbl.t = Hashtbl.create 8
-(* keyed by (n, inverse): the chirp sign differs between directions *)
-let bluestein_plans : (int * bool, bluestein_plan) Hashtbl.t = Hashtbl.create 8
+(* one table per direction: the chirp sign differs between them *)
+let bluestein_plans : (int, bluestein_plan) Hashtbl.t = Hashtbl.create 8
+let bluestein_inverse_plans : (int, bluestein_plan) Hashtbl.t = Hashtbl.create 8
 let rfft_plans : (int, rfft_plan) Hashtbl.t = Hashtbl.create 8
 
 let clear_plan_cache () =
   Mutex.lock plan_mutex;
   Hashtbl.reset pow2_plans;
   Hashtbl.reset bluestein_plans;
+  Hashtbl.reset bluestein_inverse_plans;
   Hashtbl.reset rfft_plans;
   Mutex.unlock plan_mutex
 
 let plan_cache_sizes () =
   Mutex.lock plan_mutex;
-  let sizes = (Hashtbl.length pow2_plans, Hashtbl.length bluestein_plans) in
+  let sizes =
+    ( Hashtbl.length pow2_plans,
+      Hashtbl.length bluestein_plans + Hashtbl.length bluestein_inverse_plans )
+  in
   Mutex.unlock plan_mutex;
   sizes
 
@@ -100,32 +105,33 @@ let build_pow2_plan n =
    transforms its kernel, which re-enters the pow2 lookup — holding one
    non-reentrant mutex across the build would self-deadlock.  If two
    domains race on a cold key both build; the first to publish wins and
-   the plans are identical anyway (pure functions of the key). *)
-let memo_plan table key ~hit ~miss build =
+   the plans are identical anyway (pure functions of the key).  A hit
+   allocates nothing: the key is the bare length, [build] is a closed
+   function of it, and the table is read with [Hashtbl.find]. *)
+let memo_plan table n ~hit ~miss build =
   Mutex.lock plan_mutex;
-  let existing = Hashtbl.find_opt table key in
-  Mutex.unlock plan_mutex;
-  match existing with
-  | Some plan ->
+  match Hashtbl.find table n with
+  | plan ->
+    Mutex.unlock plan_mutex;
     Obs.count hit;
     plan
-  | None ->
+  | exception Not_found ->
+    Mutex.unlock plan_mutex;
     Obs.count miss;
-    let plan = Obs.span "fft.plan.build" build in
+    let plan = Obs.span "fft.plan.build" (fun () -> build n) in
     Mutex.lock plan_mutex;
     let plan =
-      match Hashtbl.find_opt table key with
-      | Some winner -> winner
-      | None ->
-        Hashtbl.add table key plan;
+      match Hashtbl.find table n with
+      | winner -> winner
+      | exception Not_found ->
+        Hashtbl.add table n plan;
         plan
     in
     Mutex.unlock plan_mutex;
     plan
 
 let pow2_plan n =
-  memo_plan pow2_plans n ~hit:"fft.plan.pow2.hit" ~miss:"fft.plan.pow2.miss"
-    (fun () -> build_pow2_plan n)
+  memo_plan pow2_plans n ~hit:"fft.plan.pow2.hit" ~miss:"fft.plan.pow2.miss" build_pow2_plan
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain scratch.  The transforms below need short-lived work     *)
@@ -133,19 +139,21 @@ let pow2_plan n =
 (* allocating them per call made the capture loop GC-bound, so each    *)
 (* domain keeps one buffer per (role, exact length).  Buffers hold no  *)
 (* state between calls — every user overwrites before reading — and    *)
-(* roles keep the concurrent uses inside one transform distinct.       *)
+(* roles keep the concurrent uses inside one transform distinct.  One  *)
+(* table per role, keyed by the bare length, so a hit allocates        *)
+(* nothing.                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let scratch_key : (int * int, float array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+let scratch_key : (int, float array) Hashtbl.t array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.init 4 (fun _ -> Hashtbl.create 8))
 
 let scratch ~role n =
-  let tbl = Domain.DLS.get scratch_key in
-  match Hashtbl.find_opt tbl (role, n) with
-  | Some a -> a
-  | None ->
+  let tbl = (Domain.DLS.get scratch_key).(role) in
+  match Hashtbl.find tbl n with
+  | a -> a
+  | exception Not_found ->
     let a = Array.make n 0.0 in
-    Hashtbl.add tbl (role, n) a;
+    Hashtbl.add tbl n a;
     a
 
 (* roles: 0/1 — packed/real input of [rfft]; 2/3 — Bluestein convolution *)
@@ -156,7 +164,16 @@ and role_conv_im = 3
 
 (* Iterative radix-2 decimation-in-time with table-driven twiddles: the
    bit-reversal permutation followed by log2(N) butterfly stages.  The
-   inverse direction conjugates the (forward-sign) table entries. *)
+   inverse direction conjugates the (forward-sign) table entries.
+
+   The butterflies of one stage touch disjoint index pairs, so a stage
+   runs twiddle-outer: each twiddle is loaded (and conjugated — a
+   multiply by +-1.0, which is exact) once per stage, then applied to
+   every block.  No float expression changes association, so the order
+   does not change a bit of the result.  Every index below is in range by
+   construction ([perm] is a permutation of [0, n); [a < b < n]; the stage
+   [len]'s twiddles sit at [len/2 - 1 .. len - 2] of the n - 1 entries),
+   so the loops read and write unchecked. *)
 let fft_in_place ~re ~im ~inverse =
   let n = Array.length re in
   assert (Array.length im = n && is_power_of_two n);
@@ -164,38 +181,47 @@ let fft_in_place ~re ~im ~inverse =
     let plan = pow2_plan n in
     let perm = plan.perm and tw_re = plan.tw_re and tw_im = plan.tw_im in
     for i = 0 to n - 1 do
-      let j = perm.(i) in
+      let j = Array.unsafe_get perm i in
       if i < j then begin
-        let tr = re.(i) in re.(i) <- re.(j); re.(j) <- tr;
-        let ti = im.(i) in im.(i) <- im.(j); im.(j) <- ti
+        let tr = Array.unsafe_get re i in
+        Array.unsafe_set re i (Array.unsafe_get re j);
+        Array.unsafe_set re j tr;
+        let ti = Array.unsafe_get im i in
+        Array.unsafe_set im i (Array.unsafe_get im j);
+        Array.unsafe_set im j ti
       end
     done;
     let sign = if inverse then -1.0 else 1.0 in
     let len = ref 2 in
     while !len <= n do
-      let half = !len / 2 in
+      let step = !len in
+      let half = step / 2 in
       let base = half - 1 in
-      let block = ref 0 in
-      while !block < n do
-        for k = 0 to half - 1 do
-          let wr = tw_re.(base + k) and wi = sign *. tw_im.(base + k) in
-          let a = !block + k and b = !block + k + half in
-          let tr = (wr *. re.(b)) -. (wi *. im.(b)) in
-          let ti = (wr *. im.(b)) +. (wi *. re.(b)) in
-          re.(b) <- re.(a) -. tr;
-          im.(b) <- im.(a) -. ti;
-          re.(a) <- re.(a) +. tr;
-          im.(a) <- im.(a) +. ti
-        done;
-        block := !block + !len
+      for k = 0 to half - 1 do
+        let wr = Array.unsafe_get tw_re (base + k)
+        and wi = sign *. Array.unsafe_get tw_im (base + k) in
+        let a = ref k in
+        while !a < n do
+          let a' = !a in
+          let b = a' + half in
+          let br = Array.unsafe_get re b and bi = Array.unsafe_get im b in
+          let ar = Array.unsafe_get re a' and ai = Array.unsafe_get im a' in
+          let tr = (wr *. br) -. (wi *. bi) in
+          let ti = (wr *. bi) +. (wi *. br) in
+          Array.unsafe_set re b (ar -. tr);
+          Array.unsafe_set im b (ai -. ti);
+          Array.unsafe_set re a' (ar +. tr);
+          Array.unsafe_set im a' (ai +. ti);
+          a := a' + step
+        done
       done;
-      len := !len * 2
+      len := step * 2
     done;
     if inverse then begin
       let scale = 1.0 /. float_of_int n in
       for i = 0 to n - 1 do
-        re.(i) <- re.(i) *. scale;
-        im.(i) <- im.(i) *. scale
+        Array.unsafe_set re i (Array.unsafe_get re i *. scale);
+        Array.unsafe_set im i (Array.unsafe_get im i *. scale)
       done
     end
   end
@@ -225,9 +251,12 @@ let build_bluestein_plan ~inverse n =
   { n; m; chirp_re; chirp_im; fb_re; fb_im }
 
 let bluestein_plan ~inverse n =
-  memo_plan bluestein_plans (n, inverse) ~hit:"fft.plan.bluestein.hit"
-    ~miss:"fft.plan.bluestein.miss"
-    (fun () -> build_bluestein_plan ~inverse n)
+  if inverse then
+    memo_plan bluestein_inverse_plans n ~hit:"fft.plan.bluestein.hit"
+      ~miss:"fft.plan.bluestein.miss" (fun n -> build_bluestein_plan ~inverse:true n)
+  else
+    memo_plan bluestein_plans n ~hit:"fft.plan.bluestein.hit"
+      ~miss:"fft.plan.bluestein.miss" (fun n -> build_bluestein_plan ~inverse:false n)
 
 (* Bluestein chirp-z, in place on split arrays: x_n * w_n convolved with
    the conj(w) chirp, where w_n = exp(-i pi n^2 / N).  The linear
@@ -323,8 +352,7 @@ let build_rfft_plan n =
   { ut_re; ut_im }
 
 let rfft_plan n =
-  memo_plan rfft_plans n ~hit:"fft.plan.rfft.hit" ~miss:"fft.plan.rfft.miss"
-    (fun () -> build_rfft_plan n)
+  memo_plan rfft_plans n ~hit:"fft.plan.rfft.hit" ~miss:"fft.plan.rfft.miss" build_rfft_plan
 
 (* Forward transform of a real signal into caller-provided split output:
    [re]/[im] receive the n/2 + 1 non-redundant bins (DC .. Nyquist). *)
@@ -346,26 +374,28 @@ let rfft_into signal ~re ~im =
   else begin
     let h = n / 2 in
     let z_re = scratch ~role:role_pack_re h and z_im = scratch ~role:role_pack_im h in
+    (* unchecked below: n = 2h, the output holds h + 1 bins (asserted),
+       and both Z_k (Z_h reads Z_0, by length-h periodicity) and its
+       mirror Z_j, j = (h - k) mod h, index [0, h) *)
     for k = 0 to h - 1 do
-      z_re.(k) <- signal.(2 * k);
-      z_im.(k) <- signal.((2 * k) + 1)
+      Array.unsafe_set z_re k (Array.unsafe_get signal (2 * k));
+      Array.unsafe_set z_im k (Array.unsafe_get signal ((2 * k) + 1))
     done;
     transform_in_place ~re:z_re ~im:z_im ~inverse:false;
     let plan = rfft_plan n in
     let ut_re = plan.ut_re and ut_im = plan.ut_im in
     for k = 0 to h do
-      (* Z_h and Z_0 coincide (length-h periodicity) *)
-      let zk_re = if k = h then z_re.(0) else z_re.(k) in
-      let zk_im = if k = h then z_im.(0) else z_im.(k) in
-      let j = (h - k) mod h in
-      let zj_re = z_re.(j) and zj_im = -.z_im.(j) in
+      let kz = if k = h then 0 else k in
+      let j = if k = 0 then 0 else h - k in
+      let zk_re = Array.unsafe_get z_re kz and zk_im = Array.unsafe_get z_im kz in
+      let zj_re = Array.unsafe_get z_re j and zj_im = -.Array.unsafe_get z_im j in
       let e_re = 0.5 *. (zk_re +. zj_re) and e_im = 0.5 *. (zk_im +. zj_im) in
       (* O_k = -i (Z_k - conj Z_{h-k}) / 2 *)
       let d_re = 0.5 *. (zk_re -. zj_re) and d_im = 0.5 *. (zk_im -. zj_im) in
       let o_re = d_im and o_im = -.d_re in
-      let w_re = ut_re.(k) and w_im = ut_im.(k) in
-      re.(k) <- e_re +. ((w_re *. o_re) -. (w_im *. o_im));
-      im.(k) <- e_im +. ((w_re *. o_im) +. (w_im *. o_re))
+      let w_re = Array.unsafe_get ut_re k and w_im = Array.unsafe_get ut_im k in
+      Array.unsafe_set re k (e_re +. ((w_re *. o_re) -. (w_im *. o_im)));
+      Array.unsafe_set im k (e_im +. ((w_re *. o_im) +. (w_im *. o_re)))
     done
   end
 

@@ -8,7 +8,7 @@ type report = {
   enob_bits : float;
 }
 
-let db p = if p <= 1e-40 then -400.0 else 10.0 *. Float.log10 p
+let db = Spectrum.db_of_power
 
 (* Fold a frequency into the first Nyquist zone [0, fs/2]. *)
 let alias_fold ~sample_rate freq =

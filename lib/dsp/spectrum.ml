@@ -7,21 +7,43 @@ type t = {
 
 module Obs = Msoc_obs.Obs
 
-(* Per-domain scratch for the windowed signal and the split transform
-   output: a spectrum per fault stream, per Monte-Carlo sample, per
-   repeated capture used to allocate (and immediately discard) all three —
-   only the one-sided power array below survives the call. *)
-let scratch_key : (int * int, float array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+(* Per-domain scratch for the windowed signal (role 0) and the split
+   transform output (roles 1 and 2): a spectrum per fault stream, per
+   Monte-Carlo sample, per repeated capture used to allocate (and
+   immediately discard) all three — only the one-sided power array of
+   [analyze] survives the call, and [departs] keeps nothing.  One table
+   per role, keyed by the bare length, so a hit allocates nothing. *)
+let scratch_key : (int, float array) Hashtbl.t array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.init 3 (fun _ -> Hashtbl.create 8))
 
 let scratch ~role n =
-  let tbl = Domain.DLS.get scratch_key in
-  match Hashtbl.find_opt tbl (role, n) with
-  | Some a -> a
-  | None ->
+  let tbl = (Domain.DLS.get scratch_key).(role) in
+  match Hashtbl.find tbl n with
+  | a -> a
+  | exception Not_found ->
     let a = Array.make n 0.0 in
-    Hashtbl.add tbl (role, n) a;
+    Hashtbl.add tbl n a;
     a
+
+(* The two per-bin expressions every reading goes through, defined once
+   for [analyze] and [departs]: the one-sided power of bin [k] of an
+   [n]-point transform (DC and Nyquist count once, the rest twice), and
+   its dB map with a -400 dB floor for empty bins. *)
+let[@inline] bin_power ~n ~norm k re im =
+  let mag2 = (re *. re) +. (im *. im) in
+  let sc = if k = 0 || (n mod 2 = 0 && k = n / 2) then 1.0 else 2.0 in
+  (sc *. mag2) *. norm
+
+let[@inline] db_of_power p = if p <= 1e-40 then -400.0 else 10.0 *. Float.log10 p
+
+(* One-sided mean-square power, normalised by the window's equivalent
+   noise bandwidth so that (a) summing a tone's main lobe yields its true
+   mean-square power a^2/2 and (b) summing noise bins yields the true
+   noise variance.  Both identities are exact for cosine-sum windows. *)
+let power_norm window n =
+  let gain = Window.coherent_gain window *. float_of_int n in
+  let enbw = Window.noise_bandwidth_bins window in
+  1.0 /. (gain *. gain *. enbw)
 
 let analyze ?(window = Window.Hann) ~sample_rate signal =
   let n = Array.length signal in
@@ -33,19 +55,10 @@ let analyze ?(window = Window.Hann) ~sample_rate signal =
   let bin_count = (n / 2) + 1 in
   let f_re = scratch ~role:1 bin_count and f_im = scratch ~role:2 bin_count in
   Fft.rfft_into windowed ~re:f_re ~im:f_im;
-  let gain = Window.coherent_gain window *. float_of_int n in
-  (* One-sided mean-square power, normalised by the window's equivalent
-     noise bandwidth so that (a) summing a tone's main lobe yields its true
-     mean-square power a^2/2 and (b) summing noise bins yields the true
-     noise variance.  Both identities are exact for cosine-sum windows. *)
-  let enbw = Window.noise_bandwidth_bins window in
-  let norm = 1.0 /. (gain *. gain *. enbw) in
+  let norm = power_norm window n in
   let bins =
     Array.init bin_count (fun k ->
-        let re = Array.unsafe_get f_re k and im = Array.unsafe_get f_im k in
-        let mag2 = (re *. re) +. (im *. im) in
-        let scale = if k = 0 || (n mod 2 = 0 && k = n / 2) then 1.0 else 2.0 in
-        scale *. mag2 *. norm)
+        bin_power ~n ~norm k (Array.unsafe_get f_re k) (Array.unsafe_get f_im k))
   in
   { bins; sample_rate; window; length = n }
 
@@ -71,9 +84,7 @@ let bin_of_frequency t freq =
   let k = int_of_float (Float.round (freq *. float_of_int t.length /. t.sample_rate)) in
   min k (bin_count t - 1)
 
-let power_db t k =
-  let p = t.bins.(k) in
-  if p <= 1e-40 then -400.0 else 10.0 *. Float.log10 p
+let power_db t k = db_of_power t.bins.(k)
 
 let tone_power ?(avoid = fun _ -> false) t ~freq =
   let center = bin_of_frequency t freq in
@@ -120,6 +131,63 @@ let noise_floor_db t ~exclude =
   if Array.length values = 0 then -400.0
   else begin
     Array.sort compare values;
-    let median = values.(Array.length values / 2) in
-    if median <= 1e-40 then -400.0 else 10.0 *. Float.log10 median
+    db_of_power values.(Array.length values / 2)
   end
+
+(* ------------------------------------------------------------------ *)
+(* The prepared comparison.  Everything that depends only on the       *)
+(* golden capture is computed once: its per-bin dB already clamped at  *)
+(* the floor, the floor, the excluded bins and the window table.  One  *)
+(* judgement is then a fused scale-and-window pass into per-domain     *)
+(* scratch, one real FFT, and a scan that computes each bin's dB where *)
+(* it compares and stops at the first bin out of tolerance: no         *)
+(* spectrum, no boxed float, no allocation.                            *)
+(* ------------------------------------------------------------------ *)
+
+type mask = {
+  samples : int;
+  window_table : float array;
+  norm : float;
+  golden_db : float array;   (* max (golden dB) floor, per bin *)
+  floor_db : float array;
+  excluded : bool array;
+  tolerance_db : float;
+}
+
+let mask golden ~floor_db ~excluded ~tolerance_db =
+  let nbins = bin_count golden in
+  if Array.length floor_db <> nbins || Array.length excluded <> nbins then
+    invalid_arg "Spectrum.mask: floor_db and excluded need one cell per bin";
+  { samples = golden.length;
+    window_table = Window.coefficients golden.window golden.length;
+    norm = power_norm golden.window golden.length;
+    golden_db = Array.init nbins (fun k -> Float.max (power_db golden k) floor_db.(k));
+    floor_db = Array.copy floor_db;
+    excluded = Array.copy excluded;
+    tolerance_db }
+
+let departs m ~scale stream =
+  let n = m.samples in
+  if Array.length stream <> n then invalid_arg "Spectrum.departs: stream length";
+  let x = scratch ~role:0 n in
+  let w = m.window_table in
+  for i = 0 to n - 1 do
+    Array.unsafe_set x i
+      ((float_of_int (Array.unsafe_get stream i) *. scale) *. Array.unsafe_get w i)
+  done;
+  let nbins = Array.length m.golden_db in
+  let f_re = scratch ~role:1 nbins and f_im = scratch ~role:2 nbins in
+  Fft.rfft_into x ~re:f_re ~im:f_im;
+  let norm = m.norm and golden_db = m.golden_db and floor_db = m.floor_db in
+  let excluded = m.excluded and tolerance_db = m.tolerance_db in
+  let k = ref 1 and out = ref false in
+  while (not !out) && !k < nbins do
+    let i = !k in
+    if not (Array.unsafe_get excluded i) then begin
+      let p = bin_power ~n ~norm i (Array.unsafe_get f_re i) (Array.unsafe_get f_im i) in
+      let b = Float.max (db_of_power p) (Array.unsafe_get floor_db i) in
+      if Float.abs (Array.unsafe_get golden_db i -. b) > tolerance_db then out := true
+    end;
+    k := i + 1
+  done;
+  !out

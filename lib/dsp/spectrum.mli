@@ -39,6 +39,10 @@ val power_db : t -> int -> float
 (** Bin power in dB relative to 1 V^2 (i.e. 10 log10 of the bin power), with
     a -400 dB floor for empty bins. *)
 
+val db_of_power : float -> float
+(** The dB map of {!power_db} on a raw power: [10 log10 p], or -400 dB at
+    or below [1e-40]. *)
+
 val tone_power : ?avoid:(int -> bool) -> t -> freq:float -> float
 (** Power of a tone near [freq]: sums bins within the window's main lobe
     around the nearest local peak.  The peak search climbs from the nearest
@@ -53,3 +57,28 @@ val peak_bin : t -> ?from_bin:int -> unit -> int
 
 val noise_floor_db : t -> exclude:(int -> bool) -> float
 (** Median per-bin power in dB over bins not excluded — robust to tones. *)
+
+(** {2 Prepared comparison against a golden capture}
+
+    The spectral fault test judges thousands of captures against one
+    golden spectrum.  A {!mask} holds everything that depends only on the
+    golden side, so that judging one capture allocates nothing. *)
+
+type mask
+
+val mask :
+  t -> floor_db:float array -> excluded:bool array -> tolerance_db:float -> mask
+(** [mask golden ~floor_db ~excluded ~tolerance_db] prepares the bin-wise
+    comparison against [golden]: per bin, both spectra are clamped at
+    [floor_db.(k)] (dB) and compared in dB.  Bins with [excluded.(k)] and
+    DC are not compared.  Both arrays need one cell per bin of [golden];
+    they are copied. *)
+
+val departs : mask -> scale:float -> int array -> bool
+(** [departs mask ~scale stream]: does the spectrum of the capture
+    [stream.(i) * scale] (windowed and normalised as {!analyze} does, with
+    the golden capture's window) differ from the golden one by more than
+    [tolerance_db] in some compared bin?  Each bin reads bit-identically to
+    comparing {!power_db} of the two {!analyze} results.  The stream must
+    have the golden capture's length.  Allocation-free in steady state;
+    safe to call from several domains at once. *)

@@ -4,7 +4,6 @@
    and the [serve.execute] / [serve.serialize] span split is attributed
    the same way whether a request came over the socket or argv. *)
 
-module Pool = Msoc_util.Pool
 module Prng = Msoc_util.Prng
 module Lru = Msoc_util.Lru
 module Texttable = Msoc_util.Texttable

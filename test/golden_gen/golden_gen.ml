@@ -10,6 +10,8 @@ module Path = Msoc_analog.Path
 module Topology = Msoc_analog.Topology
 module Context = Msoc_analog.Context
 module Tone = Msoc_dsp.Tone
+module Fft = Msoc_dsp.Fft
+module Fault = Msoc_netlist.Fault
 module Units = Msoc_util.Units
 module Prng = Msoc_util.Prng
 module Audit = Msoc_obs.Audit
@@ -92,6 +94,87 @@ let measure_values () =
     [ "default"; "sigma-delta"; "amp-bypass" ];
   Buffer.contents buffer
 
+(* One MD5 of the IEEE bits of every output float, per (transform,
+   length): [fft] and [ifft] on a seeded complex input, [rfft_into] on a
+   seeded real one, over every length up to 33 and a spread of
+   power-of-two and Bluestein lengths. *)
+let fft_lengths =
+  List.init 33 (fun i -> i + 1) @ [ 64; 100; 128; 255; 256; 300; 512; 1000; 1024; 2048; 4096 ]
+
+let bits_digest arrays =
+  let b = Buffer.create 4096 in
+  List.iter (Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x))) arrays;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let fft_bits () =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun n ->
+      let rng = Prng.create n in
+      let draw () = Prng.uniform rng ~lo:(-1.0) ~hi:1.0 in
+      let x =
+        Array.init n (fun _ ->
+            let re = draw () in
+            let im = draw () in
+            { Complex.re; im })
+      in
+      let real = Array.init n (fun _ -> draw ()) in
+      let complex_digest y =
+        bits_digest
+          [ Array.map (fun (c : Complex.t) -> c.re) y; Array.map (fun (c : Complex.t) -> c.im) y ]
+      in
+      Printf.bprintf buffer "fft %d %s\n" n (complex_digest (Fft.fft x));
+      Printf.bprintf buffer "ifft %d %s\n" n (complex_digest (Fft.ifft x));
+      if n >= 2 then begin
+        let bins = (n / 2) + 1 in
+        let re = Array.make bins 0.0 and im = Array.make bins 0.0 in
+        Fft.rfft_into real ~re ~im;
+        Printf.bprintf buffer "rfft_into %d %s\n" n (bits_digest [ re; im ])
+      end)
+    fft_lengths;
+  Buffer.contents buffer
+
+(* The §5 spectral verdicts: the full [Digital_test.spectral_coverage]
+   record on eight faultsim shapes (taps, samples, tones, stimulus seed;
+   10-bit input and the verb's tones and levels), power-of-two and
+   Bluestein lengths alike, every float as exact hex. *)
+let faultsim_shapes =
+  [ (5, 256, 1, 0); (5, 256, 2, 7); (7, 512, 1, 7); (9, 512, 2, 11); (3, 65, 1, 4);
+    (4, 127, 2, 0); (5, 301, 2, 9); (6, 1000, 1, 2) ]
+
+let faultsim_records () =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun (taps, samples, tones, seed) ->
+      let config = { Digital_test.default_config with Digital_test.taps; input_bits = 10 } in
+      let fir = Digital_test.build config in
+      let faults = Digital_test.collapsed_faults fir in
+      let fs = 1e6 in
+      let freqs =
+        List.map
+          (fun target -> Digital_test.coherent_tone ~sample_rate:fs ~samples ~target)
+          (if tones = 1 then [ 90e3 ] else [ 90e3; 110e3 ])
+      in
+      let rng = if seed = 0 then None else Some (Prng.create seed) in
+      let codes =
+        Digital_test.ideal_codes ?rng config ~sample_rate:fs ~samples ~freqs
+          ~amplitude_fs:(0.9 /. float_of_int tones)
+      in
+      let det =
+        Digital_test.spectral_coverage config fir ~sample_rate:fs ~input_codes:codes
+          ~reference_codes:codes ~tone_freqs:freqs ~faults
+      in
+      Printf.bprintf buffer "shape %d/%d/%d seed %d: total %d detected %d floor %h\n" taps
+        samples tones seed det.Digital_test.total det.Digital_test.detected
+        det.Digital_test.noise_floor_db;
+      Array.iteri
+        (fun i fault ->
+          Printf.bprintf buffer "  %s %h\n" (Format.asprintf "%a" Fault.pp fault)
+            det.Digital_test.undetected_max_dev_lsb.(i))
+        det.Digital_test.undetected)
+    faultsim_shapes;
+  Buffer.contents buffer
+
 let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
   write dir "plan_adaptive.txt" (plan_text Propagate.Adaptive);
@@ -102,6 +185,8 @@ let () =
            (Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ()))));
   write dir "tester_codes.txt" (tester_codes ());
   write dir "measure_values.txt" (measure_values ());
+  write dir "fft_bits.txt" (fft_bits ());
+  write dir "faultsim_records.txt" (faultsim_records ());
   (* reference-SOC schedule fixtures, at the canonical annealing defaults *)
   let problem = ref None in
   let soc_audit =

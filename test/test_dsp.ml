@@ -238,6 +238,82 @@ let test_bin_frequency_mapping () =
   Alcotest.(check int) "bin of f" 64 (Spectrum.bin_of_frequency sp 256.0);
   Alcotest.check (approx 1e-9) "freq of bin" 256.0 (Spectrum.frequency_of_bin sp 64)
 
+(* The prepared comparison reads exactly what comparing two [analyze]
+   results bin by bin reads — both clamped at the per-bin floor, excluded
+   bins and DC skipped — on power-of-two, even Bluestein and odd lengths,
+   for perturbations from a stray code to a gross fault. *)
+let test_departs_matches_analyze () =
+  List.iter
+    (fun (n, window) ->
+      let g = Prng.create n in
+      let golden_stream =
+        Array.init n (fun i ->
+            int_of_float (Float.round (400.0 *. sin (0.3 *. float_of_int i))) + Prng.int g 5 - 2)
+      in
+      let scale = 0.37 and tolerance_db = 6.0 in
+      let spectrum stream =
+        Spectrum.analyze ~window ~sample_rate:1.0
+          (Array.map (fun y -> float_of_int y *. scale) stream)
+      in
+      let golden = spectrum golden_stream in
+      let nbins = Spectrum.bin_count golden in
+      let floor_db = Array.init nbins (fun _ -> Prng.uniform g ~lo:(-40.0) ~hi:10.0) in
+      let excluded = Array.init nbins (fun k -> k = 0 || Prng.int g 8 = 0) in
+      let mask = Spectrum.mask golden ~floor_db ~excluded ~tolerance_db in
+      let reference stream =
+        let sp = spectrum stream in
+        let out = ref false in
+        for k = 1 to nbins - 1 do
+          if not excluded.(k) then begin
+            let a = Float.max (Spectrum.power_db golden k) floor_db.(k) in
+            let b = Float.max (Spectrum.power_db sp k) floor_db.(k) in
+            if Float.abs (a -. b) > tolerance_db then out := true
+          end
+        done;
+        !out
+      in
+      Alcotest.(check bool) "golden does not depart" false
+        (Spectrum.departs mask ~scale golden_stream);
+      let verdicts = ref [] in
+      for trial = 0 to 39 do
+        let amp = 1 lsl (trial mod 10) in
+        let candidate =
+          Array.map
+            (fun y -> if Prng.int g 8 = 0 then y + Prng.int g ((2 * amp) + 1) - amp else y)
+            golden_stream
+        in
+        let expected = reference candidate in
+        verdicts := expected :: !verdicts;
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d trial %d" n trial)
+          expected
+          (Spectrum.departs mask ~scale candidate)
+      done;
+      Alcotest.(check bool) (Printf.sprintf "n=%d sees both verdicts" n) true
+        (List.mem true !verdicts && List.mem false !verdicts))
+    [ (256, Window.Hann); (300, Window.Blackman); (301, Window.Hann); (1024, Window.Hamming) ]
+
+(* Judging one stream allocates nothing once the scratch and plans of its
+   length exist, at a power-of-two and at a Bluestein length. *)
+let test_departs_allocation_free () =
+  List.iter
+    (fun n ->
+      let stream = Array.init n (fun i -> (i * 37) mod 200 - 100) in
+      let golden = Spectrum.analyze ~sample_rate:1.0 (Array.map float_of_int stream) in
+      let nbins = Spectrum.bin_count golden in
+      let mask =
+        Spectrum.mask golden ~floor_db:(Array.make nbins (-50.0))
+          ~excluded:(Array.make nbins false) ~tolerance_db:6.0
+      in
+      ignore (Spectrum.departs mask ~scale:1.0 stream);
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        ignore (Spectrum.departs mask ~scale:1.0 stream)
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0)) (Printf.sprintf "n=%d minor words" n) 0.0 words)
+    [ 512; 300 ]
+
 let test_metrics_clean_sine () =
   let f, signal = coherent_sine ~n:2048 ~fs:10000.0 ~target:1000.0 () in
   let sp = Spectrum.analyze ~sample_rate:10000.0 signal in
@@ -537,7 +613,9 @@ let () =
       ( "spectrum",
         [ Alcotest.test_case "tone power calibrated" `Quick test_tone_power_reads_true;
           Alcotest.test_case "noise total" `Quick test_spectrum_noise_total;
-          Alcotest.test_case "bin mapping" `Quick test_bin_frequency_mapping ] );
+          Alcotest.test_case "bin mapping" `Quick test_bin_frequency_mapping;
+          Alcotest.test_case "departs = analyze comparison" `Quick test_departs_matches_analyze;
+          Alcotest.test_case "departs allocates nothing" `Quick test_departs_allocation_free ] );
       ( "metrics",
         [ Alcotest.test_case "clean sine" `Quick test_metrics_clean_sine;
           Alcotest.test_case "sfdr non-coherent tone" `Quick test_sfdr_noncoherent_tone;

@@ -1,7 +1,8 @@
 (* Golden-output tests pinning observable behaviour: the default receiver's
    synthesized plan text (both strategies), the adaptive audit trail, the
    virtual tester's ADC codes, every topology's virtual-tester measurement
-   results, and the reference SOC's schedule table,
+   results, the FFT's output bits, the §5 spectral fault-detection records,
+   and the reference SOC's schedule table,
    per-core application-time breakdown, and audit JSON at the canonical
    annealing parameters.  The receiver fixtures under golden/ were captured
    before the stage-graph refactor; byte-identity here is the proof that the
@@ -12,6 +13,8 @@ module Path = Msoc_analog.Path
 module Topology = Msoc_analog.Topology
 module Context = Msoc_analog.Context
 module Tone = Msoc_dsp.Tone
+module Fft = Msoc_dsp.Fft
+module Fault = Msoc_netlist.Fault
 module Units = Msoc_util.Units
 module Prng = Msoc_util.Prng
 module Audit = Msoc_obs.Audit
@@ -119,6 +122,83 @@ let test_measure_values () =
     [ "default"; "sigma-delta"; "amp-bypass" ];
   check_bytes "measure_values.txt" (Buffer.contents buffer)
 
+(* Mirrors golden_gen's [fft_bits]: one MD5 of the output floats' IEEE
+   bits per (transform, length), on seeded inputs. *)
+let fft_lengths =
+  List.init 33 (fun i -> i + 1) @ [ 64; 100; 128; 255; 256; 300; 512; 1000; 1024; 2048; 4096 ]
+
+let bits_digest arrays =
+  let b = Buffer.create 4096 in
+  List.iter (Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x))) arrays;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_fft_bits () =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun n ->
+      let rng = Prng.create n in
+      let draw () = Prng.uniform rng ~lo:(-1.0) ~hi:1.0 in
+      let x =
+        Array.init n (fun _ ->
+            let re = draw () in
+            let im = draw () in
+            { Complex.re; im })
+      in
+      let real = Array.init n (fun _ -> draw ()) in
+      let complex_digest y =
+        bits_digest
+          [ Array.map (fun (c : Complex.t) -> c.re) y; Array.map (fun (c : Complex.t) -> c.im) y ]
+      in
+      Printf.bprintf buffer "fft %d %s\n" n (complex_digest (Fft.fft x));
+      Printf.bprintf buffer "ifft %d %s\n" n (complex_digest (Fft.ifft x));
+      if n >= 2 then begin
+        let bins = (n / 2) + 1 in
+        let re = Array.make bins 0.0 and im = Array.make bins 0.0 in
+        Fft.rfft_into real ~re ~im;
+        Printf.bprintf buffer "rfft_into %d %s\n" n (bits_digest [ re; im ])
+      end)
+    fft_lengths;
+  check_bytes "fft_bits.txt" (Buffer.contents buffer)
+
+(* Mirrors golden_gen's [faultsim_records]: the full spectral-coverage
+   record on eight faultsim shapes (taps, samples, tones, stimulus seed). *)
+let faultsim_shapes =
+  [ (5, 256, 1, 0); (5, 256, 2, 7); (7, 512, 1, 7); (9, 512, 2, 11); (3, 65, 1, 4);
+    (4, 127, 2, 0); (5, 301, 2, 9); (6, 1000, 1, 2) ]
+
+let test_faultsim_records () =
+  let buffer = Buffer.create 4096 in
+  List.iter
+    (fun (taps, samples, tones, seed) ->
+      let config = { Digital_test.default_config with Digital_test.taps; input_bits = 10 } in
+      let fir = Digital_test.build config in
+      let faults = Digital_test.collapsed_faults fir in
+      let fs = 1e6 in
+      let freqs =
+        List.map
+          (fun target -> Digital_test.coherent_tone ~sample_rate:fs ~samples ~target)
+          (if tones = 1 then [ 90e3 ] else [ 90e3; 110e3 ])
+      in
+      let rng = if seed = 0 then None else Some (Prng.create seed) in
+      let codes =
+        Digital_test.ideal_codes ?rng config ~sample_rate:fs ~samples ~freqs
+          ~amplitude_fs:(0.9 /. float_of_int tones)
+      in
+      let det =
+        Digital_test.spectral_coverage config fir ~sample_rate:fs ~input_codes:codes
+          ~reference_codes:codes ~tone_freqs:freqs ~faults
+      in
+      Printf.bprintf buffer "shape %d/%d/%d seed %d: total %d detected %d floor %h\n" taps
+        samples tones seed det.Digital_test.total det.Digital_test.detected
+        det.Digital_test.noise_floor_db;
+      Array.iteri
+        (fun i fault ->
+          Printf.bprintf buffer "  %s %h\n" (Format.asprintf "%a" Fault.pp fault)
+            det.Digital_test.undetected_max_dev_lsb.(i))
+        det.Digital_test.undetected)
+    faultsim_shapes;
+  check_bytes "faultsim_records.txt" (Buffer.contents buffer)
+
 (* ---- reference SOC: schedule, breakdown, audit ---- *)
 
 let reference_problem = lazy (Schedule.problem_of_soc (Soc.reference ()))
@@ -155,6 +235,9 @@ let () =
           Alcotest.test_case "virtual-tester ADC codes" `Quick test_tester_codes ] );
       ( "virtual-tester",
         [ Alcotest.test_case "measured values, every topology" `Quick test_measure_values ] );
+      ( "spectral-test",
+        [ Alcotest.test_case "fft output bits" `Quick test_fft_bits;
+          Alcotest.test_case "faultsim detection records" `Quick test_faultsim_records ] );
       ( "reference-soc",
         [ Alcotest.test_case "schedule table" `Quick test_soc_schedule;
           Alcotest.test_case "per-core breakdown" `Quick test_soc_breakdown;

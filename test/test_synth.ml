@@ -4,6 +4,7 @@ open Msoc_synth
 module Path = Msoc_analog.Path
 module Param = Msoc_analog.Param
 module Prng = Msoc_util.Prng
+module Obs = Msoc_obs.Obs
 module Distribution = Msoc_stat.Distribution
 
 let approx eps = Alcotest.float eps
@@ -808,6 +809,74 @@ let test_noisy_input_lowers_coverage () =
   Alcotest.(check bool) "tolerance floor rose" true
     (det.Digital_test.noise_floor_db > ideal.Digital_test.noise_floor_db)
 
+(* [false_alarm] judges a fault-free capture exactly as a faulty stream
+   is judged: the noisy capture the floor was estimated from stays inside
+   the noise-derived tolerance, and that capture plus a pass-band tone away
+   from the excluded bins, well above the floor, is flagged — at a
+   power-of-two length and at a Bluestein one. *)
+let test_false_alarm () =
+  let fir = Digital_test.build small_config in
+  let fs = 1e6 in
+  List.iter
+    (fun samples ->
+      let freqs =
+        List.map
+          (fun target -> Digital_test.coherent_tone ~sample_rate:fs ~samples ~target)
+          [ 90e3; 110e3 ]
+      in
+      let reference_codes =
+        Digital_test.ideal_codes small_config ~sample_rate:fs ~samples ~freqs
+          ~amplitude_fs:0.45
+      in
+      let g = Prng.create samples in
+      let clamp v = max (-128) (min 127 v) in
+      let input_codes = Array.map (fun c -> clamp (c + Prng.int g 13 - 6)) reference_codes in
+      let alarm verification_codes =
+        Digital_test.false_alarm small_config fir ~sample_rate:fs ~input_codes ~reference_codes
+          ~tone_freqs:freqs ~verification_codes
+      in
+      Alcotest.(check bool) (Printf.sprintf "%d samples: same capture" samples) false
+        (alarm input_codes);
+      let spur = Digital_test.coherent_tone ~sample_rate:fs ~samples ~target:40e3 in
+      let with_spur =
+        Array.mapi
+          (fun i c ->
+            let phase = 2.0 *. Float.pi *. spur *. float_of_int i /. fs in
+            clamp (c + int_of_float (Float.round (8.0 *. sin phase))))
+          input_codes
+      in
+      Alcotest.(check bool) (Printf.sprintf "%d samples: extra tone" samples) true
+        (alarm with_spur))
+    [ 512; 301 ]
+
+(* Each judged stream runs in one [digital_test.judge] span, and a stream
+   equal to the good one reuses the good stream's verdict, judged once:
+   judge spans + shared verdicts = faults + 1, and no fault stream is
+   analysed into a spectrum. *)
+let test_judge_attribution () =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let det, _, _, _ = run_small_coverage ~tones:2 ~samples:256 in
+      let judged =
+        List.fold_left
+          (fun acc s ->
+            if String.ends_with ~suffix:"digital_test.judge" s.Obs.span_path then
+              acc + s.Obs.span_count
+            else acc)
+          0 (Obs.snapshot_spans ())
+      in
+      let shared = Obs.counter_total "digital_test.shared_verdicts" in
+      Alcotest.(check int) "judged + shared = faults + 1" (det.Digital_test.total + 1)
+        (judged + shared);
+      Alcotest.(check bool) "some verdicts shared" true (shared > 0);
+      Alcotest.(check int) "only the golden capture is analysed" 1
+        (Obs.counter_total "spectrum.captures"))
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "msoc_synth"
@@ -896,4 +965,6 @@ let () =
           Alcotest.test_case "detection consistency" `Quick test_detection_consistency;
           Alcotest.test_case "escapes are small" `Quick test_undetected_have_small_effect;
           Alcotest.test_case "second pass monotone" `Quick test_second_pass_increases_coverage;
-          Alcotest.test_case "noise lowers coverage" `Quick test_noisy_input_lowers_coverage ] ) ]
+          Alcotest.test_case "noise lowers coverage" `Quick test_noisy_input_lowers_coverage;
+          Alcotest.test_case "false alarm" `Quick test_false_alarm;
+          Alcotest.test_case "judge attribution" `Quick test_judge_attribution ] ) ]

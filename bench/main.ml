@@ -30,6 +30,7 @@ module Logic_sim = Msoc_netlist.Logic_sim
 module Atpg_lite = Msoc_netlist.Atpg_lite
 module Attr = Msoc_signal.Attr
 module Obs = Msoc_obs.Obs
+module Trace = Msoc_obs.Trace
 module Soc = Msoc_soc.Soc
 module Soc_schedule = Msoc_soc.Schedule
 open Msoc_synth
@@ -1549,45 +1550,50 @@ let telemetry_overhead () =
         (Fault_sim.detect_exact ~pool fir.Fir_netlist.circuit ~output:"y" ~drive ~samples
            ~faults));
   Obs.disable ();
+  let trace = Result.fold ~ok:Fun.id ~error:failwith (Trace.parse (Obs.jsonl ())) in
+  let counter name = Option.value ~default:0.0 (List.assoc_opt name trace.Trace.counters) in
   (* grain-scheduler evidence: how many grains moved between workers, and
      the chunk-size distribution the grain heuristic produced *)
-  let steals = Obs.counter_total "pool.steals" in
-  Report.add_scalar report ~section:"pool-balance" ~name:"steals" (float_of_int steals);
+  let steals = counter "pool.steals" in
+  Report.add_scalar report ~section:"pool-balance" ~name:"steals" steals;
   Report.add_scalar report ~section:"pool-balance" ~name:"fault_sim dropped"
-    (float_of_int (Obs.counter_total "fault_sim.dropped"));
-  (match
-     List.find_opt (fun h -> String.equal h.Obs.hist "pool.chunk.items") (Obs.snapshot_hists ())
-   with
-  | Some h when h.Obs.hist_count > 0 ->
+    (counter "fault_sim.dropped");
+  (match List.find_opt (fun h -> h.Trace.hist = "pool.chunk.items") trace.Trace.hists with
+  | Some h when h.Trace.hist_count > 0 ->
     Format.printf
-      "grain scheduling: %d chunk(s), %.1f items/chunk mean (min %.0f, max %.0f), %d steal(s)@."
-      h.Obs.hist_count
-      (h.Obs.sum /. float_of_int h.Obs.hist_count)
-      h.Obs.min_value h.Obs.max_value steals;
+      "grain scheduling: %d chunk(s), %.1f items/chunk mean (min %.0f, max %.0f), %.0f steal(s)@."
+      h.Trace.hist_count
+      (h.Trace.sum /. float_of_int h.Trace.hist_count)
+      h.Trace.min_value h.Trace.max_value steals;
     Report.add_scalar report ~section:"pool-balance" ~name:"chunk items mean"
-      (h.Obs.sum /. float_of_int h.Obs.hist_count)
+      (h.Trace.sum /. float_of_int h.Trace.hist_count)
   | Some _ | None -> ());
-  let tracks = List.filter (fun tr -> tr.Obs.track_chunks > 0) (Obs.snapshot_tracks ()) in
-  let bt = Texttable.create ~headers:[ "Domain"; "Chunks"; "Busy (ms)"; "Share" ] in
-  let total_busy =
-    List.fold_left (fun acc tr -> acc +. tr.Obs.chunk_busy_ns) 0.0 tracks
+  (* per-domain chunk count and busy time, domains that ran no chunk left out *)
+  let chunks = List.filter (fun sp -> sp.Trace.sp_name = "pool.chunk") trace.Trace.spans in
+  let tracks =
+    List.sort_uniq compare (List.map (fun sp -> sp.Trace.sp_track) chunks)
+    |> List.map (fun track ->
+           let mine = List.filter (fun sp -> sp.Trace.sp_track = track) chunks in
+           ( track,
+             List.length mine,
+             List.fold_left (fun acc sp -> acc +. sp.Trace.sp_dur_ns) 0.0 mine ))
   in
+  let bt = Texttable.create ~headers:[ "Domain"; "Chunks"; "Busy (ms)"; "Share" ] in
+  let total_busy = List.fold_left (fun acc (_, _, busy) -> acc +. busy) 0.0 tracks in
   List.iter
-    (fun tr ->
+    (fun (track, n, busy) ->
       Texttable.add_row bt
-        [ Printf.sprintf "%d" tr.Obs.track;
-          string_of_int tr.Obs.track_chunks;
-          Printf.sprintf "%.3f" (tr.Obs.chunk_busy_ns /. 1e6);
-          Texttable.cell_pct (tr.Obs.chunk_busy_ns /. Float.max total_busy 1.0) ])
+        [ Printf.sprintf "%d" track;
+          string_of_int n;
+          Printf.sprintf "%.3f" (busy /. 1e6);
+          Texttable.cell_pct (busy /. Float.max total_busy 1.0) ])
     tracks;
   Format.printf "@.Pool balance — fault sim detect_exact, pool size 4 (%d faults, %d cycles):@."
     (Array.length faults) samples;
   Texttable.print bt;
   let n_tracks = List.length tracks in
   if n_tracks > 0 then begin
-    let max_busy =
-      List.fold_left (fun acc tr -> Float.max acc tr.Obs.chunk_busy_ns) 0.0 tracks
-    in
+    let max_busy = List.fold_left (fun acc (_, _, busy) -> Float.max acc busy) 0.0 tracks in
     let mean_busy = total_busy /. float_of_int n_tracks in
     Format.printf "imbalance (max busy / mean busy): %.2f across %d active domain(s)@."
       (max_busy /. Float.max mean_busy 1.0)

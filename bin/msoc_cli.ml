@@ -44,44 +44,26 @@ open Msoc_synth
 type metrics_format = Metrics_text | Metrics_prom
 
 type telemetry = {
-  trace : string option;
-  trace_format : Serve_protocol.trace_format;
   events : string option;
   metrics : bool;
   metrics_format : metrics_format option;
       (* an explicit --metrics-format implies metrics output *)
 }
 
-let trace_format_conv =
-  Cmdliner.Arg.enum
-    (List.map
-       (fun f -> (Serve_protocol.trace_format_name f, f))
-       Serve_protocol.[ Trace_chrome; Trace_folded; Trace_jsonl ])
-
 let telemetry_term =
   let open Cmdliner in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Record telemetry and write a Chrome trace_event profile \
-                   (loadable in chrome://tracing or Perfetto) to $(docv).")
-  in
-  let trace_format =
-    Arg.(value & opt trace_format_conv Serve_protocol.Trace_chrome
-         & info [ "trace-format" ] ~docv:"FMT"
-             ~doc:"Format for $(b,--trace): $(b,chrome) (trace_event JSON, the default), \
-                   $(b,folded) (collapsed stacks for flamegraph.pl / inferno / speedscope) \
-                   or $(b,jsonl) (structured events).")
-  in
   let events =
     Arg.(value & opt (some string) None
          & info [ "events" ] ~docv:"FILE"
-             ~doc:"Record telemetry and write JSONL structured events to $(docv).")
+             ~doc:"Record telemetry and write the trace to $(docv): the JSONL event \
+                   stream that $(b,msoc trace) analyses and converts (to a Chrome \
+                   trace_event profile with $(b,msoc trace chrome)).")
   in
   let metrics =
     Arg.(value & flag
          & info [ "metrics" ]
-             ~doc:"Record telemetry and print the span/counter/histogram summary on exit.")
+             ~doc:"Record telemetry and print the trace's summary on exit (the same \
+                   bytes $(b,msoc trace summary) prints for the $(b,--events) file).")
   in
   let metrics_format =
     let fmt =
@@ -99,9 +81,8 @@ let telemetry_term =
              ~doc:"Metrics output format: $(b,text) (human summary, the default) or \
                    $(b,prom) (Prometheus text exposition).  Implies $(b,--metrics).")
   in
-  Term.(const (fun trace trace_format events metrics metrics_format ->
-            { trace; trace_format; events; metrics; metrics_format })
-        $ trace $ trace_format $ events $ metrics $ metrics_format)
+  Term.(const (fun events metrics metrics_format -> { events; metrics; metrics_format })
+        $ events $ metrics $ metrics_format)
 
 (* Stamp the Prometheus build-info gauge with the working tree's short
    rev when one is discoverable (same probe the bench harness uses). *)
@@ -119,7 +100,7 @@ let set_build_info () =
    usable profile behind. *)
 let with_telemetry tel ~command f =
   let wants_metrics = tel.metrics || tel.metrics_format <> None in
-  if tel.trace = None && tel.events = None && not wants_metrics then f ()
+  if tel.events = None && not wants_metrics then f ()
   else begin
     Obs.enable ();
     Obs.reset ();
@@ -128,26 +109,17 @@ let with_telemetry tel ~command f =
       Obs.disable ();
       Option.iter
         (fun file ->
-          (match tel.trace_format with
-          | Serve_protocol.Trace_chrome -> Obs.write_chrome_trace file
-          | Serve_protocol.Trace_folded -> Obs.write_folded file
-          | Serve_protocol.Trace_jsonl -> Obs.write_jsonl file);
-          Format.eprintf "telemetry: %s trace written to %s@."
-            (Serve_protocol.trace_format_name tel.trace_format)
-            file)
-        tel.trace;
-      Option.iter
-        (fun file ->
           Obs.write_jsonl file;
           Format.eprintf "telemetry: events written to %s@." file)
         tel.events;
       if wants_metrics then begin
         print_newline ();
-        match Option.value tel.metrics_format ~default:Metrics_text with
-        | Metrics_text -> Obs.print_summary ()
-        | Metrics_prom ->
-          Obs.warn_if_dropped ();
-          print_string (Obs.to_prometheus ())
+        Obs.warn_if_dropped ();
+        print_string
+          (match Option.value tel.metrics_format ~default:Metrics_text with
+          | Metrics_text ->
+            Result.fold ~ok:Trace.summary ~error:failwith (Trace.parse (Obs.jsonl ()))
+          | Metrics_prom -> Obs.to_prometheus ())
       end
     in
     match Obs.span "msoc" ~args:[ ("command", command) ] f with
@@ -390,62 +362,61 @@ let montecarlo_cmd =
 
 (* ---- trace: offline analysis of saved telemetry ---- *)
 
-type trace_action = Trace_summary | Trace_utilization | Trace_critical_path | Trace_flamegraph
-
-let trace_action_conv =
-  let parse = function
-    | "summary" -> Ok Trace_summary
-    | "utilization" -> Ok Trace_utilization
-    | "critical-path" -> Ok Trace_critical_path
-    | "flamegraph" -> Ok Trace_flamegraph
-    | s ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown trace action %S (summary|utilization|critical-path|flamegraph)" s))
-  in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Trace_summary -> "summary"
-      | Trace_utilization -> "utilization"
-      | Trace_critical_path -> "critical-path"
-      | Trace_flamegraph -> "flamegraph")
-  in
-  Cmdliner.Arg.conv (parse, print)
+type trace_action =
+  | Trace_summary
+  | Trace_utilization
+  | Trace_critical_path
+  | Trace_flamegraph
+  | Trace_chrome
 
 let run_trace action file width out_file =
-  let t =
-    match Trace.load file with Ok t -> t | Error msg -> failwith ("trace: " ^ msg)
-  in
   let text =
-    match action with
-    | Trace_summary -> Trace.summary t
-    | Trace_utilization -> Trace.utilization ~width t
-    | Trace_critical_path -> Trace.critical_path t
-    | Trace_flamegraph -> Trace.to_folded t
+    try In_channel.with_open_bin file In_channel.input_all
+    with Sys_error msg -> failwith ("trace: " ^ msg)
   in
-  match out_file with
-  | None -> print_string text
-  | Some out ->
-    let oc = open_out out in
-    output_string oc text;
-    close_out oc;
-    Format.eprintf "trace: output written to %s@." out
+  let render f = Result.map f (Trace.parse text) in
+  let result =
+    match action with
+    | Trace_summary -> render Trace.summary
+    | Trace_utilization -> render (Trace.utilization ~width)
+    | Trace_critical_path -> render Trace.critical_path
+    | Trace_flamegraph -> render Trace.to_folded
+    | Trace_chrome -> Trace.to_chrome text
+  in
+  match result with
+  | Error msg -> failwith (Printf.sprintf "trace: %s: %s" file msg)
+  | Ok output ->
+    (match out_file with
+    | None -> print_string output
+    | Some out ->
+      Out_channel.with_open_text out (fun oc -> output_string oc output);
+      Format.eprintf "trace: output written to %s@." out)
 
 let trace_cmd =
   let open Cmdliner in
   let action =
-    Arg.(required & pos 0 (some trace_action_conv) None
+    Arg.(required
+         & pos 0
+             (some
+                (enum
+                   [ ("summary", Trace_summary);
+                     ("utilization", Trace_utilization);
+                     ("critical-path", Trace_critical_path);
+                     ("flamegraph", Trace_flamegraph);
+                     ("chrome", Trace_chrome) ]))
+             None
          & info [] ~docv:"ACTION"
-             ~doc:"$(b,summary) (per-phase breakdown), $(b,utilization) (per-slot \
-                   occupancy and Gantt), $(b,critical-path) (hottest chain) or \
-                   $(b,flamegraph) (collapsed-stack conversion).")
+             ~doc:"$(b,summary) (every table of the profile), $(b,utilization) (per-slot \
+                   occupancy and Gantt), $(b,critical-path) (hottest chain), \
+                   $(b,flamegraph) (collapsed stacks for flamegraph.pl / inferno / \
+                   speedscope) or $(b,chrome) (Chrome trace_event JSON for \
+                   chrome://tracing or Perfetto).")
   in
   let file =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"TRACE"
-             ~doc:"Saved trace: a $(b,--events) JSONL file (richest: spans, worker \
-                   timelines, counters) or a $(b,--trace) Chrome profile (spans only).")
+             ~doc:"Saved trace: the JSONL event stream of $(b,--events) or \
+                   $(b,msoc client --trace-out).")
   in
   let width =
     Arg.(value & opt int 60
@@ -788,16 +759,15 @@ let run_client_load ~socket ~req ~repeat ~concurrency =
      broken transport makes the load run itself fail *)
   if transport > 0 then 1 else 0
 
-let run_client req socket repeat concurrency trace_format trace_out =
+let run_client req socket repeat concurrency trace_out =
   if repeat < 1 then failwith "client: --repeat must be at least 1";
   if concurrency < 1 then failwith "client: --concurrency must be at least 1";
-  (* a per-request trace export is only requested when there is a file
-     to put it in (and never in load mode: one file, many requests) *)
   let load_mode = repeat > 1 || concurrency > 1 in
-  let trace =
-    match trace_out with Some _ when not load_mode -> Some trace_format | _ -> None
-  in
-  let req = { req with Serve_protocol.trace } in
+  if load_mode && trace_out <> None then
+    failwith
+      "client: --trace-out writes one request's trace; it cannot be combined with --repeat \
+       or --concurrency above 1";
+  let req = { req with Serve_protocol.trace = trace_out <> None } in
   let unreachable e =
     failwith
       (Printf.sprintf "client: cannot reach daemon at %s: %s" socket
@@ -854,16 +824,11 @@ let client_cmd =
              ~doc:"Load mode: $(docv) worker domains, each with its own connection \
                    sending its $(b,--repeat) share concurrently.")
   in
-  let trace_format =
-    Arg.(value & opt trace_format_conv Serve_protocol.Trace_jsonl
-         & info [ "trace-format" ] ~docv:"FMT"
-             ~doc:"Format of the per-request trace export: $(b,jsonl) (default; richest, \
-                   analysable with $(b,msoc trace)), $(b,chrome) or $(b,folded).")
-  in
   let trace_out =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
-             ~doc:"Ask the daemon for this request's span tree and write it to $(docv).")
+             ~doc:"Ask the daemon for this request's trace and write it to $(docv), as \
+                   the JSONL event stream $(b,msoc trace) reads.  Not in load mode.")
   in
   Cmd.v
     (Cmd.info "client"
@@ -871,7 +836,7 @@ let client_cmd =
     Term.(const run_client
           $ (const (fun verb set -> set (Serve_protocol.request verb))
             $ verb $ flags_term Serve_protocol.fields)
-          $ socket_arg $ repeat $ concurrency $ trace_format $ trace_out)
+          $ socket_arg $ repeat $ concurrency $ trace_out)
 
 (* ---- entry point: exit-code discipline ---- *)
 

@@ -20,11 +20,6 @@ let escape_to buffer s =
     s;
   Buffer.add_char buffer '"'
 
-let float_to buffer v =
-  (* JSON has no inf/nan literal; clamp to null (consumers treat as absent) *)
-  if Float.is_finite v then Buffer.add_string buffer (Printf.sprintf "%.6g" v)
-  else Buffer.add_string buffer "null"
-
 let int_to buffer v = Buffer.add_string buffer (string_of_int v)
 let int64_to buffer v = Buffer.add_string buffer (Int64.to_string v)
 
@@ -42,13 +37,13 @@ let obj_to buffer fields =
   Buffer.add_char buffer '}'
 
 (* %.17g round-trips every finite double exactly; the bench-report schema
-   uses it so that emit -> parse -> emit is the identity on numbers. *)
+   and the telemetry trace use it so that emit -> parse -> emit is the
+   identity on numbers.  JSON has no inf/nan literal: those become null. *)
 let float_exact_to buffer v =
   if Float.is_finite v then Buffer.add_string buffer (Printf.sprintf "%.17g" v)
   else Buffer.add_string buffer "null"
 
 let str s buffer = escape_to buffer s
-let num v buffer = float_to buffer v
 let num_exact v buffer = float_exact_to buffer v
 let int v buffer = int_to buffer v
 let int64 v buffer = int64_to buffer v

@@ -10,14 +10,14 @@
    Concurrency model: a sink belongs to one domain (Domain.DLS) and only
    that domain writes it.  Every sink carries a generation number, and a
    domain's trace is its generation: its own sink plus the pool-worker
-   sinks that joined its parallel runs ([follow_caller]).  Exports read
-   the caller's generation under the registry mutex, after its pooled
-   work has joined — Pool.run's join publishes the workers' writes.
+   sinks that joined its parallel runs ([follow_caller]).  Both exports,
+   the JSONL trace and the Prometheus exposition, read the caller's
+   generation under the registry mutex, after its pooled work has
+   joined — Pool.run's join publishes the workers' writes.
    Resetting a generation first folds its counters and histograms into
    the lifetime store, which only [reset] clears, so counts survive the
    per-request resets of a server while span trees stay per request. *)
 
-module Texttable = Msoc_util.Texttable
 module Pool = Msoc_util.Pool
 
 let now_ns () = Monotonic_clock.now ()
@@ -451,37 +451,9 @@ let () =
           end) }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots of the caller's generation, merged deterministically     *)
+(* Exports of the caller's generation, merged deterministically        *)
 (* (sinks ordered by domain id; aggregations are order-independent).  *)
 (* ------------------------------------------------------------------ *)
-
-type span_stat = {
-  span_path : string;
-  span_count : int;
-  total_ns : float;
-  mean_ns : float;
-  p95_ns : float;
-  max_ns : float;
-}
-
-type counter_stat = { counter : string; total : int }
-
-type hist_stat = {
-  hist : string;
-  hist_count : int;
-  sum : float;
-  min_value : float;
-  max_value : float;
-  buckets : (int * int) list;  (* (bucket index, count), non-empty buckets only *)
-}
-
-type track_stat = {
-  track : int;  (* domain id *)
-  track_events : int;
-  track_chunks : int;
-  chunk_busy_ns : float;
-  track_dropped : int;
-}
 
 (* Run [f] on the calling domain's generation — its own sink and the
    pool-worker sinks that followed it — under the registry mutex, so no
@@ -495,6 +467,7 @@ let with_generation f =
         (List.filter (fun s -> s.generation = g) !registry
         |> List.sort (fun a b -> compare a.domain_id b.domain_id)))
 
+(* (path, count, total ns, exact p95 ns) per span path, sorted by path *)
 let spans_of sinks =
   let table : (string, float list ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter
@@ -517,23 +490,10 @@ let spans_of sinks =
       let a = Array.of_list !durs in
       Array.sort compare a;
       let n = Array.length a in
-      let total = Array.fold_left ( +. ) 0.0 a in
       let p95 = a.(max 0 (int_of_float (Float.ceil (0.95 *. float_of_int n)) - 1)) in
-      { span_path = path;
-        span_count = n;
-        total_ns = total;
-        mean_ns = total /. float_of_int n;
-        p95_ns = p95;
-        max_ns = a.(n - 1) }
-      :: acc)
+      (path, n, Array.fold_left ( +. ) 0.0 a, p95) :: acc)
     table []
-  |> List.sort (fun a b -> compare a.span_path b.span_path)
-
-let counters_of sinks =
-  let table : (string, int ref) Hashtbl.t = Hashtbl.create 32 in
-  List.iter (fun s -> Hashtbl.iter (fun name r -> add_count table name !r) s.counters) sinks;
-  Hashtbl.fold (fun name r acc -> { counter = name; total = !r } :: acc) table []
-  |> List.sort (fun a b -> compare a.counter b.counter)
+  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
 
 let hists_of sinks =
   let table : (string, hist) Hashtbl.t = Hashtbl.create 32 in
@@ -542,240 +502,22 @@ let hists_of sinks =
     sinks;
   table
 
-let hist_stat name h =
-  let buckets = ref [] in
-  for i = bucket_count - 1 downto 0 do
-    if h.h_buckets.(i) > 0 then buckets := (i, h.h_buckets.(i)) :: !buckets
-  done;
-  { hist = name;
-    hist_count = h.h_count;
-    sum = h.h_sum;
-    min_value = h.h_min;
-    max_value = h.h_max;
-    buckets = !buckets }
-
-let hist_stats_of sinks =
-  Hashtbl.fold (fun name h acc -> hist_stat name h :: acc) (hists_of sinks) []
-  |> List.sort (fun a b -> compare a.hist b.hist)
-
-let hist_p95 h =
-  (* upper edge of the bucket holding the 95th percentile, clamped to the
-     observed maximum — log2 buckets give an upper bound, not an exact value *)
-  if h.hist_count = 0 then nan
-  else begin
-    let target = int_of_float (Float.ceil (0.95 *. float_of_int h.hist_count)) in
-    let rec walk cum = function
-      | [] -> h.max_value
-      | (i, c) :: rest ->
-        let cum = cum + c in
-        if cum >= target then Float.min (snd (bucket_bounds i)) h.max_value
-        else walk cum rest
-    in
-    walk 0 h.buckets
-  end
-
-let tracks_of sinks =
-  List.filter_map
-    (fun s ->
-      if s.n_events = 0 && Hashtbl.length s.counters = 0 && Hashtbl.length s.hists = 0 then
-        None
-      else begin
-        let chunks = ref 0 and busy = ref 0.0 in
-        for i = 0 to s.n_events - 1 do
-          let ev = s.events.(i) in
-          if String.equal ev.ev_name "pool.chunk" then begin
-            incr chunks;
-            busy := !busy +. Int64.to_float ev.ev_dur
-          end
-        done;
-        Some
-          { track = s.domain_id;
-            track_events = s.n_events;
-            track_chunks = !chunks;
-            chunk_busy_ns = !busy;
-            track_dropped = s.dropped }
-      end)
-    sinks
-
 let dropped_of sinks = List.fold_left (fun acc s -> acc + s.dropped) 0 sinks
 let overwritten_of sinks = List.fold_left (fun acc s -> acc + overwritten s) 0 sinks
-
-let snapshot_spans () = with_generation spans_of
-let snapshot_counters () = with_generation counters_of
-
-let counter_total name =
-  match List.find_opt (fun c -> String.equal c.counter name) (snapshot_counters ()) with
-  | Some c -> c.total
-  | None -> 0
-
-let snapshot_hists () = with_generation hist_stats_of
-let snapshot_tracks () = with_generation tracks_of
-
-type timeline_event = {
-  tle_track : int;  (* domain id *)
-  tle_slot : int;  (* pool slot the event belongs to *)
-  tle_kind : timeline_kind;
-  tle_ts_ns : int64;  (* relative to epoch *)
-  tle_minor_words : float;
-  tle_major_words : float;
-}
-
-(* Ring entries oldest-first, merged across sinks (per-track order is
-   chronological; cross-track interleaving is by track id, not time —
-   consumers sort by timestamp when they need a global order). *)
-let snapshot_timeline () =
-  let base = Int64.to_int (Atomic.get epoch) in
-  with_generation
-  @@ List.concat_map (fun s ->
-         let cap = Array.length s.tl_kind in
-         if cap = 0 || s.tl_next = 0 then []
-         else begin
-           let len = min s.tl_next cap in
-           let start = s.tl_next - len in
-           List.init len (fun j ->
-               let i = (start + j) land (cap - 1) in
-               { tle_track = s.domain_id;
-                 tle_slot = s.tl_slot.(i);
-                 tle_kind = timeline_kind_of_int s.tl_kind.(i);
-                 tle_ts_ns = Int64.of_int (s.tl_ts.(i) - base);
-                 tle_minor_words = s.tl_minor.(i);
-                 tle_major_words = s.tl_major.(i) })
-         end)
-
-(* How many ring entries were overwritten (ring semantics: newest always
-   survive, so this is information loss at the START of the run). *)
-let timeline_overwritten () = with_generation overwritten_of
-
-(* ------------------------------------------------------------------ *)
-(* Exporters                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let summary () =
-  with_generation @@ fun sinks ->
-  let buffer = Buffer.create 1024 in
-  let spans = spans_of sinks in
-  if spans <> [] then begin
-    Buffer.add_string buffer "Spans\n";
-    let t =
-      Texttable.create
-        ~headers:[ "Span"; "Count"; "Total (ms)"; "Mean (us)"; "p95 (us)"; "Max (us)" ]
-    in
-    List.iter
-      (fun s ->
-        let depth =
-          String.fold_left (fun acc c -> if c = '/' then acc + 1 else acc) 0 s.span_path
-        in
-        let name =
-          match String.rindex_opt s.span_path '/' with
-          | Some i -> String.sub s.span_path (i + 1) (String.length s.span_path - i - 1)
-          | None -> s.span_path
-        in
-        Texttable.add_row t
-          [ String.concat "" (List.init depth (fun _ -> "  ")) ^ name;
-            string_of_int s.span_count;
-            Printf.sprintf "%.3f" (s.total_ns /. 1e6);
-            Printf.sprintf "%.1f" (s.mean_ns /. 1e3);
-            Printf.sprintf "%.1f" (s.p95_ns /. 1e3);
-            Printf.sprintf "%.1f" (s.max_ns /. 1e3) ])
-      spans;
-    Buffer.add_string buffer (Texttable.render t);
-    Buffer.add_char buffer '\n'
-  end;
-  let counters = counters_of sinks in
-  if counters <> [] then begin
-    Buffer.add_string buffer "Counters\n";
-    let t = Texttable.create ~headers:[ "Counter"; "Total" ] in
-    List.iter (fun c -> Texttable.add_row t [ c.counter; string_of_int c.total ]) counters;
-    Buffer.add_string buffer (Texttable.render t);
-    Buffer.add_char buffer '\n'
-  end;
-  let hists = hist_stats_of sinks in
-  if hists <> [] then begin
-    Buffer.add_string buffer "Histograms (log2 buckets)\n";
-    let t =
-      Texttable.create ~headers:[ "Histogram"; "Count"; "Min"; "Mean"; "p95 (<=)"; "Max" ]
-    in
-    List.iter
-      (fun h ->
-        Texttable.add_row t
-          [ h.hist;
-            string_of_int h.hist_count;
-            Printf.sprintf "%.4g" h.min_value;
-            Printf.sprintf "%.4g" (h.sum /. float_of_int (max 1 h.hist_count));
-            Printf.sprintf "%.4g" (hist_p95 h);
-            Printf.sprintf "%.4g" h.max_value ])
-      hists;
-    Buffer.add_string buffer (Texttable.render t);
-    Buffer.add_char buffer '\n'
-  end;
-  let tracks = tracks_of sinks in
-  if List.length tracks > 1 || List.exists (fun t -> t.track_chunks > 0) tracks then begin
-    Buffer.add_string buffer "Domain tracks (pool balance)\n";
-    let t =
-      Texttable.create
-        ~headers:[ "Track"; "Events"; "Pool chunks"; "Chunk busy (ms)"; "Dropped" ]
-    in
-    List.iter
-      (fun tr ->
-        Texttable.add_row t
-          [ Printf.sprintf "domain %d" tr.track;
-            string_of_int tr.track_events;
-            string_of_int tr.track_chunks;
-            Printf.sprintf "%.3f" (tr.chunk_busy_ns /. 1e6);
-            string_of_int tr.track_dropped ])
-      tracks;
-    Buffer.add_string buffer (Texttable.render t)
-  end;
-  if Buffer.length buffer = 0 then Buffer.add_string buffer "telemetry: no data recorded\n";
-  Buffer.contents buffer
-
-(* Chrome trace-event format (the JSON Array Format wrapped in an object),
-   loadable by chrome://tracing and Perfetto: one thread track per domain,
-   complete ("X") events, timestamps in microseconds relative to [epoch]. *)
-let chrome_trace () =
-  with_generation @@ fun sinks ->
-  let buffer = Buffer.create 4096 in
-  let base = Atomic.get epoch in
-  let us_of ns = Int64.to_float (Int64.sub ns base) /. 1e3 in
-  Buffer.add_string buffer "{\"traceEvents\":[";
-  Json.obj_to buffer
-    [ ("name", Json.str "process_name");
-      ("ph", Json.str "M");
-      ("pid", Json.int 1);
-      ("args", Json.args_obj [ ("name", "msoc virtual tester") ]) ];
-  List.iter
-    (fun s ->
-      Buffer.add_char buffer ',';
-      Json.obj_to buffer
-        [ ("name", Json.str "thread_name");
-          ("ph", Json.str "M");
-          ("pid", Json.int 1);
-          ("tid", Json.int s.domain_id);
-          ("args", Json.args_obj [ ("name", Printf.sprintf "domain %d" s.domain_id) ]) ];
-      for i = 0 to s.n_events - 1 do
-        let ev = s.events.(i) in
-        Buffer.add_char buffer ',';
-        Json.obj_to buffer
-          [ ("name", Json.str ev.ev_name);
-            ("cat", Json.str "msoc");
-            ("ph", Json.str "X");
-            ("pid", Json.int 1);
-            ("tid", Json.int s.domain_id);
-            ("ts", Json.num (us_of ev.ev_start));
-            ("dur", Json.num (Int64.to_float ev.ev_dur /. 1e3));
-            ("args", Json.args_obj (("path", ev.ev_path) :: ev.ev_args)) ]
-      done)
-    sinks;
-  Buffer.add_string buffer "]}";
-  Buffer.contents buffer
 
 let sorted_bindings table =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* JSONL structured-event sink: one JSON object per line — spans in their
-   recording order per track, then counters and histograms, then a track
-   summary line.  Sinks are ordered by domain id. *)
+(* The trace format: one JSON object per line, sinks in domain-id order.
+   Per track: its spans in recording order, its timeline marks
+   oldest-first, its counters and histograms by name, then a track line
+   with its event and dropped counts.  Every number is exact — times and
+   GC words as integers, histogram floats at round-trip precision — and
+   a non-finite float (bucket 0's lower bound, the top bucket's upper
+   edge) is written as null.  Each bucket carries both its edges, so a
+   reader needs no knowledge of the bucket layout.
+   [Trace] parses this format and renders every other view of it. *)
 let jsonl () =
   with_generation @@ fun sinks ->
   let buffer = Buffer.create 4096 in
@@ -797,10 +539,6 @@ let jsonl () =
             ("dur_ns", Json.int64 ev.ev_dur);
             ("args", Json.args_obj ev.ev_args) ]
       done;
-      (* per-slot worker timeline (scheduler begin/end/steal/idle marks
-         with GC words).  JSONL-only: the Chrome export stays complete-
-         span-only so trace viewers and the CI structure check see a
-         uniform phase set. *)
       let tl_cap = Array.length s.tl_kind in
       if tl_cap > 0 && s.tl_next > 0 then begin
         let base_int = Int64.to_int base in
@@ -815,8 +553,8 @@ let jsonl () =
               ("kind",
                 Json.str (timeline_kind_name (timeline_kind_of_int s.tl_kind.(i))));
               ("ts_ns", Json.int (s.tl_ts.(i) - base_int));
-              ("minor_words", Json.num s.tl_minor.(i));
-              ("major_words", Json.num s.tl_major.(i)) ]
+              ("minor_words", Json.int (int_of_float s.tl_minor.(i)));
+              ("major_words", Json.int (int_of_float s.tl_major.(i))) ]
         done
       end;
       List.iter
@@ -837,8 +575,11 @@ let jsonl () =
                 if c > 0 then begin
                   if not !first then Buffer.add_char b ',';
                   first := false;
+                  let lo, hi = bucket_bounds i in
                   Buffer.add_char b '[';
-                  Json.float_to b (fst (bucket_bounds i));
+                  Json.float_exact_to b lo;
+                  Buffer.add_char b ',';
+                  Json.float_exact_to b hi;
                   Buffer.add_char b ',';
                   Json.int_to b c;
                   Buffer.add_char b ']'
@@ -851,9 +592,9 @@ let jsonl () =
               ("track", Json.int s.domain_id);
               ("name", Json.str name);
               ("count", Json.int h.h_count);
-              ("sum", Json.num h.h_sum);
-              ("min", Json.num h.h_min);
-              ("max", Json.num h.h_max);
+              ("sum", Json.num_exact h.h_sum);
+              ("min", Json.num_exact h.h_min);
+              ("max", Json.num_exact h.h_max);
               ("buckets", buckets) ])
         (sorted_bindings s.hists);
       if
@@ -868,45 +609,6 @@ let jsonl () =
             ("dropped", Json.int s.dropped) ])
     sinks;
   Buffer.contents buffer
-
-(* Collapsed-stack ("folded") export, the input format of flamegraph.pl,
-   inferno and speedscope: one line per unique span path, '/' nesting
-   separators rewritten to ';', weighted by SELF time in integer
-   microseconds.  Self time is the path's total minus the totals of its
-   direct children, clamped at zero (concurrent pooled children can sum
-   past their parent's wall time), so box widths in the rendered graph
-   add up instead of double-counting. *)
-let collapse_paths totals =
-  let agg = Hashtbl.create 32 in
-  List.iter
-    (fun (path, total) ->
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt agg path) in
-      Hashtbl.replace agg path (prev +. total))
-    totals;
-  let self = Hashtbl.copy agg in
-  Hashtbl.iter
-    (fun path total ->
-      match String.rindex_opt path '/' with
-      | None -> ()
-      | Some i ->
-        let parent = String.sub path 0 i in
-        (match Hashtbl.find_opt self parent with
-        | Some p -> Hashtbl.replace self parent (p -. total)
-        | None -> ()))
-    agg;
-  let b = Buffer.create 1024 in
-  Hashtbl.fold (fun path self_ns acc -> (path, self_ns) :: acc) self []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (path, self_ns) ->
-         let us = int_of_float (Float.round (Float.max 0.0 self_ns /. 1e3)) in
-         Buffer.add_string b (String.map (fun c -> if c = '/' then ';' else c) path);
-         Buffer.add_char b ' ';
-         Buffer.add_string b (string_of_int us);
-         Buffer.add_char b '\n');
-  Buffer.contents b
-
-let to_collapsed () =
-  collapse_paths (List.map (fun s -> (s.span_path, s.total_ns)) (snapshot_spans ()))
 
 (* Prometheus text exposition (version 0.0.4) of the lifetime store plus
    the caller's generation.  Counters become counters, gauges gauges,
@@ -947,8 +649,6 @@ let prometheus_float v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
-let total_dropped () = with_generation dropped_of
-
 (* Build identity for the msoc_build_info gauge: the CLI and bench set the
    git revision at startup; OCaml version and pool size come from the
    process itself.  Scrapes join on these labels to tell which binary
@@ -972,7 +672,9 @@ let to_prometheus () =
   in
   let counters = Hashtbl.create 64 in
   Hashtbl.iter (fun k r -> add_count counters k !r) lifetime_counters;
-  List.iter (fun c -> add_count counters (c.counter, []) c.total) (counters_of sinks);
+  List.iter
+    (fun s -> Hashtbl.iter (fun name r -> add_count counters (name, []) !r) s.counters)
+    sinks;
   List.iter
     (fun ((name, labels), r) ->
       let name = "msoc_" ^ prometheus_name name ^ "_total" in
@@ -1011,13 +713,13 @@ let to_prometheus () =
   if spans <> [] then begin
     line "# TYPE msoc_span_duration_nanoseconds summary";
     List.iter
-      (fun s ->
-        let path = prometheus_label_value s.span_path in
+      (fun (path, count, total, p95) ->
+        let path = prometheus_label_value path in
         line "msoc_span_duration_nanoseconds{path=\"%s\",quantile=\"0.95\"} %s" path
-          (prometheus_float s.p95_ns);
+          (prometheus_float p95);
         line "msoc_span_duration_nanoseconds_sum{path=\"%s\"} %s" path
-          (prometheus_float s.total_ns);
-        line "msoc_span_duration_nanoseconds_count{path=\"%s\"} %d" path s.span_count)
+          (prometheus_float total);
+        line "msoc_span_duration_nanoseconds_count{path=\"%s\"} %d" path count)
       spans
   end;
   let dropped = !lifetime_dropped + dropped_of sinks in
@@ -1041,30 +743,12 @@ let to_prometheus () =
 (* Exported data with silently missing spans is worse than no data: any
    sink that hit [max_events] makes the export announce itself on stderr. *)
 let warn_if_dropped () =
-  let dropped = total_dropped () in
+  let dropped = with_generation dropped_of in
   if dropped > 0 then
     Printf.eprintf
       "telemetry: WARNING: %d span event(s) dropped (per-sink cap %d reached); span statistics and traces are incomplete\n%!"
       dropped max_events
 
-let print_summary () =
-  warn_if_dropped ();
-  print_string (summary ())
-
-let write_file file contents =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-let write_chrome_trace file =
-  warn_if_dropped ();
-  write_file file (chrome_trace ())
-
 let write_jsonl file =
   warn_if_dropped ();
-  write_file file (jsonl ())
-
-let write_folded file =
-  warn_if_dropped ();
-  write_file file (to_collapsed ())
+  Out_channel.with_open_text file (fun oc -> output_string oc (jsonl ()))

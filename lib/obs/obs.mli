@@ -16,11 +16,10 @@
 
     A domain's trace is its {e generation}: its own sink plus the sinks
     of the pool workers that joined its parallel runs (a worker adopts
-    its caller's generation at its first hook of each run).  Every
-    snapshot and export reads the caller's generation — there is no
-    other scope — under the registry mutex, after the caller's pooled
-    work has joined, and merges it deterministically: sinks in domain-id
-    order, order-independent sums.
+    its caller's generation at its first hook of each run).  Both
+    exports read the caller's generation — there is no other scope —
+    under the registry mutex, after the caller's pooled work has joined:
+    sinks in domain-id order, order-independent sums.
 
     Clearing a generation first folds its counters, histograms and loss
     counts into the {e lifetime store}, so each count reaches it exactly
@@ -29,8 +28,15 @@
     folds, so its exports cover the whole run.
 
     Each sink holds at most [max_events] span events; further events
-    are counted as dropped (visible in track stats) rather than grown
-    without bound. *)
+    are counted as dropped (in each track's JSONL record and the
+    exposition) rather than grown without bound.
+
+    {2 Exports}
+
+    A generation leaves the process in exactly two forms: the trace
+    ({!jsonl}), which {!Trace} parses and renders into every other view
+    (text summary, utilization, critical path, folded stacks, Chrome
+    trace_event JSON), and the metrics ({!to_prometheus}). *)
 
 val now_ns : unit -> int64
 (** Monotonic clock, nanoseconds. *)
@@ -121,122 +127,26 @@ end
     GC minor/major words.  The pool hooks record these automatically for
     every grained run.  On overflow the oldest entries are overwritten
     (capacity [2^16] entries per sink), so the tail of a long run — where
-    imbalance lives — always survives. *)
-
-type timeline_kind = Chunk_begin | Chunk_end | Steal | Idle
-
-val timeline_kind_name : timeline_kind -> string
-(** ["begin"], ["end"], ["steal"], ["idle"] — the JSONL encoding. *)
-
-(** {2 Log2 histogram buckets} *)
-
-val bucket_count : int
-(** 130: bucket 0 holds non-positive values; bucket [i] (1..129) covers
-    [\[2^(i-65), 2^(i-64))] with the end buckets absorbing under- and
-    overflow.  Powers of two are exact bucket edges. *)
-
-val bucket_index : float -> int
-val bucket_bounds : int -> float * float
-(** [bucket_bounds i] is the [\[lo, hi)] range of bucket [i]. *)
-
-(** {2 Snapshots (deterministic merge of the caller's generation)} *)
-
-type span_stat = {
-  span_path : string;  (** slash-joined nesting path, e.g. ["plan.synthesize/propagate.mixer_iip3"] *)
-  span_count : int;
-  total_ns : float;
-  mean_ns : float;
-  p95_ns : float;  (** exact, from recorded durations *)
-  max_ns : float;
-}
-
-type counter_stat = { counter : string; total : int }
-
-type hist_stat = {
-  hist : string;
-  hist_count : int;
-  sum : float;
-  min_value : float;
-  max_value : float;
-  buckets : (int * int) list;  (** (bucket index, count), non-empty only *)
-}
-
-type track_stat = {
-  track : int;  (** domain id *)
-  track_events : int;
-  track_chunks : int;  (** pool chunks executed on this domain *)
-  chunk_busy_ns : float;
-  track_dropped : int;
-}
-
-val snapshot_spans : unit -> span_stat list
-(** Per-path aggregates, sorted by path. *)
-
-val snapshot_counters : unit -> counter_stat list
-(** Merged counter totals, sorted by name. *)
-
-val counter_total : string -> int
-(** Merged total for one counter (0 if never incremented). *)
-
-val snapshot_hists : unit -> hist_stat list
-(** Bucket-wise merged histograms, sorted by name. *)
-
-val snapshot_tracks : unit -> track_stat list
-(** One entry per domain that recorded anything, sorted by domain id.
-    Chunk counts/busy time expose pool balance. *)
-
-type timeline_event = {
-  tle_track : int;  (** domain id *)
-  tle_slot : int;  (** pool slot the event belongs to *)
-  tle_kind : timeline_kind;
-  tle_ts_ns : int64;  (** relative to the trace epoch *)
-  tle_minor_words : float;  (** [Gc.minor_words] on the recording domain *)
-  tle_major_words : float;
-}
-
-val snapshot_timeline : unit -> timeline_event list
-(** Surviving ring entries, oldest-first per track, tracks in domain-id
-    order.  Sort by [tle_ts_ns] for a global chronology. *)
-
-val timeline_overwritten : unit -> int
-(** Ring entries lost to overwriting across all sinks (always the oldest
-    entries of the run). *)
+    imbalance lives — always survives.  Marks reach the outside only as
+    the trace's ["timeline"] records. *)
 
 (** {2 Exporters} *)
 
-val summary : unit -> string
-(** Text tables: span tree (count/total/mean/p95/max), counters,
-    histograms, and per-domain pool-balance tracks. *)
-
-val print_summary : unit -> unit
-
-val chrome_trace : unit -> string
-(** Chrome [trace_event] JSON ({["{\"traceEvents\":[...]}"]}), loadable
-    by chrome://tracing or Perfetto: complete ("X") events, one thread
-    track per domain, timestamps in microseconds since the epoch stamped
-    at {!enable}/{!reset}. *)
-
-val write_chrome_trace : string -> unit
-
 val jsonl : unit -> string
-(** Structured events, one JSON object per line: ["span"], ["timeline"],
-    ["counter"], ["histogram"] and ["track"] records, ordered by domain
-    id. *)
+(** The trace: one JSON object per line, tracks (domains) in id order.
+    Per track, its ["span"] records (name, slash-joined path, epoch-
+    relative [ts_ns], [dur_ns], args) in recording order, its
+    ["timeline"] marks (slot, kind, [ts_ns], GC words) oldest-first, its
+    ["counter"] and ["histogram"] records by name, then one ["track"]
+    record with its event and dropped counts.  Lossless: integers stay
+    integers, histogram sums, extremes and bucket edges are written at
+    round-trip precision, and an infinite edge as [null].  Buckets are
+    [[lower, upper, count]] triples of the non-empty log2 buckets:
+    bucket 0 holds non-positive values ([\[-inf, 0\]]), the next covers
+    [\[0, 2^-63)], each later one [\[lo, 2lo)], and the top one
+    everything from [2^64] ([\[2^64, inf)]). *)
 
 val write_jsonl : string -> unit
-
-val collapse_paths : (string * float) list -> string
-(** [collapse_paths totals] folds slash-nested [(path, total_ns)] pairs
-    into collapsed-stack ("folded") format: one ["a;b;c <weight>"] line
-    per path, weighted by self time (total minus direct children) in
-    integer microseconds, clamped at zero and sorted by stack.  Input
-    paths may repeat (totals are summed). *)
-
-val to_collapsed : unit -> string
-(** {!collapse_paths} over {!snapshot_spans} — the flamegraph.pl /
-    inferno / speedscope input for the recorded profile. *)
-
-val write_folded : string -> unit
 
 val to_prometheus : unit -> string
 (** Prometheus text exposition (0.0.4) of the lifetime store plus the
@@ -253,11 +163,7 @@ val set_build_info : git_rev:string -> unit
     ["unknown"]); OCaml version and pool size are read from the
     process. *)
 
-val total_dropped : unit -> int
-(** Span events dropped in the caller's generation (events beyond the
-    per-sink {!max_events} cap). *)
-
 val warn_if_dropped : unit -> unit
-(** Print a one-line stderr warning when {!total_dropped} is non-zero.
-    Every [write_*] exporter and {!print_summary} calls this, so
-    incomplete exports always announce themselves. *)
+(** Print a one-line stderr warning when the caller's generation dropped
+    span events (beyond the per-sink {!max_events} cap).  {!write_jsonl}
+    calls this, so incomplete exports always announce themselves. *)

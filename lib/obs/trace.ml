@@ -1,10 +1,10 @@
-(* Offline analysis of saved telemetry: load a JSONL event stream (the
-   [--events] export, the richer format: spans + worker timeline marks +
-   counters) or a Chrome trace ([--trace], spans only) and answer the
-   questions the live summary cannot — per-slot occupancy over the run's
-   wall clock, the critical chain of the span tree, and flamegraph
-   conversion.  Everything here is pure string/list processing over the
-   repo's own JSON reader; no telemetry needs to be live. *)
+(* Offline analysis of a saved trace: parse the JSONL event stream that
+   Obs exports (an [--events] file, a [msoc client --trace-out] file, or
+   a run's own export behind [--metrics]) and render every view of it —
+   the text summary, per-slot occupancy over the run's wall clock, the
+   critical chain of the span tree, collapsed stacks and Chrome
+   trace_event JSON.  Everything here is pure string/list processing
+   over the repo's own JSON reader; no telemetry needs to be live. *)
 
 module Texttable = Msoc_util.Texttable
 
@@ -24,158 +24,205 @@ type mark = {
   mk_ts_ns : float;
 }
 
+type hist = {
+  hist : string;
+  hist_count : int;
+  sum : float;
+  min_value : float;
+  max_value : float;
+  buckets : (float * float * int) list;  (* (lower edge, upper edge, count), ascending *)
+}
+
 type t = {
   spans : span list;
   marks : mark list;
   counters : (string * float) list;  (* merged totals, sorted by name *)
+  hists : hist list;  (* merged across tracks, sorted by name *)
+  dropped : (int * int) list;  (* (track, span events dropped) *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Loading                                                             *)
+(* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let read_file file =
-  let ic = open_in_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* One decoded line.  A span's args are kept for the Chrome conversion,
+   which shows them on each slice; [span] itself has no room for them. *)
+type record =
+  | Span of span * (string * string) list
+  | Mark of mark
+  | Counter of string * float
+  | Hist of hist
+  | Track of int * int
 
-let slot_of_args j =
-  match Json.member "args" j with
-  | Some args ->
-    (match Json.member "slot" args with
-    | Some (Json.String s) -> int_of_string_opt s
-    | Some (Json.Number v) -> Some (int_of_float v)
-    | _ -> None)
-  | None -> None
+(* JSON has no infinities: the exporter writes a non-finite float as null *)
+let float_field ~null key j =
+  match Json.member key j with Some Json.Null -> null | _ -> Json.number_exn key j
 
-let of_chrome json =
-  let events =
-    match Json.member "traceEvents" json with
-    | Some (Json.Array evs) -> evs
-    | _ -> raise (Json.Parse_error "traceEvents array missing")
+let bucket =
+  let edge ~null = function
+    | Json.Null -> null
+    | Json.Number x -> x
+    | _ -> raise (Json.Parse_error "malformed histogram bucket edge")
   in
-  let spans =
-    List.filter_map
-      (fun e ->
-        match Json.member "ph" e with
-        | Some (Json.String "X") ->
-          let name = Json.string_exn "name" e in
-          let path =
-            match Json.member "args" e with
-            | Some args ->
-              (match Json.member "path" args with Some (Json.String p) -> p | _ -> name)
-            | None -> name
-          in
-          Some
-            { sp_track = Json.int_exn "tid" e;
-              sp_slot = slot_of_args e;
-              sp_name = name;
-              sp_path = path;
-              (* chrome timestamps are microseconds *)
-              sp_ts_ns = Json.number_exn "ts" e *. 1e3;
-              sp_dur_ns = Json.number_exn "dur" e *. 1e3 }
-        | _ -> None)
-      events
-  in
-  { spans; marks = []; counters = [] }
+  function
+  | Json.Array [ lo; hi; Json.Number c ] ->
+    (edge ~null:neg_infinity lo, edge ~null:infinity hi, int_of_float c)
+  | _ -> raise (Json.Parse_error "malformed histogram bucket")
+
+let record_of_line line =
+  let j = Json.parse line in
+  match Json.string_exn "type" j with
+  | "span" ->
+    let args =
+      match Json.member "args" j with
+      | Some (Json.Object fields) ->
+        List.filter_map (function k, Json.String v -> Some (k, v) | _ -> None) fields
+      | _ -> []
+    in
+    Some
+      (Span
+         ( { sp_track = Json.int_exn "track" j;
+             sp_slot = Option.bind (List.assoc_opt "slot" args) int_of_string_opt;
+             sp_name = Json.string_exn "name" j;
+             sp_path = Json.string_exn "path" j;
+             sp_ts_ns = Json.number_exn "ts_ns" j;
+             sp_dur_ns = Json.number_exn "dur_ns" j },
+           args ))
+  | "timeline" ->
+    Some
+      (Mark
+         { mk_track = Json.int_exn "track" j;
+           mk_slot = Json.int_exn "slot" j;
+           mk_kind = Json.string_exn "kind" j;
+           mk_ts_ns = Json.number_exn "ts_ns" j })
+  | "counter" -> Some (Counter (Json.string_exn "name" j, Json.number_exn "value" j))
+  | "histogram" ->
+    Some
+      (Hist
+         { hist = Json.string_exn "name" j;
+           hist_count = Json.int_exn "count" j;
+           sum = float_field ~null:nan "sum" j;
+           min_value = float_field ~null:infinity "min" j;
+           max_value = float_field ~null:neg_infinity "max" j;
+           buckets = List.map bucket (Json.list_exn "buckets" j) })
+  | "track" -> Some (Track (Json.int_exn "track" j, Json.int_exn "dropped" j))
+  | _ -> None
 
 (* Unparseable lines are skipped with a stderr warning rather than
-   failing the whole load: a daemon killed mid-write leaves a truncated
+   failing the whole parse: a daemon killed mid-write leaves a truncated
    final line, and concatenated exports can carry each other's framing
-   debris.  Only a file with no salvageable record at all is an error
-   (the first per-line message is re-raised so the caller still learns
-   which line broke). *)
-let of_jsonl text =
-  let spans = ref [] and marks = ref [] in
-  let counters : (string, float) Hashtbl.t = Hashtbl.create 16 in
+   debris.  Only a text with no salvageable record at all is an error,
+   naming the first line that broke and the format expected. *)
+let records text =
   let skipped = ref 0 and first_error = ref None in
-  String.split_on_char '\n' text
-  |> List.iteri (fun lineno line ->
-         if String.trim line <> "" then begin
-           try
-           let j = Json.parse line in
-           match Json.string_exn "type" j with
-           | "span" ->
-             spans :=
-               { sp_track = Json.int_exn "track" j;
-                 sp_slot = slot_of_args j;
-                 sp_name = Json.string_exn "name" j;
-                 sp_path = Json.string_exn "path" j;
-                 sp_ts_ns = Json.number_exn "ts_ns" j;
-                 sp_dur_ns = Json.number_exn "dur_ns" j }
-               :: !spans
-           | "timeline" ->
-             marks :=
-               { mk_track = Json.int_exn "track" j;
-                 mk_slot = Json.int_exn "slot" j;
-                 mk_kind = Json.string_exn "kind" j;
-                 mk_ts_ns = Json.number_exn "ts_ns" j }
-               :: !marks
-           | "counter" ->
-             let name = Json.string_exn "name" j in
-             let prev = Option.value ~default:0.0 (Hashtbl.find_opt counters name) in
-             Hashtbl.replace counters name (prev +. Json.number_exn "value" j)
-           | _ -> () (* histogram/track summaries: not needed here *)
-           with Json.Parse_error msg ->
-             incr skipped;
-             if !first_error = None then
-               first_error := Some (Printf.sprintf "line %d: %s" (lineno + 1) msg)
-         end);
-  let salvaged =
-    !spans <> [] || !marks <> [] || Hashtbl.length counters > 0
+  let kept =
+    String.split_on_char '\n' text
+    |> List.mapi (fun lineno line ->
+           if String.trim line = "" then None
+           else
+             try record_of_line line
+             with Json.Parse_error msg ->
+               incr skipped;
+               if !first_error = None then
+                 first_error := Some (Printf.sprintf "line %d: %s" (lineno + 1) msg);
+               None)
+    |> List.filter_map Fun.id
   in
-  (match (!skipped, !first_error) with
-  | 0, _ -> ()
-  | _, None -> ()
-  | n, Some msg when salvaged ->
+  match !first_error with
+  | _ when String.trim text = "" -> Error "empty trace"
+  | None -> Ok kept
+  | Some msg when kept = [] ->
+    Error
+      (msg
+     ^ " (expected the JSONL event stream that --events and --trace-out write: one \
+        {\"type\":...} object per line)")
+  | Some msg ->
     Printf.eprintf
       "trace: warning: skipped %d unparseable line(s) (first: %s) — truncated or concatenated export?\n%!"
-      n msg
-  | _, Some msg -> raise (Json.Parse_error msg));
-  { spans = List.rev !spans;
-    marks = List.rev !marks;
-    counters =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters []
-      |> List.sort (fun (a, _) (b, _) -> compare a b) }
+      !skipped msg;
+    Ok kept
 
-(* Sniff the format: a Chrome trace is one JSON object wrapping
-   "traceEvents"; everything else is treated as JSONL. *)
+let sorted table =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let rec merge_buckets a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((la, ha, ca) as x) :: ra, ((lb, _, cb) as y) :: rb ->
+    if la = lb then (la, ha, ca + cb) :: merge_buckets ra rb
+    else if la < lb then x :: merge_buckets ra b
+    else y :: merge_buckets a rb
+
+let merge_hist a b =
+  { a with
+    hist_count = a.hist_count + b.hist_count;
+    sum = a.sum +. b.sum;
+    min_value = Float.min a.min_value b.min_value;
+    max_value = Float.max a.max_value b.max_value;
+    buckets = merge_buckets a.buckets b.buckets }
+
+let parse text =
+  Result.map
+    (fun records ->
+      let counters = Hashtbl.create 16 and hists = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Counter (name, v) ->
+            Hashtbl.replace counters name
+              (Option.value ~default:0.0 (Hashtbl.find_opt counters name) +. v)
+          | Hist h ->
+            Hashtbl.replace hists h.hist
+              (match Hashtbl.find_opt hists h.hist with Some into -> merge_hist into h | None -> h)
+          | Span _ | Mark _ | Track _ -> ())
+        records;
+      { spans = List.filter_map (function Span (sp, _) -> Some sp | _ -> None) records;
+        marks = List.filter_map (function Mark m -> Some m | _ -> None) records;
+        counters = sorted counters;
+        hists = List.map snd (sorted hists);
+        dropped = List.filter_map (function Track (tr, n) -> Some (tr, n) | _ -> None) records })
+    (records text)
+
 let load file =
-  match read_file file with
+  match In_channel.with_open_bin file In_channel.input_all with
   | exception Sys_error msg -> Error msg
-  | text ->
-    let trimmed = String.trim text in
-    if trimmed = "" then Error (file ^ ": empty trace")
-    else begin
-      let chrome =
-        trimmed.[0] = '{'
-        && (match Json.parse_result trimmed with
-           | Ok j -> ( match Json.member "traceEvents" j with Some _ -> true | None -> false)
-           | Error _ -> false)
-      in
-      try
-        if chrome then Ok (of_chrome (Json.parse trimmed)) else Ok (of_jsonl text)
-      with Json.Parse_error msg -> Error (file ^ ": " ^ msg)
-    end
+  | text -> Result.map_error (fun msg -> file ^ ": " ^ msg) (parse text)
 
 (* ------------------------------------------------------------------ *)
 (* Shared aggregation                                                  *)
 (* ------------------------------------------------------------------ *)
 
+type path_stat = { path : string; count : int; total_ns : float; p95_ns : float; max_ns : float }
+
 let by_path spans =
-  let table : (string, int ref * float ref * float ref) Hashtbl.t = Hashtbl.create 32 in
+  let table : (string, float list ref) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun sp ->
       match Hashtbl.find_opt table sp.sp_path with
-      | Some (n, total, mx) ->
-        incr n;
-        total := !total +. sp.sp_dur_ns;
-        if sp.sp_dur_ns > !mx then mx := sp.sp_dur_ns
-      | None -> Hashtbl.add table sp.sp_path (ref 1, ref sp.sp_dur_ns, ref sp.sp_dur_ns))
+      | Some durs -> durs := sp.sp_dur_ns :: !durs
+      | None -> Hashtbl.add table sp.sp_path (ref [ sp.sp_dur_ns ]))
     spans;
-  Hashtbl.fold (fun path (n, total, mx) acc -> (path, !n, !total, !mx) :: acc) table []
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+  List.map
+    (fun (path, durs) ->
+      let a = Array.of_list !durs in
+      Array.sort compare a;
+      let n = Array.length a in
+      { path;
+        count = n;
+        total_ns = Array.fold_left ( +. ) 0.0 a;
+        p95_ns = a.(max 0 (int_of_float (Float.ceil (0.95 *. float_of_int n)) - 1));
+        max_ns = a.(n - 1) })
+    (sorted table)
+
+(* A path's last component, indented two spaces per nesting level. *)
+let indented path =
+  let depth = String.fold_left (fun acc c -> if c = '/' then acc + 1 else acc) 0 path in
+  let name =
+    match String.rindex_opt path '/' with
+    | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+    | None -> path
+  in
+  String.make (2 * depth) ' ' ^ name
 
 let wall_window spans =
   match spans with
@@ -189,72 +236,110 @@ let wall_window spans =
 
 let tracks t =
   List.sort_uniq compare
-    (List.map (fun sp -> sp.sp_track) t.spans @ List.map (fun m -> m.mk_track) t.marks)
+    (List.map (fun sp -> sp.sp_track) t.spans
+    @ List.map (fun m -> m.mk_track) t.marks
+    @ List.map fst t.dropped)
 
 (* ------------------------------------------------------------------ *)
-(* summary: per-phase breakdown                                        *)
+(* summary: every table of the recorded profile                        *)
 (* ------------------------------------------------------------------ *)
+
+(* Upper edge of the bucket holding the 95th percentile, clamped to the
+   observed maximum: log2 buckets give a bound, not an exact value. *)
+let hist_p95 h =
+  let target = int_of_float (Float.ceil (0.95 *. float_of_int h.hist_count)) in
+  let rec walk cum = function
+    | [] -> h.max_value
+    | (_, hi, c) :: rest ->
+      if cum + c < target then walk (cum + c) rest else Float.min h.max_value hi
+  in
+  walk 0 h.buckets
+
+let chunk_spans t = List.filter (fun sp -> String.equal sp.sp_name "pool.chunk") t.spans
 
 let summary t =
-  let b = Buffer.create 1024 in
-  if t.spans = [] then Buffer.add_string b "trace: no span events\n"
-  else begin
-    let lo, hi = wall_window t.spans in
-    let wall_ns = hi -. lo in
-    Buffer.add_string b
-      (Printf.sprintf "%d span event(s) on %d track(s), wall %.3f ms\n\n"
-         (List.length t.spans) (List.length (tracks t)) (wall_ns /. 1e6));
-    (* top-level phases: paths with no '/' — the command's major stages *)
-    let aggregated = by_path t.spans in
-    let top = List.filter (fun (path, _, _, _) -> not (String.contains path '/')) aggregated in
-    if top <> [] then begin
-      Buffer.add_string b "Phases (top-level spans)\n";
-      let tt = Texttable.create ~headers:[ "Phase"; "Count"; "Total (ms)"; "Wall share" ] in
-      List.iter
-        (fun (path, n, total, _) ->
-          Texttable.add_row tt
-            [ path;
-              string_of_int n;
-              Printf.sprintf "%.3f" (total /. 1e6);
-              Texttable.cell_pct (total /. Float.max wall_ns 1.0) ])
-        (List.sort (fun (_, _, a, _) (_, _, b, _) -> compare b a) top);
-      Buffer.add_string b (Texttable.render tt);
-      Buffer.add_char b '\n'
-    end;
-    Buffer.add_string b "Spans\n";
-    let tt = Texttable.create ~headers:[ "Span"; "Count"; "Total (ms)"; "Mean (us)"; "Max (us)" ] in
-    List.iter
-      (fun (path, n, total, mx) ->
-        let depth =
-          String.fold_left (fun acc c -> if c = '/' then acc + 1 else acc) 0 path
-        in
-        let name =
-          match String.rindex_opt path '/' with
-          | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-          | None -> path
-        in
-        Texttable.add_row tt
-          [ String.concat "" (List.init depth (fun _ -> "  ")) ^ name;
-            string_of_int n;
-            Printf.sprintf "%.3f" (total /. 1e6);
-            Printf.sprintf "%.1f" (total /. float_of_int n /. 1e3);
-            Printf.sprintf "%.1f" (mx /. 1e3) ])
-      aggregated;
-    Buffer.add_string b (Texttable.render tt);
-    List.iter
-      (fun (name, v) -> Buffer.add_string b (Printf.sprintf "counter %-28s %.0f\n" name v))
-      t.counters
-  end;
-  Buffer.contents b
+  let section title headers rows =
+    if rows = [] then None
+    else begin
+      let tt = Texttable.create ~headers in
+      List.iter (Texttable.add_row tt) rows;
+      Some (title ^ "\n" ^ Texttable.render tt)
+    end
+  in
+  let lo, hi = wall_window t.spans in
+  let wall_ns = hi -. lo in
+  let stats = by_path t.spans in
+  let header =
+    if t.spans = [] then "trace: no span events\n"
+    else
+      Printf.sprintf "%d span event(s) on %d track(s), wall %.3f ms\n" (List.length t.spans)
+        (List.length (tracks t)) (wall_ns /. 1e6)
+  in
+  (* top-level phases: paths with no '/' — the command's major stages *)
+  let phases =
+    List.filter (fun s -> not (String.contains s.path '/')) stats
+    |> List.sort (fun a b -> compare b.total_ns a.total_ns)
+    |> List.map (fun s ->
+           [ s.path;
+             string_of_int s.count;
+             Printf.sprintf "%.3f" (s.total_ns /. 1e6);
+             Texttable.cell_pct (s.total_ns /. Float.max wall_ns 1.0) ])
+  in
+  let spans =
+    List.map
+      (fun s ->
+        [ indented s.path;
+          string_of_int s.count;
+          Printf.sprintf "%.3f" (s.total_ns /. 1e6);
+          Printf.sprintf "%.1f" (s.total_ns /. float_of_int s.count /. 1e3);
+          Printf.sprintf "%.1f" (s.p95_ns /. 1e3);
+          Printf.sprintf "%.1f" (s.max_ns /. 1e3) ])
+      stats
+  in
+  let hists =
+    List.map
+      (fun h ->
+        [ h.hist;
+          string_of_int h.hist_count;
+          Printf.sprintf "%.4g" h.min_value;
+          Printf.sprintf "%.4g" (h.sum /. float_of_int (max 1 h.hist_count));
+          Printf.sprintf "%.4g" (hist_p95 h);
+          Printf.sprintf "%.4g" h.max_value ])
+      t.hists
+  in
+  let track_row track =
+    let own = List.filter (fun sp -> sp.sp_track = track) t.spans in
+    let chunks = List.filter (fun sp -> String.equal sp.sp_name "pool.chunk") own in
+    [ Printf.sprintf "domain %d" track;
+      string_of_int (List.length own);
+      string_of_int (List.length chunks);
+      Printf.sprintf "%.3f" (List.fold_left (fun acc sp -> acc +. sp.sp_dur_ns) 0.0 chunks /. 1e6);
+      string_of_int (Option.value ~default:0 (List.assoc_opt track t.dropped)) ]
+  in
+  let pooled = List.length (tracks t) > 1 || chunk_spans t <> [] in
+  String.concat "\n"
+    (header
+    :: List.filter_map Fun.id
+         [ section "Phases (top-level spans)" [ "Phase"; "Count"; "Total (ms)"; "Wall share" ]
+             phases;
+           section "Spans"
+             [ "Span"; "Count"; "Total (ms)"; "Mean (us)"; "p95 (us)"; "Max (us)" ]
+             spans;
+           section "Counters" [ "Counter"; "Total" ]
+             (List.map (fun (name, v) -> [ name; Printf.sprintf "%.0f" v ]) t.counters);
+           section "Histograms (log2 buckets)"
+             [ "Histogram"; "Count"; "Min"; "Mean"; "p95 (<=)"; "Max" ]
+             hists;
+           section "Domain tracks (pool balance)"
+             [ "Track"; "Events"; "Pool chunks"; "Chunk busy (ms)"; "Dropped" ]
+             (if pooled then List.map track_row (tracks t) else []) ])
 
 (* ------------------------------------------------------------------ *)
 (* utilization: per-slot occupancy + text Gantt                        *)
 (* ------------------------------------------------------------------ *)
 
-let chunk_spans t = List.filter (fun sp -> String.equal sp.sp_name "pool.chunk") t.spans
-
-(* A chunk span belongs to the slot its arg names; Chrome traces without
-   slot args fall back to the recording track. *)
+(* A chunk span belongs to the slot its arg names, else to the recording
+   track. *)
 let slot_of sp = match sp.sp_slot with Some s -> s | None -> sp.sp_track
 
 let gantt_row ~lo ~wall_ns ~width spans =
@@ -351,55 +436,40 @@ let critical_path t =
   let b = Buffer.create 1024 in
   if t.spans = [] then Buffer.add_string b "trace: no span events\n"
   else begin
-    let aggregated = by_path t.spans in
+    let stats = by_path t.spans in
     let children path =
       let prefix = path ^ "/" in
       let plen = String.length prefix in
       List.filter
-        (fun (p, _, _, _) ->
-          String.length p > plen
-          && String.equal (String.sub p 0 plen) prefix
-          && not (String.contains_from p plen '/'))
-        aggregated
+        (fun s ->
+          String.length s.path > plen
+          && String.equal (String.sub s.path 0 plen) prefix
+          && not (String.contains_from s.path plen '/'))
+        stats
     in
     let hottest candidates =
       List.fold_left
-        (fun best (p, _, total, _) ->
-          match best with
-          | Some (_, bt) when bt >= total -> best
-          | _ -> Some (p, total))
+        (fun best s ->
+          match best with Some b when b.total_ns >= s.total_ns -> best | _ -> Some s)
         None candidates
     in
-    let roots = List.filter (fun (p, _, _, _) -> not (String.contains p '/')) aggregated in
-    match hottest roots with
+    match hottest (List.filter (fun s -> not (String.contains s.path '/')) stats) with
     | None -> Buffer.add_string b "trace: no top-level span\n"
-    | Some (root, root_total) ->
+    | Some root ->
       Buffer.add_string b "Critical chain (hottest child at each level)\n";
       let tt =
         Texttable.create ~headers:[ "Span"; "Count"; "Total (ms)"; "Of parent"; "Of root" ]
       in
-      let rec descend path total parent_total depth =
-        let name =
-          match String.rindex_opt path '/' with
-          | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-          | None -> path
-        in
-        let count =
-          match List.find_opt (fun (p, _, _, _) -> String.equal p path) aggregated with
-          | Some (_, n, _, _) -> n
-          | None -> 0
-        in
+      let rec descend s parent_total =
         Texttable.add_row tt
-          [ String.concat "" (List.init depth (fun _ -> "  ")) ^ name;
-            string_of_int count;
-            Printf.sprintf "%.3f" (total /. 1e6);
-            Texttable.cell_pct (total /. Float.max parent_total 1.0);
-            Texttable.cell_pct (total /. Float.max root_total 1.0) ];
-        match hottest (children path) with
-        | Some (child, child_total) -> descend child child_total total (depth + 1)
-        | None -> ()
+          [ indented s.path;
+            string_of_int s.count;
+            Printf.sprintf "%.3f" (s.total_ns /. 1e6);
+            Texttable.cell_pct (s.total_ns /. Float.max parent_total 1.0);
+            Texttable.cell_pct (s.total_ns /. Float.max root.total_ns 1.0) ];
+        Option.iter (fun child -> descend child s.total_ns) (hottest (children s.path))
       in
-      descend root root_total root_total 0;
+      descend root root.total_ns;
       Buffer.add_string b (Texttable.render tt)
   end;
   Buffer.contents b
@@ -408,5 +478,89 @@ let critical_path t =
 (* flamegraph conversion                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Collapsed-stack ("folded") lines, the input format of flamegraph.pl,
+   inferno and speedscope: one line per unique span path, '/' nesting
+   separators rewritten to ';', weighted by SELF time in integer
+   microseconds.  Self time is the path's total minus the totals of its
+   direct children, clamped at zero (concurrent pooled children can sum
+   past their parent's wall time), so box widths in the rendered graph
+   add up instead of double-counting. *)
 let to_folded t =
-  Obs.collapse_paths (List.map (fun sp -> (sp.sp_path, sp.sp_dur_ns)) t.spans)
+  let stats = by_path t.spans in
+  let self = Hashtbl.create 32 in
+  List.iter (fun s -> Hashtbl.replace self s.path s.total_ns) stats;
+  List.iter
+    (fun s ->
+      match String.rindex_opt s.path '/' with
+      | None -> ()
+      | Some i ->
+        let parent = String.sub s.path 0 i in
+        Option.iter
+          (fun p -> Hashtbl.replace self parent (p -. s.total_ns))
+          (Hashtbl.find_opt self parent))
+    stats;
+  String.concat ""
+    (List.map
+       (fun s ->
+         Printf.sprintf "%s %d\n"
+           (String.map (fun c -> if c = '/' then ';' else c) s.path)
+           (int_of_float (Float.round (Float.max 0.0 (Hashtbl.find self s.path) /. 1e3))))
+       stats)
+
+(* ------------------------------------------------------------------ *)
+(* Chrome conversion                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Chrome trace-event format (the JSON Array Format wrapped in an
+   object), loadable by chrome://tracing and Perfetto: one thread track
+   per domain, one complete ("X") event per span carrying its path and
+   its own args, timestamps in microseconds written to the nanosecond. *)
+let to_chrome text =
+  Result.map
+    (fun records ->
+      let b = Buffer.create 4096 in
+      let us ns b = Buffer.add_string b (Printf.sprintf "%.3f" (ns /. 1e3)) in
+      let tracks =
+        List.sort_uniq compare
+          (List.filter_map
+             (function
+               | Span (sp, _) -> Some sp.sp_track
+               | Mark m -> Some m.mk_track
+               | Track (track, _) -> Some track
+               | Counter _ | Hist _ -> None)
+             records)
+      in
+      Buffer.add_string b "{\"traceEvents\":[";
+      Json.obj_to b
+        [ ("name", Json.str "process_name");
+          ("ph", Json.str "M");
+          ("pid", Json.int 1);
+          ("args", Json.args_obj [ ("name", "msoc virtual tester") ]) ];
+      List.iter
+        (fun track ->
+          Buffer.add_char b ',';
+          Json.obj_to b
+            [ ("name", Json.str "thread_name");
+              ("ph", Json.str "M");
+              ("pid", Json.int 1);
+              ("tid", Json.int track);
+              ("args", Json.args_obj [ ("name", Printf.sprintf "domain %d" track) ]) ];
+          List.iter
+            (function
+              | Span (sp, args) when sp.sp_track = track ->
+                Buffer.add_char b ',';
+                Json.obj_to b
+                  [ ("name", Json.str sp.sp_name);
+                    ("cat", Json.str "msoc");
+                    ("ph", Json.str "X");
+                    ("pid", Json.int 1);
+                    ("tid", Json.int track);
+                    ("ts", us sp.sp_ts_ns);
+                    ("dur", us sp.sp_dur_ns);
+                    ("args", Json.args_obj (("path", sp.sp_path) :: args)) ]
+              | _ -> ())
+            records)
+        tracks;
+      Buffer.add_string b "]}";
+      Buffer.contents b)
+    (records text)

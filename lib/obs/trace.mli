@@ -1,10 +1,11 @@
 (** Offline analysis of saved telemetry traces.
 
-    Loads either the JSONL event stream ([--events], the richer format:
-    spans, worker-timeline marks and counters) or a Chrome trace
-    ([--trace], spans only) and answers questions the live summary
-    cannot: per-slot occupancy over the run's wall clock, the critical
-    chain through the span tree, flamegraph conversion. *)
+    A trace is the JSONL event stream {!Obs.jsonl} exports — an
+    [--events] file, a [msoc client --trace-out] file, or a run's own
+    export behind [--metrics].  This module parses it and renders every
+    other view of it: the text summary, per-slot occupancy over the run's
+    wall clock, the critical chain through the span tree, collapsed
+    stacks and Chrome trace_event JSON. *)
 
 type span = {
   sp_track : int;  (** recording domain id *)
@@ -22,26 +23,46 @@ type mark = {
   mk_ts_ns : float;
 }
 
+type hist = {
+  hist : string;
+  hist_count : int;
+  sum : float;
+  min_value : float;
+  max_value : float;
+  buckets : (float * float * int) list;
+      (** (lower edge, upper edge, count) of each non-empty log2 bucket,
+          ascending; the non-positive bucket's lower edge is
+          [neg_infinity] and the top bucket's upper edge [infinity] *)
+}
+
 type t = {
   spans : span list;
   marks : mark list;
   counters : (string * float) list;  (** merged totals, sorted by name *)
+  hists : hist list;  (** merged across tracks, sorted by name *)
+  dropped : (int * int) list;
+      (** (track, span events dropped at the recorder's cap), one entry
+          per ["track"] record *)
 }
 
-val load : string -> (t, string) result
-(** Read a trace file, sniffing the format: one JSON object with a
-    ["traceEvents"] member is a Chrome trace (timestamps converted from
-    microseconds), anything else is parsed line-by-line as JSONL.
+val parse : string -> (t, string) result
+(** Parse a JSONL event stream.  Resilient to the debris interrupted
+    daemons leave behind: unparseable lines (a truncated final line,
+    framing junk from concatenated exports) are skipped with a stderr
+    warning as long as at least one record survives; only a text with
+    nothing salvageable — a Chrome trace among them — or a blank one is
+    an [Error], naming the first bad line and the format expected. *)
 
-    JSONL loading is resilient to the debris interrupted daemons leave
-    behind: unparseable lines (a truncated final line, framing junk from
-    concatenated exports) are skipped with a stderr warning as long as at
-    least one record survives; only a file with nothing salvageable is an
-    [Error]. *)
+val load : string -> (t, string) result
+(** [load file] reads [file] and {!parse}s it; errors name the file. *)
 
 val summary : t -> string
-(** Wall-clock window, per-phase (top-level span) wall share, and the
-    full per-path span table with counter totals. *)
+(** Every table of the profile: a header line (span events, tracks,
+    wall clock), top-level phases with their wall share, the per-path
+    span tree (count, total, mean, exact p95, max), counter totals,
+    histograms (count, min, mean, p95 bucket bound, max) and, for pooled
+    runs, per-domain tracks (events, pool chunks, chunk busy time,
+    dropped events). *)
 
 val utilization : ?width:int -> t -> string
 (** Per-slot occupancy over the pooled window: chunk counts, busy time
@@ -54,5 +75,15 @@ val critical_path : t -> string
     root. *)
 
 val to_folded : t -> string
-(** Collapsed-stack (flamegraph.pl) conversion of the span tree,
-    weighted by self time in integer microseconds. *)
+(** Collapsed-stack (flamegraph.pl) conversion of the span tree: one
+    ["a;b;c <weight>"] line per path, sorted, weighted by self time
+    (total minus direct children, clamped at zero) in integer
+    microseconds. *)
+
+val to_chrome : string -> (string, string) result
+(** [to_chrome jsonl] converts a JSONL event stream (parsed as by
+    {!parse}) into Chrome trace_event JSON, loadable by chrome://tracing
+    or Perfetto: process and per-track thread metadata, then one complete
+    ("X") event per span on its domain's track, whose [args] hold the
+    span's path and its own args; [ts] and [dur] are microseconds,
+    exact to the nanosecond. *)

@@ -34,19 +34,6 @@ let verb_of_name = function
 
 let all_verbs = [ Plan; Measure; Faultsim; Montecarlo; Schedule; Metrics; Ping; Sleep ]
 
-type trace_format = Trace_jsonl | Trace_chrome | Trace_folded
-
-let trace_format_name = function
-  | Trace_jsonl -> "jsonl"
-  | Trace_chrome -> "chrome"
-  | Trace_folded -> "folded"
-
-let trace_format_of_name = function
-  | "jsonl" -> Some Trace_jsonl
-  | "chrome" -> Some Trace_chrome
-  | "folded" -> Some Trace_folded
-  | _ -> None
-
 type request = {
   verb : verb;
   (* plan / measure *)
@@ -67,8 +54,8 @@ type request = {
   trials : int;
   (* sleep (diagnostic: occupy an executor to exercise backpressure) *)
   sleep_ms : int;
-  (* per-request trace export, echoed back in the response *)
-  trace : trace_format option;
+  (* the response carries this request's JSONL trace *)
+  trace : bool;
 }
 
 (* Defaults match the msoc CLI flag defaults, so a bare daemon request
@@ -76,7 +63,7 @@ type request = {
 let request ?(topology = "default") ?(strategy = "adaptive") ?(seed = 0) ?(taps = 9)
     ?(input_bits = 10) ?(coeff_bits = 8) ?(samples = 1024) ?(tones = 2)
     ?(soc = "reference") ?(restarts = 8) ?(iters = 400) ?(trials = 50_000)
-    ?(sleep_ms = 50) ?trace verb =
+    ?(sleep_ms = 50) ?(trace = false) verb =
   { verb; topology; strategy; seed; taps; input_bits; coeff_bits; samples; tones;
     soc; restarts; iters; trials; sleep_ms; trace }
 
@@ -187,10 +174,7 @@ let request_to_json r =
   Json.obj_to b
     ((("verb", Json.str (verb_name r.verb))
      :: List.map (fun (Field f) -> (f.name, emit f.kind (f.get r))) fields)
-    @
-    match r.trace with
-    | None -> []
-    | Some f -> [ ("trace", Json.str (trace_format_name f)) ]);
+    @ if r.trace then [ ("trace", Json.bool true) ] else []);
   Buffer.contents b
 
 (* Request fields are typed strictly: a field of the wrong JSON type is
@@ -232,14 +216,10 @@ let request_of_json line =
                 (String.concat ", " (List.map verb_name all_verbs)))
          | Some verb ->
            let trace =
-             Option.map
-               (fun t ->
-                 match trace_format_of_name t with
-                 | Some f -> f
-                 | None ->
-                   raise
-                     (Bad_field (Printf.sprintf "unknown trace format %S (jsonl|chrome|folded)" t)))
-               (string_member "trace" j)
+             match Json.member "trace" j with
+             | None -> false
+             | Some (Json.Bool b) -> b
+             | Some _ -> raise (Bad_field "field \"trace\" must be a boolean")
            in
            Ok
              (List.fold_left

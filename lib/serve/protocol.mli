@@ -18,10 +18,6 @@ val verb_name : verb -> string
 val verb_of_name : string -> verb option
 val all_verbs : verb list
 
-type trace_format = Trace_jsonl | Trace_chrome | Trace_folded
-
-val trace_format_name : trace_format -> string
-
 type request = {
   verb : verb;
   topology : string;
@@ -37,16 +33,16 @@ type request = {
   iters : int;
   trials : int;
   sleep_ms : int;
-  trace : trace_format option;
-      (** When set, the response carries this request's span tree exported
-          in the chosen format. *)
+  trace : bool;
+      (** When set ([true] on the wire), the response carries this
+          request's trace: its Obs generation as JSONL. *)
 }
 
 val request :
   ?topology:string -> ?strategy:string -> ?seed:int -> ?taps:int ->
   ?input_bits:int -> ?coeff_bits:int -> ?samples:int -> ?tones:int ->
   ?soc:string -> ?restarts:int -> ?iters:int -> ?trials:int ->
-  ?sleep_ms:int -> ?trace:trace_format -> verb -> request
+  ?sleep_ms:int -> ?trace:bool -> verb -> request
 (** A request with every unspecified field at its CLI default. *)
 
 (** {2 The request schema}
@@ -113,10 +109,10 @@ val request_to_json : request -> string
 
 val request_of_json : string -> (request, string) result
 (** Missing fields take their defaults and unknown fields are ignored.
-    An unknown verb or trace format is an [Error], and so is a field of
-    the wrong JSON type, named in the message: a string field must be a
-    string, an int field an integral number inside OCaml's int range
-    (never truncated). *)
+    An unknown verb is an [Error], and so is a field of the wrong JSON
+    type, named in the message: a string field must be a string, an int
+    field an integral number inside OCaml's int range (never truncated),
+    and [trace] a boolean. *)
 
 type status =
   | Ok_         (** executed; [body] is the rendered result *)

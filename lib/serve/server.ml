@@ -327,14 +327,7 @@ let executor_loop t slot =
       end;
       (* a traced job never entered the in-flight table, so its leader is
          its only waiter *)
-      let trace_export =
-        Option.map
-          (function
-            | Protocol.Trace_jsonl -> Obs.jsonl ()
-            | Protocol.Trace_chrome -> Obs.chrome_trace ()
-            | Protocol.Trace_folded -> Obs.to_collapsed ())
-          job.j_req.Protocol.trace
-      in
+      let trace_export = if job.j_req.Protocol.trace then Some (Obs.jsonl ()) else None in
       (* the request's trace is built: fold its generation (this domain's
          sink and the pool workers that followed it) into the lifetime
          store, before any waiter can see its answer and scrape *)
@@ -450,7 +443,7 @@ type admission = Hit of string | Admitted | Rejected of string
       structured [overloaded] reply naming what was exhausted. *)
 let admit t conns conn_id (req : Protocol.request) =
   let t0 = Obs.now_ns () in
-  let key = if req.Protocol.trace = None then Protocol.cache_key req else None in
+  let key = if req.Protocol.trace then None else Protocol.cache_key req in
   let wclass = weight_of_verb req.Protocol.verb in
   let class_queued =
     match wclass with Heavy -> t.heavy_queued | Cheap -> t.cheap_queued

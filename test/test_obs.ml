@@ -1,14 +1,18 @@
 (* Telemetry subsystem tests: span nesting and timing, histogram bucket
    edges, deterministic merge of per-domain sinks across pool sizes,
    disabled-path no-ops, generations (exports scoped to the caller's,
-   per-request resets folding into the lifetime store exactly once), and
-   structural validation of the Chrome trace_event / JSONL exports.
+   per-request resets folding into the lifetime store exactly once), the
+   JSONL trace's round trip through [Trace.parse], and structural
+   validation of the JSONL, Chrome trace_event and Prometheus views.
+   What a profile recorded is read back the way every consumer reads it:
+   the parsed JSONL trace or the exposition.
 
    Telemetry state is process-global; every test starts from
    [Obs.reset] + an explicit enable/disable and disables on exit, so
    tests stay independent even though they share the registry. *)
 
 module Obs = Msoc_obs.Obs
+module Trace = Msoc_obs.Trace
 module Pool = Msoc_util.Pool
 module Prng = Msoc_util.Prng
 module Monte_carlo = Msoc_stat.Monte_carlo
@@ -20,12 +24,44 @@ let with_recording f =
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) f
 
-let find_span path spans =
-  match List.find_opt (fun s -> String.equal s.Obs.span_path path) spans with
-  | Some s -> s
-  | None ->
+(* The caller's generation as every consumer reads it. *)
+let recorded () =
+  match Trace.parse (Obs.jsonl ()) with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "the export does not parse: %s" e
+
+(* (count, total ns) of one span path *)
+let find_span path t =
+  match List.filter (fun sp -> String.equal sp.Trace.sp_path path) t.Trace.spans with
+  | [] ->
     Alcotest.failf "span %S not found (have: %s)" path
-      (String.concat ", " (List.map (fun s -> s.Obs.span_path) spans))
+      (String.concat ", " (List.map (fun sp -> sp.Trace.sp_path) t.Trace.spans))
+  | spans -> (List.length spans, List.fold_left (fun acc sp -> acc +. sp.Trace.sp_dur_ns) 0.0 spans)
+
+let counter name t =
+  int_of_float (Option.value ~default:0.0 (List.assoc_opt name t.Trace.counters))
+
+let find_hist name t =
+  match List.find_opt (fun h -> String.equal h.Trace.hist name) t.Trace.hists with
+  | Some h -> h
+  | None -> Alcotest.failf "histogram %S not found" name
+
+let contains_sub text needle =
+  let nl = String.length needle and tl = String.length text in
+  let rec scan i =
+    i + nl <= tl && (String.equal (String.sub text i nl) needle || scan (i + 1))
+  in
+  scan 0
+
+(* The value of an unlabelled series in an exposition, 0 when absent. *)
+let prom_value text name =
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i when String.equal (String.sub line 0 i) name ->
+           int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
+         | _ -> None)
+  |> Option.value ~default:0
 
 (* ---- spans ---- *)
 
@@ -38,19 +74,16 @@ let test_span_nesting () =
         a + b)
   in
   Alcotest.(check int) "span returns the body's value" 42 r;
-  let spans = Obs.snapshot_spans () in
-  let outer = find_span "outer" spans in
-  let inner = find_span "outer/inner" spans in
-  Alcotest.(check int) "outer count" 1 outer.Obs.span_count;
-  Alcotest.(check int) "inner count" 2 inner.Obs.span_count;
-  Alcotest.(check bool) "durations are non-negative" true (inner.Obs.total_ns >= 0.0);
-  Alcotest.(check bool) "outer contains both inners"
-    true (outer.Obs.total_ns >= inner.Obs.total_ns);
-  Alcotest.(check bool) "p95 <= max" true (inner.Obs.p95_ns <= inner.Obs.max_ns);
+  let t = recorded () in
+  let outer_count, outer_total = find_span "outer" t in
+  let inner_count, inner_total = find_span "outer/inner" t in
+  Alcotest.(check int) "outer count" 1 outer_count;
+  Alcotest.(check int) "inner count" 2 inner_count;
+  Alcotest.(check bool) "durations are non-negative" true (inner_total >= 0.0);
+  Alcotest.(check bool) "outer contains both inners" true (outer_total >= inner_total);
   (* sibling after the nest is top-level again, not nested *)
   Obs.span "sibling" (fun () -> ());
-  let spans = Obs.snapshot_spans () in
-  ignore (find_span "sibling" spans)
+  ignore (find_span "sibling" (recorded ()))
 
 let test_span_exception_unwinds () =
   with_recording @@ fun () ->
@@ -59,7 +92,7 @@ let test_span_exception_unwinds () =
   | exception Failure _ -> ());
   (* the stack unwound: a fresh span is recorded at the top level *)
   Obs.span "after" (fun () -> ());
-  ignore (find_span "after" (Obs.snapshot_spans ()))
+  ignore (find_span "after" (recorded ()))
 
 let test_clock_monotone () =
   let a = Obs.now_ns () in
@@ -73,59 +106,79 @@ let test_clock_monotone () =
 
 (* ---- histogram buckets ---- *)
 
+(* The edges of the one bucket [v] lands in, as the trace exports them:
+   bucket 0 (non-positive and NaN) is [-inf, 0], the next starts at 0,
+   each later one at a power of two and spans up to the next one. *)
+let bucket_of v =
+  with_recording @@ fun () ->
+  Obs.observe "edge" v;
+  match (find_hist "edge" (recorded ())).Trace.buckets with
+  | [ (lo, hi, 1) ] -> (lo, hi)
+  | _ -> Alcotest.failf "%h: expected exactly one bucket" v
+
 let test_bucket_edges () =
+  let check name expected v = Alcotest.(check (float 0.0)) name expected (fst (bucket_of v)) in
   (* non-positive and NaN collapse into bucket 0 *)
-  Alcotest.(check int) "zero" 0 (Obs.bucket_index 0.0);
-  Alcotest.(check int) "negative" 0 (Obs.bucket_index (-3.0));
-  Alcotest.(check int) "nan" 0 (Obs.bucket_index Float.nan);
-  (* powers of two are exact bucket edges: [2^(i-65), 2^(i-64)) *)
-  Alcotest.(check int) "1.0" 65 (Obs.bucket_index 1.0);
-  Alcotest.(check int) "just under 1.0" 64 (Obs.bucket_index 0.9999999);
-  Alcotest.(check int) "2.0" 66 (Obs.bucket_index 2.0);
-  Alcotest.(check int) "3.0 shares 2.0's bucket" 66 (Obs.bucket_index 3.0);
-  Alcotest.(check int) "4.0" 67 (Obs.bucket_index 4.0);
-  Alcotest.(check int) "0.5" 64 (Obs.bucket_index 0.5);
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "%g in bucket 0" v) true
+        (bucket_of v = (neg_infinity, 0.0)))
+    [ 0.0; -3.0; Float.nan ];
+  (* powers of two are exact bucket edges: [2^k, 2^(k+1)) *)
+  check "1.0" 1.0 1.0;
+  check "just under 1.0" 0.5 0.9999999;
+  check "2.0" 2.0 2.0;
+  check "3.0 shares 2.0's bucket" 2.0 3.0;
+  check "4.0" 4.0 4.0;
+  check "0.5" 0.5 0.5;
   (* extremes clamp to the end buckets rather than escaping the table *)
-  Alcotest.(check int) "tiny" 1 (Obs.bucket_index 1e-300);
-  Alcotest.(check int) "huge" (Obs.bucket_count - 1) (Obs.bucket_index 1e300);
-  Alcotest.(check int) "infinity" (Obs.bucket_count - 1) (Obs.bucket_index Float.infinity);
-  (* every positive value lies inside its bucket's [lo, hi) bounds *)
-  let check_value v =
-    let i = Obs.bucket_index v in
-    let lo, hi = Obs.bucket_bounds i in
-    if 1 < i && i < Obs.bucket_count - 1 then
-      Alcotest.(check bool)
-        (Printf.sprintf "%g in [%g, %g)" v lo hi)
-        true
-        (lo <= v && v < hi)
-  in
-  List.iter check_value
+  Alcotest.(check bool) "tiny" true (bucket_of 1e-300 = (0.0, Float.ldexp 1.0 (-63)));
+  Alcotest.(check bool) "huge" true (bucket_of 1e300 = (Float.ldexp 1.0 64, infinity));
+  Alcotest.(check bool) "infinity" true (bucket_of infinity = (Float.ldexp 1.0 64, infinity));
+  (* every positive value lies inside its bucket's [lo, hi), hi = 2 lo *)
+  List.iter
+    (fun v ->
+      let lo, hi = bucket_of v in
+      Alcotest.(check bool) (Printf.sprintf "%g in [%g, %g)" v lo hi) true
+        (lo <= v && v < hi && hi = 2.0 *. lo))
     [ 1.0; 1.5; 2.0; 3.999; 4.0; 100.0; 1e6; 1e-6; 0.75; 12345.678 ];
-  (* bounds tile the positive axis: bucket i's hi is bucket i+1's lo *)
-  for i = 1 to Obs.bucket_count - 2 do
-    let _, hi = Obs.bucket_bounds i in
-    let lo', _ = Obs.bucket_bounds (i + 1) in
-    Alcotest.(check (float 0.0)) (Printf.sprintf "tile %d" i) hi lo'
+  (* the buckets tile the positive axis: 2^k starts a bucket, and the
+     float just below it lies in the bucket before *)
+  for k = -62 to 64 do
+    let edge = Float.ldexp 1.0 k in
+    check (Printf.sprintf "2^%d starts a bucket" k) edge edge;
+    check (Printf.sprintf "below 2^%d" k) (Float.ldexp 1.0 (k - 1)) (Float.pred edge)
   done
 
 let test_histogram_stats () =
   with_recording @@ fun () ->
   List.iter (Obs.observe "h") [ 1.0; 2.0; 4.0; 4.0; -1.0 ];
-  match Obs.snapshot_hists () with
+  match (recorded ()).Trace.hists with
   | [ h ] ->
-    Alcotest.(check string) "name" "h" h.Obs.hist;
-    Alcotest.(check int) "count" 5 h.Obs.hist_count;
-    Alcotest.(check (float 1e-9)) "sum" 10.0 h.Obs.sum;
-    Alcotest.(check (float 0.0)) "min" (-1.0) h.Obs.min_value;
-    Alcotest.(check (float 0.0)) "max" 4.0 h.Obs.max_value;
-    let count_at i =
-      match List.assoc_opt i h.Obs.buckets with Some c -> c | None -> 0
-    in
-    Alcotest.(check int) "bucket of 1.0" 1 (count_at 65);
-    Alcotest.(check int) "bucket of 2.0" 1 (count_at 66);
-    Alcotest.(check int) "bucket of 4.0 holds two" 2 (count_at 67);
-    Alcotest.(check int) "non-positive bucket" 1 (count_at 0)
+    Alcotest.(check string) "name" "h" h.Trace.hist;
+    Alcotest.(check int) "count" 5 h.Trace.hist_count;
+    Alcotest.(check (float 1e-9)) "sum" 10.0 h.Trace.sum;
+    Alcotest.(check (float 0.0)) "min" (-1.0) h.Trace.min_value;
+    Alcotest.(check (float 0.0)) "max" 4.0 h.Trace.max_value;
+    Alcotest.(check bool)
+      "buckets: the non-positive one, 1.0's, 2.0's and 4.0's holding two" true
+      (h.Trace.buckets
+      = [ (neg_infinity, 0.0, 1); (1.0, 2.0, 1); (2.0, 4.0, 1); (4.0, 8.0, 2) ])
   | hs -> Alcotest.failf "expected one histogram, got %d" (List.length hs)
+
+(* The summary's p95 column is the upper edge of the bucket holding the
+   95th percentile, as exported, clamped to the maximum. *)
+let test_histogram_p95 () =
+  with_recording @@ fun () ->
+  List.iter (Obs.observe "lat") (100.0 :: List.init 19 (fun _ -> 3.0));
+  let row =
+    String.split_on_char '\n' (Trace.summary (recorded ()))
+    |> List.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+    |> List.find_opt (function "lat" :: _ -> true | _ -> false)
+  in
+  (* 19 of 20 values lie in [2, 4): p95 <= 4; count, min, mean, max *)
+  Alcotest.(check (option (list string))) "histogram row"
+    (Some [ "lat"; "20"; "3"; "7.85"; "4"; "100" ]) row
 
 (* ---- deterministic merge across pool sizes ---- *)
 
@@ -153,36 +206,28 @@ let test_merge_determinism () =
       Alcotest.(check (array (float 0.0)))
         (Printf.sprintf "pooled result identical with telemetry on (size %d)" size)
         reference got;
-      Alcotest.(check int)
-        (Printf.sprintf "counter total (size %d)" size)
-        n
-        (Obs.counter_total "merge.items");
-      (match
-         List.find_opt
-           (fun h -> String.equal h.Obs.hist "merge.values")
-           (Obs.snapshot_hists ())
-       with
-      | None -> Alcotest.fail "merged histogram missing"
-      | Some h ->
-        Alcotest.(check int) (Printf.sprintf "histogram count (size %d)" size) n h.Obs.hist_count;
-        let expected_sum =
-          let acc = ref 0.0 in
-          for i = 0 to n - 1 do
-            acc := !acc +. float_of_int (i mod 17)
-          done;
-          !acc
-        in
-        Alcotest.(check (float 1e-6))
-          (Printf.sprintf "histogram sum (size %d)" size)
-          expected_sum h.Obs.sum);
-      (* every chunk the pool dispatched is accounted for in the tracks *)
+      let t = recorded () in
+      Alcotest.(check int) (Printf.sprintf "counter total (size %d)" size) n
+        (counter "merge.items" t);
+      let h = find_hist "merge.values" t in
+      Alcotest.(check int) (Printf.sprintf "histogram count (size %d)" size) n h.Trace.hist_count;
+      let expected_sum =
+        let acc = ref 0.0 in
+        for i = 0 to n - 1 do
+          acc := !acc +. float_of_int (i mod 17)
+        done;
+        !acc
+      in
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "histogram sum (size %d)" size)
+        expected_sum h.Trace.sum;
+      (* every chunk the pool dispatched is accounted for in the spans *)
       let chunks =
-        List.fold_left (fun acc tr -> acc + tr.Obs.track_chunks) 0 (Obs.snapshot_tracks ())
+        List.length (List.filter (fun sp -> sp.Trace.sp_name = "pool.chunk") t.Trace.spans)
       in
       Alcotest.(check int)
         (Printf.sprintf "chunk spans match the chunk counter (size %d)" size)
-        (Obs.counter_total "pool.chunks")
-        chunks)
+        (counter "pool.chunks" t) chunks)
     pool_sizes
 
 let test_monte_carlo_identical_with_telemetry () =
@@ -209,9 +254,7 @@ let test_disabled_noop () =
   Alcotest.(check int) "span still runs the body" 7 v;
   let t = Obs.start_span "dead.manual" in
   Obs.stop_span t ~args:(fun () -> Alcotest.fail "lazy args must not run when disabled");
-  Alcotest.(check int) "no counters" 0 (List.length (Obs.snapshot_counters ()));
-  Alcotest.(check int) "no histograms" 0 (List.length (Obs.snapshot_hists ()));
-  Alcotest.(check int) "no spans" 0 (List.length (Obs.snapshot_spans ()))
+  Alcotest.(check string) "no spans, counters or histograms recorded" "" (Obs.jsonl ())
 
 (* ---- exporter validation ---- *)
 
@@ -236,9 +279,13 @@ let record_reference_profile () =
 let test_chrome_trace_valid () =
   with_recording @@ fun () ->
   record_reference_profile ();
-  let spans = Obs.snapshot_spans () in
-  let recorded = List.fold_left (fun acc s -> acc + s.Obs.span_count) 0 spans in
-  let json = Mini_json.parse (Obs.chrome_trace ()) in
+  let t = recorded () in
+  let chrome =
+    match Trace.to_chrome (Obs.jsonl ()) with
+    | Ok text -> text
+    | Error e -> Alcotest.failf "chrome conversion failed: %s" e
+  in
+  let json = Mini_json.parse chrome in
   let events =
     match Mini_json.member "traceEvents" json with
     | Some (Mini_json.Array evs) -> evs
@@ -253,7 +300,8 @@ let test_chrome_trace_valid () =
     metadata;
   (* every recorded span appears exactly once as a complete event — the
      X form pairs begin/end by construction, so none can be unbalanced *)
-  Alcotest.(check int) "one X event per recorded span" recorded (List.length complete);
+  Alcotest.(check int) "one X event per recorded span" (List.length t.Trace.spans)
+    (List.length complete);
   List.iter
     (fun e ->
       ignore (Mini_json.str_exn "name" e);
@@ -265,7 +313,7 @@ let test_chrome_trace_valid () =
       Alcotest.(check bool) "tid is a domain id" true (tid >= 0.0))
     complete;
   (* one thread_name metadata record per domain track *)
-  let tracks = Obs.snapshot_tracks () in
+  let tracks = List.sort_uniq compare (List.map (fun sp -> sp.Trace.sp_track) t.Trace.spans) in
   let thread_names =
     List.filter (fun e -> String.equal (Mini_json.str_exn "name" e) "thread_name") metadata
   in
@@ -294,29 +342,92 @@ let test_jsonl_valid () =
         (Hashtbl.mem kinds kind))
     [ "span"; "counter"; "histogram"; "track" ]
 
+(* The encoder (Obs) and the decoder (Trace) together lose nothing: what
+   a profile recorded — nested spans, a pooled run, counters and
+   histograms — is exactly what the parsed trace holds. *)
+let test_jsonl_round_trip () =
+  with_recording @@ fun () ->
+  let values = [ 123456789.0; 0.1; -2.5; 3.0 ] in
+  Obs.span "outer" (fun () ->
+      Obs.span "inner" (fun () -> ());
+      let t0 = Obs.now_ns () in
+      Obs.record_span "known" ~start_ns:t0 ~stop_ns:(Int64.add t0 123_456_789L);
+      Obs.count ~by:7 "rt.counter";
+      List.iter (Obs.observe "rt.hist") values;
+      (* past 10^6 minor words on this domain, where rounded GC words
+         would lose the per-chunk allocation *)
+      ignore (Sys.opaque_identity (List.init 400_000 Fun.id));
+      Pool.with_pool ~size:2 (fun pool ->
+          Pool.parallel_iter_grained pool ~n:64 ~grain:8 ~f:(fun ~slot:_ ~lo:_ ~hi:_ -> ()) ()));
+  let t = recorded () in
+  (* spans: paths, counts and durations *)
+  Alcotest.(check int) "outer" 1 (fst (find_span "outer" t));
+  Alcotest.(check int) "inner nests under outer" 1 (fst (find_span "outer/inner" t));
+  Alcotest.(check (pair int (float 0.0))) "a known duration, to the nanosecond" (1, 123456789.0)
+    (find_span "outer/known" t);
+  let chunks = List.filter (fun sp -> sp.Trace.sp_name = "pool.chunk") t.Trace.spans in
+  Alcotest.(check int) "one span per chunk of 8 items" 8 (List.length chunks);
+  Alcotest.(check bool) "every chunk carries its slot" true
+    (List.for_all (fun sp -> List.mem sp.Trace.sp_slot [ Some 0; Some 1 ]) chunks);
+  (* counter totals *)
+  Alcotest.(check int) "counter" 7 (counter "rt.counter" t);
+  Alcotest.(check int) "pool chunks counted" 8 (counter "pool.chunks" t);
+  Alcotest.(check int) "pool items counted" 64 (counter "pool.items" t);
+  (* histograms: count, sum, min, max and buckets, exactly *)
+  let h = find_hist "rt.hist" t in
+  Alcotest.(check int) "count" 4 h.Trace.hist_count;
+  Alcotest.(check (float 0.0)) "sum" (List.fold_left ( +. ) 0.0 values) h.Trace.sum;
+  Alcotest.(check (float 0.0)) "min" (-2.5) h.Trace.min_value;
+  Alcotest.(check (float 0.0)) "max" 123456789.0 h.Trace.max_value;
+  Alcotest.(check bool) "buckets" true
+    (h.Trace.buckets
+    = [ (neg_infinity, 0.0, 1);
+        (0.0625, 0.125, 1);
+        (2.0, 4.0, 1);
+        (Float.ldexp 1.0 26, Float.ldexp 1.0 27, 1) ]);
+  let items = find_hist "pool.chunk.items" t in
+  Alcotest.(check bool) "the chunk-size histogram, merged across tracks" true
+    (items.Trace.hist_count = 8 && items.Trace.sum = 64.0 && items.Trace.buckets = [ (8.0, 16.0, 8) ]);
+  (* timeline marks: a begin and an end per chunk, a steal per stolen
+     chunk, one idle per slot *)
+  let marks kind = List.filter (fun m -> m.Trace.mk_kind = kind) t.Trace.marks in
+  Alcotest.(check int) "begin marks" 8 (List.length (marks "begin"));
+  Alcotest.(check int) "end marks" 8 (List.length (marks "end"));
+  Alcotest.(check int) "steal marks" (counter "pool.steals" t) (List.length (marks "steal"));
+  Alcotest.(check (list int)) "idle marks" [ 0; 1 ]
+    (List.sort compare (List.map (fun m -> m.Trace.mk_slot) (marks "idle")));
+  (* GC words are written as integers, never rounded: this domain's marks
+     lie past 10^6 minor words, where six significant digits drop some *)
+  let minor_words =
+    String.split_on_char '\n' (Obs.jsonl ())
+    |> List.filter (fun line -> contains_sub line {|"type":"timeline"|})
+    |> List.map (fun line ->
+           let j = Mini_json.parse line in
+           let minor = Mini_json.num_exn "minor_words" j
+           and major = Mini_json.num_exn "major_words" j in
+           Alcotest.(check bool) "GC words written as integers" true
+             (contains_sub line
+                (Printf.sprintf {|"minor_words":%.0f,"major_words":%.0f}|} minor major));
+           minor)
+  in
+  Alcotest.(check bool) "past 10^6 minor words" true
+    (List.exists (fun w -> w > 1e6) minor_words);
+  (* every track reports its loss, here none *)
+  Alcotest.(check bool) "no events dropped on any track" true
+    (t.Trace.dropped <> [] && List.for_all (fun (_, n) -> n = 0) t.Trace.dropped)
+
 let test_summary_renders () =
   with_recording @@ fun () ->
   record_reference_profile ();
-  let text = Obs.summary () in
-  let contains needle =
-    let nl = String.length needle and tl = String.length text in
-    let rec scan i = i + nl <= tl && (String.equal (String.sub text i nl) needle || scan (i + 1)) in
-    scan 0
-  in
+  let text = Trace.summary (recorded ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "summary mentions %s" needle) true
-        (contains needle))
-    [ "Spans"; "Counters"; "root"; "export.counter" ]
+        (contains_sub text needle))
+    [ "Spans"; "Counters"; "root"; "export.counter"; "Histograms"; "export.hist";
+      "Domain tracks" ]
 
 (* ---- prometheus exposition ---- *)
-
-let contains_sub text needle =
-  let nl = String.length needle and tl = String.length text in
-  let rec scan i =
-    i + nl <= tl && (String.equal (String.sub text i nl) needle || scan (i + 1))
-  in
-  scan 0
 
 let test_prometheus_exposition () =
   with_recording @@ fun () ->
@@ -368,10 +479,8 @@ let test_dropped_events_warned () =
   for _ = 1 to Obs.max_events + 16 do
     Obs.span "overflow" (fun () -> ())
   done;
-  Alcotest.(check bool) "events were dropped" true (Obs.total_dropped () > 0);
-  Alcotest.(check bool) "exposition reports the drop count" true
-    (contains_sub (Obs.to_prometheus ())
-       (Printf.sprintf "msoc_dropped_span_events_total %d" (Obs.total_dropped ())));
+  Alcotest.(check int) "the exposition reports every event past the cap" 16
+    (prom_value (Obs.to_prometheus ()) "msoc_dropped_span_events_total");
   (* the export path announces the loss loudly on stderr *)
   let file = Filename.temp_file "msoc_warn" ".txt" in
   let saved = Unix.dup Unix.stderr in
@@ -398,61 +507,45 @@ let test_timeline_events () =
   with_recording @@ fun () ->
   Pool.with_pool ~size:2 (fun pool ->
       ignore (Pool.parallel_init pool 256 float_of_int));
-  let events = Obs.snapshot_timeline () in
-  Alcotest.(check bool) "pooled run recorded timeline marks" true (List.length events > 0);
-  let kinds = List.map (fun e -> e.Obs.tle_kind) events in
+  let marks = (recorded ()).Trace.marks in
+  Alcotest.(check bool) "pooled run recorded timeline marks" true (List.length marks > 0);
   List.iter
     (fun kind ->
-      Alcotest.(check bool)
-        (Printf.sprintf "recorded a %s mark" (Obs.timeline_kind_name kind))
-        true (List.mem kind kinds))
-    [ Obs.Chunk_begin; Obs.Chunk_end; Obs.Idle ];
+      Alcotest.(check bool) (Printf.sprintf "recorded a %s mark" kind) true
+        (List.exists (fun m -> m.Trace.mk_kind = kind) marks))
+    [ "begin"; "end"; "idle" ];
   List.iter
-    (fun e ->
+    (fun m ->
+      Alcotest.(check bool) (Printf.sprintf "valid kind %S" m.Trace.mk_kind) true
+        (List.mem m.Trace.mk_kind [ "begin"; "end"; "steal"; "idle" ]);
       Alcotest.(check bool) "epoch-relative timestamp is non-negative" true
-        (e.Obs.tle_ts_ns >= 0L);
-      Alcotest.(check bool) "gc words sampled" true (e.Obs.tle_minor_words >= 0.0))
-    events;
+        (m.Trace.mk_ts_ns >= 0.0))
+    marks;
   (* per track the ring is chronological, and GC words never decrease *)
-  let by_track = Hashtbl.create 4 in
-  List.iter
-    (fun e ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_track e.Obs.tle_track) in
-      Hashtbl.replace by_track e.Obs.tle_track (e :: prev))
-    events;
-  Hashtbl.iter
-    (fun _track rev_events ->
-      ignore
-        (List.fold_left
-           (fun (prev_ts, prev_minor) e ->
-             Alcotest.(check bool) "track is chronological" true (e.Obs.tle_ts_ns >= prev_ts);
-             Alcotest.(check bool) "minor words monotone" true
-               (e.Obs.tle_minor_words >= prev_minor);
-             (e.Obs.tle_ts_ns, e.Obs.tle_minor_words))
-           (Int64.min_int, neg_infinity)
-           (List.rev rev_events)))
-    by_track;
-  Alcotest.(check int) "nothing overwritten in a short run" 0 (Obs.timeline_overwritten ());
-  (* the JSONL export carries the same marks *)
   let timeline_lines =
     String.split_on_char '\n' (Obs.jsonl ())
     |> List.filter (fun l -> l <> "")
-    |> List.filter (fun l ->
-           String.equal (Mini_json.str_exn "type" (Mini_json.parse l)) "timeline")
+    |> List.map Mini_json.parse
+    |> List.filter (fun j -> String.equal (Mini_json.str_exn "type" j) "timeline")
   in
-  Alcotest.(check int) "jsonl timeline lines match the snapshot" (List.length events)
+  Alcotest.(check int) "one jsonl line per parsed mark" (List.length marks)
     (List.length timeline_lines);
+  let last = Hashtbl.create 4 in
   List.iter
-    (fun l ->
-      let j = Mini_json.parse l in
-      let kind = Mini_json.str_exn "kind" j in
-      Alcotest.(check bool) (Printf.sprintf "valid kind %S" kind) true
-        (List.mem kind [ "begin"; "end"; "steal"; "idle" ]);
+    (fun j ->
+      let track = Mini_json.num_exn "track" j in
+      let ts = Mini_json.num_exn "ts_ns" j and minor = Mini_json.num_exn "minor_words" j in
       ignore (Mini_json.num_exn "slot" j);
-      ignore (Mini_json.num_exn "ts_ns" j);
-      ignore (Mini_json.num_exn "minor_words" j);
-      ignore (Mini_json.num_exn "major_words" j))
-    timeline_lines
+      ignore (Mini_json.num_exn "major_words" j);
+      (match Hashtbl.find_opt last track with
+      | Some (prev_ts, prev_minor) ->
+        Alcotest.(check bool) "track is chronological" true (ts >= prev_ts);
+        Alcotest.(check bool) "minor words monotone" true (minor >= prev_minor)
+      | None -> ());
+      Hashtbl.replace last track (ts, minor))
+    timeline_lines;
+  Alcotest.(check int) "nothing overwritten in a short run" 0
+    (prom_value (Obs.to_prometheus ()) "msoc_obs_timeline_overwritten_total")
 
 (* Timelines on vs off must not change fault-detection results — the
    per-domain ring writes carry no result data.  Checked at every pool
@@ -496,44 +589,7 @@ let test_faultsim_timeline_determinism () =
             reference on))
     [ 1; 2; 4; 8 ]
 
-(* ---- collapsed stacks ---- *)
-
-let test_collapse_paths () =
-  let folded =
-    Obs.collapse_paths
-      [ ("a", 10_000_000.0);
-        ("a/b", 4_000_000.0);
-        ("a/b", 2_000_000.0);  (* duplicate paths are summed *)
-        ("a/c", 3_000_000.0);
-        ("d", 1_000_000.0) ]
-  in
-  (* self(a) = 10 - (4+2) - 3 = 1 ms; leaves keep their totals *)
-  Alcotest.(check string) "self-time folding"
-    "a 1000\na;b 6000\na;c 3000\nd 1000\n" folded;
-  (* concurrent children can exceed the parent wall time: clamp at zero *)
-  let clamped = Obs.collapse_paths [ ("p", 1_000_000.0); ("p/q", 5_000_000.0) ] in
-  Alcotest.(check string) "negative self clamps to zero" "p 0\np;q 5000\n" clamped;
-  Alcotest.(check string) "empty profile folds to nothing" "" (Obs.collapse_paths [])
-
-let test_to_collapsed_matches_spans () =
-  with_recording @@ fun () ->
-  Obs.span "outer" (fun () -> Obs.span "inner" (fun () -> ()));
-  let folded = Obs.to_collapsed () in
-  Alcotest.(check bool) "outer stack present" true (contains_sub folded "outer ");
-  Alcotest.(check bool) "nested stack uses semicolons" true
-    (contains_sub folded "outer;inner ")
-
 (* ---- generations: reset_domain and generation-scoped exports ---- *)
-
-(* The value of an unlabelled series in an exposition, 0 when absent. *)
-let prom_value text name =
-  String.split_on_char '\n' text
-  |> List.find_map (fun line ->
-         match String.index_opt line ' ' with
-         | Some i when String.equal (String.sub line 0 i) name ->
-           int_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
-         | _ -> None)
-  |> Option.value ~default:0
 
 let await flag =
   let deadline = Int64.add (Obs.now_ns ()) 10_000_000_000L in
@@ -604,9 +660,8 @@ let one_chunk_each pool =
     ()
 
 let chunk_spans () =
-  List.fold_left
-    (fun acc s -> if String.equal s.Obs.span_path "pool.chunk" then acc + s.Obs.span_count else acc)
-    0 (Obs.snapshot_spans ())
+  List.length
+    (List.filter (fun sp -> String.equal sp.Trace.sp_path "pool.chunk") (recorded ()).Trace.spans)
 
 let test_worker_sinks_follow_caller () =
   with_recording @@ fun () ->
@@ -671,7 +726,8 @@ let () =
           Alcotest.test_case "clock monotone" `Quick test_clock_monotone ] );
       ( "histograms",
         [ Alcotest.test_case "bucket edges" `Quick test_bucket_edges;
-          Alcotest.test_case "stats and merge" `Quick test_histogram_stats ] );
+          Alcotest.test_case "stats and merge" `Quick test_histogram_stats;
+          Alcotest.test_case "summary p95 is the bucket's upper edge" `Quick test_histogram_p95 ] );
       ( "determinism",
         [ Alcotest.test_case "merge across pool sizes" `Quick test_merge_determinism;
           Alcotest.test_case "telemetry does not perturb results" `Quick
@@ -680,10 +736,6 @@ let () =
             test_faultsim_timeline_determinism ] );
       ( "timelines",
         [ Alcotest.test_case "pooled runs record slot marks" `Quick test_timeline_events ] );
-      ( "flamegraph",
-        [ Alcotest.test_case "collapse_paths folds self time" `Quick test_collapse_paths;
-          Alcotest.test_case "to_collapsed reflects recorded spans" `Quick
-            test_to_collapsed_matches_spans ] );
       ( "disabled",
         [ Alcotest.test_case "probes are no-ops" `Quick test_disabled_noop ] );
       ( "scope",
@@ -693,6 +745,8 @@ let () =
       ( "exporters",
         [ Alcotest.test_case "chrome trace structure" `Quick test_chrome_trace_valid;
           Alcotest.test_case "jsonl structure" `Quick test_jsonl_valid;
+          Alcotest.test_case "jsonl round trip through Trace.parse" `Quick
+            test_jsonl_round_trip;
           Alcotest.test_case "text summary" `Quick test_summary_renders;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "prometheus build info and drop alias" `Quick

@@ -192,7 +192,7 @@ let prop_workq_exactly_once =
 let test_protocol_roundtrip () =
   let req =
     Protocol.request ~topology:"default" ~strategy:"nominal" ~seed:3 ~taps:5
-      ~samples:128 ~trace:Protocol.Trace_chrome Protocol.Faultsim
+      ~samples:128 ~trace:true Protocol.Faultsim
   in
   (match Protocol.request_of_json (Protocol.request_to_json req) with
   | Ok req' -> Alcotest.(check bool) "request round trips" true (req = req')
@@ -219,7 +219,7 @@ let test_protocol_roundtrip () =
   | Ok _ -> Alcotest.fail "unknown verb must be rejected"
   | Error _ -> ());
   (match Protocol.request_of_json {|{"verb":"plan","trace":"interpretive-dance"}|} with
-  | Ok _ -> Alcotest.fail "unknown trace format must be rejected"
+  | Ok _ -> Alcotest.fail "a non-boolean trace must be rejected"
   | Error _ -> ());
   (* a field of the wrong JSON type is an error naming it, never its
      default; an int field takes only integral numbers in int range *)
@@ -274,7 +274,7 @@ let perturbations : (string * (Protocol.request -> Protocol.request)) list =
     ("iters", fun r -> { r with Protocol.iters = r.Protocol.iters + 1 });
     ("trials", fun r -> { r with Protocol.trials = r.Protocol.trials + 1 });
     ("sleep_ms", fun r -> { r with Protocol.sleep_ms = r.Protocol.sleep_ms + 1 });
-    ("trace", fun r -> { r with Protocol.trace = Some Protocol.Trace_folded }) ]
+    ("trace", fun r -> { r with Protocol.trace = true }) ]
 
 let test_cache_key_covers_reads () =
   (* the result cache and single flight both trust [cache_key]: perturbing
@@ -283,7 +283,7 @@ let test_cache_key_covers_reads () =
   let wire_fields =
     match
       Msoc_obs.Json.parse
-        (Protocol.request_to_json (Protocol.request ~trace:Protocol.Trace_jsonl Protocol.Plan))
+        (Protocol.request_to_json (Protocol.request ~trace:true Protocol.Plan))
     with
     | Msoc_obs.Json.Object fields -> List.filter (( <> ) "verb") (List.map fst fields)
     | _ -> Alcotest.fail "a request encodes as an object"
@@ -468,8 +468,7 @@ let test_cache_hit_counters () =
       (* a trace-carrying request bypasses the cache so its export
          reflects a real execution *)
       (match
-         Client.request c
-           (Protocol.request ~trace:Protocol.Trace_jsonl Protocol.Plan)
+         Client.request c (Protocol.request ~trace:true Protocol.Plan)
        with
       | Ok r ->
         Alcotest.(check string) "traced body still byte-identical" expected
@@ -821,16 +820,11 @@ let test_metrics_families () =
 
 (* ---- per-request trace export: the same at every executor count ---- *)
 
-(* A trace export as the offline analyses load it. *)
+(* A trace export as the offline analyses parse it. *)
 let load_export export =
-  let file = Filename.temp_file "msoc_serve_trace" ".jsonl" in
-  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
-  let oc = open_out file in
-  output_string oc export;
-  close_out oc;
-  match Trace.load file with
+  match Trace.parse export with
   | Ok t -> t
-  | Error e -> Alcotest.failf "export does not load: %s" e
+  | Error e -> Alcotest.failf "export does not parse: %s" e
 
 let pool_chunks t =
   List.length (List.filter (fun sp -> sp.Trace.sp_name = "pool.chunk") t.Trace.spans)
@@ -856,7 +850,7 @@ let test_trace_roundtrip () =
     Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
     let t =
       Client.with_connection ~socket_path (fun c ->
-          match Client.request c { req with Protocol.trace = Some Protocol.Trace_jsonl } with
+          match Client.request c { req with Protocol.trace = true } with
           | Ok { Protocol.trace_export = Some export; _ } -> load_export export
           | Ok r -> Alcotest.failf "no trace export: %s" r.Protocol.body
           | Error e -> Alcotest.failf "traced faultsim failed: %s" e)

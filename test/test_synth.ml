@@ -5,6 +5,7 @@ module Path = Msoc_analog.Path
 module Param = Msoc_analog.Param
 module Prng = Msoc_util.Prng
 module Obs = Msoc_obs.Obs
+module Trace = Msoc_obs.Trace
 module Distribution = Msoc_stat.Distribution
 
 let approx eps = Alcotest.float eps
@@ -862,20 +863,20 @@ let test_judge_attribution () =
       Obs.reset ())
     (fun () ->
       let det, _, _, _ = run_small_coverage ~tones:2 ~samples:256 in
-      let judged =
-        List.fold_left
-          (fun acc s ->
-            if String.ends_with ~suffix:"digital_test.judge" s.Obs.span_path then
-              acc + s.Obs.span_count
-            else acc)
-          0 (Obs.snapshot_spans ())
+      let trace = Result.get_ok (Trace.parse (Obs.jsonl ())) in
+      let counter name =
+        int_of_float (Option.value ~default:0.0 (List.assoc_opt name trace.Trace.counters))
       in
-      let shared = Obs.counter_total "digital_test.shared_verdicts" in
+      let judged =
+        List.length
+          (List.filter (fun sp -> sp.Trace.sp_name = "digital_test.judge") trace.Trace.spans)
+      in
+      let shared = counter "digital_test.shared_verdicts" in
       Alcotest.(check int) "judged + shared = faults + 1" (det.Digital_test.total + 1)
         (judged + shared);
       Alcotest.(check bool) "some verdicts shared" true (shared > 0);
       Alcotest.(check int) "only the golden capture is analysed" 1
-        (Obs.counter_total "spectrum.captures"))
+        (counter "spectrum.captures"))
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in

@@ -1,7 +1,7 @@
 (* Offline trace analysis: round-trip the committed golden fixture (a
    hand-written two-slot run with known durations) through every [msoc
-   trace] analysis, validate the folded (collapsed-stack) exporter's
-   format, and load a Chrome trace produced by the live exporter. *)
+   trace] analysis, check the collapsed-stack folding and format, and
+   convert a live profile's JSONL into Chrome trace_event JSON. *)
 
 module Obs = Msoc_obs.Obs
 module Trace = Msoc_obs.Trace
@@ -54,7 +54,14 @@ let test_load_errors () =
   | Ok _ -> Alcotest.fail "expected a parse error"
   | Error msg ->
     Alcotest.(check bool) "error names the offending line" true (contains_sub msg "line"));
-  Sys.remove bad
+  Sys.remove bad;
+  (match Trace.parse "  \n" with
+  | Ok _ -> Alcotest.fail "a blank trace must be an error"
+  | Error msg -> check_contains msg [ "empty" ]);
+  (* a Chrome trace is not read: the error names the format expected *)
+  match Trace.parse {|{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":1,"pid":1,"tid":0}]}|} with
+  | Ok _ -> Alcotest.fail "a Chrome trace must be rejected"
+  | Error msg -> check_contains msg [ "line 1"; "JSONL" ]
 
 let good_span name path ts =
   Printf.sprintf
@@ -98,13 +105,29 @@ let test_summary () =
   let text = Trace.summary (load_fixture ()) in
   check_contains text
     [ "5 span event(s) on 2 track(s), wall 10.000 ms";
-      "msoc";
-      "fault_sim.run";
-      "pool.chunk";
-      (* pool.chunk total is 8 ms across both slots *)
-      "8.000";
-      "counter fault_sim.faults";
-      "counter pool.steals" ]
+      "Phases (top-level spans)";
+      "Counters";
+      "Domain tracks (pool balance)" ];
+  (* a table row's cells, found by its first cells *)
+  let row first =
+    String.split_on_char '\n' text
+    |> List.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+    |> List.find_opt (fun cells -> List.filteri (fun i _ -> i < List.length first) cells = first)
+  in
+  let check_row first cells =
+    Alcotest.(check (option (list string))) (String.concat " " first) (Some (first @ cells))
+      (row first)
+  in
+  check_row [ "msoc" ] [ "1"; "10.000"; "100.0%" ];
+  (* pool.chunk: spans of 3, 3 and 2 ms — total 8 ms, mean 2666.7 us,
+     exact p95 and max 3000.0 us *)
+  check_row [ "pool.chunk" ] [ "3"; "8.000"; "2666.7"; "3000.0"; "3000.0" ];
+  check_row [ "fault_sim.faults" ] [ "100" ];
+  check_row [ "pool.steals" ] [ "1" ];
+  (* domain 0 recorded 4 spans, 2 of them chunks busy 6 ms; domain 1 one
+     chunk busy 2 ms; the fixture has no track records, so none dropped *)
+  check_row [ "domain"; "0" ] [ "4"; "2"; "6.000"; "0" ];
+  check_row [ "domain"; "1" ] [ "1"; "1"; "2.000"; "0" ]
 
 (* ---- utilization ---- *)
 
@@ -137,6 +160,26 @@ let test_critical_path () =
 
 (* ---- flamegraph conversion ---- *)
 
+(* Self time is a path's total minus its direct children's, summed over
+   repeated paths and clamped at zero. *)
+let test_folded_self_time () =
+  let span path dur =
+    { Trace.sp_track = 0; sp_slot = None; sp_name = path; sp_path = path; sp_ts_ns = 0.0;
+      sp_dur_ns = dur }
+  in
+  let folded spans =
+    Trace.to_folded { Trace.spans; marks = []; counters = []; hists = []; dropped = [] }
+  in
+  (* self(a) = 10 - (4+2) - 3 = 1 ms; leaves keep their totals *)
+  Alcotest.(check string) "self-time folding" "a 1000\na;b 6000\na;c 3000\nd 1000\n"
+    (folded
+       [ span "a" 10_000_000.0; span "a/b" 4_000_000.0; span "a/b" 2_000_000.0;
+         span "a/c" 3_000_000.0; span "d" 1_000_000.0 ]);
+  (* concurrent children can exceed the parent wall time: clamp at zero *)
+  Alcotest.(check string) "negative self clamps to zero" "p 0\np;q 5000\n"
+    (folded [ span "p" 1_000_000.0; span "p/q" 5_000_000.0 ]);
+  Alcotest.(check string) "empty profile folds to nothing" "" (folded [])
+
 let test_folded_exact () =
   let folded = Trace.to_folded (load_fixture ()) in
   (* self times: msoc 10-8 = 2 ms, fault_sim.run 8-8 = 0, chunks 8 ms *)
@@ -168,7 +211,11 @@ let test_folded_format_from_live_profile () =
           Pool.parallel_iter_grained pool ~n:64 ~grain:8
             ~f:(fun ~slot:_ ~lo:_ ~hi:_ -> ())
             ());
-      let folded = Obs.to_collapsed () in
+      let folded =
+        match Trace.parse (Obs.jsonl ()) with
+        | Ok t -> Trace.to_folded t
+        | Error e -> Alcotest.failf "export does not parse: %s" e
+      in
       let lines =
         String.split_on_char '\n' folded |> List.filter (fun l -> l <> "")
       in
@@ -179,30 +226,56 @@ let test_folded_format_from_live_profile () =
             (Printf.sprintf "well-formed folded line %S" line)
             true (folded_line_valid line))
         lines;
-      Alcotest.(check bool) "root stack present" true
-        (List.exists (fun l -> contains_sub l "root") lines))
+      (* nesting shows as ';'-joined stacks *)
+      check_contains folded [ "root "; "root;child " ])
 
-(* ---- chrome round trip ---- *)
+(* ---- chrome conversion ---- *)
 
+(* A live profile's JSONL converts into one complete event per span,
+   keeping the span's path and own args and its timestamps to the
+   nanosecond — six significant digits would round a ts past 0.1 s to
+   10 us, longer than a spectral-judge span. *)
 let test_chrome_round_trip () =
   Obs.enable ();
   Obs.reset ();
-  let file = Filename.temp_file "msoc_trace" ".json" in
   Fun.protect
     ~finally:(fun () ->
       Obs.disable ();
-      Obs.reset ();
-      Sys.remove file)
+      Obs.reset ())
     (fun () ->
-      Obs.span "alpha" (fun () -> Obs.span "beta" (fun () -> ()));
+      Obs.span "alpha" ~args:[ ("accuracy", "0.25") ] (fun () -> Obs.span "beta" (fun () -> ()));
+      let t0 = Int64.add (Obs.now_ns ()) 123_456_789L in
+      Obs.record_span "late" ~start_ns:t0 ~stop_ns:(Int64.add t0 25_123L);
       Obs.disable ();
-      Obs.write_chrome_trace file;
-      match Trace.load file with
-      | Error msg -> Alcotest.failf "chrome load failed: %s" msg
-      | Ok t ->
-        Alcotest.(check int) "both spans survive" 2 (List.length t.Trace.spans);
-        check_contains (Trace.summary t) [ "alpha"; "beta" ];
-        check_contains (Trace.critical_path t) [ "alpha" ])
+      let jsonl = Obs.jsonl () in
+      let t = match Trace.parse jsonl with Ok t -> t | Error e -> Alcotest.failf "%s" e in
+      let events =
+        match Trace.to_chrome jsonl with
+        | Error e -> Alcotest.failf "chrome conversion failed: %s" e
+        | Ok text -> Msoc_obs.Json.list_exn "traceEvents" (Msoc_obs.Json.parse text)
+      in
+      let complete =
+        List.filter (fun e -> Msoc_obs.Json.string_exn "ph" e = "X") events
+      in
+      Alcotest.(check int) "every span survives" 3 (List.length complete);
+      List.iter2
+        (fun sp e ->
+          let num key = Msoc_obs.Json.number_exn key e in
+          let args = Option.get (Msoc_obs.Json.member "args" e) in
+          Alcotest.(check string) "name" sp.Trace.sp_name (Msoc_obs.Json.string_exn "name" e);
+          Alcotest.(check string) "path arg" sp.Trace.sp_path
+            (Msoc_obs.Json.string_exn "path" args);
+          Alcotest.(check (float 0.0)) "ts exact to the ns" sp.Trace.sp_ts_ns
+            (Float.round (num "ts" *. 1e3));
+          Alcotest.(check (float 0.0)) "dur exact to the ns" sp.Trace.sp_dur_ns
+            (Float.round (num "dur" *. 1e3)))
+        t.Trace.spans complete;
+      let alpha = List.find (fun e -> Msoc_obs.Json.string_exn "name" e = "alpha") complete in
+      Alcotest.(check string) "a span's own args are kept" "0.25"
+        (Msoc_obs.Json.string_exn "accuracy" (Option.get (Msoc_obs.Json.member "args" alpha)));
+      let late = List.find (fun e -> Msoc_obs.Json.string_exn "name" e = "late") complete in
+      Alcotest.(check (float 0.0)) "a 25.123 us span" 25.123 (Msoc_obs.Json.number_exn "dur" late);
+      Alcotest.(check bool) "past 0.1 s" true (Msoc_obs.Json.number_exn "ts" late > 1e5))
 
 let () =
   Alcotest.run "msoc_trace"
@@ -217,7 +290,8 @@ let () =
           Alcotest.test_case "utilization steals row" `Quick test_utilization_steals;
           Alcotest.test_case "critical path" `Quick test_critical_path ] );
       ( "flamegraph",
-        [ Alcotest.test_case "fixture folds exactly" `Quick test_folded_exact;
+        [ Alcotest.test_case "to_folded folds self time" `Quick test_folded_self_time;
+          Alcotest.test_case "fixture folds exactly" `Quick test_folded_exact;
           Alcotest.test_case "live profile folds to valid lines" `Quick
             test_folded_format_from_live_profile ] );
       ( "chrome",

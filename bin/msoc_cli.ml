@@ -178,7 +178,7 @@ let request_term verb =
 (* ---- the compute subcommands: plan, measure, faultsim, montecarlo and
    schedule run the same Msoc_serve.Verbs body the daemon executes ---- *)
 
-module Audit = Msoc_obs.Audit
+module Audit = Msoc_synth.Audit
 module Topology = Msoc_analog.Topology
 
 let progress_arg =
@@ -189,22 +189,14 @@ let progress_arg =
               stderr while the engines run.  The heartbeat polls atomic cells off the \
               hot path, so it cannot change any result.")
 
-(* Record the synthesis audit trail around [f], then print it and write
-   it as JSON to [file]. *)
-let with_audit file f =
-  match file with
-  | None -> f ()
-  | Some file ->
-    Audit.enable ();
-    Audit.reset ();
-    f ();
-    Audit.disable ();
-    Format.printf "@.%s" (Audit.to_text ());
-    Audit.write_json file;
-    Format.eprintf "audit: %d provenance records written to %s@."
-      (List.length (Audit.records ()))
-      file;
-    Audit.reset ()
+(* Print the audit trail of the plans [req] synthesized and write it as
+   JSON to [file]. *)
+let write_audit req file =
+  let records = Serve_verbs.audit req in
+  Format.printf "@.%s" (Audit.to_text records);
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Audit.to_json records ^ "\n"));
+  Format.eprintf "audit: %d provenance records written to %s@." (List.length records) file
 
 (* One body for all five: run the finished request on the default pool —
    bit-identical to the serial path at any MSOC_DOMAINS — and print the
@@ -225,13 +217,14 @@ let compute_cmd ?render ?listing verb ~doc =
   let run tel req progress list audit =
     with_telemetry tel ~command:name @@ fun () ->
     if list then print_list ()
-    else
-      with_audit audit @@ fun () ->
+    else begin
       let compute () = Serve_verbs.run ~pool:(Msoc_util.Pool.get_default ()) req in
       print_string
         (match render with
         | Some render when progress -> Progress.with_ticker ~render compute
-        | _ -> compute ())
+        | _ -> compute ());
+      Option.iter (write_audit req) audit
+    end
   in
   Cmd.v (Cmd.info name ~doc)
     (code0 Term.(const run $ telemetry_term $ request_term verb $ progress $ list $ audit))

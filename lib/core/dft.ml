@@ -37,7 +37,7 @@ let recommend ?(strategy = Propagate.Adaptive) path ~max_fcl ~max_yl =
       (fun m ->
         let losses = losses_with_error path m (Propagate.err m) in
         losses.Coverage.fcl > max_fcl && losses.Coverage.yl > max_yl)
-      (Propagate.all_for_receiver path ~strategy)
+      (Propagate.all_for_path path ~strategy)
   in
   List.sort
     (fun a b -> compare b.fcl_reduction a.fcl_reduction)

@@ -1,5 +1,6 @@
 module Path = Msoc_analog.Path
 module Param = Msoc_analog.Param
+module Attr = Msoc_signal.Attr
 
 type entry =
   | Composed of Compose.t
@@ -35,31 +36,6 @@ let losses_for path (measurement : Propagate.t) =
       ~error:(Coverage.Uniform_err (Propagate.err measurement))
       ~threshold_shift:0.0
 
-module Audit = Msoc_obs.Audit
-
-(* Composites are measured directly at the primary I/O, so their audit
-   record carries the composite tolerance as the requirement and the
-   instrument-grade accuracy as the achievement — no de-embedding chain. *)
-let audit_composed (c : Compose.t) =
-  if Audit.recording () then
-    Audit.record
-      { Audit.parameter = c.Compose.name;
-        origin = "composed";
-        strategy = "composite";
-        formula =
-          Printf.sprintf "%s measured directly at the primary I/O (%s)" c.Compose.name
-            c.Compose.unit_label;
-        stimulus = "mid-range two-tone at the primary input";
-        achieved_err = Accuracy.worst_case c.Compose.accuracy;
-        rss_err = Accuracy.rss c.Compose.accuracy;
-        instrument_err = c.Compose.accuracy.Accuracy.instrument_err;
-        contributions = [];
-        prerequisites = [];
-        required_tol = Some c.Compose.tolerance;
-        fcl = None;
-        yl = None;
-        cost = None }
-
 (* Capture-count heuristics per measurement kind: single-point reads take
    one capture; sweeps take one per point. *)
 let captures_for_entry = function
@@ -79,18 +55,12 @@ let captures_for_entry = function
     | Spec.Stuck_at_coverage -> 1)
   | Digital_filter_test _ -> 3 (* two-tone capture, golden replay, margin check *)
 
-let default_capture_samples = 4096
+(* Every procedure's stimulus record length, in digitizer samples. *)
+let capture_samples = 4096
 
-let application_cost ?(capture_samples = default_capture_samples) path entry =
+let application_cost path entry =
   Cost.create ~captures:(captures_for_entry entry) ~record_samples:capture_samples
     ~settle_cycles:(Path.settle_cycles path) ~sample_rate_hz:(Path.adc_rate_hz path) ()
-
-let audit_cost c =
-  { Audit.captures = c.Cost.captures;
-    record_samples = c.Cost.record_samples;
-    settle_cycles = c.Cost.settle_cycles;
-    setup_cycles = c.Cost.setup_cycles;
-    ate_cycles = Cost.ate_cycles c }
 
 let synthesize ?(strategy = Propagate.Adaptive) path =
   Msoc_obs.Obs.span "plan.synthesize"
@@ -99,35 +69,12 @@ let synthesize ?(strategy = Propagate.Adaptive) path =
   let specs = Spec.of_path path in
   let composed =
     List.map
-      (fun c ->
-        audit_composed c;
-        let entry = Composed c in
-        if Audit.recording () then
-          Audit.annotate ~parameter:c.Compose.name
-            ~cost:(audit_cost (application_cost path entry))
-            ();
-        entry)
+      (fun c -> Composed c)
       [ Compose.path_gain path; Compose.noise_figure path; Compose.dynamic_range path ]
   in
   let propagated =
     List.map
-      (fun m ->
-        let losses = losses_for path m in
-        let entry = Propagated { measurement = m; losses } in
-        (* enrich the provenance record Propagate just deposited with the
-           requirement this test must resolve, its predicted losses, and
-           its derived application cost *)
-        if Audit.recording () then
-          Audit.annotate
-            ~parameter:(Propagate.parameter_name m)
-            ?required_tol:
-              (Option.map
-                 (fun p -> p.Param.tol)
-                 (param_of_spec path m.Propagate.spec))
-            ~fcl:losses.Coverage.fcl ~yl:losses.Coverage.yl
-            ~cost:(audit_cost (application_cost path entry))
-            ();
-        entry)
+      (fun m -> Propagated { measurement = m; losses = losses_for path m })
       (Propagate.all_for_path path ~strategy)
   in
   let digital =
@@ -143,6 +90,78 @@ let synthesize ?(strategy = Propagate.Adaptive) path =
     boundary_checks =
       Compose.boundary_checks path ~test_level_dbm:Propagate.standard_test_level_dbm }
 
+(* ---- audit trail ---- *)
+
+(* Compact stimulus rendering for the audit trail: what drives the primary
+   input, at what level, over what noise floor. *)
+let stimulus_summary (s : Attr.t) =
+  match s.Attr.tones with
+  | [] -> Printf.sprintf "silence, noise %.1f dBm" s.Attr.noise_dbm
+  | tones ->
+    let freqs =
+      String.concat ", "
+        (List.map
+           (fun t -> Printf.sprintf "%.4g Hz" (Msoc_util.Interval.mid t.Attr.freq_hz))
+           tones)
+    in
+    Printf.sprintf "%d tone(s) at %s, %.1f dBm total, noise %.1f dBm"
+      (List.length tones) freqs (Attr.total_tone_power_dbm s) s.Attr.noise_dbm
+
+(* The provenance record of one analog entry.  Composites are measured
+   directly at the primary I/O, so their record carries the composite
+   tolerance as the requirement and the instrument-grade accuracy as the
+   achievement — no de-embedding chain. *)
+let audit_record path entry =
+  match entry with
+  | Composed c ->
+    Some
+      { Audit.parameter = c.Compose.name;
+        origin = "composed";
+        strategy = "composite";
+        formula =
+          Printf.sprintf "%s measured directly at the primary I/O (%s)" c.Compose.name
+            c.Compose.unit_label;
+        stimulus = "mid-range two-tone at the primary input";
+        achieved_err = Accuracy.worst_case c.Compose.accuracy;
+        rss_err = Accuracy.rss c.Compose.accuracy;
+        instrument_err = c.Compose.accuracy.Accuracy.instrument_err;
+        contributions = [];
+        prerequisites = [];
+        required_tol = Some c.Compose.tolerance;
+        fcl = None;
+        yl = None;
+        cost = application_cost path entry }
+  | Propagated { measurement = m; losses } ->
+    Some
+      { Audit.parameter = Propagate.parameter_name m;
+        origin = "propagated";
+        strategy = Propagate.strategy_name m.Propagate.strategy;
+        formula = m.Propagate.formula;
+        stimulus = stimulus_summary m.Propagate.stimulus;
+        achieved_err = Propagate.err m;
+        rss_err = Accuracy.rss m.Propagate.budget;
+        instrument_err = m.Propagate.budget.Accuracy.instrument_err;
+        contributions = m.Propagate.budget.Accuracy.contributions;
+        prerequisites = m.Propagate.prerequisites;
+        required_tol =
+          Option.map (fun p -> p.Param.tol) (param_of_spec path m.Propagate.spec);
+        fcl = Some losses.Coverage.fcl;
+        yl = Some losses.Coverage.yl;
+        cost = application_cost path entry }
+  | Digital_filter_test _ -> None
+
+let audit t =
+  let composed, propagated =
+    List.partition
+      (fun r -> String.equal r.Audit.origin "composed")
+      (List.filter_map (audit_record t.path) t.entries)
+  in
+  (* Propagated records run in reverse plan order: the golden audit
+     fixtures pin the order in which [Propagate.all_for_path] translates
+     the measurements, and OCaml evaluates its list literal right to
+     left. *)
+  composed @ List.rev propagated
+
 let dft_required t ~max_fcl ~max_yl =
   List.filter_map
     (function
@@ -156,8 +175,6 @@ let table1 (_ : t) =
   List.map
     (fun block -> (Spec.block_name block, List.map Spec.kind_name (Spec.table1 block)))
     [ Spec.Amp; Spec.Mixer; Spec.Lo; Spec.Lpf; Spec.Adc; Spec.Digital_filter ]
-
-let entry_count t = List.length t.entries
 
 type step = {
   position : int;
@@ -184,7 +201,7 @@ let entry_prerequisites = function
     List.map String.lowercase_ascii measurement.Propagate.prerequisites
   | Digital_filter_test _ -> [ "path gain" ]
 
-let schedule ?capture_samples t =
+let schedule t =
   let entries = Array.of_list t.entries in
   let n = Array.length entries in
   let names = Array.map entry_name entries in
@@ -227,7 +244,7 @@ let schedule ?capture_samples t =
   if !remaining > 0 then invalid_arg "Plan.schedule: prerequisite cycle";
   List.rev !order
   |> List.mapi (fun position i ->
-         let cost = application_cost ?capture_samples t.path entries.(i) in
+         let cost = application_cost t.path entries.(i) in
          { position = position + 1;
            name = names.(i);
            prerequisites = entry_prerequisites entries.(i);
@@ -238,8 +255,8 @@ let schedule ?capture_samples t =
 let total_test_time steps = List.fold_left (fun acc s -> acc +. s.seconds) 0.0 steps
 
 let pp_summary ppf t =
-  Format.fprintf ppf "@[<v>test plan: %d entries, %d boundary checks@," (entry_count t)
-    (List.length t.boundary_checks);
+  Format.fprintf ppf "@[<v>test plan: %d entries, %d boundary checks@,"
+    (List.length t.entries) (List.length t.boundary_checks);
   List.iter
     (fun entry ->
       match entry with

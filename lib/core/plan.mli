@@ -36,7 +36,13 @@ val dft_required : t -> max_fcl:float -> max_yl:float -> Propagate.t list
 val table1 : t -> (string * string list) list
 (** Block name to tested-parameter names — regenerates paper Table 1. *)
 
-val entry_count : t -> int
+val audit : t -> Audit.t list
+(** The plan's provenance trail: one record per composed or propagated
+    entry (the digital-filter test has none), each with its required
+    tolerance, predicted FCL/YL and the application cost {!schedule}
+    prices.  Composites come first in plan order, then the propagated
+    entries in reverse plan order (the order the golden fixtures pin). *)
+
 val pp_summary : Format.formatter -> t -> unit
 
 (** {2 Test-program scheduling and application cost}
@@ -55,9 +61,9 @@ type step = {
   seconds : float;                (** [Cost.seconds cost]. *)
 }
 
-val schedule : ?capture_samples:int -> t -> step list
-(** Raises [Invalid_argument] on a prerequisite cycle.  Default record
-    length 4096 samples (4.2 ms per capture on the default receiver: 48
+val schedule : t -> step list
+(** Raises [Invalid_argument] on a prerequisite cycle.  Every capture
+    records 4096 samples (4.2 ms per capture on the default receiver: 48
     settle + 4096 record cycles at 1 MHz). *)
 
 val total_test_time : step list -> float

@@ -23,51 +23,13 @@ let err t = Accuracy.worst_case t.budget
 let strategy_name = function Nominal_gains -> "nominal-gains" | Adaptive -> "adaptive"
 
 module Obs = Msoc_obs.Obs
-module Audit = Msoc_obs.Audit
 
-(* Audit keys derive from the stage id, not the block class, so two stages
-   of the same class (e.g. two amplifiers) never collide. *)
+(* Keys derive from the stage id, not the block class, so two stages of
+   the same class (e.g. two amplifiers) never collide in the audit trail. *)
 let parameter_name (m : t) = m.spec.Spec.stage ^ " " ^ Spec.kind_name m.spec.Spec.kind
 
-(* Compact stimulus rendering for the audit trail: what drives the primary
-   input, at what level, over what noise floor. *)
-let stimulus_summary (s : Attr.t) =
-  match s.Attr.tones with
-  | [] -> Printf.sprintf "silence, noise %.1f dBm" s.Attr.noise_dbm
-  | tones ->
-    let freqs =
-      String.concat ", "
-        (List.map
-           (fun t -> Printf.sprintf "%.4g Hz" (Msoc_util.Interval.mid t.Attr.freq_hz))
-           tones)
-    in
-    Printf.sprintf "%d tone(s) at %s, %.1f dBm total, noise %.1f dBm"
-      (List.length tones) freqs (Attr.total_tone_power_dbm s) s.Attr.noise_dbm
-
-let audit_record (m : t) =
-  if Audit.recording () then
-    Audit.record
-      { Audit.parameter = parameter_name m;
-        origin = "propagated";
-        strategy = strategy_name m.strategy;
-        formula = m.formula;
-        stimulus = stimulus_summary m.stimulus;
-        achieved_err = err m;
-        rss_err = Accuracy.rss m.budget;
-        instrument_err = m.budget.Accuracy.instrument_err;
-        contributions =
-          List.map
-            (fun c -> { Audit.source = c.Accuracy.source; err = c.Accuracy.err })
-            m.budget.Accuracy.contributions;
-        prerequisites = m.prerequisites;
-        required_tol = None;
-        fcl = None;
-        yl = None;
-        cost = None }
-
 (* One span per translated parameter, tagged with the achieved worst-case
-   accuracy; the tag closure only runs when telemetry is recording.  The
-   audit sink gets a full provenance record for the same parameter. *)
+   accuracy; the tag closure only runs when telemetry is recording. *)
 let traced name build =
   let timer = Obs.start_span name in
   match build () with
@@ -76,7 +38,6 @@ let traced name build =
       ~args:(fun () ->
         [ ("accuracy", Printf.sprintf "%.3g" (err m));
           ("strategy", strategy_name m.strategy) ]);
-    audit_record m;
     m
   | exception e ->
     Obs.stop_span timer;
@@ -400,8 +361,6 @@ let all_for_path path ~strategy =
       (if has_mixer then [ lo_freq_error path ] else []);
       (if nyquist_adc then [ adc_inl path ] else []);
       [ dc_offset_composite path ] ]
-
-let all_for_receiver = all_for_path
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a [%s]@,  formula: %s@,  %a@,  prerequisites: %s@]" Spec.pp t.spec

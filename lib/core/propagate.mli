@@ -31,9 +31,8 @@ val err : t -> float
 
 val parameter_name : t -> string
 (** ["<stage id> <kind>"], e.g. ["Mixer IIP3"] — the key under which the
-    measurement appears in the {!Msoc_obs.Audit} trail.  Stage ids keep
-    the key unique even when a topology carries two blocks of the same
-    class. *)
+    measurement appears in the {!Audit} trail.  Stage ids keep the key
+    unique even when a topology carries two blocks of the same class. *)
 
 val strategy_name : strategy -> string
 (** Worst-case measurement error (the "Err" of Table 2's threshold
@@ -62,8 +61,5 @@ val all_for_path : Path.t -> strategy:strategy -> t list
 (** Every propagated measurement the topology supports, in the fixed
     historical order; builders whose stage is absent are skipped (no
     amp IIP3 in an amp-bypass path, no INL for a sigma-delta digitizer). *)
-
-val all_for_receiver : Path.t -> strategy:strategy -> t list
-(** Alias of {!all_for_path} (historical name). *)
 
 val pp : Format.formatter -> t -> unit

@@ -194,5 +194,3 @@ let of_path (path : Path.t) =
         origin = System_projection;
         bound = At_least 0.8;
         unit_label = "fraction" } ]
-
-let of_receiver = of_path

@@ -72,6 +72,3 @@ val of_path : Msoc_analog.Path.t -> t list
 (** Concrete spec list for a path: every Table 1 parameter of every stage
     with bounds derived from the nominal value and tolerance, plus the
     trailing digital-filter structural spec. *)
-
-val of_receiver : Msoc_analog.Path.t -> t list
-(** Alias of {!of_path} (historical name). *)

@@ -214,6 +214,16 @@ let run ~pool (req : Protocol.request) =
       (Printf.sprintf "Verbs.run: %S is not a compute verb"
          (Protocol.verb_name req.verb))
 
+(* The audit trail of the plans a request's verb synthesizes, looked up
+   the way [run] looks them up; a verb that synthesizes no plan has none. *)
+let audit (req : Protocol.request) =
+  match req.verb with
+  | Protocol.Plan ->
+    Plan.audit (Plan.synthesize ~strategy:(strategy_of req) (topology_path req))
+  | Protocol.Schedule -> Schedule.audit (soc_of req)
+  | Protocol.Measure | Protocol.Faultsim | Protocol.Montecarlo | Protocol.Metrics
+  | Protocol.Ping | Protocol.Sleep -> []
+
 (* ------------------------------------------------------------------ *)
 (* Synthesis result cache.  Compute verbs are pure functions of their   *)
 (* canonical key (Protocol.cache_key), so the rendered body can be      *)

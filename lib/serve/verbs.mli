@@ -20,6 +20,14 @@ val run : pool:Msoc_util.Pool.t -> Protocol.request -> string
     @raise Invalid_argument when the verb is not a compute verb
     (Metrics/Ping/Sleep read daemon state and live in the server). *)
 
+val audit : Protocol.request -> Msoc_synth.Audit.t list
+(** The synthesis audit trail of the plans the request's verb derives:
+    the plan's records for [plan], every core's for [schedule], none for
+    the other verbs.  Synthesis is pure, so this re-derives exactly the
+    plans {!run} rendered.
+
+    @raise Failure on the same bad parameters as {!run}. *)
+
 val strategy_of : Protocol.request -> Msoc_synth.Propagate.strategy
 (** The request's de-embedding strategy.
     @raise Failure on a name other than [nominal] or [adaptive]. *)

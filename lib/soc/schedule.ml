@@ -15,7 +15,6 @@ module Prng = Msoc_util.Prng
 module Texttable = Msoc_util.Texttable
 module Obs = Msoc_obs.Obs
 module Plan = Msoc_synth.Plan
-module Propagate = Msoc_synth.Propagate
 module Cost = Msoc_synth.Cost
 module Topology = Msoc_analog.Topology
 
@@ -30,17 +29,22 @@ type test = {
 
 type problem = { soc : Soc.t; tests : test array }
 
-let problem_of_soc ?capture_samples ?(strategy = Propagate.Adaptive) soc =
+(* Every core's synthesized plan, in core order: the plans the schedule
+   prices are the plans the audit trail describes. *)
+let core_plans soc =
+  List.map
+    (fun (core : Soc.core) ->
+      match Topology.build core.Soc.topology with
+      | Some path -> (core, Plan.synthesize path)
+      | None -> invalid_arg ("Schedule: unknown topology " ^ core.Soc.topology))
+    soc.Soc.cores
+
+let problem_of_soc soc =
   Obs.span "schedule.derive" ~args:[ ("soc", soc.Soc.name) ] @@ fun () ->
   let tests = ref [] and count = ref 0 in
   List.iter
-    (fun (core : Soc.core) ->
-      let path =
-        match Topology.build core.Soc.topology with
-        | Some p -> p
-        | None -> invalid_arg ("Schedule.problem_of_soc: " ^ core.Soc.topology)
-      in
-      let steps = Plan.schedule ?capture_samples (Plan.synthesize ~strategy path) in
+    (fun ((core : Soc.core), plan) ->
+      let steps = Plan.schedule plan in
       let base = !count in
       let index_of name =
         (* prerequisite names are plan-step names within the same core *)
@@ -66,8 +70,10 @@ let problem_of_soc ?capture_samples ?(strategy = Propagate.Adaptive) soc =
             :: !tests;
           incr count)
         steps)
-    soc.Soc.cores;
+    (core_plans soc);
   { soc; tests = Array.of_list (List.rev !tests) }
+
+let audit soc = List.concat_map (fun (_, plan) -> Plan.audit plan) (core_plans soc)
 
 (* ---- deterministic event-driven list scheduler ---- *)
 

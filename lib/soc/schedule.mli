@@ -26,11 +26,15 @@ type test = {
 
 type problem = { soc : Soc.t; tests : test array }
 
-val problem_of_soc :
-  ?capture_samples:int -> ?strategy:Msoc_synth.Propagate.strategy -> Soc.t -> problem
-(** Synthesize a plan per core (default strategy [Adaptive]) and price
-    every scheduled step.  Deposits one audit record per analog parameter
-    per core when auditing is enabled, each carrying its derived cost. *)
+val problem_of_soc : Soc.t -> problem
+(** Synthesize each core's plan (adaptive strategy) and price every
+    scheduled step. *)
+
+val audit : Soc.t -> Msoc_synth.Audit.t list
+(** The provenance trail of the plans {!problem_of_soc} prices: each
+    core's {!Msoc_synth.Plan.audit}, in core order — one record per analog
+    parameter per core, each carrying its application cost (before the
+    wrapper load and fixture the schedule adds). *)
 
 type placement = { start : int; finish : int }
 

@@ -14,7 +14,6 @@ module Fft = Msoc_dsp.Fft
 module Fault = Msoc_netlist.Fault
 module Units = Msoc_util.Units
 module Prng = Msoc_util.Prng
-module Audit = Msoc_obs.Audit
 module Soc = Msoc_soc.Soc
 module Schedule = Msoc_soc.Schedule
 open Msoc_synth
@@ -25,17 +24,6 @@ let write dir name contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents);
   Printf.printf "wrote %s (%d bytes)\n" name (String.length contents)
-
-let with_audit f =
-  Audit.enable ();
-  Audit.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Audit.disable ();
-      Audit.reset ())
-    (fun () ->
-      f ();
-      Audit.to_json () ^ "\n")
 
 let plan_text strategy =
   Format.asprintf "%a@." Plan.pp_summary
@@ -180,22 +168,17 @@ let () =
   write dir "plan_adaptive.txt" (plan_text Propagate.Adaptive);
   write dir "plan_nominal.txt" (plan_text Propagate.Nominal_gains);
   write dir "audit_adaptive.json"
-    (with_audit (fun () ->
-         ignore
-           (Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ()))));
+    (Audit.to_json
+       (Plan.audit (Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ())))
+    ^ "\n");
   write dir "tester_codes.txt" (tester_codes ());
   write dir "measure_values.txt" (measure_values ());
   write dir "fft_bits.txt" (fft_bits ());
   write dir "faultsim_records.txt" (faultsim_records ());
   (* reference-SOC schedule fixtures, at the canonical annealing defaults *)
-  let problem = ref None in
-  let soc_audit =
-    with_audit (fun () ->
-        problem := Some (Schedule.problem_of_soc (Soc.reference ())))
-  in
-  let problem = Option.get !problem in
+  let problem = Schedule.problem_of_soc (Soc.reference ()) in
   let greedy = Schedule.greedy problem in
   let annealed = Schedule.anneal problem in
   write dir "soc_schedule.txt" (Schedule.render problem ~greedy ~annealed);
   write dir "soc_breakdown.txt" (Schedule.breakdown problem);
-  write dir "soc_audit.json" soc_audit
+  write dir "soc_audit.json" (Audit.to_json (Schedule.audit (Soc.reference ())) ^ "\n")

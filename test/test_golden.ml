@@ -17,7 +17,6 @@ module Fft = Msoc_dsp.Fft
 module Fault = Msoc_netlist.Fault
 module Units = Msoc_util.Units
 module Prng = Msoc_util.Prng
-module Audit = Msoc_obs.Audit
 module Soc = Msoc_soc.Soc
 module Schedule = Msoc_soc.Schedule
 open Msoc_synth
@@ -59,18 +58,8 @@ let test_plan_nominal () =
   check_bytes "plan_nominal.txt" (plan_text Propagate.Nominal_gains)
 
 let test_audit_adaptive () =
-  Audit.enable ();
-  Audit.reset ();
-  let json =
-    Fun.protect
-      ~finally:(fun () ->
-        Audit.disable ();
-        Audit.reset ())
-      (fun () ->
-        ignore (Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ()));
-        Audit.to_json ())
-  in
-  check_bytes "audit_adaptive.json" (json ^ "\n")
+  let plan = Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ()) in
+  check_bytes "audit_adaptive.json" (Audit.to_json (Plan.audit plan) ^ "\n")
 
 (* Mirrors test/golden_gen/golden_gen.ml — the fixture regenerator. *)
 let test_tester_codes () =
@@ -213,18 +202,7 @@ let test_soc_breakdown () =
   check_bytes "soc_breakdown.txt" (Schedule.breakdown (Lazy.force reference_problem))
 
 let test_soc_audit () =
-  Audit.enable ();
-  Audit.reset ();
-  let json =
-    Fun.protect
-      ~finally:(fun () ->
-        Audit.disable ();
-        Audit.reset ())
-      (fun () ->
-        ignore (Schedule.problem_of_soc (Soc.reference ()));
-        Audit.to_json ())
-  in
-  check_bytes "soc_audit.json" (json ^ "\n")
+  check_bytes "soc_audit.json" (Audit.to_json (Schedule.audit (Soc.reference ())) ^ "\n")
 
 let () =
   Alcotest.run "golden"

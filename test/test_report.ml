@@ -1,13 +1,14 @@
 (* Observatory tests: the bench-report JSON schema round trip, the
    bench-diff verdict engine on synthetic fixture pairs, and the synthesis
-   audit trail (record completeness + bit-identity of synthesis with
-   auditing on and off). *)
+   audit trail (record completeness on every topology and strategy, and
+   per core of every SOC). *)
 
 module Report = Msoc_obs.Report
 module Json = Msoc_obs.Json
-module Audit = Msoc_obs.Audit
 module Bench_diff = Msoc_stat.Bench_diff
-module Path = Msoc_analog.Path
+module Topology = Msoc_analog.Topology
+module Soc = Msoc_soc.Soc
+module Schedule = Msoc_soc.Schedule
 open Msoc_synth
 
 (* ---- report schema round trip ---- *)
@@ -418,82 +419,107 @@ let test_new_bounded_scalar_gates () =
 
 (* ---- synthesis audit trail ---- *)
 
-let with_audit f =
-  Audit.enable ();
-  Audit.reset ();
-  Fun.protect ~finally:(fun () -> Audit.disable (); Audit.reset ()) f
+(* Invariants every record holds: a positive derived cost; composites carry
+   their tolerance and no de-embedding chain; propagated records carry
+   their predicted losses. *)
+let check_record what (r : Audit.t) =
+  let what = what ^ " " ^ r.Audit.parameter in
+  Alcotest.(check bool) (what ^ ": positive ATE cycles") true
+    (Cost.ate_cycles r.Audit.cost > 0);
+  Alcotest.(check bool) (what ^ ": stimulus recorded") true
+    (String.length r.Audit.stimulus > 0);
+  match r.Audit.origin with
+  | "composed" ->
+    Alcotest.(check string) (what ^ ": composite strategy") "composite" r.Audit.strategy;
+    Alcotest.(check bool) (what ^ ": composite records its tolerance") true
+      (r.Audit.required_tol <> None);
+    Alcotest.(check int) (what ^ ": composites have no budget contributions") 0
+      (List.length r.Audit.contributions);
+    Alcotest.(check bool) (what ^ ": composites predict no losses") true
+      (r.Audit.fcl = None && r.Audit.yl = None)
+  | "propagated" ->
+    Alcotest.(check bool) (what ^ ": predicted FCL/YL present") true
+      (r.Audit.fcl <> None && r.Audit.yl <> None)
+  | origin -> Alcotest.failf "%s: unknown origin %S" what origin
 
 let test_audit_completeness () =
-  with_audit @@ fun () ->
-  let path = Path.default_receiver () in
-  let plan = Plan.synthesize ~strategy:Propagate.Adaptive path in
-  (* stop recording: the reference measurements recomputed below must not
-     append to the trail under test *)
-  Audit.disable ();
-  let records = Audit.records () in
-  (* one record per synthesized analog parameter: every composed and
-     propagated entry, nothing else *)
-  let analog_entries =
-    List.length
-      (List.filter
-         (function Plan.Composed _ | Plan.Propagated _ -> true
-                 | Plan.Digital_filter_test _ -> false)
-         plan.Plan.entries)
-  in
-  Alcotest.(check int) "one record per synthesized parameter" analog_entries
-    (List.length records);
-  (* composition-strategy record: measured directly, no de-embedding chain *)
-  let pg =
-    match List.find_opt (fun r -> String.equal r.Audit.parameter "path gain") records with
-    | Some r -> r
-    | None -> Alcotest.fail "no audit record for the path-gain composite"
-  in
-  Alcotest.(check string) "composite origin" "composed" pg.Audit.origin;
-  Alcotest.(check string) "composite strategy" "composite" pg.Audit.strategy;
-  Alcotest.(check bool) "composite records its tolerance" true
-    (pg.Audit.required_tol <> None);
-  Alcotest.(check int) "composites have no budget contributions" 0
-    (List.length pg.Audit.contributions);
-  Alcotest.(check bool) "stimulus recorded" true (String.length pg.Audit.stimulus > 0);
-  (* propagation-strategy record: achieved accuracy is Propagate's own,
-     the budget breakdown and the plan-level annotations are present *)
-  let m = Propagate.mixer_iip3 path ~strategy:Propagate.Adaptive in
-  let r =
-    match
-      List.find_opt (fun r -> String.equal r.Audit.parameter "Mixer IIP3") records
-    with
-    | Some r -> r
-    | None -> Alcotest.fail "no audit record for Mixer IIP3"
-  in
-  Alcotest.(check string) "propagated origin" "propagated" r.Audit.origin;
-  Alcotest.(check string) "strategy name" "adaptive" r.Audit.strategy;
-  Alcotest.(check (float 0.0)) "achieved accuracy is Propagate's worst case"
-    (Propagate.err m) r.Audit.achieved_err;
-  Alcotest.(check string) "formula" m.Propagate.formula r.Audit.formula;
-  Alcotest.(check bool) "per-block budget contributions present" true
-    (List.length r.Audit.contributions > 0);
-  Alcotest.(check bool) "required tolerance annotated by the plan" true
-    (r.Audit.required_tol <> None);
-  Alcotest.(check bool) "predicted FCL/YL annotated by the plan" true
-    (r.Audit.fcl <> None && r.Audit.yl <> None);
-  (* the audit JSON parses and holds the same record count *)
-  match Json.parse_result (Audit.to_json ()) with
-  | Error e -> Alcotest.failf "audit JSON invalid: %s" e
-  | Ok j ->
-    Alcotest.(check int) "audit JSON record count" (List.length records)
-      (List.length (Json.list_exn "audit" j))
-
-let test_audit_bit_identity () =
-  let path = Path.default_receiver () in
-  Audit.disable ();
-  Audit.reset ();
-  let off = Plan.synthesize path in
-  let on = with_audit (fun () -> Plan.synthesize path) in
-  Alcotest.(check bool) "entries identical with auditing on/off" true
-    (off.Plan.entries = on.Plan.entries);
-  Alcotest.(check bool) "specs identical" true (off.Plan.specs = on.Plan.specs);
-  Alcotest.(check bool) "boundary checks identical" true
-    (off.Plan.boundary_checks = on.Plan.boundary_checks)
+  let expected = [ ("amp-bypass", 10); ("default", 11); ("sigma-delta", 10) ] in
+  Alcotest.(check (list string)) "every registered topology covered" Topology.names
+    (List.map fst expected);
+  List.iter
+    (fun (topology, count) ->
+      List.iter
+        (fun strategy ->
+          let what = topology ^ "/" ^ Propagate.strategy_name strategy in
+          let path =
+            match Topology.build topology with
+            | Some path -> path
+            | None -> Alcotest.failf "%s: unregistered" topology
+          in
+          let plan = Plan.synthesize ~strategy path in
+          let records = Plan.audit plan in
+          (* one record per synthesized analog parameter: every composed
+             and propagated entry, nothing else *)
+          Alcotest.(check int) (what ^ ": one record per analog parameter") count
+            (List.length records);
+          Alcotest.(check int) (what ^ ": no digital-test record")
+            (List.length plan.Plan.entries - 1)
+            (List.length records);
+          List.iter (check_record what) records;
+          (* each record prices its test exactly as the schedule does *)
+          let steps = Plan.schedule plan in
+          List.iter
+            (fun r ->
+              let name = String.lowercase_ascii r.Audit.parameter in
+              match List.find_opt (fun s -> String.equal s.Plan.name name) steps with
+              | Some s ->
+                Alcotest.(check bool) (what ^ " " ^ name ^ ": cost = scheduled cost") true
+                  (r.Audit.cost = s.Plan.cost)
+              | None -> Alcotest.failf "%s: no scheduled step %S" what name)
+            records;
+          (* propagation-strategy record: accuracy, formula and budget are
+             Propagate's own, and the plan supplies the requirement *)
+          let m = Propagate.mixer_iip3 path ~strategy in
+          let r =
+            match
+              List.find_opt (fun r -> String.equal r.Audit.parameter "Mixer IIP3") records
+            with
+            | Some r -> r
+            | None -> Alcotest.failf "%s: no audit record for Mixer IIP3" what
+          in
+          Alcotest.(check string) (what ^ ": propagated origin") "propagated" r.Audit.origin;
+          Alcotest.(check string) (what ^ ": strategy name")
+            (Propagate.strategy_name strategy) r.Audit.strategy;
+          Alcotest.(check (float 0.0)) (what ^ ": achieved accuracy is Propagate's")
+            (Propagate.err m) r.Audit.achieved_err;
+          Alcotest.(check string) (what ^ ": formula") m.Propagate.formula r.Audit.formula;
+          Alcotest.(check bool) (what ^ ": budget contributions are Propagate's") true
+            (r.Audit.contributions = m.Propagate.budget.Accuracy.contributions);
+          Alcotest.(check bool) (what ^ ": required tolerance from the plan") true
+            (r.Audit.required_tol <> None);
+          (* the audit JSON parses and holds the same record count *)
+          match Json.parse_result (Audit.to_json records) with
+          | Error e -> Alcotest.failf "%s: audit JSON invalid: %s" what e
+          | Ok j ->
+            Alcotest.(check int) (what ^ ": audit JSON record count") count
+              (List.length (Json.list_exn "audit" j)))
+        [ Propagate.Adaptive; Propagate.Nominal_gains ])
+    expected;
+  (* an SOC's trail: one record per analog entry per core, i.e. every
+     scheduled test but each core's digital-filter test *)
+  List.iter
+    (fun name ->
+      let soc =
+        match Soc.find name with Some soc -> soc | None -> Alcotest.failf "no SOC %S" name
+      in
+      let records = Schedule.audit soc in
+      Alcotest.(check int) (name ^ ": 42 records") 42 (List.length records);
+      let problem = Schedule.problem_of_soc soc in
+      Alcotest.(check int) (name ^ ": one record per analog test")
+        (Array.length problem.Schedule.tests - Soc.core_count soc)
+        (List.length records);
+      List.iter (check_record name) records)
+    Soc.names
 
 let () =
   Alcotest.run "msoc_report"
@@ -520,5 +546,4 @@ let () =
             test_new_bounded_scalar_gates;
           Alcotest.test_case "rendered table" `Quick test_render_mentions_verdicts ] );
       ( "audit-trail",
-        [ Alcotest.test_case "record completeness" `Quick test_audit_completeness;
-          Alcotest.test_case "synthesis bit-identity" `Quick test_audit_bit_identity ] ) ]
+        [ Alcotest.test_case "record completeness" `Quick test_audit_completeness ] ) ]

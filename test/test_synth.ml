@@ -42,7 +42,7 @@ let test_bounds () =
   Alcotest.(check bool) "within fail" false (Spec.passes (Spec.Within { lo = 1.0; hi = 2.0 }) 2.5)
 
 let test_receiver_specs_complete () =
-  let specs = Spec.of_receiver path in
+  let specs = Spec.of_path path in
   Alcotest.(check int) "spec count" 21 (List.length specs);
   (* every Table-1 parameter appears *)
   List.iter
@@ -162,8 +162,8 @@ let test_cutoff_error_sources () =
   Alcotest.(check bool) "error includes the slope-amplified gain term" true
     (Propagate.err nominal > (Path.param path ~stage:"LPF" ~name:"gain_db").Param.tol /. slope)
 
-let test_all_for_receiver_unique_specs () =
-  let ms = Propagate.all_for_receiver path ~strategy:Propagate.Adaptive in
+let test_all_for_path_unique_specs () =
+  let ms = Propagate.all_for_path path ~strategy:Propagate.Adaptive in
   Alcotest.(check int) "eight measurements" 8 (List.length ms);
   let keys =
     List.map (fun m -> (m.Propagate.spec.Spec.block, m.Propagate.spec.Spec.kind)) ms
@@ -261,7 +261,7 @@ let prop_losses_are_probabilities =
 
 let test_plan_structure () =
   let plan = Plan.synthesize path in
-  Alcotest.(check bool) "plan has a dozen entries" true (Plan.entry_count plan >= 10);
+  Alcotest.(check bool) "plan has a dozen entries" true (List.length plan.Plan.entries >= 10);
   let composed_first =
     match plan.Plan.entries with
     | Plan.Composed _ :: _ -> true
@@ -403,7 +403,8 @@ let test_diagnose_clustering_beats_chance () =
 let test_schedule_complete_and_ordered () =
   let plan = Plan.synthesize path in
   let steps = Plan.schedule plan in
-  Alcotest.(check int) "every entry scheduled" (Plan.entry_count plan) (List.length steps);
+  Alcotest.(check int) "every entry scheduled" (List.length plan.Plan.entries)
+    (List.length steps);
   (* every prerequisite must appear at an earlier position *)
   let position name =
     match List.find_opt (fun s -> String.equal s.Plan.name name) steps with
@@ -903,7 +904,7 @@ let () =
             test_adaptive_beats_nominal_everywhere;
           Alcotest.test_case "cutoff error sources" `Quick test_cutoff_error_sources;
           Alcotest.test_case "receiver measurement set" `Quick
-            test_all_for_receiver_unique_specs ] );
+            test_all_for_path_unique_specs ] );
       ( "coverage",
         Alcotest.test_case "zero error" `Quick test_zero_error_zero_losses
         :: Alcotest.test_case "Table2 threshold rows" `Quick test_threshold_rows_structure

@@ -110,12 +110,6 @@ let nf_param t =
   | Adc { adc; _ } -> Some adc.Adc.nf_db
   | Sd_adc { sd; _ } -> Some sd.Sigma_delta.nf_db
 
-let iip3_param t =
-  match t.block with
-  | Amp p -> Some p.Amplifier.iip3_dbm
-  | Mix { mixer; _ } -> Some mixer.Mixer.iip3_dbm
-  | Lpf _ | Adc _ | Sd_adc _ -> None
-
 (* ---- manufactured-part values ---- *)
 
 let nominal_values t =

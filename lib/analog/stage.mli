@@ -69,7 +69,6 @@ val gain_param : t -> Param.t option
     de-embedding handle.  [None] for digitizers. *)
 
 val nf_param : t -> Param.t option
-val iip3_param : t -> Param.t option
 
 (** {1 Manufactured parts} *)
 

@@ -132,9 +132,6 @@ let create ~coeffs ~width_in ?(scale = 1.0) ?(architecture = Transposed) () =
 let input_bus t = Netlist.find_output t.circuit input_bus_name
 let output_bus t = Netlist.find_output t.circuit output_bus_name
 
-let region_of_node t node =
-  List.find_opt (fun r -> node >= r.first_node && node <= r.last_node) t.regions
-
 let fault_site t ~tap ~role =
   let region = List.find (fun r -> r.tap = tap && r.role = role) t.regions in
   { Fault.node = (region.first_node + region.last_node) / 2; stuck = true }

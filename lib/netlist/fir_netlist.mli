@@ -33,9 +33,6 @@ type t = {
 
 val output_bus_name : string
 
-val region_of_node : t -> Netlist.node -> region option
-(** Which datapath element a node belongs to ([None] for I/O wiring). *)
-
 val fault_site : t -> tap:int -> role:role -> Fault.t
 (** A representative stuck-at fault inside the requested element (the
     middle node of its region, stuck-at-1).  Raises [Not_found] when the

@@ -1,4 +1,6 @@
-let schema_version = 4
+(* v5 dropped the paper-vs-measured [comparisons] rows; older files keep
+   parsing, their comparisons ignored. *)
+let schema_version = 5
 
 type timing = {
   t_name : string;
@@ -28,13 +30,11 @@ type scalar = {
   unit_label : string;
   bound : bound option;
 }
-type comparison = { c_name : string; paper : string; measured : string }
 
 type section = {
   sec_name : string;
   timings : timing list;
   scalars : scalar list;
-  comparisons : comparison list;
 }
 
 type meta = {
@@ -58,7 +58,6 @@ let section t name =
 type partial = {
   mutable p_timings : timing list;
   mutable p_scalars : scalar list;
-  mutable p_comparisons : comparison list;
 }
 
 type builder = {
@@ -81,7 +80,7 @@ let partial_of b section =
   match Hashtbl.find_opt b.b_sections section with
   | Some p -> p
   | None ->
-    let p = { p_timings = []; p_scalars = []; p_comparisons = [] } in
+    let p = { p_timings = []; p_scalars = [] } in
     Hashtbl.add b.b_sections section p;
     b.b_order <- section :: b.b_order;
     p
@@ -98,10 +97,6 @@ let add_scalar b ~section ~name ?(unit_label = "") ?bound value =
   let p = partial_of b section in
   p.p_scalars <- { s_name = name; value; unit_label; bound } :: p.p_scalars
 
-let add_comparison b ~section ~name ~paper ~measured =
-  let p = partial_of b section in
-  p.p_comparisons <- { c_name = name; paper; measured } :: p.p_comparisons
-
 let finalize b =
   { meta = b.b_meta;
     sections =
@@ -110,8 +105,7 @@ let finalize b =
           let p = Hashtbl.find b.b_sections name in
           { sec_name = name;
             timings = List.rev p.p_timings;
-            scalars = List.rev p.p_scalars;
-            comparisons = List.rev p.p_comparisons })
+            scalars = List.rev p.p_scalars })
         b.b_order }
 
 (* ------------------------------------------------------------------ *)
@@ -139,11 +133,6 @@ let scalar_fields s =
   | Some (Le x) -> [ ("bound_le", Json.num_exact x) ]
   | Some (Ge x) -> [ ("bound_ge", Json.num_exact x) ]
 
-let comparison_fields c =
-  [ ("name", Json.str c.c_name);
-    ("paper", Json.str c.paper);
-    ("measured", Json.str c.measured) ]
-
 let obj fields buffer = Json.obj_to buffer fields
 let arr emits buffer = Json.arr_to buffer emits
 let objs fields_of rows = arr (List.map (fun r -> obj (fields_of r)) rows)
@@ -165,8 +154,7 @@ let to_json t =
                obj
                  [ ("name", Json.str s.sec_name);
                    ("timings", objs timing_fields s.timings);
-                   ("scalars", objs scalar_fields s.scalars);
-                   ("comparisons", objs comparison_fields s.comparisons) ])
+                   ("scalars", objs scalar_fields s.scalars) ])
              t.sections) ) ];
   Buffer.contents buffer
 
@@ -235,14 +223,7 @@ let of_json text =
                          value = Json.number_exn "value" v;
                          unit_label = Json.string_exn "unit" v;
                          bound })
-                     (Json.list_exn "scalars" s);
-                 comparisons =
-                   List.map
-                     (fun c ->
-                       { c_name = Json.string_exn "name" c;
-                         paper = Json.string_exn "paper" c;
-                         measured = Json.string_exn "measured" c })
-                     (Json.list_exn "comparisons" s) })
+                     (Json.list_exn "scalars" s) })
              (Json.list_exn "sections" j)
          in
          Ok { meta; sections }

@@ -6,14 +6,15 @@
     regression gate and the EXPERIMENTS.md trajectory are built on.
 
     A report is a list of named {e sections} (one per bench section), each
-    holding three kinds of rows:
+    holding two kinds of rows:
 
     - {e timings}: Bechamel kernel timings with mean/stddev/sample count,
       the rows the regression gate pairs and tests;
-    - {e scalars}: single measured values (coverage fractions, speedups,
-      probe overheads) reported with a unit label;
-    - {e comparisons}: paper-vs-measured rows, kept as rendered strings
-      because the paper side is prose ("89.6%", "72 dB").
+    - {e scalars}: single measured values (speedups, probe overheads)
+      reported with a unit label.
+
+    Reports up to schema v4 also carried paper-vs-measured
+    [comparisons]; they are read and ignored.
 
     Numbers are emitted with round-trip precision ([%.17g]), so
     [of_json (to_json r) = Ok r] holds structurally. *)
@@ -42,13 +43,11 @@ type scalar = {
   unit_label : string;
   bound : bound option;  (** [None] on rows from v1..v3 reports. *)
 }
-type comparison = { c_name : string; paper : string; measured : string }
 
 type section = {
   sec_name : string;
   timings : timing list;
   scalars : scalar list;
-  comparisons : comparison list;
 }
 
 type meta = {
@@ -85,9 +84,6 @@ val add_timing :
 val add_scalar :
   builder -> section:string -> name:string -> ?unit_label:string ->
   ?bound:bound -> float -> unit
-
-val add_comparison :
-  builder -> section:string -> name:string -> paper:string -> measured:string -> unit
 
 val finalize : builder -> t
 

@@ -133,7 +133,7 @@ let pp_origin ppf = function
 
 let pp ppf t =
   let pp_tone ppf tn =
-    Format.fprintf ppf "%.4g Hz @ %.2f dBm (±%.2g Hz, ±%.2g dB)" (I.mid tn.freq_hz)
+    Format.fprintf ppf "%.4g Hz @@ %.2f dBm (±%.2g Hz, ±%.2g dB)" (I.mid tn.freq_hz)
       (I.mid tn.power_dbm) (I.err tn.freq_hz) (I.err tn.power_dbm)
   in
   Format.fprintf ppf "@[<v>tones:";

@@ -1,11 +1,13 @@
-(* Regenerates every pinned fixture under test/golden/.  Usage:
-
-     dune exec test/golden_gen/golden_gen.exe -- test/golden
+(* Writes every pinned fixture of test/golden/ except the paper's
+   artefacts (bench/paper.exe) and the hand-written trace fixture into the
+   current directory.  `dune runtest` runs it in the build directory and
+   diffs each file byte for byte against its copy under test/golden/;
+   after a deliberate change, `dune promote` copies the new files over the
+   old.
 
    Each capture is fully deterministic: nominal part, fixed engine and
    annealing seeds, coherent stimulus at the standard test level, and the
-   canonical schedule parameters (8 restarts, 400 iterations) — the same
-   strings the golden tests rebuild and compare byte-for-byte. *)
+   canonical schedule parameters (8 restarts, 400 iterations). *)
 module Path = Msoc_analog.Path
 module Topology = Msoc_analog.Topology
 module Context = Msoc_analog.Context
@@ -18,12 +20,9 @@ module Soc = Msoc_soc.Soc
 module Schedule = Msoc_soc.Schedule
 open Msoc_synth
 
-let write dir name contents =
-  let oc = open_out_bin (Filename.concat dir name) in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents);
-  Printf.printf "wrote %s (%d bytes)\n" name (String.length contents)
+let write name contents =
+  let oc = open_out_bin name in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
 let plan_text strategy =
   Format.asprintf "%a@." Plan.pp_summary
@@ -164,21 +163,20 @@ let faultsim_records () =
   Buffer.contents buffer
 
 let () =
-  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "." in
-  write dir "plan_adaptive.txt" (plan_text Propagate.Adaptive);
-  write dir "plan_nominal.txt" (plan_text Propagate.Nominal_gains);
-  write dir "audit_adaptive.json"
+  write "plan_adaptive.txt" (plan_text Propagate.Adaptive);
+  write "plan_nominal.txt" (plan_text Propagate.Nominal_gains);
+  write "audit_adaptive.json"
     (Audit.to_json
        (Plan.audit (Plan.synthesize ~strategy:Propagate.Adaptive (Path.default_receiver ())))
     ^ "\n");
-  write dir "tester_codes.txt" (tester_codes ());
-  write dir "measure_values.txt" (measure_values ());
-  write dir "fft_bits.txt" (fft_bits ());
-  write dir "faultsim_records.txt" (faultsim_records ());
+  write "tester_codes.txt" (tester_codes ());
+  write "measure_values.txt" (measure_values ());
+  write "fft_bits.txt" (fft_bits ());
+  write "faultsim_records.txt" (faultsim_records ());
   (* reference-SOC schedule fixtures, at the canonical annealing defaults *)
   let problem = Schedule.problem_of_soc (Soc.reference ()) in
   let greedy = Schedule.greedy problem in
   let annealed = Schedule.anneal problem in
-  write dir "soc_schedule.txt" (Schedule.render problem ~greedy ~annealed);
-  write dir "soc_breakdown.txt" (Schedule.breakdown problem);
-  write dir "soc_audit.json" (Audit.to_json (Schedule.audit (Soc.reference ())) ^ "\n")
+  write "soc_schedule.txt" (Schedule.render problem ~greedy ~annealed);
+  write "soc_breakdown.txt" (Schedule.breakdown problem);
+  write "soc_audit.json" (Audit.to_json (Schedule.audit (Soc.reference ())) ^ "\n")

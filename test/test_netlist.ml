@@ -641,7 +641,12 @@ let prop_fir_netlist_random_configs =
 let test_fir_regions () =
   let fir = small_fir () in
   let site = Fir_netlist.fault_site fir ~tap:2 ~role:Fir_netlist.Adder in
-  (match Fir_netlist.region_of_node fir site.Fault.node with
+  let node = site.Fault.node in
+  (match
+     List.find_opt
+       (fun r -> node >= r.Fir_netlist.first_node && node <= r.Fir_netlist.last_node)
+       fir.Fir_netlist.regions
+   with
   | Some r ->
     Alcotest.(check int) "tap" 2 r.Fir_netlist.tap;
     Alcotest.(check bool) "role" true (r.Fir_netlist.role = Fir_netlist.Adder)

@@ -29,8 +29,6 @@ let reference_report () =
     ~bound:(Report.Le 1.0) 0.98;
   Report.add_scalar b ~section:"overhead" ~name:"floor" ~unit_label:"dB"
     ~bound:(Report.Ge 60.0) 72.5;
-  Report.add_comparison b ~section:"overhead" ~name:"coverage" ~paper:"89.6%"
-    ~measured:"91.2%";
   Report.finalize b
 
 let test_roundtrip () =
@@ -143,7 +141,7 @@ let test_v3_percentiles_roundtrip () =
   Report.add_timing b ~section:"serve" ~name:"serve-plan" ~mean_ns:2.5e6
     ~stddev_ns:1e5 ~samples:40 ~p50_ns:2.25e6 ~p99_ns:9.75e6 ();
   let r = Report.finalize b in
-  Alcotest.(check int) "current schema is v4" 4 r.Report.meta.Report.version;
+  Alcotest.(check int) "current schema is v5" 5 r.Report.meta.Report.version;
   match Report.of_json (Report.to_json r) with
   | Error e -> Alcotest.failf "percentile round trip failed: %s" e
   | Ok r' ->
@@ -171,18 +169,37 @@ let test_v3_document_parses () =
       Alcotest.(check bool) "bound defaults to None" true (s.Report.bound = None)
     | _ -> Alcotest.fail "expected one section with one scalar")
 
+let contains text needle =
+  let nl = String.length needle and tl = String.length text in
+  let rec scan i = i + nl <= tl && (String.equal (String.sub text i nl) needle || scan (i + 1)) in
+  scan 0
+
+let test_v4_document_parses () =
+  (* a schema-v4 report still carries paper-vs-measured comparisons: they
+     are ignored, the bounded scalar beside them is kept, and writing the
+     report back drops them *)
+  let v4 =
+    Printf.sprintf
+      {|{"schema_version":4,%s,"sections":[{"name":"soc","timings":[],"scalars":[{"name":"ratio","value":0.5,"unit":"ratio","bound_le":1}],"comparisons":[{"name":"coverage","paper":"89.6%%","measured":"80.9%%"}]}]}|}
+      minimal_meta
+  in
+  match Report.of_json v4 with
+  | Error e -> Alcotest.failf "v4 report rejected: %s" e
+  | Ok r ->
+    Alcotest.(check int) "file version preserved" 4 r.Report.meta.Report.version;
+    (match r.Report.sections with
+    | [ { Report.scalars = [ s ]; _ } ] ->
+      Alcotest.(check bool) "bounded scalar kept" true
+        (s.Report.value = 0.5 && s.Report.bound = Some (Report.Le 1.0))
+    | _ -> Alcotest.fail "expected one section with one scalar");
+    Alcotest.(check bool) "comparisons not written" false
+      (contains (Report.to_json r) {|"comparisons"|})
+
 let test_v4_bounds_roundtrip () =
   let r = reference_report () in
   let json = Report.to_json r in
-  let contains needle =
-    let nl = String.length needle and tl = String.length json in
-    let rec scan i =
-      i + nl <= tl && (String.equal (String.sub json i nl) needle || scan (i + 1))
-    in
-    scan 0
-  in
-  Alcotest.(check bool) "bound_le emitted" true (contains {|"bound_le"|});
-  Alcotest.(check bool) "bound_ge emitted" true (contains {|"bound_ge"|});
+  Alcotest.(check bool) "bound_le emitted" true (contains json {|"bound_le"|});
+  Alcotest.(check bool) "bound_ge emitted" true (contains json {|"bound_ge"|});
   match Report.of_json json with
   | Error e -> Alcotest.failf "v4 round trip failed: %s" e
   | Ok r' ->
@@ -533,6 +550,7 @@ let () =
           Alcotest.test_case "v3 percentiles round trip" `Quick
             test_v3_percentiles_roundtrip;
           Alcotest.test_case "schema v3 still parses" `Quick test_v3_document_parses;
+          Alcotest.test_case "schema v4 still parses" `Quick test_v4_document_parses;
           Alcotest.test_case "v4 scalar bounds round trip" `Quick
             test_v4_bounds_roundtrip ] );
       ( "bench-diff",

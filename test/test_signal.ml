@@ -97,8 +97,10 @@ let test_waveform_dc () =
 let test_pp_smoke () =
   let s = Attr.two_tone ~f1_hz:90e3 ~f2_hz:110e3 ~power_dbm:(-27.0) () in
   let s = Attr.add_spur s Attr.Intermod3 (Attr.tone ~freq_hz:70e3 ~power_dbm:(-80.0) ()) in
-  let text = Format.asprintf "%a" Attr.pp s in
-  Alcotest.(check bool) "pp nonempty" true (String.length text > 20)
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Attr.pp s) in
+  (* each tone is one line: frequency @ power (accuracies) *)
+  Alcotest.(check bool) "tone on one line" true
+    (List.exists (String.starts_with ~prefix:"  9e+04 Hz @ -27.00 dBm") lines)
 
 let () =
   Alcotest.run "msoc_signal"

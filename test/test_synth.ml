@@ -305,99 +305,6 @@ let test_plan_nominal_strategy_worse () =
   Alcotest.(check bool) "adaptive plan loses less coverage" true
     (total_fcl adaptive < total_fcl nominal)
 
-(* ---- Diagnose ---- *)
-
-let diagnose_fixture () =
-  let config =
-    { Digital_test.default_config with Digital_test.taps = 5; input_bits = 8; coeff_bits = 6 }
-  in
-  let fir = Digital_test.build config in
-  let faults = Digital_test.collapsed_faults fir in
-  let fs = 1e6 and samples = 512 in
-  let f1 = Digital_test.coherent_tone ~sample_rate:fs ~samples ~target:90e3 in
-  let f2 = Digital_test.coherent_tone ~sample_rate:fs ~samples ~target:110e3 in
-  let codes =
-    Digital_test.ideal_codes config ~sample_rate:fs ~samples ~freqs:[ f1; f2 ]
-      ~amplitude_fs:0.45
-  in
-  (fir, codes, Diagnose.build fir ~sample_rate:fs ~input_codes:codes ~faults)
-
-let simulate_single_fault fir codes (fault : Msoc_netlist.Fault.t) =
-  let sim = Msoc_netlist.Logic_sim.create fir.Msoc_netlist.Fir_netlist.circuit in
-  Msoc_netlist.Logic_sim.inject sim ~node:fault.Msoc_netlist.Fault.node ~lane:0
-    ~stuck:fault.Msoc_netlist.Fault.stuck;
-  let ybus = Msoc_netlist.Fir_netlist.output_bus fir in
-  Array.map
-    (fun x ->
-      Msoc_netlist.Fir_netlist.drive fir sim x;
-      Msoc_netlist.Logic_sim.eval sim;
-      let y = Msoc_netlist.Logic_sim.read_bus_lane sim ybus ~lane:0 in
-      Msoc_netlist.Logic_sim.tick sim;
-      y)
-    codes
-
-let test_diagnose_planted_fault () =
-  let fir, codes, dict = diagnose_fixture () in
-  let planted =
-    Msoc_netlist.Fir_netlist.fault_site fir ~tap:2 ~role:Msoc_netlist.Fir_netlist.Multiplier
-  in
-  let stream = simulate_single_fault fir codes planted in
-  let ranked = Diagnose.diagnose dict (Diagnose.signature_of_stream dict stream) in
-  (* faults inside one CSD multiplier can be signature-identical, so the
-     assertable claims are: the planted fault is in the top ranks and the
-     best match localises to the same structural site *)
-  let top3 = List.filteri (fun i _ -> i < 3) ranked in
-  Alcotest.(check bool) "planted fault within top 3" true
-    (List.exists (fun e -> Msoc_netlist.Fault.equal e.Diagnose.fault planted) top3);
-  match ranked with
-  | best :: _ ->
-    Alcotest.(check bool) "rank 1 shares the site" true
-      (best.Diagnose.site = Some (2, Msoc_netlist.Fir_netlist.Multiplier))
-  | [] -> Alcotest.fail "no candidates"
-
-let test_diagnose_good_stream_is_zero () =
-  let fir, codes, dict = diagnose_fixture () in
-  let good = Msoc_netlist.Fir_netlist.response fir codes in
-  let sg = Diagnose.signature_of_stream dict good in
-  Alcotest.(check bool) "fault-free signature is null" true
-    (Array.for_all (fun v -> v = 0.0) sg)
-
-(* Every entry's fault and exact signature (hex floats), digested.  The
-   pinned values were recorded from the full-machine lane-0 fault
-   simulator the dictionary was originally built on. *)
-let test_diagnose_dictionary_pinned () =
-  let _, _, dict = diagnose_fixture () in
-  let entries = Diagnose.entries dict in
-  let buf = Buffer.create 65536 in
-  Array.iter
-    (fun e ->
-      Buffer.add_string buf (Format.asprintf "%a" Msoc_netlist.Fault.pp e.Diagnose.fault);
-      Array.iter (fun v -> Printf.bprintf buf " %h" v) e.Diagnose.signature;
-      Buffer.add_char buf '\n')
-    entries;
-  let nonzero =
-    Array.fold_left
-      (fun acc e -> if Array.exists (fun v -> v <> 0.0) e.Diagnose.signature then acc + 1 else acc)
-      0 entries
-  in
-  Alcotest.(check int) "entries" 1440 (Array.length entries);
-  Alcotest.(check int) "non-null signatures" 1293 nonzero;
-  Alcotest.(check string) "signature digest" "92be87f8b0c24cad52d3b3adf7b4158a"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
-
-let test_diagnose_clustering_beats_chance () =
-  let _, _, dict = diagnose_fixture () in
-  let acc = Diagnose.clustering_accuracy dict ~sample:150 ~seed:5 in
-  Alcotest.(check bool) "diagnosable majority" true
-    (acc.Diagnose.diagnosable > Array.length (Diagnose.entries dict) / 2);
-  (* chance level for tap+role on a 5-tap filter is ~10%; structure should
-     push the nearest-neighbour site match far above it *)
-  Alcotest.(check bool)
-    (Printf.sprintf "site clustering %.2f > 0.3" acc.Diagnose.site_match_rate)
-    true (acc.Diagnose.site_match_rate > 0.3);
-  Alcotest.(check bool) "tap >= site" true
-    (acc.Diagnose.tap_match_rate >= acc.Diagnose.site_match_rate)
-
 (* ---- Plan scheduling ---- *)
 
 let test_schedule_complete_and_ordered () =
@@ -446,141 +353,6 @@ let test_schedule_time_estimate () =
      on each of its 14 captures *)
   Alcotest.(check int) "p1db ate cycles" (64 + (14 * (48 + 4096)))
     (Cost.ate_cycles p1db.Plan.cost)
-
-(* ---- Linearity (code-density test) ---- *)
-
-let adc_sine_codes ~bits ~inl_lsb ~dnl_lsb ~samples ~seed =
-  let module Adc = Msoc_analog.Adc in
-  let module P = Msoc_analog.Param in
-  let params =
-    { Adc.default_params with
-      Adc.bits;
-      inl_lsb = P.exact inl_lsb;
-      inl_shape = Adc.Bow;
-      dnl_lsb = P.exact dnl_lsb;
-      offset_error_v = P.exact 0.0;
-      nf_db = P.exact 0.0 }
-  in
-  let ctx = Msoc_analog.Context.default in
-  let inst = Adc.instance params ctx (Adc.nominal_values params) ~rng:(Prng.create seed) in
-  let rng = Prng.create (seed + 1) in
-  let fs = 1e6 in
-  let f = Msoc_dsp.Tone.coherent_frequency ~sample_rate:fs ~samples ~target:13e3 in
-  let wave =
-    Msoc_dsp.Tone.synthesize ~sample_rate:fs ~samples
-      [ Msoc_dsp.Tone.component ~freq:f ~amplitude:1.02 () ]
-  in
-  Array.map (fun v -> Adc.convert inst ~rng v) wave
-
-let test_linearity_probability_normalises () =
-  (* the arcsine bin probabilities over the full range sum to 1 *)
-  let amplitude = 100.0 and offset = 3.0 in
-  let total = ref 0.0 in
-  for k = -97 to 102 do
-    total :=
-      !total
-      +. Linearity.expected_bin_probability ~amplitude ~offset ~lo:(float_of_int k)
-           ~hi:(float_of_int (k + 1))
-  done;
-  Alcotest.check (approx 1e-6) "sums to 1" 1.0 !total
-
-let test_linearity_clean_adc () =
-  let codes = adc_sine_codes ~bits:9 ~inl_lsb:0.0 ~dnl_lsb:0.0 ~samples:120000 ~seed:11 in
-  let r = Linearity.sine_histogram ~codes ~bits:9 in
-  Alcotest.(check bool) "clean DNL small" true (r.Linearity.max_abs_dnl < 0.1);
-  Alcotest.(check bool) "clean INL small" true (r.Linearity.max_abs_inl < 0.15)
-
-let test_linearity_recovers_bow () =
-  let codes = adc_sine_codes ~bits:9 ~inl_lsb:4.0 ~dnl_lsb:0.0 ~samples:120000 ~seed:13 in
-  let r = Linearity.sine_histogram ~codes ~bits:9 in
-  Alcotest.(check bool)
-    (Printf.sprintf "bow recovered (%.2f for model 4.0)" r.Linearity.max_abs_inl)
-    true
-    (r.Linearity.max_abs_inl > 2.5 && r.Linearity.max_abs_inl < 4.5)
-
-let test_linearity_recovers_dnl () =
-  let codes = adc_sine_codes ~bits:9 ~inl_lsb:0.0 ~dnl_lsb:0.5 ~samples:200000 ~seed:17 in
-  let r = Linearity.sine_histogram ~codes ~bits:9 in
-  Alcotest.(check bool)
-    (Printf.sprintf "dnl recovered (%.2f for model 0.5)" r.Linearity.max_abs_dnl)
-    true
-    (r.Linearity.max_abs_dnl > 0.2 && r.Linearity.max_abs_dnl < 1.2)
-
-let test_linearity_rejects_bad_captures () =
-  Alcotest.(check bool) "too few samples" true
-    (try ignore (Linearity.sine_histogram ~codes:(Array.make 100 0) ~bits:10); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "narrow range" true
-    (try
-       ignore
-         (Linearity.sine_histogram ~codes:(Array.init 10000 (fun i -> i mod 7)) ~bits:10);
-       false
-     with Invalid_argument _ -> true)
-
-(* ---- Backprop ---- *)
-
-let test_cascade_iip3_single_stage () =
-  Alcotest.check (approx 1e-9) "one stage is itself" 10.0
-    (Backprop.cascade_iip3_dbm ~gains_db:[| 20.0 |] ~iip3_dbm:[| 10.0 |])
-
-let test_cascade_iip3_second_stage_dominates () =
-  (* 20 dB in front of a +10 dBm stage drags the cascade to ~-10 dBm *)
-  let cascade =
-    Backprop.cascade_iip3_dbm ~gains_db:[| 20.0; 0.0 |] ~iip3_dbm:[| 30.0; 10.0 |]
-  in
-  Alcotest.(check bool) "dominated by the referred later stage" true
-    (cascade > -11.0 && cascade < -9.0)
-
-let test_backprop_default_allocation_verifies () =
-  let req = Backprop.default_requirements in
-  let allocs = Backprop.allocate req path in
-  List.iter
-    (fun v ->
-      if not v.Backprop.satisfied then
-        Alcotest.failf "%s violated: required %s achieved %s" v.Backprop.requirement
-          v.Backprop.required v.Backprop.achieved_worst_case)
-    (Backprop.verify req path allocs)
-
-let test_backprop_covers_partitioned_kinds () =
-  let allocs = Backprop.allocate Backprop.default_requirements path in
-  List.iter
-    (fun (block, kind) ->
-      if not (List.exists (fun a -> a.Backprop.block = block && a.Backprop.kind = kind) allocs)
-      then Alcotest.failf "missing allocation for %s.%s" (Spec.block_name block)
-             (Spec.kind_name kind))
-    [ (Spec.Amp, Spec.Gain); (Spec.Mixer, Spec.Gain); (Spec.Lpf, Spec.Passband_gain);
-      (Spec.Amp, Spec.Noise_figure); (Spec.Adc, Spec.Noise_figure);
-      (Spec.Amp, Spec.Iip3); (Spec.Mixer, Spec.Iip3); (Spec.Lpf, Spec.Cutoff_freq) ]
-
-let prop_backprop_verifies_for_feasible_requirements =
-  QCheck.Test.make ~name:"any feasible requirement window verifies" ~count:40
-    (QCheck.triple (QCheck.float_range 2.0 3.2) (QCheck.float_range 6.5 9.0)
-       (QCheck.float_range (-35.0) (-28.0)))
-    (fun (half_range, nf_max, iip3_min) ->
-      let req =
-        { Backprop.gain_db = (26.0 -. half_range, 26.0 +. half_range);
-          nf_max_db = nf_max;
-          iip3_min_dbm = iip3_min;
-          channel_cutoff_hz = (190e3, 210e3) }
-      in
-      let allocs = Backprop.allocate req path in
-      List.for_all (fun v -> v.Backprop.satisfied) (Backprop.verify req path allocs))
-
-let test_backprop_tighter_nf_shrinks_ceilings () =
-  let loose = { Backprop.default_requirements with Backprop.nf_max_db = 8.0 } in
-  let tight = { Backprop.default_requirements with Backprop.nf_max_db = 5.5 } in
-  let ceiling req =
-    let allocs = Backprop.allocate req path in
-    match
-      List.find_opt
-        (fun a -> a.Backprop.block = Spec.Mixer && a.Backprop.kind = Spec.Noise_figure)
-        allocs
-    with
-    | Some { Backprop.bound = Spec.At_most v; _ } -> v
-    | Some _ | None -> Alcotest.fail "mixer NF allocation missing"
-  in
-  Alcotest.(check bool) "tighter system NF, tighter block NF" true
-    (ceiling tight < ceiling loose)
 
 (* ---- Dft advisor ---- *)
 
@@ -917,34 +689,10 @@ let () =
           Alcotest.test_case "table1" `Quick test_plan_table1;
           Alcotest.test_case "dft flags" `Quick test_plan_dft_flags;
           Alcotest.test_case "nominal strategy worse" `Quick test_plan_nominal_strategy_worse ] );
-      ( "diagnose",
-        [ Alcotest.test_case "planted fault rank 1" `Quick test_diagnose_planted_fault;
-          Alcotest.test_case "good stream null" `Quick test_diagnose_good_stream_is_zero;
-          Alcotest.test_case "dictionary signatures pinned" `Quick
-            test_diagnose_dictionary_pinned;
-          Alcotest.test_case "clustering beats chance" `Quick
-            test_diagnose_clustering_beats_chance ] );
       ( "schedule",
         [ Alcotest.test_case "complete and ordered" `Quick test_schedule_complete_and_ordered;
           Alcotest.test_case "composites first" `Quick test_schedule_composites_first;
           Alcotest.test_case "time estimate" `Quick test_schedule_time_estimate ] );
-      ( "linearity",
-        [ Alcotest.test_case "probability normalises" `Quick test_linearity_probability_normalises;
-          Alcotest.test_case "clean adc" `Quick test_linearity_clean_adc;
-          Alcotest.test_case "recovers bow" `Quick test_linearity_recovers_bow;
-          Alcotest.test_case "recovers dnl" `Quick test_linearity_recovers_dnl;
-          Alcotest.test_case "rejects bad captures" `Quick test_linearity_rejects_bad_captures ] );
-      ( "backprop",
-        Alcotest.test_case "cascade iip3 single" `Quick test_cascade_iip3_single_stage
-        :: Alcotest.test_case "cascade iip3 dominance" `Quick
-             test_cascade_iip3_second_stage_dominates
-        :: Alcotest.test_case "default allocation verifies" `Quick
-             test_backprop_default_allocation_verifies
-        :: Alcotest.test_case "covers partitioned kinds" `Quick
-             test_backprop_covers_partitioned_kinds
-        :: Alcotest.test_case "tighter NF shrinks ceilings" `Quick
-             test_backprop_tighter_nf_shrinks_ceilings
-        :: qcheck [ prop_backprop_verifies_for_feasible_requirements ] );
       ( "dft",
         [ Alcotest.test_case "access shrinks budget" `Quick test_dft_access_removes_contributions;
           Alcotest.test_case "sorted recommendations" `Quick test_dft_recommendations_sorted;

@@ -9,7 +9,8 @@
    `dune runtest` diffs the two, and `dune promote` accepts a deliberate
    change.  EXPERIMENTS.md quotes its numbers.  The run exits non-zero when
    a claim its text makes fails: a virtual-tester result outside its budget,
-   or an annealed schedule longer than the greedy one. *)
+   an annealed schedule longer than the greedy one, or one shorter than its
+   lower bound. *)
 
 module Path = Msoc_analog.Path
 module Context = Msoc_analog.Context
@@ -930,8 +931,10 @@ let ablation_interface () =
 
 (* ------------------------------------------------------------------ *)
 (* SOC test schedule: greedy vs annealed makespan on the shipped SOC   *)
-(* fixtures, at the canonical annealing defaults.  An annealed/greedy  *)
-(* ratio above 1 fails the run: annealing must never lose to greedy.   *)
+(* fixtures, at the canonical annealing defaults, beside the lower     *)
+(* bound that certifies them.  An annealed/greedy ratio above 1 fails  *)
+(* the run (annealing must never lose to greedy), and so does an       *)
+(* annealed makespan below the bound (no schedule can beat it).        *)
 (* ------------------------------------------------------------------ *)
 
 let soc_schedule () =
@@ -939,7 +942,7 @@ let soc_schedule () =
   let t =
     Texttable.create
       ~headers:
-        [ "SOC"; "Tests"; "Serial"; "Greedy"; "Annealed"; "Ratio"; "Greedy ms";
+        [ "SOC"; "Tests"; "Serial"; "Bound"; "Greedy"; "Annealed"; "Ratio"; "Greedy ms";
           "Annealed ms" ]
   in
   List.iter
@@ -957,16 +960,19 @@ let soc_schedule () =
           0 problem.Soc_schedule.tests
       in
       let g = greedy.Soc_schedule.makespan and a = annealed.Soc_schedule.makespan in
+      let bound = Soc_schedule.lower_bound problem in
       let ratio = float_of_int a /. float_of_int g in
       Texttable.add_row t
         [ name;
           string_of_int (Array.length problem.Soc_schedule.tests);
-          string_of_int serial; string_of_int g; string_of_int a;
+          string_of_int serial; string_of_int bound; string_of_int g; string_of_int a;
           Printf.sprintf "%.4f" ratio;
           Printf.sprintf "%.1f" (1000.0 *. Soc_schedule.seconds problem g);
           Printf.sprintf "%.1f" (1000.0 *. Soc_schedule.seconds problem a) ];
       if a > g then
-        fail (Printf.sprintf "SOC schedule, %s: annealed/greedy %.4f > 1" name ratio))
+        fail (Printf.sprintf "SOC schedule, %s: annealed/greedy %.4f > 1" name ratio);
+      if a < bound then
+        fail (Printf.sprintf "SOC schedule, %s: annealed %d < lower bound %d" name a bound))
     Soc.names;
   Texttable.print t;
   Format.printf

@@ -312,6 +312,8 @@ let executor_loop t slot =
       let status, body =
         match dispatch t job.j_req with
         | body -> (Protocol.Ok_, body)
+        (* a verb's own message goes out as is, as the CLI prints it *)
+        | exception Failure msg -> (Protocol.Failed, msg)
         | exception e -> (Protocol.Failed, Printexc.to_string e)
       in
       Obs.stop_span root;

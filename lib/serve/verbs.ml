@@ -180,6 +180,8 @@ let montecarlo ~pool (req : Protocol.request) =
       ^ Texttable.render t)
 
 let schedule ~pool (req : Protocol.request) =
+  if req.restarts < 0 then failwith "schedule: restarts must be at least 0";
+  if req.iters < 0 then failwith "schedule: iters must be at least 0";
   let soc = soc_of req in
   (* seed 0 (the shared request default) means the canonical annealing
      seed, like seed 0 means the nominal part elsewhere *)

@@ -8,7 +8,9 @@
    (restarts fanned out over the pool) refines the LPT greedy baseline.
    The reduction over restarts runs in restart-index order and prefers a
    strictly better makespan, so the chosen schedule is bit-identical at
-   every pool size and the annealed makespan can never exceed greedy's. *)
+   every pool size and the annealed makespan can never exceed greedy's.
+   Every decode runs on the problem compiled once per search, in scratch
+   its restart owns, and allocates nothing. *)
 
 module Pool = Msoc_util.Pool
 module Prng = Msoc_util.Prng
@@ -30,13 +32,24 @@ type test = {
 type problem = { soc : Soc.t; tests : test array }
 
 (* Every core's synthesized plan, in core order: the plans the schedule
-   prices are the plans the audit trail describes. *)
+   prices are the plans the audit trail describes.  A plan is a pure
+   function of its topology, so cores sharing a topology share one
+   synthesis; nothing is kept across calls. *)
 let core_plans soc =
+  let synthesized = Hashtbl.create 4 in
   List.map
     (fun (core : Soc.core) ->
-      match Topology.build core.Soc.topology with
-      | Some path -> (core, Plan.synthesize path)
-      | None -> invalid_arg ("Schedule: unknown topology " ^ core.Soc.topology))
+      let topology = core.Soc.topology in
+      match Hashtbl.find_opt synthesized topology with
+      | Some plan -> (core, plan)
+      | None ->
+        let plan =
+          match Topology.build topology with
+          | Some path -> Plan.synthesize path
+          | None -> invalid_arg ("Schedule: unknown topology " ^ topology)
+        in
+        Hashtbl.add synthesized topology plan;
+        (core, plan))
     soc.Soc.cores
 
 let problem_of_soc soc =
@@ -84,62 +97,162 @@ type result = {
   placements : placement array;   (* indexed like the problem's tests *)
 }
 
-(* Decode a priority ranking into a schedule.  At each event time, tests
-   whose prerequisites have finished and whose core is idle start in rank
-   order as long as the bus and power constraints hold; then time advances
-   to the earliest finish.  Pure function of (problem, rank). *)
+(* The problem compiled for decoding: per-test arrays, each test's core
+   as a small int, prerequisites as int arrays, and both caps.  Built once
+   per search and only read afterwards, so restarts on different domains
+   share it. *)
+module Compiled = struct
+  type t = {
+    cycles : int array;
+    bus : int array;
+    power : float array;
+    core : int array;            (* index among the problem's distinct core names *)
+    prereqs : int array array;
+    cores : int;
+    bus_cap : int;
+    power_cap : float;           (* budget + 1e-9 mW: the decoder's slack *)
+  }
+
+  let of_problem problem =
+    let ids = Hashtbl.create 8 in
+    let core_id name =
+      match Hashtbl.find_opt ids name with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length ids in
+        Hashtbl.add ids name id;
+        id
+    in
+    let field f = Array.map f problem.tests in
+    (* numbered before the record is built, which reads the count *)
+    let core = field (fun (t : test) -> core_id t.core) in
+    { cycles = field (fun (t : test) -> t.cycles);
+      bus = field (fun (t : test) -> t.bus_bits);
+      power = field (fun (t : test) -> t.power_mw);
+      core;
+      prereqs = field (fun (t : test) -> Array.of_list t.prereqs);
+      cores = Hashtbl.length ids;
+      bus_cap = problem.soc.Soc.bus_bits;
+      power_cap = problem.soc.Soc.power_budget_mw +. 1e-9 }
+
+  (* One decode's working state.  Each restart owns one and reuses it for
+     every move of its walk.  [running] holds the running tests oldest
+     first; [busy] counts them per core. *)
+  type scratch = {
+    start : int array;
+    finish : int array;
+    started : bool array;
+    running : int array;
+    busy : int array;
+  }
+
+  let scratch c =
+    let n = Array.length c.cycles in
+    { start = Array.make n (-1);
+      finish = Array.make n max_int;
+      started = Array.make n false;
+      running = Array.make n 0;
+      busy = Array.make c.cores 0 }
+
+  let prerequisites_done c s i t =
+    let ps = c.prereqs.(i) in
+    let k = ref 0 in
+    while !k < Array.length ps && s.started.(ps.(!k)) && s.finish.(ps.(!k)) <= t do
+      incr k
+    done;
+    !k = Array.length ps
+
+  (* Decode the ranking whose tests in rank order are [order] into [s] and
+     return the makespan, allocating nothing.  At each event time, tests
+     whose prerequisites have finished and whose core is idle start in
+     rank order as long as the bus and power constraints hold; then time
+     advances to the earliest finish.  Float addition is not associative,
+     so power is summed in one fixed order: after each retire it is
+     re-summed newest test first, and within an event it accumulates in
+     start order. *)
+  let run c s order =
+    let n = Array.length c.cycles in
+    Array.fill s.start 0 n (-1);
+    Array.fill s.finish 0 n max_int;
+    Array.fill s.started 0 n false;
+    Array.fill s.busy 0 c.cores 0;
+    let live = ref 0 and completed = ref 0 and t = ref 0 in
+    while !completed < n do
+      (* retire everything finishing at the current time *)
+      let kept = ref 0 in
+      for k = 0 to !live - 1 do
+        let i = s.running.(k) in
+        if s.finish.(i) > !t then begin
+          s.running.(!kept) <- i;
+          incr kept
+        end
+        else s.busy.(c.core.(i)) <- s.busy.(c.core.(i)) - 1
+      done;
+      live := !kept;
+      let bus = ref 0 and power = ref 0.0 in
+      for k = !live - 1 downto 0 do
+        let i = s.running.(k) in
+        bus := !bus + c.bus.(i);
+        power := !power +. c.power.(i)
+      done;
+      (* start every eligible test that fits, in rank order *)
+      for k = 0 to n - 1 do
+        let i = order.(k) in
+        if
+          (not s.started.(i))
+          && s.busy.(c.core.(i)) = 0
+          && !bus + c.bus.(i) <= c.bus_cap
+          && !power +. c.power.(i) <= c.power_cap
+          && prerequisites_done c s i !t
+        then begin
+          s.started.(i) <- true;
+          s.start.(i) <- !t;
+          s.finish.(i) <- !t + c.cycles.(i);
+          bus := !bus + c.bus.(i);
+          power := !power +. c.power.(i);
+          s.busy.(c.core.(i)) <- s.busy.(c.core.(i)) + 1;
+          s.running.(!live) <- i;
+          incr live
+        end
+      done;
+      if !live = 0 then
+        invalid_arg "Schedule.decode: stuck (prerequisite cycle or infeasible test)";
+      let tmin = ref max_int in
+      for k = 0 to !live - 1 do
+        tmin := Int.min !tmin s.finish.(s.running.(k))
+      done;
+      t := !tmin;
+      for k = 0 to !live - 1 do
+        if s.finish.(s.running.(k)) = !tmin then incr completed
+      done
+    done;
+    Array.fold_left Int.max 0 s.finish
+end
+
+(* Decode into fresh scratch and keep the placements. *)
+let decode_order c order =
+  let s = Compiled.scratch c in
+  let makespan = Compiled.run c s order in
+  { makespan;
+    placements =
+      Array.init (Array.length order) (fun i ->
+          { start = s.Compiled.start.(i); finish = s.Compiled.finish.(i) }) }
+
+(* The tests of a permutation ranking in rank order: its inverse. *)
+let order_of_permutation rank =
+  let order = Array.make (Array.length rank) 0 in
+  Array.iteri (fun i r -> order.(r) <- i) rank;
+  order
+
 let decode problem rank =
-  let tests = problem.tests in
-  let n = Array.length tests in
-  let start = Array.make n (-1) in
-  let finish = Array.make n max_int in
-  let started = Array.make n false in
-  let running = ref [] in
-  let completed = ref 0 in
-  let t = ref 0 in
+  let n = Array.length problem.tests in
+  if Array.length rank <> n then
+    invalid_arg
+      (Printf.sprintf "Schedule.decode: the rank has %d entries for %d tests"
+         (Array.length rank) n);
   let order = Array.init n (fun i -> i) in
   Array.sort (fun a b -> compare rank.(a) rank.(b)) order;
-  while !completed < n do
-    (* retire everything finishing at the current time *)
-    running := List.filter (fun i -> finish.(i) > !t) !running;
-    let bus = ref 0 and power = ref 0.0 in
-    List.iter
-      (fun i ->
-        bus := !bus + tests.(i).bus_bits;
-        power := !power +. tests.(i).power_mw)
-      !running;
-    let core_busy c =
-      List.exists (fun i -> String.equal tests.(i).core c) !running
-    in
-    (* start every eligible test that fits, in rank order *)
-    Array.iter
-      (fun i ->
-        if
-          (not started.(i))
-          && List.for_all (fun p -> started.(p) && finish.(p) <= !t) tests.(i).prereqs
-          && (not (core_busy tests.(i).core))
-          && !bus + tests.(i).bus_bits <= problem.soc.Soc.bus_bits
-          && !power +. tests.(i).power_mw <= problem.soc.Soc.power_budget_mw +. 1e-9
-        then begin
-          started.(i) <- true;
-          start.(i) <- !t;
-          finish.(i) <- !t + tests.(i).cycles;
-          bus := !bus + tests.(i).bus_bits;
-          power := !power +. tests.(i).power_mw;
-          running := i :: !running
-        end)
-      order;
-    match !running with
-    | [] ->
-      if !completed < n then
-        invalid_arg "Schedule.decode: stuck (prerequisite cycle or infeasible test)"
-    | l ->
-      let tmin = List.fold_left (fun acc i -> Int.min acc finish.(i)) max_int l in
-      t := tmin;
-      List.iter (fun i -> if finish.(i) = tmin then incr completed) l
-  done;
-  let makespan = Array.fold_left (fun acc f -> Int.max acc f) 0 finish in
-  { makespan; placements = Array.init n (fun i -> { start = start.(i); finish = finish.(i) }) }
+  decode_order (Compiled.of_problem problem) order
 
 (* Longest-processing-time ranking: descending cycles, ties by index. *)
 let greedy_rank problem =
@@ -157,29 +270,88 @@ let greedy_rank problem =
 let greedy problem =
   Obs.span "schedule.greedy" @@ fun () -> decode problem (greedy_rank problem)
 
+(* ---- lower bound ---- *)
+
+let lower_bound problem =
+  let c = Compiled.of_problem problem in
+  let open Compiled in
+  let chain = Array.make c.cores 0 in
+  let min_bus = Array.make c.cores max_int and min_power = Array.make c.cores infinity in
+  let total = ref 0 and area = ref 0 and energy = ref 0.0 in
+  Array.iteri
+    (fun i cycles ->
+      let k = c.core.(i) in
+      chain.(k) <- chain.(k) + cycles;
+      min_bus.(k) <- Int.min min_bus.(k) c.bus.(i);
+      min_power.(k) <- Float.min min_power.(k) c.power.(i);
+      total := !total + cycles;
+      area := !area + (cycles * c.bus.(i));
+      energy := !energy +. (float_of_int cycles *. c.power.(i)))
+    c.cycles;
+  (* The most tests that can run at once: one per core, so the largest set
+     of cores whose cheapest tests fit both caps together.  Past 20 cores
+     the enumeration is skipped for the weaker "every core at once".
+     Float addition is not associative and the decoder adds power in its
+     own order, so the power terms below give away a few ulps per term:
+     no order fits a set of cores rejected here, or packs more energy
+     under the cap than the energy term allows. *)
+  let ulps terms = 2.0 *. float_of_int terms *. epsilon_float in
+  let concurrency =
+    if c.cores > 20 then c.cores
+    else begin
+      let best = ref 1 in
+      for set = 1 to (1 lsl c.cores) - 1 do
+        let size = ref 0 and bus = ref 0 and power = ref 0.0 in
+        for k = 0 to c.cores - 1 do
+          if set land (1 lsl k) <> 0 then begin
+            incr size;
+            bus := !bus + min_bus.(k);
+            power := !power +. min_power.(k)
+          end
+        done;
+        if !size > !best && !bus <= c.bus_cap && !power <= c.power_cap *. (1.0 +. ulps !size)
+        then best := !size
+      done;
+      !best
+    end
+  in
+  let ceil_div a b = (a + b - 1) / b in
+  let n = Array.length c.cycles in
+  List.fold_left Int.max 0
+    [ Array.fold_left Int.max 0 chain;
+      ceil_div !total concurrency;
+      ceil_div !area c.bus_cap;
+      int_of_float (Float.ceil (!energy /. c.power_cap *. (1.0 -. ulps (2 * n)))) ]
+
 (* ---- simulated-annealing refinement ---- *)
 
 type anneal_stats = { restarts : int; iterations : int; accepted : int; rejected : int }
 
 (* One restart: perturb the greedy ranking with a few seed-dependent swaps,
-   then a Metropolis walk over rank swaps with geometric cooling.  Returns
-   the best makespan seen, the ranking that achieved it, and the move
-   counts (accumulated by the caller — workers never touch global sinks,
-   keeping the fan-out deterministic). *)
-let restart_walk problem base_rank ~iters rng =
+   then a Metropolis walk over rank swaps with geometric cooling.  The walk
+   keeps the tests in rank order next to the ranking, so a swap costs O(1)
+   and every move decodes into the restart's own scratch.  Returns the best
+   makespan seen, the ranking that achieved it, and the move counts
+   (accumulated by the caller — workers never touch global sinks, keeping
+   the fan-out deterministic). *)
+let restart_walk c base_rank ~iters rng =
   let n = Array.length base_rank in
   let rank = Array.copy base_rank in
+  let order = order_of_permutation rank in
   let swap i j =
     let tmp = rank.(i) in
     rank.(i) <- rank.(j);
-    rank.(j) <- tmp
+    rank.(j) <- tmp;
+    order.(rank.(i)) <- i;
+    order.(rank.(j)) <- j
   in
   for _ = 1 to 1 + (n / 8) do
     swap (Prng.int rng n) (Prng.int rng n)
   done;
-  let current = ref (decode problem rank).makespan in
+  let s = Compiled.scratch c in
+  let current = ref (Compiled.run c s order) in
   let best = ref !current in
-  let best_rank = ref (Array.copy rank) in
+  let best_rank = Array.copy rank in
   let temperature = ref (Float.max 1.0 (float_of_int !current /. 10.0)) in
   (* cool to ~0.1% of the initial temperature over the walk *)
   let alpha = exp (log 1e-3 /. float_of_int (Int.max 1 iters)) in
@@ -188,7 +360,7 @@ let restart_walk problem base_rank ~iters rng =
     let i = Prng.int rng n and j = Prng.int rng n in
     if i <> j then begin
       swap i j;
-      let candidate = (decode problem rank).makespan in
+      let candidate = Compiled.run c s order in
       let delta = candidate - !current in
       if delta <= 0 || Prng.float rng < exp (-.float_of_int delta /. !temperature)
       then begin
@@ -196,7 +368,7 @@ let restart_walk problem base_rank ~iters rng =
         current := candidate;
         if candidate < !best then begin
           best := candidate;
-          best_rank := Array.copy rank
+          Array.blit rank 0 best_rank 0 n
         end
       end
       else begin
@@ -206,7 +378,7 @@ let restart_walk problem base_rank ~iters rng =
     end;
     temperature := !temperature *. alpha
   done;
-  (!best, !best_rank, !accepted, !rejected)
+  (!best, best_rank, !accepted, !rejected)
 
 let anneal ?(restarts = 8) ?(iters = 400) ?(seed = 42) ?pool problem =
   if restarts < 0 then invalid_arg "Schedule.anneal: restarts must be >= 0";
@@ -216,8 +388,9 @@ let anneal ?(restarts = 8) ?(iters = 400) ?(seed = 42) ?pool problem =
       [ ("restarts", string_of_int restarts); ("iters", string_of_int iters);
         ("soc", problem.soc.Soc.name) ]
   @@ fun () ->
+  let c = Compiled.of_problem problem in
   let base_rank = greedy_rank problem in
-  let baseline = decode problem base_rank in
+  let baseline = decode_order c (order_of_permutation base_rank) in
   let walks =
     match pool with
     | _ when restarts = 0 -> [||]
@@ -225,10 +398,10 @@ let anneal ?(restarts = 8) ?(iters = 400) ?(seed = 42) ?pool problem =
       (* every restart is one grain: per-restart streams come pre-split
          from the seed, so the fan-out is bit-identical at any pool size *)
       Pool.parallel_init_rng ~grain:1 pool ~rng:(Prng.create seed) restarts
-        (fun rng _ -> restart_walk problem base_rank ~iters rng)
+        (fun rng _ -> restart_walk c base_rank ~iters rng)
     | None ->
       let streams = Pool.split_streams (Prng.create seed) restarts in
-      Array.init restarts (fun r -> restart_walk problem base_rank ~iters streams.(r))
+      Array.init restarts (fun r -> restart_walk c base_rank ~iters streams.(r))
   in
   (* deterministic reduction: fold in restart-index order, strictly better
      makespan wins — the annealed result can never lose to greedy *)
@@ -247,7 +420,10 @@ let anneal ?(restarts = 8) ?(iters = 400) ?(seed = 42) ?pool problem =
   Obs.count ~by:restarts "schedule.restarts";
   Obs.count ~by:!accepted "schedule.moves.accepted";
   Obs.count ~by:!rejected "schedule.moves.rejected";
-  let result = if !best_rank == base_rank then baseline else decode problem !best_rank in
+  let result =
+    if !best_rank == base_rank then baseline
+    else decode_order c (order_of_permutation !best_rank)
+  in
   (result, { restarts; iterations = iters; accepted = !accepted; rejected = !rejected })
 
 (* ---- validation (shared with the property tests) ---- *)

@@ -27,8 +27,8 @@ type test = {
 type problem = { soc : Soc.t; tests : test array }
 
 val problem_of_soc : Soc.t -> problem
-(** Synthesize each core's plan (adaptive strategy) and price every
-    scheduled step. *)
+(** Synthesize each core's plan (adaptive strategy; cores sharing a
+    topology share one synthesis) and price every scheduled step. *)
 
 val audit : Soc.t -> Msoc_synth.Audit.t list
 (** The provenance trail of the plans {!problem_of_soc} prices: each
@@ -47,7 +47,8 @@ val decode : problem -> int array -> result
 (** Decode a priority ranking ([rank.(i)] = priority of test [i]; lower
     starts earlier among eligible tests).  Pure and deterministic.
 
-    @raise Invalid_argument if the problem has a prerequisite cycle. *)
+    @raise Invalid_argument if the rank's length is not the test count, or
+    if the problem has a prerequisite cycle. *)
 
 val greedy : problem -> result
 (** Longest-processing-time baseline: descending cycles, ties by index. *)
@@ -68,6 +69,14 @@ val anneal :
     size (and without a pool).  Emits [schedule.restarts] and
     [schedule.moves.accepted]/[.rejected] counters and a
     [schedule.anneal] span. *)
+
+val lower_bound : problem -> int
+(** A makespan no schedule can beat: the largest of the longest per-core
+    chain of cycles; the total cycles over the most cores whose cheapest
+    tests fit the bus and power caps together; the cycle-weighted bus
+    width over the bus; and the cycle-weighted power over the budget
+    (plus the decoder's 1e-9 mW slack).  Valid for positive bus widths
+    and powers, as {!Soc.create} guarantees. *)
 
 val check : problem -> result -> (unit, string) Stdlib.result
 (** Validate a schedule against every constraint (used by the property

@@ -605,6 +605,41 @@ let test_join_mid_execution () =
   let batched1, _ = shared_counters probe in
   Alcotest.(check int) "both requests shared one execution" 2 (batched1 - batched0)
 
+(* ---- schedule names its bad fields ---- *)
+
+let test_schedule_bad_fields () =
+  (* a negative search size fails before deriving, naming the field, and
+     the daemon's reply carries the same message with no exception
+     constructor around it *)
+  let base = Protocol.request ~restarts:2 ~iters:50 Protocol.Schedule in
+  let cases =
+    [ ("restarts", { base with Protocol.restarts = -1 });
+      ("iters", { base with Protocol.iters = -1 }) ]
+  in
+  Pool.with_pool ~size:1 (fun pool ->
+      List.iter
+        (fun (field, req) ->
+          match Verbs.run ~pool req with
+          | _ -> Alcotest.failf "schedule with a bad %s must fail" field
+          | exception Failure msg ->
+            Alcotest.(check string) (field ^ ": message")
+              (Printf.sprintf "schedule: %s must be at least 0" field) msg)
+        cases);
+  let socket_path = temp_socket () in
+  let handle = Server.start (Server.config socket_path) in
+  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  let fd = connect_raw ~timeout:5.0 socket_path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  List.iter
+    (fun (field, req) ->
+      send fd req;
+      let r = response_of fd in
+      Alcotest.(check string) (field ^ ": daemon status") "error"
+        (Protocol.status_name r.Protocol.status);
+      Alcotest.(check string) (field ^ ": daemon body")
+        (Printf.sprintf "schedule: %s must be at least 0" field) r.Protocol.body)
+    cases
+
 let test_failed_leader () =
   (* a failed execution frees its key: the duplicate that follows runs
      again and fails on its own, instead of waiting on a dead entry *)
@@ -889,7 +924,9 @@ let () =
           Alcotest.test_case "cache key covers every field a verb reads" `Quick
             test_cache_key_covers_reads;
           Alcotest.test_case "faultsim names its bad fields" `Quick
-            test_faultsim_bad_fields ] );
+            test_faultsim_bad_fields;
+          Alcotest.test_case "schedule names its bad fields" `Quick
+            test_schedule_bad_fields ] );
       ( "daemon",
         [ Alcotest.test_case "queue-full backpressure" `Quick test_backpressure;
           Alcotest.test_case "plan byte-identity across pool sizes" `Quick

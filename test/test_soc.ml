@@ -1,9 +1,13 @@
 (* SOC model and scheduler tests: builder validation, the sorted SOC
    registry, decode feasibility on random rankings and random synthetic
-   problems, the annealed-never-worse-than-greedy contract, and
-   bit-identity of the annealed schedule across pool sizes. *)
+   problems, the compiled decoder pinned to the list decoder it replaced,
+   the lower bound under every decoded makespan, the
+   annealed-never-worse-than-greedy contract, and bit-identity of the
+   annealed schedule across pool sizes. *)
 
 module Pool = Msoc_util.Pool
+module Obs = Msoc_obs.Obs
+module Trace = Msoc_obs.Trace
 module Soc = Msoc_soc.Soc
 module Schedule = Msoc_soc.Schedule
 
@@ -115,6 +119,145 @@ let test_reference_schedule () =
         (annealed.Schedule.makespan >= serial))
     per_core
 
+let test_derive_once_per_topology () =
+  (* rx0 and rx1 share the default topology, so the reference SOC's four
+     cores take three plan syntheses; the audit still has every core's
+     records (the soc_audit.json golden pins them byte for byte) *)
+  let soc = Soc.reference () in
+  Obs.enable ();
+  Obs.reset ();
+  let syntheses =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        ignore (Schedule.problem_of_soc soc);
+        match Trace.parse (Obs.jsonl ()) with
+        | Ok t ->
+          List.length
+            (List.filter (fun sp -> String.equal sp.Trace.sp_name "plan.synthesize") t.Trace.spans)
+        | Error e -> Alcotest.failf "the trace does not parse: %s" e)
+  in
+  Alcotest.(check int) "plan syntheses for 4 cores on 3 topologies" 3 syntheses
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.equal (String.sub s i m) sub || at (i + 1)) in
+  at 0
+
+let test_decode_rank_length () =
+  (* a short rank used to fail on a bare array index and a long one was
+     silently truncated; both now name the two lengths *)
+  let problem = Lazy.force reference_problem in
+  let n = Array.length problem.Schedule.tests in
+  List.iter
+    (fun length ->
+      match Schedule.decode problem (Array.init length (fun i -> i)) with
+      | _ -> Alcotest.failf "a rank of %d entries for %d tests must be rejected" length n
+      | exception Invalid_argument msg ->
+        List.iter
+          (fun count ->
+            if not (contains msg (string_of_int count)) then
+              Alcotest.failf "%S does not name %d" msg count)
+          [ length; n ])
+    [ 0; n - 1; n + 1 ]
+
+let test_lower_bound_certificates () =
+  (* the reference SOC runs at most two cores at once (any three exceed
+     200 mW), so half the serial sum bounds it; on the narrow SOC no two
+     cores fit together and greedy's fully serial schedule is optimal *)
+  let bound_and_greedy name =
+    let problem = Schedule.problem_of_soc (Option.get (Soc.find name)) in
+    (Schedule.lower_bound problem, (Schedule.greedy problem).Schedule.makespan)
+  in
+  Alcotest.(check (pair int int)) "reference: bound, greedy" (348014, 348040)
+    (bound_and_greedy "reference");
+  Alcotest.(check (pair int int)) "narrow: bound = greedy" (696028, 696028)
+    (bound_and_greedy "narrow")
+
+let test_lower_bound_summation_order () =
+  (* 0.3 + 0.2 + 0.1 fits a cap of 0.6, while 0.1 + 0.2 + 0.3 rounds past
+     it: the decoder runs all three cores at once when it starts them in
+     that order, so the bound must count three concurrent cores.  At 7
+     cycles a test, the energy over the cap also rounds just above 7. *)
+  let core_test c power =
+    { Schedule.core = Printf.sprintf "c%d" c; name = Printf.sprintf "c%d:t" c; cycles = 7;
+      bus_bits = 1; power_mw = power; prereqs = [] }
+  in
+  let problem =
+    { Schedule.soc =
+        { Soc.name = "order"; bus_bits = 8; power_budget_mw = 0.6 -. 1e-9; ate_clock_hz = 1e6;
+          cores = [] };
+      tests = [| core_test 0 0.1; core_test 1 0.2; core_test 2 0.3 |] }
+  in
+  let schedule = Schedule.decode problem [| 2; 1; 0 |] in
+  Alcotest.(check int) "all three run at once" 7 schedule.Schedule.makespan;
+  Alcotest.(check int) "the bound admits it" 7 (Schedule.lower_bound problem)
+
+(* ---- the list decoder, kept as the reference for the compiled one ---- *)
+
+(* The scheduler's original decoder: the running tests in a list that is
+   filtered and re-summed at every event, core occupancy by name, and the
+   order sorted by rank on every call.  [Schedule.decode] must agree with
+   it on the makespan and on every placement, float summation order
+   included. *)
+let reference_decode (problem : Schedule.problem) rank =
+  let tests = problem.Schedule.tests in
+  let n = Array.length tests in
+  let start = Array.make n (-1) in
+  let finish = Array.make n max_int in
+  let started = Array.make n false in
+  let running = ref [] in
+  let completed = ref 0 in
+  let t = ref 0 in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun a b -> compare rank.(a) rank.(b)) order;
+  while !completed < n do
+    (* retire everything finishing at the current time *)
+    running := List.filter (fun i -> finish.(i) > !t) !running;
+    let bus = ref 0 and power = ref 0.0 in
+    List.iter
+      (fun i ->
+        bus := !bus + tests.(i).Schedule.bus_bits;
+        power := !power +. tests.(i).Schedule.power_mw)
+      !running;
+    let core_busy c =
+      List.exists (fun i -> String.equal tests.(i).Schedule.core c) !running
+    in
+    (* start every eligible test that fits, in rank order *)
+    Array.iter
+      (fun i ->
+        let test = tests.(i) in
+        if
+          (not started.(i))
+          && List.for_all (fun p -> started.(p) && finish.(p) <= !t) test.Schedule.prereqs
+          && (not (core_busy test.Schedule.core))
+          && !bus + test.Schedule.bus_bits <= problem.Schedule.soc.Soc.bus_bits
+          && !power +. test.Schedule.power_mw
+             <= problem.Schedule.soc.Soc.power_budget_mw +. 1e-9
+        then begin
+          started.(i) <- true;
+          start.(i) <- !t;
+          finish.(i) <- !t + test.Schedule.cycles;
+          bus := !bus + test.Schedule.bus_bits;
+          power := !power +. test.Schedule.power_mw;
+          running := i :: !running
+        end)
+      order;
+    match !running with
+    | [] ->
+      if !completed < n then
+        invalid_arg "Schedule.decode: stuck (prerequisite cycle or infeasible test)"
+    | l ->
+      let tmin = List.fold_left (fun acc i -> Int.min acc finish.(i)) max_int l in
+      t := tmin;
+      List.iter (fun i -> if finish.(i) = tmin then incr completed) l
+  done;
+  let makespan = Array.fold_left (fun acc f -> Int.max acc f) 0 finish in
+  { Schedule.makespan;
+    placements = Array.init n (fun i -> { Schedule.start = start.(i); finish = finish.(i) }) }
+
 (* ---- QCheck: random rankings and random synthetic problems ---- *)
 
 (* Synthetic problems bypass the validated builder on purpose: the record
@@ -202,6 +345,76 @@ let prop_annealed_never_worse =
       Schedule.check problem annealed = Ok ()
       && annealed.Schedule.makespan <= greedy.Schedule.makespan)
 
+(* Problems for pinning the compiled decoder: up to 6 cores and 60 tests
+   in any core order, and prerequisites drawn from any earlier tests of
+   the same core.  Powers are tenths of a mW, which binary floats cannot
+   hold exactly, so sums of the same tests differ in their last bits with
+   the order they are added in.  The budget sits 1e-9 mW under a whole
+   number of tenths, so the decoder's cap lands within an ulp of loads it
+   reaches and the summation order decides ties.  Every test fits alone,
+   so no ranking gets stuck.  Half the rankings are permutations, half
+   are small ints full of ties. *)
+let arb_ranked_problem =
+  let gen st =
+    let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+    let n_cores = int 1 6 and n = int 0 60 and bus_bits = int 4 24 in
+    let earlier = Array.make n_cores [] in
+    let tests =
+      Array.init n (fun i ->
+          let c = int 0 (n_cores - 1) in
+          let prereqs = List.filter (fun _ -> Random.State.int st 3 = 0) earlier.(c) in
+          earlier.(c) <- i :: earlier.(c);
+          { Schedule.core = Printf.sprintf "c%d" c;
+            name = Printf.sprintf "c%d:t%d" c i;
+            cycles = int 1 500;
+            bus_bits = int 1 (Int.min 4 bus_bits);
+            power_mw = float_of_int (int 1 9) /. 10.0;
+            prereqs = List.rev prereqs })
+    in
+    let power_budget_mw = float_of_int (int 10 30) /. 10.0 -. 1e-9 in
+    let soc =
+      { Soc.name = "random"; bus_bits; power_budget_mw; ate_clock_hz = 1e6;
+        cores =
+          List.init n_cores (fun c ->
+              Soc.core ~name:(Printf.sprintf "c%d" c) ~topology:"default"
+                ~wrapper:(Soc.wrapper ~bus_bits:1 ~chain_bits:1 ~fixture_cycles:0)
+                ~power_mw:1.0) }
+    in
+    let rank =
+      if Random.State.bool st then begin
+        let rank = Array.init n (fun i -> i) in
+        QCheck.Gen.shuffle_a rank st;
+        rank
+      end
+      else Array.init n (fun _ -> int (-3) 3)
+    in
+    ({ Schedule.soc; tests }, rank)
+  in
+  let print (p, rank) =
+    Printf.sprintf "{bus=%d power=%.17g tests=[%s] rank=[%s]}" p.Schedule.soc.Soc.bus_bits
+      p.Schedule.soc.Soc.power_budget_mw
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun (t : Schedule.test) ->
+                 Printf.sprintf "%s %dcy %db %.1fmW [%s]" t.Schedule.name t.Schedule.cycles
+                   t.Schedule.bus_bits t.Schedule.power_mw
+                   (String.concat "," (List.map string_of_int t.Schedule.prereqs)))
+               p.Schedule.tests)))
+      (String.concat "," (Array.to_list (Array.map string_of_int rank)))
+  in
+  QCheck.make ~print gen
+
+let prop_compiled_matches_reference =
+  QCheck.Test.make ~name:"compiled decoder = list decoder" ~count:400 arb_ranked_problem
+    (fun (problem, rank) -> Schedule.decode problem rank = reference_decode problem rank)
+
+let prop_makespan_above_lower_bound =
+  QCheck.Test.make ~name:"every decoded makespan >= lower_bound" ~count:400
+    arb_ranked_problem
+    (fun (problem, rank) ->
+      (Schedule.decode problem rank).Schedule.makespan >= Schedule.lower_bound problem)
+
 (* ---- pool bit-identity ---- *)
 
 let test_pool_bit_identity () =
@@ -232,8 +445,16 @@ let () =
           Alcotest.test_case "registry sorted" `Quick test_registry_sorted ] );
       ( "schedule",
         [ Alcotest.test_case "reference schedule" `Quick test_reference_schedule;
+          Alcotest.test_case "derive once per topology" `Quick test_derive_once_per_topology;
+          Alcotest.test_case "decode rejects a rank of the wrong length" `Quick
+            test_decode_rank_length;
+          Alcotest.test_case "lower bound certificates" `Quick
+            test_lower_bound_certificates;
+          Alcotest.test_case "lower bound under any summation order" `Quick
+            test_lower_bound_summation_order;
           Alcotest.test_case "pool bit-identity" `Quick test_pool_bit_identity ] );
       ( "schedule-properties",
         qcheck
           [ prop_random_ranking_decodes; prop_greedy_feasible;
-            prop_annealed_never_worse ] ) ]
+            prop_annealed_never_worse; prop_compiled_matches_reference;
+            prop_makespan_above_lower_bound ] ) ]

@@ -78,21 +78,24 @@ let kernels () =
      "fft" rows time the full complex transform; the "rfft" rows the
      real-input entry point (half-length packed transform writing into
      preallocated split output) whose whole point is to undercut them. *)
+  (* A kernel is its Bechamel test and the closure that test times, which
+     the exact minor-word count below runs again. *)
+  let kernel ~name staged = (Test.make ~name staged, Staged.unstage staged) in
   let g = Prng.create 5 in
   let signal4096 = Array.init 4096 (fun _ -> Prng.float g -. 0.5) in
   let complex4096 = Array.map (fun x -> { Complex.re = x; im = 0.0 }) signal4096 in
   let fft_test =
-    Test.make ~name:"fft-4096-warm" (Staged.stage (fun () -> ignore (Msoc_dsp.Fft.fft complex4096)))
+    kernel ~name:"fft-4096-warm" (Staged.stage (fun () -> ignore (Msoc_dsp.Fft.fft complex4096)))
   in
   let fft_cold_test =
-    Test.make ~name:"fft-4096-cold"
+    kernel ~name:"fft-4096-cold"
       (Staged.stage (fun () ->
            Msoc_dsp.Fft.clear_plan_cache ();
            ignore (Msoc_dsp.Fft.fft complex4096)))
   in
   let rfft4096_re = Array.make 2049 0.0 and rfft4096_im = Array.make 2049 0.0 in
   let rfft_test =
-    Test.make ~name:"rfft-4096"
+    kernel ~name:"rfft-4096"
       (Staged.stage (fun () ->
            Msoc_dsp.Fft.rfft_into signal4096 ~re:rfft4096_re ~im:rfft4096_im))
   in
@@ -102,17 +105,17 @@ let kernels () =
   let signal1000 = Array.init 1000 (fun _ -> Prng.float g -. 0.5) in
   let complex1000 = Array.map (fun x -> { Complex.re = x; im = 0.0 }) signal1000 in
   let fft_bluestein_test =
-    Test.make ~name:"fft-1000-warm" (Staged.stage (fun () -> ignore (Msoc_dsp.Fft.fft complex1000)))
+    kernel ~name:"fft-1000-warm" (Staged.stage (fun () -> ignore (Msoc_dsp.Fft.fft complex1000)))
   in
   let fft_bluestein_cold_test =
-    Test.make ~name:"fft-1000-cold"
+    kernel ~name:"fft-1000-cold"
       (Staged.stage (fun () ->
            Msoc_dsp.Fft.clear_plan_cache ();
            ignore (Msoc_dsp.Fft.fft complex1000)))
   in
   let rfft1000_re = Array.make 501 0.0 and rfft1000_im = Array.make 501 0.0 in
   let rfft_bluestein_test =
-    Test.make ~name:"rfft-1000"
+    kernel ~name:"rfft-1000"
       (Staged.stage (fun () ->
            Msoc_dsp.Fft.rfft_into signal1000 ~re:rfft1000_re ~im:rfft1000_im))
   in
@@ -120,14 +123,14 @@ let kernels () =
      generator arena: the allocation profile this PR exists to flatten *)
   let mc_rng = Prng.create 99 in
   let mc_arena_test =
-    Test.make ~name:"mc-arena-8192"
+    kernel ~name:"mc-arena-8192"
       (Staged.stage (fun () ->
            ignore
              (Monte_carlo.sample_array_pooled ~trials:8192 ~rng:mc_rng
                 ~f:(fun g _ -> Prng.gaussian g)
                 ())))
   in
-  (* parallel fault simulation: one 62-fault batch over 256 cycles *)
+  (* fault simulation: 62 faults over 256 cycles *)
   let design = Msoc_dsp.Fir.lowpass ~taps:9 ~cutoff:0.15 () in
   let codes, scale = Msoc_dsp.Fir.quantize design.Msoc_dsp.Fir.taps ~bits:8 in
   let fir = Fir_netlist.create ~coeffs:codes ~width_in:10 ~scale () in
@@ -135,19 +138,19 @@ let kernels () =
   let faults = Array.sub faults_all 0 62 in
   let stimulus = Array.init 256 (fun i -> ((i * 37) mod 512) - 256) in
   let fsim_test =
-    Test.make ~name:"fault-sim-62x256"
+    kernel ~name:"fault-sim-62x256"
       (Staged.stage (fun () ->
            ignore
              (Fault_sim.detect_exact fir.Fir_netlist.circuit ~output:"y"
                 ~drive:(fun sim cycle -> Fir_netlist.drive fir sim stimulus.(cycle))
                 ~samples:256 ~faults)))
   in
-  (* the full collapsed fault set (several batches): serial vs pooled.
+  (* the full collapsed fault set: serial vs pooled.
      The pooled kernel pins 8 domains (the ROADMAP target configuration)
      so its name and workload are machine-independent. *)
   let pool8 = Pool.create ~size:8 () in
   let fsim_serial_test =
-    Test.make ~name:(Printf.sprintf "fault-sim-%dx256-serial" (Array.length faults_all))
+    kernel ~name:(Printf.sprintf "fault-sim-%dx256-serial" (Array.length faults_all))
       (Staged.stage (fun () ->
            ignore
              (Fault_sim.detect_exact fir.Fir_netlist.circuit ~output:"y"
@@ -155,7 +158,7 @@ let kernels () =
                 ~samples:256 ~faults:faults_all)))
   in
   let fsim_pooled_test =
-    Test.make
+    kernel
       ~name:(Printf.sprintf "fault-sim-%dx256-pool8" (Array.length faults_all))
       (Staged.stage (fun () ->
            ignore
@@ -164,10 +167,10 @@ let kernels () =
                 ~samples:256 ~faults:faults_all)))
   in
   (* fault dropping over a long sweep: graded first-detect cycles on 1024
-     patterns — late chunks fly with only the stubborn remainder live *)
+     patterns — each fault stops at its first differing word *)
   let stimulus1024 = Array.init 1024 (fun i -> ((i * 37) mod 512) - 256) in
   let fsim_drop_test =
-    Test.make ~name:"fault-sim-drop"
+    kernel ~name:"fault-sim-drop"
       (Staged.stage (fun () ->
            ignore
              (Fault_sim.detect_cycles fir.Fir_netlist.circuit ~output:"y"
@@ -192,7 +195,7 @@ let kernels () =
       ~amplitude_fs:0.45
   in
   let spectral_test =
-    Test.make ~name:"faultsim-spectral"
+    kernel ~name:"faultsim-spectral"
       (Staged.stage (fun () ->
            ignore
              (Digital_test.spectral_coverage spectral_config spectral_fir ~sample_rate:1e6
@@ -204,7 +207,7 @@ let kernels () =
      tracks plus one run *)
   let wave = Tone.synthesize ~sample_rate:8e6 ~samples:1024 [ Tone.component ~freq:1.1e6 ~amplitude:0.02 () ] in
   let path_test =
-    Test.make ~name:"path-sim-1024"
+    kernel ~name:"path-sim-1024"
       (Staged.stage (fun () ->
            let engine = Path.engine path (Path.nominal_part path) ~seed:3 ~samples:1024 in
            ignore (Path.run_codes engine wave)))
@@ -214,7 +217,7 @@ let kernels () =
      replaying it *)
   let measure_part = Path.nominal_part path in
   let measure_test =
-    Test.make ~name:"measure-validate"
+    kernel ~name:"measure-validate"
       (Staged.stage (fun () ->
            ignore
              (Msoc_synth.Measure.validate_part path measure_part
@@ -223,14 +226,14 @@ let kernels () =
   (* analytic coverage *)
   let population = Coverage.defective_population ~nominal:23.0 ~tol:1.5 in
   let coverage_test =
-    Test.make ~name:"coverage-analytic"
+    kernel ~name:"coverage-analytic"
       (Staged.stage (fun () ->
            ignore
              (Coverage.analytic ~population ~bound:(Spec.At_least 21.5)
                 ~error:(Coverage.Uniform_err 1.1) ~threshold_shift:0.0)))
   in
   let plan_test =
-    Test.make ~name:"plan-synthesis" (Staged.stage (fun () -> ignore (Plan.synthesize path)))
+    kernel ~name:"plan-synthesis" (Staged.stage (fun () -> ignore (Plan.synthesize path)))
   in
   (* one plan-synthesis kernel per registered non-default topology, so the
      bench-diff gate also covers the generic stage-iteration core *)
@@ -241,7 +244,7 @@ let kernels () =
         else
           Option.map
             (fun p ->
-              Test.make ~name:("plan-synthesis-" ^ name)
+              kernel ~name:("plan-synthesis-" ^ name)
                 (Staged.stage (fun () -> ignore (Plan.synthesize p))))
             (Msoc_analog.Topology.build name))
       Msoc_analog.Topology.names
@@ -251,21 +254,34 @@ let kernels () =
      per-core synthesis is already timed by the plan kernels. *)
   let soc_problem = Soc_schedule.problem_of_soc (Soc.reference ()) in
   let soc_schedule_test =
-    Test.make ~name:"soc-schedule"
+    kernel ~name:"soc-schedule"
       (Staged.stage (fun () ->
            ignore (Soc_schedule.greedy soc_problem);
            ignore (Soc_schedule.anneal ~restarts:2 ~iters:50 soc_problem)))
   in
-  (* Every kernel is also measured for GC load (minor/major words per run
-     from Bechamel's allocation instances, major collections from a
-     [Gc.quick_stat] bracket around the whole run), and the quick-mode
-     statistics are fixed: a kernel that yields fewer than [min_samples]
-     post-warm-up samples is rerun with a doubled time quota (twice at
-     most), and the first sample of each run — taken while caches, branch
-     predictors and the plan tables are still cold — is discarded. *)
+  (* Every kernel is also measured for GC load (major words per run from
+     Bechamel's allocation instance, major collections from a
+     [Gc.quick_stat] bracket around the whole run, minor words exactly, as
+     below), and the quick-mode statistics are fixed: a kernel that yields
+     fewer than [min_samples] post-warm-up samples is rerun with a doubled
+     time quota (twice at most), and the first sample of each run — taken
+     while caches, branch predictors and the plan tables are still cold —
+     is discarded. *)
   let min_samples = 8 in
-  let instances =
-    Toolkit.Instance.[ minor_allocated; major_allocated; monotonic_clock ]
+  let instances = Toolkit.Instance.[ major_allocated; monotonic_clock ] in
+  (* Minor words per run, exact: three more runs bracketed by
+     [Gc.minor_words], which under OCaml 5 counts this domain's allocation
+     to the word.  Bechamel's [minor_allocated] reads [Gc.quick_stat],
+     whose minor counter only advances at a minor collection, so a kernel
+     that filled no minor heap read 0.  A pooled kernel's worker domains
+     are not counted. *)
+  let exact_minor_words run =
+    let reps = 3 in
+    let before = Gc.minor_words () in
+    for _ = 1 to reps do
+      run ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int reps
   in
   let benchmark_adaptive test =
     let rec go quota attempt =
@@ -292,11 +308,11 @@ let kernels () =
   in
   let t = Texttable.create ~headers:[ "Kernel"; "ns/run"; "minor w/run" ] in
   let clock_label = Measure.label Toolkit.Instance.monotonic_clock in
-  let minor_label = Measure.label Toolkit.Instance.minor_allocated in
   let major_label = Measure.label Toolkit.Instance.major_allocated in
   List.iter
-    (fun test ->
+    (fun (test, run) ->
       let raw, major_cols = benchmark_adaptive test in
+      let minor_words = exact_minor_words run in
       let results = analyze raw in
       (* the report stores the raw per-sample ns/run distribution, which is
          what bench-diff's Welch intervals need (OLS gives no stddev) *)
@@ -324,7 +340,6 @@ let kernels () =
             let mean a =
               Array.fold_left ( +. ) 0.0 a /. float_of_int (max 1 (Array.length a))
             in
-            let minor_words = mean (per minor_label) in
             let major_words = mean (per major_label) in
             let total_runs =
               Array.fold_left (fun acc m -> acc +. Measurement_raw.run m) 0.0 lr
@@ -382,7 +397,7 @@ let parallel_speedup () =
     (r, Unix.gettimeofday () -. t0)
   in
   (* Fault simulation: the 13-tap production filter, full collapsed fault
-     set, 512 cycles — 4 batches of 62 faults. *)
+     set, 512 cycles. *)
   let config = Digital_test.default_config in
   let fir = Digital_test.build config in
   let faults = Digital_test.collapsed_faults fir in

@@ -670,9 +670,9 @@ let coverage_noisy () =
   Format.printf "filter-input signal: SNR %.1f dB (paper 72), SFDR %.1f dB (paper 62)@.@."
     snr sfdr;
   let all_excluded = tones @ exclusions in
-  (* The expensive passes run on the domain pool (fault batches and the
-     per-fault spectra distributed across domains); the detection records
-     are identical to the serial path. *)
+  (* The expensive passes run on the domain pool (faults and their
+     spectra distributed across domains); the detection records are
+     identical to the serial path. *)
   let pool = Pool.get_default () in
   let pass1 =
     Digital_test.spectral_coverage ~pool config fir ~sample_rate:adc_rate ~input_codes:codes

@@ -306,17 +306,18 @@ let coverage_cmd =
 
 (* ---- faultsim ---- *)
 
-(* Heartbeat line for the fault-simulation pipeline: batch simulation,
-   then spectral judging.  Reads only the engines' published cells. *)
+(* Heartbeat line for the fault-simulation pipeline: per-fault
+   simulation, each fault's stream judged as it is simulated.  Reads only
+   the engines' published cells. *)
 let render_faultsim ~elapsed_s =
   let v name = Progress.value (Progress.cell name) in
-  let batches = v "fault_sim.batches" and batches_total = v "fault_sim.batches_total" in
+  let simulated = v "fault_sim.faults_done" and simulated_total = v "fault_sim.faults_total" in
   let judged = v "coverage.judged" and judged_total = v "coverage.judged_total" in
   let detected = v "coverage.detected" in
   let frac =
     (* the two phases cost roughly the same per fault; weight them evenly *)
     let part done_ total = if total > 0.0 then Float.min 1.0 (done_ /. total) else 0.0 in
-    0.5 *. (part batches batches_total +. part judged judged_total)
+    0.5 *. (part simulated simulated_total +. part judged judged_total)
   in
   let eta =
     match Progress.eta_s ~done_:frac ~total:1.0 ~elapsed_s with
@@ -324,8 +325,8 @@ let render_faultsim ~elapsed_s =
     | None -> ""
   in
   let coverage = if judged > 0.0 then 100.0 *. detected /. judged else 0.0 in
-  Printf.sprintf "faultsim: sim %.0f/%.0f batches | judged %.0f/%.0f | coverage %.1f%% | %s%s"
-    batches batches_total judged judged_total coverage
+  Printf.sprintf "faultsim: sim %.0f/%.0f faults | judged %.0f/%.0f | coverage %.1f%% | %s%s"
+    simulated simulated_total judged judged_total coverage
     (Progress.pp_duration elapsed_s) eta
 
 let faultsim_cmd =

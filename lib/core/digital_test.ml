@@ -213,8 +213,8 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
      downstream) yields a stream equal to the good one: that verdict is
      judged once, here, and shared. *)
   let good_verdict = judge good_stream in
-  (* Each stream is judged inside its batch on the worker that simulated
-     it, so no stream outlives its batch; verdicts come back in fault
+  (* Each stream is judged on the worker that simulated it, before that
+     worker's next fault reuses the buffer; verdicts come back in fault
      order at every pool size. *)
   let on_fault _index _fault stream =
     let verdict =

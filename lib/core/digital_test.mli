@@ -100,8 +100,8 @@ val spectral_coverage :
     comes from [reference_codes] through the behavioural model (the paper
     uses an ideal stimulus for the good-circuit simulation and the
     realistic analog model for the faulty ones).  Streams come from
-    {!Fault_sim.observe} and are judged inside their batch, so memory stays
-    bounded by one batch of streams per worker.  The judge is prepared
+    {!Fault_sim.observe} and are judged as they are simulated, so memory
+    stays bounded by one stream per worker.  The judge is prepared
     once per run ({!Spectrum.mask}), its spectral test of a stream
     ({!Spectrum.departs}) allocates nothing, and every stream equal to the
     fault-free one shares a single verdict.  With [pool], simulation and judging run across domains; the

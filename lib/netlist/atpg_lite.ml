@@ -17,8 +17,8 @@ type result = {
   last_useful_pattern : int;
 }
 
-(* Pre-generate the random stimulus as per-input bit arrays so every batch
-   of the fault simulation replays the identical sequence.
+(* Pre-generate the random stimulus as per-input bit arrays, so the drive
+   the fault simulation calls once per cycle is a table lookup.
 
    Prefix stability: the generator is consumed in explicit
    pattern-major/input-minor order, so the table for [patterns = p] is

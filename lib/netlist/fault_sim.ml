@@ -2,453 +2,424 @@ module Pool = Msoc_util.Pool
 module Obs = Msoc_obs.Obs
 module Progress = Msoc_obs.Progress
 
-(* Heartbeat cells, written on coarse boundaries only (per batch, per
-   drop round — never per cycle).  Disabled writes cost one atomic load,
-   and no cell feeds back into results. *)
-let prog_batches = Progress.cell "fault_sim.batches"
-let prog_batches_total = Progress.cell "fault_sim.batches_total"
-let prog_cycles = Progress.cell "fault_sim.cycles"
-let prog_cycles_total = Progress.cell "fault_sim.cycles_total"
-let prog_detected = Progress.cell "fault_sim.detected"
-let prog_faults = Progress.cell "fault_sim.faults"
+(* Heartbeat cells, one add per simulated fault.  Disabled writes cost one
+   atomic load, and no cell feeds back into results. *)
+let prog_done = Progress.cell "fault_sim.faults_done"
+let prog_total = Progress.cell "fault_sim.faults_total"
 
 (* ------------------------------------------------------------------------
-   One engine: good-value table + cone-reduced batches.
+   One engine: pattern-parallel single-fault propagation.
 
-   One fault-free reference sim records every node's lane-0 bit per cycle
-   (the {e good table}); fault batches pack all 63 lanes with faults (no
-   lane-0 reference needed) and evaluate only the reduced program of the
-   batch's union cone, loading everything outside it from the good table.
-   Two drivers share the per-cycle kernel [step]:
+   Every fanin of a node, a DFF's D input included, has a smaller id than
+   the node (see {!Netlist}), so a node's whole stream is a function of
+   its fanins' streams.  Streams are bit-sliced by time: bit [c] of word
+   [w] is cycle [bits * w + c].  One evaluator runs a program over one
+   word: a gate applies its opcode, and a DFF shifts its D word up by one
+   cycle, carrying D's top bit into its next word (bit 0 of word 0 is the
+   reset state).
 
-   - [observe] runs every batch over the whole sweep against a full-length
-     table and rebuilds each lane's output word from the good word plus
-     the lane's cone-output bits;
-   - [detect_engine] runs the sweep in 32-cycle chunks against a
-     double-buffered table; between chunks, detected faults are dropped and
-     survivors repacked into fewer, tighter batches.  A new batch inherits
-     each lane's DFF state from the lane's previous batch where the DFF was
-     in that batch's cone and the fault-free bit everywhere else (lanes
-     provably carry fault-free values outside their own fault's cone).
-     Every step is a pure function of the detection prefix, which in turn
-     is a pure per-fault predicate of (circuit, drive, samples, fault) — so
-     flags are bit-identical for any pool size, including serial. *)
+   - The fault-free machine is the program of every node, in id order;
+     each word it computes is stored in the good table.
+   - A fault's program is its node's observable forward cone in
+     topological order: the site as a constant word, the cone's gates and
+     DFFs, and a load from the good table for every fanin outside the
+     cone, which provably carries its fault-free value.
 
-let det_chunk = 32
+   Each fault is simulated alone, so its result is a pure function of
+   (circuit, drive, samples, fault) whichever worker runs it. *)
 
-type dbatch = {
-  fault_idx : int array; (* lane l hosts faults.(fault_idx.(l)); ascending *)
-  carry : (dbatch * int) array;
-      (* per lane: (previous-round batch, lane) whose DFF state this lane
-         inherits; [||] means reset state (cycle 0) *)
-  mutable red : Cone.reduced option; (* built by the worker that first runs it *)
-  mutable state : int array; (* lane words per red.dffs, at the chunk boundary *)
-  mutable det_mask : int;
-}
+let bits = Sys.int_size (* cycles per word: every bit of a native int *)
 
-type scratch = {
-  values : int array;
-  am : int array;
-  om : int array;
-  cone : Cone.scratch;
-}
+(* Opcodes: the eight gates, then the DFF shift. *)
+let op_dff = 8
 
-let scratch circuit =
+(* One instruction per node: its opcode and operands ([b] is a DFF's carry
+   slot); a source node (input or constant) has no instruction, its word
+   is loaded from the good table. *)
+type code = { op : int array; a : int array; b : int array; dffs : int }
+
+let code circuit =
   let n = Netlist.node_count circuit in
-  { values = Array.make n 0;
-    am = Array.make n (-1); (* all lanes pass-through *)
-    om = Array.make n 0;
-    cone = Cone.scratch circuit }
-
-let lane_mask nlanes = if nlanes >= Logic_sim.lanes then -1 else (1 lsl nlanes) - 1
-
-(* 0 -> all-zero word, 1 -> all-ones word (every lane carries the bit) *)
-let[@inline] broadcast byte = -byte
-
-(* Index of the lowest set bit of a non-zero word. *)
-let lsb_index w =
-  let x = ref (w land -w) and i = ref 0 in
-  if !x land 0xFFFFFFFF = 0 then begin i := 32; x := !x lsr 32 end;
-  if !x land 0xFFFF = 0 then begin i := !i + 16; x := !x lsr 16 end;
-  if !x land 0xFF = 0 then begin i := !i + 8; x := !x lsr 8 end;
-  if !x land 0xF = 0 then begin i := !i + 4; x := !x lsr 4 end;
-  if !x land 0x3 = 0 then begin i := !i + 2; x := !x lsr 2 end;
-  if !x land 0x1 = 0 then incr i;
-  !i
-
-let find_sorted arr x =
-  let lo = ref 0 and hi = ref (Array.length arr - 1) and res = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = arr.(mid) in
-    if v = x then begin
-      res := mid;
-      lo := !hi + 1
-    end
-    else if v < x then lo := mid + 1
-    else hi := mid - 1
+  let op = Array.make n (-1) and a = Array.make n 0 and b = Array.make n 0 in
+  let dffs = ref 0 in
+  for x = 0 to n - 1 do
+    let f0 = Netlist.fanin0 circuit x and f1 = Netlist.fanin1 circuit x in
+    a.(x) <- f0;
+    b.(x) <- (if f1 >= 0 then f1 else f0);
+    match Netlist.kind circuit x with
+    | Netlist.Input | Netlist.Const0 | Netlist.Const1 -> ()
+    | Netlist.And2 -> op.(x) <- 0
+    | Netlist.Or2 -> op.(x) <- 1
+    | Netlist.Nand2 -> op.(x) <- 2
+    | Netlist.Nor2 -> op.(x) <- 3
+    | Netlist.Xor2 -> op.(x) <- 4
+    | Netlist.Xnor2 -> op.(x) <- 5
+    | Netlist.Not -> op.(x) <- 6
+    | Netlist.Buf -> op.(x) <- 7
+    | Netlist.Dff ->
+      op.(x) <- op_dff;
+      b.(x) <- !dffs;
+      incr dffs
   done;
-  !res
+  { op; a; b; dffs = !dffs }
 
-(* Fault indices in ascending runs of at most one word of lanes. *)
-let lane_groups idxs =
-  let total = Array.length idxs and per = Logic_sim.lanes in
-  List.init ((total + per - 1) / per) (fun b ->
-      let lo = b * per in
-      (lo, min per (total - lo)))
+(* Fanout edges, a DFF's D->Q edge included: node [x] feeds
+   [adj.(off.(x)) .. adj.(off.(x + 1) - 1)]. *)
+type fanout = { off : int array; adj : int array }
 
-let make_batches idxs carries =
-  List.map
-    (fun (lo, len) ->
-      { fault_idx = Array.sub idxs lo len;
-        carry = (if Array.length carries = 0 then [||] else Array.sub carries lo len);
-        red = None;
-        state = [||];
-        det_mask = 0 })
-    (lane_groups idxs)
-
-(* Indices of the faults whose node reaches the output, ascending; every
-   other fault provably leaves the output stream fault-free. *)
-let observable_faults (faults : Fault.t array) obsv =
-  let acc = ref [] and blind = ref [] in
-  for fi = Array.length faults - 1 downto 0 do
-    if obsv.(faults.(fi).Fault.node) then acc := fi :: !acc else blind := fi :: !blind
-  done;
-  (Array.of_list !acc, Array.of_list !blind)
-
-let batch_cone circuit scratch (faults : Fault.t array) ~succ ~obsv ~bus fault_idx =
-  let sources =
-    Array.fold_right (fun fi acc -> faults.(fi).Fault.node :: acc) fault_idx []
+let fanout (code : code) =
+  let n = Array.length code.op in
+  let off = Array.make (n + 1) 0 in
+  let each f =
+    for x = 0 to n - 1 do
+      let op = code.op.(x) in
+      if op >= 0 then begin
+        f code.a.(x) x;
+        if op < op_dff && code.b.(x) <> code.a.(x) then f code.b.(x) x
+      end
+    done
   in
-  Cone.reduce circuit scratch.cone ~succ ~observable:obsv ~sources ~output:bus
-
-(* Lane [l] of the scratch masks carries faults.(fault_idx.(l)). *)
-let set_masks scratch (faults : Fault.t array) fault_idx =
-  Array.iteri
-    (fun lane fi ->
-      let f = faults.(fi) in
-      let bit = 1 lsl lane in
-      if f.Fault.stuck then scratch.om.(f.Fault.node) <- scratch.om.(f.Fault.node) lor bit
-      else scratch.am.(f.Fault.node) <- scratch.am.(f.Fault.node) land lnot bit)
-    fault_idx
-
-(* Restore the scratch masks for the slot's next batch. *)
-let clear_masks scratch (faults : Fault.t array) fault_idx =
-  Array.iter
-    (fun fi ->
-      let node = faults.(fi).Fault.node in
-      scratch.am.(node) <- -1;
-      scratch.om.(node) <- 0)
-    fault_idx
-
-(* The per-cycle kernel of both drivers: load the cone's boundary (the
-   broadcast good bit), its input and DFF words (through the fault masks),
-   evaluate the reduced program, and latch the next DFF state into [st].
-   Row [base] of [good] holds this cycle's fault-free node bytes; the
-   cone's values stay in [scratch.values] for the caller to read. *)
-let step red scratch ~st ~good ~base =
-  let values = scratch.values and am = scratch.am and om = scratch.om in
-  let boundary = red.Cone.boundary and inp = red.Cone.inputs in
-  let dffs = red.Cone.dffs and dff_d = red.Cone.dff_d in
-  for k = 0 to Array.length boundary - 1 do
-    let node = Array.unsafe_get boundary k in
-    Array.unsafe_set values node (broadcast (Char.code (Bytes.unsafe_get good (base + node))))
+  each (fun src _ -> off.(src + 1) <- off.(src + 1) + 1);
+  for x = 0 to n - 1 do
+    off.(x + 1) <- off.(x + 1) + off.(x)
   done;
-  for k = 0 to Array.length inp - 1 do
-    let node = Array.unsafe_get inp k in
-    let g = broadcast (Char.code (Bytes.unsafe_get good (base + node))) in
-    Array.unsafe_set values node (g land Array.unsafe_get am node lor Array.unsafe_get om node)
+  let adj = Array.make off.(n) 0 and fill = Array.sub off 0 n in
+  each (fun src x ->
+      adj.(fill.(src)) <- x;
+      fill.(src) <- fill.(src) + 1);
+  { off; adj }
+
+(* Per-worker scratch: a program, the current word of every node, and the
+   traversal state of the cone compiler.  A program has at most one
+   instruction or load per node, so every buffer has one slot per node. *)
+type scratch = {
+  loads : int array; (* nodes whose word is read from the good table *)
+  mutable nloads : int;
+  mutable site : int; (* the node forced to [forced], or -1 *)
+  mutable forced : int;
+  op : int array;
+  dst : int array;
+  a : int array;
+  b : int array;
+  mutable len : int;
+  outs : int array; (* output-bus positions driven by a cone node *)
+  mutable nouts : int;
+  values : int array;
+  carry : int array; (* per DFF slot: D's top bit of the previous word *)
+  stamp : int array; (* 2 gen: cone member; 2 gen + 1: loaded *)
+  mutable gen : int;
+  stack : int array;
+  pos : int array;
+  order : int array; (* DFS post-order of the cone *)
+  stream : int array; (* the observed stream of the current fault *)
+}
+
+let scratch n ~width ~stream =
+  let mk () = Array.make n 0 in
+  { loads = mk (); nloads = 0; site = -1; forced = 0; op = mk (); dst = mk (); a = mk ();
+    b = mk (); len = 0; outs = Array.make width 0; nouts = 0; values = mk (); carry = mk ();
+    stamp = mk (); gen = 0; stack = mk (); pos = mk (); order = mk ();
+    stream = Array.make stream 0 }
+
+let load sc x =
+  sc.loads.(sc.nloads) <- x;
+  sc.nloads <- sc.nloads + 1
+
+let push sc (code : code) x =
+  let i = sc.len in
+  sc.op.(i) <- code.op.(x);
+  sc.dst.(i) <- x;
+  sc.a.(i) <- code.a.(x);
+  sc.b.(i) <- code.b.(x);
+  sc.len <- i + 1
+
+(* Compile the observable forward cone of [site] (an observable node): an
+   iterative DFS over the fanout edges whose reversed post-order is a
+   topological order of the cone, O(cone). *)
+let compile sc (code : code) ~succ ~obsv ~bus site =
+  sc.gen <- sc.gen + 1;
+  let member = 2 * sc.gen in
+  let stamp = sc.stamp and stack = sc.stack and pos = sc.pos and order = sc.order in
+  let off = succ.off and adj = succ.adj in
+  stamp.(site) <- member;
+  stack.(0) <- site;
+  pos.(0) <- off.(site);
+  let sp = ref 1 and count = ref 0 in
+  while !sp > 0 do
+    let top = !sp - 1 in
+    let u = stack.(top) and k = pos.(top) in
+    if k < off.(u + 1) then begin
+      pos.(top) <- k + 1;
+      let v = adj.(k) in
+      if obsv.(v) && stamp.(v) <> member then begin
+        stamp.(v) <- member;
+        stack.(!sp) <- v;
+        pos.(!sp) <- off.(v);
+        incr sp
+      end
+    end
+    else begin
+      decr sp;
+      order.(!count) <- u;
+      incr count
+    end
   done;
-  for j = 0 to Array.length dffs - 1 do
-    let node = Array.unsafe_get dffs j in
-    Array.unsafe_set values node
-      (Array.unsafe_get st j land Array.unsafe_get am node lor Array.unsafe_get om node)
+  sc.site <- site;
+  sc.nloads <- 0;
+  sc.len <- 0;
+  (* the root finishes last: skip it, it is the forced site *)
+  for i = !count - 2 downto 0 do
+    let x = order.(i) in
+    (* a fanin outside the cone carries its fault-free word *)
+    let a = code.a.(x) in
+    if stamp.(a) < member then begin
+      stamp.(a) <- member + 1;
+      load sc a
+    end;
+    let b = code.b.(x) in
+    if code.op.(x) < op_dff && stamp.(b) < member then begin
+      stamp.(b) <- member + 1;
+      load sc b
+    end;
+    push sc code x
   done;
-  Cone.eval_program red ~values ~and_mask:am ~or_mask:om;
-  for j = 0 to Array.length dffs - 1 do
-    Array.unsafe_set st j (Array.unsafe_get values (Array.unsafe_get dff_d j))
+  sc.nouts <- 0;
+  for k = 0 to Array.length bus - 1 do
+    if stamp.(bus.(k)) = member then begin
+      sc.outs.(sc.nouts) <- k;
+      sc.nouts <- sc.nouts + 1
+    end
   done
 
-(* Per-slot state for pooled item loops: lazily one per worker slot, or a
-   single instance on the serial path. *)
-let slot_state ?pool make =
-  match pool with
-  | Some p when Pool.size p > 1 -> Pool.per_slot p make
-  | _ ->
-    let s = make () in
-    fun _ -> s
+(* The evaluator: the program over word [w], leaving every node's word in
+   [values]. *)
+let eval_word sc ~table ~nw ~w =
+  let values = sc.values and carry = sc.carry in
+  let loads = sc.loads in
+  for k = 0 to sc.nloads - 1 do
+    let x = Array.unsafe_get loads k in
+    Array.unsafe_set values x (Array.unsafe_get table ((x * nw) + w))
+  done;
+  if sc.site >= 0 then values.(sc.site) <- sc.forced;
+  let op = sc.op and dst = sc.dst and pa = sc.a and pb = sc.b in
+  for i = 0 to sc.len - 1 do
+    let a = Array.unsafe_get values (Array.unsafe_get pa i) in
+    let v =
+      match Array.unsafe_get op i with
+      | 0 -> a land Array.unsafe_get values (Array.unsafe_get pb i)
+      | 1 -> a lor Array.unsafe_get values (Array.unsafe_get pb i)
+      | 2 -> lnot (a land Array.unsafe_get values (Array.unsafe_get pb i))
+      | 3 -> lnot (a lor Array.unsafe_get values (Array.unsafe_get pb i))
+      | 4 -> a lxor Array.unsafe_get values (Array.unsafe_get pb i)
+      | 5 -> lnot (a lxor Array.unsafe_get values (Array.unsafe_get pb i))
+      | 6 -> lnot a
+      | 7 -> a
+      | _ ->
+        let slot = Array.unsafe_get pb i in
+        let q = (a lsl 1) lor Array.unsafe_get carry slot in
+        Array.unsafe_set carry slot ((a lsr (bits - 1)) land 1);
+        q
+    in
+    Array.unsafe_set values (Array.unsafe_get dst i) v
+  done
 
-(* Work items are expensive and uneven (a batch's cost is its cone's
-   size), hence [grain:1] and stealing. *)
-let run_items ?pool ~n item =
-  match pool with
-  | Some p when Pool.size p > 1 && n > 1 ->
-    Pool.parallel_iter_grained p ~n ~grain:1
-      ~f:(fun ~slot ~lo ~hi ->
-        for i = lo to hi - 1 do
-          item slot i
-        done)
-      ()
-  | _ ->
-    for i = 0 to n - 1 do
-      item 0 i
-    done
+(* Valid cycles of word [w]: every bit but past the last sample. *)
+let valid ~samples w =
+  let rest = samples - (w * bits) in
+  if rest >= bits then -1 else (1 lsl rest) - 1
 
-(* ------------------------------------------------------------------------
-   Full-stream observer. *)
+(* Index of the lowest set bit of a non-zero word: [2^k mod 67] differs
+   for every [k < 66] (2 is a primitive root of 67), and [2^62] is the
+   one negative power, so the offset index is a perfect hash. *)
+let lsb_table =
+  let t = Array.make 134 0 in
+  for k = 0 to bits - 1 do
+    t.(((1 lsl k) mod 67) + 67) <- k
+  done;
+  t
 
-(* Bit [w] of a sign-extended [width]-bit word; flipping the sign bit
+let lsb_index w = Array.unsafe_get lsb_table (((w land -w) mod 67) + 67)
+
+(* Bit [k] of a sign-extended [width]-bit bus value; flipping the sign bit
    flips every bit above it too. *)
-let flip_mask ~width w = if w = width - 1 then -1 lsl w else 1 lsl w
+let flip_mask ~width k = if k = width - 1 then -1 lsl k else 1 lsl k
 
-(* Simulate one batch over the whole sweep and rebuild every lane's output
-   stream into [streams]: each starts as the good stream, and every cycle
-   where a cone output differs from its good bit flips that bus bit in the
-   lanes that differ (outside the cone, lanes equal the good machine). *)
-let observe_batch scratch ~streams circuit faults ~succ ~obsv ~bus ~n ~good ~good_stream
-    fault_idx =
-  let red = batch_cone circuit scratch faults ~succ ~obsv ~bus fault_idx in
-  let nlanes = Array.length fault_idx in
-  let samples = Array.length good_stream in
-  for lane = 0 to nlanes - 1 do
-    Array.blit good_stream 0 streams.(lane) 0 samples
-  done;
-  set_masks scratch faults fault_idx;
-  let values = scratch.values in
-  let st = Array.make (Array.length red.Cone.dffs) 0 in
-  let outs = red.Cone.outputs in
-  let flips = Array.map (flip_mask ~width:(Array.length bus)) red.Cone.output_bits in
-  let live = lane_mask nlanes in
+(* XOR [flip] into the stream at every cycle of word [w] set in [d]. *)
+let flip_cycles stream ~w ~flip d =
+  let d = ref d in
+  while !d <> 0 do
+    let c = (w * bits) + lsb_index !d in
+    stream.(c) <- stream.(c) lxor flip;
+    d := !d land (!d - 1)
+  done
+
+(* Everything a run shares across faults: the good table (node-major, one
+   word per node per [bits] cycles) and the observed bus's good stream. *)
+type run = {
+  code : code;
+  bus : Netlist.node array;
+  samples : int;
+  nw : int;
+  table : int array;
+  good : int array;
+  succ : fanout;
+  obsv : bool array;
+}
+
+let prepare circuit ~output ~drive ~samples =
+  let bus = Netlist.find_output circuit output in
+  let samples = max 0 samples in
+  let nw = (samples + bits - 1) / bits in
+  let n = Netlist.node_count circuit in
+  let table = Array.make (n * nw) 0 in
+  (* [drive] runs once per cycle, in order, on a sim that only latches the
+     inputs; their words are read back into the table bit by bit. *)
+  let inputs = Array.map snd (Netlist.inputs circuit) in
+  let sim = Logic_sim.create circuit in
   for cycle = 0 to samples - 1 do
-    let base = cycle * n in
-    step red scratch ~st ~good ~base;
-    for k = 0 to Array.length outs - 1 do
-      let node = Array.unsafe_get outs k in
-      let d =
-        ref
-          (Array.unsafe_get values node
-           lxor broadcast (Char.code (Bytes.unsafe_get good (base + node)))
-           land live)
-      in
-      while !d <> 0 do
-        let s = Array.unsafe_get streams (lsb_index !d) in
-        Array.unsafe_set s cycle (Array.unsafe_get s cycle lxor Array.unsafe_get flips k);
-        d := !d land (!d - 1)
-      done
+    drive sim cycle;
+    let w = cycle / bits and bit = 1 lsl (cycle mod bits) in
+    for k = 0 to Array.length inputs - 1 do
+      let x = inputs.(k) in
+      if Logic_sim.input_word sim x land 1 = 1 then
+        table.((x * nw) + w) <- table.((x * nw) + w) lor bit
     done
   done;
-  clear_masks scratch faults fault_idx
+  (* The fault-free machine: the evaluator on the program of every node,
+     loading the sources (inputs, and constants filled here). *)
+  let code = code circuit in
+  let machine = scratch n ~width:0 ~stream:0 in
+  for x = 0 to n - 1 do
+    if code.op.(x) < 0 then begin
+      if Netlist.kind circuit x = Netlist.Const1 then Array.fill table (x * nw) nw (-1);
+      load machine x
+    end
+    else push machine code x
+  done;
+  for w = 0 to nw - 1 do
+    eval_word machine ~table ~nw ~w;
+    for x = 0 to n - 1 do
+      table.((x * nw) + w) <- machine.values.(x)
+    done
+  done;
+  (* the good stream: the flip rule applied to a zero stream *)
+  let width = Array.length bus in
+  let good = Array.make samples 0 in
+  Array.iteri
+    (fun k x ->
+      for w = 0 to nw - 1 do
+        flip_cycles good ~w ~flip:(flip_mask ~width k)
+          (table.((x * nw) + w) land valid ~samples w)
+      done)
+    bus;
+  { code; bus; samples; nw; table; good; succ = fanout code;
+    obsv = Cone.observable circuit ~output:bus }
+
+(* Point the slot's program at [fault]: compile its node's cone unless the
+   previous fault sat on the same node (collapsed lists keep a node's two
+   polarities adjacent), then force the site. *)
+let load_fault r sc (fault : Fault.t) =
+  if sc.site <> fault.Fault.node then
+    compile sc r.code ~succ:r.succ ~obsv:r.obsv ~bus:r.bus fault.Fault.node;
+  sc.forced <- (if fault.Fault.stuck then -1 else 0);
+  Array.fill sc.carry 0 r.code.dffs 0
+
+(* First cycle at which the loaded fault's output differs from the good
+   machine, or -1: simulation stops at the first differing word. *)
+let first_difference r sc =
+  let rec word w =
+    if w >= r.nw then -1
+    else begin
+      eval_word sc ~table:r.table ~nw:r.nw ~w;
+      let d = ref 0 in
+      for k = 0 to sc.nouts - 1 do
+        let x = r.bus.(sc.outs.(k)) in
+        d := !d lor (sc.values.(x) lxor r.table.((x * r.nw) + w))
+      done;
+      let d = !d land valid ~samples:r.samples w in
+      if d <> 0 then (w * bits) + lsb_index d else word (w + 1)
+    end
+  in
+  word 0
+
+(* The loaded fault's output stream, rebuilt in [sc.stream] from the good
+   stream: every cycle where a cone output differs from its good word
+   flips that bus bit. *)
+let fault_stream r sc =
+  let stream = sc.stream and width = Array.length r.bus in
+  Array.blit r.good 0 stream 0 r.samples;
+  for w = 0 to r.nw - 1 do
+    eval_word sc ~table:r.table ~nw:r.nw ~w;
+    let m = valid ~samples:r.samples w in
+    for k = 0 to sc.nouts - 1 do
+      let pos = sc.outs.(k) in
+      let x = r.bus.(pos) in
+      flip_cycles stream ~w ~flip:(flip_mask ~width pos)
+        ((sc.values.(x) lxor r.table.((x * r.nw) + w)) land m)
+    done
+  done;
+  stream
+
+(* Faults per pool grain: enough that a node's two polarities usually
+   share a slot, few enough to balance uneven cones. *)
+let grain = 8
+
+(* Run [item sc fi] for every fault whose node reaches the output, on the
+   pool with one scratch per worker slot; returns the indices of the
+   others, ascending.  Results land by fault index. *)
+let run_faults ?pool r ~faults ~stream item =
+  let eligible = ref [] and blind = ref [] in
+  for fi = Array.length faults - 1 downto 0 do
+    if r.obsv.(faults.(fi).Fault.node) then eligible := fi :: !eligible
+    else blind := fi :: !blind
+  done;
+  let eligible = Array.of_list !eligible in
+  let n = Array.length eligible in
+  let make () = scratch (Array.length r.code.op) ~width:(Array.length r.bus) ~stream in
+  Progress.set prog_total (float_of_int n);
+  let run sc lo hi =
+    for i = lo to hi - 1 do
+      let fi = eligible.(i) in
+      load_fault r sc faults.(fi);
+      item sc fi;
+      Progress.add prog_done 1.0
+    done
+  in
+  (match pool with
+  | Some p when Pool.size p > 1 && n > grain ->
+    let sc = Pool.per_slot p make in
+    Pool.parallel_iter_grained p ~n ~grain ~f:(fun ~slot ~lo ~hi -> run (sc slot) lo hi) ()
+  | _ -> if n > 0 then run (make ()) 0 n);
+  !blind
 
 let observe ?pool circuit ~output ~drive ~samples ~faults ~on_fault =
   let nf = Array.length faults in
   Obs.count "fault_sim.runs";
   Obs.count ~by:nf "fault_sim.faults";
   Obs.span "fault_sim.run" @@ fun () ->
-  let n = Netlist.node_count circuit in
-  let bus = Netlist.find_output circuit output in
-  let samples = max 0 samples in
-  (* The good table for the whole sweep, recorded once: the only place
-     [drive] runs.  The fault-free machine is simulated even without
-     faults, so [good_stream] is always real. *)
-  let good = Bytes.create (n * samples) in
-  let good_stream = Array.make samples 0 in
-  let gsim = Logic_sim.create circuit in
-  for cycle = 0 to samples - 1 do
-    drive gsim cycle;
-    Logic_sim.eval gsim;
-    Logic_sim.snapshot_bit0 gsim good ~pos:(cycle * n);
-    good_stream.(cycle) <- Logic_sim.read_bus_lane gsim bus ~lane:0;
-    Logic_sim.tick gsim
-  done;
-  let succ = Netlist.successors circuit in
-  let obsv = Cone.observable circuit ~output:bus in
-  let eligible, blind = observable_faults faults obsv in
-  let groups = Array.of_list (lane_groups eligible) in
+  let r = prepare circuit ~output ~drive ~samples in
   let results = Array.make nf None in
-  let state =
-    slot_state ?pool (fun () ->
-        (scratch circuit, Array.init Logic_sim.lanes (fun _ -> Array.make samples 0)))
+  let blind =
+    run_faults ?pool r ~faults ~stream:r.samples (fun sc fi ->
+        results.(fi) <- Some (on_fault fi faults.(fi) (fault_stream r sc)))
   in
-  Progress.set prog_batches_total (float_of_int (Array.length groups));
-  Progress.set prog_faults (float_of_int nf);
-  let item slot i =
-    let lo, len = groups.(i) in
-    let fault_idx = Array.sub eligible lo len in
-    let scratch, streams = state slot in
-    observe_batch scratch ~streams circuit faults ~succ ~obsv ~bus ~n ~good ~good_stream
-      fault_idx;
-    Array.iteri
-      (fun lane fi -> results.(fi) <- Some (on_fault fi faults.(fi) streams.(lane)))
-      fault_idx;
-    Progress.add prog_batches 1.0
-  in
-  run_items ?pool ~n:(Array.length groups) item;
-  Array.iter (fun fi -> results.(fi) <- Some (on_fault fi faults.(fi) good_stream)) blind;
-  (good_stream, Array.map Option.get results)
-
-(* ------------------------------------------------------------------------
-   Exact detection: chunked, cone-reduced, fault-dropping driver. *)
-
-(* Run one batch over cycles [c0, c1) against the good-table chunk [good]
-   (row 0 = cycle c0).  Writes newly detected faults into [detected] and
-   their first differing cycle into [first] — indices are disjoint across
-   batches, so concurrent batches never contend. *)
-let run_dbatch scratch circuit (faults : Fault.t array) ~succ ~obsv ~bus ~n ~good ~c0 ~c1
-    ~detected ~first batch =
-  let red =
-    match batch.red with
-    | Some r -> r
-    | None ->
-      let r = batch_cone circuit scratch faults ~succ ~obsv ~bus batch.fault_idx in
-      let ndff = Array.length r.Cone.dffs in
-      let st = Array.make ndff 0 in
-      if c0 > 0 then
-        for j = 0 to ndff - 1 do
-          let dff = r.Cone.dffs.(j) in
-          (* fault-free boundary state: the good machine's DFF value in the
-             chunk's first cycle is exactly its state (masks are identity) *)
-          let goodbit = Char.code (Bytes.unsafe_get good dff) in
-          let w = ref (broadcast goodbit) in
-          Array.iteri
-            (fun lane (ob, ol) ->
-              match ob.red with
-              | None -> assert false (* carry sources always ran a chunk *)
-              | Some ored ->
-                let oj = find_sorted ored.Cone.dffs dff in
-                if oj >= 0 then begin
-                  let bit = (ob.state.(oj) lsr ol) land 1 in
-                  if bit <> goodbit then
-                    if bit = 1 then w := !w lor (1 lsl lane)
-                    else w := !w land lnot (1 lsl lane)
-                end)
-            batch.carry;
-          st.(j) <- !w
-        done;
-      batch.red <- Some r;
-      batch.state <- st;
-      r
-  in
-  let values = scratch.values in
-  let fault_idx = batch.fault_idx in
-  set_masks scratch faults fault_idx;
-  let st = batch.state and outs = red.Cone.outputs in
-  let live_full = lane_mask (Array.length fault_idx) in
-  let det = ref batch.det_mask in
-  let cycle = ref c0 in
-  while !cycle < c1 && !det land live_full <> live_full do
-    let base = (!cycle - c0) * n in
-    step red scratch ~st ~good ~base;
-    let diff = ref 0 in
-    for k = 0 to Array.length outs - 1 do
-      let node = Array.unsafe_get outs k in
-      diff :=
-        !diff
-        lor (Array.unsafe_get values node
-            lxor broadcast (Char.code (Bytes.unsafe_get good (base + node))))
-    done;
-    let fresh = !diff land live_full land lnot !det in
-    if fresh <> 0 then begin
-      det := !det lor fresh;
-      let f = ref fresh in
-      while !f <> 0 do
-        let fi = fault_idx.(lsb_index !f) in
-        detected.(fi) <- true;
-        first.(fi) <- !cycle;
-        f := !f land (!f - 1)
-      done
-    end;
-    incr cycle
-  done;
-  batch.det_mask <- !det;
-  clear_masks scratch faults fault_idx
-
-let detect_engine ?pool circuit ~output ~drive ~samples ~faults ~first =
-  let nf = Array.length faults in
-  let detected = Array.make nf false in
-  if nf = 0 || samples <= 0 then detected
-  else begin
-    let n = Netlist.node_count circuit in
-    let bus = Netlist.find_output circuit output in
-    let succ = Netlist.successors circuit in
-    let obsv = Cone.observable circuit ~output:bus in
-    let eligible, _ = observable_faults faults obsv in
-    let chunk = min det_chunk samples in
-    (* Double-buffered good table: while round r's batches read chunk r,
-       one extra work item fills chunk r+1 — only chunk 0 is sequential. *)
-    let good_a = Bytes.create (n * chunk) in
-    let good_b = Bytes.create (n * chunk) in
-    let gsim = Logic_sim.create circuit in
-    let fill_good buf c0 c1 =
-      for cycle = c0 to c1 - 1 do
-        drive gsim cycle;
-        Logic_sim.eval gsim;
-        Logic_sim.snapshot_bit0 gsim buf ~pos:((cycle - c0) * n);
-        Logic_sim.tick gsim
-      done
-    in
-    fill_good good_a 0 chunk;
-    let scratch_of = slot_state ?pool (fun () -> scratch circuit) in
-    Progress.set prog_cycles_total (float_of_int samples);
-    Progress.set prog_faults (float_of_int nf);
-    let batches = ref (make_batches eligible [||]) in
-    let r = ref 0 in
-    let finished = ref (!batches = []) in
-    while not !finished do
-      let c0 = !r * chunk in
-      let c1 = min samples (c0 + chunk) in
-      let cur = if !r land 1 = 0 then good_a else good_b in
-      let nxt = if !r land 1 = 0 then good_b else good_a in
-      let arr = Array.of_list !batches in
-      let nb = Array.length arr in
-      let more = c1 < samples in
-      let item slot i =
-        if i < nb then
-          run_dbatch (scratch_of slot) circuit faults ~succ ~obsv ~bus ~n ~good:cur ~c0 ~c1
-            ~detected ~first arr.(i)
-        else fill_good nxt c1 (min samples (c1 + chunk))
-      in
-      run_items ?pool ~n:(nb + if more then 1 else 0) item;
-      (* Drop detected faults; repack survivors (ascending, 63 per batch).
-         When nothing dropped, batch compositions are unchanged and their
-         in-place state words already sit at the next chunk boundary. *)
-      let survivors = ref [] and carries = ref [] and dropped = ref 0 in
-      for b = nb - 1 downto 0 do
-        let batch = arr.(b) in
-        let idxs = batch.fault_idx in
-        for lane = Array.length idxs - 1 downto 0 do
-          if batch.det_mask land (1 lsl lane) <> 0 then incr dropped
-          else begin
-            survivors := idxs.(lane) :: !survivors;
-            carries := (batch, lane) :: !carries
-          end
-        done
-      done;
-      (* serial coordinator section: heartbeat once per round *)
-      Progress.set prog_cycles (float_of_int c1);
-      Progress.add prog_detected (float_of_int !dropped);
-      if (not more) || !survivors = [] then finished := true
-      else if !dropped > 0 then begin
-        Obs.count ~by:!dropped "fault_sim.dropped";
-        batches := make_batches (Array.of_list !survivors) (Array.of_list !carries)
-      end;
-      incr r
-    done;
-    detected
-  end
-
-let detect_exact ?pool circuit ~output ~drive ~samples ~faults =
-  Obs.count "fault_sim.detects";
-  Obs.count ~by:(Array.length faults) "fault_sim.faults";
-  Obs.span "fault_sim.detect" @@ fun () ->
-  let first = Array.make (Array.length faults) (-1) in
-  detect_engine ?pool circuit ~output ~drive ~samples ~faults ~first
+  List.iter (fun fi -> results.(fi) <- Some (on_fault fi faults.(fi) r.good)) blind;
+  (r.good, Array.map Option.get results)
 
 let detect_cycles ?pool circuit ~output ~drive ~samples ~faults =
   Obs.count "fault_sim.detects";
   Obs.count ~by:(Array.length faults) "fault_sim.faults";
   Obs.span "fault_sim.detect" @@ fun () ->
+  let r = prepare circuit ~output ~drive ~samples in
   let first = Array.make (Array.length faults) (-1) in
-  let (_ : bool array) =
-    detect_engine ?pool circuit ~output ~drive ~samples ~faults ~first
+  let (_ : int list) =
+    run_faults ?pool r ~faults ~stream:0 (fun sc fi -> first.(fi) <- first_difference r sc)
   in
+  let dropped =
+    Array.fold_left (fun acc c -> if c >= 0 && c / bits < r.nw - 1 then acc + 1 else acc) 0 first
+  in
+  if dropped > 0 then Obs.count ~by:dropped "fault_sim.dropped";
   first
+
+let detect_exact ?pool circuit ~output ~drive ~samples ~faults =
+  Array.map (fun c -> c >= 0) (detect_cycles ?pool circuit ~output ~drive ~samples ~faults)

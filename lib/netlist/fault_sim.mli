@@ -1,23 +1,29 @@
-(** Stuck-at fault simulation on one engine: a good-value table plus
-    cone-reduced fault batches.
+(** Stuck-at fault simulation on one engine: pattern-parallel single-fault
+    propagation.
 
-    One fault-free reference simulation records every node's value in every
-    cycle (the {e good table}).  Faults then pack all {!Logic_sim.lanes}
-    lanes of a batch, and each batch evaluates only the reduced program of
-    its union cone of influence ({!Cone}); every node outside the cone
-    provably carries its fault-free value, which is read back from the
-    table.  Faults whose node cannot reach [output] are never simulated.
+    Node order is topological across clock edges (see {!Netlist}), so each
+    node's stream is evaluated from its fanins' streams, {!Sys.int_size}
+    cycles per machine word, a DFF being a one-cycle shift of its D word.
+    The fault-free machine is evaluated once over the whole netlist into
+    the {e good table}.  Each fault is then simulated alone over its node's
+    observable forward cone, reading every node outside the cone from the
+    table and forcing the fault site to the stuck value.  Faults whose node
+    cannot reach [output] are never simulated.
 
     {2 Contract}
 
     - [drive sim cycle] must set all inputs for the given cycle (typically
-      via {!Logic_sim.drive_bus}).  It runs {e only} on the single reference
-      sim, for cycles [0 .. samples-1] in order, so it may keep state.
-    - With [pool], batches run across domains through
+      via {!Logic_sim.drive_bus}).  It runs {e only} on one sim, for cycles
+      [0 .. samples-1] in order, so it may keep state; the engine reads the
+      inputs back and never evaluates that sim.
+    - With [pool], faults run across domains through
       {!Msoc_util.Pool.parallel_iter_grained}.  Every result is
       bit-identical for every pool size, serial (no pool, or size 1)
       included.
-    - [output] names the observed bus; an unknown name raises [Not_found]. *)
+    - [output] names the observed bus; an unknown name raises [Not_found].
+    - Every driver publishes the ["fault_sim.faults_done"] /
+      ["fault_sim.faults_total"] progress cells, counting simulated
+      faults. *)
 
 val observe :
   ?pool:Msoc_util.Pool.t ->
@@ -33,23 +39,22 @@ val observe :
     output stream (one two's-complement bus value per cycle).  Returns the
     fault-free stream and the callback results in fault order.
 
-    A stream is rebuilt from the good stream plus the lane's cone-output
-    bits, so it is bit-identical to a dedicated single-fault simulation.  A
-    fault outside the output's observable set is never simulated: its
+    A stream is rebuilt from the good stream plus the fault's cone-output
+    words, so it is bit-identical to a dedicated single-fault simulation.
+    A fault outside the output's observable set is never simulated: its
     callback gets the good stream itself, on the calling domain, after the
-    batches.
+    simulated faults.
 
     - [stream] is valid only during the callback and must not be mutated:
-      it is a per-worker buffer reused by the next batch (or the good
+      it is a per-worker buffer reused by the next fault (or the good
       stream).  Copy it to keep it.
     - With [pool], [on_fault] runs on the worker domain that simulated
-      the fault's batch, concurrently for faults of different batches, in
-      no particular order; only the returned array is ordered.  It must be
-      safe to call concurrently.
+      the fault, concurrently for different faults, in no particular
+      order; only the returned array is ordered.  It must be safe to call
+      concurrently.
 
-    Exposed telemetry: the ["fault_sim.run"] span, the ["fault_sim.runs"]
-    and ["fault_sim.faults"] counters, and the ["fault_sim.batches"] /
-    ["fault_sim.batches_total"] progress cells. *)
+    Exposed telemetry: the ["fault_sim.run"] span and the
+    ["fault_sim.runs"] and ["fault_sim.faults"] counters. *)
 
 val detect_exact :
   ?pool:Msoc_util.Pool.t ->
@@ -62,16 +67,15 @@ val detect_exact :
 (** Cheap time-domain detection: a fault is detected as soon as its output
     differs from the fault-free output in any cycle.
 
-    Unlike {!observe}, detection does not replay batches to the end: the
-    sweep is cut into 32-cycle chunks against a double-buffered good table,
-    and between chunks detected faults are {e dropped} and survivors
-    repacked into fewer batches.  The repacking schedule is a pure function
-    of the detection prefix, and each fault's flag is a pure predicate of
-    (circuit, drive, samples, fault) — so the flags are bit-identical for
-    every pool size.
+    Unlike {!observe}, detection does not simulate a fault to the end: its
+    simulation stops at the first word whose output differs (fault
+    dropping).  Each flag is a pure predicate of (circuit, drive, samples,
+    fault), so the flags are bit-identical for every pool size.
 
-    Exposed telemetry: ["fault_sim.dropped"] counts faults dropped before
-    the end of the sweep. *)
+    Exposed telemetry: the ["fault_sim.detect"] span, the
+    ["fault_sim.detects"] and ["fault_sim.faults"] counters, and
+    ["fault_sim.dropped"], which counts faults whose detection stopped
+    their simulation before the last word. *)
 
 val detect_cycles :
   ?pool:Msoc_util.Pool.t ->

@@ -1,5 +1,3 @@
-module Obs = Msoc_obs.Obs
-
 let lanes = 63
 let all_ones = -1 (* every usable bit of a native int *)
 
@@ -31,28 +29,7 @@ type t = {
   dff_nodes : int array;
   dff_d : int array;
   dff_state : int array;
-  (* Event-driven evaluation: CSR map from node to the program positions
-     reading it, and a dirty flag per position.  [force_full] is set by
-     every operation that can change values behind the dirty tracking's
-     back (create/reset/clear_faults/inject). *)
-  reader_off : int array; (* length n + 1 *)
-  readers : int array;
-  dirty : Bytes.t; (* length = program size *)
-  mutable force_full : bool;
-  mutable dense_committed : bool;
-  mutable trial_left : int;
-  mutable trial_skipped : int;
-  mutable trial_evals : int;
-  mutable skipped : int; (* cumulative gates skipped, for telemetry/tests *)
 }
-
-(* After a forced full evaluation, probe the incremental path for a few
-   cycles; if it skips less than a quarter of the program, the workload is
-   toggling nearly everything (typical for wide multi-lane fault batches)
-   and the dirty bookkeeping is pure overhead — commit to dense evaluation
-   until the next forcing event.  The decision depends only on simulated
-   values, never on timing, so results stay deterministic. *)
-let trial_window = 8
 
 let create circuit =
   let n = Netlist.node_count circuit in
@@ -87,28 +64,6 @@ let create circuit =
     Array.of_list !acc
   in
   let dff_nodes = Netlist.dffs circuit in
-  (* CSR reader lists: for each node, the program positions whose operands
-     read it (single-operand gates store [a] in both slots; count once). *)
-  let counts = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    counts.(prog_a.(i)) <- counts.(prog_a.(i)) + 1;
-    if prog_b.(i) <> prog_a.(i) then counts.(prog_b.(i)) <- counts.(prog_b.(i)) + 1
-  done;
-  let reader_off = Array.make (n + 1) 0 in
-  for node = 0 to n - 1 do
-    reader_off.(node + 1) <- reader_off.(node) + counts.(node)
-  done;
-  let readers = Array.make reader_off.(n) 0 in
-  let fill = Array.make n 0 in
-  for i = 0 to m - 1 do
-    let add node =
-      let at = reader_off.(node) + fill.(node) in
-      readers.(at) <- i;
-      fill.(node) <- fill.(node) + 1
-    in
-    add prog_a.(i);
-    if prog_b.(i) <> prog_a.(i) then add prog_b.(i)
-  done;
   { circuit;
     values = Array.make n 0;
     raw_inputs = Array.make n 0;
@@ -123,28 +78,17 @@ let create circuit =
     const1_nodes = nodes_of_kind Netlist.Const1;
     dff_nodes;
     dff_d = Array.map (fun d -> (Netlist.fanin circuit d).(0)) dff_nodes;
-    dff_state = Array.make (Array.length dff_nodes) 0;
-    reader_off;
-    readers;
-    dirty = Bytes.make m '\000';
-    force_full = true;
-    dense_committed = false;
-    trial_left = 0;
-    trial_skipped = 0;
-    trial_evals = 0;
-    skipped = 0 }
+    dff_state = Array.make (Array.length dff_nodes) 0 }
 
 let clear_faults t =
   Array.fill t.and_mask 0 (Array.length t.and_mask) all_ones;
-  Array.fill t.or_mask 0 (Array.length t.or_mask) 0;
-  t.force_full <- true
+  Array.fill t.or_mask 0 (Array.length t.or_mask) 0
 
 let inject t ~node ~lane ~stuck =
   assert (lane >= 0 && lane < lanes);
   let bit = 1 lsl lane in
   if stuck then t.or_mask.(node) <- t.or_mask.(node) lor bit
-  else t.and_mask.(node) <- t.and_mask.(node) land lnot bit;
-  t.force_full <- true
+  else t.and_mask.(node) <- t.and_mask.(node) land lnot bit
 
 let drive_node t node word =
   assert (Netlist.kind t.circuit node = Netlist.Input);
@@ -155,7 +99,9 @@ let drive_bus t bus value =
     (fun i node -> drive_node t node (if (value lsr i) land 1 = 1 then all_ones else 0))
     bus
 
-let eval_dense t =
+let input_word t node = t.raw_inputs.(node)
+
+let eval t =
   let values = t.values and am = t.and_mask and om = t.or_mask in
   (* Sources first: inputs, constants, DFF outputs — all fault-maskable. *)
   let inputs = t.input_nodes in
@@ -204,111 +150,6 @@ let eval_dense t =
     let dst = Array.unsafe_get prog_dst i in
     Array.unsafe_set values dst
       (v land Array.unsafe_get am dst lor Array.unsafe_get om dst)
-  done
-
-let[@inline] mark_readers t node =
-  let lo = Array.unsafe_get t.reader_off node
-  and hi = Array.unsafe_get t.reader_off (node + 1) in
-  let readers = t.readers and dirty = t.dirty in
-  for k = lo to hi - 1 do
-    Bytes.unsafe_set dirty (Array.unsafe_get readers k) '\001'
-  done
-
-(* Incremental evaluation: recompute only gates whose fanin words changed
-   since the previous [eval].  Values are bit-identical to [eval_dense] —
-   a gate is skipped only when recomputing it would reproduce the value it
-   already holds (its operands are unchanged, and operand sameness implies
-   result sameness for pure gates under unchanged masks; every mask change
-   forces a dense pass). *)
-let eval_incremental t =
-  let values = t.values and am = t.and_mask and om = t.or_mask in
-  let inputs = t.input_nodes in
-  for i = 0 to Array.length inputs - 1 do
-    let node = Array.unsafe_get inputs i in
-    let v =
-      Array.unsafe_get t.raw_inputs node
-      land Array.unsafe_get am node
-      lor Array.unsafe_get om node
-    in
-    if v <> Array.unsafe_get values node then begin
-      Array.unsafe_set values node v;
-      mark_readers t node
-    end
-  done;
-  (* Constants cannot change without a mask change, which forces a dense
-     pass — skip them entirely here. *)
-  let dffs = t.dff_nodes in
-  for i = 0 to Array.length dffs - 1 do
-    let node = Array.unsafe_get dffs i in
-    let v =
-      Array.unsafe_get t.dff_state i
-      land Array.unsafe_get am node
-      lor Array.unsafe_get om node
-    in
-    if v <> Array.unsafe_get values node then begin
-      Array.unsafe_set values node v;
-      mark_readers t node
-    end
-  done;
-  let prog_op = t.prog_op and prog_dst = t.prog_dst in
-  let prog_a = t.prog_a and prog_b = t.prog_b in
-  let dirty = t.dirty in
-  let m = Array.length prog_op in
-  let skipped = ref 0 in
-  for i = 0 to m - 1 do
-    if Bytes.unsafe_get dirty i <> '\000' then begin
-      Bytes.unsafe_set dirty i '\000';
-      let a = Array.unsafe_get values (Array.unsafe_get prog_a i) in
-      let b = Array.unsafe_get values (Array.unsafe_get prog_b i) in
-      let v =
-        match Array.unsafe_get prog_op i with
-        | 0 -> a land b
-        | 1 -> a lor b
-        | 2 -> lnot (a land b)
-        | 3 -> lnot (a lor b)
-        | 4 -> a lxor b
-        | 5 -> lnot (a lxor b)
-        | 6 -> lnot a
-        | _ -> a
-      in
-      let dst = Array.unsafe_get prog_dst i in
-      let masked = v land Array.unsafe_get am dst lor Array.unsafe_get om dst in
-      if masked <> Array.unsafe_get values dst then begin
-        Array.unsafe_set values dst masked;
-        mark_readers t dst
-      end
-    end
-    else incr skipped
-  done;
-  let sk = !skipped in
-  t.skipped <- t.skipped + sk;
-  if sk > 0 then Obs.count ~by:sk "logic_sim.gates_skipped";
-  if t.trial_left > 0 then begin
-    t.trial_left <- t.trial_left - 1;
-    t.trial_skipped <- t.trial_skipped + sk;
-    t.trial_evals <- t.trial_evals + m;
-    if t.trial_left = 0 && t.trial_skipped * 4 < t.trial_evals then
-      t.dense_committed <- true
-  end
-
-let eval t =
-  if t.force_full then begin
-    eval_dense t;
-    Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-    t.force_full <- false;
-    t.dense_committed <- false;
-    t.trial_left <- trial_window;
-    t.trial_skipped <- 0;
-    t.trial_evals <- 0
-  end
-  else if t.dense_committed then eval_dense t
-  else eval_incremental t
-
-let snapshot_bit0 t buf ~pos =
-  let values = t.values in
-  for node = 0 to Array.length values - 1 do
-    Bytes.unsafe_set buf (pos + node)
-      (Char.unsafe_chr (Array.unsafe_get values node land 1))
   done
 
 let tick t =

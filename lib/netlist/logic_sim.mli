@@ -1,11 +1,12 @@
-(** Lane-parallel logic simulation.
+(** Lane-parallel logic simulation: the reference model.
 
     Each net carries a machine word whose 63 bits are independent simulation
-    {e lanes}: lane 0 conventionally holds the fault-free machine and lanes
-    1..62 hold faulty machines of the same circuit under the same stimulus
-    (classic parallel fault simulation).  Stuck-at faults are injected as
-    per-node AND/OR masks applied after every evaluation of the node, so a
-    fault forces its lane on the node's output net in every cycle.
+    {e lanes}, each a machine of the same circuit under the same stimulus.
+    Stuck-at faults are injected as per-node AND/OR masks applied after
+    every evaluation of the node, so a fault forces its lane on the node's
+    output net in every cycle.  A single-fault run of this model (the fault
+    in lane 0) is the reference that {!Fault_sim}'s streams are tested
+    against.
 
     Evaluation protocol per cycle:
     {ol {- drive input nets ({!drive_node} / {!drive_bus});}
@@ -16,15 +17,12 @@
 
 type t
 
-val lanes : int
-(** Number of parallel lanes in a word (63). *)
-
 val create : Netlist.t -> t
 
 val clear_faults : t -> unit
 
 val inject : t -> node:Netlist.node -> lane:int -> stuck:bool -> unit
-(** Force [node] to [stuck] in [lane].  Requires [0 <= lane < lanes]. *)
+(** Force [node] to [stuck] in [lane].  Requires [0 <= lane < 63]. *)
 
 val drive_node : t -> Netlist.node -> int -> unit
 (** Set the raw lane word of an input node.  Requires an [Input] node. *)
@@ -32,22 +30,13 @@ val drive_node : t -> Netlist.node -> int -> unit
 val drive_bus : t -> Netlist.node array -> int -> unit
 (** Broadcast an integer (two's complement, LSB-first bus) to all lanes. *)
 
+val input_word : t -> Netlist.node -> int
+(** The lane word last driven onto an input node (0 before any drive). *)
+
 val eval : t -> unit
-(** Settle combinational logic.  Evaluation is event-driven: gates whose
-    fanin words are unchanged since the previous [eval] are skipped (their
-    held value is provably what recomputation would produce), with an
-    automatic fall-back to the dense levelized sweep when the workload
-    toggles nearly everything.  Both paths produce bit-identical values;
-    the choice depends only on simulated values, never on timing.  Mutation
-    escapes the dirty tracking ({!clear_faults}, {!inject}) force
-    the next [eval] to run dense. *)
+(** Settle combinational logic: one levelized sweep of every gate. *)
 
 val tick : t -> unit
-
-val snapshot_bit0 : t -> Bytes.t -> pos:int -> unit
-(** Record bit 0 (lane 0) of every node's value as one byte per node into
-    [buf] at offset [pos] — the fault-free value table consumed by the
-    cone-reduced fault-simulation engine. *)
 
 val value : t -> Netlist.node -> int
 (** Lane word of a node after {!eval}. *)

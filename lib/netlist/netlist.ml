@@ -114,61 +114,22 @@ let freeze (b : Builder.t) =
     if arity kinds.(i) >= 1 then bump f0.(i);
     if arity kinds.(i) >= 2 then bump f1.(i)
   done;
-  (* Kahn topological sort over combinational nodes; Input/Const/Dff are
-     sources whose values exist before combinational evaluation. *)
-  let is_source i = match kinds.(i) with Input | Const0 | Const1 | Dff -> true | _ -> false in
-  let pending = Array.make n 0 in
-  for i = 0 to n - 1 do
-    if not (is_source i) then begin
-      let count_dep src = if src >= 0 && not (is_source src) then 1 else 0 in
-      pending.(i) <-
-        (if arity kinds.(i) >= 1 then count_dep f0.(i) else 0)
-        + (if arity kinds.(i) >= 2 then count_dep f1.(i) else 0)
-    end
-  done;
-  (* Successor lists for the comb graph. *)
-  let succ = Array.make n [] in
-  for i = 0 to n - 1 do
-    if not (is_source i) then begin
-      let link src = if src >= 0 && not (is_source src) then succ.(src) <- i :: succ.(src) in
-      if arity kinds.(i) >= 1 then link f0.(i);
-      if arity kinds.(i) >= 2 then link f1.(i)
-    end
-  done;
-  let order = Array.make n (-1) in
-  let filled = ref 0 in
-  let queue = Queue.create () in
-  for i = 0 to n - 1 do
-    if (not (is_source i)) && pending.(i) = 0 then Queue.add i queue
-  done;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    order.(!filled) <- i;
-    incr filled;
-    List.iter
-      (fun s ->
-        pending.(s) <- pending.(s) - 1;
-        if pending.(s) = 0 then Queue.add s queue)
-      succ.(i)
-  done;
-  let comb_total = ref 0 in
-  for i = 0 to n - 1 do
-    if not (is_source i) then incr comb_total
-  done;
-  if !filled <> !comb_total then
-    invalid_arg "Netlist.freeze: combinational cycle (not broken by a DFF)";
-  let dff_nodes =
-    Array.of_list
-      (List.filter (fun i -> kinds.(i) = Dff) (List.init n (fun i -> i)))
+  (* Builder.check_ref makes every fanin older than its reader, so id
+     order is already topological. *)
+  let order =
+    List.filter
+      (fun i -> match kinds.(i) with Input | Const0 | Const1 | Dff -> false | _ -> true)
+      (List.init n Fun.id)
   in
+  let dff_nodes = List.filter (fun i -> kinds.(i) = Dff) (List.init n Fun.id) in
   { kinds;
     f0;
     f1;
     fanouts;
     ins = Array.of_list (List.rev b.Builder.input_names);
     outs = Array.of_list (List.rev b.Builder.output_buses);
-    order = Array.sub order 0 !filled;
-    dff_nodes }
+    order = Array.of_list order;
+    dff_nodes = Array.of_list dff_nodes }
 
 let node_count t = Array.length t.kinds
 let kind t i = t.kinds.(i)
@@ -185,28 +146,6 @@ let fanout_count t i = t.fanouts.(i)
    does not exist for the node's arity. *)
 let fanin0 t i = if arity t.kinds.(i) >= 1 then t.f0.(i) else -1
 let fanin1 t i = if arity t.kinds.(i) >= 2 then t.f1.(i) else -1
-
-let successors t =
-  let n = Array.length t.kinds in
-  let counts = Array.make n 0 in
-  let bump src = if src >= 0 then counts.(src) <- counts.(src) + 1 in
-  for i = 0 to n - 1 do
-    bump (fanin0 t i);
-    bump (fanin1 t i)
-  done;
-  let succ = Array.init n (fun i -> Array.make counts.(i) 0) in
-  let fill = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let link src =
-      if src >= 0 then begin
-        succ.(src).(fill.(src)) <- i;
-        fill.(src) <- fill.(src) + 1
-      end
-    in
-    link (fanin0 t i);
-    link (fanin1 t i)
-  done;
-  succ
 
 let inputs t = t.ins
 let outputs t = t.outs

@@ -6,9 +6,15 @@
     structural implementation rather than a behavioural one.
 
     A netlist is built imperatively through {!Builder} and then frozen into
-    an immutable, levelized {!t} whose flat arrays the simulator consumes.
-    Sequential elements ({!Dff}) break combinational cycles; a cycle not
-    broken by a DFF is rejected at freeze time. *)
+    an immutable {!t} whose flat arrays the simulators consume.
+
+    {b Node order is topological across clock edges.}  The builder rejects
+    any reference to a node that does not exist yet, so every fanin of a
+    node, a DFF's D input included, has a smaller id than the node.  No
+    netlist can therefore hold a combinational cycle or DFF feedback, and
+    a node's value in every cycle is a function of the values of
+    smaller-id nodes in that cycle and the one before; {!Fault_sim} relies
+    on this. *)
 
 type kind =
   | Input
@@ -50,8 +56,7 @@ end
 type t
 
 val freeze : Builder.t -> t
-(** Validate, levelize, and seal the netlist.  Raises [Invalid_argument] on a
-    combinational cycle or a dangling node reference. *)
+(** Seal the netlist. *)
 
 val node_count : t -> int
 val kind : t -> node -> kind
@@ -65,20 +70,14 @@ val fanin0 : t -> node -> node
 val fanin1 : t -> node -> node
 (** Second fanin of the node, or [-1] when the node has arity < 2. *)
 
-val successors : t -> node array array
-(** Full forward adjacency: [(successors t).(i)] lists every node with [i]
-    as a fanin, {e including} DFFs reading [i] as their D input — so
-    transitive closure over this graph is the cone of influence across
-    clock cycles.  Built fresh on each call (O(nodes + edges)). *)
-
 val inputs : t -> (string * node) array
 val outputs : t -> (string * node array) array
 val find_output : t -> string -> node array
 (** Raises [Not_found]. *)
 
 val eval_order : t -> node array
-(** Combinational nodes in dependency order (inputs, constants and DFF
-    outputs are sources and do not appear). *)
+(** Combinational nodes in id order, a dependency order (inputs, constants
+    and DFF outputs are sources and do not appear). *)
 
 val dffs : t -> node array
 (** All flip-flop nodes. *)

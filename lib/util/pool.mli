@@ -4,9 +4,9 @@
     space in contiguous {e grains}.  Worker [slot] owns a static contiguous
     share of [0, n); within it, grains are claimed through a per-worker
     atomic cursor, and a worker whose share is drained steals the remaining
-    grains of the other workers — so an uneven tail (the last few expensive
-    fault batches, a straggling capture) is levelled instead of serialising
-    the join.
+    grains of the other workers — so an uneven tail (the last few faults
+    with deep cones, a straggling capture) is levelled instead of
+    serialising the join.
 
     Determinism contract: scheduling is {e not} part of the result.  Every
     entry point hands [f] disjoint index ranges covering [0, n) exactly
@@ -95,11 +95,11 @@ val parallel_iter_grained :
     stealing.  [f ~slot ~lo ~hi] receives the executing worker's slot so
     callers can reuse per-worker scratch state (a slot never runs two
     chunks concurrently); [hi] is exclusive.  [grain] is the per-kernel
-    cost hint: pass 1 when each item is expensive (a fault batch, a
-    capture), leave it out for cheap uniform items (the default splits each
-    worker's share into 8 grains).  Chunk boundaries depend on [(n, size,
-    grain)] only — never on timing — and results written by index are
-    bit-identical to serial execution. *)
+    cost hint: pass 1 when each item is expensive (a capture), leave it
+    out for cheap uniform items (the default splits each worker's share
+    into 8 grains).  Chunk boundaries depend on [(n, size, grain)] only —
+    never on timing — and results written by index are bit-identical to
+    serial execution. *)
 
 val parallel_init : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init].  [f] must depend only on its index. *)

@@ -81,19 +81,24 @@ let uniform g ~lo ~hi = lo +. ((hi -. lo) *. float g)
    smallest number of bits that can represent [n - 1] and retry until the
    value lands below [n].  The old [bits mod n] mapped a 62-bit draw onto
    [0, n) unevenly (low residues were over-represented by one part in
-   [2^62 / n]).  Expected retries < 1 per draw for every [n]. *)
+   [2^62 / n]).  Expected retries < 1 per draw for every [n].  The mask
+   is [n - 1] with its bits smeared right, so a power-of-two [n] keeps
+   [n - 1] and takes exactly one draw; an [int] mask and a [while] loop
+   keep the draw allocation-free. *)
 let int g n =
   assert (n > 0);
-  if n land (n - 1) = 0 then Int64.to_int (Int64.logand (bits64 g) (Int64.of_int (n - 1)))
-  else begin
-    let rec mask_of m = if m >= n - 1 then m else mask_of ((m lsl 1) lor 1) in
-    let mask = Int64.of_int (mask_of 1) in
-    let rec draw () =
-      let bits = Int64.to_int (Int64.logand (bits64 g) mask) in
-      if bits < n then bits else draw ()
-    in
-    draw ()
-  end
+  let m = n - 1 in
+  let m = m lor (m lsr 1) in
+  let m = m lor (m lsr 2) in
+  let m = m lor (m lsr 4) in
+  let m = m lor (m lsr 8) in
+  let m = m lor (m lsr 16) in
+  let mask = m lor (m lsr 32) in
+  let v = ref (Int64.to_int (bits64 g) land mask) in
+  while !v >= n do
+    v := Int64.to_int (bits64 g) land mask
+  done;
+  !v
 
 (* Box–Muller; reject a zero radius so that [log] stays finite.  The one
    definition behind [gaussian] and [fill_gaussian]. *)

@@ -411,7 +411,7 @@ let test_parallel_fault_sim_matches_serial () =
 
 let test_observer_node_kinds () =
   (* Faults on DFF, input and output-bus nodes of the filter (uncollapsed,
-     both polarities), in a count that leaves a partial last batch. *)
+     both polarities), more of them than one pool grain. *)
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
   let bus = Fir_netlist.output_bus fir in
@@ -426,7 +426,7 @@ let test_observer_node_kinds () =
            | _ -> Array.mem f.Fault.node bus)
          (Array.to_list (Fault.universe circuit)))
   in
-  Alcotest.(check bool) "several batches, partial last one" true
+  Alcotest.(check bool) "more than 63 faults, not a multiple of 63" true
     (Array.length faults > 63 && Array.length faults mod 63 <> 0);
   check_observer circuit ~output:"y" ~drive:(fir_drive fir stimulus) ~samples:48 faults
 
@@ -505,7 +505,7 @@ let test_detect_exact_matches_streams () =
 
 let test_observer_fault_order () =
   (* One callback per fault, and the results come back in fault order at
-     every pool size, whatever order the workers ran the batches in. *)
+     every pool size, whatever order the workers ran the faults in. *)
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
   let g = Prng.create 14 in
@@ -594,6 +594,96 @@ let prop_dropped_faults_never_undetect =
       let long = Fault_sim.detect_cycles circuit ~output:"y" ~drive ~samples:s2 ~faults in
       Array.for_all (fun ok -> ok)
         (Array.mapi (fun i c1 -> c1 < 0 || long.(i) = c1) short))
+
+(* The engine against the reference on generated netlists: 1-4 inputs,
+   both constants, every gate kind over fanins drawn from all earlier
+   nodes (so fanouts are reused and paths reconverge), DFF chains of depth
+   2-3, and an output bus of 1-8 bits holding an input and a DFF.  The
+   sample counts straddle the engine's 63-cycle word boundaries. *)
+let random_netlist g =
+  let b = B.create () in
+  let nodes = ref [||] in
+  let add x = nodes := Array.append !nodes [| x |] in
+  let pick () = !nodes.(Prng.int g (Array.length !nodes)) in
+  let inputs = Array.init (1 + Prng.int g 4) (fun i -> B.input b (Printf.sprintf "x%d" i)) in
+  Array.iter add inputs;
+  add (B.const b false);
+  add (B.const b true);
+  let dffs = ref [] in
+  let chain () =
+    let depth = 2 + Prng.int g 2 in
+    let q = ref (pick ()) in
+    for _ = 1 to depth do
+      q := B.dff b !q;
+      dffs := !q :: !dffs;
+      add !q
+    done
+  in
+  let two =
+    [| Netlist.And2; Netlist.Or2; Netlist.Nand2; Netlist.Nor2; Netlist.Xor2; Netlist.Xnor2 |]
+  in
+  let gate k =
+    if k < 6 then add (B.gate2 b two.(k) (pick ()) (pick ()))
+    else if k = 6 then add (B.not_ b (pick ()))
+    else if k = 7 then add (B.buf b (pick ()))
+    else chain ()
+  in
+  (* every kind once, then a random mix *)
+  for k = 0 to 8 do
+    gate k
+  done;
+  for _ = 1 to Prng.int g 30 do
+    gate (Prng.int g 9)
+  done;
+  let dffs = Array.of_list !dffs in
+  let width = 1 + Prng.int g 8 in
+  let bus = Array.init width (fun _ -> pick ()) in
+  (* an input and a DFF at two distinct positions, or one of them on a
+     1-bit bus *)
+  let at_input = Prng.int g width in
+  let at_dff = (at_input + 1 + Prng.int g (max 1 (width - 1))) mod width in
+  bus.(at_input) <- inputs.(Prng.int g (Array.length inputs));
+  if width > 1 || Prng.int g 2 = 0 then bus.(at_dff) <- dffs.(Prng.int g (Array.length dffs));
+  B.output b "y" bus;
+  (Netlist.freeze b, inputs)
+
+let pool4 = lazy (Pool.create ~size:4 ())
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine = single-fault reference on generated netlists" ~count:200
+    (QCheck.pair (QCheck.int_range 1 1_000_000)
+       (QCheck.oneofl [ 1; 62; 63; 64; 65; 126; 127; 200 ]))
+    (fun (seed, samples) ->
+      let g = Prng.create seed in
+      let circuit, inputs = random_netlist g in
+      let bits = Array.init samples (fun _ -> Array.map (fun _ -> Prng.int g 2) inputs) in
+      let drive sim cycle =
+        Array.iteri (fun i x -> Logic_sim.drive_node sim x (-bits.(cycle).(i))) inputs
+      in
+      let output = "y" in
+      let faults = Fault.universe circuit in
+      let good = single_fault_stream circuit ~output ~drive ~samples None in
+      let reference =
+        Array.map (fun f -> single_fault_stream circuit ~output ~drive ~samples (Some f)) faults
+      in
+      let first_difference stream =
+        let rec scan c =
+          if c >= samples then -1 else if stream.(c) <> good.(c) then c else scan (c + 1)
+        in
+        scan 0
+      in
+      let firsts = Array.map first_difference reference in
+      List.for_all
+        (fun pool ->
+          let observed_good, streams =
+            Fault_sim.observe ?pool circuit ~output ~drive ~samples ~faults
+              ~on_fault:(fun _ _ stream -> Array.copy stream)
+          in
+          let cycles = Fault_sim.detect_cycles ?pool circuit ~output ~drive ~samples ~faults in
+          let flags = Fault_sim.detect_exact ?pool circuit ~output ~drive ~samples ~faults in
+          observed_good = good && streams = reference && cycles = firsts
+          && flags = Array.map (fun c -> c >= 0) firsts)
+        [ None; Some (Lazy.force pool4) ])
 
 (* ---- FIR datapath ---- *)
 
@@ -955,7 +1045,7 @@ let () =
             test_observe_empty_faults;
           Alcotest.test_case "detect_cycles consistency + compaction" `Quick
             test_detect_cycles_consistency ]
-        @ qcheck [ prop_dropped_faults_never_undetect ] );
+        @ qcheck [ prop_dropped_faults_never_undetect; prop_engine_matches_reference ] );
       ( "fir-netlist",
         Alcotest.test_case "exactness vs golden" `Quick test_fir_netlist_exactness
         :: Alcotest.test_case "regions" `Quick test_fir_regions

@@ -202,8 +202,8 @@ let test_monte_carlo_pooled () =
 
 (* ---- Pooled fault simulation ---- *)
 
-(* A filter small enough to simulate quickly but with more than one
-   63-fault batch, so the pooled path actually distributes batches. *)
+(* A filter small enough to simulate quickly but with many pool grains
+   of faults, so the pooled path actually distributes them. *)
 let small_fir () =
   let design = Msoc_dsp.Fir.lowpass ~taps:5 ~cutoff:0.2 () in
   let codes, scale = Msoc_dsp.Fir.quantize design.Msoc_dsp.Fir.taps ~bits:6 in
@@ -214,7 +214,7 @@ let fir_stimulus samples = Array.init samples (fun i -> ((i * 29) mod 256) - 128
 let test_fault_sim_pooled () =
   let fir = small_fir () in
   let faults = Fault.collapse fir.Fir_netlist.circuit (Fault.universe fir.Fir_netlist.circuit) in
-  Alcotest.(check bool) "multiple batches" true (Array.length faults > 63);
+  Alcotest.(check bool) "more than 63 faults" true (Array.length faults > 63);
   let samples = 128 in
   let stim = fir_stimulus samples in
   let drive sim cycle = Fir_netlist.drive fir sim stim.(cycle) in
@@ -248,14 +248,14 @@ let test_fault_sim_pooled () =
     pool_sizes
 
 let test_detect_cycles_pooled () =
-  (* the dropping/cone engine reports the same first-detect cycle for every
-     fault at every pool size — the re-batching schedule after each drop is
-     a pure function of the detection prefix, not of worker timing *)
+  (* the engine reports the same first-detect cycle for every fault at
+     every pool size: each fault stops at its own first differing word,
+     whichever worker simulates it *)
   let fir = small_fir () in
   let faults = Fault.collapse fir.Fir_netlist.circuit (Fault.universe fir.Fir_netlist.circuit) in
   let samples = 128 in
-  (* hold the input at zero across the first drop chunk so the
-     activity-dependent faults only detect in later rounds *)
+  (* hold the input at zero for the first 40 cycles so the
+     activity-dependent faults are first detected late in the sweep *)
   let stim =
     Array.init samples (fun i -> if i < 40 then 0 else ((i * 29) mod 256) - 128)
   in
@@ -264,7 +264,7 @@ let test_detect_cycles_pooled () =
     Fault_sim.detect_cycles fir.Fir_netlist.circuit ~output:"y" ~drive ~samples ~faults
   in
   Alcotest.(check bool)
-    "spans several drop rounds" true
+    "detections before and after cycle 32" true
     (Array.exists (fun c -> c >= 32) serial && Array.exists (fun c -> c >= 0 && c < 32) serial);
   List.iter
     (fun size ->

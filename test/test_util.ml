@@ -162,6 +162,50 @@ let test_prng_int_chi_square () =
   in
   if stat > 40.0 then Alcotest.failf "chi-square statistic %.1f (df 12): biased" stat
 
+(* The closure-and-Int64 draw [Prng.int] replaced, kept as the reference
+   for its values and its draw count. *)
+let reference_int g n =
+  assert (n > 0);
+  if n land (n - 1) = 0 then Int64.to_int (Int64.logand (Prng.bits64 g) (Int64.of_int (n - 1)))
+  else begin
+    let rec mask_of m = if m >= n - 1 then m else mask_of ((m lsl 1) lor 1) in
+    let mask = Int64.of_int (mask_of 1) in
+    let rec draw () =
+      let bits = Int64.to_int (Int64.logand (Prng.bits64 g) mask) in
+      if bits < n then bits else draw ()
+    in
+    draw ()
+  end
+
+let test_prng_int_matches_reference () =
+  let bounds = List.init 300 (fun i -> i + 1) @ [ (1 lsl 31) - 1; (1 lsl 31) + 1; (1 lsl 40) + 3 ] in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun n ->
+          let g = Prng.create seed and r = Prng.create seed in
+          for draw = 1 to 20 do
+            let got = Prng.int g n and want = reference_int r n in
+            if got <> want then Alcotest.failf "seed %d, bound %d, draw %d: %d <> %d" seed n draw got want
+          done;
+          (* the same number of raw draws consumed *)
+          Alcotest.(check int64) (Printf.sprintf "seed %d, bound %d: generator state" seed n)
+            (Prng.bits64 r) (Prng.bits64 g))
+        bounds)
+    [ 1; 7; 42; 417; 90210 ]
+
+let test_prng_int_allocation_free () =
+  let g = Prng.create 11 in
+  ignore (Prng.int g 46);
+  let before = Gc.minor_words () in
+  let acc = ref 0 in
+  for _ = 1 to 10_000 do
+    acc := !acc + Prng.int g 46
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "draws in range" true (!acc >= 0 && !acc < 46 * 10_000);
+  Alcotest.(check (float 0.0)) "minor words for 10 000 draws" 0.0 words
+
 (* ---- Interval ---- *)
 
 let interval_gen =
@@ -335,7 +379,10 @@ let () =
           Alcotest.test_case "uniform mean" `Quick test_prng_uniform_mean;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
-          Alcotest.test_case "int chi-square" `Quick test_prng_int_chi_square ] );
+          Alcotest.test_case "int chi-square" `Quick test_prng_int_chi_square;
+          Alcotest.test_case "int matches the closure reference" `Quick
+            test_prng_int_matches_reference;
+          Alcotest.test_case "int allocates nothing" `Quick test_prng_int_allocation_free ] );
       ( "interval",
         Alcotest.test_case "basics" `Quick test_interval_basics
         :: Alcotest.test_case "division" `Quick test_interval_div

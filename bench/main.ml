@@ -269,19 +269,25 @@ let kernels () =
      is discarded. *)
   let min_samples = 8 in
   let instances = Toolkit.Instance.[ major_allocated; monotonic_clock ] in
-  (* Minor words per run, exact: three more runs bracketed by
-     [Gc.minor_words], which under OCaml 5 counts this domain's allocation
-     to the word.  Bechamel's [minor_allocated] reads [Gc.quick_stat],
-     whose minor counter only advances at a minor collection, so a kernel
-     that filled no minor heap read 0.  A pooled kernel's worker domains
-     are not counted. *)
+  (* Minor words per run, exact and across every domain: three more runs,
+     bracketed by a minor collection and then [Gc.quick_stat].  The
+     collection empties every domain's minor heap, so the counter that
+     [quick_stat] sums over the domains is current to within a few words,
+     and a pooled kernel's workers are counted with its caller.
+     [Gc.minor_words] would count the calling domain only, and
+     [quick_stat] alone (Bechamel's [minor_allocated]) advances only at a
+     minor collection. *)
   let exact_minor_words run =
     let reps = 3 in
-    let before = Gc.minor_words () in
+    let minor_words () =
+      Gc.minor ();
+      (Gc.quick_stat ()).Gc.minor_words
+    in
+    let before = minor_words () in
     for _ = 1 to reps do
       run ()
     done;
-    (Gc.minor_words () -. before) /. float_of_int reps
+    (minor_words () -. before) /. float_of_int reps
   in
   let benchmark_adaptive test =
     let rec go quota attempt =
@@ -372,7 +378,14 @@ let kernels () =
                unnoticed. *)
             if String.equal name "soc-schedule" then
               Report.add_scalar report ~section:"kernels" ~name:"soc-schedule minor Mwords"
-                ~unit_label:"Mwords" ~bound:(Report.Le 0.122) (minor_words /. 1e6)
+                ~unit_label:"Mwords" ~bound:(Report.Le 0.122) (minor_words /. 1e6);
+            (* And for plan synthesis: 0.05 M words sits 5x over the one
+               loss-integral pass (~0.01 M) and 18x under the 0.89 M that
+               routing every Simpson node through a cross-module call
+               boxes, so per-node allocation cannot return unnoticed. *)
+            if String.equal name "plan-synthesis" then
+              Report.add_scalar report ~section:"kernels" ~name:"plan-synthesis minor Mwords"
+                ~unit_label:"Mwords" ~bound:(Report.Le 0.05) (minor_words /. 1e6)
           end)
         raw)
     ([ fft_test; fft_cold_test; rfft_test; fft_bluestein_test; fft_bluestein_cold_test;

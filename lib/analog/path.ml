@@ -235,16 +235,42 @@ let engine t part ~seed ~samples =
   let capture, volts_per_code = Option.get !digitizer in
   { samples; kernels = Array.of_list (List.rev !kernels); capture; volts_per_code }
 
-let run_analog e input =
+let check_length e input =
   if Array.length input <> e.samples then
     invalid_arg
       (Printf.sprintf "Path.run: engine built for %d samples, input has %d" e.samples
-         (Array.length input));
+         (Array.length input))
+
+(* The analog stages run in place over a working copy of the input. *)
+let run_stages e buf = Array.iter (fun kernel -> kernel buf) e.kernels
+
+let run_analog e input =
+  check_length e input;
   let buf = Array.copy input in
-  Array.iter (fun kernel -> kernel buf) e.kernels;
+  run_stages e buf;
   buf
 
-let run_codes e input = e.capture (run_analog e input)
+(* [run_codes] hands back only the digitizer's codes, so its working copy
+   is per-domain scratch, one buffer per capture length: a validation's
+   dozens of captures then leave no simulation-length garbage behind. *)
+let work_key : (int, float array) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 2)
+
+let work_buffer n =
+  let tbl = Domain.DLS.get work_key in
+  match Hashtbl.find_opt tbl n with
+  | Some a -> a
+  | None ->
+    let a = Array.make n 0.0 in
+    Hashtbl.add tbl n a;
+    a
+
+let run_codes e input =
+  check_length e input;
+  let buf = work_buffer e.samples in
+  Array.blit input 0 buf 0 e.samples;
+  run_stages e buf;
+  e.capture buf
 
 let run_volts e input =
   let codes = run_codes e input in

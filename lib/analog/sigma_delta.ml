@@ -63,14 +63,14 @@ let[@inline] clamp_rail ~rail x = if x < -.rail then -.rail else if x > rail the
 
 (* CIFB-2 with feedback coefficients (1, 2): stable for inputs below
    ~0.85 full scale; state clipping models the integrator rails.  The
-   integrator state lives in the run, so every call starts from rest. *)
-let modulator inst ~rng ~samples =
+   integrator state lives in the run, so every call starts from rest.
+   A run writes the input's bitstream into [bits]. *)
+let modulate_into inst ~rng ~samples =
   let noise = Array.make samples 0.0 in
   Prng.fill_gaussian rng ~scale:inst.noise_sigma_v noise;
   let fs = inst.full_scale_v in
   let rail = 4.0 *. fs in
-  fun input ->
-    let bits = Array.make (Array.length input) 0 in
+  fun input bits ->
     let v1 = ref 0.0 and v2 = ref 0.0 in
     for i = 0 to Array.length input - 1 do
       let x = input.(i) +. noise.(i) in
@@ -79,12 +79,35 @@ let modulator inst ~rng ~samples =
       v1 := clamp_rail ~rail ((inst.retain *. !v1) +. (inst.gain *. (x -. y)));
       v2 := clamp_rail ~rail ((inst.retain *. !v2) +. (inst.gain *. (!v1 -. (2.0 *. y))));
       bits.(i) <- int_of_float y
-    done;
+    done
+
+let modulator inst ~rng ~samples =
+  let run = modulate_into inst ~rng ~samples in
+  fun input ->
+    let bits = Array.make (Array.length input) 0 in
+    run input bits;
     bits
 
+(* A capture's bitstream is per-domain scratch, one buffer per length:
+   the CIC decimator reads it and keeps nothing. *)
+let bits_key : (int, int array) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 2)
+
+let bits_buffer n =
+  let tbl = Domain.DLS.get bits_key in
+  match Hashtbl.find_opt tbl n with
+  | Some a -> a
+  | None ->
+    let a = Array.make n 0 in
+    Hashtbl.add tbl n a;
+    a
+
 let kernel inst ~decimation ~rng ~samples =
-  let modulate = modulator inst ~rng ~samples in
-  fun input -> Cic.process (Cic.create ~order:3 ~decimation) (modulate input)
+  let run = modulate_into inst ~rng ~samples in
+  fun input ->
+    let bits = bits_buffer (Array.length input) in
+    run input bits;
+    Cic.process (Cic.create ~order:3 ~decimation) bits
 
 let output_full_scale ~decimation = decimation * decimation * decimation
 

@@ -1,5 +1,5 @@
 module Distribution = Msoc_stat.Distribution
-module Quadrature = Msoc_stat.Quadrature
+module Obs = Msoc_obs.Obs
 
 type losses = { fcl : float; yl : float }
 
@@ -7,32 +7,66 @@ type error_model =
   | Uniform_err of float
   | Normal_err of float
 
-(* P(x + e satisfies the shifted bound), as a function of the true x. *)
-let accept_probability ~bound ~error ~threshold_shift x =
-  let prob_ge threshold =
-    (* P(x + e >= threshold) *)
-    match error with
-    | Uniform_err err ->
-      if err <= 0.0 then (if x >= threshold then 1.0 else 0.0)
-      else Msoc_util.Floatx.clamp ~lo:0.0 ~hi:1.0 ((x +. err -. threshold) /. (2.0 *. err))
-    | Normal_err err ->
-      if err <= 0.0 then (if x >= threshold then 1.0 else 0.0)
-      else begin
-        let sigma = err /. 3.0 in
-        1.0 -. Distribution.cdf (Distribution.normal ~mean:0.0 ~sigma) (threshold -. x)
-      end
-  in
-  let prob_le threshold = 1.0 -. prob_ge threshold in
+(* The integrands below are evaluated ~10^4 times per [analytic] call, so
+   everything a node needs is written here rather than called across a
+   module boundary (which would box each float argument and result), and
+   marked [@inline] so the node loop allocates nothing. *)
+
+(* [Spec.passes]: the true value satisfies the spec bound. *)
+let[@inline] truly_good bound x =
   match bound with
-  | Spec.At_least m -> prob_ge (m +. threshold_shift)
-  | Spec.At_most m -> prob_le (m -. threshold_shift)
+  | Spec.At_least threshold -> x >= threshold
+  | Spec.At_most threshold -> x <= threshold
+  | Spec.Within { lo; hi } -> x >= lo && x <= hi
+
+(* [Distribution.pdf], term for term. *)
+let[@inline] density population x =
+  match population with
+  | Distribution.Normal { mean; sigma } ->
+    let z = (x -. mean) /. sigma in
+    exp (-0.5 *. z *. z) /. (sigma *. sqrt Msoc_util.Units.two_pi)
+  | Distribution.Uniform { lo; hi } -> if x >= lo && x <= hi then 1.0 /. (hi -. lo) else 0.0
+
+(* P(x + e >= threshold), as a function of the true x. *)
+let[@inline] prob_ge error ~threshold x =
+  match error with
+  | Uniform_err err ->
+    if err <= 0.0 then (if x >= threshold then 1.0 else 0.0)
+    else begin
+      (* [Floatx.clamp ~lo:0.0 ~hi:1.0] *)
+      let v = (x +. err -. threshold) /. (2.0 *. err) in
+      if v < 0.0 then 0.0 else if v > 1.0 then 1.0 else v
+    end
+  | Normal_err err ->
+    if err <= 0.0 then (if x >= threshold then 1.0 else 0.0)
+    else begin
+      let sigma = err /. 3.0 in
+      1.0 -. Distribution.cdf (Distribution.normal ~mean:0.0 ~sigma) (threshold -. x)
+    end
+
+let[@inline] prob_le error ~threshold x = 1.0 -. prob_ge error ~threshold x
+
+(* P(x + e satisfies the shifted bound), as a function of the true x. *)
+let[@inline] accept_probability ~bound ~error ~threshold_shift x =
+  match bound with
+  | Spec.At_least m -> prob_ge error ~threshold:(m +. threshold_shift) x
+  | Spec.At_most m -> prob_le error ~threshold:(m -. threshold_shift) x
   | Spec.Within { lo; hi } ->
     let lo' = lo +. threshold_shift and hi' = hi -. threshold_shift in
-    if lo' >= hi' then 0.0 else Float.max 0.0 (prob_le hi' -. prob_le lo')
+    if lo' >= hi' then 0.0
+    else Float.max 0.0 (prob_le error ~threshold:hi' x -. prob_le error ~threshold:lo' x)
 
-let truly_good ~bound x = Spec.passes bound x
+(* The three integrands at one node, from the indicator [good], the
+   density [d] and the acceptance probability [p]. *)
+let[@inline] good_mass good d = if good then d else 0.0
+let[@inline] escape_mass good d p = if good then 0.0 else d *. p
+let[@inline] rejected_mass good d p = if good then d *. (1.0 -. p) else 0.0
+
+(* Simpson panels per segment (even). *)
+let panels = 800
 
 let analytic ~population ~bound ~error ~threshold_shift =
+  Obs.span "coverage.analytic" @@ fun () ->
   let mean = Distribution.mean population and sigma = Distribution.stddev population in
   let lo = mean -. (10.0 *. sigma) and hi = mean +. (10.0 *. sigma) in
   (* Split the integration at the spec boundaries so the discontinuities of
@@ -49,26 +83,41 @@ let analytic ~population ~bound ~error ~threshold_shift =
     | Spec.Within { lo = a; hi = b } -> kinks a @ kinks b
   in
   let cuts =
-    List.sort_uniq compare (lo :: hi :: List.filter (fun b -> b > lo && b < hi) boundaries)
+    Array.of_list
+      (List.sort_uniq compare (lo :: hi :: List.filter (fun b -> b > lo && b < hi) boundaries))
   in
-  let integrate f =
-    let rec over acc = function
-      | a :: (b :: _ as rest) ->
-        over (acc +. Quadrature.simpson ~f ~lo:a ~hi:b ~n:800) rest
-      | [ _ ] | [] -> acc
-    in
-    over 0.0 cuts
-  in
-  let pdf = Distribution.pdf population in
-  let accept = accept_probability ~bound ~error ~threshold_shift in
-  let p_good = integrate (fun x -> if truly_good ~bound x then pdf x else 0.0) in
+  (* One composite-Simpson pass per segment accumulates all three
+     integrals.  Each sum sees exactly the operations, in exactly the
+     order, of a separate composite-Simpson integral per integrand (the
+     order the plans' golden losses were computed in): the endpoints
+     [f a +. f b], then [w *. f x] for the interior nodes left to right,
+     times [h], then over 3; the segments add left to right from 0. *)
+  let p_good = ref 0.0 and escape = ref 0.0 and rejected_good = ref 0.0 in
+  for s = 0 to Array.length cuts - 2 do
+    let a = cuts.(s) and b = cuts.(s + 1) in
+    let h = (b -. a) /. float_of_int panels in
+    let ga = truly_good bound a and gb = truly_good bound b in
+    let da = density population a and db = density population b in
+    let pa = accept_probability ~bound ~error ~threshold_shift a in
+    let pb = accept_probability ~bound ~error ~threshold_shift b in
+    let good = ref (good_mass ga da +. good_mass gb db) in
+    let esc = ref (escape_mass ga da pa +. escape_mass gb db pb) in
+    let rej = ref (rejected_mass ga da pa +. rejected_mass gb db pb) in
+    for i = 1 to panels - 1 do
+      let x = a +. (float_of_int i *. h) in
+      let w = if i mod 2 = 1 then 4.0 else 2.0 in
+      let g = truly_good bound x and d = density population x in
+      let p = accept_probability ~bound ~error ~threshold_shift x in
+      good := !good +. (w *. good_mass g d);
+      esc := !esc +. (w *. escape_mass g d p);
+      rej := !rej +. (w *. rejected_mass g d p)
+    done;
+    p_good := !p_good +. (!good *. h /. 3.0);
+    escape := !escape +. (!esc *. h /. 3.0);
+    rejected_good := !rejected_good +. (!rej *. h /. 3.0)
+  done;
+  let p_good = !p_good and escape = !escape and rejected_good = !rejected_good in
   let p_faulty = 1.0 -. p_good in
-  let escape =
-    integrate (fun x -> if truly_good ~bound x then 0.0 else pdf x *. accept x)
-  in
-  let rejected_good =
-    integrate (fun x -> if truly_good ~bound x then pdf x *. (1.0 -. accept x) else 0.0)
-  in
   let clamp01 = Msoc_util.Floatx.clamp ~lo:0.0 ~hi:1.0 in
   { fcl = (if p_faulty <= 1e-12 then 0.0 else clamp01 (escape /. p_faulty));
     yl = (if p_good <= 1e-12 then 0.0 else clamp01 (rejected_good /. p_good)) }
@@ -87,7 +136,7 @@ let monte_carlo ~trials ~rng ~sample_true ~measure ~bound ~threshold_shift =
   for _ = 1 to trials do
     let x = sample_true rng in
     let measured = measure rng x in
-    let is_good = truly_good ~bound x in
+    let is_good = truly_good bound x in
     let accepted = Spec.passes accept_bound measured in
     if is_good then begin
       incr good;

@@ -7,6 +7,7 @@ module Units = Msoc_util.Units
 module Tone = Msoc_dsp.Tone
 module Spectrum = Msoc_dsp.Spectrum
 module Fft = Msoc_dsp.Fft
+module Obs = Msoc_obs.Obs
 
 type t = {
   path : Path.t;
@@ -20,7 +21,8 @@ let create ?(seed = 1234) ?(capture_samples = 4096) path part =
   { path;
     capture_samples;
     engine =
-      Path.engine path part ~seed ~samples:(capture_samples * Path.decimation path) }
+      Obs.span "measure.engine" (fun () ->
+          Path.engine path part ~seed ~samples:(capture_samples * Path.decimation path)) }
 
 let adc_rate t = Path.adc_rate_hz t.path
 
@@ -46,24 +48,32 @@ let snap_if t freq =
 (* The stimulus buffer is per-domain scratch: a validation run performs
    dozens of captures of the same (large) simulation length, and the
    engine reads the samples without retaining the array, so each domain
-   can synthesize every capture into the same buffer. *)
-let stimulus_key : (int, float array) Hashtbl.t Domain.DLS.key =
+   can synthesize every capture into the same buffer.  Beside it sits the
+   last single-tone unit waveform: most captures repeat the 100 kHz test
+   IF at another level (the P1dB sweep, the gain, LO and reference reads),
+   and those cost one multiply-add pass instead of a [sin] per sample. *)
+type scratch = { stimulus : float array; unit_wave : Tone.unit_wave }
+
+let scratch_key : (int, scratch) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
-let stimulus_scratch n =
-  let tbl = Domain.DLS.get stimulus_key in
+let scratch n =
+  let tbl = Domain.DLS.get scratch_key in
   match Hashtbl.find_opt tbl n with
-  | Some a -> a
+  | Some s -> s
   | None ->
-    let a = Array.make n 0.0 in
-    Hashtbl.add tbl n a;
-    a
+    let s = { stimulus = Array.make n 0.0; unit_wave = Tone.unit_wave ~samples:n } in
+    Hashtbl.add tbl n s;
+    s
 
 let raw_capture t components =
-  let n_sim = t.capture_samples * Path.decimation t.path in
-  let input = stimulus_scratch n_sim in
-  Tone.synthesize_into ~sample_rate:t.path.Path.ctx.Context.sim_rate_hz components input;
-  Path.run_volts t.engine input
+  Obs.span "measure.capture" @@ fun () ->
+  let { stimulus; unit_wave } = scratch (t.capture_samples * Path.decimation t.path) in
+  let sample_rate = t.path.Path.ctx.Context.sim_rate_hz in
+  (match components with
+  | [ tone ] -> Tone.synthesize_single_into unit_wave ~sample_rate tone stimulus
+  | _ -> Tone.synthesize_into ~sample_rate components stimulus);
+  Path.run_volts t.engine stimulus
 
 let capture t ~tones =
   let components =

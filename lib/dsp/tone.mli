@@ -22,6 +22,22 @@ val synthesize_into : sample_rate:float -> component list -> float array -> unit
 (** Fill the whole output array with the same waveform (bit-identical to
     {!synthesize} of the same length) without allocating. *)
 
+type unit_wave
+(** One stored unit waveform of a fixed length: [sin (2 pi f t / rate +
+    phase)] for the last frequency, phase and sample rate synthesized
+    through it. *)
+
+val unit_wave : samples:int -> unit_wave
+(** An empty store for waveforms of [samples] points. *)
+
+val synthesize_single_into : unit_wave -> sample_rate:float -> component -> float array -> unit
+(** [synthesize_single_into memo ~sample_rate c out] fills [out] exactly as
+    [synthesize_into ~sample_rate [c] out] does, bit for bit.  The unit
+    waveform is computed into [memo] only when [memo] does not already hold
+    the one for [c]'s frequency and phase at [sample_rate] (compared bit
+    for bit), so a repeated tone costs one multiply-add pass and no [sin].
+    Requires [out] to have [memo]'s length. *)
+
 val sample : sample_rate:float -> t:int -> component list -> float
 (** Single point of the same waveform (streaming form). *)
 

@@ -508,6 +508,26 @@ let test_engine_runs_replay () =
       Alcotest.(check bool) (name ^ ": the seed matters") true (other <> first))
     Topology.names
 
+(* [run_codes] works in per-domain scratch: runs between two runs of one
+   engine, of another engine with the same length (so the same scratch
+   buffers) and of the same engine on another input, change neither the
+   second run's codes nor the codes the first run returned. *)
+let test_engine_scratch_interleaved () =
+  List.iter
+    (fun name ->
+      let path, part, n_sim, input = engine_fixture name in
+      let eng = Path.engine path part ~seed:11 ~samples:n_sim in
+      let other = Path.engine path part ~seed:12 ~samples:n_sim in
+      let first = Path.run_codes eng input in
+      let kept = Array.copy first in
+      let between = Path.run_codes other input in
+      ignore (Path.run_codes eng (Array.make n_sim 0.0));
+      Alcotest.(check (array int)) (name ^ ": returned codes untouched") kept first;
+      Alcotest.(check bool) (name ^ ": the other engine ran") true (between <> kept);
+      Alcotest.(check (array int)) (name ^ ": second run = first") kept
+        (Path.run_codes eng input))
+    Topology.names
+
 let test_engine_shared_across_domains () =
   List.iter
     (fun name ->
@@ -649,6 +669,7 @@ let () =
             test_path_attribute_vs_waveform_consistency;
           Alcotest.test_case "sampled parts" `Quick test_sampled_parts_differ_but_within_tolerance;
           Alcotest.test_case "engine runs replay" `Quick test_engine_runs_replay;
+          Alcotest.test_case "engine scratch interleaved" `Quick test_engine_scratch_interleaved;
           Alcotest.test_case "engine shared across domains" `Quick
             test_engine_shared_across_domains;
           Alcotest.test_case "engine rejects wrong length" `Quick

@@ -431,6 +431,36 @@ let test_streaming_matches_batch () =
       Alcotest.check (approx 1e-12) "sample" expected (Tone.sample ~sample_rate:fs ~t comps))
     batch
 
+(* The stored unit waveform reproduces [synthesize_into]'s one-tone
+   stimulus bit for bit over any sequence of captures.  Frequencies, phases
+   and rates come from small pools, so a sequence both repeats a tone (the
+   store is reused) and alternates (it is replaced); amplitudes are
+   negative, zero and positive, at phase 0 among others, where a negative
+   amplitude meets [sin 0.0]. *)
+let prop_single_tone_store =
+  let n = 256 in
+  let capture =
+    QCheck.Gen.(
+      quad (oneofl [ 8e6; 1e6 ]) (oneofl [ 90e3; 100e3; 110e3 ]) (oneofl [ 0.0; 0.7; -0.0 ])
+        (oneof [ oneofl [ -0.25; -0.0; 0.0 ]; float_range (-2.0) 2.0 ]))
+  in
+  let print (rate, freq, phase, amplitude) =
+    Printf.sprintf "(rate %h, freq %h, phase %h, amplitude %h)" rate freq phase amplitude
+  in
+  QCheck.Test.make ~name:"one-tone store = synthesize_into, bit for bit" ~count:200
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (int_range 1 12) capture))
+    (fun captures ->
+      let memo = Tone.unit_wave ~samples:n in
+      let out = Array.make n 0.0 and expected = Array.make n 0.0 in
+      let bits = Array.map Int64.bits_of_float in
+      List.for_all
+        (fun (sample_rate, freq, phase, amplitude) ->
+          let tone = Tone.component ~freq ~amplitude ~phase () in
+          Tone.synthesize_single_into memo ~sample_rate tone out;
+          Tone.synthesize_into ~sample_rate [ tone ] expected;
+          bits out = bits expected)
+        captures)
+
 let test_tone_fit_recovers_components () =
   let fs = 1e6 and n = 2048 in
   let f = Tone.coherent_frequency ~sample_rate:fs ~samples:n ~target:123e3 in
@@ -630,7 +660,8 @@ let () =
           Alcotest.test_case "streaming = batch" `Quick test_streaming_matches_batch;
           Alcotest.test_case "fit recovers amplitude/phase" `Quick
             test_tone_fit_recovers_components;
-          Alcotest.test_case "fit under noise" `Quick test_tone_fit_under_noise ] );
+          Alcotest.test_case "fit under noise" `Quick test_tone_fit_under_noise;
+          QCheck_alcotest.to_alcotest prop_single_tone_store ] );
       ( "cic",
         [ Alcotest.test_case "dc gain" `Quick test_cic_dc_gain;
           Alcotest.test_case "order-1 = boxcar" `Quick test_cic_against_moving_average;

@@ -257,6 +257,125 @@ let prop_losses_are_probabilities =
       l.Coverage.fcl >= 0.0 && l.Coverage.fcl <= 1.0 && l.Coverage.yl >= 0.0
       && l.Coverage.yl <= 1.0)
 
+(* [Coverage.analytic] before its three loss integrals shared one pass:
+   three composite-Simpson integrals ([n = 800] per segment), each a
+   closure whose every node calls [Spec.passes], [Distribution.pdf] and
+   the partially applied acceptance probability.  Kept here as the oracle
+   that pins the fused pass bit for bit. *)
+let reference_int ~f ~lo ~hi ~n =
+  assert (lo <= hi);
+  if lo = hi then 0.0
+  else begin
+    let n = if n mod 2 = 0 then n else n + 1 in
+    let h = (hi -. lo) /. float_of_int n in
+    let acc = ref (f lo +. f hi) in
+    for i = 1 to n - 1 do
+      let x = lo +. (float_of_int i *. h) in
+      let w = if i mod 2 = 1 then 4.0 else 2.0 in
+      acc := !acc +. (w *. f x)
+    done;
+    !acc *. h /. 3.0
+  end
+
+let reference_accept ~bound ~error ~threshold_shift x =
+  let prob_ge threshold =
+    match error with
+    | Coverage.Uniform_err err ->
+      if err <= 0.0 then (if x >= threshold then 1.0 else 0.0)
+      else Msoc_util.Floatx.clamp ~lo:0.0 ~hi:1.0 ((x +. err -. threshold) /. (2.0 *. err))
+    | Coverage.Normal_err err ->
+      if err <= 0.0 then (if x >= threshold then 1.0 else 0.0)
+      else begin
+        let sigma = err /. 3.0 in
+        1.0 -. Distribution.cdf (Distribution.normal ~mean:0.0 ~sigma) (threshold -. x)
+      end
+  in
+  let prob_le threshold = 1.0 -. prob_ge threshold in
+  match bound with
+  | Spec.At_least m -> prob_ge (m +. threshold_shift)
+  | Spec.At_most m -> prob_le (m -. threshold_shift)
+  | Spec.Within { lo; hi } ->
+    let lo' = lo +. threshold_shift and hi' = hi -. threshold_shift in
+    if lo' >= hi' then 0.0 else Float.max 0.0 (prob_le hi' -. prob_le lo')
+
+let reference_analytic ~population ~bound ~error ~threshold_shift =
+  let mean = Distribution.mean population and sigma = Distribution.stddev population in
+  let lo = mean -. (10.0 *. sigma) and hi = mean +. (10.0 *. sigma) in
+  let err_magnitude =
+    match error with Coverage.Uniform_err e | Coverage.Normal_err e -> Float.abs e
+  in
+  let kinks m = [ m; m +. threshold_shift; m +. threshold_shift -. err_magnitude;
+                  m +. threshold_shift +. err_magnitude; m -. threshold_shift;
+                  m -. threshold_shift -. err_magnitude; m -. threshold_shift +. err_magnitude ]
+  in
+  let boundaries =
+    match bound with
+    | Spec.At_least m -> kinks m
+    | Spec.At_most m -> kinks m
+    | Spec.Within { lo = a; hi = b } -> kinks a @ kinks b
+  in
+  let cuts =
+    List.sort_uniq compare (lo :: hi :: List.filter (fun b -> b > lo && b < hi) boundaries)
+  in
+  let integrate f =
+    let rec over acc = function
+      | a :: (b :: _ as rest) -> over (acc +. reference_int ~f ~lo:a ~hi:b ~n:800) rest
+      | [ _ ] | [] -> acc
+    in
+    over 0.0 cuts
+  in
+  let pdf = Distribution.pdf population in
+  let accept = reference_accept ~bound ~error ~threshold_shift in
+  let good x = Spec.passes bound x in
+  let p_good = integrate (fun x -> if good x then pdf x else 0.0) in
+  let p_faulty = 1.0 -. p_good in
+  let escape = integrate (fun x -> if good x then 0.0 else pdf x *. accept x) in
+  let rejected_good = integrate (fun x -> if good x then pdf x *. (1.0 -. accept x) else 0.0) in
+  let clamp01 = Msoc_util.Floatx.clamp ~lo:0.0 ~hi:1.0 in
+  { Coverage.fcl = (if p_faulty <= 1e-12 then 0.0 else clamp01 (escape /. p_faulty));
+    yl = (if p_good <= 1e-12 then 0.0 else clamp01 (rejected_good /. p_good)) }
+
+(* Normal and uniform populations; one- and two-sided bounds placed across
+   the population, some [Within] narrower than twice the shift (so nothing
+   is accepted); both error models, with an error of 0 and above 0; and
+   shifts across [-2 err, 2 err]. *)
+let analytic_case_gen =
+  let open QCheck.Gen in
+  let* mean = float_range (-5.0) 5.0 and* spread = float_range 0.05 3.0 in
+  let* population =
+    oneof
+      [ return (Distribution.normal ~mean ~sigma:spread);
+        return (Distribution.uniform ~lo:(mean -. spread) ~hi:(mean +. spread)) ]
+  in
+  let* at = float_range (-3.0) 3.0 >|= fun k -> mean +. (k *. spread) in
+  let* width = float_range 0.0 4.0 >|= fun k -> k *. spread in
+  let* bound =
+    oneofl [ Spec.At_least at; Spec.At_most at; Spec.Within { lo = at; hi = at +. width } ]
+  in
+  let* err =
+    frequency [ (1, return 0.0); (4, float_range 0.01 2.0 >|= fun k -> k *. spread) ]
+  in
+  let* error = oneofl [ Coverage.Uniform_err err; Coverage.Normal_err err ] in
+  let+ shift = float_range (-2.0) 2.0 >|= fun k -> k *. err in
+  (population, bound, error, shift)
+
+let print_analytic_case (population, bound, error, shift) =
+  let model, err =
+    match error with
+    | Coverage.Uniform_err e -> ("Uniform_err", e)
+    | Coverage.Normal_err e -> ("Normal_err", e)
+  in
+  Format.asprintf "%a, bound %a, %s %h, shift %h" Distribution.pp population Spec.pp_bound bound
+    model err shift
+
+let prop_analytic_matches_reference =
+  QCheck.Test.make ~name:"analytic = three-closure reference, bit for bit" ~count:300
+    (QCheck.make ~print:print_analytic_case analytic_case_gen)
+    (fun (population, bound, error, threshold_shift) ->
+      let bits l = (Int64.bits_of_float l.Coverage.fcl, Int64.bits_of_float l.Coverage.yl) in
+      bits (Coverage.analytic ~population ~bound ~error ~threshold_shift)
+      = bits (reference_analytic ~population ~bound ~error ~threshold_shift))
+
 (* ---- Plan ---- *)
 
 let test_plan_structure () =
@@ -683,7 +802,7 @@ let () =
         :: Alcotest.test_case "MC matches analytic" `Quick test_monte_carlo_matches_analytic
         :: Alcotest.test_case "two-sided" `Quick test_two_sided_bound
         :: Alcotest.test_case "Fig5 tradeoff monotone" `Quick test_tradeoff_monotone
-        :: qcheck [ prop_losses_are_probabilities ] );
+        :: qcheck [ prop_losses_are_probabilities; prop_analytic_matches_reference ] );
       ( "plan",
         [ Alcotest.test_case "structure" `Quick test_plan_structure;
           Alcotest.test_case "table1" `Quick test_plan_table1;

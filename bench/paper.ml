@@ -213,10 +213,6 @@ let figure4 () =
       ~headers:
         [ "Method"; "Formula"; "Budget (worst)"; "Empirical RMS err"; "Empirical max err" ]
   in
-  let iip3 = path_param "Mixer" "iip3_dbm" in
-  let amp_gain = path_param "Amp" "gain_db" in
-  let mixer_gain = path_param "Mixer" "gain_db" in
-  let lpf_gain = path_param "LPF" "gain_db" in
   let trials = 50000 in
   let pool = Pool.get_default () in
   List.iter
@@ -228,25 +224,8 @@ let figure4 () =
          pool with one pre-split generator stream per trial, so the result
          is bit-identical for every pool size. *)
       let errs =
-        Monte_carlo.sample_array_pooled ~pool ~trials ~rng:(Prng.create 31415)
-          ~f:(fun g _ ->
-            let actual_amp = Param.sample amp_gain g in
-            let actual_mixer = Param.sample mixer_gain g in
-            let actual_lpf = Param.sample lpf_gain g in
-            let true_iip3 = Param.sample iip3 g in
-            (* observable at the primary output, input-referred to the
-               primary input: *)
-            let observable = true_iip3 +. actual_mixer +. actual_lpf in
-            let estimate =
-              match strategy with
-              | Propagate.Nominal_gains ->
-                observable -. mixer_gain.Param.nominal -. lpf_gain.Param.nominal
-              | Propagate.Adaptive ->
-                (* path gain measured exactly; G_amp assumed nominal *)
-                let path_gain = actual_amp +. actual_mixer +. actual_lpf in
-                observable -. path_gain +. amp_gain.Param.nominal
-            in
-            estimate -. true_iip3)
+        Monte_carlo.sample_array_pooled ~pool ~trials ~rng:(Prng.create Propagate.figure4_seed)
+          ~f:(Propagate.mixer_iip3_trial path ~strategy)
           ()
       in
       let rms = Msoc_stat.Describe.rms errs in

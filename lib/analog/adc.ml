@@ -86,9 +86,8 @@ let[@inline] inl_error inst x =
   | S_curve -> peak *. sin (Float.pi *. x /. (2.0 *. fs))
   | Bow -> peak *. sin (Float.pi *. (x +. fs) /. (2.0 *. fs))
 
-(* One conversion with its thermal-noise sample given: the arithmetic
-   shared by [convert] and the capture kernel (inlined into the latter's
-   loop, so a capture boxes nothing). *)
+(* One conversion with its thermal-noise sample given (inlined into the
+   capture kernel's loop, so a capture boxes nothing). *)
 let[@inline] quantize inst x ~noise =
   let p = inst.params in
   let perturbed = x +. inst.offset_v +. inl_error inst x +. noise in
@@ -98,8 +97,6 @@ let[@inline] quantize inst x ~noise =
   let with_dnl = perturbed +. inst.dnl_table.(index) in
   let code = int_of_float (Float.round (with_dnl /. lsb_volts p)) in
   max (code_min p) (min (code_max p) code)
-
-let convert inst ~rng x = quantize inst x ~noise:(inst.noise_sigma_v *. Prng.gaussian rng)
 
 let kernel inst ~decimation ~rng ~samples =
   assert (decimation >= 1);
@@ -111,8 +108,6 @@ let kernel inst ~decimation ~rng ~samples =
       codes.(k) <- quantize inst input.(k * decimation) ~noise:noise.(k)
     done;
     codes
-
-let code_to_volts p code = float_of_int code *. lsb_volts p
 
 let ideal_snr_db p = (6.02 *. float_of_int p.bits) +. 1.76
 

@@ -44,23 +44,14 @@ val instance : params -> Context.t -> values -> rng:Msoc_util.Prng.t -> instance
 (** [rng] fixes the DNL realisation of this part. *)
 
 val lsb_volts : params -> float
-val code_min : params -> int
-val code_max : params -> int
-
-val convert : instance -> rng:Msoc_util.Prng.t -> float -> int
-(** One conversion: volts in, signed code out (saturating).  The
-    per-sample reference form of {!kernel}, drawing its thermal noise from
-    [rng]. *)
 
 val kernel :
   instance -> decimation:int -> rng:Msoc_util.Prng.t -> samples:int -> float array -> int array
 (** [kernel inst ~decimation ~rng ~samples] draws the conversion-noise
     track ([samples / decimation] Gaussians from [rng]) once and returns
     the capture kernel: sample-and-hold every [decimation]-th sample of a
-    [samples]-long input and convert it, replaying the same noise on every
-    call. *)
-
-val code_to_volts : params -> int -> float
+    [samples]-long input and convert it to a signed code (saturating at the
+    rails), replaying the same noise on every call. *)
 
 val ideal_snr_db : params -> float
 (** 6.02 N + 1.76. *)

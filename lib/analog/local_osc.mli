@@ -30,7 +30,5 @@ val track : Context.t -> values -> rng:Msoc_util.Prng.t -> samples:int -> float 
     from phase 0 and zero wander; the phase noise draws one Gaussian per
     sample from [rng]. *)
 
-val actual_freq_hz : values -> float
-
 val freq_interval_hz : params -> Msoc_util.Interval.t
 (** Carrier frequency with its error tolerance. *)

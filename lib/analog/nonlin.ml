@@ -10,9 +10,6 @@ let[@inline] poly t x =
   let x2 = x *. x in
   x *. (t.a1 +. (x2 *. (t.a3 +. (x2 *. t.a5))))
 
-let linear ~gain_lin =
-  { a1 = gain_lin; a3 = 0.0; a5 = 0.0; sat_in = infinity; sat_out = infinity }
-
 (* Smallest positive root of dy/dx = a1 + 3 a3 x^2 + 5 a5 x^4 = 0 (quadratic
    in x^2); infinity when the polynomial is monotone. *)
 let monotonicity_limit a1 a3 a5 =
@@ -65,7 +62,3 @@ let apply_into t buf =
   done
 
 let saturation_input t = t.sat_in
-
-let gain_at_amplitude t amplitude =
-  let a2 = amplitude *. amplitude in
-  t.a1 +. (0.75 *. t.a3 *. a2) +. (0.625 *. t.a5 *. a2 *. a2)

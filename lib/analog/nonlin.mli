@@ -9,22 +9,13 @@
 
 type t
 
-val linear : gain_lin:float -> t
-(** Distortion-free (used for ideal-path simulations). *)
-
 val fit : gain_lin:float -> iip3_vpeak:float -> ?p1db_vpeak:float -> unit -> t
 (** Requires positive gain and amplitudes.  Without [p1db_vpeak] the cubic
     alone sets compression (P1dB at IIP3 - 9.6 dB). *)
 
-val apply : t -> float -> float
-
 val apply_into : t -> float array -> unit
-(** [apply] over a whole buffer, in place and without allocating. *)
+(** The transfer curve over a whole buffer, in place and without
+    allocating. *)
 
 val saturation_input : t -> float
-(** Input amplitude beyond which the output is clamped; [infinity] for a
-    purely linear instance. *)
-
-val gain_at_amplitude : t -> float -> float
-(** Describing-function (first-harmonic) gain at a sine input amplitude:
-    [a1 + 3/4 a3 A^2 + 5/8 a5 A^4], clamped region excluded. *)
+(** Input amplitude beyond which the output is clamped. *)

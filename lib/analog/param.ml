@@ -20,9 +20,3 @@ let sample p g =
     in
     draw 0
   end
-
-let sample_defective p g ~severity =
-  let base = sample p g in
-  let magnitude = if p.tol > 0.0 then p.tol else Float.max (Float.abs p.nominal *. 0.01) 1e-9 in
-  let side = if Prng.float g < 0.5 then -1.0 else 1.0 in
-  base +. (side *. severity *. magnitude)

@@ -20,7 +20,3 @@ val interval : t -> Msoc_util.Interval.t
 val sample : t -> Msoc_util.Prng.t -> float
 (** Draw a manufacturing instance, truncated to the tolerance range (a
     defect-free part by construction). *)
-
-val sample_defective : t -> Msoc_util.Prng.t -> severity:float -> float
-(** Draw a soft-faulty instance: a deviation of [severity] tolerances is
-    added on a random side — "slight deviations in parameter values" (§5). *)

@@ -81,13 +81,6 @@ let modulate_into inst ~rng ~samples =
       bits.(i) <- int_of_float y
     done
 
-let modulator inst ~rng ~samples =
-  let run = modulate_into inst ~rng ~samples in
-  fun input ->
-    let bits = Array.make (Array.length input) 0 in
-    run input bits;
-    bits
-
 (* A capture's bitstream is per-domain scratch, one buffer per length:
    the CIC decimator reads it and keeps nothing. *)
 let bits_key : (int, int array) Hashtbl.t Domain.DLS.key =

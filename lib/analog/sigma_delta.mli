@@ -34,19 +34,17 @@ val nominal_values : params -> values
 val sample_values : params -> Msoc_util.Prng.t -> values
 val instance : params -> Context.t -> values -> instance
 
-val modulator : instance -> rng:Msoc_util.Prng.t -> samples:int -> float array -> int array
-(** [modulator inst ~rng ~samples] draws the input-noise track ([samples]
-    Gaussians from [rng]) once and returns the loop's block kernel: a
-    [samples]-long buffer of input volts at the simulation rate to the ±1
-    bitstream, with the integrators starting from rest and the same noise
-    replayed on every call.  Inputs beyond ~0.85 of full scale overload
-    the loop (as real 2nd-order loops do). *)
-
 val kernel :
   instance -> decimation:int -> rng:Msoc_util.Prng.t -> samples:int -> float array -> int array
-(** {!modulator} followed by a fresh sinc^3 CIC decimator; output codes
-    are signed with full scale ~= [decimation ^ 3 / 4] (the CIC gain on a
-    ±1 stream divided by the modulator's stable range). *)
+(** [kernel inst ~decimation ~rng ~samples] draws the input-noise track
+    ([samples] Gaussians from [rng]) once and returns the capture kernel:
+    the loop takes a [samples]-long buffer of input volts at the
+    simulation rate to its ±1 bitstream, integrators starting from rest
+    and the same noise replayed on every call, and a fresh sinc^3 CIC
+    decimator follows.  Output codes are signed with full scale ~=
+    [decimation ^ 3 / 4] (the CIC gain on a ±1 stream divided by the
+    modulator's stable range).  Inputs beyond ~0.85 of full scale
+    overload the loop (as real 2nd-order loops do). *)
 
 val output_full_scale : decimation:int -> int
 (** Code magnitude corresponding to a full-scale input after {!kernel}. *)

@@ -19,11 +19,6 @@ let rss t =
   in
   sqrt sum_sq
 
-let remove t ~source =
-  { t with contributions = List.filter (fun c -> not (String.equal c.source source)) t.contributions }
-
-let add t c = { t with contributions = c :: t.contributions }
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>error budget (worst %.3g, rss %.3g):" (worst_case t) (rss t);
   List.iter (fun c -> Format.fprintf ppf "@,  %-24s ±%.3g" c.source c.err) t.contributions;

@@ -26,9 +26,4 @@ val rss : t -> float
 (** Root-sum-square — the expected (1-sigma-ish) error when contributions
     are independent. *)
 
-val remove : t -> source:string -> t
-(** Drop a contribution (adaptive substitution); unknown sources are a
-    no-op. *)
-
-val add : t -> contribution -> t
 val pp : Format.formatter -> t -> unit

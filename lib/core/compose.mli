@@ -29,10 +29,6 @@ val noise_figure : Path.t -> t
 val dynamic_range : Path.t -> t
 (** Usable input range: compression ceiling over noise floor. *)
 
-val friis_nf_db : nf_db:float array -> gain_db:float array -> float
-(** Cascade noise figure; [gain_db] has one fewer element than [nf_db]
-    (no gain after the last stage matters). *)
-
 type check_kind =
   | Saturation   (** High-amplitude: SNR must survive near the ceiling. *)
   | Signal_loss  (** Low-amplitude: the tone must stay detectable. *)

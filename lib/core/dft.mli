@@ -19,9 +19,6 @@ type recommendation = {
   yl_reduction : float;
 }
 
-val evaluate : Path.t -> Propagate.t -> recommendation
-(** What direct access would buy for one measurement. *)
-
 val recommend :
   ?strategy:Propagate.strategy ->
   Path.t ->

@@ -35,10 +35,15 @@ let default_config =
     uncertainty_margin_db = 8.0;
     exclude_half_width = 3 }
 
-let build config =
+let quantized config =
   let design = Fir.lowpass ~taps:config.taps ~cutoff:config.cutoff () in
-  let codes, scale = Fir.quantize design.Fir.taps ~bits:config.coeff_bits in
+  Fir.quantize design.Fir.taps ~bits:config.coeff_bits
+
+let build config =
+  let codes, scale = quantized config in
   Fir_netlist.create ~coeffs:codes ~width_in:config.input_bits ~scale ()
+
+let max_input_bits config = Fir_netlist.max_width_in (fst (quantized config))
 
 let collapsed_faults fir =
   let circuit = fir.Fir_netlist.circuit in

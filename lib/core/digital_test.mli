@@ -37,7 +37,12 @@ val default_config : config
     6 dB tolerance, 8 dB margin, ±3 bins excluded. *)
 
 val build : config -> Fir_netlist.t
-(** Synthesise the gate-level filter from a windowed-sinc design. *)
+(** Synthesise the gate-level filter from a windowed-sinc design.
+    Requires [input_bits <= max_input_bits config]. *)
+
+val max_input_bits : config -> int
+(** The widest input the configuration's quantized coefficients allow
+    ({!Fir_netlist.max_width_in}). *)
 
 val collapsed_faults : Fir_netlist.t -> Fault.t array
 

@@ -6,20 +6,18 @@ module Lpf = Msoc_analog.Lpf
 module Units = Msoc_util.Units
 module Tone = Msoc_dsp.Tone
 module Spectrum = Msoc_dsp.Spectrum
-module Fft = Msoc_dsp.Fft
 module Obs = Msoc_obs.Obs
+
+(* ADC samples per capture *)
+let capture_samples = 4096
 
 type t = {
   path : Path.t;
-  capture_samples : int;
   engine : Path.engine;  (* built once; every capture replays it *)
 }
 
-let create ?(seed = 1234) ?(capture_samples = 4096) path part =
-  if capture_samples < 256 || not (Fft.is_power_of_two capture_samples) then
-    invalid_arg "Measure.create: capture_samples must be a power of two >= 256";
+let create ?(seed = 1234) path part =
   { path;
-    capture_samples;
     engine =
       Obs.span "measure.engine" (fun () ->
           Path.engine path part ~seed ~samples:(capture_samples * Path.decimation path)) }
@@ -42,7 +40,7 @@ let lpf_stage_opt t =
     t.path.Path.stages
 
 let snap_if t freq =
-  let n = t.capture_samples and fs = adc_rate t in
+  let n = capture_samples and fs = adc_rate t in
   Tone.coherent_frequency ~sample_rate:fs ~samples:n ~target:freq
 
 (* The stimulus buffer is per-domain scratch: a validation run performs
@@ -68,7 +66,7 @@ let scratch n =
 
 let raw_capture t components =
   Obs.span "measure.capture" @@ fun () ->
-  let { stimulus; unit_wave } = scratch (t.capture_samples * Path.decimation t.path) in
+  let { stimulus; unit_wave } = scratch (capture_samples * Path.decimation t.path) in
   let sample_rate = t.path.Path.ctx.Context.sim_rate_hz in
   (match components with
   | [ tone ] -> Tone.synthesize_single_into unit_wave ~sample_rate tone stimulus
@@ -306,7 +304,7 @@ let validate_part ?pool ?seed path part ~strategy =
      measurement class (sweeps pay per point), record length and settling
      from this tester session's path. *)
   let cost_of ~captures =
-    Cost.create ~captures ~record_samples:t.capture_samples
+    Cost.create ~captures ~record_samples:capture_samples
       ~settle_cycles:(Path.settle_cycles path) ~sample_rate_hz:(Path.adc_rate_hz path) ()
   in
   let entry parameter ~captures ~true_value ~measured ~budget =

@@ -11,27 +11,6 @@
 
 module Path = Msoc_analog.Path
 
-type t
-(** A tester session bound to one manufactured part. *)
-
-val create : ?seed:int -> ?capture_samples:int -> Path.t -> Path.part -> t
-(** Defaults: seed 1234, 4096 ADC samples per capture.  Requires
-    [capture_samples] to be a power of two >= 256.  Builds the session's
-    waveform engine once, drawing all its noise from [seed]. *)
-
-val path_gain_db : t -> level_dbm:float -> float
-(** Single-tone composite gain at a 100 kHz IF. *)
-
-val lo_frequency_hz : t -> level_dbm:float -> float
-(** Adaptive LO measurement: apply an RF tone at a known frequency and
-    subtract the measured IF — the prerequisite for the LPF cut-off
-    sweep. *)
-
-val mixer_p1db_dbm : t -> strategy:Propagate.strategy -> float
-(** Level sweep to the 1 dB compression point.  Nominal strategy detects
-    the drop against the nominal-gain line; adaptive against the part's
-    own measured small-signal gain. *)
-
 type validation = {
   parameter : string;
   true_value : float;
@@ -51,7 +30,13 @@ val validate_part :
   strategy:Propagate.strategy ->
   validation list
 (** Run the full propagated-measurement set against one part and compare
-    each result with the part's true parameter value.  With [pool], the
+    each result with the part's true parameter value: the composite path
+    gain (one tone at a 100 kHz IF), the mixer IIP3, the mixer P1dB (a
+    level sweep to 1 dB compression, against the nominal-gain line or,
+    adaptively, against the part's own measured gain), the LPF cut-off and
+    the LO frequency error (an RF tone at a known frequency minus the
+    measured IF).  One session engine, drawing all its noise from [seed]
+    (default 1234), serves every capture of 4096 ADC samples.  With [pool], the
     five measurement procedures run on separate domains, sharing the
     session engine (its runs are pure, so the procedures are
     independent); the result list is in procedure order and identical to

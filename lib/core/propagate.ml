@@ -150,6 +150,38 @@ let mixer_iip3 (path : Path.t) ~strategy =
     budget;
     prerequisites }
 
+let figure4_seed = 31415
+
+(* Fig. 4's error model, one Monte-Carlo trial: sample a part within its
+   tolerances, de-embed the mixer IIP3 from the cascade observable with
+   the chosen strategy, and return the estimate minus the sampled truth.
+   The draws come in a fixed order (amp, mixer and LPF gains, then the
+   true IIP3), so a trial is a pure function of its generator stream. *)
+let mixer_iip3_trial (path : Path.t) ~strategy =
+  let param stage name = Path.param path ~stage ~name in
+  let iip3 = param "Mixer" "iip3_dbm" in
+  let amp_gain = param "Amp" "gain_db" in
+  let mixer_gain = param "Mixer" "gain_db" in
+  let lpf_gain = param "LPF" "gain_db" in
+  fun g _ ->
+    let actual_amp = Param.sample amp_gain g in
+    let actual_mixer = Param.sample mixer_gain g in
+    let actual_lpf = Param.sample lpf_gain g in
+    let true_iip3 = Param.sample iip3 g in
+    (* observable at the primary output, input-referred to the primary
+       input *)
+    let observable = true_iip3 +. actual_mixer +. actual_lpf in
+    let estimate =
+      match strategy with
+      | Nominal_gains -> observable -. mixer_gain.Param.nominal -. lpf_gain.Param.nominal
+      | Adaptive ->
+        (* path gain measured exactly; G_amp assumed nominal — only the
+           amp's tolerance survives in the error *)
+        let path_gain = actual_amp +. actual_mixer +. actual_lpf in
+        observable -. path_gain +. amp_gain.Param.nominal
+    in
+    estimate -. true_iip3
+
 let amp_iip3 (path : Path.t) ~strategy =
   traced "propagate.amp_iip3" @@ fun () ->
   let amp = require "amplifier" (amp_stage path) in

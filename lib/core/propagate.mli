@@ -42,6 +42,19 @@ val standard_test_level_dbm : float
 (** Per-tone stimulus level used by the default measurements (-35 dBm). *)
 
 val mixer_iip3 : Path.t -> strategy:strategy -> t
+
+val mixer_iip3_trial : Path.t -> strategy:strategy -> Msoc_util.Prng.t -> int -> float
+(** Fig. 4's error model as one Monte-Carlo trial, the [~f] of
+    {!Msoc_stat.Monte_carlo.sample_array_pooled}: draw the amp, mixer and
+    LPF gains and the true mixer IIP3 of a part within their tolerances
+    (in that order, from the trial's stream), de-embed the IIP3 from the
+    cascade observable with [strategy], and return the estimate minus the
+    truth.  Reads the [Amp], [Mixer] and [LPF] stages of a default-style
+    receiver.  Every error lies within [err (mixer_iip3 path ~strategy)]. *)
+
+val figure4_seed : int
+(** The canonical seed of Fig. 4's Monte-Carlo study. *)
+
 val mixer_p1db : Path.t -> strategy:strategy -> t
 val lpf_cutoff : Path.t -> strategy:strategy -> t
 val amp_iip3 : Path.t -> strategy:strategy -> t
@@ -52,10 +65,6 @@ val lo_freq_error : Path.t -> t
 val mixer_lo_isolation : Path.t -> strategy:strategy -> t
 val adc_inl : Path.t -> t
 (** INL bounded through the carrier-relative harmonic spur power. *)
-
-val lpf_cutoff_slope_db_per_hz : Path.t -> float
-(** Roll-off slope of the LPF response at the nominal cut-off, used to
-    convert gain uncertainty into cut-off frequency uncertainty. *)
 
 val all_for_path : Path.t -> strategy:strategy -> t list
 (** Every propagated measurement the topology supports, in the fixed

@@ -86,11 +86,6 @@ let table1 = function
   | Adc -> [ Offset_error; Inl; Dnl; Noise_figure; Dynamic_range ]
   | Digital_filter -> [ Stuck_at_coverage ]
 
-let composable = function
-  | Gain | Passband_gain | Noise_figure | Dynamic_range -> true
-  | Iip3 | Dc_offset | Harmonic3 | Lo_isolation | P1db | Freq_error | Phase_noise
-  | Stopband_gain | Cutoff_freq | Offset_error | Inl | Dnl | Stuck_at_coverage -> false
-
 let class_of_stage (s : Stage.t) =
   match s.Stage.block with
   | Stage.Amp _ -> Amp

@@ -50,9 +50,6 @@ val kind_name : kind -> string
 val table1 : block -> kind list
 (** The parameter set the paper's Table 1 assigns to each block. *)
 
-val composable : kind -> bool
-(** Partitioned parameters compose at the system level (§4.2). *)
-
 val class_of_stage : Msoc_analog.Stage.t -> block
 (** The block class of a stage (sigma-delta digitizers class as {!Adc}). *)
 

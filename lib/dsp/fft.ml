@@ -9,11 +9,6 @@ let next_power_of_two n =
   let rec grow p = if p >= n then p else grow (p * 2) in
   grow 1
 
-(* "Fast" here means radix-2: a size the planner can transform without the
-   Bluestein detour.  Consumers that may zero-pad (a spectrum whose bin
-   grid is free, a convolution) pad to this. *)
-let next_fast_size n = next_power_of_two n
-
 (* ------------------------------------------------------------------ *)
 (* Plan cache.  Every transform of length N reuses the same bit-       *)
 (* reversal permutation and twiddle tables, every Bluestein transform  *)
@@ -36,7 +31,7 @@ type pow2_plan = {
 type bluestein_plan = {
   n : int;
   m : int;                      (* power-of-two convolution length *)
-  chirp_re : float array;       (* exp(sign * i pi k^2 / n), length n *)
+  chirp_re : float array;       (* exp(-i pi k^2 / n), length n *)
   chirp_im : float array;
   fb_re : float array;          (* forward FFT of the chirp kernel, length m *)
   fb_im : float array;
@@ -51,27 +46,15 @@ type rfft_plan = {
 
 let plan_mutex = Mutex.create ()
 let pow2_plans : (int, pow2_plan) Hashtbl.t = Hashtbl.create 8
-(* one table per direction: the chirp sign differs between them *)
 let bluestein_plans : (int, bluestein_plan) Hashtbl.t = Hashtbl.create 8
-let bluestein_inverse_plans : (int, bluestein_plan) Hashtbl.t = Hashtbl.create 8
 let rfft_plans : (int, rfft_plan) Hashtbl.t = Hashtbl.create 8
 
 let clear_plan_cache () =
   Mutex.lock plan_mutex;
   Hashtbl.reset pow2_plans;
   Hashtbl.reset bluestein_plans;
-  Hashtbl.reset bluestein_inverse_plans;
   Hashtbl.reset rfft_plans;
   Mutex.unlock plan_mutex
-
-let plan_cache_sizes () =
-  Mutex.lock plan_mutex;
-  let sizes =
-    ( Hashtbl.length pow2_plans,
-      Hashtbl.length bluestein_plans + Hashtbl.length bluestein_inverse_plans )
-  in
-  Mutex.unlock plan_mutex;
-  sizes
 
 let build_pow2_plan n =
   let perm = Array.make n 0 in
@@ -226,13 +209,12 @@ let fft_in_place ~re ~im ~inverse =
     end
   end
 
-let build_bluestein_plan ~inverse n =
-  let sign = if inverse then 1.0 else -1.0 in
+let build_bluestein_plan n =
   let chirp_re = Array.make n 0.0 and chirp_im = Array.make n 0.0 in
   for k = 0 to n - 1 do
     (* k^2 mod 2n keeps the angle argument small for large k. *)
     let k2 = k * k mod (2 * n) in
-    let angle = sign *. Float.pi *. float_of_int k2 /. float_of_int n in
+    let angle = -.Float.pi *. float_of_int k2 /. float_of_int n in
     chirp_re.(k) <- cos angle;
     chirp_im.(k) <- sin angle
   done;
@@ -250,23 +232,19 @@ let build_bluestein_plan ~inverse n =
   fft_in_place ~re:fb_re ~im:fb_im ~inverse:false;
   { n; m; chirp_re; chirp_im; fb_re; fb_im }
 
-let bluestein_plan ~inverse n =
-  if inverse then
-    memo_plan bluestein_inverse_plans n ~hit:"fft.plan.bluestein.hit"
-      ~miss:"fft.plan.bluestein.miss" (fun n -> build_bluestein_plan ~inverse:true n)
-  else
-    memo_plan bluestein_plans n ~hit:"fft.plan.bluestein.hit"
-      ~miss:"fft.plan.bluestein.miss" (fun n -> build_bluestein_plan ~inverse:false n)
+let bluestein_plan n =
+  memo_plan bluestein_plans n ~hit:"fft.plan.bluestein.hit" ~miss:"fft.plan.bluestein.miss"
+    build_bluestein_plan
 
 (* Bluestein chirp-z, in place on split arrays: x_n * w_n convolved with
    the conj(w) chirp, where w_n = exp(-i pi n^2 / N).  The linear
    convolution is carried out with a power-of-two circular FFT of length
    >= 2N - 1 in per-domain scratch; the chirp and the kernel's spectrum
    come from the plan. *)
-let bluestein_in_place ~re ~im ~inverse =
+let bluestein_in_place ~re ~im =
   let n = Array.length re in
   assert (Array.length im = n);
-  let plan = bluestein_plan ~inverse n in
+  let plan = bluestein_plan n in
   let m = plan.m in
   let a_re = scratch ~role:role_conv_re m and a_im = scratch ~role:role_conv_im m in
   Array.fill a_re 0 m 0.0;
@@ -284,40 +262,18 @@ let bluestein_in_place ~re ~im ~inverse =
     a_im.(k) <- ti
   done;
   fft_in_place ~re:a_re ~im:a_im ~inverse:true;
-  let scale = if inverse then 1.0 /. float_of_int n else 1.0 in
   for k = 0 to n - 1 do
-    let rr = (a_re.(k) *. plan.chirp_re.(k)) -. (a_im.(k) *. plan.chirp_im.(k)) in
-    let ri = (a_re.(k) *. plan.chirp_im.(k)) +. (a_im.(k) *. plan.chirp_re.(k)) in
-    re.(k) <- rr *. scale;
-    im.(k) <- ri *. scale
+    re.(k) <- (a_re.(k) *. plan.chirp_re.(k)) -. (a_im.(k) *. plan.chirp_im.(k));
+    im.(k) <- (a_re.(k) *. plan.chirp_im.(k)) +. (a_im.(k) *. plan.chirp_re.(k))
   done
 
-(* Any-length in-place transform on split arrays (no Complex boxing). *)
-let transform_in_place ~re ~im ~inverse =
+(* Any-length forward transform in place on split arrays. *)
+let transform_in_place ~re ~im =
   let n = Array.length re in
   if n > 1 then begin
-    if is_power_of_two n then fft_in_place ~re ~im ~inverse
-    else bluestein_in_place ~re ~im ~inverse
+    if is_power_of_two n then fft_in_place ~re ~im ~inverse:false
+    else bluestein_in_place ~re ~im
   end
-
-let split x =
-  (Array.map (fun (c : Complex.t) -> c.re) x, Array.map (fun (c : Complex.t) -> c.im) x)
-
-let join re im = Array.init (Array.length re) (fun i -> { Complex.re = re.(i); im = im.(i) })
-
-let transform ~inverse x =
-  let n = Array.length x in
-  assert (n >= 1);
-  Obs.count "fft.transforms";
-  if n = 1 then Array.copy x
-  else begin
-    let re, im = split x in
-    transform_in_place ~re ~im ~inverse;
-    join re im
-  end
-
-let fft x = transform ~inverse:false x
-let ifft x = transform ~inverse:true x
 
 let dft x =
   let n = Array.length x in
@@ -367,7 +323,7 @@ let rfft_into signal ~re ~im =
     let w_re = scratch ~role:role_pack_re n and w_im = scratch ~role:role_pack_im n in
     Array.blit signal 0 w_re 0 n;
     Array.fill w_im 0 n 0.0;
-    transform_in_place ~re:w_re ~im:w_im ~inverse:false;
+    transform_in_place ~re:w_re ~im:w_im;
     Array.blit w_re 0 re 0 bins;
     Array.blit w_im 0 im 0 bins
   end
@@ -381,7 +337,7 @@ let rfft_into signal ~re ~im =
       Array.unsafe_set z_re k (Array.unsafe_get signal (2 * k));
       Array.unsafe_set z_im k (Array.unsafe_get signal ((2 * k) + 1))
     done;
-    transform_in_place ~re:z_re ~im:z_im ~inverse:false;
+    transform_in_place ~re:z_re ~im:z_im;
     let plan = rfft_plan n in
     let ut_re = plan.ut_re and ut_im = plan.ut_im in
     for k = 0 to h do
@@ -398,11 +354,3 @@ let rfft_into signal ~re ~im =
       Array.unsafe_set im k (e_im +. ((w_re *. o_im) +. (w_im *. o_re)))
     done
   end
-
-let rfft signal =
-  let n = Array.length signal in
-  assert (n >= 2);
-  let bins = (n / 2) + 1 in
-  let re = Array.make bins 0.0 and im = Array.make bins 0.0 in
-  rfft_into signal ~re ~im;
-  join re im

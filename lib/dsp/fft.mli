@@ -1,4 +1,4 @@
-(** Fast Fourier transforms, written from scratch.
+(** Fast Fourier transforms of real signals, written from scratch.
 
     Power-of-two sizes use an iterative radix-2 decimation-in-time transform
     on split real/imaginary arrays; other sizes go through Bluestein's
@@ -14,28 +14,12 @@
     plans are immutable once published, so transforms may run concurrently
     from multiple domains.  Internal work buffers (the Bluestein convolution,
     the packed real input) live in per-domain scratch, so steady-state
-    transforms through the [_in_place]/[_into] entry points allocate
-    nothing.
+    transforms allocate nothing.
 
-    Conventions: forward transform is [X_k = sum_n x_n exp(-2πi kn / N)]; the
-    inverse includes the [1/N] factor, so [ifft (fft x) = x]. *)
+    Convention: the forward transform is
+    [X_k = sum_n x_n exp(-2πi kn / N)]. *)
 
 val is_power_of_two : int -> bool
-
-val next_power_of_two : int -> int
-(** Smallest power of two >= the argument.  Requires a positive argument. *)
-
-val next_fast_size : int -> int
-(** Smallest length >= the argument that transforms without the Bluestein
-    detour (currently [next_power_of_two]).  Consumers free to zero-pad —
-    a spectrum whose bin grid is not pinned, a convolution — should pad to
-    this. *)
-
-val fft : Complex.t array -> Complex.t array
-(** Forward transform of any length >= 1. *)
-
-val ifft : Complex.t array -> Complex.t array
-(** Inverse transform of any length >= 1. *)
 
 val dft : Complex.t array -> Complex.t array
 (** O(N^2) reference implementation. *)
@@ -47,15 +31,7 @@ val rfft_into : float array -> re:float array -> im:float array -> unit
     complex transform (pack-two-reals), odd lengths a full-length one.
     Allocation-free in steady state. *)
 
-val rfft : float array -> Complex.t array
-(** Forward transform of a real signal; returns the [N/2 + 1] non-redundant
-    bins (DC .. Nyquist).  Any length >= 2.  Boxing wrapper around
-    {!rfft_into}. *)
-
 val clear_plan_cache : unit -> unit
 (** Drop every memoised plan.  Only useful to benchmarks and tests that want
     to measure or exercise cold-plan behaviour; results are unaffected
     because plans are rebuilt deterministically. *)
-
-val plan_cache_sizes : unit -> int * int
-(** [(power-of-two plans, Bluestein plans)] currently cached. *)

@@ -48,8 +48,6 @@ let magnitude_db taps ~freq =
   let mag = Complex.norm h in
   if mag <= 1e-20 then -400.0 else 20.0 *. Float.log10 mag
 
-let group_delay_samples taps = float_of_int (Array.length taps - 1) /. 2.0
-
 let quantize taps ~bits =
   assert (bits >= 2 && bits <= 30);
   let peak = Msoc_util.Floatx.max_abs taps in
@@ -64,8 +62,6 @@ let quantize taps ~bits =
   let scale = Float.pow 2.0 (float_of_int (-shift)) in
   let codes = Array.map (fun c -> int_of_float (Float.round (c /. scale))) taps in
   (codes, scale)
-
-let dequantize codes ~scale = Array.map (fun c -> float_of_int c *. scale) codes
 
 let filter taps x =
   let nt = Array.length taps and nx = Array.length x in

@@ -18,15 +18,11 @@ val lowpass : taps:int -> cutoff:float -> ?window:Window.kind -> unit -> design
     Coefficients are normalised to unity DC gain.  Requires [taps >= 1]. *)
 
 val magnitude_db : float array -> freq:float -> float
-val group_delay_samples : float array -> float
-(** Group delay of a linear-phase (symmetric) FIR: [(n-1)/2] samples. *)
 
 val quantize : float array -> bits:int -> int array * float
 (** Round coefficients to signed [bits]-bit integers with a shared power-of-
     two scale chosen to maximise precision; returns [(codes, scale)] with
     [code * scale ~ coefficient].  Requires [2 <= bits <= 30]. *)
-
-val dequantize : int array -> scale:float -> float array
 
 val filter : float array -> float array -> float array
 (** [filter taps x] is the causal convolution (same length as [x], zero

@@ -21,13 +21,6 @@ let bins_around t center hw =
   let lo = max 1 (center - hw) and hi = min (n - 1) (center + hw) in
   List.init (hi - lo + 1) (fun i -> lo + i)
 
-let harmonic_power_db t ~fundamental ~harmonic =
-  assert (harmonic >= 1);
-  let freq =
-    alias_fold ~sample_rate:t.Spectrum.sample_rate (float_of_int harmonic *. fundamental)
-  in
-  db (Spectrum.tone_power t ~freq)
-
 let intermod3_products ~f1 ~f2 = (Float.abs ((2.0 *. f1) -. f2), Float.abs ((2.0 *. f2) -. f1))
 
 (* Exclusion masks as flat bool arrays indexed by bin: the noise sums below

@@ -30,10 +30,6 @@ val snr_multi_db : Spectrum.t -> signals:float list -> ?exclude:float list -> un
     tones; those tones, their harmonics, and any [exclude] frequencies
     (known spurs) are removed from the noise estimate. *)
 
-val harmonic_power_db : Spectrum.t -> fundamental:float -> harmonic:int -> float
-(** Power of the [harmonic]-th multiple of [fundamental] (2 = HD2, ...),
-    alias-folded.  Requires [harmonic >= 1]. *)
-
 val intermod3_products : f1:float -> f2:float -> float * float
 (** The two third-order intermodulation frequencies [2 f1 - f2] and
     [2 f2 - f1] (absolute values). *)

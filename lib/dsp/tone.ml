@@ -98,16 +98,3 @@ let fit signal ~sample_rate ~freq =
   let s = scale *. !in_phase and c = scale *. !quadrature in
   (* x(t) ~ a sin(wt + p) = a sin wt cos p + a cos wt sin p *)
   { freq; amplitude = Float.hypot s c; phase = Float.atan2 c s }
-
-let crest_factor signal =
-  let rms = ref 0.0 and peak = ref 0.0 in
-  Array.iter
-    (fun x ->
-      rms := !rms +. (x *. x);
-      if Float.abs x > !peak then peak := Float.abs x)
-    signal;
-  let n = Array.length signal in
-  assert (n > 0);
-  let rms = sqrt (!rms /. float_of_int n) in
-  assert (rms > 0.0);
-  !peak /. rms

@@ -46,9 +46,6 @@ val two_tone :
 (** Equal-amplitude two-tone stimulus; [amplitude] is the per-tone amplitude
     (composite peak is at most [2 * amplitude]). *)
 
-val crest_factor : float array -> float
-(** Peak over RMS; requires a non-empty, non-all-zero signal. *)
-
 val fit : float array -> sample_rate:float -> freq:float -> component
 (** Least-squares fit of a single sine at a known frequency: correlate the
     capture with the quadrature pair at [freq] and return the recovered

@@ -32,8 +32,8 @@ let compute_coefficients kind n =
    the same table — the virtual tester windows thousands of same-size
    captures, and the n cosine evaluations per capture used to dominate
    [Spectrum.analyze].  Cached tables are treated as immutable; the public
-   [coefficients] returns a defensive copy, the in-place [apply]/
-   [apply_into] paths read the shared table directly. *)
+   [coefficients] returns a defensive copy, the in-place [apply_into]
+   path reads the shared table directly. *)
 let coeff_mutex = Mutex.create ()
 let coeff_cache : (int * int, float array) Hashtbl.t = Hashtbl.create 8
 
@@ -92,8 +92,3 @@ let apply_into kind signal out =
   for i = 0 to n - 1 do
     Array.unsafe_set out i (Array.unsafe_get signal i *. Array.unsafe_get w i)
   done
-
-let apply kind signal =
-  let out = Array.make (Array.length signal) 0.0 in
-  apply_into kind signal out;
-  out

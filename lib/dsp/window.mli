@@ -27,10 +27,8 @@ val lobe_half_width : kind -> int
 (** Main-lobe half width in bins, over which a tone's leaked power is
     integrated. *)
 
-val apply : kind -> float array -> float array
-(** Pointwise product with the window of matching length. *)
-
 val apply_into : kind -> float array -> float array -> unit
-(** [apply_into kind signal out] writes the windowed signal into the first
-    [length signal] cells of [out] (which must be at least that long) —
-    the allocation-free form for callers with a scratch buffer. *)
+(** [apply_into kind signal out] writes the pointwise product of [signal]
+    with the window of matching length into the first [length signal]
+    cells of [out] (which must be at least that long), without
+    allocating. *)

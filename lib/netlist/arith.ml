@@ -3,8 +3,10 @@ module B = Netlist.Builder
 type bus = Netlist.node array
 
 let const_bus b ~width value =
+  (* a bus as wide as a native int holds every native int *)
   let fits =
-    if value >= 0 then value < 1 lsl (width - 1) else -value <= 1 lsl (width - 1)
+    width >= Sys.int_size
+    || if value >= 0 then value < 1 lsl (width - 1) else -value <= 1 lsl (width - 1)
   in
   if not fits then invalid_arg "Arith.const_bus: value does not fit";
   Array.init width (fun i -> B.const b ((value lsr i) land 1 = 1))
@@ -83,15 +85,6 @@ let width_for_product ~input_width ~coeff =
     bits_needed max_mag 0 + 1
   end
 
-let width_for_sum ~widths =
-  match widths with
-  | [] -> 1
-  | _ ->
-    let widest = List.fold_left max 1 widths in
-    let count = List.length widths in
-    let rec log2_ceil v acc = if v <= 1 then acc else log2_ceil ((v + 1) / 2) (acc + 1) in
-    widest + log2_ceil count 0
-
 let scale_const b bus ~coeff ~width =
   if coeff = 0 then const_bus b ~width 0
   else begin
@@ -109,25 +102,5 @@ let scale_const b bus ~coeff ~width =
           else sub_signed b acc (shifted w) ~width)
         first rest
   end
-
-let multiply_signed b x y =
-  let wx = Array.length x and wy = Array.length y in
-  assert (wx >= 2 && wy >= 2);
-  let width = wx + wy in
-  let xe = sign_extend b x ~width in
-  (* row j: (x << j) masked by y_j, truncated back to the product width;
-     the sign row (j = wy-1) is subtracted, which is exactly the signed
-     weight of y's top bit. *)
-  let row j =
-    let shifted = shift_left b xe ~by:j in
-    Array.init width (fun i -> B.gate2 b Netlist.And2 shifted.(i) y.(j))
-  in
-  let acc = ref (row 0) in
-  for j = 1 to wy - 2 do
-    acc := ripple_add b !acc (row j) ~cin:(B.const b false)
-  done;
-  let sign_row = row (wy - 1) in
-  let complemented = Array.map (fun n -> B.not_ b n) sign_row in
-  ripple_add b !acc complemented ~cin:(B.const b true)
 
 let register_bus b bus = Array.map (fun n -> B.dff b n) bus

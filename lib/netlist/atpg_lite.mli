@@ -40,26 +40,3 @@ val grade :
     detected when any output cycle differs from the fault-free machine.
     With [pool], the underlying fault simulation runs across domains;
     results are bit-identical to the serial path. *)
-
-val grade_until :
-  ?pool:Msoc_util.Pool.t ->
-  Netlist.t ->
-  output:string ->
-  faults:Fault.t array ->
-  config ->
-  target_coverage:float ->
-  max_patterns:int ->
-  result
-(** Keep doubling the pattern count until the target coverage is reached
-    or the budget runs out — reports the final grading.  The stimulus
-    table with a fixed seed is prefix-stable, so each doubling re-grades
-    only the still-undetected remainder and ORs the flags; detections from
-    smaller pattern counts are never re-simulated. *)
-
-val union_coverage : bool array list -> int
-(** Number of faults detected by at least one of several gradings.
-
-    Precondition: every grading must come from the {e same fault array}
-    (flags indexed alike) — raises [Invalid_argument] when the flag arrays
-    have different lengths.  Equal lengths from different fault universes
-    remain the caller's responsibility: the result would be meaningless. *)

@@ -18,7 +18,5 @@ val universe : Netlist.t -> t array
     excluded: a stuck constant is either redundant or a different circuit). *)
 
 val collapse : Netlist.t -> t array -> t array
-(** Keep one representative per equivalence class (driver-side). *)
-
-val representative : Netlist.t -> t -> t
-(** Map a fault to its collapsed class representative. *)
+(** Keep one representative per equivalence class: the driver-side end of
+    each chain, the polarity flipped through every inverter. *)

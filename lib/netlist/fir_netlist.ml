@@ -28,10 +28,25 @@ let role_name = function
   | Register -> "register"
   | Adder -> "adder"
 
+(* Every datapath width derives from the accumulator bound
+   (sum |c|) * 2^(width_in - 1), computed in a native int, so the widest
+   input is the last whose bound does not exceed [max_int]. *)
+let max_width_in coeffs =
+  let total = max 1 (Array.fold_left (fun acc c -> acc + abs c) 0 coeffs) in
+  let rec widest shift = if total <= max_int asr (shift + 1) then widest (shift + 1) else shift in
+  widest 0 + 1
+
 let create ~coeffs ~width_in ?(scale = 1.0) ?(architecture = Transposed) () =
   let taps = Array.length coeffs in
   if taps < 1 then invalid_arg "Fir_netlist.create: no taps";
   if width_in < 2 then invalid_arg "Fir_netlist.create: width_in too small";
+  let widest = max_width_in coeffs in
+  if width_in > widest then
+    invalid_arg
+      (Printf.sprintf
+         "Fir_netlist.create: width_in too large (at most %d for these coefficients: the \
+          accumulator bound must fit a native int)"
+         widest);
   (* Minimal datapath widths: each partial sum s_k = sum_{j>=k} c_j x[.] is
      bounded by (sum_{j>=k} |c_j|) * |x|_max, so the register/adder chain
      grows only as far as that suffix bound requires — no dead constant
@@ -150,9 +165,3 @@ let response t xs =
         acc := !acc + (t.coeffs.(k) * clamp_input t xs.(n - k))
       done;
       !acc)
-
-let quantize_input t ~full_scale v =
-  assert (full_scale > 0.0);
-  let half_range = float_of_int (1 lsl (t.width_in - 1)) in
-  let code = int_of_float (Float.round (v /. full_scale *. (half_range -. 1.0))) in
-  clamp_input t code

@@ -40,11 +40,18 @@ val fault_site : t -> tap:int -> role:role -> Fault.t
 
 val role_name : role -> string
 
+val max_width_in : int array -> int
+(** The widest input the coefficients allow: the datapath is sized from
+    the accumulator bound [(sum |c|) * 2^(width_in - 1)], which must fit a
+    native int. *)
+
 val create :
   coeffs:int array -> width_in:int -> ?scale:float -> ?architecture:architecture ->
   unit -> t
-(** Build the datapath.  Requires at least one tap, [width_in >= 2], and
-    every coefficient nonzero-width representable.  [scale] defaults to 1,
+(** Build the datapath.  Requires at least one tap and
+    [2 <= width_in <= max_width_in coeffs] (raises [Invalid_argument]
+    naming [width_in] otherwise), and every coefficient nonzero-width
+    representable.  [scale] defaults to 1,
     [architecture] to {!Transposed}.  Both architectures compute the same
     [y(n) = sum_k c_k x(n-k)] with zero latency, so {!response} is the
     golden model for either. *)
@@ -56,7 +63,3 @@ val drive : t -> Logic_sim.t -> int -> unit
 
 val response : t -> int array -> int array
 (** Behavioural integer golden model: exact expected netlist output. *)
-
-val quantize_input : t -> full_scale:float -> float -> int
-(** Map an analog sample in [\[-full_scale, full_scale\]] to the input code
-    range (round-to-nearest, saturating) — the ADC-to-filter interface. *)

@@ -80,10 +80,6 @@ let create circuit =
     dff_d = Array.map (fun d -> (Netlist.fanin circuit d).(0)) dff_nodes;
     dff_state = Array.make (Array.length dff_nodes) 0 }
 
-let clear_faults t =
-  Array.fill t.and_mask 0 (Array.length t.and_mask) all_ones;
-  Array.fill t.or_mask 0 (Array.length t.or_mask) 0
-
 let inject t ~node ~lane ~stuck =
   assert (lane >= 0 && lane < lanes);
   let bit = 1 lsl lane in

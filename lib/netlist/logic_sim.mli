@@ -19,8 +19,6 @@ type t
 
 val create : Netlist.t -> t
 
-val clear_faults : t -> unit
-
 val inject : t -> node:Netlist.node -> lane:int -> stuck:bool -> unit
 (** Force [node] to [stuck] in [lane].  Requires [0 <= lane < 63]. *)
 

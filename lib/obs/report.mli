@@ -16,8 +16,8 @@
     Reports up to schema v4 also carried paper-vs-measured
     [comparisons]; they are read and ignored.
 
-    Numbers are emitted with round-trip precision ([%.17g]), so
-    [of_json (to_json r) = Ok r] holds structurally. *)
+    Numbers are emitted with round-trip precision ([%.17g]), so reading
+    back a written report gives [Ok r] structurally. *)
 
 type timing = {
   t_name : string;
@@ -90,10 +90,9 @@ val finalize : builder -> t
 (** {2 Serialization} *)
 
 val to_json : t -> string
-val of_json : string -> (t, string) result
-(** Structural validation included: wrong [schema_version], missing fields
-    and type mismatches all yield [Error]. *)
 
 val write : string -> t -> unit
 val read : string -> (t, string) result
-(** [Error] covers unreadable files as well as invalid contents. *)
+(** Structural validation included: an unreadable file, a wrong
+    [schema_version], missing fields and type mismatches all yield
+    [Error]. *)

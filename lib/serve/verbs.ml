@@ -7,7 +7,6 @@
 module Prng = Msoc_util.Prng
 module Lru = Msoc_util.Lru
 module Texttable = Msoc_util.Texttable
-module Param = Msoc_analog.Param
 module Obs = Msoc_obs.Obs
 module Path = Msoc_analog.Path
 module Topology = Msoc_analog.Topology
@@ -87,6 +86,13 @@ let faultsim ~pool (req : Protocol.request) =
       input_bits = req.input_bits;
       coeff_bits = req.coeff_bits }
   in
+  let widest = Digital_test.max_input_bits config in
+  if req.input_bits > widest then
+    failwith
+      (Printf.sprintf
+         "faultsim: input_bits must be at most %d for %d taps at %d coefficient bits \
+          (the filter's accumulator must fit a native int)"
+         widest req.taps req.coeff_bits);
   let fir, faults, det =
     Obs.span "serve.execute" (fun () ->
         let fir = Digital_test.build config in
@@ -123,46 +129,21 @@ let faultsim ~pool (req : Protocol.request) =
         (100.0 *. det.Digital_test.coverage)
         det.Digital_test.detected det.Digital_test.total det.Digital_test.noise_floor_db)
 
-(* The Figure 4 error model: sample a part within its tolerances,
-   de-embed the mixer IIP3 from the cascade observable with the chosen
-   strategy, compare against the sampled truth.  Trials run on the
-   domain pool with one pre-split generator stream per trial, so the
-   distribution is bit-identical at every pool size.  Seed 0 (the shared
-   request default) means the canonical study seed, like seed 0 means
-   the nominal part elsewhere. *)
-let montecarlo_canonical_seed = 31415
-
+(* The Figure 4 error model ({!Propagate.mixer_iip3_trial}).  Trials run
+   on the domain pool with one pre-split generator stream per trial, so
+   the distribution is bit-identical at every pool size.  Seed 0 (the
+   shared request default) means the canonical study seed, like seed 0
+   means the nominal part elsewhere. *)
 let montecarlo ~pool (req : Protocol.request) =
   if req.trials < 2 then failwith "montecarlo: trials must be at least 2";
   let strategy = strategy_of req in
-  let seed = if req.seed = 0 then montecarlo_canonical_seed else req.seed in
+  let seed = if req.seed = 0 then Propagate.figure4_seed else req.seed in
   let path = Path.default_receiver () in
-  let param name1 name2 = Path.param path ~stage:name1 ~name:name2 in
-  let iip3 = param "Mixer" "iip3_dbm" in
-  let amp_gain = param "Amp" "gain_db" in
-  let mixer_gain = param "Mixer" "gain_db" in
-  let lpf_gain = param "LPF" "gain_db" in
   let m = Propagate.mixer_iip3 path ~strategy in
   let errs =
     Obs.span "serve.execute" (fun () ->
         Monte_carlo.sample_array_pooled ~pool ~trials:req.trials ~rng:(Prng.create seed)
-          ~f:(fun g _ ->
-            let actual_amp = Param.sample amp_gain g in
-            let actual_mixer = Param.sample mixer_gain g in
-            let actual_lpf = Param.sample lpf_gain g in
-            let true_iip3 = Param.sample iip3 g in
-            let observable = true_iip3 +. actual_mixer +. actual_lpf in
-            let estimate =
-              match strategy with
-              | Propagate.Nominal_gains ->
-                observable -. mixer_gain.Param.nominal -. lpf_gain.Param.nominal
-              | Propagate.Adaptive ->
-                (* path gain measured exactly; G_amp assumed nominal — only
-                   the amp's tolerance survives in the error *)
-                let path_gain = actual_amp +. actual_mixer +. actual_lpf in
-                observable -. path_gain +. amp_gain.Param.nominal
-            in
-            estimate -. true_iip3)
+          ~f:(Propagate.mixer_iip3_trial path ~strategy)
           ())
   in
   Obs.span "serve.serialize" (fun () ->

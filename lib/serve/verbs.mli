@@ -32,10 +32,6 @@ val strategy_of : Protocol.request -> Msoc_synth.Propagate.strategy
 (** The request's de-embedding strategy.
     @raise Failure on a name other than [nominal] or [adaptive]. *)
 
-val montecarlo_canonical_seed : int
-(** The study seed that request seed 0 stands for (seed 0 is "the
-    canonical run" across verbs, like the nominal part in [measure]). *)
-
 (** {2 Synthesis result cache}
 
     Compute verbs are pure functions of their canonical request key

@@ -42,31 +42,6 @@ let two_tone ?noise_dbm ~f1_hz ~f2_hz ~power_dbm () =
   of_tones ?noise_dbm
     [ tone ~freq_hz:f1_hz ~power_dbm (); tone ~freq_hz:f2_hz ~power_dbm () ]
 
-let strongest candidates =
-  List.fold_left
-    (fun best candidate ->
-      match best with
-      | None -> Some candidate
-      | Some b ->
-        if I.mid candidate.power_dbm > I.mid b.power_dbm then Some candidate else best)
-    None candidates
-
-let tone_near t ~freq_hz ~within_hz =
-  strongest
-    (List.filter (fun tn -> Float.abs (I.mid tn.freq_hz -. freq_hz) <= within_hz) t.tones)
-
-let spur_near t ~freq_hz ~within_hz =
-  let close s = Float.abs (I.mid s.tone.freq_hz -. freq_hz) <= within_hz in
-  List.fold_left
-    (fun best s ->
-      if not (close s) then best
-      else begin
-        match best with
-        | None -> Some s
-        | Some b -> if I.mid s.tone.power_dbm > I.mid b.tone.power_dbm then Some s else best
-      end)
-    None t.spurs
-
 let sum_power_dbm tones =
   match tones with
   | [] -> -400.0
@@ -86,16 +61,6 @@ let snr_db t =
       List.fold_left (fun acc tn -> Float.max acc (I.err tn.power_dbm)) 0.0 t.tones
     in
     I.of_err (total_tone_power_dbm t -. t.noise_dbm) ~err
-
-let worst_spur_dbm t =
-  match strongest (List.map (fun s -> s.tone) t.spurs) with
-  | None -> -400.0
-  | Some tn -> I.mid tn.power_dbm
-
-let sfdr_db t =
-  match strongest t.tones with
-  | None -> 0.0
-  | Some tn -> I.mid tn.power_dbm -. worst_spur_dbm t
 
 let freq_accuracy_hz tn = I.err tn.freq_hz
 let power_accuracy_db tn = I.err tn.power_dbm

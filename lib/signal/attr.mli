@@ -44,21 +44,11 @@ val two_tone :
   ?noise_dbm:float -> f1_hz:float -> f2_hz:float -> power_dbm:float -> unit -> t
 (** Equal per-tone power. *)
 
-val tone_near : t -> freq_hz:float -> within_hz:float -> tone option
-(** Strongest intentional tone within [within_hz] of the frequency. *)
-
-val spur_near : t -> freq_hz:float -> within_hz:float -> spur option
 val total_tone_power_dbm : t -> float
 (** Nominal sum of intentional tone powers; -400 when there are none. *)
 
 val snr_db : t -> I.t
 (** Total intentional tone power over noise (interval from power accuracy). *)
-
-val worst_spur_dbm : t -> float
-(** Nominal power of the strongest spur; -400 when there are none. *)
-
-val sfdr_db : t -> float
-(** Nominal strongest tone over strongest spur. *)
 
 val freq_accuracy_hz : tone -> float
 val power_accuracy_db : tone -> float

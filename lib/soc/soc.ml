@@ -78,7 +78,6 @@ let create ?(ate_clock_hz = 1e6) ~name ~bus_bits ~power_budget_mw cores =
 
 let core_count t = List.length t.cores
 
-let find_core t name = List.find_opt (fun (c : core) -> String.equal c.name name) t.cores
 
 (* ---- registry ---- *)
 

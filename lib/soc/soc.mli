@@ -51,7 +51,6 @@ val create :
     @raise Invalid_argument when a rule is violated. *)
 
 val core_count : t -> int
-val find_core : t -> string -> core option
 
 (** {1 Registry}
 

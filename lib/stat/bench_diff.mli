@@ -28,8 +28,6 @@ type verdict =
   | Info         (** Scalar row: delta reported, only gated on a violated
                      self-declared bound (then [Regressed] instead). *)
 
-val verdict_name : verdict -> string
-
 type row = {
   section : string;
   metric : string;
@@ -67,15 +65,9 @@ val gate_failed : t -> bool
 (** True when anything regressed or went missing — the condition under
     which [msoc_cli bench-diff] exits 3. *)
 
-val noisy_count : t -> int
-(** Timing rows whose confidence interval spans zero. *)
-
-val low_samples_count : t -> int
-(** Timing rows with fewer than {!min_samples} iterations on a side. *)
-
 val render : t -> string
 (** Texttable: one row per compared metric (timing rows carry their
     minor-word columns), verdict column last — tagged ["(noisy)"] /
     ["(low samples)"] as applicable — followed by the summary line and a
-    warning paragraph for each non-zero {!noisy_count} /
-    {!low_samples_count}. *)
+    warning paragraph counting the noisy rows and the low-sample rows,
+    when there are any. *)

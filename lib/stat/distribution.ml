@@ -13,8 +13,6 @@ let uniform ~lo ~hi =
   assert (lo < hi);
   Uniform { lo; hi }
 
-let normal_of_tolerance ~nominal ~tol = normal ~mean:nominal ~sigma:(Float.abs tol /. 3.0)
-
 let pdf t x =
   match t with
   | Normal { mean; sigma } ->
@@ -28,12 +26,6 @@ let cdf t x =
   | Uniform { lo; hi } ->
     if x <= lo then 0.0 else if x >= hi then 1.0 else (x -. lo) /. (hi -. lo)
 
-let quantile t p =
-  assert (p > 0.0 && p < 1.0);
-  match t with
-  | Normal { mean; sigma } -> mean +. (sigma *. Special.probit p)
-  | Uniform { lo; hi } -> lo +. (p *. (hi -. lo))
-
 let sample t g =
   match t with
   | Normal { mean; sigma } -> Prng.gaussian_scaled g ~mean ~sigma
@@ -44,10 +36,6 @@ let mean = function Normal { mean; _ } -> mean | Uniform { lo; hi } -> 0.5 *. (l
 let stddev = function
   | Normal { sigma; _ } -> sigma
   | Uniform { lo; hi } -> (hi -. lo) /. sqrt 12.0
-
-let prob_between t ~lo ~hi =
-  assert (lo <= hi);
-  cdf t hi -. cdf t lo
 
 let pp ppf = function
   | Normal { mean; sigma } -> Format.fprintf ppf "Normal(mean=%g, sigma=%g)" mean sigma

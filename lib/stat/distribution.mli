@@ -3,8 +3,7 @@
     The paper models a defect-free analog parameter as a random variable whose
     spread is set by the designer's tolerance.  Following common CAD practice
     we map a "± tol" specification to a normal distribution with
-    [sigma = tol / 3] (99.73% of defect-free parts inside the tolerance),
-    which {!normal_of_tolerance} encodes. *)
+    [sigma = tol / 3] (99.73% of defect-free parts inside the tolerance). *)
 
 type t =
   | Normal of { mean : float; sigma : float }
@@ -16,20 +15,11 @@ val normal : mean:float -> sigma:float -> t
 val uniform : lo:float -> hi:float -> t
 (** Requires [lo < hi]. *)
 
-val normal_of_tolerance : nominal:float -> tol:float -> t
-(** Normal with [mean = nominal] and [sigma = |tol| / 3]. *)
-
 val pdf : t -> float -> float
 val cdf : t -> float -> float
-
-val quantile : t -> float -> float
-(** Inverse CDF.  Requires the probability in (0, 1). *)
 
 val sample : t -> Msoc_util.Prng.t -> float
 val mean : t -> float
 val stddev : t -> float
-
-val prob_between : t -> lo:float -> hi:float -> float
-(** Probability mass on [\[lo, hi\]].  Requires [lo <= hi]. *)
 
 val pp : Format.formatter -> t -> unit

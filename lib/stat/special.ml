@@ -1,4 +1,4 @@
-(* Cody-style rational approximations for erf/erfc.  Three regimes:
+(* Cody-style rational approximations for erfc.  Three regimes:
    |x| <= 0.5 uses the erf series ratio, 0.5 < |x| <= 4 and |x| > 4 use the
    scaled erfc ratios; symmetry extends to negative arguments. *)
 
@@ -63,51 +63,3 @@ let erfc x =
     else 0.0
   in
   if x >= 0.0 then tail else 2.0 -. tail
-
-let erf x =
-  let ax = Float.abs x in
-  let v = if ax <= 0.46875 then erf_small ax else 1.0 -. erfc ax in
-  if x >= 0.0 then v else -.v
-
-(* Acklam's rational approximation to the inverse normal CDF, then one Halley
-   refinement step against erfc for full double precision. *)
-let probit p =
-  assert (p > 0.0 && p < 1.0);
-  let a =
-    [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
-       1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
-  in
-  let b =
-    [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
-       6.680131188771972e+01; -1.328068155288572e+01 |]
-  in
-  let c =
-    [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
-       -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
-  in
-  let d =
-    [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
-       3.754408661907416e+00 |]
-  in
-  let p_low = 0.02425 in
-  let x =
-    if p < p_low then begin
-      let q = sqrt (-2.0 *. log p) in
-      (((((c.(0) *. q +. c.(1)) *. q +. c.(2)) *. q +. c.(3)) *. q +. c.(4)) *. q +. c.(5))
-      /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.0)
-    end
-    else if p <= 1.0 -. p_low then begin
-      let q = p -. 0.5 in
-      let r = q *. q in
-      (((((a.(0) *. r +. a.(1)) *. r +. a.(2)) *. r +. a.(3)) *. r +. a.(4)) *. r +. a.(5)) *. q
-      /. (((((b.(0) *. r +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4)) *. r +. 1.0)
-    end
-    else begin
-      let q = sqrt (-2.0 *. log (1.0 -. p)) in
-      -.((((((c.(0) *. q +. c.(1)) *. q +. c.(2)) *. q +. c.(3)) *. q +. c.(4)) *. q +. c.(5))
-         /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.0))
-    end
-  in
-  let e = 0.5 *. erfc (-.x /. sqrt 2.0) -. p in
-  let u = e *. sqrt Msoc_util.Units.two_pi *. exp (x *. x /. 2.0) in
-  x -. (u /. (1.0 +. (x *. u /. 2.0)))

@@ -1,15 +1,8 @@
 (** Special functions needed by the statistical models.
 
-    Implemented from scratch (no numeric ecosystem available): the error
-    function pair uses W. J. Cody's rational approximations (double-precision
-    accurate to ~1e-16 relative on the primary range) and the inverse normal
-    CDF uses Acklam's algorithm refined by one Halley step. *)
-
-val erf : float -> float
-(** Error function. *)
+    Implemented from scratch (no numeric ecosystem available): the
+    complementary error function uses W. J. Cody's rational approximations
+    (double-precision accurate to ~1e-16 relative on the primary range). *)
 
 val erfc : float -> float
 (** Complementary error function, accurate for large arguments. *)
-
-val probit : float -> float
-(** Inverse standard-normal CDF.  Requires the argument in (0, 1). *)

@@ -1,7 +1,3 @@
-let approx_equal ?(rel = 1e-9) ?(abs = 1e-12) a b =
-  let diff = Float.abs (a -. b) in
-  diff <= abs || diff <= rel *. Float.max (Float.abs a) (Float.abs b)
-
 let clamp ~lo ~hi x =
   assert (lo <= hi);
   if x < lo then lo else if x > hi then hi else x
@@ -10,8 +6,6 @@ let linspace a b n =
   assert (n >= 2);
   let step = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (float_of_int i *. step))
-
-let logspace a b n = Array.map (fun e -> Float.pow 10.0 e) (linspace a b n)
 
 (* Kahan summation: the correction term recovers the low-order bits lost when
    accumulating values of very different magnitude (common in spectra). *)
@@ -31,7 +25,3 @@ let mean xs =
   sum xs /. float_of_int (Array.length xs)
 
 let max_abs xs = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 xs
-
-let fold_range n ~init ~f =
-  let rec loop acc i = if i >= n then acc else loop (f acc i) (i + 1) in
-  loop init 0

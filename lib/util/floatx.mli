@@ -1,18 +1,11 @@
 (** Small floating-point helpers shared by the numeric substrates. *)
 
-val approx_equal : ?rel:float -> ?abs:float -> float -> float -> bool
-(** [approx_equal ~rel ~abs a b] holds when [|a - b|] is below [abs] or below
-    [rel * max |a| |b|].  Defaults: [rel = 1e-9], [abs = 1e-12]. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 (** Clamp a value into [\[lo, hi\]].  Requires [lo <= hi]. *)
 
 val linspace : float -> float -> int -> float array
 (** [linspace a b n] is [n >= 2] evenly spaced points from [a] to [b]
     inclusive. *)
-
-val logspace : float -> float -> int -> float array
-(** [logspace a b n] is [n] points from [10^a] to [10^b], log-spaced. *)
 
 val sum : float array -> float
 (** Kahan-compensated sum. *)
@@ -22,6 +15,3 @@ val mean : float array -> float
 
 val max_abs : float array -> float
 (** Largest absolute value; 0 for an empty array. *)
-
-val fold_range : int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** [fold_range n ~init ~f] folds [f] over [0 .. n-1]. *)

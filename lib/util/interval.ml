@@ -10,10 +10,8 @@ let of_err x ~err =
   let e = Float.abs err in
   { lo = x -. e; hi = x +. e }
 
-let of_tolerance_pct x ~pct = of_err x ~err:(Float.abs x *. pct /. 100.0)
 let mid t = 0.5 *. (t.lo +. t.hi)
 let err t = 0.5 *. (t.hi -. t.lo)
-let width t = t.hi -. t.lo
 let add a b = { lo = a.lo +. b.lo; hi = a.hi +. b.hi }
 let sub a b = { lo = a.lo -. b.hi; hi = a.hi -. b.lo }
 let neg a = { lo = -.a.hi; hi = -.a.lo }
@@ -24,19 +22,7 @@ let mul a b =
   { lo = Float.min (Float.min p1 p2) (Float.min p3 p4);
     hi = Float.max (Float.max p1 p2) (Float.max p3 p4) }
 
-let div a b =
-  assert (not (b.lo <= 0.0 && b.hi >= 0.0));
-  mul a { lo = 1.0 /. b.hi; hi = 1.0 /. b.lo }
-
 let scale k a = if k >= 0.0 then { lo = k *. a.lo; hi = k *. a.hi } else { lo = k *. a.hi; hi = k *. a.lo }
 let contains t x = t.lo <= x && x <= t.hi
-let subset a b = b.lo <= a.lo && a.hi <= b.hi
-let hull a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
-
-let intersect a b =
-  let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
-  if lo <= hi then Some { lo; hi } else None
-
 let map_monotone f t = { lo = f t.lo; hi = f t.hi }
-let equal a b = Float.equal a.lo b.lo && Float.equal a.hi b.hi
 let pp ppf t = Format.fprintf ppf "[%g, %g]" t.lo t.hi

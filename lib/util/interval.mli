@@ -18,37 +18,20 @@ val point : float -> t
 val of_err : float -> err:float -> t
 (** [of_err x ~err] is [\[x - |err|, x + |err|\]]. *)
 
-val of_tolerance_pct : float -> pct:float -> t
-(** [of_tolerance_pct x ~pct] is [x] plus/minus [pct] percent of [|x|]. *)
-
 val mid : t -> float
 (** Midpoint. *)
 
 val err : t -> float
 (** Half-width (the "±" part). *)
 
-val width : t -> float
-(** Full width [hi - lo]. *)
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
 
-val div : t -> t -> t
-(** Requires the divisor not to contain zero. *)
-
 val scale : float -> t -> t
 val contains : t -> float -> bool
-val subset : t -> t -> bool
-(** [subset a b] holds when [a] lies entirely within [b]. *)
-
-val hull : t -> t -> t
-(** Smallest interval containing both. *)
-
-val intersect : t -> t -> t option
 val map_monotone : (float -> float) -> t -> t
 (** Image under a monotonically increasing function. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

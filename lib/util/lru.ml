@@ -32,7 +32,6 @@ let create ~capacity =
     misses = 0;
     evictions = 0 }
 
-let capacity t = t.capacity
 
 let length t =
   Mutex.lock t.mutex;

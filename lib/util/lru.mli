@@ -9,15 +9,13 @@
 
     Recency is classic move-to-front on a doubly-linked list: {!find}
     bumps the entry, {!add} inserts at the front and evicts from the
-    tail once {!capacity} entries are resident. *)
+    tail once [capacity] entries are resident. *)
 
 type 'a t
 
 val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1] — a disabled cache is
     represented by not having one, not by a zero-capacity instance. *)
-
-val capacity : 'a t -> int
 
 val length : 'a t -> int
 (** Resident entries (a racy snapshot, suitable for a gauge). *)

@@ -36,7 +36,6 @@ module Hooks = struct
 
   let installed : t option Atomic.t = Atomic.make None
   let install t = Atomic.set installed (Some t)
-  let uninstall () = Atomic.set installed None
 
   let note_run ~size ~serialized =
     match Atomic.get installed with

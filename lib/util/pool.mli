@@ -47,8 +47,6 @@ module Hooks : sig
 
   val install : t -> unit
   (** Replace the installed hooks (last install wins). *)
-
-  val uninstall : unit -> unit
 end
 
 val create : ?size:int -> unit -> t

@@ -19,9 +19,10 @@ val split : t -> t
     decorrelated from the remainder of [g]'s stream. *)
 
 val split_seed : t -> int64
-(** [split_seed g] advances [g] by one raw draw and names the stream that
-    {!split} would have returned: {!reseed} with [split_seed g] yields
-    [split g] bit-for-bit.  Storing seeds instead of generators lets a
+(** [split_seed g] advances [g] by one raw draw and returns it: the raw
+    64-bit output, which names the stream that {!split} would have
+    returned ({!reseed} with [split_seed g] yields [split g]
+    bit-for-bit).  Storing seeds instead of generators lets a
     million-stream fan-out keep one flat [int64]-per-stream table instead
     of a million generator records. *)
 
@@ -29,9 +30,6 @@ val reseed : t -> int64 -> unit
 (** [reseed g bits] resets [g] in place to the stream named by the
     {!split_seed} draw [bits], without allocating — the replay primitive
     for scratch generators that iterate a seed table. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)

@@ -14,11 +14,8 @@ val db_of_power_ratio : float -> float
 val power_ratio_of_db : float -> float
 (** Inverse of {!db_of_power_ratio}. *)
 
-val db_of_voltage_ratio : float -> float
-(** [db_of_voltage_ratio r] is [20 * log10 r].  Requires [r > 0]. *)
-
 val voltage_ratio_of_db : float -> float
-(** Inverse of {!db_of_voltage_ratio}. *)
+(** [voltage_ratio_of_db db] is [10^(db / 20)]. *)
 
 val dbm_of_watts : float -> float
 (** [dbm_of_watts p] is the power [p] (in watts) expressed in dBm. *)
@@ -37,7 +34,6 @@ val dbm_of_vpeak : ?ohms:float -> float -> float
 (** Inverse of {!vpeak_of_dbm}. *)
 
 val radians_of_degrees : float -> float
-val degrees_of_radians : float -> float
 
 val two_pi : float
 (** 2π. *)

@@ -72,23 +72,11 @@ let pop t =
   Mutex.unlock t.mutex;
   r
 
-let pop_opt t =
-  Mutex.lock t.mutex;
-  let r = Queue.take_opt t.items in
-  Mutex.unlock t.mutex;
-  r
-
 let close t =
   Mutex.lock t.mutex;
   t.closed <- true;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mutex
-
-let is_closed t =
-  Mutex.lock t.mutex;
-  let c = t.closed in
-  Mutex.unlock t.mutex;
-  c
 
 let accepted t =
   Mutex.lock t.mutex;

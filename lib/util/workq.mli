@@ -31,13 +31,8 @@ val pop : 'a t -> 'a option
     closed and fully drained ([None]).  Items enqueued before {!close}
     are still delivered — close is end-of-stream, not abort. *)
 
-val pop_opt : 'a t -> 'a option
-(** Non-blocking variant: [None] when the queue is currently empty. *)
-
 val close : 'a t -> unit
 (** Reject all future pushes and wake every blocked consumer.  Idempotent. *)
-
-val is_closed : 'a t -> bool
 
 val accepted : 'a t -> int
 (** Total pushes that succeeded since {!create}.  Every push attempt is

@@ -81,12 +81,11 @@ let measure_values () =
     [ "default"; "sigma-delta"; "amp-bypass" ];
   Buffer.contents buffer
 
-(* One MD5 of the IEEE bits of every output float, per (transform,
-   length): [fft] and [ifft] on a seeded complex input, [rfft_into] on a
-   seeded real one, over every length up to 33 and a spread of
-   power-of-two and Bluestein lengths. *)
+(* One MD5 of the IEEE bits of every output float of [rfft_into] per
+   length, on a seeded real input, over every length from 2 to 33 and a
+   spread of power-of-two and Bluestein lengths. *)
 let fft_lengths =
-  List.init 33 (fun i -> i + 1) @ [ 64; 100; 128; 255; 256; 300; 512; 1000; 1024; 2048; 4096 ]
+  List.init 32 (fun i -> i + 2) @ [ 64; 100; 128; 255; 256; 300; 512; 1000; 1024; 2048; 4096 ]
 
 let bits_digest arrays =
   let b = Buffer.create 4096 in
@@ -99,25 +98,16 @@ let fft_bits () =
     (fun n ->
       let rng = Prng.create n in
       let draw () = Prng.uniform rng ~lo:(-1.0) ~hi:1.0 in
-      let x =
-        Array.init n (fun _ ->
-            let re = draw () in
-            let im = draw () in
-            { Complex.re; im })
-      in
+      (* the real input is the stream's draws 2n .. 3n - 1: the first 2n
+         are skipped, so each length's input stays the pinned one *)
+      for _ = 1 to 2 * n do
+        ignore (draw ())
+      done;
       let real = Array.init n (fun _ -> draw ()) in
-      let complex_digest y =
-        bits_digest
-          [ Array.map (fun (c : Complex.t) -> c.re) y; Array.map (fun (c : Complex.t) -> c.im) y ]
-      in
-      Printf.bprintf buffer "fft %d %s\n" n (complex_digest (Fft.fft x));
-      Printf.bprintf buffer "ifft %d %s\n" n (complex_digest (Fft.ifft x));
-      if n >= 2 then begin
-        let bins = (n / 2) + 1 in
-        let re = Array.make bins 0.0 and im = Array.make bins 0.0 in
-        Fft.rfft_into real ~re ~im;
-        Printf.bprintf buffer "rfft_into %d %s\n" n (bits_digest [ re; im ])
-      end)
+      let bins = (n / 2) + 1 in
+      let re = Array.make bins 0.0 and im = Array.make bins 0.0 in
+      Fft.rfft_into real ~re ~im;
+      Printf.bprintf buffer "rfft_into %d %s\n" n (bits_digest [ re; im ]))
     fft_lengths;
   Buffer.contents buffer
 

@@ -2,6 +2,8 @@
 
 open Msoc_dsp
 module Prng = Msoc_util.Prng
+module Obs = Msoc_obs.Obs
+module Trace = Msoc_obs.Trace
 
 let approx eps = Alcotest.float eps
 
@@ -10,88 +12,102 @@ let max_complex_err a b =
   Array.iteri (fun i c -> err := Float.max !err (Complex.norm (Complex.sub c b.(i)))) a;
   !err
 
-let random_complex g n =
-  Array.init n (fun _ ->
-      { Complex.re = Prng.float g -. 0.5; im = Prng.float g -. 0.5 })
+(* ---- FFT: the real-input transform, checked against the O(N^2) DFT ---- *)
 
-(* ---- FFT ---- *)
+let random_real g n = Array.init n (fun _ -> Prng.float g -. 0.5)
+
+(* [rfft_into] into fresh arrays, as complex bins 0 .. N/2 *)
+let rfft x =
+  let bins = (Array.length x / 2) + 1 in
+  let re = Array.make bins 0.0 and im = Array.make bins 0.0 in
+  Fft.rfft_into x ~re ~im;
+  Array.init bins (fun k -> { Complex.re = re.(k); im = im.(k) })
+
+(* the reference: the same bins of the DFT of the real signal *)
+let dft_half x =
+  let n = Array.length x in
+  Array.sub (Fft.dft (Array.map (fun v -> { Complex.re = v; im = 0.0 }) x)) 0 ((n / 2) + 1)
+
+let rfft_err x = max_complex_err (rfft x) (dft_half x)
 
 let test_power_of_two_helpers () =
   Alcotest.(check bool) "1 is pow2" true (Fft.is_power_of_two 1);
   Alcotest.(check bool) "1024 is pow2" true (Fft.is_power_of_two 1024);
   Alcotest.(check bool) "48 is not" false (Fft.is_power_of_two 48);
-  Alcotest.(check int) "next of 48" 64 (Fft.next_power_of_two 48);
-  Alcotest.(check int) "next of 64" 64 (Fft.next_power_of_two 64)
+  Alcotest.(check bool) "0 is not" false (Fft.is_power_of_two 0)
 
 let test_fft_matches_dft_pow2 () =
   let g = Prng.create 1 in
-  let x = random_complex g 64 in
-  Alcotest.(check bool) "fft = dft (64)" true (max_complex_err (Fft.fft x) (Fft.dft x) < 1e-11)
+  Alcotest.(check bool) "rfft_into = dft (64)" true (rfft_err (random_real g 64) < 1e-11)
 
 let test_fft_matches_dft_bluestein () =
+  (* odd lengths run a full-length Bluestein transform, even lengths whose
+     half is not a power of two a half-length one *)
   let g = Prng.create 2 in
   List.iter
     (fun n ->
-      let x = random_complex g n in
-      if max_complex_err (Fft.fft x) (Fft.dft x) >= 1e-10 then
-        Alcotest.failf "bluestein mismatch at n=%d" n)
+      let err = rfft_err (random_real g n) in
+      if err >= 1e-10 then Alcotest.failf "bluestein mismatch at n=%d (%g)" n err)
     [ 3; 5; 12; 17; 48; 100; 63 ]
 
 let test_fft_impulse () =
-  (* delta function transforms to all ones *)
-  let x = Array.make 16 Complex.zero in
-  x.(0) <- Complex.one;
-  let spectrum = Fft.fft x in
+  (* a delta transforms to all ones *)
+  let x = Array.make 16 0.0 in
+  x.(0) <- 1.0;
   Array.iter
     (fun (c : Complex.t) ->
       Alcotest.check (approx 1e-12) "re" 1.0 c.Complex.re;
       Alcotest.check (approx 1e-12) "im" 0.0 c.Complex.im)
-    spectrum
+    (rfft x)
 
 let test_fft_linearity () =
   let g = Prng.create 3 in
-  let x = random_complex g 32 and y = random_complex g 32 in
-  let sum = Array.init 32 (fun i -> Complex.add x.(i) y.(i)) in
-  let fx = Fft.fft x and fy = Fft.fft y and fsum = Fft.fft sum in
-  let expected = Array.init 32 (fun i -> Complex.add fx.(i) fy.(i)) in
+  let x = random_real g 32 and y = random_real g 32 in
+  let fx = rfft x and fy = rfft y and fsum = rfft (Array.mapi (fun i v -> v +. y.(i)) x) in
+  let expected = Array.mapi (fun k c -> Complex.add c fy.(k)) fx in
   Alcotest.(check bool) "linear" true (max_complex_err fsum expected < 1e-11)
 
 let test_parseval () =
+  (* a real signal's spectrum is Hermitian: bins 1 .. N/2 - 1 stand for
+     their mirrors too, DC and Nyquist only for themselves *)
   let g = Prng.create 4 in
-  let x = random_complex g 128 in
-  let time_energy = Array.fold_left (fun acc c -> acc +. Complex.norm2 c) 0.0 x in
+  let n = 128 in
+  let x = random_real g n in
+  let time_energy = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x in
   let freq_energy =
-    Array.fold_left (fun acc c -> acc +. Complex.norm2 c) 0.0 (Fft.fft x) /. 128.0
+    Array.fold_left ( +. ) 0.0
+      (Array.mapi
+         (fun k c -> (if k = 0 || k = n / 2 then 1.0 else 2.0) *. Complex.norm2 c)
+         (rfft x))
+    /. float_of_int n
   in
   Alcotest.check (approx 1e-9) "parseval" time_energy freq_energy
 
-let prop_fft_roundtrip =
-  QCheck.Test.make ~name:"ifft (fft x) = x for arbitrary sizes" ~count:60
-    (QCheck.int_range 2 200) (fun n ->
-      let g = Prng.create n in
-      let x = random_complex g n in
-      max_complex_err (Fft.ifft (Fft.fft x)) x < 1e-9)
-
 let test_rfft_hermitian_consistency () =
+  (* exactly the N/2 + 1 non-redundant bins are written, and DC and
+     Nyquist of a real signal are real *)
   let g = Prng.create 5 in
-  let x = Array.init 64 (fun _ -> Prng.float g -. 0.5) in
-  let half = Fft.rfft x in
-  Alcotest.(check int) "length n/2+1" 33 (Array.length half);
-  let full = Fft.fft (Array.map (fun v -> { Complex.re = v; im = 0.0 }) x) in
-  Alcotest.(check bool) "prefix matches" true
-    (max_complex_err half (Array.sub full 0 33) < 1e-11)
+  let x = random_real g 64 in
+  let re = Array.make 40 nan and im = Array.make 40 nan in
+  Fft.rfft_into x ~re ~im;
+  for k = 0 to 32 do
+    if Float.is_nan re.(k) || Float.is_nan im.(k) then Alcotest.failf "bin %d not written" k
+  done;
+  for k = 33 to 39 do
+    if not (Float.is_nan re.(k) && Float.is_nan im.(k)) then
+      Alcotest.failf "cell %d past the last bin written" k
+  done;
+  Alcotest.check (approx 1e-12) "DC is real" 0.0 im.(0);
+  Alcotest.check (approx 1e-12) "Nyquist is real" 0.0 im.(32)
 
-let complexify = Array.map (fun v -> { Complex.re = v; im = 0.0 })
-
-let prop_rfft_matches_fft =
-  (* the packed half-size real transform must agree with the full complex
-     FFT on the non-negative bins for every length, even and odd *)
+let prop_rfft_matches_dft =
+  (* the real transform is the non-redundant prefix of the full complex
+     transform (the reference DFT) at every length: even (pack-two-reals)
+     and odd (full transform), radix-2 and Bluestein underneath *)
   QCheck.Test.make ~name:"rfft = fft prefix for arbitrary sizes" ~count:80
     (QCheck.int_range 2 300) (fun n ->
       let g = Prng.create (5000 + n) in
-      let x = Array.init n (fun _ -> Prng.float g -. 0.5) in
-      let full = Fft.fft (complexify x) in
-      max_complex_err (Fft.rfft x) (Array.sub full 0 ((n / 2) + 1)) < 1e-9)
+      rfft_err (random_real g n) < 1e-9)
 
 let test_rfft_explicit_sizes () =
   (* even sizes take the pack-two-reals half-size path, odd sizes the full
@@ -100,39 +116,43 @@ let test_rfft_explicit_sizes () =
   List.iter
     (fun n ->
       let g = Prng.create (7000 + n) in
-      let x = Array.init n (fun _ -> Prng.float g -. 0.5) in
-      let half = Fft.rfft x in
-      Alcotest.(check int) (Printf.sprintf "n=%d bin count" n) ((n / 2) + 1)
-        (Array.length half);
-      let full = Fft.fft (complexify x) in
-      let err = max_complex_err half (Array.sub full 0 ((n / 2) + 1)) in
-      if err >= 1e-9 then Alcotest.failf "n=%d rfft departs from fft (%g)" n err)
+      let err = rfft_err (random_real g n) in
+      if err >= 1e-9 then Alcotest.failf "n=%d rfft_into departs from dft (%g)" n err)
     [ 2; 3; 5; 8; 9; 15; 100; 101; 256; 999; 1000; 4096 ]
 
 let test_rfft_into_reuse () =
-  (* rfft_into writes the same bins as rfft, and reusing the caller's
-     output arrays (plus the per-domain scratch underneath) across calls
-     must not leak state between transforms *)
+  (* reusing the caller's output arrays (plus the per-domain scratch
+     underneath) across calls must not leak state between transforms *)
   let g = Prng.create 8080 in
-  let x1 = Array.init 96 (fun _ -> Prng.float g -. 0.5) in
-  let x2 = Array.init 96 (fun _ -> Prng.float g -. 0.5) in
+  let x1 = random_real g 96 and x2 = random_real g 96 in
   let re = Array.make 49 0.0 and im = Array.make 49 0.0 in
   let check label x =
     Fft.rfft_into x ~re ~im;
     Array.iteri
       (fun k (c : Complex.t) ->
         if c.Complex.re <> re.(k) || c.Complex.im <> im.(k) then
-          Alcotest.failf "%s: bin %d differs from rfft" label k)
-      (Fft.rfft x)
+          Alcotest.failf "%s: bin %d differs from a fresh transform" label k)
+      (rfft x)
   in
   check "first" x1;
   check "second" x2;
   check "first again" x1
 
-let test_next_fast_size () =
-  Alcotest.(check int) "1000 -> 1024" 1024 (Fft.next_fast_size 1000);
-  Alcotest.(check int) "64 -> 64" 64 (Fft.next_fast_size 64);
-  Alcotest.(check int) "65 -> 128" 128 (Fft.next_fast_size 65)
+(* Plan-table traffic while [f] runs: the fft.plan.<kind>.<hit|miss>
+   counters of the telemetry trace. *)
+let plan_counts f =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      f ();
+      match Trace.parse (Obs.jsonl ()) with
+      | Ok t ->
+        fun name -> Option.value ~default:0.0 (List.assoc_opt ("fft.plan." ^ name) t.Trace.counters)
+      | Error e -> Alcotest.failf "the trace does not parse: %s" e)
 
 let test_plan_cache_bitwise () =
   (* a transform through a warm plan must equal the cold-cache transform
@@ -140,37 +160,47 @@ let test_plan_cache_bitwise () =
   List.iter
     (fun n ->
       let g = Prng.create (1000 + n) in
-      let x = Array.init n (fun _ -> Prng.float g -. 0.5) in
+      let x = random_real g n in
       Fft.clear_plan_cache ();
-      let cold = Fft.rfft x in
-      let warm = Fft.rfft x in
-      Alcotest.(check bool) (Printf.sprintf "n=%d warm = cold" n) true (warm = cold))
+      let cold = ref [||] in
+      let count = plan_counts (fun () -> cold := rfft x) in
+      Alcotest.(check bool) (Printf.sprintf "n=%d cold transform builds plans" n) true
+        (count "rfft.miss" = 1.0);
+      let warm = ref [||] in
+      let count = plan_counts (fun () -> warm := rfft x) in
+      Alcotest.(check bool) (Printf.sprintf "n=%d warm transform builds none" n) true
+        (count "rfft.miss" = 0.0 && count "pow2.miss" = 0.0 && count "bluestein.miss" = 0.0);
+      Alcotest.(check bool) (Printf.sprintf "n=%d warm = cold" n) true (!warm = !cold))
     [ 64; 256; 100; 1000 ]
 
 let test_plan_cache_interleaved () =
   (* plans for different lengths must not corrupt each other *)
   let g = Prng.create 9 in
-  let xs = List.map (fun n -> Array.init n (fun _ -> Prng.float g -. 0.5)) [ 64; 96; 128; 100 ] in
+  let xs = List.map (random_real g) [ 64; 96; 128; 100 ] in
   Fft.clear_plan_cache ();
-  let fresh = List.map Fft.rfft xs in
-  let interleaved = List.map Fft.rfft (xs @ xs) in
+  let fresh = ref [] in
+  let first = plan_counts (fun () -> fresh := List.map rfft xs) in
+  let again = ref [] in
+  let second = plan_counts (fun () -> again := List.map rfft (xs @ xs)) in
   List.iteri
     (fun i a ->
-      let b = List.nth interleaved (i + List.length xs) in
+      let b = List.nth !again (i + List.length xs) in
       Alcotest.(check bool) (Printf.sprintf "signal %d stable" i) true (a = b))
-    fresh;
-  let pow2, bluestein = Fft.plan_cache_sizes () in
-  Alcotest.(check bool) "pow2 plans cached" true (pow2 >= 2);
-  Alcotest.(check bool) "bluestein plans cached" true (bluestein >= 2)
+    !fresh;
+  Alcotest.(check bool) "pow2 plans built" true (first "pow2.miss" >= 2.0);
+  Alcotest.(check bool) "bluestein plans built" true (first "bluestein.miss" >= 2.0);
+  Alcotest.(check bool) "every plan cached" true
+    (second "pow2.miss" = 0.0 && second "bluestein.miss" = 0.0 && second "rfft.miss" = 0.0);
+  Alcotest.(check bool) "pow2 plans hit" true (second "pow2.hit" >= 2.0);
+  Alcotest.(check bool) "bluestein plans hit" true (second "bluestein.hit" >= 2.0)
 
 let test_plan_cache_accuracy () =
   (* cached plans keep matching the direct DFT *)
   let g = Prng.create 11 in
   List.iter
     (fun n ->
-      let x = random_complex g n in
-      let err = max_complex_err (Fft.fft x) (Fft.dft x) in
-      if err >= 1e-10 then Alcotest.failf "n=%d cached fft departs from dft (%g)" n err)
+      let err = rfft_err (random_real g n) in
+      if err >= 1e-10 then Alcotest.failf "n=%d cached rfft_into departs from dft (%g)" n err)
     [ 96; 96; 128; 128 ]
 
 (* ---- Window ---- *)
@@ -204,9 +234,12 @@ let test_window_known_enbw () =
 
 let test_window_apply () =
   let signal = Array.make 100 1.0 in
-  let out = Window.apply Window.Hann signal in
-  Alcotest.(check int) "same length" 100 (Array.length out);
-  Alcotest.check (approx 1e-9) "starts at zero" 0.0 out.(0)
+  let out = Array.make 101 (-1.0) in
+  Window.apply_into Window.Hann signal out;
+  Alcotest.check (approx 1e-9) "starts at zero" 0.0 out.(0);
+  Alcotest.(check (array (float 0.0))) "unit signal gives the window"
+    (Window.coefficients Window.Hann 100) (Array.sub out 0 100);
+  Alcotest.check (approx 0.0) "cells past the signal untouched" (-1.0) out.(100)
 
 (* ---- Spectrum & Metrics ---- *)
 
@@ -362,15 +395,13 @@ let test_metrics_harmonic_distortion () =
         Tone.component ~freq:(3.0 *. f) ~amplitude:0.01 () ]
   in
   let sp = Spectrum.analyze ~sample_rate:fs signal in
-  let hd3 = Metrics.harmonic_power_db sp ~fundamental:f ~harmonic:3 in
-  let fund = Metrics.harmonic_power_db sp ~fundamental:f ~harmonic:1 in
-  Alcotest.check (approx 0.3) "hd3 at -40 dBc" (-40.0) (hd3 -. fund);
   let r = Metrics.analyze sp in
   Alcotest.check (approx 0.5) "thd ~ -40" (-40.0) r.Metrics.thd_db;
   Alcotest.check (approx 0.5) "sfdr ~ 40" 40.0 r.Metrics.sfdr_db
 
 let test_aliased_harmonic () =
-  (* 3rd harmonic of ~2400 Hz at fs 10 kHz lands at ~7200 -> folds to ~2800. *)
+  (* 3rd harmonic of ~2400 Hz at fs 10 kHz lands at ~7200 -> folds to ~2800,
+     where the THD must find it: the only distortion, at 20 log10 0.003 dBc *)
   let fs = 10000.0 and n = 4096 in
   let f = Tone.coherent_frequency ~sample_rate:fs ~samples:n ~target:2400.0 in
   let folded = fs -. (3.0 *. f) in
@@ -380,11 +411,8 @@ let test_aliased_harmonic () =
       [ Tone.component ~freq:f ~amplitude:1.0 ();
         Tone.component ~freq:folded ~amplitude () ]
   in
-  let sp = Spectrum.analyze ~sample_rate:fs signal in
-  let hd3 = Metrics.harmonic_power_db sp ~fundamental:f ~harmonic:3 in
-  Alcotest.check (approx 0.5) "folded hd3 found"
-    (10.0 *. Float.log10 (amplitude *. amplitude /. 2.0))
-    hd3
+  let r = Metrics.analyze (Spectrum.analyze ~sample_rate:fs signal) in
+  Alcotest.check (approx 0.5) "folded hd3 found" (20.0 *. Float.log10 amplitude) r.Metrics.thd_db
 
 let test_intermod_products () =
   let f1, f2 = (90.0, 110.0) in
@@ -417,10 +445,6 @@ let test_coherent_frequency_odd_cycles () =
   Alcotest.(check bool) "integral cycles" true
     (Float.abs (cycles -. Float.round cycles) < 1e-9);
   Alcotest.(check bool) "odd" true (int_of_float (Float.round cycles) mod 2 = 1)
-
-let test_crest_factor_sine () =
-  let _, signal = coherent_sine ~n:4096 ~fs:1000.0 ~target:100.0 () in
-  Alcotest.check (approx 0.01) "sine crest" (sqrt 2.0) (Tone.crest_factor signal)
 
 let test_streaming_matches_batch () =
   let fs = 1000.0 in
@@ -539,13 +563,12 @@ let test_fir_symmetric () =
   let t = d.Fir.taps in
   for i = 0 to 6 do
     Alcotest.check (approx 1e-12) "linear phase symmetry" t.(i) t.(12 - i)
-  done;
-  Alcotest.check (approx 1e-9) "group delay" 6.0 (Fir.group_delay_samples t)
+  done
 
 let test_quantize_roundtrip () =
   let d = Fir.lowpass ~taps:13 ~cutoff:0.12 () in
   let codes, scale = Fir.quantize d.Fir.taps ~bits:10 in
-  let back = Fir.dequantize codes ~scale in
+  let back = Array.map (fun c -> float_of_int c *. scale) codes in
   Array.iteri
     (fun i c ->
       Alcotest.(check bool) "quantization error within half LSB" true
@@ -630,11 +653,10 @@ let () =
         :: Alcotest.test_case "rfft" `Quick test_rfft_hermitian_consistency
         :: Alcotest.test_case "rfft explicit sizes" `Quick test_rfft_explicit_sizes
         :: Alcotest.test_case "rfft_into reuse" `Quick test_rfft_into_reuse
-        :: Alcotest.test_case "next_fast_size" `Quick test_next_fast_size
         :: Alcotest.test_case "plan cache bitwise" `Quick test_plan_cache_bitwise
         :: Alcotest.test_case "plan cache interleaved" `Quick test_plan_cache_interleaved
         :: Alcotest.test_case "plan cache accuracy" `Quick test_plan_cache_accuracy
-        :: qcheck [ prop_fft_roundtrip; prop_rfft_matches_fft ] );
+        :: qcheck [ prop_rfft_matches_dft ] );
       ( "window",
         [ Alcotest.test_case "coherent gain" `Quick test_window_dc_gain;
           Alcotest.test_case "ENBW empirical" `Quick test_window_enbw_empirical;
@@ -656,7 +678,6 @@ let () =
           Alcotest.test_case "multi-tone snr" `Quick test_snr_multi_excludes_tones ] );
       ( "tone",
         [ Alcotest.test_case "coherent odd cycles" `Quick test_coherent_frequency_odd_cycles;
-          Alcotest.test_case "crest factor" `Quick test_crest_factor_sine;
           Alcotest.test_case "streaming = batch" `Quick test_streaming_matches_batch;
           Alcotest.test_case "fit recovers amplitude/phase" `Quick
             test_tone_fit_recovers_components;

@@ -4,6 +4,8 @@
 
 module Pool = Msoc_util.Pool
 module Prng = Msoc_util.Prng
+module Obs = Msoc_obs.Obs
+module Trace = Msoc_obs.Trace
 module Monte_carlo = Msoc_stat.Monte_carlo
 module Spectrum = Msoc_dsp.Spectrum
 module Fir_netlist = Msoc_netlist.Fir_netlist
@@ -78,24 +80,13 @@ let test_grained_coverage () =
     pool_sizes
 
 let test_grained_hooks () =
-  (* the chunk hooks account for every scheduled item exactly once, and a
-     steal is always cross-slot (a worker never "steals" from itself) *)
-  let items = Atomic.make 0 and chunks = Atomic.make 0 in
-  let steals = Atomic.make 0 and bad_steal = Atomic.make false in
-  let idles = Atomic.make 0 in
-  Pool.Hooks.install
-    { run = (fun ~size:_ ~serialized:_ -> ());
-      chunk =
-        (fun ~size:_ ~slot:_ ~lo ~hi thunk ->
-          Atomic.incr chunks;
-          ignore (Atomic.fetch_and_add items (hi - lo));
-          thunk ());
-      steal =
-        (fun ~size:_ ~thief ~victim ->
-          if thief = victim then Atomic.set bad_steal true;
-          Atomic.incr steals);
-      idle = (fun ~size:_ ~slot:_ -> Atomic.incr idles) };
-  Fun.protect ~finally:Pool.Hooks.uninstall (fun () ->
+  (* the pool's hooks, as the telemetry layer installs them, account for
+     every scheduled item exactly once: the run's own trace holds one
+     [pool.chunk] span per chunk, the chunk-size histogram sums to n,
+     every steal precedes a chunk, and each slot marks its idle tail once *)
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) (fun () ->
       Pool.with_pool ~size:4 (fun pool ->
           let n = 64 in
           let sum = Atomic.make 0 in
@@ -106,13 +97,34 @@ let test_grained_hooks () =
               done)
             ();
           Alcotest.(check int) "all indices processed" (n * (n - 1) / 2) (Atomic.get sum);
-          Alcotest.(check int) "chunk hooks cover n items" n (Atomic.get items);
-          Alcotest.(check bool) "at least one chunk per run" true (Atomic.get chunks >= 1);
-          Alcotest.(check bool) "no self-steal" false (Atomic.get bad_steal);
-          Alcotest.(check bool)
-            "every steal precedes a chunk" true
-            (Atomic.get steals <= Atomic.get chunks);
-          Alcotest.(check int) "one idle notification per slot" 4 (Atomic.get idles)))
+          let trace =
+            match Trace.parse (Obs.jsonl ()) with
+            | Ok t -> t
+            | Error e -> Alcotest.failf "the export does not parse: %s" e
+          in
+          let chunks =
+            List.length
+              (List.filter (fun s -> String.equal s.Trace.sp_name "pool.chunk") trace.Trace.spans)
+          in
+          let items =
+            match List.find_opt (fun h -> String.equal h.Trace.hist "pool.chunk.items") trace.Trace.hists with
+            | Some h -> h.Trace.sum
+            | None -> 0.0
+          in
+          let counter name = Option.value ~default:0.0 (List.assoc_opt name trace.Trace.counters) in
+          let marks kind =
+            List.length (List.filter (fun m -> String.equal m.Trace.mk_kind kind) trace.Trace.marks)
+          in
+          Alcotest.(check (float 0.0)) "chunk sizes cover n items" (float_of_int n) items;
+          Alcotest.(check (float 0.0)) "pool.items counts n" (float_of_int n) (counter "pool.items");
+          Alcotest.(check bool) "at least one chunk per run" true (chunks >= 1);
+          Alcotest.(check (float 0.0)) "one pool.chunks count per span" (float_of_int chunks)
+            (counter "pool.chunks");
+          Alcotest.(check bool) "every steal precedes a chunk" true
+            (counter "pool.steals" <= float_of_int chunks);
+          Alcotest.(check int) "one steal mark per steal" (int_of_float (counter "pool.steals"))
+            (marks "steal");
+          Alcotest.(check int) "one idle mark per slot" 4 (marks "idle")))
 
 let test_parallel_init () =
   let expected = Array.init 1000 (fun i -> (i * i) mod 97) in
@@ -163,7 +175,7 @@ let test_reentrant_run () =
 
 let test_split_streams_stable () =
   (* stream i depends only on the parent state and i — never on pool size *)
-  let draws g = Array.init 4 (fun _ -> Prng.bits64 g) in
+  let draws g = Array.init 4 (fun _ -> Prng.split_seed g) in
   let reference = Array.map draws (Pool.split_streams (Prng.create 77) 8) in
   let again = Array.map draws (Pool.split_streams (Prng.create 77) 8) in
   Alcotest.(check bool) "reproducible" true (reference = again);
@@ -285,11 +297,6 @@ let test_atpg_pooled () =
   let faults = Fault.collapse fir.Fir_netlist.circuit (Fault.universe fir.Fir_netlist.circuit) in
   let config = { Atpg_lite.default_config with patterns = 96; seed = 11 } in
   let serial = Atpg_lite.grade fir.Fir_netlist.circuit ~output:"y" ~faults config in
-  let serial_until =
-    Atpg_lite.grade_until fir.Fir_netlist.circuit ~output:"y" ~faults
-      { config with patterns = 16 }
-      ~target_coverage:2.0 ~max_patterns:96
-  in
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
@@ -300,19 +307,7 @@ let test_atpg_pooled () =
             (pooled.Atpg_lite.detected_flags = serial.Atpg_lite.detected_flags);
           Alcotest.(check int)
             (Printf.sprintf "size %d grade last_useful identical" size)
-            serial.Atpg_lite.last_useful_pattern pooled.Atpg_lite.last_useful_pattern;
-          let pooled_until =
-            Atpg_lite.grade_until ~pool fir.Fir_netlist.circuit ~output:"y" ~faults
-              { config with patterns = 16 }
-              ~target_coverage:2.0 ~max_patterns:96
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "size %d grade_until flags identical" size)
-            true
-            (pooled_until.Atpg_lite.detected_flags = serial_until.Atpg_lite.detected_flags);
-          Alcotest.(check int)
-            (Printf.sprintf "size %d grade_until patterns identical" size)
-            serial_until.Atpg_lite.patterns_used pooled_until.Atpg_lite.patterns_used))
+            serial.Atpg_lite.last_useful_pattern pooled.Atpg_lite.last_useful_pattern))
     pool_sizes
 
 (* ---- Pooled spectrum analysis ---- *)

@@ -55,18 +55,17 @@ let test_workq_bounds () =
   Alcotest.(check bool) "push 2" true (Workq.try_push q 2);
   Alcotest.(check int) "length" 2 (Workq.length q);
   Alcotest.(check bool) "push to a full queue refused" false (Workq.try_push q 3);
-  Alcotest.(check (option int)) "fifo head" (Some 1) (Workq.pop_opt q);
+  Alcotest.(check (option int)) "fifo head" (Some 1) (Workq.pop q);
   Alcotest.(check bool) "pop frees the slot" true (Workq.try_push q 3);
-  Alcotest.(check (option int)) "fifo order kept" (Some 2) (Workq.pop_opt q);
-  Alcotest.(check (option int)) "late push delivered" (Some 3) (Workq.pop_opt q);
-  Alcotest.(check (option int)) "empty" None (Workq.pop_opt q)
+  Alcotest.(check (option int)) "fifo order kept" (Some 2) (Workq.pop q);
+  Alcotest.(check (option int)) "late push delivered" (Some 3) (Workq.pop q);
+  Alcotest.(check int) "empty" 0 (Workq.length q)
 
 let test_workq_close () =
   let q = Workq.create ~capacity:4 in
   Alcotest.(check bool) "push before close" true (Workq.try_push q 7);
   Workq.close q;
   Workq.close q (* idempotent *);
-  Alcotest.(check bool) "closed" true (Workq.is_closed q);
   Alcotest.(check bool) "push after close refused" false (Workq.try_push q 8);
   (* close is end-of-stream, not abort: queued work still drains *)
   Alcotest.(check (option int)) "drains after close" (Some 7) (Workq.pop q);
@@ -185,7 +184,7 @@ let prop_workq_exactly_once =
       let consumed = List.concat (List.map Domain.join consumers) in
       List.sort compare consumed = items
       && Workq.accepted q = n_items
-      && Workq.pop_opt q = None)
+      && Workq.pop q = None)
 
 (* ---- wire protocol ---- *)
 
@@ -343,7 +342,18 @@ let test_faultsim_bad_fields () =
       ("samples", { base with Protocol.samples = -5 });
       ("coeff_bits", { base with Protocol.coeff_bits = 1 });
       ("coeff_bits", { base with Protocol.coeff_bits = 31 });
-      ("input_bits", { base with Protocol.input_bits = 1 }) ]
+      ("input_bits", { base with Protocol.input_bits = 1 });
+      (* wider than the accumulator bound (sum |c|) * 2^(input_bits - 1)
+         can hold in a native int *)
+      ("input_bits", { base with Protocol.taps = 3; samples = 64; input_bits = 56 });
+      ("input_bits", { base with Protocol.taps = 13; coeff_bits = 30; input_bits = 32 });
+      ("input_bits", { base with Protocol.input_bits = 4096 }) ];
+  (* the widest accepted input still runs *)
+  let widest = { base with Protocol.taps = 3; samples = 64; input_bits = 55 } in
+  check_contains (Verbs.run ~pool widest) [ "coverage:" ];
+  match Verbs.run ~pool { widest with Protocol.input_bits = 56 } with
+  | _ -> Alcotest.fail "one bit wider must fail"
+  | exception Failure msg -> check_contains msg [ "input_bits"; "at most 55" ]
 
 (* ---- backpressure ---- *)
 
@@ -716,7 +726,7 @@ let test_montecarlo_identity () =
   let expected = Pool.with_pool ~size:1 (fun pool -> Verbs.run ~pool req) in
   (* seed 0 resolves to the canonical study seed in the rendered header *)
   check_contains expected
-    [ Printf.sprintf "seed %d" Verbs.montecarlo_canonical_seed; "500 trials" ];
+    [ Printf.sprintf "seed %d" Msoc_synth.Propagate.figure4_seed; "500 trials" ];
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->

@@ -16,14 +16,6 @@ let test_constructors () =
   Alcotest.(check int) "silence" 0 (List.length empty.Attr.tones);
   Alcotest.check (approx 1e-9) "thermal default" (-174.0) empty.Attr.noise_dbm
 
-let test_tone_near () =
-  let s = Attr.two_tone ~f1_hz:90e3 ~f2_hz:110e3 ~power_dbm:(-10.0) () in
-  (match Attr.tone_near s ~freq_hz:91e3 ~within_hz:5e3 with
-  | Some tn -> Alcotest.check (approx 1.0) "found f1" 90e3 (I.mid tn.Attr.freq_hz)
-  | None -> Alcotest.fail "expected tone near 91 kHz");
-  Alcotest.(check bool) "nothing at 150k" true
-    (Attr.tone_near s ~freq_hz:150e3 ~within_hz:5e3 = None)
-
 let test_total_power_sums () =
   (* two equal tones: composite power is +3.01 dB *)
   let s = Attr.two_tone ~f1_hz:1e3 ~f2_hz:2e3 ~power_dbm:(-10.0) () in
@@ -38,15 +30,16 @@ let test_spur_bookkeeping () =
   let s = Attr.single_tone ~freq_hz:1e3 ~power_dbm:0.0 () in
   let spur_tone = Attr.tone ~freq_hz:3e3 ~power_dbm:(-40.0) () in
   let s = Attr.add_spur s (Attr.Harmonic 3) spur_tone in
-  Alcotest.check (approx 1e-9) "worst spur" (-40.0) (Attr.worst_spur_dbm s);
-  Alcotest.check (approx 1e-9) "sfdr" 40.0 (Attr.sfdr_db s);
-  (match Attr.spur_near s ~freq_hz:3e3 ~within_hz:100.0 with
-  | Some spur ->
+  Alcotest.(check int) "tones untouched" 1 (List.length s.Attr.tones);
+  match s.Attr.spurs with
+  | [ spur ] ->
+    Alcotest.check (approx 1e-9) "spur power" (-40.0) (I.mid spur.Attr.tone.Attr.power_dbm);
+    Alcotest.check (approx 1e-9) "spur frequency" 3e3 (I.mid spur.Attr.tone.Attr.freq_hz);
     (match spur.Attr.origin with
     | Attr.Harmonic 3 -> ()
     | Attr.Harmonic _ | Attr.Intermod3 | Attr.Lo_leakage | Attr.Clock_spur | Attr.Alias ->
       Alcotest.fail "wrong origin")
-  | None -> Alcotest.fail "spur not found")
+  | _ -> Alcotest.fail "expected one spur"
 
 let test_map_tones_covers_spurs () =
   let s = Attr.single_tone ~freq_hz:1e3 ~power_dbm:0.0 () in
@@ -106,7 +99,6 @@ let () =
   Alcotest.run "msoc_signal"
     [ ( "attr",
         [ Alcotest.test_case "constructors" `Quick test_constructors;
-          Alcotest.test_case "tone_near" `Quick test_tone_near;
           Alcotest.test_case "total power" `Quick test_total_power_sums;
           Alcotest.test_case "snr" `Quick test_snr_tracks_noise;
           Alcotest.test_case "spurs" `Quick test_spur_bookkeeping;

@@ -28,8 +28,8 @@ let test_create_validation () =
   (* the happy path builds *)
   let ok = Soc.create ~name:"ok" ~bus_bits:16 ~power_budget_mw:200.0 [ core () ] in
   Alcotest.(check int) "core count" 1 (Soc.core_count ok);
-  Alcotest.(check bool) "find_core hit" true (Soc.find_core ok "c0" <> None);
-  Alcotest.(check bool) "find_core miss" true (Soc.find_core ok "zz" = None);
+  Alcotest.(check (list string)) "core names" [ "c0" ]
+    (List.map (fun (c : Soc.core) -> c.Soc.name) ok.Soc.cores);
   expect_invalid "no cores" (fun () ->
       Soc.create ~name:"s" ~bus_bits:16 ~power_budget_mw:200.0 []);
   expect_invalid "duplicate core names" (fun () ->

@@ -92,8 +92,8 @@ let kernels () =
   in
   let rfft_test, rfft_cold_test = rfft_kernels 4096 in
   let rfft_bluestein_test, rfft_bluestein_cold_test = rfft_kernels 1000 in
-  (* serial Monte-Carlo inner loop through the seed-table + scratch-
-     generator arena: the allocation profile this PR exists to flatten *)
+  (* the Monte-Carlo trial loop on the pool of one: the seed table plus
+     one scratch generator reseeded per trial *)
   let mc_rng = Prng.create 99 in
   let mc_arena_test =
     kernel ~name:"mc-arena-8192"
@@ -269,8 +269,10 @@ let kernels () =
      and a pooled kernel's workers are counted with its caller.
      [Gc.minor_words] would count the calling domain only, and
      [quick_stat] alone (Bechamel's [minor_allocated]) advances only at a
-     minor collection. *)
-  let exact_minor_words run =
+     minor collection.  The bracket's own [quick_stat] records land inside
+     it, so the reading of an empty closure is subtracted (clamped at 0):
+     an allocation-free kernel reads 0. *)
+  let bracketed_minor_words run =
     let reps = 3 in
     let minor_words () =
       Gc.minor ();
@@ -282,6 +284,8 @@ let kernels () =
     done;
     (minor_words () -. before) /. float_of_int reps
   in
+  let probe_floor = bracketed_minor_words (fun () -> ()) in
+  let exact_minor_words run = Float.max 0.0 (bracketed_minor_words run -. probe_floor) in
   let benchmark_adaptive test =
     let rec go quota attempt =
       let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota) ~kde:(Some 1000) () in

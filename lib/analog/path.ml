@@ -253,17 +253,7 @@ let run_analog e input =
 (* [run_codes] hands back only the digitizer's codes, so its working copy
    is per-domain scratch, one buffer per capture length: a validation's
    dozens of captures then leave no simulation-length garbage behind. *)
-let work_key : (int, float array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 2)
-
-let work_buffer n =
-  let tbl = Domain.DLS.get work_key in
-  match Hashtbl.find_opt tbl n with
-  | Some a -> a
-  | None ->
-    let a = Array.make n 0.0 in
-    Hashtbl.add tbl n a;
-    a
+let work_buffer = Msoc_util.Pool.per_domain (fun n -> Array.make n 0.0)
 
 let run_codes e input =
   check_length e input;

@@ -83,17 +83,7 @@ let modulate_into inst ~rng ~samples =
 
 (* A capture's bitstream is per-domain scratch, one buffer per length:
    the CIC decimator reads it and keeps nothing. *)
-let bits_key : (int, int array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 2)
-
-let bits_buffer n =
-  let tbl = Domain.DLS.get bits_key in
-  match Hashtbl.find_opt tbl n with
-  | Some a -> a
-  | None ->
-    let a = Array.make n 0 in
-    Hashtbl.add tbl n a;
-    a
+let bits_buffer = Msoc_util.Pool.per_domain (fun n -> Array.make n 0)
 
 let kernel inst ~decimation ~rng ~samples =
   let run = modulate_into inst ~rng ~samples in

@@ -52,17 +52,9 @@ let snap_if t freq =
    and those cost one multiply-add pass instead of a [sin] per sample. *)
 type scratch = { stimulus : float array; unit_wave : Tone.unit_wave }
 
-let scratch_key : (int, scratch) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let scratch n =
-  let tbl = Domain.DLS.get scratch_key in
-  match Hashtbl.find_opt tbl n with
-  | Some s -> s
-  | None ->
-    let s = { stimulus = Array.make n 0.0; unit_wave = Tone.unit_wave ~samples:n } in
-    Hashtbl.add tbl n s;
-    s
+let scratch =
+  Msoc_util.Pool.per_domain (fun n ->
+      { stimulus = Array.make n 0.0; unit_wave = Tone.unit_wave ~samples:n })
 
 let raw_capture t components =
   Obs.span "measure.capture" @@ fun () ->
@@ -298,7 +290,7 @@ type validation = {
   cost : Cost.t;
 }
 
-let validate_part ?pool ?seed path part ~strategy =
+let validate_part ?(pool = Msoc_util.Pool.serial) ?seed path part ~strategy =
   let t = create ?seed path part in
   (* Static application cost per procedure: capture count from the
      measurement class (sweeps pay per point), record length and settling
@@ -376,22 +368,13 @@ let validate_part ?pool ?seed path part ~strategy =
                    ~budget:(Propagate.err (Propagate.lo_freq_error path))) ]
            | None -> []) ])
   in
-  let results =
-    match pool with
-    | Some pool when Msoc_util.Pool.size pool > 1 ->
-      Msoc_util.Pool.parallel_map pool (fun procedure -> procedure ()) procedures
-    | Some _ | None -> Array.map (fun procedure -> procedure ()) procedures
-  in
-  Array.to_list results
+  Array.to_list (Msoc_util.Pool.parallel_map pool (fun procedure -> procedure ()) procedures)
 
-let validate_population ?pool ?(seed = 1000) path ~parts ~strategy ~rng =
+let validate_population ?(pool = Msoc_util.Pool.serial) ?(seed = 1000) path ~parts ~strategy ~rng =
   assert (parts > 0);
   (* Sample every part serially from [rng] first (so the population depends
      only on the generator state), then fan the per-part tester runs out
      across domains; part [i] always uses session seed [seed + i]. *)
   let sampled = Array.init parts (fun _ -> Path.sample_part path rng) in
-  let validate i = (sampled.(i), validate_part ~seed:(seed + i) path sampled.(i) ~strategy) in
-  match pool with
-  | Some pool when Msoc_util.Pool.size pool > 1 ->
-    Msoc_util.Pool.parallel_init pool parts validate
-  | Some _ | None -> Array.init parts validate
+  Msoc_util.Pool.parallel_init pool parts (fun i ->
+      (sampled.(i), validate_part ~seed:(seed + i) path sampled.(i) ~strategy))

@@ -36,11 +36,11 @@ val validate_part :
     adaptively, against the part's own measured gain), the LPF cut-off and
     the LO frequency error (an RF tone at a known frequency minus the
     measured IF).  One session engine, drawing all its noise from [seed]
-    (default 1234), serves every capture of 4096 ADC samples.  With [pool], the
-    five measurement procedures run on separate domains, sharing the
-    session engine (its runs are pure, so the procedures are
-    independent); the result list is in procedure order and identical to
-    the serial path for every pool size. *)
+    (default 1234), serves every capture of 4096 ADC samples.  The five
+    measurement procedures run across the domains of [pool] (default
+    {!Msoc_util.Pool.serial}), sharing the session engine (its runs are
+    pure, so the procedures are independent); the result list is in
+    procedure order and identical for every pool size. *)
 
 val validate_population :
   ?pool:Msoc_util.Pool.t ->
@@ -53,6 +53,6 @@ val validate_population :
 (** Monte-Carlo sweep of the virtual tester: sample [parts] manufactured
     parts from [rng] (serially, so the population is independent of the
     pool size) and validate each, part [i] with session seed [seed + i]
-    (default [seed] 1000).  With [pool], parts are distributed across
-    domains; results are in sampling order and bit-identical to the serial
-    path. *)
+    (default [seed] 1000).  Parts are distributed across the domains of
+    [pool] (default {!Msoc_util.Pool.serial}); results are in sampling
+    order and bit-identical for every pool size. *)

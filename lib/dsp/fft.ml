@@ -122,22 +122,11 @@ let pow2_plan n =
 (* allocating them per call made the capture loop GC-bound, so each    *)
 (* domain keeps one buffer per (role, exact length).  Buffers hold no  *)
 (* state between calls — every user overwrites before reading — and    *)
-(* roles keep the concurrent uses inside one transform distinct.  One  *)
-(* table per role, keyed by the bare length, so a hit allocates        *)
-(* nothing.                                                            *)
+(* roles keep the concurrent uses inside one transform distinct: one   *)
+(* [Pool.per_domain] lookup per role, so a hit allocates nothing.      *)
 (* ------------------------------------------------------------------ *)
 
-let scratch_key : (int, float array) Hashtbl.t array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.init 4 (fun _ -> Hashtbl.create 8))
-
-let scratch ~role n =
-  let tbl = (Domain.DLS.get scratch_key).(role) in
-  match Hashtbl.find tbl n with
-  | a -> a
-  | exception Not_found ->
-    let a = Array.make n 0.0 in
-    Hashtbl.add tbl n a;
-    a
+let scratch = Array.init 4 (fun _ -> Msoc_util.Pool.per_domain (fun n -> Array.make n 0.0))
 
 (* roles: 0/1 — packed/real input of [rfft]; 2/3 — Bluestein convolution *)
 let role_pack_re = 0
@@ -246,7 +235,7 @@ let bluestein_in_place ~re ~im =
   assert (Array.length im = n);
   let plan = bluestein_plan n in
   let m = plan.m in
-  let a_re = scratch ~role:role_conv_re m and a_im = scratch ~role:role_conv_im m in
+  let a_re = scratch.(role_conv_re) m and a_im = scratch.(role_conv_im) m in
   Array.fill a_re 0 m 0.0;
   Array.fill a_im 0 m 0.0;
   for k = 0 to n - 1 do
@@ -320,7 +309,7 @@ let rfft_into signal ~re ~im =
   Obs.count "fft.transforms";
   if n land 1 = 1 then begin
     (* odd length: full-size split transform of (signal, 0) *)
-    let w_re = scratch ~role:role_pack_re n and w_im = scratch ~role:role_pack_im n in
+    let w_re = scratch.(role_pack_re) n and w_im = scratch.(role_pack_im) n in
     Array.blit signal 0 w_re 0 n;
     Array.fill w_im 0 n 0.0;
     transform_in_place ~re:w_re ~im:w_im;
@@ -329,7 +318,7 @@ let rfft_into signal ~re ~im =
   end
   else begin
     let h = n / 2 in
-    let z_re = scratch ~role:role_pack_re h and z_im = scratch ~role:role_pack_im h in
+    let z_re = scratch.(role_pack_re) h and z_im = scratch.(role_pack_im) h in
     (* unchecked below: n = 2h, the output holds h + 1 bins (asserted),
        and both Z_k (Z_h reads Z_0, by length-h periodicity) and its
        mirror Z_j, j = (h - k) mod h, index [0, h) *)

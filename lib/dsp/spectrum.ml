@@ -11,19 +11,8 @@ module Obs = Msoc_obs.Obs
    transform output (roles 1 and 2): a spectrum per fault stream, per
    Monte-Carlo sample, per repeated capture used to allocate (and
    immediately discard) all three — only the one-sided power array of
-   [analyze] survives the call, and [departs] keeps nothing.  One table
-   per role, keyed by the bare length, so a hit allocates nothing. *)
-let scratch_key : (int, float array) Hashtbl.t array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.init 3 (fun _ -> Hashtbl.create 8))
-
-let scratch ~role n =
-  let tbl = (Domain.DLS.get scratch_key).(role) in
-  match Hashtbl.find tbl n with
-  | a -> a
-  | exception Not_found ->
-    let a = Array.make n 0.0 in
-    Hashtbl.add tbl n a;
-    a
+   [analyze] survives the call, and [departs] keeps nothing. *)
+let scratch = Array.init 3 (fun _ -> Msoc_util.Pool.per_domain (fun n -> Array.make n 0.0))
 
 (* The two per-bin expressions every reading goes through, defined once
    for [analyze] and [departs]: the one-sided power of bin [k] of an
@@ -50,10 +39,10 @@ let analyze ?(window = Window.Hann) ~sample_rate signal =
   assert (n >= 8);
   Obs.count "spectrum.captures";
   Obs.span "spectrum.analyze" @@ fun () ->
-  let windowed = scratch ~role:0 n in
+  let windowed = scratch.(0) n in
   Window.apply_into window signal windowed;
   let bin_count = (n / 2) + 1 in
-  let f_re = scratch ~role:1 bin_count and f_im = scratch ~role:2 bin_count in
+  let f_re = scratch.(1) bin_count and f_im = scratch.(2) bin_count in
   Fft.rfft_into windowed ~re:f_re ~im:f_im;
   let norm = power_norm window n in
   let bins =
@@ -67,14 +56,11 @@ let analyze ?(window = Window.Hann) ~sample_rate signal =
    them across domains.  The FFT plan cache is mutex-protected, so the
    first concurrent accesses of a new length serialise on the plan build
    and every later capture shares the published plan read-only. *)
-let analyze_many ?pool ?(window = Window.Hann) ~sample_rate signals =
+let analyze_many ?(pool = Msoc_util.Pool.serial) ?(window = Window.Hann) ~sample_rate signals =
   Obs.span "spectrum.analyze_many"
     ~args:[ ("captures", string_of_int (Array.length signals)) ]
   @@ fun () ->
-  match pool with
-  | Some pool when Msoc_util.Pool.size pool > 1 && Array.length signals > 1 ->
-    Msoc_util.Pool.parallel_map pool (fun signal -> analyze ~window ~sample_rate signal) signals
-  | Some _ | None -> Array.map (fun signal -> analyze ~window ~sample_rate signal) signals
+  Msoc_util.Pool.parallel_map pool (fun signal -> analyze ~window ~sample_rate signal) signals
 
 let bin_count t = Array.length t.bins
 let frequency_of_bin t k = float_of_int k *. t.sample_rate /. float_of_int t.length
@@ -169,14 +155,14 @@ let mask golden ~floor_db ~excluded ~tolerance_db =
 let departs m ~scale stream =
   let n = m.samples in
   if Array.length stream <> n then invalid_arg "Spectrum.departs: stream length";
-  let x = scratch ~role:0 n in
+  let x = scratch.(0) n in
   let w = m.window_table in
   for i = 0 to n - 1 do
     Array.unsafe_set x i
       ((float_of_int (Array.unsafe_get stream i) *. scale) *. Array.unsafe_get w i)
   done;
   let nbins = Array.length m.golden_db in
-  let f_re = scratch ~role:1 nbins and f_im = scratch ~role:2 nbins in
+  let f_re = scratch.(1) nbins and f_im = scratch.(2) nbins in
   Fft.rfft_into x ~re:f_re ~im:f_im;
   let norm = m.norm and golden_db = m.golden_db and floor_db = m.floor_db in
   let excluded = m.excluded and tolerance_db = m.tolerance_db in

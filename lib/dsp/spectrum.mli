@@ -26,9 +26,9 @@ val analyze_many :
   sample_rate:float ->
   float array array ->
   t array
-(** {!analyze} applied to every capture, optionally distributed across the
-    domains of [pool] (result order matches input order and is identical to
-    the serial path for every pool size). *)
+(** {!analyze} applied to every capture, distributed across the domains
+    of [pool] (default {!Msoc_util.Pool.serial}); result order matches
+    input order and is identical for every pool size. *)
 
 val bin_count : t -> int
 val frequency_of_bin : t -> int -> float

@@ -367,7 +367,7 @@ let grain = 8
 (* Run [item sc fi] for every fault whose node reaches the output, on the
    pool with one scratch per worker slot; returns the indices of the
    others, ascending.  Results land by fault index. *)
-let run_faults ?pool r ~faults ~stream item =
+let run_faults ?(pool = Pool.serial) r ~faults ~stream item =
   let eligible = ref [] and blind = ref [] in
   for fi = Array.length faults - 1 downto 0 do
     if r.obsv.(faults.(fi).Fault.node) then eligible := fi :: !eligible
@@ -385,11 +385,8 @@ let run_faults ?pool r ~faults ~stream item =
       Progress.add prog_done 1.0
     done
   in
-  (match pool with
-  | Some p when Pool.size p > 1 && n > grain ->
-    let sc = Pool.per_slot p make in
-    Pool.parallel_iter_grained p ~n ~grain ~f:(fun ~slot ~lo ~hi -> run (sc slot) lo hi) ()
-  | _ -> if n > 0 then run (make ()) 0 n);
+  let sc = Pool.per_slot pool make in
+  Pool.parallel_iter_grained pool ~n ~grain ~f:(fun ~slot ~lo ~hi -> run (sc slot) lo hi) ();
   !blind
 
 let observe ?pool circuit ~output ~drive ~samples ~faults ~on_fault =

@@ -16,10 +16,10 @@
       via {!Logic_sim.drive_bus}).  It runs {e only} on one sim, for cycles
       [0 .. samples-1] in order, so it may keep state; the engine reads the
       inputs back and never evaluates that sim.
-    - With [pool], faults run across domains through
+    - Faults run across the domains of [pool] (default
+      {!Msoc_util.Pool.serial}) through
       {!Msoc_util.Pool.parallel_iter_grained}.  Every result is
-      bit-identical for every pool size, serial (no pool, or size 1)
-      included.
+      bit-identical for every pool size.
     - [output] names the observed bus; an unknown name raises [Not_found].
     - Every driver publishes the ["fault_sim.faults_done"] /
       ["fault_sim.faults_total"] progress cells, counting simulated
@@ -48,10 +48,10 @@ val observe :
     - [stream] is valid only during the callback and must not be mutated:
       it is a per-worker buffer reused by the next fault (or the good
       stream).  Copy it to keep it.
-    - With [pool], [on_fault] runs on the worker domain that simulated
-      the fault, concurrently for different faults, in no particular
-      order; only the returned array is ordered.  It must be safe to call
-      concurrently.
+    - On a pool of several domains, [on_fault] runs on the domain that
+      simulated the fault, concurrently for different faults, in no
+      particular order; only the returned array is ordered.  It must be
+      safe to call concurrently.
 
     Exposed telemetry: the ["fault_sim.run"] span and the
     ["fault_sim.runs"] and ["fault_sim.faults"] counters. *)

@@ -13,7 +13,7 @@
    sinks that joined its parallel runs ([follow_caller]).  Both exports,
    the JSONL trace and the Prometheus exposition, read the caller's
    generation under the registry mutex, after its pooled work has
-   joined — Pool.run's join publishes the workers' writes.
+   joined — the pool's join publishes the workers' writes.
    Resetting a generation first folds its counters and histograms into
    the lifetime store, which only [reset] clears, so counts survive the
    per-request resets of a server while span trees stay per request. *)

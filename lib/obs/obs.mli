@@ -7,7 +7,7 @@
 
     {2 Concurrency and determinism}
 
-    Each domain writes to its own private sink ([Domain.DLS]); no probe
+    Each domain writes to its own private (domain-local) sink; no probe
     ever takes a lock or writes shared state, so enabling telemetry
     cannot perturb the pool's bit-identity contract — pooled results are
     identical with telemetry on or off, at any pool size.

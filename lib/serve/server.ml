@@ -131,13 +131,9 @@ type t = {
 }
 
 let create cfg =
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
+  (* validate before touching the filesystem: a rejected config must
+     neither unlink a live daemon's socket nor leak descriptors *)
+  let queue = Workq.create ~capacity:cfg.queue_capacity in
   let pool = match cfg.pool with Some p -> p | None -> Pool.get_default () in
   let executors =
     match cfg.executors with
@@ -146,12 +142,19 @@ let create cfg =
       k
     | None -> Pool.size pool
   in
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.unlink cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
+  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
+  Unix.listen listen_fd 64;
+  Unix.set_nonblock listen_fd;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
   { cfg;
     listen_fd;
     wake_r;
     wake_w;
     stop = Atomic.make false;
-    queue = Workq.create ~capacity:cfg.queue_capacity;
+    queue;
     executors;
     cache = Verbs.create_cache ~size:cfg.cache_size;
     heavy_cap = max 1 (cfg.queue_capacity * 3 / 4);

@@ -62,7 +62,8 @@ val create : config -> t
 (** Bind and listen on the socket (an existing socket file is replaced)
     and open the access log.  Clients may connect from this point on.
 
-    @raise Invalid_argument when [executors] is below 1. *)
+    @raise Invalid_argument when [executors] or [queue_capacity] is below
+    1, before the socket path is touched. *)
 
 val run : t -> unit
 (** Serve until {!request_stop}: blocks the calling domain.  Installs a

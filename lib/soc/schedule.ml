@@ -380,7 +380,7 @@ let restart_walk c base_rank ~iters rng =
   done;
   (!best, best_rank, !accepted, !rejected)
 
-let anneal ?(restarts = 8) ?(iters = 400) ?(seed = 42) ?pool problem =
+let anneal ?(restarts = 8) ?(iters = 400) ?(seed = 42) ?(pool = Pool.serial) problem =
   if restarts < 0 then invalid_arg "Schedule.anneal: restarts must be >= 0";
   if iters < 0 then invalid_arg "Schedule.anneal: iters must be >= 0";
   Obs.span "schedule.anneal"
@@ -391,17 +391,11 @@ let anneal ?(restarts = 8) ?(iters = 400) ?(seed = 42) ?pool problem =
   let c = Compiled.of_problem problem in
   let base_rank = greedy_rank problem in
   let baseline = decode_order c (order_of_permutation base_rank) in
+  (* every restart is one grain: per-restart streams come pre-split from
+     the seed, so the fan-out is bit-identical at any pool size *)
   let walks =
-    match pool with
-    | _ when restarts = 0 -> [||]
-    | Some pool ->
-      (* every restart is one grain: per-restart streams come pre-split
-         from the seed, so the fan-out is bit-identical at any pool size *)
-      Pool.parallel_init_rng ~grain:1 pool ~rng:(Prng.create seed) restarts
-        (fun rng _ -> restart_walk c base_rank ~iters rng)
-    | None ->
-      let streams = Pool.split_streams (Prng.create seed) restarts in
-      Array.init restarts (fun r -> restart_walk c base_rank ~iters streams.(r))
+    Pool.parallel_init_rng ~grain:1 pool ~rng:(Prng.create seed) restarts (fun rng _ ->
+        restart_walk c base_rank ~iters rng)
   in
   (* deterministic reduction: fold in restart-index order, strictly better
      makespan wins — the annealed result can never lose to greedy *)

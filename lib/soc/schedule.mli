@@ -66,7 +66,7 @@ val anneal :
     seed 42).  Each restart perturbs the greedy ranking and walks rank
     swaps under Metropolis acceptance with geometric cooling.  The
     result's makespan is [<=] {!greedy}'s and bit-identical at every pool
-    size (and without a pool).  Emits [schedule.restarts] and
+    size ([pool] defaults to {!Msoc_util.Pool.serial}).  Emits [schedule.restarts] and
     [schedule.moves.accepted]/[.rejected] counters and a
     [schedule.anneal] span. *)
 

@@ -7,8 +7,9 @@
 (** {2 Trial loops}
 
     Each trial draws from its own generator stream, split serially from
-    [rng] before any parallel execution ({!Msoc_util.Pool.split_streams}),
-    so results are bit-identical for every pool size, no pool included. *)
+    [rng] before any parallel execution
+    ({!Msoc_util.Pool.parallel_floats_rng}), so results are bit-identical
+    for every pool size; [pool] defaults to {!Msoc_util.Pool.serial}. *)
 
 val sample_array_pooled :
   ?pool:Msoc_util.Pool.t ->

@@ -131,6 +131,10 @@ let create ?size:(requested = Domain.recommended_domain_count ()) () =
   end;
   pool
 
+(* The pool of one: it spawns nothing, and every entry point runs inline
+   on it, so any number of domains may share it. *)
+let serial = create ~size:1 ()
+
 (* Per-slot lazy state: a slot never runs two chunks concurrently and
    always reads its own cell, so plain (non-atomic) cells at distinct
    indices are race-free; the pool join publishes the writes. *)
@@ -144,6 +148,19 @@ let per_slot t make =
       cells.(slot) <- Some v;
       v
 
+(* Per-domain lazy state keyed by length.  A hit is one table probe and
+   allocates nothing ([find] raising on a miss, not [find_opt] boxing). *)
+let per_domain make =
+  let key = Domain.DLS.new_key (fun () -> Hashtbl.create 4) in
+  fun n ->
+    let tbl = Domain.DLS.get key in
+    match Hashtbl.find tbl n with
+    | v -> v
+    | exception Not_found ->
+      let v = make n in
+      Hashtbl.add tbl n v;
+      v
+
 let default_size () =
   match Sys.getenv_opt "MSOC_DOMAINS" with
   | Some s ->
@@ -155,13 +172,14 @@ let default_size () =
 let default_pool = lazy (create ~size:(default_size ()) ())
 let get_default () = Lazy.force default_pool
 
-(* Run [f 0], ..., [f (size-1)] concurrently, the caller executing slot 0.
+(* Run [f 0], ..., [f (size-1)] concurrently, the caller executing slot 0;
+   only [parallel_iter_grained] calls it, and never on a pool of one.
    Re-entrant and concurrent calls degrade to serial execution in the
    calling domain, so pooled code may freely call pooled code. *)
 let run pool f =
   if pool.stop then invalid_arg "Pool.run: pool is shut down";
-  if pool.size = 1 || not (Atomic.compare_and_set pool.busy false true) then begin
-    Hooks.note_run ~size:pool.size ~serialized:(pool.size > 1);
+  if not (Atomic.compare_and_set pool.busy false true) then begin
+    Hooks.note_run ~size:pool.size ~serialized:true;
     for slot = 0 to pool.size - 1 do
       f slot
     done
@@ -218,15 +236,18 @@ let default_grain ~n ~workers =
    slot) and steals their remaining grains the same way.  [f] only ever
    sees disjoint [lo, hi) ranges covering [0, n) exactly once; because
    results are written by index, the claim order is unobservable and the
-   determinism contract is preserved. *)
+   determinism contract is preserved.  The one inline rule: on a pool of
+   one, or when the range is at most one grain, the caller runs the
+   whole range as slot 0 — no worker wakes, no hook fires. *)
 let parallel_iter_grained pool ~n ?grain ~f () =
-  if n > 0 then begin
-    let workers = pool.size in
-    let grain =
-      match grain with
-      | Some g -> max 1 g
-      | None -> default_grain ~n ~workers
-    in
+  let workers = pool.size in
+  let grain =
+    match grain with
+    | Some g -> max 1 g
+    | None -> default_grain ~n ~workers
+  in
+  if workers = 1 || n <= grain then (if n > 0 then f ~slot:0 ~lo:0 ~hi:n)
+  else begin
     let cursors =
       Array.init workers (fun slot -> Atomic.make (fst (chunk ~n ~workers slot)))
     in
@@ -254,74 +275,54 @@ let parallel_iter_grained pool ~n ?grain ~f () =
         Hooks.note_idle ~size:workers ~slot)
   end
 
-let parallel_init ?grain pool n f =
-  if n <= 0 then [||]
-  else if pool.size = 1 && grain = None then Array.init n f
-  else begin
-    let results = Array.make n None in
-    parallel_iter_grained pool ~n ?grain
-      ~f:(fun ~slot:_ ~lo ~hi ->
-        for i = lo to hi - 1 do
-          results.(i) <- Some (f i)
-        done)
-      ();
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+(* [Array.init] by index, each index written once by [write ~slot]. *)
+let collect ?grain pool n write =
+  let results = Array.make (max 0 n) None in
+  parallel_iter_grained pool ~n ?grain
+    ~f:(fun ~slot ~lo ~hi ->
+      for i = lo to hi - 1 do
+        results.(i) <- Some (write ~slot i)
+      done)
+    ();
+  Array.map Option.get results
+
+let parallel_init ?grain pool n f = collect ?grain pool n (fun ~slot:_ i -> f i)
 
 let parallel_map pool f input = parallel_init pool (Array.length input) (fun i -> f input.(i))
 
-(* Per-task generator streams: split serially from the parent BEFORE any
-   parallel execution, so the stream assigned to task [i] depends only on
-   the parent state and [i], never on the pool size or scheduling. *)
-let split_streams rng n = Array.init n (fun _ -> Prng.split rng)
-
-(* Seed-table variant: the stream of task [i] is fully named by one raw
-   64-bit draw (Prng.split_seed), so the fan-out stores n unboxed seeds in
-   a floatarray instead of n generator records, and each worker replays
-   them through one per-slot scratch generator (Prng.reseed).  Stream [i]
-   is bit-identical to [split_streams rng n].(i). *)
-let split_seeds rng n =
-  let seeds = Float.Array.create n in
+(* Per-task generator streams, drawn serially BEFORE any parallel
+   execution: task [i]'s stream is named by the [i]-th raw draw of [rng]
+   (Prng.split_seed, = the [i]-th serial Prng.split), so it depends only
+   on the parent state and [i], never on the pool size or scheduling.
+   The seed table stores n unboxed seeds instead of n generator records;
+   [stream ~slot i] reseeds the slot's scratch generator for task [i] (a
+   copy of [rng]: its state is overwritten before every use, and a copy
+   costs no seeding). *)
+let streams pool ~rng n =
+  let seeds = Float.Array.create (max 0 n) in
   for i = 0 to n - 1 do
     Float.Array.unsafe_set seeds i (Int64.float_of_bits (Prng.split_seed rng))
   done;
-  seeds
-
-let seed_at seeds i = Int64.bits_of_float (Float.Array.unsafe_get seeds i)
+  let scratch = Array.init pool.size (fun _ -> Prng.copy rng) in
+  fun ~slot i ->
+    let g = scratch.(slot) in
+    Prng.reseed g (Int64.bits_of_float (Float.Array.unsafe_get seeds i));
+    g
 
 let parallel_init_rng ?grain pool ~rng n f =
-  if n <= 0 then [||]
-  else begin
-    let seeds = split_seeds rng n in
-    let scratch = Array.init pool.size (fun _ -> Prng.create 0) in
-    let results = Array.make n None in
-    parallel_iter_grained pool ~n ?grain
-      ~f:(fun ~slot ~lo ~hi ->
-        let g = scratch.(slot) in
-        for i = lo to hi - 1 do
-          Prng.reseed g (seed_at seeds i);
-          results.(i) <- Some (f g i)
-        done)
-      ();
-    Array.map (function Some v -> v | None -> assert false) results
-  end
+  let stream = streams pool ~rng n in
+  collect ?grain pool n (fun ~slot i -> f (stream ~slot i) i)
 
 let parallel_floats_rng ?grain pool ~rng n f =
-  if n <= 0 then [||]
-  else begin
-    let seeds = split_seeds rng n in
-    let scratch = Array.init pool.size (fun _ -> Prng.create 0) in
-    let out = Array.make n 0.0 in
-    parallel_iter_grained pool ~n ?grain
-      ~f:(fun ~slot ~lo ~hi ->
-        let g = scratch.(slot) in
-        for i = lo to hi - 1 do
-          Prng.reseed g (seed_at seeds i);
-          out.(i) <- f g i
-        done)
-      ();
-    out
-  end
+  let stream = streams pool ~rng n in
+  let out = Array.make (max 0 n) 0.0 in
+  parallel_iter_grained pool ~n ?grain
+    ~f:(fun ~slot ~lo ~hi ->
+      for i = lo to hi - 1 do
+        out.(i) <- f (stream ~slot i) i
+      done)
+    ();
+  out
 
 let with_pool ?size f =
   let pool = create ?size () in

@@ -18,19 +18,25 @@
 
     Tasks run on multiple domains concurrently, so [f] must not mutate
     shared state; mutating distinct elements/indices of a shared array is
-    fine (the pool join publishes all writes to the caller). *)
+    fine (the pool join publishes all writes to the caller).
+
+    The pool is the one execution path: engines default [?pool] to
+    {!serial}, and only {!parallel_iter_grained} decides to run a range
+    inline. *)
 
 type t
 
 (** Instrumentation seam for the telemetry library (which sits above this
     one in the dependency order and installs its probes here at module
     initialisation).  With no hook installed, the overhead is one atomic
-    load per pool run, per chunk and per steal. *)
+    load per pooled run, per chunk and per steal; an inline run fires no
+    hook, so it records no [pool.*] telemetry. *)
 module Hooks : sig
   type t = {
     run : size:int -> serialized:bool -> unit;
-        (** Called once per {!val:run}; [serialized] is true when a
-            re-entrant or concurrent call degraded to serial execution. *)
+        (** Called once per pooled run, never for an inline one;
+            [serialized] is true when a re-entrant or concurrent call
+            degraded to serial execution. *)
     chunk : size:int -> slot:int -> lo:int -> hi:int -> (unit -> unit) -> unit;
         (** Wraps the execution of one contiguous chunk; the hook MUST call
             the thunk exactly once, on the current domain. *)
@@ -38,7 +44,7 @@ module Hooks : sig
         (** Called when worker [thief] claims a grain from [victim]'s
             share, immediately before the corresponding [chunk] call. *)
     idle : size:int -> slot:int -> unit;
-        (** Called once per worker slot per grained run, on the slot's own
+        (** Called once per worker slot per pooled run, on the slot's own
             domain, when the slot has drained every cursor (its own share
             and all stealing victims) — from this point until the join the
             slot only waits.  Marks the start of the slot's tail idle time
@@ -54,6 +60,10 @@ val create : ?size:int -> unit -> t
     parallel operation acts as the remaining worker).  Default size:
     [Domain.recommended_domain_count ()].  A pool of size 1 spawns nothing
     and runs everything inline. *)
+
+val serial : t
+(** The pool of one, every engine's default: it spawns nothing and runs
+    everything inline, so any number of domains may use it at once. *)
 
 val size : t -> int
 
@@ -80,12 +90,11 @@ val per_slot : t -> (unit -> 'a) -> int -> 'a
     The lookup must only be called with the [slot] handed to the running
     task (a slot never runs two chunks concurrently). *)
 
-val run : t -> (int -> unit) -> unit
-(** [run pool f] executes [f slot] for every worker slot [0 .. size-1]
-    concurrently and waits for all of them; the caller runs slot 0.  The
-    first exception raised by any slot is re-raised after all slots finish.
-    Re-entrant calls (from inside a task) and concurrent calls from another
-    domain degrade to serial execution in the calling domain. *)
+val per_domain : (int -> 'a) -> int -> 'a
+(** [per_domain make] returns a lookup building at most one [make n] per
+    domain and length [n], at first use, and returning it on every later
+    call from that domain — the scratch arena of the DSP and tester
+    kernels.  A hit allocates nothing. *)
 
 val parallel_iter_grained :
   t -> n:int -> ?grain:int -> f:(slot:int -> lo:int -> hi:int -> unit) -> unit -> unit
@@ -97,7 +106,10 @@ val parallel_iter_grained :
     out for cheap uniform items (the default splits each worker's share
     into 8 grains).  Chunk boundaries depend on [(n, size, grain)] only —
     never on timing — and results written by index are bit-identical to
-    serial execution. *)
+    serial execution.  The inline rule: on a pool of one, or when
+    [n <= grain], the caller runs [f ~slot:0 ~lo:0 ~hi:n] and no worker
+    wakes.  A call from inside a task, or while another domain's call
+    runs, executes every slot's share in the calling domain. *)
 
 val parallel_init : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
 (** Parallel [Array.init].  [f] must depend only on its index. *)
@@ -105,26 +117,14 @@ val parallel_init : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map] with deterministic result ordering. *)
 
-val split_streams : Prng.t -> int -> Prng.t array
-(** [split_streams g n] derives [n] decorrelated generator streams from [g]
-    by [n] serial {!Prng.split}s — stream [i] depends only on [g]'s state
-    and [i], never on the pool size, which keeps pooled stochastic code
-    bit-reproducible across pool sizes. *)
-
-val split_seeds : Prng.t -> int -> floatarray
-(** Flat variant of {!split_streams}: one unboxed 64-bit seed per stream
-    (stored as a bit pattern), [seed_at] reads them back.  Stream [i]
-    replayed through {!Prng.reseed} is bit-identical to
-    [split_streams g n].(i), but a million-trial fan-out allocates one
-    floatarray instead of a million generator records. *)
-
-val seed_at : floatarray -> int -> int64
-
 val parallel_init_rng : ?grain:int -> t -> rng:Prng.t -> int -> (Prng.t -> int -> 'a) -> 'a array
-(** [parallel_init] where task [i] additionally receives its own pre-split
-    stream ({!split_seeds}).  The generator handed to [f] is a per-worker
-    scratch generator reseeded for each task: it is only valid for the
-    duration of the call and must not be retained. *)
+(** [parallel_init] where task [i] additionally receives its own stream,
+    the [i]-th serial {!Prng.split} of [rng] (kept as a private table of
+    {!Prng.split_seed}s drawn before any parallel execution).  The
+    generator handed to [f] is a per-worker scratch generator reseeded
+    for each task: it is only valid for the duration of the call and
+    must not be retained. *)
 
 val parallel_floats_rng :
   ?grain:int -> t -> rng:Prng.t -> int -> (Prng.t -> int -> float) -> float array
+(** [parallel_init_rng] into an unboxed float array. *)

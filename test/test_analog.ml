@@ -556,12 +556,14 @@ let test_engine_shared_across_domains () =
       let path, part, n_sim, input = engine_fixture name in
       let eng = Path.engine path part ~seed:11 ~samples:n_sim in
       let serial = Path.run_codes eng input in
-      let results = Array.make 4 [||] in
-      Msoc_util.Pool.with_pool ~size:4 (fun pool ->
-          Msoc_util.Pool.run pool (fun slot -> results.(slot) <- Path.run_codes eng input));
+      (* one run per grain, spread over the pool's four domains *)
+      let results =
+        Msoc_util.Pool.with_pool ~size:4 (fun pool ->
+            Msoc_util.Pool.parallel_init ~grain:1 pool 8 (fun _ -> Path.run_codes eng input))
+      in
       Array.iteri
-        (fun slot codes ->
-          Alcotest.(check (array int)) (Printf.sprintf "%s: slot %d" name slot) serial codes)
+        (fun i codes ->
+          Alcotest.(check (array int)) (Printf.sprintf "%s: run %d" name i) serial codes)
         results)
     Topology.names
 

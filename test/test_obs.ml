@@ -200,8 +200,8 @@ let test_merge_determinism () =
   List.iter
     (fun size ->
       with_recording @@ fun () ->
-      (* an explicit grain keeps the size-1 run on the pool, so its chunks
-         are accounted for below too *)
+      (* the size-1 run is inline and dispatches no chunk; at every other
+         size the grain of 16 makes many *)
       let got = Pool.with_pool ~size (fun pool -> Pool.parallel_init ~grain:16 pool n task) in
       Alcotest.(check (array (float 0.0)))
         (Printf.sprintf "pooled result identical with telemetry on (size %d)" size)

@@ -1,6 +1,6 @@
 (* Determinism tests for the domain pool and everything wired onto it:
-   every pooled engine must return results bit-identical to its serial
-   path, for every pool size. *)
+   every engine must return results bit-identical to its run on the pool
+   of one (which runs inline), for every pool size. *)
 
 module Pool = Msoc_util.Pool
 module Prng = Msoc_util.Prng
@@ -13,6 +13,8 @@ module Fault = Msoc_netlist.Fault
 module Fault_sim = Msoc_netlist.Fault_sim
 module Atpg_lite = Msoc_netlist.Atpg_lite
 module Digital_test = Msoc_synth.Digital_test
+module Schedule = Msoc_soc.Schedule
+module Soc = Msoc_soc.Soc
 
 (* 8 oversubscribes any CI box we use — stealing and uneven grain tails
    actually happen there, and bit-identity must hold regardless. *)
@@ -135,10 +137,13 @@ let test_parallel_init () =
           Alcotest.(check (array int)) (Printf.sprintf "size %d" size) expected got))
     pool_sizes
 
+(* The reference fan-out: stream [i] is the [i]-th serial split. *)
+let split_streams rng n = Array.init n (fun _ -> Prng.split rng)
+
 let test_parallel_floats_and_map () =
-  (* task [i] of parallel_floats_rng sees stream [i] of split_streams *)
+  (* task [i] of parallel_floats_rng sees the [i]-th serial split *)
   let f g i = sin (float_of_int i) +. Prng.float g in
-  let expected = Array.mapi (fun i g -> f g i) (Pool.split_streams (Prng.create 21) 513) in
+  let expected = Array.mapi (fun i g -> f g i) (split_streams (Prng.create 21) 513) in
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
@@ -173,29 +178,104 @@ let test_reentrant_run () =
         (Array.init 4 (fun i -> (8 * 10 * i) + 28))
         outer)
 
-let test_split_streams_stable () =
-  (* stream i depends only on the parent state and i — never on pool size *)
+let test_parallel_init_rng () =
+  (* task [i] sees the [i]-th serial split of the parent, whatever the
+     pool size: four raw draws name the stream, and no two streams agree *)
   let draws g = Array.init 4 (fun _ -> Prng.split_seed g) in
-  let reference = Array.map draws (Pool.split_streams (Prng.create 77) 8) in
-  let again = Array.map draws (Pool.split_streams (Prng.create 77) 8) in
-  Alcotest.(check bool) "reproducible" true (reference = again);
+  let reference = Array.map draws (split_streams (Prng.create 77) 100) in
   Array.iteri
     (fun i a ->
       Array.iteri
-        (fun j b -> if i < j then Alcotest.(check bool) "streams differ" false (a = b))
-        again)
-    reference
-
-let test_parallel_init_rng () =
-  let f g i = float_of_int i +. Prng.float g in
-  let reference = Pool.with_pool ~size:1 (fun p -> Pool.parallel_init_rng p ~rng:(Prng.create 5) 100 f) in
+        (fun j b -> if i < j && a = b then Alcotest.failf "streams %d and %d agree" i j)
+        reference)
+    reference;
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
-          let got = Pool.parallel_init_rng pool ~rng:(Prng.create 5) 100 f in
-          Alcotest.(check bool) (Printf.sprintf "size %d bit-identical" size) true
+          let got = Pool.parallel_init_rng pool ~rng:(Prng.create 77) 100 (fun g _ -> draws g) in
+          Alcotest.(check bool) (Printf.sprintf "size %d = serial splits" size) true
             (got = reference)))
     pool_sizes
+
+(* ---- The inline rule and the shared pool of one ---- *)
+
+(* [run ()] with telemetry on, under a span of its own: the pool.chunk
+   spans and the pool.runs count of the caller's trace. *)
+let pool_telemetry run =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
+  Obs.span "probe" run;
+  let trace =
+    match Trace.parse (Obs.jsonl ()) with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "the export does not parse: %s" e
+  in
+  let is_chunk sp = String.equal sp.Trace.sp_name "pool.chunk" in
+  let runs = Option.value ~default:0.0 (List.assoc_opt "pool.runs" trace.Trace.counters) in
+  (List.length (List.filter is_chunk trace.Trace.spans), runs)
+
+let test_inline_runs_record_nothing () =
+  (* a run on the pool of one, and a one-grain range on four domains, run
+     inline: no chunk span, no pool.runs count *)
+  let quiet label run =
+    let chunks, runs = pool_telemetry run in
+    Alcotest.(check int) (label ^ ": no pool.chunk span") 0 chunks;
+    Alcotest.(check (float 0.0)) (label ^ ": no pool.runs count") 0.0 runs
+  in
+  quiet "monte carlo on Pool.serial" (fun () ->
+      ignore
+        (Monte_carlo.sample_array_pooled ~pool:Pool.serial ~trials:2000 ~rng:(Prng.create 9)
+           ~f:(fun g _ -> Prng.float g) ()));
+  let problem = Schedule.problem_of_soc (Soc.reference ()) in
+  quiet "anneal on Pool.serial" (fun () ->
+      ignore (Schedule.anneal ~restarts:4 ~iters:20 ~pool:Pool.serial problem));
+  Pool.with_pool ~size:4 (fun pool ->
+      quiet "one grain on 4 domains" (fun () ->
+          let calls = ref [] in
+          Pool.parallel_iter_grained pool ~n:16 ~grain:16
+            ~f:(fun ~slot ~lo ~hi -> calls := (slot, lo, hi) :: !calls)
+            ();
+          Alcotest.(check (list (triple int int int)))
+            "one call on the caller" [ (0, 0, 16) ] !calls);
+      (* one item more than a grain is pooled and traced: one chunk per
+         worker's share of 4 *)
+      let chunks, runs =
+        pool_telemetry (fun () ->
+            Pool.parallel_iter_grained pool ~n:16 ~grain:15 ~f:(fun ~slot:_ ~lo:_ ~hi:_ -> ()) ())
+      in
+      Alcotest.(check int) "n > grain: one chunk span per share" 4 chunks;
+      Alcotest.(check (float 0.0)) "n > grain: one pooled run" 1.0 runs)
+
+let test_serial_shared_across_domains () =
+  (* two domains sampling on the pool of one at once both get the result
+     of a lone run *)
+  let sample () =
+    Monte_carlo.sample_array_pooled ~pool:Pool.serial ~trials:5000 ~rng:(Prng.create 31)
+      ~f:(fun g i -> Prng.gaussian g +. float_of_int i)
+      ()
+  in
+  let expected = sample () in
+  let others = Array.init 2 (fun _ -> Domain.spawn sample) in
+  Array.iteri
+    (fun k d ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d = the lone run" k) true
+        (Domain.join d = expected))
+    others
+
+let test_per_domain () =
+  let made = Atomic.make 0 in
+  let lookup = Pool.per_domain (fun n -> Atomic.incr made; Array.make n 0.0) in
+  let a = lookup 64 in
+  let before = Gc.minor_words () in
+  let b = lookup 64 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "a hit returns the same buffer" true (a == b);
+  Alcotest.(check (float 0.0)) "a hit allocates nothing" 0.0 words;
+  Alcotest.(check bool) "another length, another buffer" true (lookup 32 != a);
+  let theirs = Domain.join (Domain.spawn (fun () -> lookup 64)) in
+  Alcotest.(check bool) "another domain, another buffer" true (theirs != a);
+  Alcotest.(check int) "one make per domain and length" 3 (Atomic.get made)
 
 (* ---- Pooled Monte Carlo ---- *)
 
@@ -386,9 +466,13 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "re-entrant run" `Quick test_reentrant_run ] );
       ( "rng streams",
-        [ Alcotest.test_case "split streams stable" `Quick test_split_streams_stable;
-          Alcotest.test_case "parallel_init_rng" `Quick test_parallel_init_rng;
+        [ Alcotest.test_case "parallel_init_rng" `Quick test_parallel_init_rng;
           Alcotest.test_case "monte carlo pooled" `Quick test_monte_carlo_pooled ] );
+      ( "inline",
+        [ Alcotest.test_case "runs record nothing" `Quick test_inline_runs_record_nothing;
+          Alcotest.test_case "Pool.serial shared across domains" `Quick
+            test_serial_shared_across_domains;
+          Alcotest.test_case "per_domain scratch" `Quick test_per_domain ] );
       ( "fault sim",
         [ Alcotest.test_case "observe/detect_exact pooled" `Quick test_fault_sim_pooled;
           Alcotest.test_case "detect_cycles pooled" `Quick test_detect_cycles_pooled;

@@ -863,6 +863,28 @@ let test_metrics_families () =
             (metric second "msoc_fft_transforms_total" > 0)))
     [ 1; 2 ]
 
+(* ---- an invalid config touches nothing ---- *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_invalid_config_touches_nothing () =
+  (* a rejected config leaves the file at its socket path (a live
+     daemon's socket, say) in place and holds no descriptor *)
+  List.iter
+    (fun (label, cfg) ->
+      let socket_path = temp_socket () in
+      Out_channel.with_open_bin socket_path (fun oc -> output_string oc "live");
+      Fun.protect ~finally:(fun () -> Sys.remove socket_path) @@ fun () ->
+      let fds = open_fds () in
+      (match Server.create (cfg socket_path) with
+      | _ -> Alcotest.failf "%s was accepted" label
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check string) (label ^ ": the file at the path survives") "live"
+        (In_channel.with_open_bin socket_path In_channel.input_all);
+      Alcotest.(check int) (label ^ ": no descriptor leaked") fds (open_fds ()))
+    [ ("executors 0", fun path -> Server.config ~executors:0 path);
+      ("queue capacity 0", fun path -> Server.config ~queue_capacity:0 path) ]
+
 (* ---- per-request trace export: the same at every executor count ---- *)
 
 (* A trace export as the offline analyses parse it. *)
@@ -951,4 +973,6 @@ let () =
             test_montecarlo_identity;
           Alcotest.test_case "heavy-class admission cap" `Quick test_heavy_cap_admission;
           Alcotest.test_case "metrics families" `Quick test_metrics_families;
+          Alcotest.test_case "invalid config touches nothing" `Quick
+            test_invalid_config_touches_nothing;
           Alcotest.test_case "trace export round trip" `Quick test_trace_roundtrip ] ) ]

@@ -1,8 +1,8 @@
 (* Performance harness: times the computational kernels with Bechamel,
-   the domain pool's speedup over the serial paths, the telemetry probes'
-   cost with the pool's balance, and the daemon's latency under concurrent
-   clients, and writes the rows as a bench report that `msoc bench-diff`
-   gates.  The paper's artefacts are bench/paper.exe.
+   the domain pool's speedup over the serial paths, and the telemetry
+   probes' cost with the pool's balance, and writes the rows as a bench
+   report that `msoc bench-diff` gates.  The paper's artefacts are
+   bench/paper.exe; the daemon is measured end to end by bench/e2e.
 
    Run with:   dune exec bench/main.exe            (full)
                dune exec bench/main.exe -- quick   (reduced sizes) *)
@@ -393,8 +393,8 @@ let kernels () =
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock speedup of the pooled engines vs their serial paths.     *)
-(* The pooled results are asserted bit-identical to the serial ones    *)
-(* before any timing is reported.                                      *)
+(* Each pooled result is compared with the serial one; a difference    *)
+(* fails the bench once the table is printed.                          *)
 (* ------------------------------------------------------------------ *)
 
 let parallel_speedup () =
@@ -422,6 +422,14 @@ let parallel_speedup () =
     Fault_sim.detect_exact ?pool fir.Fir_netlist.circuit ~output:"y" ~drive ~samples ~faults
   in
   let serial, t_serial = time (detect None) in
+  let identical = ref true in
+  let identity same =
+    if same then "yes"
+    else begin
+      identical := false;
+      "NO — DETERMINISM BUG"
+    end
+  in
   let t = Texttable.create ~headers:[ "Engine"; "Pool size"; "Time (s)"; "Speedup"; "Identical" ] in
   Texttable.add_row t
     [ "fault sim"; "serial"; Printf.sprintf "%.3f" t_serial; "1.00x"; "-" ];
@@ -437,7 +445,7 @@ let parallel_speedup () =
               string_of_int size;
               Printf.sprintf "%.3f" t_pooled;
               Printf.sprintf "%.2fx" (t_serial /. t_pooled);
-              (if pooled = serial then "yes" else "NO — DETERMINISM BUG") ]))
+              identity (pooled = serial) ]))
     [ 2; 4; 8 ];
   (* Monte-Carlo trial loop: the Figure 4 error model at full size. *)
   let trials = if quick then 200_000 else 1_000_000 in
@@ -461,14 +469,20 @@ let parallel_speedup () =
               string_of_int size;
               Printf.sprintf "%.3f" t_pooled;
               Printf.sprintf "%.2fx" (t_mc_serial /. t_pooled);
-              (if pooled = mc_serial then "yes" else "NO — DETERMINISM BUG") ]))
+              identity (pooled = mc_serial) ]))
     [ 2; 4 ];
   Texttable.print t;
   Format.printf
     "Speedups track the physical core count: on a single-core host the pooled@.\
      runs time-share one CPU (expect ~1x or slightly below); with >= 4 cores the@.\
      fault-sim and MC rows approach the pool size.  Identical = pooled output is@.\
-     bit-for-bit the serial output, the pool's determinism contract.@."
+     bit-for-bit the serial output, the pool's determinism contract.@.";
+  (* enforced, not just printed: a pooled result that differs from the
+     serial one breaks the pool's determinism contract *)
+  if not !identical then begin
+    Format.printf "FAIL: a pooled result differs from the serial one@.";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry: probe overhead (enabled vs disabled) and pool balance.   *)
@@ -605,234 +619,12 @@ let telemetry_overhead () =
   end;
   Obs.reset ()
 
-(* ------------------------------------------------------------------ *)
-(* Service latency under load: an in-process daemon, several client    *)
-(* domains firing a mixed verb workload, client-observed latency       *)
-(* percentiles (p50/p99, nearest rank) into the v3 report so           *)
-(* bench-diff gates the service path alongside the kernels.            *)
-(* ------------------------------------------------------------------ *)
-
-module Serve = Msoc_serve.Server
-module Serve_client = Msoc_serve.Client
-module Serve_protocol = Msoc_serve.Protocol
-
-let nearest_rank sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else
-    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
-(* One observation per request: client-observed latency plus the GC
-   words allocated across the process during the round trip — the daemon
-   runs in-process, so the delta covers request encode, service compute
-   and response parse together.  [Gc.quick_stat] is cheap; the delta is
-   sampled immediately around the call so the bench's own bookkeeping
-   stays out of it. *)
-type serve_sample = { lat_ns : float; minor_w : float; major_w : float }
-
-let serve_request_sample c req =
-  let g0 = Gc.quick_stat () in
-  let s = Obs.now_ns () in
-  match Serve_client.request c req with
-  | Ok resp when resp.Serve_protocol.status = Serve_protocol.Ok_ ->
-    let e = Obs.now_ns () in
-    let g1 = Gc.quick_stat () in
-    Some
-      { lat_ns = Int64.to_float (Int64.sub e s);
-        minor_w = g1.Gc.minor_words -. g0.Gc.minor_words;
-        major_w = g1.Gc.major_words -. g0.Gc.major_words }
-  | Ok _ | Error _ -> None
-
-(* Run [rounds] of [mix] from [clients] concurrent connections against
-   the daemon at [socket_path]; returns per-kernel samples (merged over
-   clients) and the wall-clock of the whole run.  [req_of] lets a kernel
-   vary its request by round (cache-busting seeds shared by every
-   client). *)
-let serve_drive ~socket_path ~clients ~rounds mix =
-  let t0 = Obs.now_ns () in
-  let worker () =
-    Serve_client.with_connection ~socket_path (fun c ->
-        let samples = List.map (fun (name, _) -> (name, ref [])) mix in
-        for round = 1 to rounds do
-          List.iter
-            (fun (name, req_of) ->
-              match serve_request_sample c (req_of round) with
-              | Some sample ->
-                let l = List.assoc name samples in
-                l := sample :: !l
-              | None -> ())
-            mix
-        done;
-        List.map (fun (name, l) -> (name, !l)) samples)
-  in
-  let domains = List.init clients (fun _ -> Domain.spawn worker) in
-  let results = List.map Domain.join domains in
-  let wall_s = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e9 in
-  let merged =
-    List.map
-      (fun (name, _) ->
-        (name, List.concat_map (fun per_client -> List.assoc name per_client) results))
-      mix
-  in
-  (merged, wall_s)
-
-(* Render one phase's table, record its timings, return the total request
-   count and the per-kernel p50s (for cross-phase speedup scalars). *)
-let serve_record_phase merged =
-  let t =
-    Texttable.create
-      ~headers:
-        [ "Request"; "n"; "mean (us)"; "p50 (us)"; "p99 (us)"; "mWords/req" ]
-  in
-  let total = ref 0 in
-  let p50s =
-    List.filter_map
-      (fun (name, samples) ->
-        let lats = Array.of_list (List.map (fun s -> s.lat_ns) samples) in
-        Array.sort compare lats;
-        total := !total + Array.length lats;
-        if Array.length lats = 0 then None
-        else begin
-          let n = float_of_int (Array.length lats) in
-          let mean_of f = List.fold_left (fun a s -> a +. f s) 0.0 samples /. n in
-          let s = Msoc_stat.Describe.summarize lats in
-          let p50 = nearest_rank lats 50.0 and p99 = nearest_rank lats 99.0 in
-          let minor_words = mean_of (fun s -> s.minor_w) in
-          let major_words = mean_of (fun s -> s.major_w) in
-          Texttable.add_row t
-            [ name;
-              string_of_int (Array.length lats);
-              Printf.sprintf "%.1f" (s.Msoc_stat.Describe.mean /. 1e3);
-              Printf.sprintf "%.1f" (p50 /. 1e3);
-              Printf.sprintf "%.1f" (p99 /. 1e3);
-              Printf.sprintf "%.0f" minor_words ];
-          Report.add_timing report ~section:"serve" ~name
-            ~mean_ns:s.Msoc_stat.Describe.mean ~stddev_ns:s.Msoc_stat.Describe.stddev
-            ~samples:s.Msoc_stat.Describe.count ~minor_words ~major_words ~p50_ns:p50
-            ~p99_ns:p99 ();
-          Some (name, p50)
-        end)
-      merged
-  in
-  Texttable.print t;
-  (!total, p50s)
-
-(* Scrape one counter out of a Prometheus metrics body. *)
-let serve_metric_value body name =
-  String.split_on_char '\n' body
-  |> List.find_map (fun line ->
-         match String.index_opt line ' ' with
-         | Some i when String.sub line 0 i = name ->
-           float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1))
-         | _ -> None)
-
-let serve_load () =
-  section "Service latency — msoc serve under concurrent clients";
-  let socket_path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "msoc-bench-%d.sock" (Unix.getpid ()))
-  in
-  let rounds = if quick then 12 else 40 in
-  let clients = 3 in
-  (* ---- phase A: the cold plane — one executor, no cache, every
-     request computed from scratch.  This is the baseline the historical
-     serve kernels describe, and the cold p50s the speedup scalars are
-     measured against.  The faultsim verb is scaled down so the
-     quick-mode bench stays quick; it still exercises the whole
-     build-simulate-analyze service path. *)
-  let handle =
-    Serve.start
-      (Serve.config ~queue_capacity:64 ~executors:1 ~cache_size:0 socket_path)
-  in
-  let const req _round = req in
-  let cold_mix =
-    [ ("serve-ping", const (Serve_protocol.request Serve_protocol.Ping));
-      ("serve-plan", const (Serve_protocol.request Serve_protocol.Plan));
-      ("serve-metrics", const (Serve_protocol.request Serve_protocol.Metrics));
-      ("serve-faultsim",
-       const (Serve_protocol.request ~taps:5 ~samples:128 Serve_protocol.Faultsim)) ]
-  in
-  let cold, cold_wall_s = serve_drive ~socket_path ~clients ~rounds cold_mix in
-  Serve.stop handle;
-  let cold_total, cold_p50s = serve_record_phase cold in
-  let cold_throughput = float_of_int cold_total /. Float.max cold_wall_s 1e-9 in
-  Report.add_scalar report ~section:"serve" ~name:"cold throughput"
-    ~unit_label:"req/s" cold_throughput;
-  Format.printf
-    "cold: %d requests over %d client connection(s) in %.2f s — %.0f req/s@."
-    cold_total clients cold_wall_s cold_throughput;
-  (* ---- phase B: the throughput plane — two executors, single-flight
-     result cache on.  serve-plan repeats the same model every round
-     (cache hits from round 2), serve-faultsim changes its seed per round
-     (cache-busting) but all clients share each round's seed, so a
-     concurrent duplicate joins the in-flight execution. *)
-  let handle =
-    Serve.start (Serve.config ~queue_capacity:64 ~executors:2 ~cache_size:256 socket_path)
-  in
-  let plane_mix =
-    [ ("serve-ping-plane", const (Serve_protocol.request Serve_protocol.Ping));
-      ("serve-plan-hit", const (Serve_protocol.request Serve_protocol.Plan));
-      ("serve-metrics-plane", const (Serve_protocol.request Serve_protocol.Metrics));
-      ("serve-faultsim-coalesced",
-       fun round ->
-         Serve_protocol.request ~taps:5 ~samples:128 ~seed:(100 + round)
-           Serve_protocol.Faultsim) ]
-  in
-  let plane, plane_wall_s = serve_drive ~socket_path ~clients ~rounds plane_mix in
-  let sharing_stats =
-    Serve_client.with_connection ~socket_path (fun c ->
-        match Serve_client.request c (Serve_protocol.request Serve_protocol.Metrics) with
-        | Ok resp when resp.Serve_protocol.status = Serve_protocol.Ok_ ->
-          let v name =
-            Option.value ~default:0.0 (serve_metric_value resp.Serve_protocol.body name)
-          in
-          Some
-            ( v "msoc_serve_coalesced_batches_total",
-              v "msoc_serve_batched_total",
-              v "msoc_serve_cache_hits_total" )
-        | Ok _ | Error _ -> None)
-  in
-  Serve.stop handle;
-  let plane_total, plane_p50s = serve_record_phase plane in
-  let plane_throughput = float_of_int plane_total /. Float.max plane_wall_s 1e-9 in
-  (* the bound sits above the ~29 req/s the single-executor cold plane
-     measures on the reference host: the throughput plane must beat the
-     old serial daemon even on a single-core runner, where the win comes
-     from the cache and shared executions rather than parallel executors *)
-  Report.add_scalar report ~section:"serve" ~name:"throughput" ~unit_label:"req/s"
-    ~bound:(Report.Ge 40.0) plane_throughput;
-  (match (List.assoc_opt "serve-plan" cold_p50s, List.assoc_opt "serve-plan-hit" plane_p50s)
-   with
-  | Some cold_p50, Some hit_p50 when hit_p50 > 0.0 ->
-    let speedup = cold_p50 /. hit_p50 in
-    Format.printf "plan cache-hit p50 speedup: %.1fx (cold %.1f us -> hit %.1f us)@."
-      speedup (cold_p50 /. 1e3) (hit_p50 /. 1e3);
-    Report.add_scalar report ~section:"serve" ~name:"plan cache-hit speedup p50"
-      ~unit_label:"x" ~bound:(Report.Ge 5.0) speedup
-  | _ -> ());
-  (match sharing_stats with
-  | Some (executions, requests, cache_hits) ->
-    Format.printf
-      "single-flight: %.0f shared execution(s) answering %.0f request(s); %.0f cache hit(s)@."
-      executions requests cache_hits;
-    Report.add_scalar report ~section:"serve" ~name:"shared executions" executions;
-    Report.add_scalar report ~section:"serve" ~name:"shared requests" requests;
-    Report.add_scalar report ~section:"serve" ~name:"cache hits" cache_hits
-  | None -> ());
-  Format.printf
-    "plane: %d requests over %d client connection(s) in %.2f s — %.0f req/s; latency@.\
-     is client-observed (connect-to-response, queue wait included); mWords/req is@.\
-     process-wide allocation (the daemon is in-process).@."
-    plane_total clients plane_wall_s plane_throughput
-
 let () =
   Format.printf "Mixed-signal SOC path test synthesis — performance bench%s@."
     (if quick then " (quick mode)" else "");
   kernels ();
   parallel_speedup ();
   telemetry_overhead ();
-  serve_load ();
   let r = Report.finalize report in
   let rev_file = Printf.sprintf "BENCH_%s.json" git_rev in
   Report.write rev_file r;

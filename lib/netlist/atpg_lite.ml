@@ -3,48 +3,31 @@ module Prng = Msoc_util.Prng
 type config = {
   patterns : int;
   seed : int;
-  weights : float array option;
 }
 
-let default_config = { patterns = 1024; seed = 7; weights = None }
+let default_config = { patterns = 1024; seed = 7 }
 
 type result = {
   total : int;
   detected : int;
   coverage : float;
   detected_flags : bool array;
-  patterns_used : int;
   last_useful_pattern : int;
 }
 
 (* Pre-generate the random stimulus as per-input bit arrays, so the drive
    the fault simulation calls once per cycle is a table lookup.
 
-   Prefix stability: the generator is consumed in explicit
-   pattern-major/input-minor order, so the table for [patterns = p] is
-   exactly the first [p] rows of the table for any larger pattern count
-   with the same seed, and a grading's detections at [p] patterns are a
-   subset of those at any longer sweep. *)
+   Prefix stability: the generator is consumed in pattern-major/
+   input-minor order ([Array.init] applies its function in index order),
+   so the table for [patterns = p] is exactly the first [p] rows of the
+   table for any larger pattern count with the same seed, and a grading's
+   detections at [p] patterns are a subset of those at any longer sweep. *)
 let stimulus_table circuit config =
   let inputs = Netlist.inputs circuit in
-  let ninputs = Array.length inputs in
   let g = Prng.create config.seed in
-  (match config.weights with
-  | Some w ->
-    if Array.length w <> ninputs then
-      invalid_arg "Atpg_lite: weights length must match the input count"
-  | None -> ());
-  let table = Array.make config.patterns [||] in
-  for p = 0 to config.patterns - 1 do
-    let row = Array.make ninputs (0, false) in
-    for i = 0 to ninputs - 1 do
-      let _, node = inputs.(i) in
-      let prob = match config.weights with Some w -> w.(i) | None -> 0.5 in
-      row.(i) <- (node, Prng.float g < prob)
-    done;
-    table.(p) <- row
-  done;
-  table
+  Array.init config.patterns (fun _ ->
+      Array.init (Array.length inputs) (fun i -> (snd inputs.(i), Prng.float g < 0.5)))
 
 let grade ?pool circuit ~output ~faults config =
   assert (config.patterns > 0);
@@ -63,5 +46,4 @@ let grade ?pool circuit ~output ~faults config =
     detected;
     coverage = float_of_int detected /. float_of_int (max 1 (Array.length faults));
     detected_flags = flags;
-    patterns_used = config.patterns;
     last_useful_pattern = 1 + Array.fold_left max (-1) cycles }

@@ -1,9 +1,9 @@
 (** Random-pattern fault grading.
 
     Not a full deterministic ATPG, but the standard baseline it is judged
-    against: drive the sequential circuit with (optionally weighted) random
-    input vectors, fault-simulate with early dropping, and report which
-    stuck-at faults toggled the outputs.  Two uses in this project:
+    against: drive the sequential circuit with random input vectors,
+    fault-simulate with early dropping, and report which stuck-at faults
+    toggled the outputs.  Two uses in this project:
 
     - bound the {e activatable} fault set of a filter, separating genuine
       structural redundancy from stimulus weakness;
@@ -11,22 +11,18 @@
       random-pattern DFT approach the paper argues they can replace. *)
 
 type config = {
-  patterns : int;              (** Cycles of random stimulus. *)
+  patterns : int;  (** Cycles of random stimulus; each input bit is 1 with probability 1/2. *)
   seed : int;
-  weights : float array option;
-  (** Per-input probability of driving 1 (default 0.5 everywhere);
-      length must equal the circuit's input count when given. *)
 }
 
 val default_config : config
-(** 1024 patterns, seed 7, unweighted. *)
+(** 1024 patterns, seed 7. *)
 
 type result = {
   total : int;
   detected : int;
   coverage : float;
   detected_flags : bool array;   (** Indexed like the fault array given. *)
-  patterns_used : int;
   last_useful_pattern : int;
   (** Number of leading patterns that carry all the detections: truncating
       the sweep to this many patterns (same seed) detects exactly the same

@@ -467,33 +467,18 @@ let with_generation f =
         (List.filter (fun s -> s.generation = g) !registry
         |> List.sort (fun a b -> compare a.domain_id b.domain_id)))
 
-(* (path, count, total ns, exact p95 ns) per span path, sorted by path *)
-let spans_of sinks =
-  let table : (string, float list ref) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
+(* Per-path span statistics by [msoc trace summary]'s own rule, which
+   reads only a span's path and duration. *)
+let span_stats sinks =
+  List.concat_map
     (fun s ->
-      for i = 0 to s.n_events - 1 do
-        let ev = s.events.(i) in
-        let durs =
-          match Hashtbl.find_opt table ev.ev_path with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.add table ev.ev_path r;
-            r
-        in
-        durs := Int64.to_float ev.ev_dur :: !durs
-      done)
-    sinks;
-  Hashtbl.fold
-    (fun path durs acc ->
-      let a = Array.of_list !durs in
-      Array.sort compare a;
-      let n = Array.length a in
-      let p95 = a.(max 0 (int_of_float (Float.ceil (0.95 *. float_of_int n)) - 1)) in
-      (path, n, Array.fold_left ( +. ) 0.0 a, p95) :: acc)
-    table []
-  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+      List.init s.n_events (fun i ->
+          let ev = s.events.(i) in
+          { Trace.sp_track = s.domain_id; sp_slot = None; sp_name = ev.ev_name;
+            sp_path = ev.ev_path; sp_ts_ns = Int64.to_float ev.ev_start;
+            sp_dur_ns = Int64.to_float ev.ev_dur }))
+    sinks
+  |> Trace.by_path
 
 let hists_of sinks =
   let table : (string, hist) Hashtbl.t = Hashtbl.create 32 in
@@ -709,17 +694,17 @@ let to_prometheus () =
       line "%s_sum%s %s" name (prometheus_labels labels) (prometheus_float h.h_sum);
       line "%s_count%s %d" name (prometheus_labels labels) h.h_count)
     (sorted_bindings hists);
-  let spans = spans_of sinks in
+  let spans = span_stats sinks in
   if spans <> [] then begin
     line "# TYPE msoc_span_duration_nanoseconds summary";
     List.iter
-      (fun (path, count, total, p95) ->
-        let path = prometheus_label_value path in
+      (fun (st : Trace.path_stat) ->
+        let path = prometheus_label_value st.path in
         line "msoc_span_duration_nanoseconds{path=\"%s\",quantile=\"0.95\"} %s" path
-          (prometheus_float p95);
+          (prometheus_float st.p95_ns);
         line "msoc_span_duration_nanoseconds_sum{path=\"%s\"} %s" path
-          (prometheus_float total);
-        line "msoc_span_duration_nanoseconds_count{path=\"%s\"} %d" path count)
+          (prometheus_float st.total_ns);
+        line "msoc_span_duration_nanoseconds_count{path=\"%s\"} %d" path st.count)
       spans
   end;
   let dropped = !lifetime_dropped + dropped_of sinks in

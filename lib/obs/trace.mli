@@ -56,6 +56,12 @@ val parse : string -> (t, string) result
 val load : string -> (t, string) result
 (** [load file] reads [file] and {!parse}s it; errors name the file. *)
 
+type path_stat = { path : string; count : int; total_ns : float; p95_ns : float; max_ns : float }
+
+val by_path : span list -> path_stat list
+(** Per span path, sorted by path: count, total, exact p95 (nearest
+    rank) and max — the rule of {!summary} and {!Obs.to_prometheus}. *)
+
 val summary : t -> string
 (** Every table of the profile: a header line (span events, tracks,
     wall clock), top-level phases with their wall share, the per-path

@@ -130,6 +130,8 @@ type t = {
   pool : Pool.t;
 }
 
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let create cfg =
   (* validate before touching the filesystem: a rejected config must
      neither unlink a live daemon's socket nor leak descriptors *)
@@ -142,13 +144,34 @@ let create cfg =
       k
     | None -> Pool.size pool
   in
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.unlink cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
+  (* the access log opens before the socket path is touched and is
+     emptied only once the socket is bound, and a step that fails closes
+     everything opened before it: a bad log or socket path replaces or
+     empties no file and leaks no descriptor *)
+  let access =
+    Option.map (fun file -> open_out_gen [ Open_wronly; Open_creat ] 0o644 file) cfg.access_log
+  in
+  let undo fds e =
+    List.iter close_fd fds;
+    Option.iter close_out_noerr access;
+    raise e
+  in
+  let listen_fd =
+    try Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with e -> undo [] e
+  in
+  let wake_r, wake_w = try Unix.pipe ~cloexec:true () with e -> undo [ listen_fd ] e in
+  (try
+     (try Unix.unlink cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
+     Unix.bind listen_fd (Unix.ADDR_UNIX cfg.socket_path);
+     Unix.listen listen_fd 64;
+     Unix.set_nonblock listen_fd;
+     Unix.set_nonblock wake_r;
+     (* a log that is not a regular file (a pipe, a tty) has nothing to empty *)
+     Option.iter
+       (fun oc ->
+         try Unix.ftruncate (Unix.descr_of_out_channel oc) 0 with Unix.Unix_error _ -> ())
+       access
+   with e -> undo [ listen_fd; wake_r; wake_w ] e);
   { cfg;
     listen_fd;
     wake_r;
@@ -165,10 +188,7 @@ let create cfg =
     executing = Atomic.make 0;
     responses = Queue.create ();
     responses_mutex = Mutex.create ();
-    access =
-      Option.map
-        (fun file -> open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 file)
-        cfg.access_log;
+    access;
     access_mutex = Mutex.create ();
     next_trace = Atomic.make 0;
     served = Atomic.make 0;
@@ -398,7 +418,7 @@ let write_response conns conn_id line =
        write_all c.c_fd (line ^ "\n");
        Unix.set_nonblock c.c_fd
      with Unix.Unix_error _ ->
-       (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+       close_fd c.c_fd;
        Hashtbl.remove conns conn_id)
 
 let flush_responses t conns =
@@ -511,7 +531,7 @@ let handle_line t conns conn_id line =
   end
 
 let drop_conn conns conn_id c =
-  (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+  close_fd c.c_fd;
   Hashtbl.remove conns conn_id
 
 let handle_readable t conns conn_id c =
@@ -592,11 +612,11 @@ let run t =
      end-of-stream, so already-admitted jobs still execute and answer
      their joiners), deliver the remaining responses, flush the final
      metrics snapshot *)
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  close_fd t.listen_fd;
   Workq.close t.queue;
   List.iter Domain.join executors;
   flush_responses t conns;
-  Hashtbl.iter (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) conns;
+  Hashtbl.iter (fun _ c -> close_fd c.c_fd) conns;
   Hashtbl.reset conns;
   (match t.cfg.metrics_out with
   | None -> ()
@@ -609,21 +629,7 @@ let run t =
   Obs.disable ();
   Obs.reset ();
   (try Unix.unlink t.cfg.socket_path with Unix.Unix_error _ | Sys_error _ -> ());
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+  close_fd t.wake_r;
+  close_fd t.wake_w
 
 let executors t = t.executors
-
-(* ---- in-process harness (tests, bench load driver) ---- *)
-
-type handle = { server : t; domain : unit Domain.t }
-
-let start cfg =
-  let server = create cfg in
-  (* [create] has already bound and listened: clients may connect as
-     soon as [start] returns, even if the loop hasn't scheduled yet *)
-  { server; domain = Domain.spawn (fun () -> run server) }
-
-let stop h =
-  request_stop h.server;
-  Domain.join h.domain

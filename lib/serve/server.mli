@@ -59,11 +59,13 @@ val config :
 type t
 
 val create : config -> t
-(** Bind and listen on the socket (an existing socket file is replaced)
-    and open the access log.  Clients may connect from this point on.
+(** Open the access log, then bind and listen on the socket (an existing
+    socket file is replaced).  Clients may connect from this point on.
 
     @raise Invalid_argument when [executors] or [queue_capacity] is below
-    1, before the socket path is touched. *)
+    1, and [Sys_error] when the access log cannot be opened, both before
+    the socket path is touched; [Unix.Unix_error] when the socket cannot
+    be bound.  A [create] that raises leaves no descriptor open. *)
 
 val run : t -> unit
 (** Serve until {!request_stop}: blocks the calling domain.  Installs a
@@ -78,15 +80,3 @@ val request_stop : t -> unit
 
 val executors : t -> int
 (** The resolved executor count. *)
-
-(** {2 In-process harness} — tests and the bench load driver run the
-    daemon on a spawned domain instead of a separate process. *)
-
-type handle
-
-val start : config -> handle
-(** {!create} then {!run} on a fresh domain.  The socket is already
-    accepting when [start] returns. *)
-
-val stop : handle -> unit
-(** {!request_stop} and join. *)

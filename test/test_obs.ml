@@ -473,6 +473,35 @@ let test_prometheus_exposition () =
     Alcotest.(check bool) "+Inf bucket holds every observation" true
       (contains_sub l " 1")
 
+let test_prometheus_span_summary () =
+  (* the exposition's span summary is [Trace.by_path] over the same
+     generation's JSONL, line for line, so its p95, sum and count are the
+     ones `msoc trace summary` prints *)
+  with_recording @@ fun () ->
+  record_reference_profile ();
+  for _ = 1 to 40 do
+    Obs.span "repeated" (fun () -> ())
+  done;
+  let stats = Trace.by_path (recorded ()).Trace.spans in
+  Alcotest.(check bool) "a path with enough spans to rank a p95" true
+    (List.exists (fun (st : Trace.path_stat) -> st.count >= 20) stats);
+  let expected =
+    "# TYPE msoc_span_duration_nanoseconds summary"
+    :: List.concat_map
+         (fun (st : Trace.path_stat) ->
+           [ Printf.sprintf {|msoc_span_duration_nanoseconds{path="%s",quantile="0.95"} %.0f|}
+               st.path st.p95_ns;
+             Printf.sprintf {|msoc_span_duration_nanoseconds_sum{path="%s"} %.0f|} st.path
+               st.total_ns;
+             Printf.sprintf {|msoc_span_duration_nanoseconds_count{path="%s"} %d|} st.path
+               st.count ])
+         stats
+  in
+  Alcotest.(check (list string)) "the span summary is Trace.by_path" expected
+    (List.filter
+       (fun line -> contains_sub line "msoc_span_duration_nanoseconds")
+       (String.split_on_char '\n' (Obs.to_prometheus ())))
+
 let test_dropped_events_warned () =
   with_recording @@ fun () ->
   (* overflow one sink past its event cap *)
@@ -751,5 +780,7 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "prometheus build info and drop alias" `Quick
             test_prometheus_build_info;
+          Alcotest.test_case "span summary is Trace.by_path" `Quick
+            test_prometheus_span_summary;
           Alcotest.test_case "dropped events are warned about" `Quick
             test_dropped_events_warned ] ) ]

@@ -375,7 +375,7 @@ let test_detect_cycles_pooled () =
 let test_atpg_pooled () =
   let fir = small_fir () in
   let faults = Fault.collapse fir.Fir_netlist.circuit (Fault.universe fir.Fir_netlist.circuit) in
-  let config = { Atpg_lite.default_config with patterns = 96; seed = 11 } in
+  let config = { Atpg_lite.patterns = 96; seed = 11 } in
   let serial = Atpg_lite.grade fir.Fir_netlist.circuit ~output:"y" ~faults config in
   List.iter
     (fun size ->

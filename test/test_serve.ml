@@ -8,8 +8,11 @@
    flight (a duplicate shares a queued or running execution; a failed
    one frees its key), request lines split across reads, the metrics
    verb's Prometheus families (counters that only rise, at one executor
-   and at two), and the per-request trace export — the same at every
-   executor count — round-tripping through the offline trace analyses. *)
+   and at two), a daemon that fails to start (bad config, access-log or
+   socket path) leaving the file at its socket path and no descriptor,
+   and the per-request trace export — the same at every executor count —
+   round-tripping through the offline trace analyses.  The daemon runs in
+   process, on a domain of its own ([with_server]). *)
 
 module Workq = Msoc_util.Workq
 module Pool = Msoc_util.Pool
@@ -42,6 +45,18 @@ let temp_socket () =
   incr socket_counter;
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "msoc-test-%d-%d.sock" (Unix.getpid ()) !socket_counter)
+
+(* The daemon in process: [Server.run] on a domain of its own, stopped
+   and joined when [f] returns or raises.  [Server.create] has bound and
+   listened before [f] runs, so clients may connect at once. *)
+let with_server cfg f =
+  let server = Server.create cfg in
+  let domain = Domain.spawn (fun () -> Server.run server) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop server;
+      Domain.join domain)
+    f
 
 (* ---- bounded work queue ---- *)
 
@@ -384,8 +399,7 @@ let test_backpressure () =
      defaults to the pool size: with two executors all three requests can
      be admitted. *)
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config ~queue_capacity:1 ~executors:1 socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config ~queue_capacity:1 ~executors:1 socket_path) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket_path);
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
@@ -430,8 +444,7 @@ let test_plan_byte_identity () =
     (fun size ->
       Pool.with_pool ~size (fun pool ->
           let socket_path = temp_socket () in
-          let handle = Server.start (Server.config ~pool socket_path) in
-          Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+          with_server (Server.config ~pool socket_path) @@ fun () ->
           Client.with_connection ~socket_path (fun c ->
               List.iter
                 (fun pass ->
@@ -455,10 +468,7 @@ let test_plan_byte_identity () =
 
 let test_cache_hit_counters () =
   let socket_path = temp_socket () in
-  let handle =
-    Server.start (Server.config ~executors:1 ~cache_size:8 socket_path)
-  in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config ~executors:1 ~cache_size:8 socket_path) @@ fun () ->
   let expected = expected_plan () in
   Client.with_connection ~socket_path (fun c ->
       let plan pass =
@@ -554,8 +564,7 @@ let test_single_flight () =
         Protocol.request ~restarts:2 ~iters:50 Protocol.Schedule ]
   in
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config ~executors:1 ~cache_size:0 socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config ~executors:1 ~cache_size:0 socket_path) @@ fun () ->
   Client.with_connection ~socket_path @@ fun probe ->
   List.iter
     (fun ((req : Protocol.request), expected) ->
@@ -587,8 +596,7 @@ let test_join_mid_execution () =
      and must still share the leader's execution *)
   let req = Protocol.request ~iters:4000 ~seed:5 Protocol.Schedule in
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config ~executors:2 socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config ~executors:2 socket_path) @@ fun () ->
   Client.with_connection ~socket_path @@ fun probe ->
   let batched0, _ = shared_counters probe in
   let leader = connect_raw socket_path and duplicate = connect_raw socket_path in
@@ -636,8 +644,7 @@ let test_schedule_bad_fields () =
               (Printf.sprintf "schedule: %s must be at least 0" field) msg)
         cases);
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config socket_path) @@ fun () ->
   let fd = connect_raw ~timeout:5.0 socket_path in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   List.iter
@@ -654,8 +661,7 @@ let test_failed_leader () =
   (* a failed execution frees its key: the duplicate that follows runs
      again and fails on its own, instead of waiting on a dead entry *)
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config socket_path) @@ fun () ->
   let fd = connect_raw ~timeout:5.0 socket_path in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   List.iter
@@ -670,8 +676,7 @@ let test_failed_leader () =
 let test_split_lines () =
   let expected = expected_plan () in
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config socket_path) @@ fun () ->
   let fd = connect_raw socket_path in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   (* one request line, one byte per write *)
@@ -700,8 +705,7 @@ let test_line_cap () =
   (* an unterminated line past the cap gets one parse error, then EOF; the
      daemon keeps answering other connections *)
   let socket_path = temp_socket () in
-  let handle = Server.start (Server.config socket_path) in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config socket_path) @@ fun () ->
   let fd = connect_raw ~timeout:10.0 socket_path in
   Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
       write_string fd (String.make (Protocol.max_line_bytes + 1) 'x');
@@ -731,8 +735,7 @@ let test_montecarlo_identity () =
     (fun size ->
       Pool.with_pool ~size (fun pool ->
           let socket_path = temp_socket () in
-          let handle = Server.start (Server.config ~pool socket_path) in
-          Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+          with_server (Server.config ~pool socket_path) @@ fun () ->
           Client.with_connection ~socket_path (fun c ->
               match Client.request c req with
               | Error e -> Alcotest.failf "pool %d: %s" size e
@@ -749,11 +752,7 @@ let test_heavy_cap_admission () =
      sleeps trip the class cap while the queue itself still has room, and
      the rejection names both limits; a cheap ping is admitted throughout *)
   let socket_path = temp_socket () in
-  let handle =
-    Server.start
-      (Server.config ~queue_capacity:2 ~executors:1 socket_path)
-  in
-  Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+  with_server (Server.config ~queue_capacity:2 ~executors:1 socket_path) @@ fun () ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket_path);
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
@@ -822,8 +821,7 @@ let test_metrics_families () =
   List.iter
     (fun executors ->
       let socket_path = temp_socket () in
-      let handle = Server.start (Server.config ~executors socket_path) in
-      Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+      with_server (Server.config ~executors socket_path) @@ fun () ->
       Client.with_connection ~socket_path (fun c ->
           let run (req : Protocol.request) =
             match Client.request c req with
@@ -885,6 +883,38 @@ let test_invalid_config_touches_nothing () =
     [ ("executors 0", fun path -> Server.config ~executors:0 path);
       ("queue capacity 0", fun path -> Server.config ~queue_capacity:0 path) ]
 
+let test_bad_paths_leak_nothing () =
+  (* an access log that cannot be opened fails before the socket path is
+     touched, and a socket path that cannot be bound leaves the log's
+     bytes alone and closes it and the socket already opened; only a
+     daemon that starts empties the log *)
+  let missing_dir = temp_socket () ^ ".d" in
+  let socket_path = temp_socket () in
+  Out_channel.with_open_bin socket_path (fun oc -> output_string oc "live");
+  Fun.protect ~finally:(fun () -> Sys.remove socket_path) @@ fun () ->
+  let fds = open_fds () in
+  (match
+     Server.create
+       (Server.config ~access_log:(Filename.concat missing_dir "access.jsonl") socket_path)
+   with
+  | _ -> Alcotest.fail "an access log in a missing directory was accepted"
+  | exception Sys_error _ -> ());
+  Alcotest.(check bool) "the file at the socket path is still a regular file" true
+    ((Unix.lstat socket_path).Unix.st_kind = Unix.S_REG);
+  Alcotest.(check int) "bad log: no descriptor leaked" fds (open_fds ());
+  let access_log = temp_socket () ^ ".jsonl" in
+  Out_channel.with_open_bin access_log (fun oc -> output_string oc "last run\n");
+  Fun.protect ~finally:(fun () -> Sys.remove access_log) @@ fun () ->
+  (match Server.create (Server.config ~access_log (Filename.concat missing_dir "msoc.sock")) with
+  | _ -> Alcotest.fail "a socket path in a missing directory was accepted"
+  | exception Unix.Unix_error _ -> ());
+  Alcotest.(check string) "bad socket path: the access log keeps its bytes" "last run\n"
+    (In_channel.with_open_bin access_log In_channel.input_all);
+  Alcotest.(check int) "bad socket path: no descriptor leaked" fds (open_fds ());
+  with_server (Server.config ~access_log (temp_socket ())) ignore;
+  Alcotest.(check string) "a daemon that starts empties the access log" ""
+    (In_channel.with_open_bin access_log In_channel.input_all)
+
 (* ---- per-request trace export: the same at every executor count ---- *)
 
 (* A trace export as the offline analyses parse it. *)
@@ -913,8 +943,7 @@ let test_trace_roundtrip () =
   Alcotest.(check bool) "the run was pooled" true (pool_chunks cli > 2);
   let traced executors =
     let socket_path = temp_socket () in
-    let handle = Server.start (Server.config ~pool ~executors socket_path) in
-    Fun.protect ~finally:(fun () -> Server.stop handle) @@ fun () ->
+    with_server (Server.config ~pool ~executors socket_path) @@ fun () ->
     let t =
       Client.with_connection ~socket_path (fun c ->
           match Client.request c { req with Protocol.trace = true } with
@@ -975,4 +1004,6 @@ let () =
           Alcotest.test_case "metrics families" `Quick test_metrics_families;
           Alcotest.test_case "invalid config touches nothing" `Quick
             test_invalid_config_touches_nothing;
+          Alcotest.test_case "bad log or socket path leaks nothing" `Quick
+            test_bad_paths_leak_nothing;
           Alcotest.test_case "trace export round trip" `Quick test_trace_roundtrip ] ) ]

@@ -545,7 +545,7 @@ let telemetry_overhead () =
       end)
     [ ("counter", off_count); ("histogram", off_observe); ("span", off_span) ];
   (* Pool balance: run the pooled exact-detection fault sim with telemetry
-     on and report per-domain chunk counts and busy time. *)
+     on and print its per-slot occupancy. *)
   let config = Digital_test.default_config in
   let fir = Digital_test.build config in
   let faults = Digital_test.collapsed_faults fir in
@@ -581,38 +581,24 @@ let telemetry_overhead () =
     Report.add_scalar report ~section:"pool-balance" ~name:"chunk items mean"
       (h.Trace.sum /. float_of_int h.Trace.hist_count)
   | Some _ | None -> ());
-  (* per-domain chunk count and busy time, domains that ran no chunk left out *)
-  let chunks = List.filter (fun sp -> sp.Trace.sp_name = "pool.chunk") trace.Trace.spans in
-  let tracks =
-    List.sort_uniq compare (List.map (fun sp -> sp.Trace.sp_track) chunks)
-    |> List.map (fun track ->
-           let mine = List.filter (fun sp -> sp.Trace.sp_track = track) chunks in
-           ( track,
-             List.length mine,
-             List.fold_left (fun acc sp -> acc +. sp.Trace.sp_dur_ns) 0.0 mine ))
-  in
-  let bt = Texttable.create ~headers:[ "Domain"; "Chunks"; "Busy (ms)"; "Share" ] in
-  let total_busy = List.fold_left (fun acc (_, _, busy) -> acc +. busy) 0.0 tracks in
-  List.iter
-    (fun (track, n, busy) ->
-      Texttable.add_row bt
-        [ Printf.sprintf "%d" track;
-          string_of_int n;
-          Printf.sprintf "%.3f" (busy /. 1e6);
-          Texttable.cell_pct (busy /. Float.max total_busy 1.0) ])
-    tracks;
   Format.printf "@.Pool balance — fault sim detect_exact, pool size 4 (%d faults, %d cycles):@."
     (Array.length faults) samples;
-  Texttable.print bt;
-  let n_tracks = List.length tracks in
-  if n_tracks > 0 then begin
-    let max_busy = List.fold_left (fun acc (_, _, busy) -> Float.max acc busy) 0.0 tracks in
-    let mean_busy = total_busy /. float_of_int n_tracks in
+  print_string (Trace.utilization trace);
+  (* the imbalance of the slots that ran a chunk, from the rows above *)
+  let busy =
+    List.filter_map
+      (fun s -> if s.Trace.chunks > 0 then Some s.Trace.busy_ns else None)
+      trace.Trace.slots
+  in
+  let n_active = List.length busy in
+  if n_active > 0 then begin
+    let max_busy = List.fold_left Float.max 0.0 busy in
+    let mean_busy = List.fold_left ( +. ) 0.0 busy /. float_of_int n_active in
     Format.printf "imbalance (max busy / mean busy): %.2f across %d active domain(s)@."
       (max_busy /. Float.max mean_busy 1.0)
-      n_tracks;
+      n_active;
     Report.add_scalar report ~section:"pool-balance" ~name:"active domains"
-      (float_of_int n_tracks);
+      (float_of_int n_active);
     Report.add_scalar report ~section:"pool-balance" ~name:"imbalance max/mean"
       ~unit_label:"ratio"
       (max_busy /. Float.max mean_busy 1.0)

@@ -113,32 +113,6 @@ type event = {
   ev_dur : int64;
 }
 
-(* Worker-timeline track: a fixed-capacity ring of scheduler events
-   (chunk begin/end, steal, idle) per sink, each stamped with the clock
-   and the domain's GC minor/major words.  A ring — not a growing array —
-   because timelines are a diagnostic view: on overflow the oldest
-   entries are overwritten and the tail of the run (where imbalance shows
-   up) always survives.  Stored as parallel unboxed arrays so recording
-   an entry allocates nothing. *)
-
-type timeline_kind = Chunk_begin | Chunk_end | Steal | Idle
-
-let timeline_kind_name = function
-  | Chunk_begin -> "begin"
-  | Chunk_end -> "end"
-  | Steal -> "steal"
-  | Idle -> "idle"
-
-let int_of_timeline_kind = function Chunk_begin -> 0 | Chunk_end -> 1 | Steal -> 2 | Idle -> 3
-
-let timeline_kind_of_int = function
-  | 0 -> Chunk_begin
-  | 1 -> Chunk_end
-  | 2 -> Steal
-  | _ -> Idle
-
-let timeline_capacity = 1 lsl 16
-
 type sink = {
   domain_id : int;
   mutable generation : int;  (* fresh on creation and on every reset *)
@@ -148,14 +122,6 @@ type sink = {
   counters : (string, int ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
   mutable stack : string list;  (* open span paths, innermost first *)
-  (* timeline ring; arrays allocated on first use, [tl_next] counts every
-     write so [tl_next - capacity] entries have been overwritten *)
-  mutable tl_kind : int array;
-  mutable tl_slot : int array;
-  mutable tl_ts : int array;  (* absolute monotonic ns (fits 62 bits) *)
-  mutable tl_minor : float array;
-  mutable tl_major : float array;
-  mutable tl_next : int;
 }
 
 let max_events = 1 lsl 20
@@ -179,13 +145,7 @@ let new_sink () =
       dropped = 0;
       counters = Hashtbl.create 16;
       hists = Hashtbl.create 16;
-      stack = [];
-      tl_kind = [||];
-      tl_slot = [||];
-      tl_ts = [||];
-      tl_minor = [||];
-      tl_major = [||];
-      tl_next = 0 }
+      stack = [] }
   in
   Mutex.lock registry_mutex;
   registry := s :: !registry;
@@ -207,29 +167,6 @@ let record_event s ev =
     end;
     s.events.(n) <- ev;
     s.n_events <- n + 1
-  end
-
-(* One timeline entry on the calling domain's own track.  GC words are
-   sampled here — at span/chunk boundaries — so a timeline also shows
-   which worker allocated between any two marks.  Disabled cost: one
-   atomic load (the same bound as every other probe). *)
-let track_event kind ~slot =
-  if Atomic.get enabled_flag then begin
-    let s = my_sink () in
-    if Array.length s.tl_kind = 0 then begin
-      s.tl_kind <- Array.make timeline_capacity 0;
-      s.tl_slot <- Array.make timeline_capacity 0;
-      s.tl_ts <- Array.make timeline_capacity 0;
-      s.tl_minor <- Array.make timeline_capacity 0.0;
-      s.tl_major <- Array.make timeline_capacity 0.0
-    end;
-    let i = s.tl_next land (timeline_capacity - 1) in
-    s.tl_kind.(i) <- int_of_timeline_kind kind;
-    s.tl_slot.(i) <- slot;
-    s.tl_ts.(i) <- Int64.to_int (now_ns ());
-    s.tl_minor.(i) <- Gc.minor_words ();
-    s.tl_major.(i) <- (Gc.quick_stat ()).Gc.major_words;
-    s.tl_next <- s.tl_next + 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -331,12 +268,7 @@ let lifetime_counters : (series, int ref) Hashtbl.t = Hashtbl.create 64
 let lifetime_gauges : (series, int) Hashtbl.t = Hashtbl.create 16
 let lifetime_hists : (series, hist) Hashtbl.t = Hashtbl.create 32
 let lifetime_dropped = ref 0
-let lifetime_overwritten = ref 0
 let lifetime_mutex = Mutex.create ()
-
-let overwritten s =
-  let cap = Array.length s.tl_kind in
-  if cap = 0 then 0 else max 0 (s.tl_next - cap)
 
 module Lifetime = struct
   let locked f = Mutex.protect lifetime_mutex f
@@ -355,7 +287,6 @@ let clear_sink s =
   s.n_events <- 0;
   s.dropped <- 0;
   s.stack <- [];
-  s.tl_next <- 0;
   Hashtbl.reset s.counters;
   Hashtbl.reset s.hists
 
@@ -365,8 +296,7 @@ let fold_and_clear s =
   Mutex.protect lifetime_mutex (fun () ->
       Hashtbl.iter (fun name r -> add_count lifetime_counters (name, []) !r) s.counters;
       Hashtbl.iter (fun name h -> hist_merge ~into:(hist_of lifetime_hists (name, [])) h) s.hists;
-      lifetime_dropped := !lifetime_dropped + s.dropped;
-      lifetime_overwritten := !lifetime_overwritten + overwritten s);
+      lifetime_dropped := !lifetime_dropped + s.dropped);
   clear_sink s
 
 let reset () =
@@ -376,8 +306,7 @@ let reset () =
           Hashtbl.reset lifetime_counters;
           Hashtbl.reset lifetime_gauges;
           Hashtbl.reset lifetime_hists;
-          lifetime_dropped := 0;
-          lifetime_overwritten := 0));
+          lifetime_dropped := 0));
   Atomic.set epoch (now_ns ())
 
 (* The per-request reset: fold the calling domain's generation (its own
@@ -424,30 +353,21 @@ let () =
             if serialized then count "pool.runs.serialized"
             else Atomic.set published_generation (my_sink ()).generation
           end);
+      (* a chunk is one [pool.chunk] span, whose args name its slot, the
+         pool's size and, when stolen, its victim, plus one
+         [pool.chunk.items] observation *)
       chunk =
-        (fun ~size:_ ~slot ~lo ~hi f ->
+        (fun ~size ~slot ~victim ~lo ~hi f ->
           if not (Atomic.get enabled_flag) then f ()
           else begin
             follow_caller ();
-            count "pool.chunks";
-            count ~by:(hi - lo) "pool.items";
             observe "pool.chunk.items" (float_of_int (hi - lo));
-            track_event Chunk_begin ~slot;
-            span ~args:[ ("slot", string_of_int slot) ] "pool.chunk" f;
-            track_event Chunk_end ~slot
-          end);
-      steal =
-        (fun ~size:_ ~thief ~victim:_ ->
-          if Atomic.get enabled_flag then begin
-            follow_caller ();
-            count "pool.steals";
-            track_event Steal ~slot:thief
-          end);
-      idle =
-        (fun ~size:_ ~slot ->
-          if Atomic.get enabled_flag then begin
-            follow_caller ();
-            track_event Idle ~slot
+            let args = [ ("slot", string_of_int slot); ("size", string_of_int size) ] in
+            if victim = slot then span ~args "pool.chunk" f
+            else begin
+              count "pool.steals";
+              span ~args:(args @ [ ("victim", string_of_int victim) ]) "pool.chunk" f
+            end
           end) }
 
 (* ------------------------------------------------------------------ *)
@@ -488,20 +408,18 @@ let hists_of sinks =
   table
 
 let dropped_of sinks = List.fold_left (fun acc s -> acc + s.dropped) 0 sinks
-let overwritten_of sinks = List.fold_left (fun acc s -> acc + overwritten s) 0 sinks
 
 let sorted_bindings table =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* The trace format: one JSON object per line, sinks in domain-id order.
-   Per track: its spans in recording order, its timeline marks
-   oldest-first, its counters and histograms by name, then a track line
-   with its event and dropped counts.  Every number is exact — times and
-   GC words as integers, histogram floats at round-trip precision — and
-   a non-finite float (bucket 0's lower bound, the top bucket's upper
-   edge) is written as null.  Each bucket carries both its edges, so a
-   reader needs no knowledge of the bucket layout.
+   Per track: its spans in recording order, its counters and histograms
+   by name, then a track line with its event and dropped counts.  Every
+   number is exact — times as integers, histogram floats at round-trip
+   precision — and a non-finite float (bucket 0's lower bound, the top
+   bucket's upper edge) is written as null.  Each bucket carries both its
+   edges, so a reader needs no knowledge of the bucket layout.
    [Trace] parses this format and renders every other view of it. *)
 let jsonl () =
   with_generation @@ fun sinks ->
@@ -524,24 +442,6 @@ let jsonl () =
             ("dur_ns", Json.int64 ev.ev_dur);
             ("args", Json.args_obj ev.ev_args) ]
       done;
-      let tl_cap = Array.length s.tl_kind in
-      if tl_cap > 0 && s.tl_next > 0 then begin
-        let base_int = Int64.to_int base in
-        let len = min s.tl_next tl_cap in
-        let start = s.tl_next - len in
-        for j = 0 to len - 1 do
-          let i = (start + j) land (tl_cap - 1) in
-          line
-            [ ("type", Json.str "timeline");
-              ("track", Json.int s.domain_id);
-              ("slot", Json.int s.tl_slot.(i));
-              ("kind",
-                Json.str (timeline_kind_name (timeline_kind_of_int s.tl_kind.(i))));
-              ("ts_ns", Json.int (s.tl_ts.(i) - base_int));
-              ("minor_words", Json.int (int_of_float s.tl_minor.(i)));
-              ("major_words", Json.int (int_of_float s.tl_major.(i))) ]
-        done
-      end;
       List.iter
         (fun (name, r) ->
           line
@@ -582,11 +482,7 @@ let jsonl () =
               ("max", Json.num_exact h.h_max);
               ("buckets", buckets) ])
         (sorted_bindings s.hists);
-      if
-        s.n_events > 0 || s.tl_next > 0
-        || Hashtbl.length s.counters > 0
-        || Hashtbl.length s.hists > 0
-      then
+      if s.n_events > 0 || Hashtbl.length s.counters > 0 || Hashtbl.length s.hists > 0 then
         line
           [ ("type", Json.str "track");
             ("track", Json.int s.domain_id);
@@ -707,17 +603,8 @@ let to_prometheus () =
         line "msoc_span_duration_nanoseconds_count{path=\"%s\"} %d" path st.count)
       spans
   end;
-  let dropped = !lifetime_dropped + dropped_of sinks in
   line "# TYPE msoc_dropped_span_events_total counter";
-  line "msoc_dropped_span_events_total %d" dropped;
-  (* modern alias of the historical name above: scrape rules alarm on
-     either, both stay exported *)
-  line "# TYPE msoc_obs_dropped_events_total counter";
-  line "msoc_obs_dropped_events_total %d" dropped;
-  (* ring-buffer data loss is a first-class signal: a scraper watching
-     this counter knows when worker timelines stopped being complete *)
-  line "# TYPE msoc_obs_timeline_overwritten_total counter";
-  line "msoc_obs_timeline_overwritten_total %d" (!lifetime_overwritten + overwritten_of sinks);
+  line "msoc_dropped_span_events_total %d" (!lifetime_dropped + dropped_of sinks);
   line "# TYPE msoc_build_info gauge";
   line "msoc_build_info{git_rev=\"%s\",ocaml_version=\"%s\",pool_size=\"%d\"} 1"
     (prometheus_label_value (Atomic.get build_git_rev))

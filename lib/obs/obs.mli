@@ -120,15 +120,13 @@ module Lifetime : sig
   (** Record a value into a log2 histogram. *)
 end
 
-(** {2 Worker timelines}
+(** {2 Pool work}
 
-    A per-domain ring buffer of scheduler events — chunk begin/end,
-    steal, idle — each stamped with the monotonic clock and the domain's
-    GC minor/major words.  The pool hooks record these automatically for
-    every grained run.  On overflow the oldest entries are overwritten
-    (capacity [2^16] entries per sink), so the tail of a long run — where
-    imbalance lives — always survives.  Marks reach the outside only as
-    the trace's ["timeline"] records. *)
+    The pool hooks record each chunk of a pooled run once: a
+    [pool.chunk] span whose args name its [slot], the pool's [size] and,
+    when the chunk was stolen, its [victim]; one [pool.chunk.items]
+    observation of its length; and a [pool.steals] count when stolen.
+    {!Trace} derives per-slot occupancy from these spans alone. *)
 
 (** {2 Exporters} *)
 
@@ -136,7 +134,6 @@ val jsonl : unit -> string
 (** The trace: one JSON object per line, tracks (domains) in id order.
     Per track, its ["span"] records (name, slash-joined path, epoch-
     relative [ts_ns], [dur_ns], args) in recording order, its
-    ["timeline"] marks (slot, kind, [ts_ns], GC words) oldest-first, its
     ["counter"] and ["histogram"] records by name, then one ["track"]
     record with its event and dropped counts.  Lossless: integers stay
     integers, histogram sums, extremes and bucket edges are written at
@@ -152,10 +149,8 @@ val to_prometheus : unit -> string
 (** Prometheus text exposition (0.0.4) of the lifetime store plus the
     caller's generation: counters as [msoc_<name>_total], gauges,
     histograms with cumulative log2 buckets, the generation's per-path
-    span statistics as a labelled summary family, dropped-event counters
-    ([msoc_dropped_span_events_total] and its modern alias
-    [msoc_obs_dropped_events_total]), timeline-ring loss
-    ([msoc_obs_timeline_overwritten_total]) and the [msoc_build_info]
+    span statistics as a labelled summary family, the dropped-event
+    counter [msoc_dropped_span_events_total] and the [msoc_build_info]
     gauge. *)
 
 val set_build_info : git_rev:string -> unit

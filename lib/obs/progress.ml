@@ -10,8 +10,6 @@
    bit-identity contract is untouched). *)
 
 let enabled_flag = Atomic.make false
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
 
 type cell = { cell_name : string; value : float Atomic.t }
 
@@ -75,7 +73,7 @@ let pp_duration s =
    cadence) when stderr is a pipe or log file.  The final state is
    always rendered once more after [f] returns, even on exception. *)
 let with_ticker ?(interval_s = 0.2) ~render f =
-  enable ();
+  Atomic.set enabled_flag true;
   reset ();
   let tty = Unix.isatty Unix.stderr in
   let interval_s = if tty then interval_s else Float.max interval_s 2.0 in
@@ -100,5 +98,5 @@ let with_ticker ?(interval_s = 0.2) ~render f =
       Domain.join ticker;
       emit ();
       if tty then prerr_newline ();
-      disable ())
+      Atomic.set enabled_flag false)
     f

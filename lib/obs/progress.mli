@@ -4,10 +4,8 @@
     schedule (per round, per batch, per trial) and polled off the hot
     path by a ticker domain rendering a status line to stderr.  Cells
     carry no result data, so heartbeats cannot perturb the pool's
-    bit-identity contract; a disabled write costs one atomic load. *)
-
-val enable : unit -> unit
-val disable : unit -> unit
+    bit-identity contract; a disabled write costs one atomic load.
+    Heartbeats are on only inside {!with_ticker}. *)
 
 type cell
 

@@ -1,5 +1,6 @@
 (* v5 dropped the paper-vs-measured [comparisons] rows; older files keep
-   parsing, their comparisons ignored. *)
+   parsing, their comparisons ignored, and so are the v3 latency
+   percentiles ([p50_ns], [p99_ns]) that no bench writes any more. *)
 let schema_version = 5
 
 type timing = {
@@ -12,11 +13,6 @@ type timing = {
   minor_words : float;
   major_words : float;
   major_collections : float;
-  (* latency percentiles (schema v3): tail evidence for service-style
-     kernels where the mean hides queueing.  v1/v2 reports parse with
-     both at 0.0. *)
-  p50_ns : float;
-  p99_ns : float;
 }
 
 (* acceptance bound on a scalar (schema v4): bench-diff regresses a
@@ -86,11 +82,10 @@ let partial_of b section =
     p
 
 let add_timing b ~section ~name ~mean_ns ~stddev_ns ~samples ?(minor_words = 0.0)
-    ?(major_words = 0.0) ?(major_collections = 0.0) ?(p50_ns = 0.0) ?(p99_ns = 0.0) () =
+    ?(major_words = 0.0) ?(major_collections = 0.0) () =
   let p = partial_of b section in
   p.p_timings <-
-    { t_name = name; mean_ns; stddev_ns; samples; minor_words; major_words;
-      major_collections; p50_ns; p99_ns }
+    { t_name = name; mean_ns; stddev_ns; samples; minor_words; major_words; major_collections }
     :: p.p_timings
 
 let add_scalar b ~section ~name ?(unit_label = "") ?bound value =
@@ -119,9 +114,7 @@ let timing_fields t =
     ("samples", Json.int t.samples);
     ("minor_words", Json.num_exact t.minor_words);
     ("major_words", Json.num_exact t.major_words);
-    ("major_collections", Json.num_exact t.major_collections);
-    ("p50_ns", Json.num_exact t.p50_ns);
-    ("p99_ns", Json.num_exact t.p99_ns) ]
+    ("major_collections", Json.num_exact t.major_collections) ]
 
 let scalar_fields s =
   [ ("name", Json.str s.s_name);
@@ -186,8 +179,7 @@ let of_json text =
              (fun s ->
                { sec_name = Json.string_exn "name" s;
                  timings =
-                   ((* the GC fields arrived in schema v2 and the latency
-                       percentiles in v3; older rows read 0.0 *)
+                   ((* the GC fields arrived in schema v2; older rows read 0.0 *)
                     let number_or_zero key t =
                       match Option.bind (Json.member key t) Json.to_number with
                       | Some v -> v
@@ -201,9 +193,7 @@ let of_json text =
                           samples = Json.int_exn "samples" t;
                           minor_words = number_or_zero "minor_words" t;
                           major_words = number_or_zero "major_words" t;
-                          major_collections = number_or_zero "major_collections" t;
-                          p50_ns = number_or_zero "p50_ns" t;
-                          p99_ns = number_or_zero "p99_ns" t })
+                          major_collections = number_or_zero "major_collections" t })
                       (Json.list_exn "timings" s));
                  scalars =
                    List.map

@@ -14,7 +14,8 @@
       reported with a unit label.
 
     Reports up to schema v4 also carried paper-vs-measured
-    [comparisons]; they are read and ignored.
+    [comparisons], and timings written at v3 to v5 latency percentiles
+    ([p50_ns], [p99_ns]); both are read and ignored.
 
     Numbers are emitted with round-trip precision ([%.17g]), so reading
     back a written report gives [Ok r] structurally. *)
@@ -27,8 +28,6 @@ type timing = {
   minor_words : float;       (** Mean minor words allocated per iteration. *)
   major_words : float;       (** Mean major words allocated per iteration. *)
   major_collections : float; (** Mean major collections per iteration. *)
-  p50_ns : float;            (** Median latency (schema v3); 0.0 when absent. *)
-  p99_ns : float;            (** Tail latency (schema v3); 0.0 when absent. *)
 }
 
 type bound = Le of float | Ge of float
@@ -76,10 +75,9 @@ val create :
 val add_timing :
   builder -> section:string -> name:string -> mean_ns:float ->
   stddev_ns:float -> samples:int -> ?minor_words:float ->
-  ?major_words:float -> ?major_collections:float ->
-  ?p50_ns:float -> ?p99_ns:float -> unit -> unit
-(** The GC fields and latency percentiles default to 0.0 (callers
-    without allocation instrumentation / per-sample latencies). *)
+  ?major_words:float -> ?major_collections:float -> unit -> unit
+(** The GC fields default to 0.0 (callers without allocation
+    instrumentation). *)
 
 val add_scalar :
   builder -> section:string -> name:string -> ?unit_label:string ->

@@ -17,12 +17,7 @@ type span = {
   sp_dur_ns : float;
 }
 
-type mark = {
-  mk_track : int;
-  mk_slot : int;
-  mk_kind : string;  (* "begin" | "end" | "steal" | "idle" *)
-  mk_ts_ns : float;
-}
+type slot = { slot : int; chunks : int; busy_ns : float; steals : int }
 
 type hist = {
   hist : string;
@@ -35,7 +30,7 @@ type hist = {
 
 type t = {
   spans : span list;
-  marks : mark list;
+  slots : slot list;  (* every slot of the pooled runs, ascending *)
   counters : (string * float) list;  (* merged totals, sorted by name *)
   hists : hist list;  (* merged across tracks, sorted by name *)
   dropped : (int * int) list;  (* (track, span events dropped) *)
@@ -49,7 +44,6 @@ type t = {
    which shows them on each slice; [span] itself has no room for them. *)
 type record =
   | Span of span * (string * string) list
-  | Mark of mark
   | Counter of string * float
   | Hist of hist
   | Track of int * int
@@ -88,13 +82,6 @@ let record_of_line line =
              sp_ts_ns = Json.number_exn "ts_ns" j;
              sp_dur_ns = Json.number_exn "dur_ns" j },
            args ))
-  | "timeline" ->
-    Some
-      (Mark
-         { mk_track = Json.int_exn "track" j;
-           mk_slot = Json.int_exn "slot" j;
-           mk_kind = Json.string_exn "kind" j;
-           mk_ts_ns = Json.number_exn "ts_ns" j })
   | "counter" -> Some (Counter (Json.string_exn "name" j, Json.number_exn "value" j))
   | "histogram" ->
     Some
@@ -162,6 +149,39 @@ let merge_hist a b =
     max_value = Float.max a.max_value b.max_value;
     buckets = merge_buckets a.buckets b.buckets }
 
+let is_chunk sp = String.equal sp.sp_name "pool.chunk"
+
+(* A chunk span belongs to the slot its arg names, else to the recording
+   track. *)
+let slot_of sp = match sp.sp_slot with Some s -> s | None -> sp.sp_track
+
+(* The one per-slot fold of pool work, from the pool.chunk spans alone:
+   every slot of the pools their [size] args name (a slot that claimed no
+   grain included), with the chunks each ran, their busy time and how
+   many it stole (those carrying a [victim] arg). *)
+let pool_slots records =
+  let table = Hashtbl.create 8 in
+  let slot_stat slot =
+    Option.value ~default:{ slot; chunks = 0; busy_ns = 0.0; steals = 0 }
+      (Hashtbl.find_opt table slot)
+  in
+  List.iter
+    (function
+      | Span (sp, args) when is_chunk sp ->
+        let size = Option.bind (List.assoc_opt "size" args) int_of_string_opt in
+        for slot = 0 to Option.value ~default:0 size - 1 do
+          Hashtbl.replace table slot (slot_stat slot)
+        done;
+        let st = slot_stat (slot_of sp) in
+        Hashtbl.replace table st.slot
+          { st with
+            chunks = st.chunks + 1;
+            busy_ns = st.busy_ns +. sp.sp_dur_ns;
+            steals = (st.steals + if List.mem_assoc "victim" args then 1 else 0) }
+      | Span _ | Counter _ | Hist _ | Track _ -> ())
+    records;
+  List.map snd (sorted table)
+
 let parse text =
   Result.map
     (fun records ->
@@ -174,10 +194,10 @@ let parse text =
           | Hist h ->
             Hashtbl.replace hists h.hist
               (match Hashtbl.find_opt hists h.hist with Some into -> merge_hist into h | None -> h)
-          | Span _ | Mark _ | Track _ -> ())
+          | Span _ | Track _ -> ())
         records;
       { spans = List.filter_map (function Span (sp, _) -> Some sp | _ -> None) records;
-        marks = List.filter_map (function Mark m -> Some m | _ -> None) records;
+        slots = pool_slots records;
         counters = sorted counters;
         hists = List.map snd (sorted hists);
         dropped = List.filter_map (function Track (tr, n) -> Some (tr, n) | _ -> None) records })
@@ -236,9 +256,7 @@ let wall_window spans =
 
 let tracks t =
   List.sort_uniq compare
-    (List.map (fun sp -> sp.sp_track) t.spans
-    @ List.map (fun m -> m.mk_track) t.marks
-    @ List.map fst t.dropped)
+    (List.map (fun sp -> sp.sp_track) t.spans @ List.map fst t.dropped)
 
 (* ------------------------------------------------------------------ *)
 (* summary: every table of the recorded profile                        *)
@@ -255,7 +273,7 @@ let hist_p95 h =
   in
   walk 0 h.buckets
 
-let chunk_spans t = List.filter (fun sp -> String.equal sp.sp_name "pool.chunk") t.spans
+let chunk_spans t = List.filter is_chunk t.spans
 
 let summary t =
   let section title headers rows =
@@ -309,7 +327,7 @@ let summary t =
   in
   let track_row track =
     let own = List.filter (fun sp -> sp.sp_track = track) t.spans in
-    let chunks = List.filter (fun sp -> String.equal sp.sp_name "pool.chunk") own in
+    let chunks = List.filter is_chunk own in
     [ Printf.sprintf "domain %d" track;
       string_of_int (List.length own);
       string_of_int (List.length chunks);
@@ -337,10 +355,6 @@ let summary t =
 (* ------------------------------------------------------------------ *)
 (* utilization: per-slot occupancy + text Gantt                        *)
 (* ------------------------------------------------------------------ *)
-
-(* A chunk span belongs to the slot its arg names, else to the recording
-   track. *)
-let slot_of sp = match sp.sp_slot with Some s -> s | None -> sp.sp_track
 
 let gantt_row ~lo ~wall_ns ~width spans =
   let busy = Array.make width 0.0 in
@@ -378,53 +392,40 @@ let utilization ?(width = 60) t =
   else begin
     let lo, hi = wall_window chunks in
     let wall_ns = Float.max (hi -. lo) 1.0 in
-    (* timeline marks too: a slot whose items were all stolen ran no chunk
-       but still reported idle — it belongs in the table with zero busy *)
-    let slots =
-      List.sort_uniq compare
-        (List.map slot_of chunks @ List.map (fun m -> m.mk_slot) t.marks)
-    in
-    let per_slot slot = List.filter (fun sp -> slot_of sp = slot) chunks in
-    let steals slot =
-      List.length
-        (List.filter (fun m -> String.equal m.mk_kind "steal" && m.mk_slot = slot) t.marks)
-    in
+    let n_slots = List.length t.slots in
     Buffer.add_string b
       (Printf.sprintf
-         "Worker occupancy over the pooled window: %d slot(s), wall %.3f ms\n\n"
-         (List.length slots) (wall_ns /. 1e6));
+         "Worker occupancy over the pooled window: %d slot(s), wall %.3f ms\n\n" n_slots
+         (wall_ns /. 1e6));
     let tt =
       Texttable.create
         ~headers:[ "Slot"; "Chunks"; "Busy (ms)"; "Busy"; "Steals"; "Idle (ms)" ]
     in
-    let total_busy = ref 0.0 in
     List.iter
-      (fun slot ->
-        let spans = per_slot slot in
-        let busy = List.fold_left (fun acc sp -> acc +. sp.sp_dur_ns) 0.0 spans in
-        total_busy := !total_busy +. busy;
+      (fun s ->
         Texttable.add_row tt
-          [ string_of_int slot;
-            string_of_int (List.length spans);
-            Printf.sprintf "%.3f" (busy /. 1e6);
-            Texttable.cell_pct (busy /. wall_ns);
-            string_of_int (steals slot);
-            Printf.sprintf "%.3f" (Float.max 0.0 (wall_ns -. busy) /. 1e6) ])
-      slots;
+          [ string_of_int s.slot;
+            string_of_int s.chunks;
+            Printf.sprintf "%.3f" (s.busy_ns /. 1e6);
+            Texttable.cell_pct (s.busy_ns /. wall_ns);
+            string_of_int s.steals;
+            Printf.sprintf "%.3f" (Float.max 0.0 (wall_ns -. s.busy_ns) /. 1e6) ])
+      t.slots;
     Buffer.add_string b (Texttable.render tt);
-    let n_slots = float_of_int (List.length slots) in
+    let total_busy = List.fold_left (fun acc s -> acc +. s.busy_ns) 0.0 t.slots in
     Buffer.add_string b
       (Printf.sprintf
          "\nparallel efficiency: %s of %d slot(s) busy over the window (1.00 = perfectly \
           parallel, 1/slots = serialized)\n"
-         (Texttable.cell_pct (!total_busy /. (wall_ns *. n_slots)))
-         (List.length slots));
+         (Texttable.cell_pct (total_busy /. (wall_ns *. float_of_int n_slots)))
+         n_slots);
     Buffer.add_string b "\nGantt (one row per slot; \xe2\x96\x88 busy, \xc2\xb7 idle)\n";
     List.iter
-      (fun slot ->
+      (fun s ->
         Buffer.add_string b
-          (Printf.sprintf "slot %d %s\n" slot (gantt_row ~lo ~wall_ns ~width (per_slot slot))))
-      slots
+          (Printf.sprintf "slot %d %s\n" s.slot
+             (gantt_row ~lo ~wall_ns ~width (List.filter (fun sp -> slot_of sp = s.slot) chunks))))
+      t.slots
   end;
   Buffer.contents b
 
@@ -525,7 +526,6 @@ let to_chrome text =
           (List.filter_map
              (function
                | Span (sp, _) -> Some sp.sp_track
-               | Mark m -> Some m.mk_track
                | Track (track, _) -> Some track
                | Counter _ | Hist _ -> None)
              records)

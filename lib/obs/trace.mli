@@ -16,11 +16,11 @@ type span = {
   sp_dur_ns : float;
 }
 
-type mark = {
-  mk_track : int;
-  mk_slot : int;
-  mk_kind : string;  (** ["begin"], ["end"], ["steal"], ["idle"] *)
-  mk_ts_ns : float;
+type slot = {
+  slot : int;
+  chunks : int;  (** [pool.chunk] spans it ran *)
+  busy_ns : float;  (** their summed duration *)
+  steals : int;  (** those taken from another slot's share *)
 }
 
 type hist = {
@@ -37,7 +37,11 @@ type hist = {
 
 type t = {
   spans : span list;
-  marks : mark list;
+  slots : slot list;
+      (** The per-slot fold of the [pool.chunk] spans, ascending by slot:
+          every slot of the pools their [size] args name, one that
+          claimed no grain included, and the chunks carrying a [victim]
+          arg as its steals.  Empty when the run had no pooled work. *)
   counters : (string * float) list;  (** merged totals, sorted by name *)
   hists : hist list;  (** merged across tracks, sorted by name *)
   dropped : (int * int) list;
@@ -51,7 +55,9 @@ val parse : string -> (t, string) result
     framing junk from concatenated exports) are skipped with a stderr
     warning as long as at least one record survives; only a text with
     nothing salvageable — a Chrome trace among them — or a blank one is
-    an [Error], naming the first bad line and the format expected. *)
+    an [Error], naming the first bad line and the format expected.  A
+    record of an unknown type (the ["timeline"] marks of older traces)
+    is skipped. *)
 
 val load : string -> (t, string) result
 (** [load file] reads [file] and {!parse}s it; errors name the file. *)
@@ -71,9 +77,10 @@ val summary : t -> string
     dropped events). *)
 
 val utilization : ?width:int -> t -> string
-(** Per-slot occupancy over the pooled window: chunk counts, busy time
-    and share, steals, idle time, parallel-efficiency figure, and a
-    [width]-column text Gantt (default 60). *)
+(** Per-slot occupancy over the pooled window, one row per {!slot}:
+    chunk counts, busy time and share, steals, idle time,
+    parallel-efficiency figure, and a [width]-column text Gantt (default
+    60). *)
 
 val critical_path : t -> string
 (** Descend from the hottest root span through the hottest child at each

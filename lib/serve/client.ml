@@ -5,6 +5,7 @@
 
 type t = {
   fd : Unix.file_descr;
+  chunk : Bytes.t;         (* the connection's one read buffer *)
   partial : Buffer.t;      (* unterminated tail of the bytes read so far *)
   lines : string Queue.t;  (* complete lines not yet returned *)
 }
@@ -16,7 +17,7 @@ let connect ~socket_path =
   | exception e ->
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e);
-  { fd; partial = Buffer.create 4096; lines = Queue.create () }
+  { fd; chunk = Bytes.create 65536; partial = Buffer.create 4096; lines = Queue.create () }
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
@@ -34,15 +35,14 @@ let write_all fd s =
 (* Read the next response line, buffering whatever trails it (the
    protocol allows pipelining). *)
 let read_line t =
-  let chunk = Bytes.create 65536 in
   let rec go () =
     match Queue.take_opt t.lines with
     | Some line -> Some line
     | None ->
-      (match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+      (match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
       | 0 -> None
       | n ->
-        Protocol.split_lines t.partial chunk n (fun line -> Queue.add line t.lines);
+        Protocol.split_lines t.partial t.chunk n (fun line -> Queue.add line t.lines);
         go ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
   in

@@ -534,8 +534,9 @@ let drop_conn conns conn_id c =
   close_fd c.c_fd;
   Hashtbl.remove conns conn_id
 
-let handle_readable t conns conn_id c =
-  let chunk = Bytes.create 65536 in
+(* [chunk] is the acceptor's one read buffer: [split_lines] consumes it
+   before the next read. *)
+let handle_readable t conns chunk conn_id c =
   let n =
     try Unix.read c.c_fd chunk 0 (Bytes.length chunk)
     with
@@ -594,6 +595,7 @@ let run t =
   in
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 16 in
   let next_conn = ref 0 in
+  let chunk = Bytes.create 65536 in
   while not (Atomic.get t.stop) do
     let conn_fds = Hashtbl.fold (fun _ c acc -> c.c_fd :: acc) conns [] in
     let readable =
@@ -606,7 +608,7 @@ let run t =
     if List.memq t.listen_fd readable then accept_all t conns next_conn;
     Hashtbl.fold (fun id c acc -> if List.memq c.c_fd readable then (id, c) :: acc else acc)
       conns []
-    |> List.iter (fun (id, c) -> handle_readable t conns id c)
+    |> List.iter (fun (id, c) -> handle_readable t conns chunk id c)
   done;
   (* clean shutdown: stop admitting, drain the queue (close is
      end-of-stream, so already-admitted jobs still execute and answer

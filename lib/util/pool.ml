@@ -29,9 +29,7 @@ let size t = t.size
 module Hooks = struct
   type t = {
     run : size:int -> serialized:bool -> unit;
-    chunk : size:int -> slot:int -> lo:int -> hi:int -> (unit -> unit) -> unit;
-    steal : size:int -> thief:int -> victim:int -> unit;
-    idle : size:int -> slot:int -> unit;
+    chunk : size:int -> slot:int -> victim:int -> lo:int -> hi:int -> (unit -> unit) -> unit;
   }
 
   let installed : t option Atomic.t = Atomic.make None
@@ -42,20 +40,10 @@ module Hooks = struct
     | None -> ()
     | Some h -> h.run ~size ~serialized
 
-  let note_chunk ~size ~slot ~lo ~hi f =
+  let note_chunk ~size ~slot ~victim ~lo ~hi f =
     match Atomic.get installed with
     | None -> f ()
-    | Some h -> h.chunk ~size ~slot ~lo ~hi f
-
-  let note_steal ~size ~thief ~victim =
-    match Atomic.get installed with
-    | None -> ()
-    | Some h -> h.steal ~size ~thief ~victim
-
-  let note_idle ~size ~slot =
-    match Atomic.get installed with
-    | None -> ()
-    | Some h -> h.idle ~size ~slot
+    | Some h -> h.chunk ~size ~slot ~victim ~lo ~hi f
 end
 
 (* Set on every worker domain a pool spawns (never on a caller). *)
@@ -261,18 +249,14 @@ let parallel_iter_grained pool ~n ?grain ~f () =
             if lo >= hi_v then continue := false
             else begin
               let hi = min (lo + grain) hi_v in
-              if victim <> slot then Hooks.note_steal ~size:workers ~thief:slot ~victim;
-              Hooks.note_chunk ~size:workers ~slot ~lo ~hi (fun () -> f ~slot ~lo ~hi)
+              Hooks.note_chunk ~size:workers ~slot ~victim ~lo ~hi (fun () -> f ~slot ~lo ~hi)
             end
           done
         in
         drain slot;
         for d = 1 to workers - 1 do
           drain ((slot + d) mod workers)
-        done;
-        (* every cursor (including the other workers') is drained: from
-           here until the join this slot only waits *)
-        Hooks.note_idle ~size:workers ~slot)
+        done)
   end
 
 (* [Array.init] by index, each index written once by [write ~slot]. *)

@@ -29,26 +29,20 @@ type t
 (** Instrumentation seam for the telemetry library (which sits above this
     one in the dependency order and installs its probes here at module
     initialisation).  With no hook installed, the overhead is one atomic
-    load per pooled run, per chunk and per steal; an inline run fires no
-    hook, so it records no [pool.*] telemetry. *)
+    load per pooled run and per chunk; an inline run fires no hook, so it
+    records no [pool.*] telemetry. *)
 module Hooks : sig
   type t = {
     run : size:int -> serialized:bool -> unit;
         (** Called once per pooled run, never for an inline one;
             [serialized] is true when a re-entrant or concurrent call
             degraded to serial execution. *)
-    chunk : size:int -> slot:int -> lo:int -> hi:int -> (unit -> unit) -> unit;
-        (** Wraps the execution of one contiguous chunk; the hook MUST call
-            the thunk exactly once, on the current domain. *)
-    steal : size:int -> thief:int -> victim:int -> unit;
-        (** Called when worker [thief] claims a grain from [victim]'s
-            share, immediately before the corresponding [chunk] call. *)
-    idle : size:int -> slot:int -> unit;
-        (** Called once per worker slot per pooled run, on the slot's own
-            domain, when the slot has drained every cursor (its own share
-            and all stealing victims) — from this point until the join the
-            slot only waits.  Marks the start of the slot's tail idle time
-            on a worker timeline. *)
+    chunk : size:int -> slot:int -> victim:int -> lo:int -> hi:int -> (unit -> unit) -> unit;
+        (** Wraps the execution of one contiguous chunk [lo, hi) by slot
+            [slot] of a pool of [size]; the hook MUST call the thunk
+            exactly once, on the current domain.  [victim] is the slot
+            whose share the chunk came from: the chunk was stolen when it
+            differs from [slot]. *)
   }
 
   val install : t -> unit

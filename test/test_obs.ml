@@ -225,9 +225,14 @@ let test_merge_determinism () =
       let chunks =
         List.length (List.filter (fun sp -> sp.Trace.sp_name = "pool.chunk") t.Trace.spans)
       in
+      let observed =
+        List.fold_left
+          (fun acc h -> if h.Trace.hist = "pool.chunk.items" then h.Trace.hist_count else acc)
+          0 t.Trace.hists
+      in
       Alcotest.(check int)
-        (Printf.sprintf "chunk spans match the chunk counter (size %d)" size)
-        (counter "pool.chunks" t) chunks)
+        (Printf.sprintf "chunk spans match the chunk-size observations (size %d)" size)
+        observed chunks)
     pool_sizes
 
 let test_monte_carlo_identical_with_telemetry () =
@@ -354,9 +359,6 @@ let test_jsonl_round_trip () =
       Obs.record_span "known" ~start_ns:t0 ~stop_ns:(Int64.add t0 123_456_789L);
       Obs.count ~by:7 "rt.counter";
       List.iter (Obs.observe "rt.hist") values;
-      (* past 10^6 minor words on this domain, where rounded GC words
-         would lose the per-chunk allocation *)
-      ignore (Sys.opaque_identity (List.init 400_000 Fun.id));
       Pool.with_pool ~size:2 (fun pool ->
           Pool.parallel_iter_grained pool ~n:64 ~grain:8 ~f:(fun ~slot:_ ~lo:_ ~hi:_ -> ()) ()));
   let t = recorded () in
@@ -369,10 +371,12 @@ let test_jsonl_round_trip () =
   Alcotest.(check int) "one span per chunk of 8 items" 8 (List.length chunks);
   Alcotest.(check bool) "every chunk carries its slot" true
     (List.for_all (fun sp -> List.mem sp.Trace.sp_slot [ Some 0; Some 1 ]) chunks);
+  Alcotest.(check (list int)) "both slots of the pool listed" [ 0; 1 ]
+    (List.map (fun s -> s.Trace.slot) t.Trace.slots);
+  Alcotest.(check int) "their chunks sum to 8" 8
+    (List.fold_left (fun acc s -> acc + s.Trace.chunks) 0 t.Trace.slots);
   (* counter totals *)
   Alcotest.(check int) "counter" 7 (counter "rt.counter" t);
-  Alcotest.(check int) "pool chunks counted" 8 (counter "pool.chunks" t);
-  Alcotest.(check int) "pool items counted" 64 (counter "pool.items" t);
   (* histograms: count, sum, min, max and buckets, exactly *)
   let h = find_hist "rt.hist" t in
   Alcotest.(check int) "count" 4 h.Trace.hist_count;
@@ -388,30 +392,6 @@ let test_jsonl_round_trip () =
   let items = find_hist "pool.chunk.items" t in
   Alcotest.(check bool) "the chunk-size histogram, merged across tracks" true
     (items.Trace.hist_count = 8 && items.Trace.sum = 64.0 && items.Trace.buckets = [ (8.0, 16.0, 8) ]);
-  (* timeline marks: a begin and an end per chunk, a steal per stolen
-     chunk, one idle per slot *)
-  let marks kind = List.filter (fun m -> m.Trace.mk_kind = kind) t.Trace.marks in
-  Alcotest.(check int) "begin marks" 8 (List.length (marks "begin"));
-  Alcotest.(check int) "end marks" 8 (List.length (marks "end"));
-  Alcotest.(check int) "steal marks" (counter "pool.steals" t) (List.length (marks "steal"));
-  Alcotest.(check (list int)) "idle marks" [ 0; 1 ]
-    (List.sort compare (List.map (fun m -> m.Trace.mk_slot) (marks "idle")));
-  (* GC words are written as integers, never rounded: this domain's marks
-     lie past 10^6 minor words, where six significant digits drop some *)
-  let minor_words =
-    String.split_on_char '\n' (Obs.jsonl ())
-    |> List.filter (fun line -> contains_sub line {|"type":"timeline"|})
-    |> List.map (fun line ->
-           let j = Mini_json.parse line in
-           let minor = Mini_json.num_exn "minor_words" j
-           and major = Mini_json.num_exn "major_words" j in
-           Alcotest.(check bool) "GC words written as integers" true
-             (contains_sub line
-                (Printf.sprintf {|"minor_words":%.0f,"major_words":%.0f}|} minor major));
-           minor)
-  in
-  Alcotest.(check bool) "past 10^6 minor words" true
-    (List.exists (fun w -> w > 1e6) minor_words);
   (* every track reports its loss, here none *)
   Alcotest.(check bool) "no events dropped on any track" true
     (t.Trace.dropped <> [] && List.for_all (fun (_, n) -> n = 0) t.Trace.dropped)
@@ -530,56 +510,11 @@ let test_dropped_events_warned () =
         (contains_sub warning needle))
     [ "WARNING"; "dropped"; string_of_int Obs.max_events ]
 
-(* ---- worker timelines ---- *)
-
-let test_timeline_events () =
-  with_recording @@ fun () ->
-  Pool.with_pool ~size:2 (fun pool ->
-      ignore (Pool.parallel_init pool 256 float_of_int));
-  let marks = (recorded ()).Trace.marks in
-  Alcotest.(check bool) "pooled run recorded timeline marks" true (List.length marks > 0);
-  List.iter
-    (fun kind ->
-      Alcotest.(check bool) (Printf.sprintf "recorded a %s mark" kind) true
-        (List.exists (fun m -> m.Trace.mk_kind = kind) marks))
-    [ "begin"; "end"; "idle" ];
-  List.iter
-    (fun m ->
-      Alcotest.(check bool) (Printf.sprintf "valid kind %S" m.Trace.mk_kind) true
-        (List.mem m.Trace.mk_kind [ "begin"; "end"; "steal"; "idle" ]);
-      Alcotest.(check bool) "epoch-relative timestamp is non-negative" true
-        (m.Trace.mk_ts_ns >= 0.0))
-    marks;
-  (* per track the ring is chronological, and GC words never decrease *)
-  let timeline_lines =
-    String.split_on_char '\n' (Obs.jsonl ())
-    |> List.filter (fun l -> l <> "")
-    |> List.map Mini_json.parse
-    |> List.filter (fun j -> String.equal (Mini_json.str_exn "type" j) "timeline")
-  in
-  Alcotest.(check int) "one jsonl line per parsed mark" (List.length marks)
-    (List.length timeline_lines);
-  let last = Hashtbl.create 4 in
-  List.iter
-    (fun j ->
-      let track = Mini_json.num_exn "track" j in
-      let ts = Mini_json.num_exn "ts_ns" j and minor = Mini_json.num_exn "minor_words" j in
-      ignore (Mini_json.num_exn "slot" j);
-      ignore (Mini_json.num_exn "major_words" j);
-      (match Hashtbl.find_opt last track with
-      | Some (prev_ts, prev_minor) ->
-        Alcotest.(check bool) "track is chronological" true (ts >= prev_ts);
-        Alcotest.(check bool) "minor words monotone" true (minor >= prev_minor)
-      | None -> ());
-      Hashtbl.replace last track (ts, minor))
-    timeline_lines;
-  Alcotest.(check int) "nothing overwritten in a short run" 0
-    (prom_value (Obs.to_prometheus ()) "msoc_obs_timeline_overwritten_total")
-
-(* Timelines on vs off must not change fault-detection results — the
-   per-domain ring writes carry no result data.  Checked at every pool
-   size, including oversubscribed (8). *)
-let test_faultsim_timeline_determinism () =
+(* Telemetry and progress heartbeats on vs off must not change
+   fault-detection results — spans, counters and heartbeat cells carry no
+   result data.  Checked at every pool size, including oversubscribed
+   (8). *)
+let test_faultsim_telemetry_determinism () =
   let config =
     { Msoc_synth.Digital_test.default_config with
       Msoc_synth.Digital_test.taps = 5;
@@ -601,22 +536,20 @@ let test_faultsim_timeline_determinism () =
   Obs.reset ();
   let reference = detect None in
   Alcotest.(check bool) "some faults detected" true (Array.exists Fun.id reference);
+  let sizes = [ 1; 2; 4; 8 ] in
   List.iter
     (fun size ->
-      (* telemetry (timelines) off *)
       let off = Pool.with_pool ~size (fun p -> detect (Some p)) in
-      Alcotest.(check (array bool))
-        (Printf.sprintf "timelines off, size %d" size)
-        reference off;
-      (* telemetry + progress heartbeats on *)
-      with_recording (fun () ->
-          Msoc_obs.Progress.enable ();
-          Fun.protect ~finally:Msoc_obs.Progress.disable @@ fun () ->
-          let on = Pool.with_pool ~size (fun p -> detect (Some p)) in
-          Alcotest.(check (array bool))
-            (Printf.sprintf "timelines on, size %d" size)
-            reference on))
-    [ 1; 2; 4; 8 ]
+      Alcotest.(check (array bool)) (Printf.sprintf "telemetry off, size %d" size) reference off)
+    sizes;
+  (* telemetry and heartbeats on; the ticker renders nothing *)
+  with_recording @@ fun () ->
+  Msoc_obs.Progress.with_ticker ~render:(fun ~elapsed_s:_ -> "") @@ fun () ->
+  List.iter
+    (fun size ->
+      let on = Pool.with_pool ~size (fun p -> detect (Some p)) in
+      Alcotest.(check (array bool)) (Printf.sprintf "telemetry on, size %d" size) reference on)
+    sizes
 
 (* ---- generations: reset_domain and generation-scoped exports ---- *)
 
@@ -704,7 +637,7 @@ let test_worker_sinks_follow_caller () =
         Obs.reset_domain ()
       done;
       Alcotest.(check int) "every chunk folded exactly once" 100
-        (prom_value (Obs.to_prometheus ()) "msoc_pool_chunks_total");
+        (prom_value (Obs.to_prometheus ()) "msoc_pool_chunk_items_count");
       (* a worker leaving for a new caller folds what its old caller left *)
       one_chunk_each pool;
       let other =
@@ -718,26 +651,30 @@ let test_worker_sinks_follow_caller () =
         (Domain.join other);
       Obs.reset_domain ();
       Alcotest.(check int) "no chunk lost or counted twice" 104
-        (prom_value (Obs.to_prometheus ()) "msoc_pool_chunks_total");
+        (prom_value (Obs.to_prometheus ()) "msoc_pool_chunk_items_count");
       (* the CLI: no reset between runs, every run's worker spans kept *)
       for _ = 1 to 50 do
         one_chunk_each pool
       done;
       Alcotest.(check int) "every run's chunks kept" 100 (chunk_spans ()))
 
-(* ---- build info and dropped-event alias ---- *)
+(* ---- build info and the dropped-event counter ---- *)
 
 let test_prometheus_build_info () =
   with_recording @@ fun () ->
   Obs.count "build.probe";
   Obs.set_build_info ~git_rev:"cafe123";
+  Pool.with_pool ~size:2 (fun pool ->
+      Pool.parallel_iter_grained pool ~n:64 ~grain:8 ~f:(fun ~slot:_ ~lo:_ ~hi:_ -> ()) ());
   let text = Obs.to_prometheus () in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "exposition contains %S" needle) true
         (contains_sub text needle))
-    [ "# TYPE msoc_obs_dropped_events_total counter";
-      "msoc_obs_dropped_events_total 0";
+    [ "msoc_pool_chunk_items_count 8";
+      "msoc_pool_chunk_items_sum 64";
+      "# TYPE msoc_dropped_span_events_total counter";
+      "msoc_dropped_span_events_total 0";
       "# TYPE msoc_build_info gauge";
       "git_rev=\"cafe123\"";
       "ocaml_version=\"";
@@ -745,7 +682,15 @@ let test_prometheus_build_info () =
   Alcotest.(check bool) "build info is a 1-valued gauge" true
     (List.exists
        (fun l -> contains_sub l "msoc_build_info{" && contains_sub l "} 1")
-       (String.split_on_char '\n' text))
+       (String.split_on_char '\n' text));
+  (* one name per count: no alias beside the dropped-event counter, and
+     no family restating a chunk beside pool.chunk.items *)
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) (Printf.sprintf "no %s family" family) false
+        (contains_sub text family))
+    [ "msoc_obs_dropped_events_total"; "msoc_obs_timeline_overwritten_total";
+      "msoc_pool_chunks_total"; "msoc_pool_items_total" ]
 
 let () =
   Alcotest.run "msoc_obs"
@@ -761,10 +706,8 @@ let () =
         [ Alcotest.test_case "merge across pool sizes" `Quick test_merge_determinism;
           Alcotest.test_case "telemetry does not perturb results" `Quick
             test_monte_carlo_identical_with_telemetry;
-          Alcotest.test_case "timelines do not perturb fault detection" `Quick
-            test_faultsim_timeline_determinism ] );
-      ( "timelines",
-        [ Alcotest.test_case "pooled runs record slot marks" `Quick test_timeline_events ] );
+          Alcotest.test_case "spans and heartbeats keep detection" `Quick
+            test_faultsim_telemetry_determinism ] );
       ( "disabled",
         [ Alcotest.test_case "probes are no-ops" `Quick test_disabled_noop ] );
       ( "scope",
@@ -778,7 +721,7 @@ let () =
             test_jsonl_round_trip;
           Alcotest.test_case "text summary" `Quick test_summary_renders;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
-          Alcotest.test_case "prometheus build info and drop alias" `Quick
+          Alcotest.test_case "prometheus build info and drop counter" `Quick
             test_prometheus_build_info;
           Alcotest.test_case "span summary is Trace.by_path" `Quick
             test_prometheus_span_summary;

@@ -6,6 +6,7 @@ module Pool = Msoc_util.Pool
 module Prng = Msoc_util.Prng
 module Obs = Msoc_obs.Obs
 module Trace = Msoc_obs.Trace
+module Json = Msoc_obs.Json
 module Monte_carlo = Msoc_stat.Monte_carlo
 module Spectrum = Msoc_dsp.Spectrum
 module Fir_netlist = Msoc_netlist.Fir_netlist
@@ -82,10 +83,12 @@ let test_grained_coverage () =
     pool_sizes
 
 let test_grained_hooks () =
-  (* the pool's hooks, as the telemetry layer installs them, account for
-     every scheduled item exactly once: the run's own trace holds one
-     [pool.chunk] span per chunk, the chunk-size histogram sums to n,
-     every steal precedes a chunk, and each slot marks its idle tail once *)
+  (* the pool's hooks, as the telemetry layer installs them, record each
+     chunk once: the run's own trace holds one [pool.chunk] span per
+     chunk naming its slot and the pool's size, the chunk-size histogram
+     sums to n, a stolen chunk names a victim other than its own slot and
+     is counted once in [pool.steals], and every slot of the pool is
+     listed *)
   Obs.enable ();
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) (fun () ->
@@ -110,23 +113,49 @@ let test_grained_hooks () =
           in
           let items =
             match List.find_opt (fun h -> String.equal h.Trace.hist "pool.chunk.items") trace.Trace.hists with
-            | Some h -> h.Trace.sum
-            | None -> 0.0
+            | Some h -> (h.Trace.hist_count, h.Trace.sum)
+            | None -> (0, 0.0)
           in
           let counter name = Option.value ~default:0.0 (List.assoc_opt name trace.Trace.counters) in
-          let marks kind =
-            List.length (List.filter (fun m -> String.equal m.Trace.mk_kind kind) trace.Trace.marks)
+          (* each chunk span's args, as the export writes them *)
+          let chunk_args =
+            String.split_on_char '\n' (Obs.jsonl ())
+            |> List.filter_map (fun line ->
+                   if line = "" then None
+                   else
+                     let j = Json.parse line in
+                     match (Json.string_exn "type" j, Json.member "args" j) with
+                     | "span", Some (Json.Object fields)
+                       when String.equal (Json.string_exn "name" j) "pool.chunk" ->
+                       Some
+                         (List.filter_map
+                            (function k, Json.String v -> Some (k, int_of_string v) | _ -> None)
+                            fields)
+                     | _ -> None)
           in
-          Alcotest.(check (float 0.0)) "chunk sizes cover n items" (float_of_int n) items;
-          Alcotest.(check (float 0.0)) "pool.items counts n" (float_of_int n) (counter "pool.items");
+          let stolen = List.filter (List.mem_assoc "victim") chunk_args in
+          Alcotest.(check (pair int (float 0.0))) "one chunk-size observation per span, n items"
+            (chunks, float_of_int n) items;
           Alcotest.(check bool) "at least one chunk per run" true (chunks >= 1);
-          Alcotest.(check (float 0.0)) "one pool.chunks count per span" (float_of_int chunks)
-            (counter "pool.chunks");
-          Alcotest.(check bool) "every steal precedes a chunk" true
-            (counter "pool.steals" <= float_of_int chunks);
-          Alcotest.(check int) "one steal mark per steal" (int_of_float (counter "pool.steals"))
-            (marks "steal");
-          Alcotest.(check int) "one idle mark per slot" 4 (marks "idle")))
+          Alcotest.(check bool) "every chunk names its slot and the pool's size" true
+            (List.length chunk_args = chunks
+            && List.for_all
+                 (fun args ->
+                   List.assoc_opt "size" args = Some 4
+                   && match List.assoc_opt "slot" args with Some s -> s >= 0 && s < 4 | None -> false)
+                 chunk_args);
+          Alcotest.(check bool) "no chunk is stolen from its own slot" true
+            (List.for_all
+               (fun args ->
+                 let victim = List.assoc "victim" args in
+                 victim <> List.assoc "slot" args && victim >= 0 && victim < 4)
+               stolen);
+          Alcotest.(check (float 0.0)) "stolen chunks equal pool.steals"
+            (float_of_int (List.length stolen)) (counter "pool.steals");
+          Alcotest.(check (list int)) "every slot of the pool listed" [ 0; 1; 2; 3 ]
+            (List.map (fun s -> s.Trace.slot) trace.Trace.slots);
+          Alcotest.(check int) "per-slot steals sum to the stolen chunks" (List.length stolen)
+            (List.fold_left (fun acc s -> acc + s.Trace.steals) 0 trace.Trace.slots)))
 
 let test_parallel_init () =
   let expected = Array.init 1000 (fun i -> (i * i) mod 97) in

@@ -25,8 +25,7 @@ let of_json text =
 let reference_report () =
   let b = Report.create ~git_rev:"deadbee" ~pool_size:4 ~mode:"full" () in
   Report.add_timing b ~section:"kernels" ~name:"fft-4096" ~mean_ns:123.456789012345678
-    ~stddev_ns:0.125 ~samples:321 ~minor_words:512.0 ~major_words:16.5
-    ~p50_ns:118.25 ~p99_ns:301.125 ();
+    ~stddev_ns:0.125 ~samples:321 ~minor_words:512.0 ~major_words:16.5 ();
   Report.add_timing b ~section:"kernels" ~name:"fault-sim" ~mean_ns:1e9 ~stddev_ns:2.5e7
     ~samples:12 ();
   (* names that exercise the string escaper *)
@@ -42,6 +41,7 @@ let reference_report () =
 
 let test_roundtrip () =
   let r = reference_report () in
+  Alcotest.(check int) "current schema is v5" 5 r.Report.meta.Report.version;
   (match of_json (Report.to_json r) with
   | Error e -> Alcotest.failf "read of to_json r failed: %s" e
   | Ok r' ->
@@ -127,8 +127,8 @@ let test_v1_document_parses () =
     | _ -> Alcotest.fail "expected one section with one timing")
 
 let test_v2_document_parses () =
-  (* a schema-v2 report (GC fields present, no latency percentiles) stays
-     accepted: p50/p99 default to 0.0 and the file's version is kept *)
+  (* a schema-v2 report (GC fields present) stays accepted and the file's
+     version is kept *)
   let v2 =
     Printf.sprintf
       {|{"schema_version":2,%s,"sections":[{"name":"kernels","timings":[{"name":"fft","mean_ns":10.5,"stddev_ns":1.25,"samples":9,"minor_words":64,"major_words":2,"major_collections":0.5}],"scalars":[],"comparisons":[]}]}|}
@@ -140,24 +140,7 @@ let test_v2_document_parses () =
     Alcotest.(check int) "file version preserved" 2 r.Report.meta.Report.version;
     (match r.Report.sections with
     | [ { Report.timings = [ t ]; _ } ] ->
-      Alcotest.(check (float 0.0)) "minor_words kept" 64.0 t.Report.minor_words;
-      Alcotest.(check (float 0.0)) "p50 defaults" 0.0 t.Report.p50_ns;
-      Alcotest.(check (float 0.0)) "p99 defaults" 0.0 t.Report.p99_ns
-    | _ -> Alcotest.fail "expected one section with one timing")
-
-let test_v3_percentiles_roundtrip () =
-  let b = Report.create ~git_rev:"r" ~pool_size:1 ~mode:"quick" () in
-  Report.add_timing b ~section:"serve" ~name:"serve-plan" ~mean_ns:2.5e6
-    ~stddev_ns:1e5 ~samples:40 ~p50_ns:2.25e6 ~p99_ns:9.75e6 ();
-  let r = Report.finalize b in
-  Alcotest.(check int) "current schema is v5" 5 r.Report.meta.Report.version;
-  match of_json (Report.to_json r) with
-  | Error e -> Alcotest.failf "percentile round trip failed: %s" e
-  | Ok r' ->
-    (match r'.Report.sections with
-    | [ { Report.timings = [ t ]; _ } ] ->
-      Alcotest.(check (float 0.0)) "p50 exact" 2.25e6 t.Report.p50_ns;
-      Alcotest.(check (float 0.0)) "p99 exact" 9.75e6 t.Report.p99_ns
+      Alcotest.(check (float 0.0)) "minor_words kept" 64.0 t.Report.minor_words
     | _ -> Alcotest.fail "expected one section with one timing")
 
 let test_v3_document_parses () =
@@ -184,12 +167,13 @@ let contains text needle =
   scan 0
 
 let test_v4_document_parses () =
-  (* a schema-v4 report still carries paper-vs-measured comparisons: they
-     are ignored, the bounded scalar beside them is kept, and writing the
-     report back drops them *)
+  (* a schema-v4 report (the committed baseline's) still carries
+     paper-vs-measured comparisons and latency percentiles: they are
+     ignored, the rows beside them are kept, and writing the report back
+     drops them *)
   let v4 =
     Printf.sprintf
-      {|{"schema_version":4,%s,"sections":[{"name":"soc","timings":[],"scalars":[{"name":"ratio","value":0.5,"unit":"ratio","bound_le":1}],"comparisons":[{"name":"coverage","paper":"89.6%%","measured":"80.9%%"}]}]}|}
+      {|{"schema_version":4,%s,"sections":[{"name":"soc","timings":[{"name":"fft","mean_ns":10.5,"stddev_ns":1.25,"samples":9,"minor_words":64,"major_words":2,"major_collections":0.5,"p50_ns":10,"p99_ns":12}],"scalars":[{"name":"ratio","value":0.5,"unit":"ratio","bound_le":1}],"comparisons":[{"name":"coverage","paper":"89.6%%","measured":"80.9%%"}]}]}|}
       minimal_meta
   in
   match of_json v4 with
@@ -197,12 +181,14 @@ let test_v4_document_parses () =
   | Ok r ->
     Alcotest.(check int) "file version preserved" 4 r.Report.meta.Report.version;
     (match r.Report.sections with
-    | [ { Report.scalars = [ s ]; _ } ] ->
+    | [ { Report.scalars = [ s ]; timings = [ t ]; _ } ] ->
       Alcotest.(check bool) "bounded scalar kept" true
-        (s.Report.value = 0.5 && s.Report.bound = Some (Report.Le 1.0))
-    | _ -> Alcotest.fail "expected one section with one scalar");
-    Alcotest.(check bool) "comparisons not written" false
-      (contains (Report.to_json r) {|"comparisons"|})
+        (s.Report.value = 0.5 && s.Report.bound = Some (Report.Le 1.0));
+      Alcotest.(check (float 0.0)) "timing kept" 10.5 t.Report.mean_ns
+    | _ -> Alcotest.fail "expected one section with one timing and one scalar");
+    let json = Report.to_json r in
+    Alcotest.(check bool) "comparisons not written" false (contains json {|"comparisons"|});
+    Alcotest.(check bool) "percentiles not written" false (contains json {|"p50_ns"|})
 
 let test_v4_bounds_roundtrip () =
   let r = reference_report () in
@@ -555,8 +541,6 @@ let () =
           Alcotest.test_case "parser escape handling" `Quick test_json_parser_escapes;
           Alcotest.test_case "schema v1 still parses" `Quick test_v1_document_parses;
           Alcotest.test_case "schema v2 still parses" `Quick test_v2_document_parses;
-          Alcotest.test_case "v3 percentiles round trip" `Quick
-            test_v3_percentiles_roundtrip;
           Alcotest.test_case "schema v3 still parses" `Quick test_v3_document_parses;
           Alcotest.test_case "schema v4 still parses" `Quick test_v4_document_parses;
           Alcotest.test_case "v4 scalar bounds round trip" `Quick

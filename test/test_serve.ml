@@ -721,6 +721,34 @@ let test_line_cap () =
   | Ok r -> check_contains r.Protocol.body [ "pong" ]
   | Error e -> Alcotest.failf "ping after the cap failed: %s" e
 
+let test_one_read_buffer () =
+  (* the acceptor reads into one buffer and a client connection keeps its
+     own, so a ping costs well under one 64 KiB buffer (8 K words, which
+     goes straight to the major heap) of major words.  The count is read
+     after [with_server] returns: the acceptor's domain has been joined,
+     so its words are in [Gc.quick_stat]; [Gc.minor] first samples every
+     running domain's *)
+  let pings = 200 in
+  let socket_path = temp_socket () in
+  let before = ref 0.0 in
+  with_server (Server.config ~executors:1 socket_path) (fun () ->
+      Client.with_connection ~socket_path @@ fun c ->
+      let ping () =
+        match Client.request c (Protocol.request Protocol.Ping) with
+        | Ok r -> check_contains r.Protocol.body [ "pong" ]
+        | Error e -> Alcotest.failf "ping failed: %s" e
+      in
+      ping ();
+      Gc.minor ();
+      before := (Gc.quick_stat ()).Gc.major_words;
+      for _ = 1 to pings do
+        ping ()
+      done);
+  let per_ping = ((Gc.quick_stat ()).Gc.major_words -. !before) /. float_of_int pings in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f major words per ping, under 1 K" per_ping)
+    true (per_ping < 1024.0)
+
 (* ---- montecarlo: daemon == CLI ---- *)
 
 let test_montecarlo_identity () =
@@ -837,7 +865,6 @@ let test_metrics_families () =
               "msoc_serve_queue_wait_ns";
               "msoc_serve_inflight";
               "msoc_serve_queue_capacity";
-              "msoc_obs_timeline_overwritten_total";
               "msoc_build_info" ];
           List.iter
             (fun req -> ignore (run req))
@@ -998,6 +1025,7 @@ let () =
           Alcotest.test_case "failed leader frees its key" `Quick test_failed_leader;
           Alcotest.test_case "request lines split across reads" `Quick test_split_lines;
           Alcotest.test_case "unterminated line past the cap" `Quick test_line_cap;
+          Alcotest.test_case "one read buffer per reader" `Quick test_one_read_buffer;
           Alcotest.test_case "montecarlo daemon matches CLI" `Quick
             test_montecarlo_identity;
           Alcotest.test_case "heavy-class admission cap" `Quick test_heavy_cap_admission;

@@ -30,17 +30,29 @@ let load_fixture () =
 
 (* ---- loading ---- *)
 
+(* (slot, chunks, steals) of each row of the per-slot fold *)
+let slot_rows t =
+  List.map (fun s -> (s.Trace.slot, s.Trace.chunks, s.Trace.steals)) t.Trace.slots
+
 let test_load_fixture () =
+  (* the fixture was saved with worker-timeline marks, a record type no
+     longer read: those lines are skipped and the rest loads *)
   let t = load_fixture () in
+  Alcotest.(check int) "timeline lines in the file" 9
+    (List.length
+       (List.filter
+          (fun line -> contains_sub line {|"type":"timeline"|})
+          (In_channel.with_open_bin fixture In_channel.input_lines)));
   Alcotest.(check int) "spans" 5 (List.length t.Trace.spans);
-  Alcotest.(check int) "timeline marks" 9 (List.length t.Trace.marks);
   Alcotest.(check int) "counters" 2 (List.length t.Trace.counters);
   let chunk_slots =
     List.filter_map
       (fun sp -> if String.equal sp.Trace.sp_name "pool.chunk" then sp.Trace.sp_slot else None)
       t.Trace.spans
   in
-  Alcotest.(check (list int)) "slot args parsed" [ 0; 0; 1 ] chunk_slots
+  Alcotest.(check (list int)) "slot args parsed" [ 0; 0; 1 ] chunk_slots;
+  Alcotest.(check (list (triple int int int))) "chunks and steals per slot, from the chunk args"
+    [ (0, 2, 0); (1, 1, 1) ] (slot_rows t)
 
 let test_load_errors () =
   (match Trace.load "golden/definitely_missing.jsonl" with
@@ -150,6 +162,39 @@ let test_utilization_steals () =
   | None -> Alcotest.fail "slot 1 occupancy row missing"
   | Some row -> check_contains row [ "2.000"; "28.6%"; "1"; "5.000" ]
 
+(* A slot whose share was all stolen ran no chunk, but the pool's size
+   names it: it keeps its row, busy 0 over the whole window. *)
+let test_utilization_idle_slot () =
+  let chunk ~track ~slot ?victim ts =
+    Printf.sprintf
+      {|{"type":"span","track":%d,"name":"pool.chunk","path":"pool.chunk","ts_ns":%d,"dur_ns":1000000,"args":{"slot":"%d","size":"3"%s}}|}
+      track ts slot
+      (match victim with Some v -> Printf.sprintf {|,"victim":"%d"|} v | None -> "")
+  in
+  let t =
+    match
+      Trace.parse
+        (String.concat "\n"
+           [ chunk ~track:0 ~slot:0 0;
+             chunk ~track:1 ~slot:1 ~victim:2 0;
+             chunk ~track:1 ~slot:1 ~victim:2 1_000_000 ])
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "trace does not parse: %s" e
+  in
+  Alcotest.(check (list (triple int int int))) "every slot of the pool"
+    [ (0, 1, 0); (1, 2, 2); (2, 0, 0) ] (slot_rows t);
+  let text = Trace.utilization ~width:4 t in
+  check_contains text [ "3 slot(s), wall 2.000 ms"; "slot 2 " ];
+  let row =
+    String.split_on_char '\n' text
+    |> List.map (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+    |> List.find_opt (fun cells -> match cells with "2" :: _ -> true | _ -> false)
+  in
+  Alcotest.(check (option (list string))) "the idle slot's row"
+    (Some [ "2"; "0"; "0.000"; "0.0%"; "0"; "2.000" ])
+    row
+
 (* ---- critical path ---- *)
 
 let test_critical_path () =
@@ -168,7 +213,7 @@ let test_folded_self_time () =
       sp_dur_ns = dur }
   in
   let folded spans =
-    Trace.to_folded { Trace.spans; marks = []; counters = []; hists = []; dropped = [] }
+    Trace.to_folded { Trace.spans; slots = []; counters = []; hists = []; dropped = [] }
   in
   (* self(a) = 10 - (4+2) - 3 = 1 ms; leaves keep their totals *)
   Alcotest.(check string) "self-time folding" "a 1000\na;b 6000\na;c 3000\nd 1000\n"
@@ -288,6 +333,7 @@ let () =
         [ Alcotest.test_case "summary" `Quick test_summary;
           Alcotest.test_case "utilization occupancy" `Quick test_utilization;
           Alcotest.test_case "utilization steals row" `Quick test_utilization_steals;
+          Alcotest.test_case "utilization lists an idle slot" `Quick test_utilization_idle_slot;
           Alcotest.test_case "critical path" `Quick test_critical_path ] );
       ( "flamegraph",
         [ Alcotest.test_case "to_folded folds self time" `Quick test_folded_self_time;

@@ -389,7 +389,26 @@ let kernels () =
        mc_arena_test; fsim_test; fsim_serial_test; fsim_pooled_test; fsim_drop_test;
        spectral_test; departs_test; path_test; measure_test; coverage_test; plan_test ]
     @ topology_plan_tests @ [ soc_schedule_test ]);
-  Texttable.print t
+  Texttable.print t;
+  (* The spectral judge's workload, read from one traced run of the
+     faultsim-spectral kernel: its judge spans, the golden stream's
+     included.  Each class of equivalent faults is judged once, on its
+     representative; judging every fault reads 5837.  The count does not
+     drift with the host, and a bound fails bench-diff at any
+     --tolerance, so losing the class map cannot pass unnoticed. *)
+  Obs.enable ();
+  Obs.reset ();
+  snd spectral_test ();
+  Obs.disable ();
+  let trace = Result.fold ~ok:Fun.id ~error:failwith (Trace.parse (Obs.jsonl ())) in
+  Obs.reset ();
+  let judged =
+    List.length
+      (List.filter (fun sp -> sp.Trace.sp_name = "digital_test.judge") trace.Trace.spans)
+  in
+  Format.printf "faultsim-spectral judged streams: %d@." judged;
+  Report.add_scalar report ~section:"kernels" ~name:"faultsim-spectral judged streams"
+    ~unit_label:"streams" ~bound:(Report.Le 4779.0) (float_of_int judged)
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock speedup of the pooled engines vs their serial paths.     *)

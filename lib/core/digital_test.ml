@@ -248,6 +248,10 @@ let spectral_coverage ?pool config fir ~sample_rate ~input_codes ~reference_code
       undetected_dev := dev :: !undetected_dev
   done;
   let detected = !detected in
+  (* [on_fault] ran once per class of equivalent faults; the heartbeat
+     ends crediting every member *)
+  Progress.set prog_judged (float_of_int (Array.length faults));
+  Progress.set prog_hits (float_of_int detected);
   { total = Array.length faults;
     detected;
     coverage = float_of_int detected /. float_of_int (max 1 (Array.length faults));

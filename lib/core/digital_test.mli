@@ -109,13 +109,20 @@ val spectral_coverage :
     stays bounded by one stream per worker.  The judge is prepared
     once per run ({!Spectrum.mask}), its spectral test of a stream
     ({!Spectrum.departs}) allocates nothing, and every stream equal to the
-    fault-free one shares a single verdict.  With [pool], simulation and judging run across domains; the
-    detection record is identical for every pool size.
+    fault-free one shares a single verdict.  Each class of equivalent
+    faults ({!Fault.classes}) is simulated and judged once, and its other
+    members take the verdict.  With [pool], simulation and judging run
+    across domains; the detection record is identical for every pool
+    size.
 
     Telemetry: one ["digital_test.judge"] span per judged stream (the
-    fault-free stream's included) and a ["digital_test.shared_verdicts"]
-    count of the streams that reused its verdict, so the two sum to the
-    fault count plus one. *)
+    fault-free stream's included), a ["digital_test.shared_verdicts"]
+    count of the streams that reused its verdict, and
+    {!Fault_sim.observe}'s ["fault_sim.equivalent"] count of the class
+    members that took their representative's verdict, so the three sum
+    to the fault count plus one.  The ["coverage.judged"] and
+    ["coverage.detected"] heartbeat cells count one per judged class
+    while the run goes, and end at the fault count and [detected]. *)
 
 val false_alarm :
   config ->

@@ -364,14 +364,21 @@ let fault_stream r sc =
    share a slot, few enough to balance uneven cones. *)
 let grain = 8
 
-(* Run [item sc fi] for every fault whose node reaches the output, on the
-   pool with one scratch per worker slot; returns the indices of the
-   others, ascending.  Results land by fault index. *)
-let run_faults ?(pool = Pool.serial) r ~faults ~stream item =
-  let eligible = ref [] and blind = ref [] in
+(* The one fault loop under every driver.  Faults of one equivalence
+   class ({!Fault.classes}) give the same output stream, so only each
+   class's first member, its representative, is looked at: [item sc fi]
+   runs on the pool, with one scratch per worker slot, for every
+   representative whose node reaches the output; then, on the calling
+   domain, [blind fi] for every other representative, ascending, and
+   [share fi rep] for every other member of a class.  Results land by
+   fault index. *)
+let run_faults ?(pool = Pool.serial) circuit r ~faults ~stream ~blind ~share item =
+  let rep = Fault.classes circuit ~output:r.bus faults in
+  let eligible = ref [] and unseen = ref [] in
   for fi = Array.length faults - 1 downto 0 do
-    if r.obsv.(faults.(fi).Fault.node) then eligible := fi :: !eligible
-    else blind := fi :: !blind
+    if rep.(fi) = fi then
+      if r.obsv.(faults.(fi).Fault.node) then eligible := fi :: !eligible
+      else unseen := fi :: !unseen
   done;
   let eligible = Array.of_list !eligible in
   let n = Array.length eligible in
@@ -387,7 +394,16 @@ let run_faults ?(pool = Pool.serial) r ~faults ~stream item =
   in
   let sc = Pool.per_slot pool make in
   Pool.parallel_iter_grained pool ~n ~grain ~f:(fun ~slot ~lo ~hi -> run (sc slot) lo hi) ();
-  !blind
+  List.iter blind !unseen;
+  let members = ref 0 in
+  Array.iteri
+    (fun fi k ->
+      if k <> fi then begin
+        share fi k;
+        incr members
+      end)
+    rep;
+  if !members > 0 then Obs.count ~by:!members "fault_sim.equivalent"
 
 let observe ?pool circuit ~output ~drive ~samples ~faults ~on_fault =
   let nf = Array.length faults in
@@ -396,11 +412,10 @@ let observe ?pool circuit ~output ~drive ~samples ~faults ~on_fault =
   Obs.span "fault_sim.run" @@ fun () ->
   let r = prepare circuit ~output ~drive ~samples in
   let results = Array.make nf None in
-  let blind =
-    run_faults ?pool r ~faults ~stream:r.samples (fun sc fi ->
-        results.(fi) <- Some (on_fault fi faults.(fi) (fault_stream r sc)))
-  in
-  List.iter (fun fi -> results.(fi) <- Some (on_fault fi faults.(fi) r.good)) blind;
+  run_faults ?pool circuit r ~faults ~stream:r.samples
+    ~blind:(fun fi -> results.(fi) <- Some (on_fault fi faults.(fi) r.good))
+    ~share:(fun fi k -> results.(fi) <- results.(k))
+    (fun sc fi -> results.(fi) <- Some (on_fault fi faults.(fi) (fault_stream r sc)));
   (r.good, Array.map Option.get results)
 
 let detect_cycles ?pool circuit ~output ~drive ~samples ~faults =
@@ -409,9 +424,9 @@ let detect_cycles ?pool circuit ~output ~drive ~samples ~faults =
   Obs.span "fault_sim.detect" @@ fun () ->
   let r = prepare circuit ~output ~drive ~samples in
   let first = Array.make (Array.length faults) (-1) in
-  let (_ : int list) =
-    run_faults ?pool r ~faults ~stream:0 (fun sc fi -> first.(fi) <- first_difference r sc)
-  in
+  run_faults ?pool circuit r ~faults ~stream:0 ~blind:ignore
+    ~share:(fun fi k -> first.(fi) <- first.(k))
+    (fun sc fi -> first.(fi) <- first_difference r sc);
   let dropped =
     Array.fold_left (fun acc c -> if c >= 0 && c / bits < r.nw - 1 then acc + 1 else acc) 0 first
   in

@@ -10,6 +10,12 @@
     table and forcing the fault site to the stuck value.  Faults whose node
     cannot reach [output] are never simulated.
 
+    Faults that {!Fault.classes} proves equivalent give the same output
+    stream, so each driver simulates one fault per class, its {e
+    representative} (the class's first member in [faults]), and hands
+    every other member the representative's result.  The fault list, its
+    order and the result array stay those of [faults].
+
     {2 Contract}
 
     - [drive sim cycle] must set all inputs for the given cycle (typically
@@ -23,7 +29,10 @@
     - [output] names the observed bus; an unknown name raises [Not_found].
     - Every driver publishes the ["fault_sim.faults_done"] /
       ["fault_sim.faults_total"] progress cells, counting simulated
-      faults. *)
+      faults: representatives whose node reaches [output].
+    - Every driver counts ["fault_sim.faults"] (every fault) and
+      ["fault_sim.equivalent"] (the members answered by their class's
+      representative, when there are any). *)
 
 val observe :
   ?pool:Msoc_util.Pool.t ->
@@ -35,15 +44,18 @@ val observe :
   on_fault:(int -> Fault.t -> int array -> 'a) ->
   int array * 'a array
 (** Full-stream observer.  Simulates [samples] cycles and calls
-    [on_fault index fault stream] exactly once per fault with the fault's
-    output stream (one two's-complement bus value per cycle).  Returns the
-    fault-free stream and the callback results in fault order.
+    [on_fault index fault stream] exactly once per class of equivalent
+    faults, with the representative's index and fault and its output
+    stream (one two's-complement bus value per cycle); never for another
+    member.  Returns the fault-free stream and the results in fault
+    order, each member's slot holding its representative's result (the
+    same value).
 
     A stream is rebuilt from the good stream plus the fault's cone-output
-    words, so it is bit-identical to a dedicated single-fault simulation.
-    A fault outside the output's observable set is never simulated: its
-    callback gets the good stream itself, on the calling domain, after the
-    simulated faults.
+    words, so it is bit-identical to a dedicated single-fault simulation,
+    and to every other member's.  A representative outside the output's
+    observable set is never simulated: its callback gets the good stream
+    itself, on the calling domain, after the simulated faults.
 
     - [stream] is valid only during the callback and must not be mutated:
       it is a per-worker buffer reused by the next fault (or the good
@@ -54,7 +66,8 @@ val observe :
       safe to call concurrently.
 
     Exposed telemetry: the ["fault_sim.run"] span and the
-    ["fault_sim.runs"] and ["fault_sim.faults"] counters. *)
+    ["fault_sim.runs"], ["fault_sim.faults"] and ["fault_sim.equivalent"]
+    counters. *)
 
 val detect_exact :
   ?pool:Msoc_util.Pool.t ->
@@ -70,12 +83,14 @@ val detect_exact :
     Unlike {!observe}, detection does not simulate a fault to the end: its
     simulation stops at the first word whose output differs (fault
     dropping).  Each flag is a pure predicate of (circuit, drive, samples,
-    fault), so the flags are bit-identical for every pool size.
+    fault), so the flags are bit-identical for every pool size; a member
+    of a class gets its representative's flag.
 
     Exposed telemetry: the ["fault_sim.detect"] span, the
-    ["fault_sim.detects"] and ["fault_sim.faults"] counters, and
-    ["fault_sim.dropped"], which counts faults whose detection stopped
-    their simulation before the last word. *)
+    ["fault_sim.detects"], ["fault_sim.faults"] and
+    ["fault_sim.equivalent"] counters, and ["fault_sim.dropped"], which
+    counts faults (members included) first detected before the last
+    word, where their class's simulation stopped. *)
 
 val detect_cycles :
   ?pool:Msoc_util.Pool.t ->
@@ -88,4 +103,5 @@ val detect_cycles :
 (** Like {!detect_exact} but returns, per fault, the first cycle whose
     output differs from the fault-free machine, or [-1] if undetected —
     the graded detection prefix that lets ATPG truncate a sweep to its
-    last useful pattern. *)
+    last useful pattern.  A member of a class gets its representative's
+    cycle. *)

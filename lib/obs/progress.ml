@@ -67,6 +67,10 @@ let pp_duration s =
 (* Ticker                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The ticker's longest sleep: it checks its stop flag at least this
+   often, so [with_ticker] returns within one slice of [f]. *)
+let slice_s = 0.05
+
 (* Run [f] with the heartbeat enabled: a dedicated domain wakes every
    [interval_s], calls [render ~elapsed_s] and writes the line to stderr
    — in place (carriage return) on a tty, as plain lines (at a gentler
@@ -87,9 +91,14 @@ let with_ticker ?(interval_s = 0.2) ~render f =
   in
   let ticker =
     Domain.spawn (fun () ->
+        let due = ref (t0 +. interval_s) in
         while not (Atomic.get stop) do
-          Unix.sleepf interval_s;
-          if not (Atomic.get stop) then emit ()
+          let now = Unix.gettimeofday () in
+          if now < !due then Unix.sleepf (Float.min slice_s (!due -. now))
+          else begin
+            emit ();
+            due := now +. interval_s
+          end
         done)
   in
   Fun.protect

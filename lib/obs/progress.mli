@@ -35,4 +35,6 @@ val with_ticker :
     a dedicated domain calls [render] every [interval_s] (default 0.2 s)
     and writes the line to stderr — in place on a tty, as plain lines at
     a gentler cadence otherwise — then renders the final state and
-    disables the heartbeat (also on exception). *)
+    disables the heartbeat (also on exception).  The ticker sleeps in
+    slices of at most 50 ms, so the call returns within one slice of
+    [f] whatever the cadence. *)

@@ -551,6 +551,16 @@ let test_faultsim_telemetry_determinism () =
       Alcotest.(check (array bool)) (Printf.sprintf "telemetry on, size %d" size) reference on)
     sizes
 
+(* The ticker checks its stop flag between short sleeps, so the heartbeat
+   ends with its work.  Under dune stderr is not a tty, where the render
+   cadence is 2 s: a ticker that slept a whole interval before looking at
+   the flag held an empty body for 2 s. *)
+let test_ticker_returns_with_work () =
+  let t0 = Unix.gettimeofday () in
+  Msoc_obs.Progress.with_ticker ~render:(fun ~elapsed_s:_ -> "") ignore;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed >= 0.5 then Alcotest.failf "with_ticker returned after %.3f s" elapsed
+
 (* ---- generations: reset_domain and generation-scoped exports ---- *)
 
 let await flag =
@@ -707,7 +717,9 @@ let () =
           Alcotest.test_case "telemetry does not perturb results" `Quick
             test_monte_carlo_identical_with_telemetry;
           Alcotest.test_case "spans and heartbeats keep detection" `Quick
-            test_faultsim_telemetry_determinism ] );
+            test_faultsim_telemetry_determinism;
+          Alcotest.test_case "ticker returns with its work" `Quick
+            test_ticker_returns_with_work ] );
       ( "disabled",
         [ Alcotest.test_case "probes are no-ops" `Quick test_disabled_noop ] );
       ( "scope",

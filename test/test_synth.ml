@@ -800,10 +800,12 @@ let test_false_alarm () =
         (alarm with_spur))
     [ 512; 301 ]
 
-(* Each judged stream runs in one [digital_test.judge] span, and a stream
-   equal to the good one reuses the good stream's verdict, judged once:
-   judge spans + shared verdicts = faults + 1, and no fault stream is
-   analysed into a spectrum. *)
+(* Each judged stream runs in one [digital_test.judge] span, a stream
+   equal to the good one reuses the good stream's verdict, judged once,
+   and every other member of a class of equivalent faults takes its
+   representative's verdict: judge spans + shared verdicts + equivalent
+   faults = faults + 1, and no fault stream is analysed into a
+   spectrum. *)
 let test_judge_attribution () =
   Obs.enable ();
   Obs.reset ();
@@ -822,11 +824,49 @@ let test_judge_attribution () =
           (List.filter (fun sp -> sp.Trace.sp_name = "digital_test.judge") trace.Trace.spans)
       in
       let shared = counter "digital_test.shared_verdicts" in
-      Alcotest.(check int) "judged + shared = faults + 1" (det.Digital_test.total + 1)
-        (judged + shared);
+      let equivalent = counter "fault_sim.equivalent" in
+      Alcotest.(check int) "judged + shared + equivalent = faults + 1"
+        (det.Digital_test.total + 1)
+        (judged + shared + equivalent);
       Alcotest.(check bool) "some verdicts shared" true (shared > 0);
+      Alcotest.(check bool) "some faults answered by their class" true (equivalent > 0);
       Alcotest.(check int) "only the golden capture is analysed" 1
         (counter "spectrum.captures"))
+
+(* A class of equivalent faults is judged once, but the heartbeat's last
+   reading credits every member: it counts every fault and every
+   detection. *)
+let test_heartbeat_counts_members () =
+  let cell name = Msoc_obs.Progress.value (Msoc_obs.Progress.cell name) in
+  let det =
+    Msoc_obs.Progress.with_ticker ~render:(fun ~elapsed_s:_ -> "") (fun () ->
+        let det, _, _, _ = run_small_coverage ~tones:2 ~samples:256 in
+        det)
+  in
+  let total = float_of_int det.Digital_test.total in
+  Alcotest.(check (float 0.0)) "judged_total" total (cell "coverage.judged_total");
+  Alcotest.(check (float 0.0)) "judged" total (cell "coverage.judged");
+  Alcotest.(check (float 0.0)) "detected" (float_of_int det.Digital_test.detected)
+    (cell "coverage.detected")
+
+(* Gate-input equivalence on the paper's filters: the class count over
+   the collapsed faults the verb reports. *)
+let test_fir_fault_classes () =
+  List.iter
+    (fun (taps, input_bits, faults, classes) ->
+      let fir =
+        Digital_test.build { Digital_test.default_config with Digital_test.taps; input_bits }
+      in
+      let collapsed = Digital_test.collapsed_faults fir in
+      let rep =
+        Msoc_netlist.Fault.classes fir.Msoc_netlist.Fir_netlist.circuit
+          ~output:(Msoc_netlist.Fir_netlist.output_bus fir) collapsed
+      in
+      let label = Printf.sprintf "%d taps, %d-bit input" taps input_bits in
+      Alcotest.(check int) (label ^ ": faults") faults (Array.length collapsed);
+      Alcotest.(check int) (label ^ ": classes") classes
+        (Array.fold_left ( + ) 0 (Array.mapi (fun i k -> if k = i then 1 else 0) rep)))
+    [ (13, 12, 6448, 5278); (9, 10, 3858, 3158) ]
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -895,4 +935,8 @@ let () =
           Alcotest.test_case "second pass monotone" `Quick test_second_pass_increases_coverage;
           Alcotest.test_case "noise lowers coverage" `Quick test_noisy_input_lowers_coverage;
           Alcotest.test_case "false alarm" `Quick test_false_alarm;
-          Alcotest.test_case "judge attribution" `Quick test_judge_attribution ] ) ]
+          Alcotest.test_case "judge attribution" `Quick test_judge_attribution;
+          Alcotest.test_case "heartbeat counts class members" `Quick
+            test_heartbeat_counts_members;
+          Alcotest.test_case "fault classes on the paper's filters" `Quick
+            test_fir_fault_classes ] ) ]

@@ -390,12 +390,15 @@ let kernels () =
        spectral_test; departs_test; path_test; measure_test; coverage_test; plan_test ]
     @ topology_plan_tests @ [ soc_schedule_test ]);
   Texttable.print t;
-  (* The spectral judge's workload, read from one traced run of the
-     faultsim-spectral kernel: its judge spans, the golden stream's
-     included.  Each class of equivalent faults is judged once, on its
-     representative; judging every fault reads 5837.  The count does not
-     drift with the host, and a bound fails bench-diff at any
-     --tolerance, so losing the class map cannot pass unnoticed. *)
+  (* The faultsim-spectral kernel's work, read from one traced run: the
+     judge spans, the golden stream's included, and the fault
+     simulator's instructions (program length times words evaluated,
+     summed over the simulated faults).  Each class of equivalent faults
+     is judged once, on its representative; judging every fault reads
+     5837.  Each full adder runs as one instruction; gate by gate reads
+     about 3x the instructions.  The counts do not drift with the host,
+     and a bound fails bench-diff at any --tolerance, so losing the class
+     map or the fused adders cannot pass unnoticed. *)
   Obs.enable ();
   Obs.reset ();
   snd spectral_test ();
@@ -408,7 +411,13 @@ let kernels () =
   in
   Format.printf "faultsim-spectral judged streams: %d@." judged;
   Report.add_scalar report ~section:"kernels" ~name:"faultsim-spectral judged streams"
-    ~unit_label:"streams" ~bound:(Report.Le 4779.0) (float_of_int judged)
+    ~unit_label:"streams" ~bound:(Report.Le 4779.0) (float_of_int judged);
+  let instructions =
+    Option.value ~default:0.0 (List.assoc_opt "fault_sim.instructions" trace.Trace.counters)
+  in
+  Format.printf "faultsim-spectral instructions: %.0f@." instructions;
+  Report.add_scalar report ~section:"kernels" ~name:"faultsim-spectral instructions"
+    ~unit_label:"instructions" ~bound:(Report.Le 27441579.0) instructions
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock speedup of the pooled engines vs their serial paths.     *)

@@ -14,24 +14,30 @@ let prog_total = Progress.cell "fault_sim.faults_total"
    the node (see {!Netlist}), so a node's whole stream is a function of
    its fanins' streams.  Streams are bit-sliced by time: bit [c] of word
    [w] is cycle [bits * w + c].  One evaluator runs a program over one
-   word: a gate applies its opcode, and a DFF shifts its D word up by one
+   word: a gate applies its opcode, a DFF shifts its D word up by one
    cycle, carrying D's top bit into its next word (bit 0 of word 0 is the
-   reset state).
+   reset state), and a full adder writes its sum and carry words.
 
    - The fault-free machine is the program of every node, in id order;
      each word it computes is stored in the good table.
-   - A fault's program is its node's observable forward cone in
-     topological order: the site as a constant word, the cone's gates and
-     DFFs, and a load from the good table for every fanin outside the
-     cone, which provably carries its fault-free value.
+   - A fault's program is its node's observable forward cone in id order:
+     the site as a constant word, the cone's gates, DFFs and full adders,
+     and a load from the good table for every fanin outside the cone,
+     which provably carries its fault-free value.
 
    Each fault is simulated alone, so its result is a pure function of
    (circuit, drive, samples, fault) whichever worker runs it. *)
 
 let bits = Sys.int_size (* cycles per word: every bit of a native int *)
 
-(* Opcodes: the eight gates, then the DFF shift. *)
+(* Opcodes: the eight gates in [Netlist.kind] order (the six two-input
+   ones first), the DFF shift, then the full adder. *)
+let op_and = 0
+let op_or = 1
+let op_xor = 4
+let op_not = 6
 let op_dff = 8
+let op_adder = 9
 
 (* One instruction per node: its opcode and operands ([b] is a DFF's carry
    slot); a source node (input or constant) has no instruction, its word
@@ -48,13 +54,13 @@ let code circuit =
     b.(x) <- (if f1 >= 0 then f1 else f0);
     match Netlist.kind circuit x with
     | Netlist.Input | Netlist.Const0 | Netlist.Const1 -> ()
-    | Netlist.And2 -> op.(x) <- 0
-    | Netlist.Or2 -> op.(x) <- 1
+    | Netlist.And2 -> op.(x) <- op_and
+    | Netlist.Or2 -> op.(x) <- op_or
     | Netlist.Nand2 -> op.(x) <- 2
     | Netlist.Nor2 -> op.(x) <- 3
-    | Netlist.Xor2 -> op.(x) <- 4
+    | Netlist.Xor2 -> op.(x) <- op_xor
     | Netlist.Xnor2 -> op.(x) <- 5
-    | Netlist.Not -> op.(x) <- 6
+    | Netlist.Not -> op.(x) <- op_not
     | Netlist.Buf -> op.(x) <- 7
     | Netlist.Dff ->
       op.(x) <- op_dff;
@@ -63,63 +69,67 @@ let code circuit =
   done;
   { op; a; b; dffs = !dffs }
 
-(* Fanout edges, a DFF's D->Q edge included: node [x] feeds
-   [adj.(off.(x)) .. adj.(off.(x + 1) - 1)]. *)
-type fanout = { off : int array; adj : int array }
-
-let fanout (code : code) =
+(* Full adders in [Arith.full_adder]'s shape: five consecutive nodes
+   [x = a xor b], [x+1 = x xor c], [x+2 = a and b], [x+3 = x and c] and
+   [x+4 = (x+2) or (x+3)].  One runs as a single instruction from [a b c]
+   to its sum [x+1] and carry [x+4] when its internal nodes [x], [x+2]
+   and [x+3] are private (read only inside the adder, fanouts 2, 1 and 1,
+   so [c] is not [x] either; and no bit of the observed bus) and it is
+   observable.  The result marks each such [x]; the shape is read from
+   the code arrays, since a [Netlist] accessor costs a call per node. *)
+let adders (code : code) ~bus ~obsv =
   let n = Array.length code.op in
-  let off = Array.make (n + 1) 0 in
-  let each f =
-    for x = 0 to n - 1 do
-      let op = code.op.(x) in
-      if op >= 0 then begin
-        f code.a.(x) x;
-        if op < op_dff && code.b.(x) <> code.a.(x) then f code.b.(x) x
-      end
-    done
-  in
-  each (fun src _ -> off.(src + 1) <- off.(src + 1) + 1);
+  let op = code.op and fa = code.a and fb = code.b in
+  (* fanout edges as [Netlist.fanout_count] counts them; a bus bit's count
+     is one no internal node may have *)
+  let fanout = Array.make n 0 in
   for x = 0 to n - 1 do
-    off.(x + 1) <- off.(x + 1) + off.(x)
+    if op.(x) >= 0 then begin
+      fanout.(fa.(x)) <- fanout.(fa.(x)) + 1;
+      if op.(x) < op_not then fanout.(fb.(x)) <- fanout.(fb.(x)) + 1
+    end
   done;
-  let adj = Array.make off.(n) 0 and fill = Array.sub off 0 n in
-  each (fun src x ->
-      adj.(fill.(src)) <- x;
-      fill.(src) <- fill.(src) + 1);
-  { off; adj }
+  Array.iter (fun x -> fanout.(x) <- -1) bus;
+  Array.init n (fun x ->
+      x + 4 < n
+      && op.(x) = op_xor && op.(x + 1) = op_xor && op.(x + 2) = op_and
+      && op.(x + 3) = op_and && op.(x + 4) = op_or
+      && fa.(x + 1) = x
+      && fa.(x + 2) = fa.(x) && fb.(x + 2) = fb.(x)
+      && fa.(x + 3) = x && fb.(x + 3) = fb.(x + 1)
+      && fa.(x + 4) = x + 2 && fb.(x + 4) = x + 3
+      && fanout.(x) = 2 && fanout.(x + 2) = 1 && fanout.(x + 3) = 1
+      && obsv.(x))
 
 (* Per-worker scratch: a program, the current word of every node, and the
-   traversal state of the cone compiler.  A program has at most one
-   instruction or load per node, so every buffer has one slot per node. *)
+   cone marks of the compiler.  A program has at most one instruction or
+   load per node, so every buffer has one slot per node. *)
 type scratch = {
   loads : int array; (* nodes whose word is read from the good table *)
   mutable nloads : int;
   mutable site : int; (* the node forced to [forced], or -1 *)
   mutable forced : int;
   op : int array;
-  dst : int array;
+  dst : int array; (* a full adder's sum; its carry is three nodes on *)
   a : int array;
   b : int array;
+  c : int array; (* a full adder's carry-in *)
   mutable len : int;
   outs : int array; (* output-bus positions driven by a cone node *)
   mutable nouts : int;
+  mutable words : int; (* words evaluated since the fault was loaded *)
   values : int array;
   carry : int array; (* per DFF slot: D's top bit of the previous word *)
   stamp : int array; (* 2 gen: cone member; 2 gen + 1: loaded *)
   mutable gen : int;
-  stack : int array;
-  pos : int array;
-  order : int array; (* DFS post-order of the cone *)
   stream : int array; (* the observed stream of the current fault *)
 }
 
 let scratch n ~width ~stream =
   let mk () = Array.make n 0 in
   { loads = mk (); nloads = 0; site = -1; forced = 0; op = mk (); dst = mk (); a = mk ();
-    b = mk (); len = 0; outs = Array.make width 0; nouts = 0; values = mk (); carry = mk ();
-    stamp = mk (); gen = 0; stack = mk (); pos = mk (); order = mk ();
-    stream = Array.make stream 0 }
+    b = mk (); c = mk (); len = 0; outs = Array.make width 0; nouts = 0; words = 0;
+    values = mk (); carry = mk (); stamp = mk (); gen = 0; stream = Array.make stream 0 }
 
 let load sc x =
   sc.loads.(sc.nloads) <- x;
@@ -133,63 +143,14 @@ let push sc (code : code) x =
   sc.b.(i) <- code.b.(x);
   sc.len <- i + 1
 
-(* Compile the observable forward cone of [site] (an observable node): an
-   iterative DFS over the fanout edges whose reversed post-order is a
-   topological order of the cone, O(cone). *)
-let compile sc (code : code) ~succ ~obsv ~bus site =
-  sc.gen <- sc.gen + 1;
-  let member = 2 * sc.gen in
-  let stamp = sc.stamp and stack = sc.stack and pos = sc.pos and order = sc.order in
-  let off = succ.off and adj = succ.adj in
-  stamp.(site) <- member;
-  stack.(0) <- site;
-  pos.(0) <- off.(site);
-  let sp = ref 1 and count = ref 0 in
-  while !sp > 0 do
-    let top = !sp - 1 in
-    let u = stack.(top) and k = pos.(top) in
-    if k < off.(u + 1) then begin
-      pos.(top) <- k + 1;
-      let v = adj.(k) in
-      if obsv.(v) && stamp.(v) <> member then begin
-        stamp.(v) <- member;
-        stack.(!sp) <- v;
-        pos.(!sp) <- off.(v);
-        incr sp
-      end
-    end
-    else begin
-      decr sp;
-      order.(!count) <- u;
-      incr count
-    end
-  done;
-  sc.site <- site;
-  sc.nloads <- 0;
-  sc.len <- 0;
-  (* the root finishes last: skip it, it is the forced site *)
-  for i = !count - 2 downto 0 do
-    let x = order.(i) in
-    (* a fanin outside the cone carries its fault-free word *)
-    let a = code.a.(x) in
-    if stamp.(a) < member then begin
-      stamp.(a) <- member + 1;
-      load sc a
-    end;
-    let b = code.b.(x) in
-    if code.op.(x) < op_dff && stamp.(b) < member then begin
-      stamp.(b) <- member + 1;
-      load sc b
-    end;
-    push sc code x
-  done;
-  sc.nouts <- 0;
-  for k = 0 to Array.length bus - 1 do
-    if stamp.(bus.(k)) = member then begin
-      sc.outs.(sc.nouts) <- k;
-      sc.nouts <- sc.nouts + 1
-    end
-  done
+let push_adder sc ~sum a b c =
+  let i = sc.len in
+  sc.op.(i) <- op_adder;
+  sc.dst.(i) <- sum;
+  sc.a.(i) <- a;
+  sc.b.(i) <- b;
+  sc.c.(i) <- c;
+  sc.len <- i + 1
 
 (* The evaluator: the program over word [w], leaving every node's word in
    [values]. *)
@@ -201,7 +162,7 @@ let eval_word sc ~table ~nw ~w =
     Array.unsafe_set values x (Array.unsafe_get table ((x * nw) + w))
   done;
   if sc.site >= 0 then values.(sc.site) <- sc.forced;
-  let op = sc.op and dst = sc.dst and pa = sc.a and pb = sc.b in
+  let op = sc.op and dst = sc.dst and pa = sc.a and pb = sc.b and pc = sc.c in
   for i = 0 to sc.len - 1 do
     let a = Array.unsafe_get values (Array.unsafe_get pa i) in
     let v =
@@ -214,14 +175,21 @@ let eval_word sc ~table ~nw ~w =
       | 5 -> lnot (a lxor Array.unsafe_get values (Array.unsafe_get pb i))
       | 6 -> lnot a
       | 7 -> a
-      | _ ->
+      | 8 ->
         let slot = Array.unsafe_get pb i in
         let q = (a lsl 1) lor Array.unsafe_get carry slot in
         Array.unsafe_set carry slot ((a lsr (bits - 1)) land 1);
         q
+      | _ ->
+        let b = Array.unsafe_get values (Array.unsafe_get pb i) in
+        let c = Array.unsafe_get values (Array.unsafe_get pc i) in
+        let t = a lxor b in
+        Array.unsafe_set values (Array.unsafe_get dst i + 3) ((a land b) lor (t land c));
+        t lxor c
     in
     Array.unsafe_set values (Array.unsafe_get dst i) v
-  done
+  done;
+  sc.words <- sc.words + 1
 
 (* Valid cycles of word [w]: every bit but past the last sample. *)
 let valid ~samples w =
@@ -258,12 +226,13 @@ let flip_cycles stream ~w ~flip d =
 type run = {
   code : code;
   bus : Netlist.node array;
+  last : int; (* the last bus node: no later node is observable *)
   samples : int;
   nw : int;
   table : int array;
   good : int array;
-  succ : fanout;
   obsv : bool array;
+  heads : bool array; (* each full adder that runs as one instruction *)
 }
 
 let prepare circuit ~output ~drive ~samples =
@@ -312,16 +281,77 @@ let prepare circuit ~output ~drive ~samples =
           (table.((x * nw) + w) land valid ~samples w)
       done)
     bus;
-  { code; bus; samples; nw; table; good; succ = fanout code;
-    obsv = Cone.observable circuit ~output:bus }
+  let obsv = Cone.observable circuit ~output:bus in
+  let heads = adders code ~bus ~obsv in
+  let fused = Array.fold_left (fun k h -> if h then k + 1 else k) 0 heads in
+  if fused > 0 then Obs.count ~by:fused "fault_sim.full_adders";
+  { code; bus; last = Array.fold_left max (-1) bus; samples; nw; table; good; obsv; heads }
+
+(* Compile the observable forward cone of [site] (an observable node) in
+   one sweep in id order, which places every instruction after its
+   operands: a node joins the cone when it is observable and reads a cone
+   member.  A full adder that a cone member reaches joins as one
+   instruction; one holding the site never does, since the sweep starts
+   past the site, inside it, and meets its later gates one by one. *)
+let compile sc r site =
+  sc.gen <- sc.gen + 1;
+  let member = 2 * sc.gen in
+  let stamp = sc.stamp and obsv = r.obsv and heads = r.heads in
+  let op = r.code.op and fa = r.code.a and fb = r.code.b in
+  (* a fanin outside the cone carries its fault-free word *)
+  let read x =
+    if stamp.(x) < member then begin
+      stamp.(x) <- member + 1;
+      load sc x
+    end
+  in
+  stamp.(site) <- member;
+  sc.site <- site;
+  sc.nloads <- 0;
+  sc.len <- 0;
+  let x = ref (site + 1) in
+  while !x <= r.last do
+    let y = !x in
+    if heads.(y) then begin
+      let a = fa.(y) and b = fb.(y) and c = fb.(y + 1) in
+      if stamp.(a) = member || stamp.(b) = member || stamp.(c) = member then begin
+        read a;
+        read b;
+        read c;
+        push_adder sc ~sum:(y + 1) a b c;
+        stamp.(y + 1) <- member;
+        stamp.(y + 4) <- member
+      end;
+      x := y + 5
+    end
+    else begin
+      let o = op.(y) in
+      if o >= 0 && obsv.(y)
+         && (stamp.(fa.(y)) = member || (o < op_dff && stamp.(fb.(y)) = member))
+      then begin
+        read fa.(y);
+        if o < op_dff then read fb.(y);
+        push sc r.code y;
+        stamp.(y) <- member
+      end;
+      x := y + 1
+    end
+  done;
+  sc.nouts <- 0;
+  for k = 0 to Array.length r.bus - 1 do
+    if stamp.(r.bus.(k)) = member then begin
+      sc.outs.(sc.nouts) <- k;
+      sc.nouts <- sc.nouts + 1
+    end
+  done
 
 (* Point the slot's program at [fault]: compile its node's cone unless the
    previous fault sat on the same node (collapsed lists keep a node's two
    polarities adjacent), then force the site. *)
 let load_fault r sc (fault : Fault.t) =
-  if sc.site <> fault.Fault.node then
-    compile sc r.code ~succ:r.succ ~obsv:r.obsv ~bus:r.bus fault.Fault.node;
+  if sc.site <> fault.Fault.node then compile sc r fault.Fault.node;
   sc.forced <- (if fault.Fault.stuck then -1 else 0);
+  sc.words <- 0;
   Array.fill sc.carry 0 r.code.dffs 0
 
 (* First cycle at which the loaded fault's output differs from the good
@@ -389,6 +419,7 @@ let run_faults ?(pool = Pool.serial) circuit r ~faults ~stream ~blind ~share ite
       let fi = eligible.(i) in
       load_fault r sc faults.(fi);
       item sc fi;
+      Obs.count ~by:(sc.len * sc.words) "fault_sim.instructions";
       Progress.add prog_done 1.0
     done
   in

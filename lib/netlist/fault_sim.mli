@@ -4,11 +4,18 @@
     Node order is topological across clock edges (see {!Netlist}), so each
     node's stream is evaluated from its fanins' streams, {!Sys.int_size}
     cycles per machine word, a DFF being a one-cycle shift of its D word.
-    The fault-free machine is evaluated once over the whole netlist into
-    the {e good table}.  Each fault is then simulated alone over its node's
-    observable forward cone, reading every node outside the cone from the
-    table and forcing the fault site to the stuck value.  Faults whose node
-    cannot reach [output] are never simulated.
+    The fault-free machine is evaluated once over the whole netlist, gate
+    by gate, into the {e good table}.  Each fault is then simulated alone
+    over its node's observable forward cone, compiled by one sweep in id
+    order, reading every node outside the cone from the table and forcing
+    the fault site to the stuck value.  Faults whose node cannot reach
+    [output] are never simulated.
+
+    A full adder in [Arith]'s five-gate shape whose three internal nodes
+    are private (read only inside the adder, and no bit of [output]) runs
+    in a cone as one instruction from its three inputs to its sum and
+    carry, unless it holds the fault site.  The adders are recognised
+    once per run.
 
     Faults that {!Fault.classes} proves equivalent give the same output
     stream, so each driver simulates one fault per class, its {e
@@ -30,9 +37,13 @@
     - Every driver publishes the ["fault_sim.faults_done"] /
       ["fault_sim.faults_total"] progress cells, counting simulated
       faults: representatives whose node reaches [output].
-    - Every driver counts ["fault_sim.faults"] (every fault) and
+    - Every driver counts ["fault_sim.faults"] (every fault),
       ["fault_sim.equivalent"] (the members answered by their class's
-      representative, when there are any). *)
+      representative, when there are any), ["fault_sim.full_adders"]
+      (the adders run as one instruction, when there are any) and
+      ["fault_sim.instructions"] (per simulated fault, one add of its
+      program length times the words it evaluated).  Each count is the
+      same for every pool size. *)
 
 val observe :
   ?pool:Msoc_util.Pool.t ->

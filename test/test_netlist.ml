@@ -5,6 +5,7 @@ open Msoc_netlist
 module B = Netlist.Builder
 module Prng = Msoc_util.Prng
 module Pool = Msoc_util.Pool
+module Obs = Msoc_obs.Obs
 
 (* ---- helpers ---- *)
 
@@ -367,13 +368,70 @@ let check_observer circuit ~output ~drive ~samples faults =
 
 let fir_drive fir stimulus sim cycle = Fir_netlist.drive fir sim stimulus.(cycle)
 
+(* [f ()] with telemetry on, and the counters it left. *)
+let with_counters f =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let v = f () in
+      let trace = Result.get_ok (Msoc_obs.Trace.parse (Obs.jsonl ())) in
+      (v, trace.Msoc_obs.Trace.counters))
+
+let counter counters name =
+  int_of_float (Option.value ~default:0.0 (List.assoc_opt name counters))
+
 let test_parallel_fault_sim_matches_serial () =
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
   let g = Prng.create 11 in
   let stimulus = Array.init 40 (fun _ -> Prng.int g 63 - 31) in
-  let faults = Array.sub (Fault.collapse circuit (Fault.universe circuit)) 0 70 in
+  let faults = Fault.collapse circuit (Fault.universe circuit) in
   check_observer circuit ~output:"y" ~drive:(fir_drive fir stimulus) ~samples:40 faults
+
+(* The work counters are exact and do not depend on the pool: on the
+   paper's 13-tap filter every full adder runs as one instruction, and
+   the instructions run (program length times words evaluated, summed
+   over the simulated faults) read the same at every pool size, for full
+   streams and for detection, which stops at a fault's first differing
+   word. *)
+let test_work_counters_pool_invariant () =
+  let design = Msoc_dsp.Fir.lowpass ~taps:13 ~cutoff:0.12 () in
+  let codes, scale = Msoc_dsp.Fir.quantize design.Msoc_dsp.Fir.taps ~bits:8 in
+  let fir = Fir_netlist.create ~coeffs:codes ~width_in:12 ~scale () in
+  let circuit = fir.Fir_netlist.circuit in
+  let g = Prng.create 13 in
+  let samples = 256 in
+  let stimulus = Array.init samples (fun _ -> Prng.int g 4095 - 2047) in
+  let drive = fir_drive fir stimulus in
+  let faults = Fault.collapse circuit (Fault.universe circuit) in
+  let work size =
+    Pool.with_pool ~size (fun pool ->
+        let count run =
+          let (), counters = with_counters (fun () -> ignore (run ())) in
+          (counter counters "fault_sim.full_adders", counter counters "fault_sim.instructions")
+        in
+        let streams =
+          count (fun () ->
+              Fault_sim.observe ~pool circuit ~output:"y" ~drive ~samples ~faults
+                ~on_fault:(fun _ _ _ -> ()))
+        in
+        let detection =
+          count (fun () -> Fault_sim.detect_cycles ~pool circuit ~output:"y" ~drive ~samples ~faults)
+        in
+        (streams, detection))
+  in
+  let ((adders, instructions), (adders', instructions')) as serial = work 1 in
+  Alcotest.(check (pair int int)) "585 full adders per run" (585, 585) (adders, adders');
+  Alcotest.(check bool) "detection stops early" true (instructions' < instructions);
+  List.iter
+    (fun size ->
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (Printf.sprintf "size %d counters" size) serial (work size))
+    [ 2; 4; 8 ]
 
 let test_observer_node_kinds () =
   (* Faults on DFF, input and output-bus nodes of the filter (uncollapsed,
@@ -576,8 +634,12 @@ let prop_dropped_faults_never_undetect =
 (* The engine against the reference on generated netlists: 1-4 inputs,
    both constants, every gate kind over fanins drawn from all earlier
    nodes (so fanouts are reused and paths reconverge), DFF chains of depth
-   2-3, and an output bus of 1-8 bits holding an input and a DFF.  The
-   sample counts straddle the engine's 63-cycle word boundaries. *)
+   2-3, full adders, and an output bus of 1-8 bits holding an input and a
+   DFF.  Every node of an adder joins the pool, so a later pick or a bus
+   bit may read one of its internal nodes, which keeps it from running as
+   one instruction.  Returns the netlist, its inputs and each adder's
+   first node.  The sample counts straddle the engine's 63-cycle word
+   boundaries. *)
 let random_netlist g =
   let b = B.create () in
   let nodes = ref [||] in
@@ -600,18 +662,32 @@ let random_netlist g =
   let two =
     [| Netlist.And2; Netlist.Or2; Netlist.Nand2; Netlist.Nor2; Netlist.Xor2; Netlist.Xnor2 |]
   in
+  let adders = ref [] in
   let gate k =
     if k < 6 then add (B.gate2 b two.(k) (pick ()) (pick ()))
     else if k = 6 then add (B.not_ b (pick ()))
     else if k = 7 then add (B.buf b (pick ()))
-    else chain ()
+    else if k = 8 then chain ()
+    else begin
+      (* [Arith]'s full adder: its five gates, in its order *)
+      let x = pick () and y = pick () and cin = pick () in
+      let t = B.gate2 b Netlist.Xor2 x y in
+      adders := t :: !adders;
+      add t;
+      add (B.gate2 b Netlist.Xor2 t cin);
+      let xy = B.gate2 b Netlist.And2 x y in
+      add xy;
+      let tc = B.gate2 b Netlist.And2 t cin in
+      add tc;
+      add (B.gate2 b Netlist.Or2 xy tc)
+    end
   in
   (* every kind once, then a random mix *)
-  for k = 0 to 8 do
+  for k = 0 to 9 do
     gate k
   done;
   for _ = 1 to Prng.int g 30 do
-    gate (Prng.int g 9)
+    gate (Prng.int g 10)
   done;
   let dffs = Array.of_list !dffs in
   let width = 1 + Prng.int g 8 in
@@ -623,7 +699,7 @@ let random_netlist g =
   bus.(at_input) <- inputs.(Prng.int g (Array.length inputs));
   if width > 1 || Prng.int g 2 = 0 then bus.(at_dff) <- dffs.(Prng.int g (Array.length dffs));
   B.output b "y" bus;
-  (Netlist.freeze b, inputs)
+  (Netlist.freeze b, inputs, Array.of_list !adders)
 
 let pool4 = lazy (Pool.create ~size:4 ())
 
@@ -632,13 +708,20 @@ let pool4 = lazy (Pool.create ~size:4 ())
    run that met none would not have checked the sharing. *)
 let shared_classes = ref 0
 
+(* Observable adders the engine ran as one instruction, and those it ran
+   gate by gate (an internal node read elsewhere or on the bus), summed
+   over the oracle's cases: a run that met no adder of either kind would
+   not have checked that path. *)
+let fused_adders = ref 0
+let refused_adders = ref 0
+
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine = single-fault reference on generated netlists" ~count:200
     (QCheck.pair (QCheck.int_range 1 1_000_000)
        (QCheck.oneofl [ 1; 62; 63; 64; 65; 126; 127; 200 ]))
     (fun (seed, samples) ->
       let g = Prng.create seed in
-      let circuit, inputs = random_netlist g in
+      let circuit, inputs, adders = random_netlist g in
       let bits = Array.init samples (fun _ -> Array.map (fun _ -> Prng.int g 2) inputs) in
       let drive sim cycle =
         Array.iteri (fun i x -> Logic_sim.drive_node sim x (-bits.(cycle).(i))) inputs
@@ -665,12 +748,21 @@ let prop_engine_matches_reference =
             incr shared_classes
           end)
         rep;
+      let observe pool =
+        Fault_sim.observe ?pool circuit ~output ~drive ~samples ~faults
+          ~on_fault:(fun _ _ stream -> Array.copy stream)
+      in
+      let serial, counters = with_counters (fun () -> observe None) in
+      let fused = counter counters "fault_sim.full_adders" in
+      let obsv = Cone.observable circuit ~output:(Netlist.find_output circuit output) in
+      let observable = Array.fold_left (fun k x -> if obsv.(x) then k + 1 else k) 0 adders in
+      fused_adders := !fused_adders + fused;
+      refused_adders := !refused_adders + max 0 (observable - fused);
       Array.for_all Fun.id (Array.mapi (fun i k -> reference.(i) = reference.(k)) rep)
       && List.for_all
         (fun pool ->
           let observed_good, streams =
-            Fault_sim.observe ?pool circuit ~output ~drive ~samples ~faults
-              ~on_fault:(fun _ _ stream -> Array.copy stream)
+            match pool with None -> serial | Some _ -> observe pool
           in
           let cycles = Fault_sim.detect_cycles ?pool circuit ~output ~drive ~samples ~faults in
           let flags = Fault_sim.detect_exact ?pool circuit ~output ~drive ~samples ~faults in
@@ -679,15 +771,20 @@ let prop_engine_matches_reference =
         [ None; Some (Lazy.force pool4) ])
 
 (* The oracle as one case: its 200 generated netlists must hold a class
-   of equivalent faults between them. *)
+   of equivalent faults, an adder run as one instruction and an adder run
+   gate by gate between them. *)
 let engine_oracle =
   let name, speed, run = QCheck_alcotest.to_alcotest prop_engine_matches_reference in
   ( name,
     speed,
     fun () ->
       shared_classes := 0;
+      fused_adders := 0;
+      refused_adders := 0;
       run ();
-      if !shared_classes = 0 then Alcotest.fail "no generated netlist had a shared class" )
+      if !shared_classes = 0 then Alcotest.fail "no generated netlist had a shared class";
+      if !fused_adders = 0 then Alcotest.fail "no generated adder ran as one instruction";
+      if !refused_adders = 0 then Alcotest.fail "every generated adder ran as one instruction" )
 
 (* ---- FIR datapath ---- *)
 
@@ -1039,7 +1136,9 @@ let () =
           Alcotest.test_case "empty fault list still simulates good machine" `Quick
             test_observe_empty_faults;
           Alcotest.test_case "detect_cycles consistency + compaction" `Quick
-            test_detect_cycles_consistency ]
+            test_detect_cycles_consistency;
+          Alcotest.test_case "work counters identical across pool sizes" `Quick
+            test_work_counters_pool_invariant ]
         @ qcheck [ prop_dropped_faults_never_undetect ] @ [ engine_oracle ] );
       ( "fir-netlist",
         Alcotest.test_case "exactness vs golden" `Quick test_fir_netlist_exactness

@@ -306,21 +306,16 @@ let coverage_cmd =
 
 (* ---- faultsim ---- *)
 
-(* Heartbeat line for the fault-simulation pipeline: per-fault
-   simulation, each fault's stream judged as it is simulated.  Reads only
-   the engines' published cells. *)
+(* Heartbeat line for the fault simulation: each simulated stream is
+   judged on the spot, so the simulated cells alone measure progress.
+   Reads only the engines' published cells. *)
 let render_faultsim ~elapsed_s =
   let v name = Progress.value (Progress.cell name) in
   let simulated = v "fault_sim.faults_done" and simulated_total = v "fault_sim.faults_total" in
   let judged = v "coverage.judged" and judged_total = v "coverage.judged_total" in
   let detected = v "coverage.detected" in
-  let frac =
-    (* the two phases cost roughly the same per fault; weight them evenly *)
-    let part done_ total = if total > 0.0 then Float.min 1.0 (done_ /. total) else 0.0 in
-    0.5 *. (part simulated simulated_total +. part judged judged_total)
-  in
   let eta =
-    match Progress.eta_s ~done_:frac ~total:1.0 ~elapsed_s with
+    match Progress.eta_s ~done_:simulated ~total:simulated_total ~elapsed_s with
     | Some s -> " | eta " ^ Progress.pp_duration s
     | None -> ""
   in
@@ -363,7 +358,7 @@ type trace_action =
   | Trace_flamegraph
   | Trace_chrome
 
-let run_trace action file width out_file =
+let run_trace action file out_file =
   let text =
     try In_channel.with_open_bin file In_channel.input_all
     with Sys_error msg -> failwith ("trace: " ^ msg)
@@ -372,7 +367,7 @@ let run_trace action file width out_file =
   let result =
     match action with
     | Trace_summary -> render Trace.summary
-    | Trace_utilization -> render (Trace.utilization ~width)
+    | Trace_utilization -> render Trace.utilization
     | Trace_critical_path -> render Trace.critical_path
     | Trace_flamegraph -> render Trace.to_folded
     | Trace_chrome -> Trace.to_chrome text
@@ -412,17 +407,13 @@ let trace_cmd =
              ~doc:"Saved trace: the JSONL event stream of $(b,--events) or \
                    $(b,msoc client --trace-out).")
   in
-  let width =
-    Arg.(value & opt int 60
-         & info [ "width" ] ~docv:"COLS" ~doc:"Gantt width for $(b,utilization).")
-  in
   let out_file =
     Arg.(value & opt (some string) None
          & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the result to $(docv).")
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Analyse a saved telemetry trace offline")
-    (code0 Term.(const run_trace $ action $ file $ width $ out_file))
+    (code0 Term.(const run_trace $ action $ file $ out_file))
 
 (* ---- spectrum ---- *)
 

@@ -45,7 +45,7 @@ let () =
   List.iter
     (fun s ->
       Format.printf "  %2d. %-34s %2d captures%s@." s.Plan.position s.Plan.name
-        s.Plan.captures
+        s.Plan.cost.Cost.captures
         (match s.Plan.prerequisites with
         | [] -> ""
         | l -> "   (after " ^ String.concat ", " l ^ ")"))

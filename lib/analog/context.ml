@@ -6,11 +6,7 @@ type t = {
 
 let boltzmann = 1.380649e-23
 
-let make ?(temperature_k = 290.0) ~sim_rate_hz ~analysis_bw_hz () =
-  assert (sim_rate_hz > 0.0 && analysis_bw_hz > 0.0 && temperature_k > 0.0);
-  { sim_rate_hz; analysis_bw_hz; temperature_k }
-
-let default = make ~sim_rate_hz:8e6 ~analysis_bw_hz:250e3 ()
+let default = { sim_rate_hz = 8e6; analysis_bw_hz = 250e3; temperature_k = 290.0 }
 
 let thermal_noise_dbm t =
   Msoc_util.Units.dbm_of_watts (boltzmann *. t.temperature_k *. t.analysis_bw_hz)

@@ -8,9 +8,8 @@ type t = {
 }
 
 val default : t
-(** 8 MHz simulation rate, 250 kHz analysis bandwidth, 290 K. *)
-
-val make : ?temperature_k:float -> sim_rate_hz:float -> analysis_bw_hz:float -> unit -> t
+(** 8 MHz simulation rate, 250 kHz analysis bandwidth, 290 K; another
+    context is [{ default with ... }]. *)
 
 val thermal_noise_dbm : t -> float
 (** kTB in the analysis bandwidth, dBm. *)

@@ -3,8 +3,6 @@ module Prng = Msoc_util.Prng
 
 type t = { nominal : float; tol : float }
 
-let exact nominal = { nominal; tol = 0.0 }
-
 let make ~nominal ~tol =
   assert (tol >= 0.0);
   { nominal; tol }

@@ -9,11 +9,9 @@
 type t = { nominal : float; tol : float }
 (** [tol] is an absolute, symmetric half-range (same unit as [nominal]). *)
 
-val exact : float -> t
-(** Zero-tolerance parameter. *)
-
 val make : nominal:float -> tol:float -> t
-(** Requires [tol >= 0]. *)
+(** Requires [tol >= 0].  With [~tol:0.0] the parameter is exact:
+    {!sample} returns its nominal. *)
 
 val interval : t -> Msoc_util.Interval.t
 

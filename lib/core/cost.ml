@@ -15,14 +15,12 @@ type t = {
 (* One instrument connect/range/trigger setup per procedure, amortized
    over its captures.  64 cycles is the conventional ATE fixture figure;
    callers with wrapped cores add their own wrapper-load cost on top. *)
-let default_setup_cycles = 64
+let setup_cycles = 64
 
-let create ?(setup_cycles = default_setup_cycles) ~captures ~record_samples ~settle_cycles
-    ~sample_rate_hz () =
+let create ~captures ~record_samples ~settle_cycles ~sample_rate_hz =
   if captures < 1 then invalid_arg "Cost.create: captures must be >= 1";
   if record_samples < 1 then invalid_arg "Cost.create: record_samples must be >= 1";
   if settle_cycles < 0 then invalid_arg "Cost.create: settle_cycles must be >= 0";
-  if setup_cycles < 0 then invalid_arg "Cost.create: setup_cycles must be >= 0";
   if not (sample_rate_hz > 0.0) then invalid_arg "Cost.create: sample_rate_hz must be > 0";
   { captures; record_samples; settle_cycles; setup_cycles; sample_rate_hz }
 

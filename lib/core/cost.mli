@@ -10,20 +10,14 @@ type t = {
   captures : int;           (** Spectrum captures the procedure needs. *)
   record_samples : int;     (** Stimulus record length per capture. *)
   settle_cycles : int;      (** Path settling wait before each capture. *)
-  setup_cycles : int;       (** One-time instrument/fixture setup. *)
+  setup_cycles : int;       (** One-time instrument/fixture setup: 64. *)
   sample_rate_hz : float;   (** ATE/digitizer clock the cycles run at. *)
 }
 
 val create :
-  ?setup_cycles:int ->
-  captures:int ->
-  record_samples:int ->
-  settle_cycles:int ->
-  sample_rate_hz:float ->
-  unit ->
-  t
+  captures:int -> record_samples:int -> settle_cycles:int -> sample_rate_hz:float -> t
 (** @raise Invalid_argument on non-positive captures/records/rate or
-    negative cycle counts. *)
+    negative settle cycles. *)
 
 val ate_cycles : t -> int
 (** [setup + captures * (settle + record)] — the scheduler's unit. *)

@@ -20,12 +20,9 @@ let[@inline] truly_good bound x =
   | Spec.Within { lo; hi } -> x >= lo && x <= hi
 
 (* [Distribution.pdf], term for term. *)
-let[@inline] density population x =
-  match population with
-  | Distribution.Normal { mean; sigma } ->
-    let z = (x -. mean) /. sigma in
-    exp (-0.5 *. z *. z) /. (sigma *. sqrt Msoc_util.Units.two_pi)
-  | Distribution.Uniform { lo; hi } -> if x >= lo && x <= hi then 1.0 /. (hi -. lo) else 0.0
+let[@inline] density (Distribution.Normal { mean; sigma }) x =
+  let z = (x -. mean) /. sigma in
+  exp (-0.5 *. z *. z) /. (sigma *. sqrt Msoc_util.Units.two_pi)
 
 (* P(x + e >= threshold), as a function of the true x. *)
 let[@inline] prob_ge error ~threshold x =

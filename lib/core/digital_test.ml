@@ -160,7 +160,7 @@ let noise_profile config fir ~sample_rate ~excluded ~input_codes ~reference_code
             Spectrum.db_of_power (List.nth sorted (List.length sorted / 2)))
     end
   in
-  let peak_db = Spectrum.power_db golden (Spectrum.peak_bin golden ()) in
+  let peak_db = Spectrum.power_db golden (Spectrum.peak_bin golden) in
   let numerical_floor = peak_db -. 140.0 in
   let coeffs =
     Array.map (fun c -> float_of_int c *. fir.Fir_netlist.scale) fir.Fir_netlist.coeffs

@@ -297,7 +297,7 @@ let validate_part ?(pool = Msoc_util.Pool.serial) ?seed path part ~strategy =
      from this tester session's path. *)
   let cost_of ~captures =
     Cost.create ~captures ~record_samples:capture_samples
-      ~settle_cycles:(Path.settle_cycles path) ~sample_rate_hz:(Path.adc_rate_hz path) ()
+      ~settle_cycles:(Path.settle_cycles path) ~sample_rate_hz:(Path.adc_rate_hz path)
   in
   let entry parameter ~captures ~true_value ~measured ~budget =
     { parameter;

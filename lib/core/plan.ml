@@ -60,7 +60,7 @@ let capture_samples = 4096
 
 let application_cost path entry =
   Cost.create ~captures:(captures_for_entry entry) ~record_samples:capture_samples
-    ~settle_cycles:(Path.settle_cycles path) ~sample_rate_hz:(Path.adc_rate_hz path) ()
+    ~settle_cycles:(Path.settle_cycles path) ~sample_rate_hz:(Path.adc_rate_hz path)
 
 let synthesize ?(strategy = Propagate.Adaptive) path =
   Msoc_obs.Obs.span "plan.synthesize"
@@ -180,9 +180,7 @@ type step = {
   position : int;
   name : string;
   prerequisites : string list;
-  captures : int;
   cost : Cost.t;
-  seconds : float;
 }
 
 let entry_name = function
@@ -244,15 +242,13 @@ let schedule t =
   if !remaining > 0 then invalid_arg "Plan.schedule: prerequisite cycle";
   List.rev !order
   |> List.mapi (fun position i ->
-         let cost = application_cost t.path entries.(i) in
          { position = position + 1;
            name = names.(i);
            prerequisites = entry_prerequisites entries.(i);
-           captures = cost.Cost.captures;
-           cost;
-           seconds = Cost.seconds cost })
+           cost = application_cost t.path entries.(i) })
 
-let total_test_time steps = List.fold_left (fun acc s -> acc +. s.seconds) 0.0 steps
+let total_test_time steps =
+  List.fold_left (fun acc s -> acc +. Cost.seconds s.cost) 0.0 steps
 
 let pp_summary ppf t =
   Format.fprintf ppf "@[<v>test plan: %d entries, %d boundary checks@,"

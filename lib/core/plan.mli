@@ -56,9 +56,7 @@ type step = {
   position : int;                 (** 1-based program order. *)
   name : string;
   prerequisites : string list;
-  captures : int;                 (** [cost.captures], kept for callers. *)
   cost : Cost.t;                  (** Full derived application cost. *)
-  seconds : float;                (** [Cost.seconds cost]. *)
 }
 
 val schedule : t -> step list

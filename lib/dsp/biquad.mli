@@ -16,7 +16,6 @@ val filter_into : coeffs -> float array -> unit
 (** Filter a whole buffer in place, starting from rest (zero delay line):
     every call is independent of the previous one.  Allocation-free. *)
 
-val magnitude_db : coeffs -> sample_rate:float -> freq:float -> float
-(** Magnitude response at [freq] Hz. *)
-
 val cascade_magnitude_db : coeffs list -> sample_rate:float -> freq:float -> float
+(** Magnitude response at [freq] Hz of the sections in series: the sum of
+    their responses in dB. *)

@@ -17,10 +17,6 @@ let create ~order ~decimation =
     combs = Array.make order 0;
     phase = 0 }
 
-let gain t =
-  let rec power acc n = if n = 0 then acc else power (acc * t.decimation) (n - 1) in
-  power 1 t.order
-
 let process t input =
   let n = Array.length input in
   let out = Array.make ((t.phase + n) / t.decimation) 0 in

@@ -14,9 +14,6 @@ val create : order:int -> decimation:int -> t
     [order * log2 decimation <= 40] so the gain fits a native word with
     input magnitudes up to 2^20. *)
 
-val gain : t -> int
-(** DC gain = decimation ^ order. *)
-
 val process : t -> int array -> int array
 (** Feed input-rate samples, get decimated-rate samples (state persists
     across calls; output length is [floor (input length / decimation)] plus

@@ -20,9 +20,13 @@
     [X_k = sum_n x_n exp(-2πi kn / N)]. *)
 
 val is_power_of_two : int -> bool
+(** The test that routes a length to the radix-2 path.  Outside this
+    module only [test_dsp]'s "pow2 helpers" test calls it. *)
 
 val dft : Complex.t array -> Complex.t array
-(** O(N^2) reference implementation. *)
+(** O(N^2) reference implementation: [test_dsp]'s FFT and [rfft]
+    agreement tests check every transform against it.  No production
+    code calls it. *)
 
 val rfft_into : float array -> re:float array -> im:float array -> unit
 (** Forward transform of a real signal into caller-provided split output:

@@ -26,4 +26,7 @@ val quantize : float array -> bits:int -> int array * float
 
 val filter : float array -> float array -> float array
 (** [filter taps x] is the causal convolution (same length as [x], zero
-    initial state): the golden model of the gate-level datapath. *)
+    initial state): the floating-point reference of a designed filter.
+    Only [test_dsp]'s "convolution" test calls it; the gate-level
+    datapath is checked against the integer model
+    [Fir_netlist.response]. *)

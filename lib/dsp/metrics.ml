@@ -23,29 +23,12 @@ let bins_around t center hw =
 
 let intermod3_products ~f1 ~f2 = (Float.abs ((2.0 *. f1) -. f2), Float.abs ((2.0 *. f2) -. f1))
 
-(* Exclusion masks as flat bool arrays indexed by bin: the noise sums below
-   run over every bin, and a hash probe per bin costs more than the add it
+(* Harmonics of a tone counted as distortion, and kept out of the noise. *)
+let harmonics = 5
+
+(* Exclusion masks as flat bool arrays indexed by bin: the noise sum below
+   runs over every bin, and a hash probe per bin costs more than the add it
    guards.  [bins_around] already clamps to [1, bin_count). *)
-let snr_with_exclusions t ~fundamental ~harmonics =
-  let hw = Window.lobe_half_width t.Spectrum.window in
-  let nbins = Spectrum.bin_count t in
-  let excluded = Array.make nbins false in
-  let exclude_tone freq =
-    let center = Spectrum.bin_of_frequency t freq in
-    List.iter (fun k -> excluded.(k) <- true) (bins_around t center hw)
-  in
-  for h = 1 to harmonics do
-    exclude_tone (alias_fold ~sample_rate:t.Spectrum.sample_rate (float_of_int h *. fundamental))
-  done;
-  let signal = Spectrum.tone_power t ~freq:fundamental in
-  let noise = ref 0.0 in
-  for k = 1 to nbins - 1 do
-    if not (Array.unsafe_get excluded k) then noise := !noise +. t.Spectrum.bins.(k)
-  done;
-  if !noise <= 1e-40 then 400.0 else db signal -. db !noise
-
-let snr_db t ~fundamental = snr_with_exclusions t ~fundamental ~harmonics:5
-
 let snr_multi_db t ~signals ?(exclude = []) () =
   let hw = Window.lobe_half_width t.Spectrum.window in
   let nbins = Spectrum.bin_count t in
@@ -57,7 +40,7 @@ let snr_multi_db t ~signals ?(exclude = []) () =
   let fs = t.Spectrum.sample_rate in
   List.iter
     (fun freq ->
-      for h = 1 to 5 do
+      for h = 1 to harmonics do
         exclude_tone (alias_fold ~sample_rate:fs (float_of_int h *. freq))
       done)
     signals;
@@ -71,8 +54,8 @@ let snr_multi_db t ~signals ?(exclude = []) () =
   done;
   if !noise <= 1e-40 then 400.0 else db signal -. db !noise
 
-let analyze ?(harmonics = 5) t =
-  let peak = Spectrum.peak_bin t () in
+let analyze t =
+  let peak = Spectrum.peak_bin t in
   let fundamental_freq = Spectrum.frequency_of_bin t peak in
   let signal = Spectrum.tone_power t ~freq:fundamental_freq in
   let fundamental_power_db = db signal in
@@ -106,7 +89,7 @@ let analyze ?(harmonics = 5) t =
     worst_spur :=
       Spectrum.tone_power t ~avoid:in_fundamental
         ~freq:(Spectrum.frequency_of_bin t !worst_bin);
-  let snr = snr_with_exclusions t ~fundamental:fundamental_freq ~harmonics in
+  let snr = snr_multi_db t ~signals:[ fundamental_freq ] () in
   let noise_plus_dist = Spectrum.total_power t ~exclude_dc:true -. signal in
   let sinad = if noise_plus_dist <= 1e-40 then 400.0 else db signal -. db noise_plus_dist in
   { fundamental_freq;

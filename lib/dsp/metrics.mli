@@ -16,14 +16,10 @@ type report = {
   enob_bits : float;
 }
 
-val analyze : ?harmonics:int -> Spectrum.t -> report
+val analyze : Spectrum.t -> report
 (** Locate the fundamental as the strongest non-DC tone and derive all
     metrics, folding aliased harmonics back into the first Nyquist zone.
-    [harmonics] is the number of harmonics treated as distortion
-    (default 5). *)
-
-val snr_db : Spectrum.t -> fundamental:float -> float
-(** SNR with an explicitly-known fundamental frequency. *)
+    The first 5 harmonics count as distortion. *)
 
 val snr_multi_db : Spectrum.t -> signals:float list -> ?exclude:float list -> unit -> float
 (** SNR of a multi-tone capture: signal power is the sum over [signals]

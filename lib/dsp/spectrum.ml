@@ -101,9 +101,9 @@ let total_power t ~exclude_dc =
   done;
   !acc
 
-let peak_bin t ?(from_bin = 1) () =
-  let best = ref from_bin in
-  for k = from_bin to bin_count t - 1 do
+let peak_bin t =
+  let best = ref 1 in
+  for k = 1 to bin_count t - 1 do
     if t.bins.(k) > t.bins.(!best) then best := k
   done;
   !best

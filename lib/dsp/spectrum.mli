@@ -52,8 +52,8 @@ val tone_power : ?avoid:(int -> bool) -> t -> freq:float -> float
     tone's main lobe. *)
 
 val total_power : t -> exclude_dc:bool -> float
-val peak_bin : t -> ?from_bin:int -> unit -> int
-(** Highest-power bin (excluding DC when [from_bin >= 1], the default). *)
+val peak_bin : t -> int
+(** Highest-power bin, DC excluded. *)
 
 val noise_floor_db : t -> exclude:(int -> bool) -> float
 (** Median per-bin power in dB over bins not excluded — robust to tones. *)

@@ -80,10 +80,6 @@ let synthesize ~sample_rate ~samples components =
   synthesize_into ~sample_rate components out;
   out
 
-let two_tone ~sample_rate ~samples ~f1 ~f2 ~amplitude =
-  synthesize ~sample_rate ~samples
-    [ component ~freq:f1 ~amplitude (); component ~freq:f2 ~amplitude () ]
-
 let fit signal ~sample_rate ~freq =
   let n = Array.length signal in
   assert (n > 0);

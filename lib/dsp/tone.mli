@@ -41,11 +41,6 @@ val synthesize_single_into : unit_wave -> sample_rate:float -> component -> floa
 val sample : sample_rate:float -> t:int -> component list -> float
 (** Single point of the same waveform (streaming form). *)
 
-val two_tone :
-  sample_rate:float -> samples:int -> f1:float -> f2:float -> amplitude:float -> float array
-(** Equal-amplitude two-tone stimulus; [amplitude] is the per-tone amplitude
-    (composite peak is at most [2 * amplitude]). *)
-
 val fit : float array -> sample_rate:float -> freq:float -> component
 (** Least-squares fit of a single sine at a known frequency: correlate the
     capture with the quadrature pair at [freq] and return the recovered

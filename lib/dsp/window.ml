@@ -2,8 +2,6 @@ let two_pi = Msoc_util.Units.two_pi
 
 type kind = Rectangular | Hann | Hamming | Blackman | Blackman_harris
 
-let all = [ Rectangular; Hann; Hamming; Blackman; Blackman_harris ]
-
 let name = function
   | Rectangular -> "rectangular"
   | Hann -> "hann"

@@ -9,7 +9,6 @@
 
 type kind = Rectangular | Hann | Hamming | Blackman | Blackman_harris
 
-val all : kind list
 val name : kind -> string
 
 val coefficients : kind -> int -> float array

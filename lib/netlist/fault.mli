@@ -13,8 +13,9 @@
 type t = { node : Netlist.node; stuck : bool }
 
 val pp : Format.formatter -> t -> unit
-(** ["n<node>/sa<0|1>"]; the golden detection records are printed with
-    it. *)
+(** ["n<node>/sa<0|1>"].  No production code prints a fault: its callers
+    are [test/golden_gen], which prints [faultsim_records.txt] with it,
+    and [test_netlist]'s failure messages. *)
 
 val universe : Netlist.t -> t array
 (** Both polarities on every [Input], gate and [Dff] node (constants are

@@ -39,8 +39,6 @@ let to_string t =
     (Netlist.outputs t);
   Buffer.contents buffer
 
-let output channel t = output_string channel (to_string t)
-
 let parse_error line_number message =
   failwith (Printf.sprintf "Netlist_io: line %d: %s" line_number message)
 
@@ -151,4 +149,5 @@ let of_string text =
     (List.rev !outputs);
   Netlist.freeze b
 
-let save file t = Out_channel.with_open_text file (fun channel -> output channel t)
+let save file t =
+  Out_channel.with_open_text file (fun channel -> output_string channel (to_string t))

@@ -16,10 +16,11 @@
     order).  The format exists so synthesized filters can be archived,
     diffed, and exchanged with external structural tools. *)
 
-val to_string : Netlist.t -> string
+val save : string -> Netlist.t -> unit
+(** Write to a file path ([msoc netlist --output]). *)
 
 val of_string : string -> Netlist.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
-
-val save : string -> Netlist.t -> unit
-(** Write to a file path. *)
+(** Parse the text {!save} writes.  Raises [Failure] with a line-numbered
+    message on malformed input.  No tool reads netlists back yet: the
+    round-trip and malformed-input tests of [test_netlist] are its
+    callers. *)

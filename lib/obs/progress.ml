@@ -76,11 +76,11 @@ let slice_s = 0.05
    — in place (carriage return) on a tty, as plain lines (at a gentler
    cadence) when stderr is a pipe or log file.  The final state is
    always rendered once more after [f] returns, even on exception. *)
-let with_ticker ?(interval_s = 0.2) ~render f =
+let with_ticker ~render f =
   Atomic.set enabled_flag true;
   reset ();
   let tty = Unix.isatty Unix.stderr in
-  let interval_s = if tty then interval_s else Float.max interval_s 2.0 in
+  let interval_s = if tty then 0.2 else 2.0 in
   let stop = Atomic.make false in
   let t0 = Unix.gettimeofday () in
   let emit () =

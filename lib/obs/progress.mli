@@ -29,12 +29,10 @@ val eta_s : done_:float -> total:float -> elapsed_s:float -> float option
 val pp_duration : float -> string
 (** ["42s"], ["3m07s"], ["1h02m"]. *)
 
-val with_ticker :
-  ?interval_s:float -> render:(elapsed_s:float -> string) -> (unit -> 'a) -> 'a
+val with_ticker : render:(elapsed_s:float -> string) -> (unit -> 'a) -> 'a
 (** [with_ticker ~render f] enables and zeroes the cells, runs [f] while
-    a dedicated domain calls [render] every [interval_s] (default 0.2 s)
-    and writes the line to stderr — in place on a tty, as plain lines at
-    a gentler cadence otherwise — then renders the final state and
-    disables the heartbeat (also on exception).  The ticker sleeps in
-    slices of at most 50 ms, so the call returns within one slice of
-    [f] whatever the cadence. *)
+    a dedicated domain calls [render] every 0.2 s and writes the line to
+    stderr — in place on a tty, as plain lines every 2 s otherwise — then
+    renders the final state and disables the heartbeat (also on
+    exception).  The ticker sleeps in slices of at most 50 ms, so the
+    call returns within one slice of [f] whatever the cadence. *)

@@ -87,8 +87,6 @@ val finalize : builder -> t
 
 (** {2 Serialization} *)
 
-val to_json : t -> string
-
 val write : string -> t -> unit
 val read : string -> (t, string) result
 (** Structural validation included: an unreadable file, a wrong

@@ -356,7 +356,10 @@ let summary t =
 (* utilization: per-slot occupancy + text Gantt                        *)
 (* ------------------------------------------------------------------ *)
 
-let gantt_row ~lo ~wall_ns ~width spans =
+(* Columns of a Gantt row. *)
+let width = 60
+
+let gantt_row ~lo ~wall_ns spans =
   let busy = Array.make width 0.0 in
   let bucket_ns = wall_ns /. float_of_int width in
   List.iter
@@ -382,7 +385,7 @@ let gantt_row ~lo ~wall_ns ~width spans =
             else "\xe2\x96\x88" (* █ *))
           busy))
 
-let utilization ?(width = 60) t =
+let utilization t =
   let b = Buffer.create 1024 in
   let chunks = chunk_spans t in
   if chunks = [] then
@@ -424,7 +427,7 @@ let utilization ?(width = 60) t =
       (fun s ->
         Buffer.add_string b
           (Printf.sprintf "slot %d %s\n" s.slot
-             (gantt_row ~lo ~wall_ns ~width (List.filter (fun sp -> slot_of sp = s.slot) chunks))))
+             (gantt_row ~lo ~wall_ns (List.filter (fun sp -> slot_of sp = s.slot) chunks))))
       t.slots
   end;
   Buffer.contents b

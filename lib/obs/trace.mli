@@ -76,11 +76,10 @@ val summary : t -> string
     runs, per-domain tracks (events, pool chunks, chunk busy time,
     dropped events). *)
 
-val utilization : ?width:int -> t -> string
+val utilization : t -> string
 (** Per-slot occupancy over the pooled window, one row per {!slot}:
     chunk counts, busy time and share, steals, idle time,
-    parallel-efficiency figure, and a [width]-column text Gantt (default
-    60). *)
+    parallel-efficiency figure, and a 60-column text Gantt. *)
 
 val critical_path : t -> string
 (** Descend from the hottest root span through the hottest child at each

@@ -1,6 +1,5 @@
 module I = Msoc_util.Interval
 module Units = Msoc_util.Units
-module Prng = Msoc_util.Prng
 
 type spur_origin =
   | Harmonic of int
@@ -26,21 +25,21 @@ type t = {
 
 let thermal_floor_dbm = -174.0
 
-let tone ?(phase_rad = 0.0) ~freq_hz ~power_dbm () =
-  { freq_hz = I.point freq_hz; power_dbm = I.point power_dbm; phase_rad = I.point phase_rad }
+(* An exact (zero-accuracy-loss) tone at phase 0. *)
+let tone ~freq_hz ~power_dbm =
+  { freq_hz = I.point freq_hz; power_dbm = I.point power_dbm; phase_rad = I.point 0.0 }
 
-let silence ?(noise_dbm = thermal_floor_dbm) () =
-  { tones = []; spurs = []; dc_volts = I.point 0.0; noise_dbm }
+let of_tones ?(noise_dbm = thermal_floor_dbm) tones =
+  { tones; spurs = []; dc_volts = I.point 0.0; noise_dbm }
 
-let of_tones ?(noise_dbm = thermal_floor_dbm) ?(dc_volts = 0.0) tones =
-  { tones; spurs = []; dc_volts = I.point dc_volts; noise_dbm }
+let silence ?noise_dbm () = of_tones ?noise_dbm []
 
 let single_tone ?noise_dbm ~freq_hz ~power_dbm () =
-  of_tones ?noise_dbm [ tone ~freq_hz ~power_dbm () ]
+  of_tones ?noise_dbm [ tone ~freq_hz ~power_dbm ]
 
 let two_tone ?noise_dbm ~f1_hz ~f2_hz ~power_dbm () =
   of_tones ?noise_dbm
-    [ tone ~freq_hz:f1_hz ~power_dbm (); tone ~freq_hz:f2_hz ~power_dbm () ]
+    [ tone ~freq_hz:f1_hz ~power_dbm; tone ~freq_hz:f2_hz ~power_dbm ]
 
 let sum_power_dbm tones =
   match tones with
@@ -70,40 +69,3 @@ let map_tones t ~f =
   { t with
     tones = List.map f t.tones;
     spurs = List.map (fun s -> { s with tone = f s.tone }) t.spurs }
-
-let waveform t ~sample_rate ~samples ~rng =
-  let components =
-    List.map (fun tn -> tn) t.tones @ List.map (fun s -> s.tone) t.spurs
-  in
-  let dc = I.mid t.dc_volts in
-  let noise_vrms = Units.vrms_of_dbm t.noise_dbm in
-  Array.init samples (fun n ->
-      let time = float_of_int n /. sample_rate in
-      let deterministic =
-        List.fold_left
-          (fun acc tn ->
-            let amplitude = Units.vpeak_of_dbm (I.mid tn.power_dbm) in
-            let freq = I.mid tn.freq_hz and phase = I.mid tn.phase_rad in
-            acc +. (amplitude *. sin ((Units.two_pi *. freq *. time) +. phase)))
-          dc components
-      in
-      deterministic +. (noise_vrms *. Prng.gaussian rng))
-
-let pp_origin ppf = function
-  | Harmonic n -> Format.fprintf ppf "H%d" n
-  | Intermod3 -> Format.pp_print_string ppf "IM3"
-  | Lo_leakage -> Format.pp_print_string ppf "LO"
-  | Clock_spur -> Format.pp_print_string ppf "CLK"
-  | Alias -> Format.pp_print_string ppf "ALIAS"
-
-let pp ppf t =
-  let pp_tone ppf tn =
-    Format.fprintf ppf "%.4g Hz @@ %.2f dBm (±%.2g Hz, ±%.2g dB)" (I.mid tn.freq_hz)
-      (I.mid tn.power_dbm) (I.err tn.freq_hz) (I.err tn.power_dbm)
-  in
-  Format.fprintf ppf "@[<v>tones:";
-  List.iter (fun tn -> Format.fprintf ppf "@,  %a" pp_tone tn) t.tones;
-  List.iter
-    (fun s -> Format.fprintf ppf "@,  spur[%a] %a" pp_origin s.origin pp_tone s.tone)
-    t.spurs;
-  Format.fprintf ppf "@,dc = %a V, noise = %.1f dBm@]" I.pp t.dc_volts t.noise_dbm

@@ -33,9 +33,6 @@ type t = {
   noise_dbm : float;        (** Integrated noise power in the analysis band. *)
 }
 
-val tone : ?phase_rad:float -> freq_hz:float -> power_dbm:float -> unit -> tone
-(** Exact (zero-accuracy-loss) tone. *)
-
 val silence : ?noise_dbm:float -> unit -> t
 (** No tones; default noise floor -174 dBm (thermal, 1 Hz). *)
 
@@ -56,11 +53,3 @@ val power_accuracy_db : tone -> float
 val add_spur : t -> spur_origin -> tone -> t
 val map_tones : t -> f:(tone -> tone) -> t
 (** Apply to intentional tones and spur tones alike. *)
-
-val waveform : t -> sample_rate:float -> samples:int -> rng:Msoc_util.Prng.t -> float array
-(** Synthesize a nominal time-domain realisation: interval midpoints for
-    tone and spur parameters, white Gaussian noise at the tracked power,
-    plus the DC level.  Amplitudes are peak volts derived from dBm into the
-    reference impedance. *)
-
-val pp : Format.formatter -> t -> unit

@@ -76,7 +76,8 @@ let problem_of_soc soc =
           tests :=
             { core = core.Soc.name;
               name = core.Soc.name ^ ":" ^ s.Plan.name;
-              cycles = Cost.ate_cycles s.Plan.cost + (load * s.Plan.captures) + fixture;
+              cycles =
+                Cost.ate_cycles s.Plan.cost + (load * s.Plan.cost.Cost.captures) + fixture;
               bus_bits = core.Soc.wrapper.Soc.bus_bits;
               power_mw = core.Soc.power_mw;
               prereqs = List.filter_map index_of s.Plan.prerequisites }

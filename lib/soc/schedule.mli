@@ -45,7 +45,10 @@ type result = {
 
 val decode : problem -> int array -> result
 (** Decode a priority ranking ([rank.(i)] = priority of test [i]; lower
-    starts earlier among eligible tests).  Pure and deterministic.
+    starts earlier among eligible tests).  Pure and deterministic.  In
+    production only {!greedy} calls it (the annealer decodes on its own
+    compiled scratch); [test_soc]'s decoder properties call it against
+    a reference decoder.
 
     @raise Invalid_argument if the rank's length is not the test count, or
     if the problem has a prerequisite cycle. *)

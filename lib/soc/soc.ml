@@ -36,11 +36,10 @@ let wrapper ~bus_bits ~chain_bits ~fixture_cycles =
 
 let core ~name ~topology ~wrapper ~power_mw = { name; topology; wrapper; power_mw }
 
-let create ?(ate_clock_hz = 1e6) ~name ~bus_bits ~power_budget_mw cores =
+let create ~name ~bus_bits ~power_budget_mw cores =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   if bus_bits < 1 then fail "Soc.create: %s: test bus must be >= 1 bit" name;
   if not (power_budget_mw > 0.0) then fail "Soc.create: %s: power budget must be > 0" name;
-  if not (ate_clock_hz > 0.0) then fail "Soc.create: %s: ATE clock must be > 0" name;
   if cores = [] then fail "Soc.create: %s: a SOC needs at least one core" name;
   let rec dup = function
     | [] -> None
@@ -74,7 +73,7 @@ let create ?(ate_clock_hz = 1e6) ~name ~bus_bits ~power_budget_mw cores =
         fail "Soc.create: %s: core %S test power %.1f mW exceeds the budget %.1f mW" name
           c.name c.power_mw power_budget_mw)
     cores;
-  { name; bus_bits; power_budget_mw; ate_clock_hz; cores }
+  { name; bus_bits; power_budget_mw; ate_clock_hz = 1e6; cores }
 
 let core_count t = List.length t.cores
 

@@ -26,7 +26,8 @@ type t = {
   name : string;
   bus_bits : int;          (** Total SOC test-bus width. *)
   power_budget_mw : float; (** Concurrent test-power ceiling. *)
-  ate_clock_hz : float;    (** The clock ATE cycles are counted at. *)
+  ate_clock_hz : float;    (** The clock ATE cycles are counted at: 1 MHz,
+                               the default receiver's digitizer rate. *)
   cores : core list;
 }
 
@@ -34,19 +35,19 @@ val wrapper_load_cycles : wrapper -> int
 (** [ceil(chain_bits / bus_bits)] — bus cycles per capture load. *)
 
 val wrapper : bus_bits:int -> chain_bits:int -> fixture_cycles:int -> wrapper
-val core : name:string -> topology:string -> wrapper:wrapper -> power_mw:float -> core
+(** A core's wrapper, for [core].  The registry below is its only
+    production caller; [test_soc] builds its fixtures with it. *)
 
-val create :
-  ?ate_clock_hz:float ->
-  name:string ->
-  bus_bits:int ->
-  power_budget_mw:float ->
-  core list ->
-  t
-(** Validated builder (default ATE clock 1 MHz — the default receiver's
-    digitizer rate).  Rules: at least one core; unique core names; every
-    topology registered; [1 <= wrapper bus <= SOC bus]; chain >= 1;
-    fixture >= 0; [0 < core power <= budget].
+val core : name:string -> topology:string -> wrapper:wrapper -> power_mw:float -> core
+(** A core, for {!create}.  The registry below is its only production
+    caller; [test_soc] builds its fixtures with it. *)
+
+val create : name:string -> bus_bits:int -> power_budget_mw:float -> core list -> t
+(** Validated builder.  Rules: at least one core; unique core names;
+    every topology registered; [1 <= wrapper bus <= SOC bus]; chain >= 1;
+    fixture >= 0; [0 < core power <= budget].  Only the registry calls it
+    in production; [test_soc]'s validation tests and random-SOC
+    properties are its other callers.
 
     @raise Invalid_argument when a rule is violated. *)
 

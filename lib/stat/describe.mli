@@ -14,7 +14,10 @@ val summarize : float array -> summary
 
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0, 1\]], linear interpolation between
-    order statistics.  Requires a non-empty array; sorts a copy. *)
+    order statistics.  Requires a non-empty array; sorts a copy.  In
+    production only {!median} calls it; outside this module only
+    [test_stat]'s "percentile" test does.  It is kept as the one
+    percentile rule for the benches to share. *)
 
 val median : float array -> float
 val rms : float array -> float

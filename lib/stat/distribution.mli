@@ -5,15 +5,10 @@
     we map a "± tol" specification to a normal distribution with
     [sigma = tol / 3] (99.73% of defect-free parts inside the tolerance). *)
 
-type t =
-  | Normal of { mean : float; sigma : float }
-  | Uniform of { lo : float; hi : float }
+type t = Normal of { mean : float; sigma : float }
 
 val normal : mean:float -> sigma:float -> t
 (** Requires [sigma > 0]. *)
-
-val uniform : lo:float -> hi:float -> t
-(** Requires [lo < hi]. *)
 
 val pdf : t -> float -> float
 val cdf : t -> float -> float

@@ -20,8 +20,4 @@ let sum xs =
     xs;
   !total
 
-let mean xs =
-  assert (Array.length xs > 0);
-  sum xs /. float_of_int (Array.length xs)
-
 let max_abs xs = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 xs

@@ -10,8 +10,5 @@ val linspace : float -> float -> int -> float array
 val sum : float array -> float
 (** Kahan-compensated sum. *)
 
-val mean : float array -> float
-(** Arithmetic mean.  Requires a non-empty array. *)
-
 val max_abs : float array -> float
 (** Largest absolute value; 0 for an empty array. *)

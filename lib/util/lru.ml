@@ -32,13 +32,6 @@ let create ~capacity =
     misses = 0;
     evictions = 0 }
 
-
-let length t =
-  Mutex.lock t.mutex;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.mutex;
-  n
-
 (* list surgery; caller holds the mutex *)
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);

@@ -17,9 +17,6 @@ val create : capacity:int -> 'a t
 (** Raises [Invalid_argument] when [capacity < 1] — a disabled cache is
     represented by not having one, not by a zero-capacity instance. *)
 
-val length : 'a t -> int
-(** Resident entries (a racy snapshot, suitable for a gauge). *)
-
 val find : 'a t -> string -> 'a option
 (** Lookup; bumps the entry to most-recently-used and counts a hit, or
     counts a miss. *)

@@ -3,7 +3,7 @@
     Conventions: power gains and signal powers are carried in decibels (dB /
     dBm) at the methodology level, and as linear voltage ratios at the
     waveform-simulation level.  All dBm values assume the reference impedance
-    {!reference_ohms} unless stated otherwise. *)
+    {!reference_ohms}. *)
 
 val reference_ohms : float
 (** Reference impedance for dBm/volt conversions (50 ohm). *)
@@ -23,14 +23,11 @@ val dbm_of_watts : float -> float
 val watts_of_dbm : float -> float
 (** Inverse of {!dbm_of_watts}. *)
 
-val vrms_of_dbm : ?ohms:float -> float -> float
-(** RMS voltage across [ohms] (default {!reference_ohms}) of a power in
-    dBm. *)
+val vpeak_of_dbm : float -> float
+(** Peak amplitude of a sine whose power across {!reference_ohms} is the
+    given dBm. *)
 
-val vpeak_of_dbm : ?ohms:float -> float -> float
-(** Peak amplitude of a sine whose power is the given dBm. *)
-
-val dbm_of_vpeak : ?ohms:float -> float -> float
+val dbm_of_vpeak : float -> float
 (** Inverse of {!vpeak_of_dbm}. *)
 
 val radians_of_degrees : float -> float

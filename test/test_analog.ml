@@ -30,7 +30,7 @@ let test_param_sampling_in_tolerance () =
   done
 
 let test_param_exact () =
-  let p = Param.exact 3.0 in
+  let p = Param.make ~nominal:3.0 ~tol:0.0 in
   let g = Prng.create 2 in
   Alcotest.check (approx 0.0) "exact is deterministic" 3.0 (Param.sample p g)
 
@@ -58,7 +58,10 @@ let test_nonlin_im3_matches_iip3 () =
   let f2 = Tone.coherent_frequency ~sample_rate:fs ~samples ~target:110e3 in
   let p_in = -20.0 in
   let amplitude = Units.vpeak_of_dbm p_in in
-  let input = Tone.two_tone ~sample_rate:fs ~samples ~f1 ~f2 ~amplitude in
+  let input =
+    Tone.synthesize ~sample_rate:fs ~samples
+      [ Tone.component ~freq:f1 ~amplitude (); Tone.component ~freq:f2 ~amplitude () ]
+  in
   let output = nonlin_apply n input in
   let sp = Spectrum.analyze ~sample_rate:fs output in
   let im3_lo, _ = Metrics.intermod3_products ~f1 ~f2 in
@@ -164,7 +167,7 @@ let test_lo_waveform_spectrum () =
   let n = 8192 in
   let wave = Local_osc.track ctx values ~rng:(Prng.create 10) ~samples:n in
   let sp = Spectrum.analyze ~sample_rate:ctx.Context.sim_rate_hz wave in
-  let peak = Spectrum.peak_bin sp () in
+  let peak = Spectrum.peak_bin sp in
   Alcotest.check (Alcotest.float 2e3) "carrier at 1 MHz" 1e6 (Spectrum.frequency_of_bin sp peak);
   Alcotest.check (approx 0.05) "unit amplitude power" 0.5 (Spectrum.tone_power sp ~freq:1e6)
 
@@ -270,6 +273,9 @@ let test_lpf_transform_shapes_tones () =
 
 (* ---- ADC ---- *)
 
+(* A zero-tolerance parameter. *)
+let exact nominal = Param.make ~nominal ~tol:0.0
+
 (* Convert [volts] one for one through the capture kernel, its thermal
    noise drawn from [rng]. *)
 let adc_convert inst ~rng volts =
@@ -278,9 +284,9 @@ let adc_convert inst ~rng volts =
 let adc_volts params codes = Array.map (fun c -> float_of_int c *. Adc.lsb_volts params) codes
 
 let test_adc_codes_linear_ramp () =
-  let params = { Adc.default_params with Adc.inl_lsb = Param.exact 0.0;
-                 dnl_lsb = Param.exact 0.0; offset_error_v = Param.exact 0.0;
-                 nf_db = Param.exact 0.0 } in
+  let params = { Adc.default_params with Adc.inl_lsb = exact 0.0;
+                 dnl_lsb = exact 0.0; offset_error_v = exact 0.0;
+                 nf_db = exact 0.0 } in
   let inst = Adc.instance params ctx (Adc.nominal_values params) ~rng:(Prng.create 41) in
   let rng = Prng.create 42 in
   let lsb = Adc.lsb_volts params in
@@ -305,8 +311,8 @@ let test_adc_capture_decimates () =
   Alcotest.(check int) "decimated length" 8 (Array.length codes)
 
 let test_adc_enob_close_to_ideal () =
-  let params = { Adc.default_params with Adc.inl_lsb = Param.exact 0.0;
-                 dnl_lsb = Param.exact 0.0; nf_db = Param.exact 0.0 } in
+  let params = { Adc.default_params with Adc.inl_lsb = exact 0.0;
+                 dnl_lsb = exact 0.0; nf_db = exact 0.0 } in
   let inst = Adc.instance params ctx (Adc.nominal_values params) ~rng:(Prng.create 47) in
   let rng = Prng.create 48 in
   let n = 8192 in
@@ -322,9 +328,9 @@ let test_adc_enob_close_to_ideal () =
     (r.Metrics.enob_bits > float_of_int params.Adc.bits -. 1.0)
 
 let test_adc_inl_creates_harmonics () =
-  let clean = { Adc.default_params with Adc.inl_lsb = Param.exact 0.0;
-                dnl_lsb = Param.exact 0.0; nf_db = Param.exact 0.0 } in
-  let bowed = { clean with Adc.inl_lsb = Param.exact 8.0 } in
+  let clean = { Adc.default_params with Adc.inl_lsb = exact 0.0;
+                dnl_lsb = exact 0.0; nf_db = exact 0.0 } in
+  let bowed = { clean with Adc.inl_lsb = exact 8.0 } in
   let run params seed =
     let inst = Adc.instance params ctx (Adc.nominal_values params) ~rng:(Prng.create seed) in
     let rng = Prng.create (seed + 1) in
@@ -349,7 +355,7 @@ let test_adc_transform_folds_and_adds_noise () =
 
 (* ---- Sigma-delta ---- *)
 
-let sd_ctx = Context.make ~sim_rate_hz:8e6 ~analysis_bw_hz:100e3 ()
+let sd_ctx = { Context.default with Context.analysis_bw_hz = 100e3 }
 
 let sd_instance ?(values = Sigma_delta.nominal_values (Sigma_delta.default_params ~full_scale_v:1.0)) () =
   Sigma_delta.instance (Sigma_delta.default_params ~full_scale_v:1.0) sd_ctx values
@@ -487,7 +493,7 @@ let test_path_attribute_vs_waveform_consistency () =
   in
   let volts = Path.run_volts eng input in
   let sp = Spectrum.analyze ~sample_rate:adc_rate volts in
-  let measured_snr = Metrics.snr_db sp ~fundamental:f_if in
+  let measured_snr = (Metrics.analyze sp).Metrics.snr_db in
   let stim =
     Attr.single_tone ~noise_dbm:(Context.thermal_noise_dbm path.Path.ctx) ~freq_hz:f_rf
       ~power_dbm:(-27.0) ()

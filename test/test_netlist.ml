@@ -951,10 +951,19 @@ let test_architectures_agree () =
 
 (* ---- Netlist_io ---- *)
 
+(* Write [circuit] as [msoc netlist --output] does and parse the file. *)
+let io_roundtrip circuit =
+  let file = Filename.temp_file "msoc_netlist" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Netlist_io.save file circuit;
+      Netlist_io.of_string (In_channel.with_open_text file In_channel.input_all))
+
 let test_io_roundtrip_exact () =
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
-  let back = Netlist_io.of_string (Netlist_io.to_string circuit) in
+  let back = io_roundtrip circuit in
   Alcotest.(check int) "node count" (Netlist.node_count circuit) (Netlist.node_count back);
   for node = 0 to Netlist.node_count circuit - 1 do
     if Netlist.kind circuit node <> Netlist.kind back node then
@@ -969,7 +978,7 @@ let test_io_roundtrip_exact () =
 let test_io_roundtrip_behaviour () =
   let fir = small_fir () in
   let circuit = fir.Fir_netlist.circuit in
-  let back = Netlist_io.of_string (Netlist_io.to_string circuit) in
+  let back = io_roundtrip circuit in
   let g = Prng.create 5 in
   let xs = Array.init 60 (fun _ -> Prng.int g 63 - 31) in
   let run c =

@@ -22,6 +22,15 @@ let of_json text =
       Out_channel.with_open_bin file (fun oc -> output_string oc text);
       Report.read file)
 
+(* The document [Report.write] puts in a file, as the bench writes one. *)
+let to_json r =
+  let file = Filename.temp_file "msoc_report" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Report.write file r;
+      In_channel.with_open_bin file In_channel.input_all)
+
 let reference_report () =
   let b = Report.create ~git_rev:"deadbee" ~pool_size:4 ~mode:"full" () in
   Report.add_timing b ~section:"kernels" ~name:"fft-4096" ~mean_ns:123.456789012345678
@@ -42,11 +51,6 @@ let reference_report () =
 let test_roundtrip () =
   let r = reference_report () in
   Alcotest.(check int) "current schema is v5" 5 r.Report.meta.Report.version;
-  (match of_json (Report.to_json r) with
-  | Error e -> Alcotest.failf "read of to_json r failed: %s" e
-  | Ok r' ->
-    Alcotest.(check bool) "structural equality through JSON" true (r = r'));
-  (* and through write *)
   let file = Filename.temp_file "msoc_report" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
@@ -58,7 +62,7 @@ let test_roundtrip () =
 
 let test_roundtrip_preserves_order () =
   let r = reference_report () in
-  match of_json (Report.to_json r) with
+  match of_json (to_json r) with
   | Error e -> Alcotest.failf "round trip failed: %s" e
   | Ok r' ->
     Alcotest.(check (list string))
@@ -186,13 +190,13 @@ let test_v4_document_parses () =
         (s.Report.value = 0.5 && s.Report.bound = Some (Report.Le 1.0));
       Alcotest.(check (float 0.0)) "timing kept" 10.5 t.Report.mean_ns
     | _ -> Alcotest.fail "expected one section with one timing and one scalar");
-    let json = Report.to_json r in
+    let json = to_json r in
     Alcotest.(check bool) "comparisons not written" false (contains json {|"comparisons"|});
     Alcotest.(check bool) "percentiles not written" false (contains json {|"p50_ns"|})
 
 let test_v4_bounds_roundtrip () =
   let r = reference_report () in
-  let json = Report.to_json r in
+  let json = to_json r in
   Alcotest.(check bool) "bound_le emitted" true (contains json {|"bound_le"|});
   Alcotest.(check bool) "bound_ge emitted" true (contains json {|"bound_ge"|});
   match of_json json with

@@ -63,14 +63,6 @@ let test_normal_pdf_integrates () =
   let integral = simpson ~f:(Distribution.pdf d) ~lo:(-6.0) ~hi:4.0 ~n:2000 in
   Alcotest.check (approx 1e-8) "pdf integrates to 1" 1.0 integral
 
-let test_uniform () =
-  let d = Distribution.uniform ~lo:2.0 ~hi:6.0 in
-  Alcotest.check (approx 1e-12) "pdf inside" 0.25 (Distribution.pdf d 3.0);
-  Alcotest.check (approx 1e-12) "pdf outside" 0.0 (Distribution.pdf d 7.0);
-  Alcotest.check (approx 1e-12) "cdf mid" 0.5 (Distribution.cdf d 4.0);
-  Alcotest.check (approx 1e-12) "mean" 4.0 (Distribution.mean d);
-  Alcotest.check (approx 1e-9) "stddev" (4.0 /. sqrt 12.0) (Distribution.stddev d)
-
 let test_normal_of_tolerance () =
   (* the tolerance model: sigma = tol / 3 puts 99.73% of parts inside ±tol *)
   let d = Distribution.normal ~mean:5.0 ~sigma:(1.5 /. 3.0) in
@@ -162,7 +154,6 @@ let () =
       ( "distribution",
         [ Alcotest.test_case "normal cdf symmetry" `Quick test_normal_cdf_symmetry;
           Alcotest.test_case "normal pdf integral" `Quick test_normal_pdf_integrates;
-          Alcotest.test_case "uniform" `Quick test_uniform;
           Alcotest.test_case "normal of tolerance" `Quick test_normal_of_tolerance;
           Alcotest.test_case "sampling matches cdf" `Quick test_sampling_matches_cdf ] );
       ( "describe",

@@ -389,18 +389,15 @@ let reference_analytic ~population ~bound ~error ~threshold_shift =
   { Coverage.fcl = (if p_faulty <= 1e-12 then 0.0 else clamp01 (escape /. p_faulty));
     yl = (if p_good <= 1e-12 then 0.0 else clamp01 (rejected_good /. p_good)) }
 
-(* Normal and uniform populations; one- and two-sided bounds placed across
-   the population, some [Within] narrower than twice the shift (so nothing
-   is accepted); both error models, with an error of 0 and above 0; and
-   shifts across [-2 err, 2 err]. *)
+(* Normal populations (the only kind the paper's tolerance model
+   builds); one- and two-sided bounds placed across the population, some
+   [Within] narrower than twice the shift (so nothing is accepted); both
+   error models, with an error of 0 and above 0; and shifts across
+   [-2 err, 2 err]. *)
 let analytic_case_gen =
   let open QCheck.Gen in
   let* mean = float_range (-5.0) 5.0 and* spread = float_range 0.05 3.0 in
-  let* population =
-    oneof
-      [ return (Distribution.normal ~mean ~sigma:spread);
-        return (Distribution.uniform ~lo:(mean -. spread) ~hi:(mean +. spread)) ]
-  in
+  let population = Distribution.normal ~mean ~sigma:spread in
   let* at = float_range (-3.0) 3.0 >|= fun k -> mean +. (k *. spread) in
   let* width = float_range 0.0 4.0 >|= fun k -> k *. spread in
   let* bound =
@@ -512,15 +509,14 @@ let test_schedule_time_estimate () =
   Alcotest.(check bool) "positive and sane" true (total > 0.05 && total < 10.0);
   (* sweeps dominate *)
   let p1db = List.find (fun s -> s.Plan.name = "mixer p1db") steps in
-  Alcotest.(check bool) "sweep costs more than a read" true (p1db.Plan.captures > 5);
+  Alcotest.(check bool) "sweep costs more than a read" true
+    (p1db.Plan.cost.Cost.captures > 5);
   (* each step's seconds is the pure cycle count at the digitizer rate *)
   List.iter
     (fun s ->
-      Alcotest.(check int) "captures mirror the cost" s.Plan.cost.Cost.captures
-        s.Plan.captures;
       Alcotest.(check (float 1e-12)) "seconds derived from cycles"
         (float_of_int (Cost.ate_cycles s.Plan.cost) /. s.Plan.cost.Cost.sample_rate_hz)
-        s.Plan.seconds)
+        (Cost.seconds s.Plan.cost))
     steps;
   (* the default receiver settles in 48 cycles; the p1db sweep pays them
      on each of its 14 captures *)

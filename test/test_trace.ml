@@ -144,7 +144,7 @@ let test_summary () =
 (* ---- utilization ---- *)
 
 let test_utilization () =
-  let text = Trace.utilization ~width:20 (load_fixture ()) in
+  let text = Trace.utilization (load_fixture ()) in
   (* the pooled window is [1 ms, 8 ms): slot 0 is busy 6/7, slot 1 is
      busy 2/7, and slot 1 recorded the single steal *)
   check_contains text
@@ -184,7 +184,7 @@ let test_utilization_idle_slot () =
   in
   Alcotest.(check (list (triple int int int))) "every slot of the pool"
     [ (0, 1, 0); (1, 2, 2); (2, 0, 0) ] (slot_rows t);
-  let text = Trace.utilization ~width:4 t in
+  let text = Trace.utilization t in
   check_contains text [ "3 slot(s), wall 2.000 ms"; "slot 2 " ];
   let row =
     String.split_on_char '\n' text

@@ -111,7 +111,7 @@ let table1 () =
   let t = Texttable.create ~headers:[ "Block"; "Parameters" ] in
   List.iter
     (fun (block, kinds) -> Texttable.add_row t [ block; String.concat ", " kinds ])
-    (Plan.table1 (Plan.synthesize path));
+    Plan.table1;
   Texttable.print t;
   Format.printf
     "Paper Table 1 lists: Amp {Gain, IIP3, DC Offset, 3rd Harmonic}; Mixer {Gain,@.\
@@ -383,7 +383,7 @@ let table2 () =
   in
   List.iter
     (fun (label, m) ->
-      match Plan.population_of_spec path m.Propagate.spec with
+      match Plan.population_of_spec m.Propagate.spec with
       | None -> ()
       | Some population ->
         let err = Propagate.err m in

@@ -274,7 +274,7 @@ let run_coverage tel strategy param =
   let m = measurement_of_name path strategy param in
   let err = Propagate.err m in
   Format.printf "%a@.@." Propagate.pp m;
-  match Plan.population_of_spec path m.Propagate.spec with
+  match Plan.population_of_spec m.Propagate.spec with
   | None -> Format.printf "parameter has no toleranced population model@."
   | Some population ->
     let t = Texttable.create ~headers:[ "Threshold"; "FCL"; "YL" ] in
@@ -306,8 +306,9 @@ let coverage_cmd =
 
 (* ---- faultsim ---- *)
 
-(* Heartbeat line for the fault simulation: each simulated stream is
-   judged on the spot, so the simulated cells alone measure progress.
+(* Heartbeat line for the fault simulation: faults are simulated one per
+   equivalence class and each simulated stream is judged on the spot, so
+   the simulated cells, which count classes, alone measure progress.
    Reads only the engines' published cells. *)
 let render_faultsim ~elapsed_s =
   let v name = Progress.value (Progress.cell name) in
@@ -320,7 +321,7 @@ let render_faultsim ~elapsed_s =
     | None -> ""
   in
   let coverage = if judged > 0.0 then 100.0 *. detected /. judged else 0.0 in
-  Printf.sprintf "faultsim: sim %.0f/%.0f faults | judged %.0f/%.0f | coverage %.1f%% | %s%s"
+  Printf.sprintf "faultsim: sim %.0f/%.0f classes | judged %.0f/%.0f | coverage %.1f%% | %s%s"
     simulated simulated_total judged judged_total coverage
     (Progress.pp_duration elapsed_s) eta
 

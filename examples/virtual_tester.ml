@@ -41,7 +41,7 @@ let () =
 
   (* If losses are still unacceptable, the advisor quantifies test points. *)
   Format.printf "=== DFT advisor (limits: FCL 10%%, YL 5%%) ===@.";
-  let recs = Dft.recommend path ~max_fcl:0.10 ~max_yl:0.05 in
+  let recs = Dft.recommend (Plan.synthesize path) ~max_fcl:0.10 ~max_yl:0.05 in
   if recs = [] then Format.printf "no test points needed@."
   else begin
     let t =

@@ -9,12 +9,7 @@ type part = (string * Stage.values) list
 
 let validate ctx stages =
   if stages = [] then invalid_arg "Path.create: empty stage list";
-  let ids =
-    List.concat_map
-      (fun s ->
-        s.Stage.id :: (match Stage.lo_id s with Some lo -> [ lo ] | None -> []))
-      stages
-  in
+  let ids = List.concat_map Stage.owners stages in
   let rec dup = function
     | [] -> None
     | x :: rest -> if List.mem x rest then Some x else dup rest
@@ -70,62 +65,64 @@ let adc_rate_hz t = t.ctx.Context.sim_rate_hz /. float_of_int (decimation t)
 
 let settle_cycles t =
   Int.max 1 (List.fold_left (fun acc s -> acc + Stage.settle_cycles s) 0 t.stages)
-let find_stage t id = List.find_opt (fun s -> String.equal s.Stage.id id) t.stages
 
-let first_mixer t =
-  List.find_opt (fun s -> match s.Stage.block with Stage.Mix _ -> true | _ -> false) t.stages
+let find_stage t id = List.find_opt (fun s -> String.equal s.Stage.id id) t.stages
+let first_stage t is_block = List.find_opt (fun s -> is_block s.Stage.block) t.stages
+let first_mixer t = first_stage t (function Stage.Mix _ -> true | _ -> false)
 
 let lo_freq_hz t =
   match first_mixer t with
-  | Some s -> (match Stage.lo_params s with Some lo -> Some lo.Local_osc.freq_hz | None -> None)
-  | None -> None
+  | Some { Stage.block = Stage.Mix { lo; _ }; _ } -> Some lo.Local_osc.freq_hz
+  | _ -> None
 
-(* A parameter id either names a stage directly or names the LO owned by a
-   mixer stage. *)
-let param_opt t ~stage ~name =
-  match find_stage t stage with
-  | Some s -> Stage.param s ~name
-  | None ->
-    List.find_map
-      (fun s ->
-        match Stage.lo_id s with
-        | Some lo when String.equal lo stage -> List.assoc_opt name (Stage.lo_params_named s)
-        | _ -> None)
-      t.stages
+let missing what ~stage ~name =
+  invalid_arg (Printf.sprintf "Path.%s %S on stage %S" what name stage)
+
+(* The stage answering to owner id [stage] and its row [name]; [what]
+   completes the error naming both. *)
+let row what t ~stage ~name =
+  let named r = String.equal r.Stage.name name in
+  let rec go = function
+    | [] -> missing what ~stage ~name
+    | s :: rest -> (
+      match List.find_opt named (Stage.rows s ~owner:stage) with
+      | Some r -> (s, r)
+      | None -> go rest)
+  in
+  go t.stages
 
 let param t ~stage ~name =
-  match param_opt t ~stage ~name with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Path.param: no parameter %S on stage %S" name stage)
+  let s, r = row "param: no parameter" t ~stage ~name in
+  r.Stage.param s.Stage.block
 
 (* ---- de-embedding folds ---- *)
 
-let gain_stages t =
+let gains stages =
   List.filter_map
     (fun s -> match Stage.gain_param s with Some g -> Some (s, g) | None -> None)
-    t.stages
+    stages
+
+let gain_stages t = gains t.stages
 
 let gains_before t ~stage =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | s :: _ when String.equal s.Stage.id stage -> List.rev acc
-    | s :: rest ->
-      (match Stage.gain_param s with
-      | Some g -> go (g :: acc) rest
-      | None -> go acc rest)
+  let rec before = function
+    | s :: rest when not (String.equal s.Stage.id stage) -> s :: before rest
+    | _ -> []
   in
-  go [] t.stages
+  gains (before t.stages)
 
 let gains_from t ~stage =
-  let rec skip = function
+  let rec from = function
+    | s :: _ as rest when String.equal s.Stage.id stage -> rest
+    | _ :: rest -> from rest
     | [] -> []
-    | s :: rest when String.equal s.Stage.id stage -> s :: rest
-    | _ :: rest -> skip rest
   in
-  List.filter_map Stage.gain_param (skip t.stages)
+  gains (from t.stages)
 
-let nominal_path_gain_db t =
-  List.fold_left (fun acc (_, g) -> acc +. g.Param.nominal) 0.0 (gain_stages t)
+let nominal_gain_db gains =
+  List.fold_left (fun acc (_, g) -> acc +. g.Param.nominal) 0.0 gains
+
+let nominal_path_gain_db t = nominal_gain_db (gain_stages t)
 
 (* Right-nested accumulation — the historical association order, kept for
    bit-identity of interval bounds. *)
@@ -152,58 +149,17 @@ let sample_part t g =
   in
   go [] (List.rev t.stages)
 
-let part_values part ~stage =
-  match List.assoc_opt stage part with
-  | Some v -> Some v
-  | None -> None
-
-let part_value_opt t part ~stage ~name =
-  match part_values part ~stage with
-  | Some v -> Stage.value v ~name
-  | None ->
-    (* an LO id: find the owning mixer stage *)
-    List.find_map
-      (fun s ->
-        match Stage.lo_id s with
-        | Some lo when String.equal lo stage -> (
-          match List.assoc_opt s.Stage.id part with
-          | Some v -> Stage.lo_value v ~name
-          | None -> None)
-        | _ -> None)
-      t.stages
-
 let part_value t part ~stage ~name =
-  match part_value_opt t part ~stage ~name with
-  | Some x -> x
-  | None ->
-    invalid_arg (Printf.sprintf "Path.part_value: no value %S on stage %S" name stage)
+  let s, r = row "part_value: no value" t ~stage ~name in
+  match List.assoc_opt s.Stage.id part with
+  | Some v -> r.Stage.get v
+  | None -> missing "part_value: no value" ~stage ~name
 
 let with_value t part ~stage ~name x =
-  let set id f =
-    List.map (fun (k, v) -> if String.equal k id then (k, f v) else (k, v)) part
-  in
-  match find_stage t stage with
-  | Some s ->
-    set s.Stage.id (fun v ->
-        match Stage.set_value v ~name x with
-        | Some v' -> v'
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Path.with_value: no value %S on stage %S" name stage))
-  | None -> (
-    match
-      List.find_opt
-        (fun s -> match Stage.lo_id s with Some lo -> String.equal lo stage | None -> false)
-        t.stages
-    with
-    | Some s ->
-      set s.Stage.id (fun v ->
-          match Stage.set_lo_value v ~name x with
-          | Some v' -> v'
-          | None ->
-            invalid_arg
-              (Printf.sprintf "Path.with_value: no LO value %S on stage %S" name stage))
-    | None -> invalid_arg (Printf.sprintf "Path.with_value: no stage %S" stage))
+  let s, r = row "with_value: no value" t ~stage ~name in
+  List.map
+    (fun ((id, v) as kv) -> if String.equal id s.Stage.id then (id, r.Stage.set v x) else kv)
+    part
 
 (* ---- waveform engine ---- *)
 

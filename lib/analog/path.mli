@@ -39,29 +39,36 @@ val adc_rate_hz : t -> float
     The default receiver settles in 48 cycles. *)
 val settle_cycles : t -> int
 val find_stage : t -> string -> Stage.t option
+
+val first_stage : t -> (Stage.block -> bool) -> Stage.t option
+(** The first stage, in path order, whose block satisfies the predicate. *)
+
 val first_mixer : t -> Stage.t option
 val lo_freq_hz : t -> float option
 
-val param_opt : t -> stage:string -> name:string -> Param.t option
-(** Look up a toleranced parameter by stage id and conventional field name.
-    [stage] may also name the LO owned by a mixer stage. *)
-
 val param : t -> stage:string -> name:string -> Param.t
-(** @raise Invalid_argument if absent. *)
+(** Look up a toleranced parameter by owner id and conventional field name
+    (one of the owner's {!Stage.rows}).  The owner id is a stage's id or
+    the id of the LO a mixer stage owns.
+
+    @raise Invalid_argument naming both if absent. *)
 
 (** {1 De-embedding folds} *)
 
 val gain_stages : t -> (Stage.t * Param.t) list
-(** Stages that insert pass-band gain, in path order. *)
+(** Stages that insert pass-band gain, with that gain, in path order. *)
 
-val gains_before : t -> stage:string -> Param.t list
-(** Gain parameters of the stages strictly preceding [stage]. *)
+val gains_before : t -> stage:string -> (Stage.t * Param.t) list
+(** The {!gain_stages} strictly preceding [stage]. *)
 
-val gains_from : t -> stage:string -> Param.t list
-(** Gain parameters of [stage] and everything after it. *)
+val gains_from : t -> stage:string -> (Stage.t * Param.t) list
+(** The {!gain_stages} from [stage] on, [stage] included. *)
+
+val nominal_gain_db : (Stage.t * Param.t) list -> float
+(** Sum of the nominal gains, accumulated in list order from [0.0]. *)
 
 val nominal_path_gain_db : t -> float
-(** Sum of nominal pass-band gains, accumulated in path order. *)
+(** [nominal_gain_db] of the {!gain_stages}. *)
 
 val path_gain_interval_db : t -> Msoc_util.Interval.t
 (** Pass-band path gain with all gain tolerances accumulated. *)
@@ -77,7 +84,9 @@ val sample_part : t -> Msoc_util.Prng.t -> part
 
 val part_value : t -> part -> stage:string -> name:string -> float
 val with_value : t -> part -> stage:string -> name:string -> float -> part
-(** Functional update of one value; [stage] may name an LO. *)
+(** Read and functional update of one value, looked up as {!param} is.
+
+    @raise Invalid_argument naming both if absent. *)
 
 (** {1 Waveform engine} *)
 

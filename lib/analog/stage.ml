@@ -37,9 +37,6 @@ let sigma_delta ?(id = "ADC") ~decimation params =
 
 (* ---- structural queries ---- *)
 
-let lo_id t = match t.block with Mix { lo_id; _ } -> Some lo_id | _ -> None
-let lo_params t = match t.block with Mix { lo; _ } -> Some lo | _ -> None
-
 let is_digitizer t =
   match t.block with Adc _ | Sd_adc _ -> true | Amp _ | Mix _ | Lpf _ -> false
 
@@ -61,37 +58,124 @@ let settle_cycles t =
   | Adc _ -> 4
   | Sd_adc { decimation; _ } -> 3 * decimation
 
-(* ---- toleranced parameters, by conventional name ---- *)
+(* ---- toleranced parameters: one row each ---- *)
 
-let params t =
+type row = {
+  name : string;
+  param : block -> Param.t;
+  get : values -> float;
+  set : values -> float -> values;
+}
+
+let mismatch () = invalid_arg "Stage: values do not match the stage's block"
+
+(* A row over one block's own records, lifted onto stages: [params] and
+   [part] project the records out of a stage's block and a part's values,
+   and [put] writes an updated values record back. *)
+let lift params part put name param get set =
+  { name;
+    param = (fun b -> param (params b));
+    get = (fun v -> get (part v));
+    set = (fun v x -> put v (set (part v) x)) }
+
+let amp_rows =
+  let row =
+    lift (function Amp p -> p | _ -> mismatch ()) (function Amp_v v -> v | _ -> mismatch ())
+      (fun _ v -> Amp_v v)
+  in
+  Amplifier.
+    [ row "gain_db" (fun p -> p.gain_db) (fun v -> v.gain_db) (fun v x -> { v with gain_db = x });
+      row "iip3_dbm" (fun p -> p.iip3_dbm) (fun v -> v.iip3_dbm)
+        (fun v x -> { v with iip3_dbm = x });
+      row "dc_offset_v" (fun p -> p.dc_offset_v) (fun v -> v.dc_offset_v)
+        (fun v x -> { v with dc_offset_v = x });
+      row "nf_db" (fun p -> p.nf_db) (fun v -> v.nf_db) (fun v x -> { v with nf_db = x }) ]
+
+let mixer_rows =
+  let row =
+    lift
+      (function Mix { mixer; _ } -> mixer | _ -> mismatch ())
+      (function Mix_v { mixer_v; _ } -> mixer_v | _ -> mismatch ())
+      (fun v mixer_v -> match v with Mix_v m -> Mix_v { m with mixer_v } | _ -> mismatch ())
+  in
+  Mixer.
+    [ row "gain_db" (fun p -> p.gain_db) (fun v -> v.gain_db) (fun v x -> { v with gain_db = x });
+      row "iip3_dbm" (fun p -> p.iip3_dbm) (fun v -> v.iip3_dbm)
+        (fun v x -> { v with iip3_dbm = x });
+      row "lo_isolation_db" (fun p -> p.lo_isolation_db) (fun v -> v.lo_isolation_db)
+        (fun v x -> { v with lo_isolation_db = x });
+      row "nf_db" (fun p -> p.nf_db) (fun v -> v.nf_db) (fun v x -> { v with nf_db = x });
+      row "p1db_dbm" (fun p -> p.p1db_dbm) (fun v -> v.p1db_dbm)
+        (fun v x -> { v with p1db_dbm = x }) ]
+
+let lo_rows =
+  let row =
+    lift
+      (function Mix { lo; _ } -> lo | _ -> mismatch ())
+      (function Mix_v { lo_v; _ } -> lo_v | _ -> mismatch ())
+      (fun v lo_v -> match v with Mix_v m -> Mix_v { m with lo_v } | _ -> mismatch ())
+  in
+  Local_osc.
+    [ row "freq_error_hz" (fun p -> p.freq_error_hz) (fun v -> v.freq_error_hz)
+        (fun v x -> { v with freq_error_hz = x });
+      row "phase_noise_deg_rms" (fun p -> p.phase_noise_deg_rms) (fun v -> v.phase_noise_deg_rms)
+        (fun v x -> { v with phase_noise_deg_rms = x }) ]
+
+let lpf_rows =
+  let row =
+    lift (function Lpf p -> p | _ -> mismatch ()) (function Lpf_v v -> v | _ -> mismatch ())
+      (fun _ v -> Lpf_v v)
+  in
+  Lpf.
+    [ row "gain_db" (fun p -> p.gain_db) (fun v -> v.gain_db) (fun v x -> { v with gain_db = x });
+      row "cutoff_hz" (fun p -> p.cutoff_hz) (fun v -> v.cutoff_hz)
+        (fun v x -> { v with cutoff_hz = x });
+      row "stopband_db" (fun p -> p.stopband_db) (fun v -> v.stopband_db)
+        (fun v x -> { v with stopband_db = x });
+      row "clock_spur_dbc" (fun p -> p.clock_spur_dbc) (fun v -> v.clock_spur_dbc)
+        (fun v x -> { v with clock_spur_dbc = x });
+      row "nf_db" (fun p -> p.nf_db) (fun v -> v.nf_db) (fun v x -> { v with nf_db = x }) ]
+
+let adc_rows =
+  let row =
+    lift
+      (function Adc { adc; _ } -> adc | _ -> mismatch ())
+      (function Adc_v v -> v | _ -> mismatch ())
+      (fun _ v -> Adc_v v)
+  in
+  Adc.
+    [ row "offset_error_v" (fun p -> p.offset_error_v) (fun v -> v.offset_error_v)
+        (fun v x -> { v with offset_error_v = x });
+      row "inl_lsb" (fun p -> p.inl_lsb) (fun v -> v.inl_lsb) (fun v x -> { v with inl_lsb = x });
+      row "dnl_lsb" (fun p -> p.dnl_lsb) (fun v -> v.dnl_lsb) (fun v x -> { v with dnl_lsb = x });
+      row "nf_db" (fun p -> p.nf_db) (fun v -> v.nf_db) (fun v x -> { v with nf_db = x }) ]
+
+let sigma_delta_rows =
+  let row =
+    lift
+      (function Sd_adc { sd; _ } -> sd | _ -> mismatch ())
+      (function Sd_v v -> v | _ -> mismatch ())
+      (fun _ v -> Sd_v v)
+  in
+  Sigma_delta.
+    [ row "leakage" (fun p -> p.leakage) (fun v -> v.leakage) (fun v x -> { v with leakage = x });
+      row "gain_error" (fun p -> p.gain_error) (fun v -> v.gain_error)
+        (fun v x -> { v with gain_error = x });
+      row "comparator_offset_v" (fun p -> p.comparator_offset_v) (fun v -> v.comparator_offset_v)
+        (fun v x -> { v with comparator_offset_v = x });
+      row "nf_db" (fun p -> p.nf_db) (fun v -> v.nf_db) (fun v x -> { v with nf_db = x }) ]
+
+let owners t = match t.block with Mix { lo_id; _ } -> [ t.id; lo_id ] | _ -> [ t.id ]
+
+let rows t ~owner =
   match t.block with
-  | Amp p ->
-    [ ("gain_db", p.Amplifier.gain_db); ("iip3_dbm", p.Amplifier.iip3_dbm);
-      ("dc_offset_v", p.Amplifier.dc_offset_v); ("nf_db", p.Amplifier.nf_db) ]
-  | Mix { mixer = p; _ } ->
-    [ ("gain_db", p.Mixer.gain_db); ("iip3_dbm", p.Mixer.iip3_dbm);
-      ("lo_isolation_db", p.Mixer.lo_isolation_db); ("nf_db", p.Mixer.nf_db);
-      ("p1db_dbm", p.Mixer.p1db_dbm) ]
-  | Lpf p ->
-    [ ("gain_db", p.Lpf.gain_db); ("cutoff_hz", p.Lpf.cutoff_hz);
-      ("stopband_db", p.Lpf.stopband_db); ("clock_spur_dbc", p.Lpf.clock_spur_dbc);
-      ("nf_db", p.Lpf.nf_db) ]
-  | Adc { adc = p; _ } ->
-    [ ("offset_error_v", p.Adc.offset_error_v); ("inl_lsb", p.Adc.inl_lsb);
-      ("dnl_lsb", p.Adc.dnl_lsb); ("nf_db", p.Adc.nf_db) ]
-  | Sd_adc { sd = p; _ } ->
-    [ ("leakage", p.Sigma_delta.leakage); ("gain_error", p.Sigma_delta.gain_error);
-      ("comparator_offset_v", p.Sigma_delta.comparator_offset_v);
-      ("nf_db", p.Sigma_delta.nf_db) ]
-
-let lo_params_named t =
-  match t.block with
-  | Mix { lo; _ } ->
-    [ ("freq_error_hz", lo.Local_osc.freq_error_hz);
-      ("phase_noise_deg_rms", lo.Local_osc.phase_noise_deg_rms) ]
-  | Amp _ | Lpf _ | Adc _ | Sd_adc _ -> []
-
-let param t ~name = List.assoc_opt name (params t)
+  | Mix { lo_id; _ } when String.equal lo_id owner -> lo_rows
+  | _ when not (String.equal t.id owner) -> []
+  | Amp _ -> amp_rows
+  | Mix _ -> mixer_rows
+  | Lpf _ -> lpf_rows
+  | Adc _ -> adc_rows
+  | Sd_adc _ -> sigma_delta_rows
 
 (* De-embedding info: the pass-band gain every non-digitizer stage inserts
    in front of whatever follows it, and its cascade noise contribution. *)
@@ -134,106 +218,6 @@ let sample_values t g =
   | Lpf p -> Lpf_v (Lpf.sample_values p g)
   | Adc { adc; _ } -> Adc_v (Adc.sample_values adc g)
   | Sd_adc { sd; _ } -> Sd_v (Sigma_delta.sample_values sd g)
-
-let value values ~name =
-  match values with
-  | Amp_v v -> (
-    match name with
-    | "gain_db" -> Some v.Amplifier.gain_db
-    | "iip3_dbm" -> Some v.Amplifier.iip3_dbm
-    | "dc_offset_v" -> Some v.Amplifier.dc_offset_v
-    | "nf_db" -> Some v.Amplifier.nf_db
-    | _ -> None)
-  | Mix_v { mixer_v = v; _ } -> (
-    match name with
-    | "gain_db" -> Some v.Mixer.gain_db
-    | "iip3_dbm" -> Some v.Mixer.iip3_dbm
-    | "lo_isolation_db" -> Some v.Mixer.lo_isolation_db
-    | "nf_db" -> Some v.Mixer.nf_db
-    | "p1db_dbm" -> Some v.Mixer.p1db_dbm
-    | _ -> None)
-  | Lpf_v v -> (
-    match name with
-    | "gain_db" -> Some v.Lpf.gain_db
-    | "cutoff_hz" -> Some v.Lpf.cutoff_hz
-    | "stopband_db" -> Some v.Lpf.stopband_db
-    | "clock_spur_dbc" -> Some v.Lpf.clock_spur_dbc
-    | "nf_db" -> Some v.Lpf.nf_db
-    | _ -> None)
-  | Adc_v v -> (
-    match name with
-    | "offset_error_v" -> Some v.Adc.offset_error_v
-    | "inl_lsb" -> Some v.Adc.inl_lsb
-    | "dnl_lsb" -> Some v.Adc.dnl_lsb
-    | "nf_db" -> Some v.Adc.nf_db
-    | _ -> None)
-  | Sd_v v -> (
-    match name with
-    | "leakage" -> Some v.Sigma_delta.leakage
-    | "gain_error" -> Some v.Sigma_delta.gain_error
-    | "comparator_offset_v" -> Some v.Sigma_delta.comparator_offset_v
-    | "nf_db" -> Some v.Sigma_delta.nf_db
-    | _ -> None)
-
-let lo_value values ~name =
-  match values with
-  | Mix_v { lo_v = v; _ } -> (
-    match name with
-    | "freq_error_hz" -> Some v.Local_osc.freq_error_hz
-    | "phase_noise_deg_rms" -> Some v.Local_osc.phase_noise_deg_rms
-    | _ -> None)
-  | Amp_v _ | Lpf_v _ | Adc_v _ | Sd_v _ -> None
-
-let set_value values ~name x =
-  match values with
-  | Amp_v v -> (
-    match name with
-    | "gain_db" -> Some (Amp_v { v with Amplifier.gain_db = x })
-    | "iip3_dbm" -> Some (Amp_v { v with Amplifier.iip3_dbm = x })
-    | "dc_offset_v" -> Some (Amp_v { v with Amplifier.dc_offset_v = x })
-    | "nf_db" -> Some (Amp_v { v with Amplifier.nf_db = x })
-    | _ -> None)
-  | Mix_v { lo_v; mixer_v = v } -> (
-    let mix mixer_v = Some (Mix_v { lo_v; mixer_v }) in
-    match name with
-    | "gain_db" -> mix { v with Mixer.gain_db = x }
-    | "iip3_dbm" -> mix { v with Mixer.iip3_dbm = x }
-    | "lo_isolation_db" -> mix { v with Mixer.lo_isolation_db = x }
-    | "nf_db" -> mix { v with Mixer.nf_db = x }
-    | "p1db_dbm" -> mix { v with Mixer.p1db_dbm = x }
-    | _ -> None)
-  | Lpf_v v -> (
-    match name with
-    | "gain_db" -> Some (Lpf_v { v with Lpf.gain_db = x })
-    | "cutoff_hz" -> Some (Lpf_v { v with Lpf.cutoff_hz = x })
-    | "stopband_db" -> Some (Lpf_v { v with Lpf.stopband_db = x })
-    | "clock_spur_dbc" -> Some (Lpf_v { v with Lpf.clock_spur_dbc = x })
-    | "nf_db" -> Some (Lpf_v { v with Lpf.nf_db = x })
-    | _ -> None)
-  | Adc_v v -> (
-    match name with
-    | "offset_error_v" -> Some (Adc_v { v with Adc.offset_error_v = x })
-    | "inl_lsb" -> Some (Adc_v { v with Adc.inl_lsb = x })
-    | "dnl_lsb" -> Some (Adc_v { v with Adc.dnl_lsb = x })
-    | "nf_db" -> Some (Adc_v { v with Adc.nf_db = x })
-    | _ -> None)
-  | Sd_v v -> (
-    match name with
-    | "leakage" -> Some (Sd_v { v with Sigma_delta.leakage = x })
-    | "gain_error" -> Some (Sd_v { v with Sigma_delta.gain_error = x })
-    | "comparator_offset_v" -> Some (Sd_v { v with Sigma_delta.comparator_offset_v = x })
-    | "nf_db" -> Some (Sd_v { v with Sigma_delta.nf_db = x })
-    | _ -> None)
-
-let set_lo_value values ~name x =
-  match values with
-  | Mix_v { lo_v = v; mixer_v } -> (
-    let mix lo_v = Some (Mix_v { lo_v; mixer_v }) in
-    match name with
-    | "freq_error_hz" -> mix { v with Local_osc.freq_error_hz = x }
-    | "phase_noise_deg_rms" -> mix { v with Local_osc.phase_noise_deg_rms = x }
-    | _ -> None)
-  | Amp_v _ | Lpf_v _ | Adc_v _ | Sd_v _ -> None
 
 (* ---- attribute-domain transfer ---- *)
 

@@ -1,8 +1,8 @@
 (** First-class stage descriptor.
 
     A stage bundles everything the test-synthesis core needs to know about
-    one block of a signal path: an id, the toleranced parameter set
-    ({!Param.t} values addressable by conventional name), the block's
+    one block of a signal path: an id, the toleranced parameter set (one
+    {!row} per {!Param.t}, addressable by conventional name), the block's
     attribute-domain transfer function, its waveform-engine block kernel,
     and its de-embedding info (pass-band gain, cascade noise figure,
     nonlinearity handle).  {!Path} holds an ordered list of these; [lib/core] folds over
@@ -49,8 +49,6 @@ val sigma_delta : ?id:string -> decimation:int -> Sigma_delta.params -> t
 
 (** {1 Structural queries} *)
 
-val lo_id : t -> string option
-val lo_params : t -> Local_osc.params option
 val is_digitizer : t -> bool
 val decimation : t -> int option
 
@@ -61,8 +59,27 @@ val settle_cycles : t -> int
 
 (** {1 Toleranced parameters} *)
 
-val lo_params_named : t -> (string * Param.t) list
-val param : t -> name:string -> Param.t option
+(** One block parameter: its conventional name (["gain_db"],
+    ["cutoff_hz"], ...), a reader of its toleranced value from a stage's
+    block, and a reader and a functional writer of a manufactured part's
+    value.  Each accepts only the block and the values of a stage whose
+    {!rows} it came from. *)
+type row = {
+  name : string;
+  param : block -> Param.t;
+  get : values -> float;
+  set : values -> float -> values;
+}
+
+val owners : t -> string list
+(** The owner ids the stage's rows answer to: its id, then a mixer's
+    [lo_id]. *)
+
+val rows : t -> owner:string -> row list
+(** The rows the owner id [owner] answers to in this stage: the block's own
+    when [owner] is the stage's id, the LO's when it is a mixer's [lo_id],
+    otherwise none.  The rows are static, one list per block, so a call
+    allocates nothing. *)
 
 val gain_param : t -> Param.t option
 (** Pass-band gain this stage inserts ahead of what follows — the
@@ -77,11 +94,6 @@ val nominal_values : t -> values
 val sample_values : t -> Prng.t -> values
 (** Draw order within a stage (LO before mixer) is fixed: it reproduces
     the historical receiver sampler bit-for-bit. *)
-
-val value : values -> name:string -> float option
-val lo_value : values -> name:string -> float option
-val set_value : values -> name:string -> float -> values option
-val set_lo_value : values -> name:string -> float -> values option
 
 (** {1 Attribute-domain transfer} *)
 

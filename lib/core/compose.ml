@@ -88,10 +88,6 @@ let noise_floor_input_dbm (path : Path.t) =
   in
   Context.thermal_noise_dbm path.Path.ctx +. nf
 
-let gains_before_nominal (path : Path.t) ~stage =
-  List.fold_left (fun acc (p : Param.t) -> acc +. p.Param.nominal) 0.0
-    (Path.gains_before path ~stage)
-
 let dynamic_range (path : Path.t) =
   (* Ceiling: the mixer compression referred to the primary input; floor:
      the cascade noise floor referred to the primary input. *)
@@ -99,11 +95,9 @@ let dynamic_range (path : Path.t) =
     match Path.first_mixer path with
     | Some mx ->
       let p1db = Path.param path ~stage:mx.Stage.id ~name:"p1db_dbm" in
-      let pre_tol =
-        List.fold_left (fun acc (p : Param.t) -> acc +. p.Param.tol) 0.0
-          (Path.gains_before path ~stage:mx.Stage.id)
-      in
-      ( p1db.Param.nominal -. gains_before_nominal path ~stage:mx.Stage.id,
+      let before = Path.gains_before path ~stage:mx.Stage.id in
+      let pre_tol = List.fold_left (fun acc (_, (p : Param.t)) -> acc +. p.Param.tol) 0.0 before in
+      ( p1db.Param.nominal -. Path.nominal_gain_db before,
         p1db.Param.tol +. pre_tol +. 1.0 (* NF corner contribution, conservative *) )
     | None ->
       (* no compressing mixer: the digitizer full scale is the ceiling *)

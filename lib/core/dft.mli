@@ -8,8 +8,6 @@
     de-embedding contribution from the budget, leaving the instrument
     error, and the losses are re-evaluated with the shrunken error. *)
 
-module Path = Msoc_analog.Path
-
 type recommendation = {
   measurement : Propagate.t;
   losses_without : Coverage.losses;   (** At [Thr = Tol], via signal paths. *)
@@ -19,12 +17,8 @@ type recommendation = {
   yl_reduction : float;
 }
 
-val recommend :
-  ?strategy:Propagate.strategy ->
-  Path.t ->
-  max_fcl:float ->
-  max_yl:float ->
-  recommendation list
-(** Recommendations for every measurement whose losses exceed both limits,
-    sorted by decreasing fault-coverage-loss reduction — the insertion
-    order that buys the most testability first. *)
+val recommend : Plan.t -> max_fcl:float -> max_yl:float -> recommendation list
+(** Recommendations for the plan's {!Plan.dft_required} measurements (its
+    propagated entries whose losses exceed both limits), sorted by
+    decreasing fault-coverage-loss reduction — the insertion order that
+    buys the most testability first. *)

@@ -34,10 +34,7 @@ let mixer_stage t =
   | Some s -> s
   | None -> invalid_arg "Measure: path has no mixer stage"
 
-let lpf_stage_opt t =
-  List.find_opt
-    (fun s -> match s.Stage.block with Stage.Lpf _ -> true | _ -> false)
-    t.path.Path.stages
+let lpf_stage path = Path.first_stage path (function Stage.Lpf _ -> true | _ -> false)
 
 let snap_if t freq =
   let n = capture_samples and fs = adc_rate t in
@@ -84,7 +81,7 @@ let tone_power_dbm spectrum ~freq_hz =
    comparable with the sum of block pass-band gains.  Paths without an LPF
    stage need no correction. *)
 let lpf_rolloff_correction_db t ~if_freq =
-  match lpf_stage_opt t with
+  match lpf_stage t.path with
   | None -> 0.0
   | Some s ->
     let params = match s.Stage.block with Stage.Lpf p -> p | _ -> assert false in
@@ -146,8 +143,7 @@ let lo_frequency_hz t ~level_dbm =
 (* Nominal sum of the gains in front of the mixer — the de-embedding term
    the measurements below refer their readings through. *)
 let pre_mixer_gain_db t =
-  List.fold_left (fun acc (p : Param.t) -> acc +. p.Param.nominal) 0.0
-    (Path.gains_before t.path ~stage:(mixer_stage t).Stage.id)
+  Path.nominal_gain_db (Path.gains_before t.path ~stage:(mixer_stage t).Stage.id)
 
 let mixer_iip3_dbm t ~strategy =
   let f1 = snap_if t 90e3 and f2 = snap_if t 110e3 in
@@ -185,7 +181,7 @@ let mixer_iip3_dbm t ~strategy =
   | Propagate.Nominal_gains ->
     (* de-embed through the nominal gains of the mixer and what follows *)
     List.fold_left
-      (fun acc (p : Param.t) -> acc -. p.Param.nominal)
+      (fun acc (_, (p : Param.t)) -> acc -. p.Param.nominal)
       observable
       (Path.gains_from t.path ~stage:(mixer_stage t).Stage.id)
   | Propagate.Adaptive ->
@@ -313,11 +309,7 @@ let validate_part ?(pool = Msoc_util.Pool.serial) ?seed path part ~strategy =
       0.0 (Path.gain_stages path)
   in
   let mixer = Path.first_mixer path in
-  let lpf =
-    List.find_opt
-      (fun s -> match s.Stage.block with Stage.Lpf _ -> true | _ -> false)
-      path.Path.stages
-  in
+  let lpf = lpf_stage path in
   let id s = String.lowercase_ascii s.Stage.id in
   (* Every capture replays the session engine, a pure function of its
      stimulus, so the procedures are independent and can share the engine
@@ -357,7 +349,7 @@ let validate_part ?(pool = Msoc_util.Pool.serial) ?seed path part ~strategy =
            (match mixer with
            | Some mx ->
              let lo_id =
-               match Stage.lo_id mx with Some l -> l | None -> "LO"
+               match mx.Stage.block with Stage.Mix { lo_id; _ } -> lo_id | _ -> "LO"
              in
              [ (fun () ->
                  entry (lo_id ^ " frequency error (Hz)")

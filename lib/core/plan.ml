@@ -14,26 +14,17 @@ type t = {
   boundary_checks : Compose.boundary_check list;
 }
 
-(* The toleranced source parameter a spec verifies, located by the spec's
-   stage id and the kind's conventional field-name candidates. *)
-let param_of_spec (path : Path.t) (spec : Spec.t) =
-  List.find_map
-    (fun name -> Path.param_opt path ~stage:spec.Spec.stage ~name)
-    (Spec.param_names spec.Spec.kind)
+let population_of_spec (spec : Spec.t) =
+  Option.map
+    (fun (p : Param.t) ->
+      Coverage.defective_population ~nominal:p.Param.nominal ~tol:(Float.max p.Param.tol 1e-12))
+    spec.Spec.source
 
-let population_of_spec path spec =
-  match param_of_spec path spec with
-  | None -> None
-  | Some p ->
-    Some (Coverage.defective_population ~nominal:p.Param.nominal ~tol:(Float.max p.Param.tol 1e-12))
-
-let losses_for path (measurement : Propagate.t) =
-  let spec = measurement.Propagate.spec in
-  match population_of_spec path spec with
+let losses (spec : Spec.t) ~error =
+  match population_of_spec spec with
   | None -> { Coverage.fcl = 0.0; yl = 0.0 }
   | Some population ->
-    Coverage.analytic ~population ~bound:spec.Spec.bound
-      ~error:(Coverage.Uniform_err (Propagate.err measurement))
+    Coverage.analytic ~population ~bound:spec.Spec.bound ~error:(Coverage.Uniform_err error)
       ~threshold_shift:0.0
 
 (* Capture-count heuristics per measurement kind: single-point reads take
@@ -74,7 +65,9 @@ let synthesize ?(strategy = Propagate.Adaptive) path =
   in
   let propagated =
     List.map
-      (fun m -> Propagated { measurement = m; losses = losses_for path m })
+      (fun m ->
+        Propagated
+          { measurement = m; losses = losses m.Propagate.spec ~error:(Propagate.err m) })
       (Propagate.all_for_path path ~strategy)
   in
   let digital =
@@ -143,8 +136,7 @@ let audit_record path entry =
         instrument_err = m.Propagate.budget.Accuracy.instrument_err;
         contributions = m.Propagate.budget.Accuracy.contributions;
         prerequisites = m.Propagate.prerequisites;
-        required_tol =
-          Option.map (fun p -> p.Param.tol) (param_of_spec path m.Propagate.spec);
+        required_tol = Option.map (fun p -> p.Param.tol) m.Propagate.spec.Spec.source;
         fcl = Some losses.Coverage.fcl;
         yl = Some losses.Coverage.yl;
         cost = application_cost path entry }
@@ -171,7 +163,7 @@ let dft_required t ~max_fcl ~max_yl =
       | Composed _ | Digital_filter_test _ -> None)
     t.entries
 
-let table1 (_ : t) =
+let table1 =
   List.map
     (fun block -> (Spec.block_name block, List.map Spec.kind_name (Spec.table1 block)))
     [ Spec.Amp; Spec.Mixer; Spec.Lo; Spec.Lpf; Spec.Adc; Spec.Digital_filter ]

@@ -26,14 +26,19 @@ type t = {
 val synthesize : ?strategy:Propagate.strategy -> Path.t -> t
 (** Default strategy: [Adaptive]. *)
 
-val population_of_spec : Path.t -> Spec.t -> Msoc_stat.Distribution.t option
-(** Manufactured-population model for a spec'd parameter ([None] for
-    parameters without a toleranced source, e.g. stuck-at coverage). *)
+val population_of_spec : Spec.t -> Msoc_stat.Distribution.t option
+(** Manufactured-population model of the spec's [source] ([None] for
+    specs without a toleranced source, e.g. stuck-at coverage). *)
+
+val losses : Spec.t -> error:float -> Coverage.losses
+(** Predicted FCL/YL at [Thr = Tol] of a measurement of the spec whose
+    worst-case error is [error] (zero without a population model): the
+    losses of every propagated entry, at that entry's {!Propagate.err}. *)
 
 val dft_required : t -> max_fcl:float -> max_yl:float -> Propagate.t list
 (** Propagated tests whose predicted losses exceed both limits. *)
 
-val table1 : t -> (string * string list) list
+val table1 : (string * string list) list
 (** Block name to tested-parameter names — regenerates paper Table 1. *)
 
 val audit : t -> Audit.t list

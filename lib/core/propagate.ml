@@ -45,65 +45,25 @@ let traced name build =
 
 let standard_test_level_dbm = -35.0
 
-let spec_for path stage kind =
-  match
-    List.find_opt
-      (fun s -> String.equal s.Spec.stage stage && s.Spec.kind = kind)
-      (Spec.of_path path)
-  with
+(* The stage's spec of [kind]: a stage (with its LO) has at most one. *)
+let spec_for stage kind =
+  match List.find_opt (fun s -> s.Spec.kind = kind) (Spec.of_stage stage) with
   | Some s -> s
   | None -> invalid_arg "Propagate: no such spec for this path"
 
 (* ---- stage lookups ---- *)
 
-let find_class path pred =
-  List.find_opt (fun s -> pred s.Stage.block) path.Path.stages
-
-let amp_stage path =
-  find_class path (function Stage.Amp _ -> true | _ -> false)
-
-let mixer_stage path = Path.first_mixer path
-
-let lpf_stage path =
-  find_class path (function Stage.Lpf _ -> true | _ -> false)
+let amp_stage path = Path.first_stage path (function Stage.Amp _ -> true | _ -> false)
+let lpf_stage path = Path.first_stage path (function Stage.Lpf _ -> true | _ -> false)
 
 let require what = function
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Propagate: path has no %s stage" what)
 
 let lo_of path =
-  let mx = require "mixer" (mixer_stage path) in
-  match (Stage.lo_id mx, Stage.lo_params mx) with
-  | Some id, Some p -> (id, p)
+  match (require "mixer" (Path.first_mixer path)).Stage.block with
+  | Stage.Mix { lo_id; lo; _ } -> (lo_id, lo)
   | _ -> invalid_arg "Propagate: mixer stage carries no LO"
-
-(* Gain stages (lower-cased id, gain Param.t) strictly before / from /
-   strictly after a named stage — the de-embedding chains every budget
-   folds over. *)
-let gain_split path ~stage =
-  let rec go before = function
-    | [] -> (List.rev before, [])
-    | s :: rest when String.equal s.Stage.id stage -> (List.rev before, s :: rest)
-    | s :: rest -> go (s :: before) rest
-  in
-  let before, from = go [] path.Path.stages in
-  let gains l =
-    List.filter_map
-      (fun s ->
-        match Stage.gain_param s with
-        | Some g -> Some (String.lowercase_ascii s.Stage.id, g)
-        | None -> None)
-      l
-  in
-  (gains before, gains from)
-
-let all_gains path =
-  List.map
-    (fun (s, g) -> (String.lowercase_ascii s.Stage.id, g))
-    (Path.gain_stages path)
-
-let nominal_sum gains =
-  List.fold_left (fun acc (_, (g : Param.t)) -> acc +. g.Param.nominal) 0.0 gains
 
 let rf_two_tone (path : Path.t) =
   let f_lo = match Path.lo_freq_hz path with Some f -> f | None -> 0.0 in
@@ -117,29 +77,33 @@ let rf_single_tone (path : Path.t) ~offset_hz ~power_dbm =
     ~noise_dbm:(Context.thermal_noise_dbm path.Path.ctx)
     ~freq_hz:(f_lo +. offset_hz) ~power_dbm ()
 
-let contribution source (p : Param.t) = { Accuracy.source; err = p.Param.tol }
+(* The de-embedding term of one gain stage, e.g. [G_mixer]. *)
+let gain_name ((s : Stage.t), _) = "G_" ^ String.lowercase_ascii s.Stage.id
 
 let nominal_contributions ?(suffix = " (nominal assumed)") gains =
-  List.map (fun (id, g) -> contribution ("G_" ^ id ^ suffix) g) gains
+  List.map
+    (fun ((_, (g : Param.t)) as gain) ->
+      { Accuracy.source = gain_name gain ^ suffix; err = g.Param.tol })
+    gains
 
 let mixer_iip3 (path : Path.t) ~strategy =
   traced "propagate.mixer_iip3" @@ fun () ->
-  let mx = require "mixer" (mixer_stage path) in
-  let before, from = gain_split path ~stage:mx.Stage.id in
+  let mx = require "mixer" (Path.first_mixer path) in
   let budget, formula, prerequisites =
     match strategy with
     | Nominal_gains ->
+      let from = Path.gains_from path ~stage:mx.Stage.id in
       ( Accuracy.create (nominal_contributions from),
-        "IIP3 = (3X - Y)/2 - "
-        ^ String.concat " - " (List.map (fun (id, _) -> "G_" ^ id) from),
+        "IIP3 = (3X - Y)/2 - " ^ String.concat " - " (List.map gain_name from),
         [] )
     | Adaptive ->
+      let before = Path.gains_before path ~stage:mx.Stage.id in
       ( Accuracy.create (nominal_contributions before),
         "IIP3 = (3X - Y)/2 - G_path"
-        ^ String.concat "" (List.map (fun (id, _) -> " + G_" ^ id) before),
+        ^ String.concat "" (List.map (fun g -> " + " ^ gain_name g) before),
         [ "path gain" ] )
   in
-  { spec = spec_for path mx.Stage.id Spec.Iip3;
+  { spec = spec_for mx Spec.Iip3;
     strategy;
     stimulus = rf_two_tone path;
     procedure =
@@ -187,14 +151,14 @@ let amp_iip3 (path : Path.t) ~strategy =
   let amp = require "amplifier" (amp_stage path) in
   let masking = { Accuracy.source = "mixer IM3 masking"; err = 1.0 } in
   let mixer_prereq =
-    match mixer_stage path with
+    match Path.first_mixer path with
     | Some mx -> [ String.lowercase_ascii mx.Stage.id ^ " IIP3" ]
     | None -> []
   in
   let budget, formula, prerequisites =
     match strategy with
     | Nominal_gains ->
-      ( Accuracy.create (nominal_contributions (all_gains path) @ [ masking ]),
+      ( Accuracy.create (nominal_contributions (Path.gain_stages path) @ [ masking ]),
         "IIP3_amp = (3X - Y)/2 - G_path(nominal)",
         [] )
     | Adaptive ->
@@ -202,7 +166,7 @@ let amp_iip3 (path : Path.t) ~strategy =
         "IIP3_amp = (3X - Y)/2 - G_path(measured)",
         "path gain" :: mixer_prereq )
   in
-  { spec = spec_for path amp.Stage.id Spec.Iip3;
+  { spec = spec_for amp Spec.Iip3;
     strategy;
     stimulus = rf_two_tone path;
     procedure =
@@ -215,15 +179,16 @@ let amp_iip3 (path : Path.t) ~strategy =
 
 let mixer_p1db (path : Path.t) ~strategy =
   traced "propagate.mixer_p1db" @@ fun () ->
-  let mx = require "mixer" (mixer_stage path) in
-  let before, from = gain_split path ~stage:mx.Stage.id in
+  let mx = require "mixer" (Path.first_mixer path) in
+  let before = Path.gains_before path ~stage:mx.Stage.id in
   let p1db = Path.param path ~stage:mx.Stage.id ~name:"p1db_dbm" in
   let budget, formula, prerequisites =
     match strategy with
     | Nominal_gains ->
       ( Accuracy.create
           (nominal_contributions before
-          @ nominal_contributions ~suffix:" (compression ref, nominal)" from),
+          @ nominal_contributions ~suffix:" (compression ref, nominal)"
+              (Path.gains_from path ~stage:mx.Stage.id)),
         "P1dB = P_in(output 1 dB below nominal-gain line) + G_amp(nominal)",
         [] )
     | Adaptive ->
@@ -231,11 +196,11 @@ let mixer_p1db (path : Path.t) ~strategy =
         "P1dB = P_in(gain drop of 1 dB vs measured small-signal path gain) + G_amp",
         [ "path gain" ] )
   in
-  { spec = spec_for path mx.Stage.id Spec.P1db;
+  { spec = spec_for mx Spec.P1db;
     strategy;
     stimulus =
       rf_single_tone path ~offset_hz:100e3
-        ~power_dbm:(p1db.Param.nominal -. nominal_sum before);
+        ~power_dbm:(p1db.Param.nominal -. Path.nominal_gain_db before);
     procedure =
       "Sweep the single-tone input level upward; find the input power at \
        which the output fundamental sits 1 dB below the extrapolated linear \
@@ -256,8 +221,7 @@ let lpf_cutoff_slope_db_per_hz (path : Path.t) =
 
 let lo_freq_error (path : Path.t) =
   traced "propagate.lo_freq_error" @@ fun () ->
-  let lo_id, _ = lo_of path in
-  { spec = spec_for path lo_id Spec.Freq_error;
+  { spec = spec_for (require "mixer" (Path.first_mixer path)) Spec.Freq_error;
     strategy = Adaptive;
     stimulus = rf_single_tone path ~offset_hz:100e3 ~power_dbm:standard_test_level_dbm;
     procedure =
@@ -289,7 +253,7 @@ let lpf_cutoff (path : Path.t) ~strategy =
         "f_c = f_RF(gain 3 dB below this part's own pass band) - f_LO(measured)",
         [ "path gain"; lo_id ^ " frequency error" ] )
   in
-  { spec = spec_for path lpf.Stage.id Spec.Cutoff_freq;
+  { spec = spec_for lpf Spec.Cutoff_freq;
     strategy;
     stimulus =
       rf_single_tone path
@@ -305,11 +269,12 @@ let lpf_cutoff (path : Path.t) ~strategy =
 
 let mixer_lo_isolation (path : Path.t) ~strategy =
   traced "propagate.mixer_lo_isolation" @@ fun () ->
-  let mx = require "mixer" (mixer_stage path) in
-  let _, from = gain_split path ~stage:mx.Stage.id in
+  let mx = require "mixer" (Path.first_mixer path) in
   (* gains strictly after the mixer refer the spur reading back to it *)
-  let after = match from with [] -> [] | _ :: rest -> rest in
-  let refer_names = String.concat " - " (List.map (fun (id, _) -> "G_" ^ id) after) in
+  let after =
+    match Path.gains_from path ~stage:mx.Stage.id with [] -> [] | _ :: rest -> rest
+  in
+  let refer_names = String.concat " - " (List.map gain_name after) in
   let drive_assumed = { Accuracy.source = "LO drive level assumed"; err = 0.5 } in
   let budget, formula, prerequisites =
     match strategy with
@@ -325,7 +290,7 @@ let mixer_lo_isolation (path : Path.t) ~strategy =
           refer_names,
         [ "path gain" ] )
   in
-  { spec = spec_for path mx.Stage.id Spec.Lo_isolation;
+  { spec = spec_for mx Spec.Lo_isolation;
     strategy;
     stimulus = Attr.silence ~noise_dbm:(Context.thermal_noise_dbm path.Path.ctx) ();
     procedure =
@@ -338,7 +303,7 @@ let mixer_lo_isolation (path : Path.t) ~strategy =
 let adc_inl (path : Path.t) =
   traced "propagate.adc_inl" @@ fun () ->
   let digitizer = Path.digitizer path in
-  { spec = spec_for path digitizer.Stage.id Spec.Inl;
+  { spec = spec_for digitizer Spec.Inl;
     strategy = Adaptive;
     stimulus = rf_single_tone path ~offset_hz:100e3 ~power_dbm:(standard_test_level_dbm +. 3.0);
     procedure =
@@ -362,7 +327,7 @@ let dc_offset_composite (path : Path.t) =
           err = offset.Param.tol } ]
     | None -> []
   in
-  { spec = spec_for path digitizer.Stage.id Spec.Offset_error;
+  { spec = spec_for digitizer Spec.Offset_error;
     strategy = Nominal_gains;
     stimulus = Attr.silence ~noise_dbm:(Context.thermal_noise_dbm path.Path.ctx) ();
     procedure =
@@ -377,7 +342,7 @@ let dc_offset_composite (path : Path.t) =
    when its stage exists, in the fixed historical order. *)
 let all_for_path path ~strategy =
   let has_amp = amp_stage path <> None in
-  let has_mixer = mixer_stage path <> None in
+  let has_mixer = Path.first_mixer path <> None in
   let has_lpf = lpf_stage path <> None in
   let nyquist_adc =
     match (Path.digitizer path).Stage.block with

@@ -43,6 +43,7 @@ type t = {
   origin : origin;
   bound : bound;
   unit_label : string;
+  source : Param.t option;
 }
 
 let block_name = function
@@ -97,24 +98,6 @@ let gain_kind = function
   | Lpf -> Passband_gain
   | Amp | Mixer | Lo | Adc | Digital_filter -> Gain
 
-(* Candidate parameter names (in the {!Stage.params} convention) backing a
-   spec kind; tried in order against the spec's stage. *)
-let param_names = function
-  | Gain | Passband_gain -> [ "gain_db" ]
-  | Iip3 -> [ "iip3_dbm" ]
-  | Dc_offset -> [ "dc_offset_v" ]
-  | Lo_isolation -> [ "lo_isolation_db" ]
-  | Noise_figure -> [ "nf_db" ]
-  | P1db -> [ "p1db_dbm" ]
-  | Freq_error -> [ "freq_error_hz" ]
-  | Phase_noise -> [ "phase_noise_deg_rms" ]
-  | Stopband_gain -> [ "stopband_db" ]
-  | Cutoff_freq -> [ "cutoff_hz" ]
-  | Offset_error -> [ "offset_error_v"; "comparator_offset_v" ]
-  | Inl -> [ "inl_lsb" ]
-  | Dnl -> [ "dnl_lsb" ]
-  | Harmonic3 | Dynamic_range | Stuck_at_coverage -> []
-
 let passes bound value =
   match bound with
   | At_least threshold -> value >= threshold
@@ -130,21 +113,27 @@ let pp ppf t =
   Format.fprintf ppf "%s.%s (%s) %a %s" t.stage (kind_name t.kind)
     (origin_name t.origin) pp_bound t.bound t.unit_label
 
-let within_param (p : Param.t) =
+let within (p : Param.t) =
   Within { lo = p.Param.nominal -. p.Param.tol; hi = p.Param.nominal +. p.Param.tol }
 
-let at_least_param (p : Param.t) = At_least (p.Param.nominal -. p.Param.tol)
-let at_most_param (p : Param.t) = At_most (p.Param.nominal +. p.Param.tol)
+let at_least (p : Param.t) = At_least (p.Param.nominal -. p.Param.tol)
+let at_most (p : Param.t) = At_most (p.Param.nominal +. p.Param.tol)
 
 let of_stage (s : Stage.t) =
+  let stage = s.Stage.id in
+  (* [spec] bounds no toleranced parameter; [param] bounds [p], its source,
+     by [bound_of p] *)
   let spec block kind origin bound unit_label =
-    { block; stage = s.Stage.id; kind; origin; bound; unit_label }
+    { block; stage; kind; origin; bound; unit_label; source = None }
+  in
+  let param ?(stage = stage) block kind origin bound_of p unit_label =
+    { block; stage; kind; origin; bound = bound_of p; unit_label; source = Some p }
   in
   match s.Stage.block with
   | Stage.Amp amp ->
-    [ spec Amp Gain Partitioned (within_param amp.Amplifier.gain_db) "dB";
-      spec Amp Iip3 Non_ideality (at_least_param amp.Amplifier.iip3_dbm) "dBm";
-      spec Amp Dc_offset Non_ideality (within_param amp.Amplifier.dc_offset_v) "V";
+    [ param Amp Gain Partitioned within amp.Amplifier.gain_db "dB";
+      param Amp Iip3 Non_ideality at_least amp.Amplifier.iip3_dbm "dBm";
+      param Amp Dc_offset Non_ideality within amp.Amplifier.dc_offset_v "V";
       spec Amp Harmonic3 Non_ideality
         (At_most
            (* HD3 bound implied by the IIP3 bound at the standard test level. *)
@@ -152,33 +141,28 @@ let of_stage (s : Stage.t) =
            *. (amp.Amplifier.iip3_dbm.Param.nominal -. amp.Amplifier.iip3_dbm.Param.tol)))
         "dBc" ]
   | Stage.Mix { lo_id; lo; mixer } ->
-    let lo_spec kind origin bound unit_label =
-      { block = Lo; stage = lo_id; kind; origin; bound; unit_label }
-    in
-    [ spec Mixer Gain Partitioned (within_param mixer.Mixer_blk.gain_db) "dB";
-      spec Mixer Iip3 Non_ideality (at_least_param mixer.Mixer_blk.iip3_dbm) "dBm";
-      spec Mixer Lo_isolation Non_ideality (at_least_param mixer.Mixer_blk.lo_isolation_db)
-        "dB";
-      spec Mixer Noise_figure Partitioned (at_most_param mixer.Mixer_blk.nf_db) "dB";
-      spec Mixer P1db Non_ideality (at_least_param mixer.Mixer_blk.p1db_dbm) "dBm";
-      lo_spec Freq_error System_projection (within_param lo.Local_osc.freq_error_hz) "Hz";
-      lo_spec Phase_noise Non_ideality (at_most_param lo.Local_osc.phase_noise_deg_rms)
+    [ param Mixer Gain Partitioned within mixer.Mixer_blk.gain_db "dB";
+      param Mixer Iip3 Non_ideality at_least mixer.Mixer_blk.iip3_dbm "dBm";
+      param Mixer Lo_isolation Non_ideality at_least mixer.Mixer_blk.lo_isolation_db "dB";
+      param Mixer Noise_figure Partitioned at_most mixer.Mixer_blk.nf_db "dB";
+      param Mixer P1db Non_ideality at_least mixer.Mixer_blk.p1db_dbm "dBm";
+      param ~stage:lo_id Lo Freq_error System_projection within lo.Local_osc.freq_error_hz "Hz";
+      param ~stage:lo_id Lo Phase_noise Non_ideality at_most lo.Local_osc.phase_noise_deg_rms
         "deg rms" ]
   | Stage.Lpf lpf ->
-    [ spec Lpf Passband_gain Partitioned (within_param lpf.Lpf_blk.gain_db) "dB";
-      spec Lpf Stopband_gain System_projection (at_most_param lpf.Lpf_blk.stopband_db) "dB";
-      spec Lpf Cutoff_freq System_projection (within_param lpf.Lpf_blk.cutoff_hz) "Hz";
+    [ param Lpf Passband_gain Partitioned within lpf.Lpf_blk.gain_db "dB";
+      param Lpf Stopband_gain System_projection at_most lpf.Lpf_blk.stopband_db "dB";
+      param Lpf Cutoff_freq System_projection within lpf.Lpf_blk.cutoff_hz "Hz";
       spec Lpf Dynamic_range Partitioned (At_least 60.0) "dB" ]
   | Stage.Adc { adc; _ } ->
-    [ spec Adc Offset_error Non_ideality (within_param adc.Adc_blk.offset_error_v) "V";
-      spec Adc Inl Non_ideality (at_most_param adc.Adc_blk.inl_lsb) "LSB";
-      spec Adc Dnl Non_ideality (at_most_param adc.Adc_blk.dnl_lsb) "LSB";
-      spec Adc Noise_figure Partitioned (at_most_param adc.Adc_blk.nf_db) "dB";
+    [ param Adc Offset_error Non_ideality within adc.Adc_blk.offset_error_v "V";
+      param Adc Inl Non_ideality at_most adc.Adc_blk.inl_lsb "LSB";
+      param Adc Dnl Non_ideality at_most adc.Adc_blk.dnl_lsb "LSB";
+      param Adc Noise_figure Partitioned at_most adc.Adc_blk.nf_db "dB";
       spec Adc Dynamic_range Partitioned (At_least 60.0) "dB" ]
   | Stage.Sd_adc { sd; _ } ->
-    [ spec Adc Offset_error Non_ideality (within_param sd.Sigma_delta.comparator_offset_v)
-        "V";
-      spec Adc Noise_figure Partitioned (at_most_param sd.Sigma_delta.nf_db) "dB";
+    [ param Adc Offset_error Non_ideality within sd.Sigma_delta.comparator_offset_v "V";
+      param Adc Noise_figure Partitioned at_most sd.Sigma_delta.nf_db "dB";
       spec Adc Dynamic_range Partitioned (At_least 60.0) "dB" ]
 
 let of_path (path : Path.t) =
@@ -188,4 +172,5 @@ let of_path (path : Path.t) =
         kind = Stuck_at_coverage;
         origin = System_projection;
         bound = At_least 0.8;
-        unit_label = "fraction" } ]
+        unit_label = "fraction";
+        source = None } ]

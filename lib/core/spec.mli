@@ -42,6 +42,10 @@ type t = {
   origin : origin;
   bound : bound;
   unit_label : string;
+  source : Msoc_analog.Param.t option;
+      (** The toleranced block parameter the spec bounds, whose population
+          {!Plan.population_of_spec} models; [None] for HD3, dynamic range
+          and stuck-at coverage. *)
 }
 
 val block_name : block -> string
@@ -57,13 +61,12 @@ val gain_kind : block -> kind
 (** The kind under which a block class's pass-band gain is spec'd
     ({!Passband_gain} for the LPF, {!Gain} otherwise). *)
 
-val param_names : kind -> string list
-(** Candidate {!Msoc_analog.Stage.param} names backing a spec kind, tried
-    in order; empty for kinds with no toleranced source parameter. *)
-
 val passes : bound -> float -> bool
 val pp_bound : Format.formatter -> bound -> unit
 val pp : Format.formatter -> t -> unit
+
+val of_stage : Msoc_analog.Stage.t -> t list
+(** The specs of one stage, its LO's included, as {!of_path} lists them. *)
 
 val of_path : Msoc_analog.Path.t -> t list
 (** Concrete spec list for a path: every Table 1 parameter of every stage

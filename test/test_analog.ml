@@ -647,6 +647,118 @@ let test_topology_mc_gain_within_interval () =
       done)
     Topology.names
 
+(* Every block parameter as the block records declare it, grouped by the
+   owner id it answers to: the reference the path's by-name lookups must
+   agree with. *)
+let declared_params (s : Stage.t) =
+  match s.Stage.block with
+  | Stage.Amp p ->
+    Amplifier.
+      [ (s.Stage.id,
+         [ ("gain_db", p.gain_db); ("iip3_dbm", p.iip3_dbm); ("dc_offset_v", p.dc_offset_v);
+           ("nf_db", p.nf_db) ]) ]
+  | Stage.Mix { lo_id; lo; mixer = p } ->
+    Mixer.
+      [ (s.Stage.id,
+         [ ("gain_db", p.gain_db); ("iip3_dbm", p.iip3_dbm);
+           ("lo_isolation_db", p.lo_isolation_db); ("nf_db", p.nf_db); ("p1db_dbm", p.p1db_dbm) ]);
+        (lo_id,
+         Local_osc.
+           [ ("freq_error_hz", lo.freq_error_hz); ("phase_noise_deg_rms", lo.phase_noise_deg_rms) ])
+      ]
+  | Stage.Lpf p ->
+    Lpf.
+      [ (s.Stage.id,
+         [ ("gain_db", p.gain_db); ("cutoff_hz", p.cutoff_hz); ("stopband_db", p.stopband_db);
+           ("clock_spur_dbc", p.clock_spur_dbc); ("nf_db", p.nf_db) ]) ]
+  | Stage.Adc { adc = p; _ } ->
+    Adc.
+      [ (s.Stage.id,
+         [ ("offset_error_v", p.offset_error_v); ("inl_lsb", p.inl_lsb); ("dnl_lsb", p.dnl_lsb);
+           ("nf_db", p.nf_db) ]) ]
+  | Stage.Sd_adc { sd = p; _ } ->
+    Sigma_delta.
+      [ (s.Stage.id,
+         [ ("leakage", p.leakage); ("gain_error", p.gain_error);
+           ("comparator_offset_v", p.comparator_offset_v); ("nf_db", p.nf_db) ]) ]
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [f ()] raises [Invalid_argument] with a message naming [what]. *)
+let raises_naming label what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" label
+  | exception Invalid_argument msg ->
+    if not (contains msg what) then Alcotest.failf "%s: %S does not name %S" label msg what
+
+(* The one parameter table, row by row, on every registered topology: each
+   owner's rows are the declared parameters in order, [Path.param] returns
+   the record's own [Param.t], a part's value reads back what was written
+   and writing one row leaves every other row's value unchanged. *)
+let test_topology_parameter_table () =
+  List.iter
+    (fun name ->
+      let path = Option.get (Topology.build name) in
+      let declared = List.concat_map declared_params path.Path.stages in
+      List.iter
+        (fun s ->
+          let own = declared_params s in
+          Alcotest.(check (list string)) (name ^ " owners") (List.map fst own) (Stage.owners s);
+          List.iter
+            (fun (owner, params) ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s %s rows" name owner)
+                (List.map fst params)
+                (List.map (fun r -> r.Stage.name) (Stage.rows s ~owner)))
+            own)
+        path.Path.stages;
+      let rows =
+        List.concat_map
+          (fun (owner, params) -> List.map (fun (n, p) -> (owner, n, p)) params)
+          declared
+      in
+      let read part =
+        List.map (fun (owner, n, _) -> Path.part_value path part ~stage:owner ~name:n) rows
+      in
+      let part = Path.sample_part path (Prng.create 17) in
+      let before = read part in
+      List.iteri
+        (fun i (owner, n, (p : Param.t)) ->
+          let label = Printf.sprintf "%s %s.%s" name owner n in
+          (* the very field of the block record, not an equal copy *)
+          Alcotest.(check bool) (label ^ " param") true (Path.param path ~stage:owner ~name:n == p);
+          Alcotest.(check (float 0.0)) (label ^ " nominal part") p.Param.nominal
+            (Path.part_value path (Path.nominal_part path) ~stage:owner ~name:n);
+          (* outside the row's tolerance, so never the sampled part's own value *)
+          let x = p.Param.nominal +. (2.0 *. p.Param.tol) +. 1.0 in
+          let written = Path.with_value path part ~stage:owner ~name:n x in
+          Alcotest.(check (float 0.0)) (label ^ " reads back") x
+            (Path.part_value path written ~stage:owner ~name:n);
+          List.iteri
+            (fun j ((o, m, _), (was, now)) ->
+              if j <> i then
+                Alcotest.(check (float 0.0)) (Printf.sprintf "%s leaves %s.%s" label o m) was now)
+            (List.combine rows (List.combine before (read written))))
+        rows;
+      let first = match rows with (owner, _, _) :: _ -> owner | [] -> assert false in
+      let part = Path.nominal_part path in
+      List.iter
+        (fun (stage, n, what) ->
+          let label = Printf.sprintf "%s %s.%s" name stage n in
+          raises_naming (label ^ " param") what (fun () -> Path.param path ~stage ~name:n);
+          raises_naming (label ^ " part_value") what (fun () ->
+              Path.part_value path part ~stage ~name:n);
+          raises_naming (label ^ " with_value") what (fun () ->
+              Path.with_value path part ~stage ~name:n 0.0))
+        [ ("No_such_stage", "gain_db", "No_such_stage");
+          (first, "no_such_param", "no_such_param");
+          (* a name only the LO's owner answers to *)
+          (first, "freq_error_hz", "freq_error_hz") ])
+    Topology.names
+
 let () =
   Alcotest.run "msoc_analog"
     [ ( "param",
@@ -706,4 +818,5 @@ let () =
         [ Alcotest.test_case "registry builds" `Quick test_topology_registry_builds;
           Alcotest.test_case "registry sorted" `Quick test_topology_registry_sorted;
           Alcotest.test_case "MC gain within interval" `Quick
-            test_topology_mc_gain_within_interval ] ) ]
+            test_topology_mc_gain_within_interval;
+          Alcotest.test_case "parameter table" `Quick test_topology_parameter_table ] ) ]

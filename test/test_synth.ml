@@ -71,6 +71,48 @@ let test_receiver_specs_complete () =
         (Spec.table1 block))
     [ Spec.Amp; Spec.Mixer; Spec.Lo; Spec.Lpf; Spec.Adc; Spec.Digital_filter ]
 
+(* The conventional name of the block parameter each spec kind bounds. *)
+let source_name = function
+  | Spec.Gain | Spec.Passband_gain -> Some "gain_db"
+  | Spec.Iip3 -> Some "iip3_dbm"
+  | Spec.Dc_offset -> Some "dc_offset_v"
+  | Spec.Lo_isolation -> Some "lo_isolation_db"
+  | Spec.Noise_figure -> Some "nf_db"
+  | Spec.P1db -> Some "p1db_dbm"
+  | Spec.Freq_error -> Some "freq_error_hz"
+  | Spec.Phase_noise -> Some "phase_noise_deg_rms"
+  | Spec.Stopband_gain -> Some "stopband_db"
+  | Spec.Cutoff_freq -> Some "cutoff_hz"
+  | Spec.Offset_error -> Some "offset_error_v"
+  | Spec.Inl -> Some "inl_lsb"
+  | Spec.Dnl -> Some "dnl_lsb"
+  | Spec.Harmonic3 | Spec.Dynamic_range | Spec.Stuck_at_coverage -> None
+
+(* Every spec carries the very [Param.t] it bounds: the one its owner's row
+   of that name reads, except a sigma-delta's offset, which is the
+   comparator's; HD3, dynamic range and stuck-at coverage have none. *)
+let test_spec_sources () =
+  List.iter
+    (fun name ->
+      let path = Option.get (Msoc_analog.Topology.build name) in
+      List.iter
+        (fun (spec : Spec.t) ->
+          let expected =
+            match (spec.Spec.kind, (Path.digitizer path).Stage.block) with
+            | Spec.Offset_error, Stage.Sd_adc { sd; _ } ->
+              Some sd.Msoc_analog.Sigma_delta.comparator_offset_v
+            | kind, _ ->
+              Option.map
+                (fun n -> Path.param path ~stage:spec.Spec.stage ~name:n)
+                (source_name kind)
+          in
+          match (expected, spec.Spec.source) with
+          | None, None -> ()
+          | Some p, Some q when p == q -> ()
+          | _ -> Alcotest.failf "%s: %a has the wrong source" name Spec.pp spec)
+        (Spec.of_path path))
+    Msoc_analog.Topology.names
+
 (* ---- Accuracy ---- *)
 
 let test_budget_totals () =
@@ -446,8 +488,7 @@ let test_plan_structure () =
   Alcotest.(check bool) "digital filter test present" true has_digital
 
 let test_plan_table1 () =
-  let plan = Plan.synthesize path in
-  let t1 = Plan.table1 plan in
+  let t1 = Plan.table1 in
   Alcotest.(check int) "six blocks" 6 (List.length t1);
   Alcotest.(check (list string)) "mixer row"
     [ "Gain"; "IIP3"; "LO Isolation"; "NF"; "P1dB" ]
@@ -531,7 +572,9 @@ let test_dft_access_removes_contributions () =
   let r =
     List.find
       (fun r -> Propagate.parameter_name r.Dft.measurement = Propagate.parameter_name m)
-      (Dft.recommend ~strategy:Propagate.Nominal_gains path ~max_fcl:(-1.0) ~max_yl:(-1.0))
+      (Dft.recommend
+         (Plan.synthesize ~strategy:Propagate.Nominal_gains path)
+         ~max_fcl:(-1.0) ~max_yl:(-1.0))
   in
   Alcotest.(check bool) "budget shrinks to instrument" true
     (Accuracy.worst_case r.Dft.budget_with < Propagate.err m);
@@ -539,7 +582,7 @@ let test_dft_access_removes_contributions () =
   Alcotest.(check bool) "yl improves" true (r.Dft.yl_reduction > 0.0)
 
 let test_dft_recommendations_sorted () =
-  let recs = Dft.recommend path ~max_fcl:0.05 ~max_yl:0.01 in
+  let recs = Dft.recommend (Plan.synthesize path) ~max_fcl:0.05 ~max_yl:0.01 in
   Alcotest.(check bool) "some recommendations under strict limits" true
     (List.length recs > 0);
   let rec sorted = function
@@ -550,7 +593,7 @@ let test_dft_recommendations_sorted () =
 
 let test_dft_lax_limits_empty () =
   Alcotest.(check int) "no recommendations when everything passes" 0
-    (List.length (Dft.recommend path ~max_fcl:1.0 ~max_yl:1.0))
+    (List.length (Dft.recommend (Plan.synthesize path) ~max_fcl:1.0 ~max_yl:1.0))
 
 (* ---- Measure (virtual tester) ---- *)
 
@@ -871,7 +914,8 @@ let () =
         [ Alcotest.test_case "table 1 sets" `Quick test_table1_parameter_sets;
           Alcotest.test_case "composability" `Quick test_composable_partition;
           Alcotest.test_case "bounds" `Quick test_bounds;
-          Alcotest.test_case "receiver specs" `Quick test_receiver_specs_complete ] );
+          Alcotest.test_case "receiver specs" `Quick test_receiver_specs_complete;
+          Alcotest.test_case "sources" `Quick test_spec_sources ] );
       ( "accuracy",
         [ Alcotest.test_case "totals" `Quick test_budget_totals ] );
       ( "compose",
